@@ -17,8 +17,8 @@ from .berry import (BerryPhaseResult, ConnectionSample, GaugeCheckResult,
 from .biortho import (BiorthoEigenSystem, ComplexMatrix2, band_index, eig2,
                       track_along_path)
 from .elliptic import EllipticArgs, closed_form_gamma, ellip_k, ellip_pi
-from .errors import (BadResolution, BandLeakage, BerrylineError,
-                     ClassificationMismatch, DefectiveMatrix,
+from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
+                     BerrylineError, ClassificationMismatch, DefectiveMatrix,
                      DegenerateSpectrum, Disagreement, DomainError,
                      GaugeMismatch, NotConverged, OutsideValidityDomain,
                      PathTooCoarse, SingularLoop, SingularParameters,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BIPARTITE", "TWO_LEVEL",
-    "BadResolution", "BandLeakage", "BerrylineError",
+    "AmplitudeOutOfRange", "BadResolution", "BandLeakage", "BerrylineError",
     "BerryPhaseResult", "BiorthoEigenSystem", "BipartiteModel",
     "BipartiteParams", "ClassificationMismatch", "ComplexMatrix2",
     "ConnectionSample", "CrossingReport", "DefectiveMatrix",

@@ -16,6 +16,7 @@ failed an internal cross-check.
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -23,12 +24,12 @@ import numpy as np
 from .berry import (analytic_q, apply_gauge, bipartite_phase_point,
                     two_level_phase_point)
 from .elliptic import closed_form_gamma
-from .errors import (BadResolution, BandLeakage, ClassificationMismatch,
-                     DefectiveMatrix, DegenerateSpectrum, Disagreement,
-                     DomainError, GaugeMismatch, NotConverged,
-                     OutsideValidityDomain, PathTooCoarse, SingularLoop,
-                     SingularParameters, StepTooLarge, TrueCrossing,
-                     UndefinedAtTransition)
+from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
+                     ClassificationMismatch, DefectiveMatrix,
+                     DegenerateSpectrum, Disagreement, DomainError,
+                     GaugeMismatch, NotConverged, OutsideValidityDomain,
+                     PathTooCoarse, SingularLoop, SingularParameters,
+                     StepTooLarge, TrueCrossing, UndefinedAtTransition)
 from .evolution import Schedule, adiabatic_decomposition
 from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
                      TwoLevelModel, TwoLevelParams, standard_loop)
@@ -43,10 +44,16 @@ _SINGULAR_ERRORS = (SingularParameters, SingularLoop, TrueCrossing,
                     UndefinedAtTransition, DegenerateSpectrum,
                     DefectiveMatrix, OutsideValidityDomain)
 _NUMERIC_ERRORS = (NotConverged, PathTooCoarse, Disagreement, StepTooLarge,
-                   BandLeakage, ClassificationMismatch, GaugeMismatch)
+                   BandLeakage, ClassificationMismatch, GaugeMismatch,
+                   AmplitudeOutOfRange)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-8.5e-05" for an option name; read it as a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with 2 on usage errors; 2 is reserved here for
     # singular parameters, so remap to 1
     def error(self, message):

@@ -98,6 +98,14 @@ class StepTooLarge(BerrylineError):
         self.growth = growth
 
 
+class AmplitudeOutOfRange(BerrylineError):
+    """An evolved state's norm exp(log_scale) lies outside the floating-point range."""
+
+    def __init__(self, message, log_scale=None):
+        super().__init__(message)
+        self.log_scale = log_scale
+
+
 class BandLeakage(BerrylineError):
     """Evolved state leaked into the other band beyond the adiabatic budget."""
 

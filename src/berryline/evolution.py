@@ -8,9 +8,16 @@ no 2 pi is ever lost. The report splits that phase into a dynamical part
 (minus the time integral of the band energy) plus the geometric loop
 phase, and states the leftover defect openly instead of hiding it.
 
-Two caveats worth knowing. Amplitudes are renormalized every few steps
-with the scale kept in a running logarithm, so strongly lossy cycles
-neither underflow nor overflow; runs deep in the lossy regime are flagged
+One kernel steps both ``evolve`` and the decomposition. Each RK4 step of
+the linear equation is a 2x2 matrix; per streamed chunk of m steps all of
+them are built at once and split into about 2 sqrt(m) blocks. Running
+products within the blocks come vectorized across blocks, a walk over the
+block products gives each block's start, and then every per-step state at
+once feeds the growth guard, the records and the branch of c(t). Products
+are renormalized every 16 steps and states at each block start, the scale
+kept as a running log, so no cycle underflows or overflows in the kernel.
+
+Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
 there. And the projection reference stays pinned at alpha(0), so when
 the instantaneous eigenframe winds around that fixed direction during
@@ -29,20 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biortho import band_index
-from .errors import BandLeakage, StepTooLarge
-from .models import (
-    BIPARTITE,
-    TWO_LEVEL,
-    bipartite_closed_form,
-    standard_loop,
-    two_level_closed_form,
-)
+from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
+from .models import (BIPARTITE, TWO_LEVEL, bipartite_closed_form,
+                     standard_loop, two_level_closed_form)
 from .berry import band_berry_phase
 
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 15
-_RENORM_MASK = 15          # renormalize every 16 steps
+_CHUNK = 1 << 15           # steps per streamed chunk of matrix entries
+_GROUP_STEPS = 4096        # steps per pass of the propagator algebra
+_RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
+_MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
+_EYE = np.eye(2)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -102,27 +107,110 @@ class EvolutionReport:
     leak_ratio: float
 
 
-def _check_closure(model, path_fn, T):
+def _cycle(model, schedule):
+    """(T, step h, path function, alpha(0)) of a schedule closing the loop once."""
+    T = schedule.period_T
+    path_fn = schedule.path_function()
     ends = np.asarray(path_fn(np.array([0.0, T])), dtype=float)
     if abs((ends[1] - ends[0]) - model.period) > 1e-9:
         raise ValueError(
             "the schedule must advance the loop parameter by exactly one "
             f"period; it advances by {ends[1] - ends[0]!r}")
-    return float(ends[0])
+    return T, T / schedule.steps, path_fn, float(ends[0])
 
 
-def _entry_chunks(model, path_fn, h, steps, dual):
-    """Matrix entries on the half-step grid, chunked into Python lists."""
-    step0 = 0
-    while step0 < steps:
+def _apply(a, x):
+    """Matrices a[row, col, ...] times the column vectors x[row, ...]."""
+    y = a[:, 0, None] * x[0]
+    y += a[:, 1, None] * x[1]
+    return y
+
+
+@np.errstate(all="ignore")
+def _propagate(model, path_fn, h, steps, psi, dual=False, project=None,
+               record_every=None):
+    """One cycle from psi: (state, log_scale, turn, records).
+
+    psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
+    c = project . psi and ``records`` lists (t, psi(t)) every
+    ``record_every`` steps. Raises StepTooLarge at the first step that
+    grows the squared norm a hundredfold or turns c over 1.5 rad.
+    """
+    state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
+    records = None if record_every is None else [(0.0, state.copy())]
+    for step0 in range(0, steps, _CHUNK):
         m = min(_CHUNK, steps - step0)
         t = (np.arange(2 * m + 1, dtype=float) + 2.0 * step0) * (0.5 * h)
         rows = model.entry_rows(np.asarray(path_fn(t), dtype=float))
         if dual:
             # adjoint: conjugate entries, swap the off-diagonal pair
             rows = np.conj(rows[[0, 2, 1, 3], :])
-        yield step0, m, [r.tolist() for r in rows]
-        step0 += m
+        # M[k, :, :, b] steps n = b * length + k: with P, Q, R the entries at
+        # t_n, t_n + h/2, t_n + h times -i h/2, M = (P + 2 x2 + x3 + R x3) / 3
+        # for x2 = I + Q (I + P), x3 = I + 2 Q x2; padding steps get M = I
+        length = math.isqrt(m // 4) + 1
+        nblocks = -(-m // length)
+        ent = np.zeros((4, 2 * length * nblocks + 1), dtype=complex)
+        np.multiply(rows, -0.5j * h, out=ent[:, :2 * m + 1])
+        mats = np.empty((length, 2, 2, nblocks), dtype=complex)
+        group = max(1, _GROUP_STEPS // length)
+        for b0 in range(0, nblocks, group):
+            seg = ent[:, 2 * b0 * length:2 * (b0 + group) * length + 1]
+            p, q, r = (e.reshape(2, 2, -1)
+                       for e in (seg[:, :-1:2], seg[:, 1::2], seg[:, 2::2]))
+            x2 = _apply(q, p + _EYE) + _EYE
+            x3 = 2.0 * _apply(q, x2) + _EYE
+            acc = _apply(r, x3) + x3 + 2.0 * x2 + p
+            np.multiply(acc.reshape(2, 2, -1, length), 1.0 / 3.0,
+                        out=mats[..., b0:b0 + group].transpose(1, 2, 3, 0))
+        mats[m - (nblocks - 1) * length:, :, :, -1] = np.eye(2)
+        norms = []   # in place: mats[k] becomes M_k ... M_0 of its block
+        for k in range(1, length):
+            mats[k] = _apply(mats[k], mats[k - 1])
+            if k & _RENORM_MASK == _RENORM_MASK:
+                norms.append(np.linalg.norm(mats[k].reshape(4, -1), axis=0))
+                mats[k] /= norms[-1]
+        norms = np.array(norms).reshape(-1, nblocks)
+        logs = np.cumsum(np.vstack([np.zeros(nblocks), np.log(norms)]), axis=0)
+        logs = logs[(np.arange(length) + 1) // (_RENORM_MASK + 1)]
+        (u, v), starts, start_log = state.tolist(), [], []
+        for plog, (p11, p12, p21, p22) in zip(
+                logs[-1].tolist(), zip(*mats[-1].reshape(4, -1).tolist())):
+            norm = math.hypot(u.real, u.imag, v.real, v.imag)
+            if 0.0 < norm < math.inf:
+                u, v, log_scale = u / norm, v / norm, log_scale + math.log(norm)
+            starts.append((u, v))
+            start_log.append(log_scale)
+            u, v, log_scale = p11 * u + p12 * v, p21 * u + p22 * v, log_scale + plog
+        starts = np.array(starts).T
+        states = mats[:, :, 0] * starts[0] + mats[:, :, 1] * starts[1]
+        logs += start_log
+        n2 = np.linalg.norm(states, axis=1) ** 2
+        before = np.concatenate([np.linalg.norm(starts, axis=0)[None] ** 2, n2[:-1]])
+        before[_RENORM_MASK::_RENORM_MASK + 1] /= norms * norms
+        bad = grown = n2 > _GROWTH_LIMIT_SQ * before
+        if project is not None:
+            c = project @ states
+            turns = np.angle(c / np.concatenate([(project @ starts)[None], c[:-1]]))
+            bad = grown | (np.abs(turns) > _MAX_TURN)
+            turn += float(turns.sum())
+        k, b = np.nonzero(bad)
+        if k.size:
+            step = step0 + int((b * length + k).min())
+            b, k = divmod(step - step0, length)
+            growth = float(np.sqrt(n2[k, b] / before[k, b])) if grown[k, b] else None
+            what = (f"norm grew {growth:.2f}-fold" if growth
+                    else "the band amplitude turned over 1.5 rad")
+            raise StepTooLarge(f"{what} in step {step}; the fixed step cannot "
+                               "follow this spectrum", step=step, growth=growth)
+        if records is not None:
+            n = np.arange(record_every - 1 - step0 % record_every, m, record_every)
+            k, b = n % length, n // length
+            records += zip(((step0 + n + 1) * h).tolist(),
+                           states[k, :, b] * np.exp(logs[k, b])[:, None])
+        k, b = (m - 1) % length, (m - 1) // length
+        state, log_scale = states[k, :, b].copy(), float(logs[k, b])
+    return state, log_scale, turn, records
 
 
 def evolve(model, schedule, psi0, dual=False, record_every=None):
@@ -131,71 +219,34 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
     Classical 4th-order stepping at fixed step T/steps, with matrix
     entries streamed in chunks. A single step growing the squared norm a
     hundredfold aborts the run: the step size is unstable against the
-    local spectrum, and no later result would mean anything.
+    local spectrum, and no later result would mean anything. A final
+    state outside the floating-point range raises AmplitudeOutOfRange.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     if not np.all(np.isfinite(psi0)):
         raise ValueError("initial state must be finite")
-    a = complex(psi0[0])
-    b = complex(psi0[1])
-    n2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    if n2 == 0.0:
+    if not np.any(psi0 != 0.0):
         raise ValueError("initial state must be nonzero")
-    T = schedule.period_T
-    steps = schedule.steps
-    h = T / steps
-    path_fn = schedule.path_function()
-    _check_closure(model, path_fn, T)
-
-    records = None
+    T, h, path_fn, _ = _cycle(model, schedule)
     if record_every is not None:
         record_every = int(record_every)
         if record_every <= 0:
             raise ValueError("record_every must be a positive stride")
-        records = [(0.0, psi0.copy())]
 
-    half = 0.5 * h
-    sixth = h / 6.0
-    for step0, m, (e11, e12, e21, e22) in _entry_chunks(
-            model, path_fn, h, steps, dual):
-        for i in range(m):
-            j = 2 * i
-            p11 = e11[j]; p12 = e12[j]; p21 = e21[j]; p22 = e22[j]
-            q11 = e11[j + 1]; q12 = e12[j + 1]; q21 = e21[j + 1]; q22 = e22[j + 1]
-            r11 = e11[j + 2]; r12 = e12[j + 2]; r21 = e21[j + 2]; r22 = e22[j + 2]
-            k1a = -1j * (p11 * a + p12 * b)
-            k1b = -1j * (p21 * a + p22 * b)
-            xa = a + half * k1a
-            xb = b + half * k1b
-            k2a = -1j * (q11 * xa + q12 * xb)
-            k2b = -1j * (q21 * xa + q22 * xb)
-            xa = a + half * k2a
-            xb = b + half * k2b
-            k3a = -1j * (q11 * xa + q12 * xb)
-            k3b = -1j * (q21 * xa + q22 * xb)
-            xa = a + h * k3a
-            xb = b + h * k3b
-            k4a = -1j * (r11 * xa + r12 * xb)
-            k4b = -1j * (r21 * xa + r22 * xb)
-            na = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-            nb = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-            m2 = (na.real * na.real + na.imag * na.imag
-                  + nb.real * nb.real + nb.imag * nb.imag)
-            if m2 > _GROWTH_LIMIT_SQ * n2:
-                g = step0 + i
-                raise StepTooLarge(
-                    f"norm grew {math.sqrt(m2 / n2):.2f}-fold in step {g}; "
-                    "the fixed step cannot follow this spectrum",
-                    step=g, growth=math.sqrt(m2 / n2))
-            a, b, n2 = na, nb, m2
-            if records is not None and (step0 + i + 1) % record_every == 0:
-                records.append(((step0 + i + 1) * h, np.array([a, b])))
-    psi_final = np.array([a, b])
-    if records is not None:
-        if records[-1][0] != T:
-            records.append((T, psi_final.copy()))
-        return psi_final, records
-    return psi_final
+    state, log_scale, _, records = _propagate(
+        model, path_fn, h, schedule.steps, psi0, dual=dual,
+        record_every=record_every)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_final = state * np.exp(log_scale)
+    if not (np.all(np.isfinite(psi_final)) and np.any(psi_final != 0.0)):
+        raise AmplitudeOutOfRange(
+            f"the final state has norm exp({log_scale:.6g}), outside the "
+            "floating-point range", log_scale=log_scale)
+    if records is None:
+        return psi_final
+    if records[-1][0] != T:
+        records.append((T, psi_final.copy()))
+    return psi_final, records
 
 
 def _band_energy_integral(model, path_fn, h, steps, band):
@@ -209,20 +260,17 @@ def _band_energy_integral(model, path_fn, h, steps, band):
     total = 0.0 + 0.0j
     prev_plus = None
     max_im_half_gap = 0.0
-    s0 = 0
-    while s0 < steps:
+    for s0 in range(0, steps, _CHUNK):
         s_end = min(s0 + _CHUNK, steps)
         t = (np.arange(s0, s_end + 1, dtype=float)) * h
         e = model.energies(np.asarray(path_fn(t), dtype=float))
-        if prev_plus is not None:
-            if abs(e[0, 0] + prev_plus) < abs(e[0, 0] - prev_plus):
-                e = e[::-1]
+        if prev_plus is not None and abs(e[0, 0] + prev_plus) < abs(e[0, 0] - prev_plus):
+            e = e[::-1]
         sel = e[band]
         total += h * (sel.sum() - 0.5 * (sel[0] + sel[-1]))
         max_im_half_gap = max(max_im_half_gap,
                               float(np.abs(np.imag(0.5 * (e[0] - e[1]))).max()))
         prev_plus = complex(e[0, -1])
-        s0 = s_end
     return total, max_im_half_gap
 
 
@@ -235,13 +283,8 @@ def adiabatic_decomposition(model, schedule, band):
     model families.
     """
     band = band_index(band)
-    other = 1 - band
     labels = ("plus", "minus")
-    T = schedule.period_T
-    steps = schedule.steps
-    h = T / steps
-    path_fn = schedule.path_function()
-    alpha0 = _check_closure(model, path_fn, T)
+    T, h, path_fn, alpha0 = _cycle(model, schedule)
 
     if model.kind == TWO_LEVEL:
         _, system = two_level_closed_form(model.params, alpha0)
@@ -254,72 +297,14 @@ def adiabatic_decomposition(model, schedule, band):
     # single-point closed-form frame coincides with the one at alpha(0),
     # so both end-of-cycle projections use the frame built here
     lam_sel = np.conj(system.left(labels[band]))
-    lam_oth = np.conj(system.left(labels[other]))
-    l0 = complex(lam_sel[0]); l1 = complex(lam_sel[1])
+    lam_oth = np.conj(system.left(labels[1 - band]))
+    state, log_scale, accum, _ = _propagate(
+        model, path_fn, h, schedule.steps, psi, project=lam_sel)
 
-    a = complex(psi[0])
-    b = complex(psi[1])
-    n2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    log_scale = 0.0
-    c_prev = l0 * a + l1 * b
-    accum = 0.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    for step0, m, (e11, e12, e21, e22) in _entry_chunks(
-            model, path_fn, h, steps, dual=False):
-        for i in range(m):
-            j = 2 * i
-            p11 = e11[j]; p12 = e12[j]; p21 = e21[j]; p22 = e22[j]
-            q11 = e11[j + 1]; q12 = e12[j + 1]; q21 = e21[j + 1]; q22 = e22[j + 1]
-            r11 = e11[j + 2]; r12 = e12[j + 2]; r21 = e21[j + 2]; r22 = e22[j + 2]
-            k1a = -1j * (p11 * a + p12 * b)
-            k1b = -1j * (p21 * a + p22 * b)
-            xa = a + half * k1a
-            xb = b + half * k1b
-            k2a = -1j * (q11 * xa + q12 * xb)
-            k2b = -1j * (q21 * xa + q22 * xb)
-            xa = a + half * k2a
-            xb = b + half * k2b
-            k3a = -1j * (q11 * xa + q12 * xb)
-            k3b = -1j * (q21 * xa + q22 * xb)
-            xa = a + h * k3a
-            xb = b + h * k3b
-            k4a = -1j * (r11 * xa + r12 * xb)
-            k4b = -1j * (r21 * xa + r22 * xb)
-            na = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-            nb = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-            m2 = (na.real * na.real + na.imag * na.imag
-                  + nb.real * nb.real + nb.imag * nb.imag)
-            if m2 > _GROWTH_LIMIT_SQ * n2:
-                g = step0 + i
-                raise StepTooLarge(
-                    f"norm grew {math.sqrt(m2 / n2):.2f}-fold in step {g}; "
-                    "the fixed step cannot follow this spectrum",
-                    step=g, growth=math.sqrt(m2 / n2))
-            a, b, n2 = na, nb, m2
-            c_new = l0 * a + l1 * b
-            ratio = c_new / c_prev
-            turn = math.atan2(ratio.imag, ratio.real)
-            if abs(turn) > 1.5:
-                g = step0 + i
-                raise StepTooLarge(
-                    "band amplitude turns too fast per step to track its "
-                    f"phase branch at step {g}", step=g, growth=None)
-            accum += turn
-            c_prev = c_new
-            if (step0 + i) & _RENORM_MASK == _RENORM_MASK and n2 > 0.0:
-                log_scale += 0.5 * math.log(n2)
-                inv = 1.0 / math.sqrt(n2)
-                a *= inv
-                b *= inv
-                c_prev *= inv
-                n2 = 1.0
-
-    c_mag = abs(c_prev)
+    c_mag = abs(lam_sel @ state)
     if c_mag == 0.0:
         raise BandLeakage("the followed band amplitude vanished", ratio=math.inf)
-    c_other = complex(lam_oth[0]) * a + complex(lam_oth[1]) * b
-    leak_ratio = abs(c_other) / c_mag
+    leak_ratio = abs(lam_oth @ state) / c_mag
     if leak_ratio > 0.1:
         raise BandLeakage(
             f"state leaked into the other band (relative weight {leak_ratio:.3f}); "
@@ -328,7 +313,7 @@ def adiabatic_decomposition(model, schedule, band):
     total_phase = complex(accum, -(log_scale + math.log(c_mag)))
 
     energy_integral, max_im_half_gap = _band_energy_integral(
-        model, path_fn, h, steps, band)
+        model, path_fn, h, schedule.steps, band)
     gamma_dyn = -energy_integral
     strong_regime = max_im_half_gap * T / _TWO_PI > 50.0
 
@@ -337,8 +322,7 @@ def adiabatic_decomposition(model, schedule, band):
 
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):
-        scale = np.exp(log_scale)
-    psi_final = np.array([a, b]) * scale
+        psi_final = state * np.exp(log_scale)
     return EvolutionReport(
         psi_final=psi_final, total_phase=total_phase,
         gamma_d=float(gamma_dyn.real), xi_d=float(gamma_dyn.imag),

@@ -136,9 +136,9 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     Grid points landing exactly on q = 1 are shifted by half a cell; the
     phases are genuinely two-valued there and no cell may sit on the
     transition. Per-cell failures are recorded as NaN rows with
-    converged=False, never aborting the rest of the grid. Rows may be
-    evaluated in worker processes (BERRYLINE_THREADS > 1); results are
-    assembled in order, so the output never depends on scheduling.
+    converged=False, never aborting the rest of the grid. Rows may go to
+    BERRYLINE_THREADS worker processes, capped at the cores and eta rows;
+    results are assembled in order, so output never depends on scheduling.
     """
     q_axis = _axis(q_range, nq, "q")
     eta_axis = _axis(eta_range, neta, "eta")
@@ -151,8 +151,9 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     samples = int(samples_per_loop)
     args = [(float(eta), [float(q) for q in q_axis], samples, _CELL_CAP)
             for eta in eta_axis]
-    workers = int(os.environ.get("BERRYLINE_THREADS", "1") or "1")
-    if workers > 1 and neta > 1:
+    workers = min(int(os.environ.get("BERRYLINE_THREADS", "1") or "1"),
+                  os.cpu_count() or 1, neta)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_diagram_row, args))
     else:

@@ -129,3 +129,84 @@ def draw_bipartite(rng, region):
     else:
         raise ValueError(region)
     return q, eta
+
+
+def scalar_rk4(model, schedule, psi0, dual=False, project=None,
+               record_every=None):
+    """Reference RK4 cycle: one scalar step at a time, no blocking.
+
+    Steps psi one classical 4th-order step at a time in plain Python
+    complex arithmetic, on the same half-step grid of ``model.entry_rows``
+    as the library's blocked kernel, with the same stability guards.
+    Without ``project`` the state is never rescaled; with ``project`` =
+    (l0, l1) it also tracks the branch of c = l0 a + l1 b stepwise and
+    renormalizes every 16 steps. Returns (psi, log_scale, turn, records)
+    with psi(T) = psi * exp(log_scale); ``records`` lists (t, psi) every
+    ``record_every`` steps, unscaled.
+    """
+    from berryline.errors import StepTooLarge
+    T = schedule.period_T
+    steps = schedule.steps
+    h = T / steps
+    t = np.arange(2 * steps + 1, dtype=float) * (0.5 * h)
+    rows = model.entry_rows(np.asarray(schedule.path_function()(t), dtype=float))
+    if dual:
+        rows = np.conj(rows[[0, 2, 1, 3], :])
+    e11, e12, e21, e22 = (r.tolist() for r in rows)
+    a, b = complex(psi0[0]), complex(psi0[1])
+    n2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+    log_scale = 0.0
+    turn = 0.0
+    records = []
+    if project is not None:
+        l0, l1 = complex(project[0]), complex(project[1])
+        c_prev = l0 * a + l1 * b
+    half = 0.5 * h
+    sixth = h / 6.0
+    for i in range(steps):
+        j = 2 * i
+        p11 = e11[j]; p12 = e12[j]; p21 = e21[j]; p22 = e22[j]
+        q11 = e11[j + 1]; q12 = e12[j + 1]; q21 = e21[j + 1]; q22 = e22[j + 1]
+        r11 = e11[j + 2]; r12 = e12[j + 2]; r21 = e21[j + 2]; r22 = e22[j + 2]
+        k1a = -1j * (p11 * a + p12 * b)
+        k1b = -1j * (p21 * a + p22 * b)
+        xa = a + half * k1a
+        xb = b + half * k1b
+        k2a = -1j * (q11 * xa + q12 * xb)
+        k2b = -1j * (q21 * xa + q22 * xb)
+        xa = a + half * k2a
+        xb = b + half * k2b
+        k3a = -1j * (q11 * xa + q12 * xb)
+        k3b = -1j * (q21 * xa + q22 * xb)
+        xa = a + h * k3a
+        xb = b + h * k3b
+        k4a = -1j * (r11 * xa + r12 * xb)
+        k4b = -1j * (r21 * xa + r22 * xb)
+        na = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
+        nb = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
+        m2 = (na.real * na.real + na.imag * na.imag
+              + nb.real * nb.real + nb.imag * nb.imag)
+        if m2 > 100.0 * n2:
+            raise StepTooLarge(f"norm grew in step {i}", step=i,
+                               growth=math.sqrt(m2 / n2))
+        a, b, n2 = na, nb, m2
+        if record_every is not None and (i + 1) % record_every == 0:
+            records.append(((i + 1) * h, np.array([a, b])))
+        if project is None:
+            continue
+        c_new = l0 * a + l1 * b
+        ratio = c_new / c_prev
+        step_turn = math.atan2(ratio.imag, ratio.real)
+        if abs(step_turn) > 1.5:
+            raise StepTooLarge(f"turn too fast at step {i}", step=i,
+                               growth=None)
+        turn += step_turn
+        c_prev = c_new
+        if i & 15 == 15 and n2 > 0.0:
+            log_scale += 0.5 * math.log(n2)
+            inv = 1.0 / math.sqrt(n2)
+            a *= inv
+            b *= inv
+            c_prev *= inv
+            n2 = 1.0
+    return np.array([a, b]), log_scale, turn, records

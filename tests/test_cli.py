@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from berryline.cli import main
+from berryline import cli
+from berryline.cli import build_parser, main
+from berryline.errors import AmplitudeOutOfRange
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,6 +152,32 @@ def test_evolve_leakage_exits_3(capsys):
                          "--eta", "0.3", "--T", "1")
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_evolve_state_out_of_float_range_exits_3(capsys, monkeypatch):
+    def out_of_range(*args, **kwargs):
+        raise AmplitudeOutOfRange("norm exp(800)", log_scale=800.0)
+
+    monkeypatch.setattr(cli, "adiabatic_decomposition", out_of_range)
+    code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",
+                         "--eta", "0.3", "--T", "100")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["-8.5e-05", "-1e-3", "-2E+01"])
+def test_float_flags_take_negative_values_in_exponent_notation(capsys, value):
+    parser = build_parser()
+    for flag in ("--hx", "--hy", "--hz", "--dx", "--dy", "--dz", "--theta",
+                 "--q", "--eta", "--T"):
+        args = parser.parse_args(["evolve", "--model", "bipartite",
+                                  "--T", "1", flag, value])
+        assert getattr(args, flag[2:]) == float(value)
+    payload = run_json(capsys, "two-level-q", "--hx", "1", "--hy", "1",
+                       "--hz", value, "--dx", "0", "--dy", "0", "--dz", "0",
+                       "--theta", "1.0")
+    assert payload["converged"] is True
 
 
 def test_evolve_missing_model_flags_exit_1(capsys):

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from berryline.elliptic import closed_form_gamma
-from berryline.errors import BandLeakage, StepTooLarge
+from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
 from berryline.evolution import Schedule, adiabatic_decomposition, evolve
 from berryline.models import (
+    TWO_LEVEL,
     BipartiteModel,
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    bipartite_closed_form,
+    two_level_closed_form,
 )
 from berryline.quadrature import pearson_line
+from oracles import scalar_rk4
 
 
 def _tl(h, d, theta):
@@ -204,3 +208,150 @@ def test_hermitian_defect_falls_inversely_with_cycle_time():
     assert corr < -0.999
     # the slowest Hermitian drive shows no spurious attenuation either
     assert abs(r.total_phase.imag) < 1e-6
+
+
+class _BurstDrive:
+    """Uniform loss at ``decay`` with a 50-fold gain burst for t in (1500.02, 1500.27).
+
+    On a 0.1 grid the burst covers both late stages of step 15000 and
+    grows the norm about 24-fold there, well past the stability guard.
+    """
+
+    period = 2.0 * math.pi
+
+    def __init__(self, T, decay):
+        self.T = T
+        self.decay = decay
+
+    def entry_rows(self, alphas):
+        t = np.asarray(alphas) * (self.T / self.period)
+        diag = np.where((t > 1500.02) & (t < 1500.27), 50j, -1j * self.decay)
+        zero = np.zeros_like(diag)
+        return np.stack([diag, zero, zero, diag])
+
+
+@pytest.mark.parametrize("T, dual", [(1300.0, False), (2048.0, False),
+                                     (2420.0, False), (1300.0, True),
+                                     (2048.0, True)])
+def test_evolve_returns_lossy_chain_states_at_their_true_scale(T, dual):
+    # psi decays and its dual grows as exp(-+eta T); at T = 2420 psi is
+    # subnormal, far below where its squared norm underflows
+    model = _chain(2.0, 0.3)
+    sched = Schedule(period_T=T, steps=math.ceil(10.0 * T))
+    psi = evolve(model, sched, (0.6, 0.8j), dual=dual)
+    assert np.all(np.isfinite(psi)) and np.any(psi != 0.0)
+    rate = 0.3 if dual else -0.3
+    assert abs(math.log(np.abs(psi).max()) - rate * T) < 3.0
+
+
+@pytest.mark.parametrize("T, dual", [(4096.0, False), (2420.0, True),
+                                     (4096.0, True)])
+def test_evolve_refuses_states_outside_the_float_range(T, dual):
+    model = _chain(2.0, 0.3)
+    sched = Schedule(period_T=T, steps=math.ceil(10.0 * T))
+    with pytest.raises(AmplitudeOutOfRange) as info:
+        evolve(model, sched, (0.6, 0.8j), dual=dual)
+    rate = 0.3 if dual else -0.3
+    assert abs(info.value.log_scale - rate * T) < 3.0
+
+
+def test_growth_guard_stays_live_after_the_state_leaves_the_float_range():
+    # by t = 1500 psi is ~1e-326, below the float range: the unscaled
+    # oracle sees a zero squared norm and lets the burst through
+    sched = Schedule(period_T=2000.0, steps=20000)
+    drive = _BurstDrive(2000.0, decay=0.5)
+    assert not np.any(np.abs(scalar_rk4(drive, sched, (0.6, 0.8))[0]) > 1e-300)
+    with pytest.raises(StepTooLarge) as info:
+        evolve(drive, sched, (0.6, 0.8))
+    assert info.value.step == 15000
+    assert info.value.growth > 10.0
+
+
+def _close(value, reference, tol=1e-11):
+    return np.all(np.abs(np.asarray(value) - reference)
+                  <= tol * np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("model, T, steps, strides", [
+    (_chain(2.0, 0.3), 100.0, 40000, (5000, 3000)),
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
+     (1000, 700)),
+])
+@pytest.mark.parametrize("dual", [False, True])
+def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
+    # 40000 steps span two streamed chunks
+    sched = Schedule(period_T=T, steps=steps)
+    psi0 = np.array([0.6, 0.8j])
+    for stride in strides:
+        psi, records = evolve(model, sched, psi0, dual=dual,
+                              record_every=stride)
+        ref, _, _, ref_records = scalar_rk4(model, sched, psi0, dual=dual,
+                                            record_every=stride)
+        assert _close(psi, ref)
+        assert [t for t, _ in records[1:len(ref_records) + 1]] == [
+            t for t, _ in ref_records]
+        for (_, state), (_, ref_state) in zip(records[1:], ref_records):
+            assert _close(state, ref_state)
+
+
+@pytest.mark.parametrize("model, T, steps", [
+    (_chain(2.0, 0.3), 200.0, 40000),
+    (_chain(2.0, 0.0), 200.0, 5657),
+    (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 100.0, 2000),
+])
+def test_decomposition_matches_the_scalar_oracle(model, T, steps):
+    sched = Schedule(period_T=T, steps=steps)
+    r = adiabatic_decomposition(model, sched, "plus")
+    closed_form = (two_level_closed_form if model.kind == TWO_LEVEL
+                   else bipartite_closed_form)
+    _, system = closed_form(model.params, 0.0)
+    lam = np.conj(system.left("plus"))
+    psi, log_scale, turn, _ = scalar_rk4(model, sched, system.right("plus"),
+                                         project=lam)
+    total = complex(turn, -(log_scale + math.log(abs(lam @ psi))))
+    defect = abs(total - complex(r.gamma_d + r.gamma_g, r.xi_d + r.xi_g))
+    assert abs(r.total_phase - total) <= 1e-11 * abs(total)
+    assert abs(r.defect - defect) <= 1e-11
+    assert _close(r.psi_final, psi * math.exp(log_scale))
+
+
+def test_guards_fire_at_the_oracle_steps():
+    cases = [
+        # growth: |E| h = 4.5 at once, and a late gain burst
+        (TwoLevelModel(_tl((0.7, 0.4, 45.0), (0.0, 0.0, 0.0), 0.0)),
+         Schedule(period_T=100.0, steps=1000), (1.0, 1.0)),
+        (_BurstDrive(2000.0, decay=0.001), Schedule(period_T=2000.0, steps=20000),
+         (0.6, 0.8)),
+    ]
+    for model, sched, psi0 in cases:
+        with pytest.raises(StepTooLarge) as ours:
+            evolve(model, sched, psi0)
+        with pytest.raises(StepTooLarge) as ref:
+            scalar_rk4(model, sched, psi0)
+        assert ours.value.step == ref.value.step
+        assert abs(ours.value.growth - ref.value.growth) < 1e-9 * ref.value.growth
+    # turn: |E| h reaches 2.5 rad per step a quarter into the cycle
+    model = TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2))
+    sched = Schedule(period_T=100.0, steps=1000)
+    _, system = two_level_closed_form(model.params, 0.0)
+    with pytest.raises(StepTooLarge) as ours:
+        adiabatic_decomposition(model, sched, "plus")
+    with pytest.raises(StepTooLarge) as ref:
+        scalar_rk4(model, sched, system.right("plus"),
+                   project=np.conj(system.left("plus")))
+    assert ours.value.growth is None and ref.value.growth is None
+    assert ours.value.step == ref.value.step
+
+
+def test_band_leakage_matches_the_oracle():
+    model = _chain(2.0, 0.3)
+    sched = Schedule(period_T=1.0, steps=1000)
+    _, system = bipartite_closed_form(model.params, 0.0)
+    psi, _, _, _ = scalar_rk4(model, sched, system.right("plus"),
+                              project=np.conj(system.left("plus")))
+    leak = abs(np.conj(system.left("minus")) @ psi) / abs(
+        np.conj(system.left("plus")) @ psi)
+    with pytest.raises(BandLeakage) as info:
+        adiabatic_decomposition(model, sched, "plus")
+    assert leak > 0.1
+    assert abs(info.value.ratio - leak) < 1e-11 * leak

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from berryline import sweep
 from berryline.berry import bipartite_phase_point
 from berryline.spectrum import TYPE_I
 from berryline.sweep import (
@@ -96,6 +97,35 @@ def test_worker_rows_match_serial_rows(monkeypatch):
     assert np.array_equal(serial.xi_g_plus, pooled.xi_g_plus)
     assert np.array_equal(serial.q_index, pooled.q_index)
     assert np.array_equal(serial.converged, pooled.converged)
+
+
+def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, maps serially
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("BERRYLINE_THREADS", "100000")
+    pooled = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 3)
+    phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 6)
+    assert started == [3, 4]
+    monkeypatch.setenv("BERRYLINE_THREADS", "1")
+    serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 3)
+    assert started == [3, 4]
+    assert np.array_equal(serial.q_index, pooled.q_index)
 
 
 def test_csv_layout_and_roundtrip(strong_grid, tmp_path):
