@@ -39,19 +39,23 @@ from .errors import (
     UndefinedAtTransition,
 )
 from .models import (
+    _TWO_PI,
     BIPARTITE,
     TWO_LEVEL,
     BipartiteModel,
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    _at_transition,
+    _hopping,
+    _zone_grid,
+    loop_grid,
     standard_loop,
 )
 from .quadrature import (PAD, fd4, refine_dyadically, spectral_derivative,
                          tanh_sinh, trapezoid_periodic)
 from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
-_TWO_PI = 2.0 * math.pi
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
 _ROUND_TOL = 1e-6     # distance to the nearest integer
@@ -126,11 +130,6 @@ class _Rung:
     q_wilson: object
 
 
-def _padded_grid(loop, n):
-    h = loop.period / n
-    return loop.samples[0] + np.arange(-PAD, n + PAD) * h, h
-
-
 def _wilson_q(right, left, idx):
     """Accumulated overlap argument over a strided closed chain, per 2 pi.
 
@@ -176,7 +175,7 @@ def _wilson_extrapolated(right, left, n):
 
 
 def _phase_rung(loop, model, n):
-    alphas, _ = _padded_grid(loop, n)
+    alphas, _, _ = loop_grid(loop, n // loop.n)
     path = model.eigen_path(alphas)
     interior = slice(PAD, PAD + n)
     gamma_plus = complex(trapezoid_periodic(path.connection[0, 0, interior],
@@ -190,21 +189,24 @@ def _phase_rung(loop, model, n):
                  q_quad=q_quad, q_wilson=q_wilson)
 
 
-def _refuse_singular_loop(model):
+def _gapless_loop(model, transition_error):
+    """Refuse a loop on a singular set; True when the chain loop is gapless.
+
+    A two-level loop on a singular line raises SingularLoop, a chain loop
+    at hopping ratio 1 raises ``transition_error``.
+    """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
         raise SingularLoop(
             "an off-diagonal amplitude vanishes somewhere on every sweep at "
             "these parameters; the winding index is undefined")
-    if isinstance(p, BipartiteParams):
-        if abs(p.q - 1.0) <= 1e-12:
-            raise SingularLoop(
-                "at hopping ratio 1 the off-diagonal interferes to zero on "
-                "the loop and the winding jumps between 0 and 1")
-        if classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING:
-            raise SingularLoop(
-                "the loop crosses a true degeneracy of the complex spectrum; "
-                "use the per-band principal-value phases instead")
+    if not isinstance(p, BipartiteParams):
+        return False
+    if _at_transition(p.q):
+        raise transition_error(
+            "at hopping ratio 1 the off-diagonal interferes to zero on the "
+            "loop and the winding jumps between 0 and 1")
+    return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
 
 
 def global_berry_phase(loop, model, cap=65536):
@@ -214,7 +216,10 @@ def global_berry_phase(loop, model, cap=65536):
     doubling) and the two Q routes agree within 1e-6. Grids the frame
     flags as too coarse are discarded and refined further.
     """
-    _refuse_singular_loop(model)
+    if _gapless_loop(model, SingularLoop):
+        raise SingularLoop(
+            "the loop crosses a true degeneracy of the complex spectrum; "
+            "use the per-band principal-value phases instead")
     n = loop.n
     history = []
     prev = None
@@ -266,24 +271,12 @@ def band_berry_phase(loop, model, band, cap=65536):
     crossing momenta and is evaluated by the split closed-interval route.
     """
     b = band_index(band)
-    sign = 1.0 if b == 0 else -1.0
-    p = getattr(model, "params", None)
-    if isinstance(p, TwoLevelParams) and p.is_singular():
-        raise SingularLoop(
-            "an off-diagonal amplitude vanishes somewhere on every sweep at "
-            "these parameters")
-    if isinstance(p, BipartiteParams):
-        if abs(p.q - 1.0) <= 1e-12:
-            raise UndefinedAtTransition(
-                "per-band phases jump at hopping ratio 1 and have no value "
-                "on the transition itself")
-        if classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING:
-            parts = _gapless_integrals(p.q, p.eta, cap)
-            return complex(math.pi * parts.q_quad + sign * p.eta * parts.m_outer,
-                           sign * p.eta * parts.p_inner)
+    if _gapless_loop(model, UndefinedAtTransition):
+        rung, _ = _gapless_integrals(model.params.q, model.params.eta, cap)
+        return rung.gamma_plus if b == 0 else rung.gamma_minus
 
     def evaluate(n):
-        alphas, _ = _padded_grid(loop, n)
+        alphas, _, _ = loop_grid(loop, n // loop.n)
         path = model.eigen_path(alphas)
         return complex(trapezoid_periodic(path.connection[b, b, PAD:PAD + n],
                                           loop.period))
@@ -294,18 +287,8 @@ def band_berry_phase(loop, model, band, cap=65536):
     return complex(value)
 
 
-@dataclass(frozen=True)
-class _GaplessParts:
-    q_quad: float
-    q_wilson: float
-    m_outer: float
-    p_inner: float
-    resolution: int
-    history: list
-
-
 def _gapless_integrals(q, eta, cap=65536):
-    """Index and principal-value integrals inside the gapless region.
+    """Per-band phases and index inside the gapless region, as (rung, history).
 
     The crossing momenta +-k0 split the half zone: the inner part
     (imaginary gap) and outer part (real gap) each carry an integrable
@@ -314,21 +297,18 @@ def _gapless_integrals(q, eta, cap=65536):
     agree: refined quadrature of the closed-form phase rate, and discrete
     unwrapping of the off-diagonal argument.
     """
-
-    def rate(k):
-        return q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
+    params = BipartiteParams.from_ratios(q, eta)
+    rate = BipartiteModel(params).winding_rate
 
     def mean_rate(n):
-        k = -math.pi + (np.arange(n) + 1.0) * (_TWO_PI / n)
-        return trapezoid_periodic(rate(k), _TWO_PI) / _TWO_PI
+        return trapezoid_periodic(rate(_zone_grid(n)), _TWO_PI) / _TWO_PI
 
     q_quad, n_used, history = refine_dyadically(
         mean_rate, 1024, 1e-9, cap, context="winding of the hopping phase")
 
     n = max(n_used, 4096)
     while True:
-        kk = np.linspace(-math.pi, math.pi, n + 1)
-        vk = 1.0 + q * np.exp(-1j * kk)
+        vk = _hopping(params, np.linspace(-math.pi, math.pi, n + 1))
         steps = np.angle(vk[1:] / vk[:-1])
         if np.abs(steps).max() < 0.5 * math.pi:
             break
@@ -361,9 +341,11 @@ def _gapless_integrals(q, eta, cap=65536):
         m_outer = float(tanh_sinh(outer, k0, math.pi, tol=1e-10))
     else:
         m_outer = 0.0
-    return _GaplessParts(q_quad=float(q_quad), q_wilson=q_wilson,
-                         m_outer=m_outer, p_inner=p_inner,
-                         resolution=n_used, history=history)
+    q_quad = float(q_quad)
+    return _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
+                 gamma_plus=complex(math.pi * q_quad + eta * m_outer, eta * p_inner),
+                 gamma_minus=complex(math.pi * q_quad - eta * m_outer,
+                                     -eta * p_inner)), history
 
 
 def analytic_q(params):
@@ -383,7 +365,7 @@ def analytic_q(params):
                    * (params.d_y ** 2 - params.h_y ** 2))
         return 1 if product > 0.0 else 0
     if isinstance(params, BipartiteParams):
-        if abs(params.q - 1.0) <= 1e-12:
+        if _at_transition(params.q):
             return None
         return 1 if params.q > 1.0 else 0
     raise ValueError(f"unsupported parameter object {type(params).__name__}")
@@ -402,24 +384,12 @@ def bipartite_phase_point(q, eta, eps_a=0.0, v=1.0, n0=1024, cap=65536):
     region runs the principal-value split. Exactly at q = 1 no value
     exists on either side of the transition.
     """
-    if abs(q - 1.0) <= 1e-12:
+    if _at_transition(q):
         raise UndefinedAtTransition(
             "the topological index jumps at hopping ratio 1; no phase is "
             "defined on the transition itself")
-    region = classify_region(q, eta).region
-    if region == GAPLESS_TRUE_CROSSING:
-        parts = _gapless_integrals(q, eta, cap)
-        nearest = round(parts.q_quad)
-        q_rounded = (int(nearest) if abs(parts.q_quad - nearest) < _ROUND_TOL
-                     else None)
-        return BerryPhaseResult(
-            gamma_b_plus=math.pi * parts.q_quad + eta * parts.m_outer,
-            xi_b_plus=eta * parts.p_inner,
-            gamma_b_minus=math.pi * parts.q_quad - eta * parts.m_outer,
-            xi_b_minus=-eta * parts.p_inner,
-            q_index=parts.q_quad, q_rounded=q_rounded,
-            resolution=parts.resolution, refinement_history=parts.history,
-            q_quadrature=parts.q_quad, q_wilson=parts.q_wilson)
+    if classify_region(q, eta).region == GAPLESS_TRUE_CROSSING:
+        return _assemble_result(*_gapless_integrals(q, eta, cap))
     params = BipartiteParams.from_ratios(q, eta, v=v, eps_a=eps_a)
     loop = standard_loop(BIPARTITE, n0)
     return global_berry_phase(loop, BipartiteModel(params), cap=cap)
@@ -434,7 +404,7 @@ def connection_samples(loop, model, derivative="fd"):
     derivative="analytic" returns the closed form directly.
     """
     if derivative == "analytic":
-        alphas, _ = _padded_grid(loop, loop.n)
+        alphas, _, _ = loop_grid(loop)
         path = model.eigen_path(alphas)
         return [ConnectionSample(float(alpha),
                                  path.connection[:, :, PAD + j].copy())
@@ -443,8 +413,7 @@ def connection_samples(loop, model, derivative="fd"):
         raise ValueError(f"unknown derivative route {derivative!r}")
     last_err = None
     for refine in (1, 2, 4):
-        n = loop.n * refine
-        alphas, h = _padded_grid(loop, n)
+        alphas, h, n = loop_grid(loop, refine)
         path = model.eigen_path(alphas)
         dpsi = fd4(path.right, h)
         left_interior = path.left[:, :, PAD:PAD + n]
@@ -483,7 +452,7 @@ def apply_gauge(loop, model, f, band_windings):
                 "minus": int(band_windings.get("minus", 0))}
     n = max(loop.n, 8192)
     while True:
-        alphas, h = _padded_grid(loop, n)
+        alphas, h, _ = loop_grid(loop, n // loop.n)
         f_vals = np.stack([np.asarray(f(alphas, "plus"), dtype=float),
                            np.asarray(f(alphas, "minus"), dtype=float)])
         for b, name in enumerate(("plus", "minus")):

@@ -15,6 +15,7 @@ failed an internal cross-check.
 """
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -63,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(value, indent=0):
-    """Small JSON writer keeping floats at 17 significant digits."""
+    """Small JSON writer: floats at 17 significant digits, non-finite as null."""
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -80,12 +81,11 @@ def _dumps(value, indent=0):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return format(float(value), ".17g") if math.isfinite(value) else "null"
     if isinstance(value, (complex, np.complexfloating)):
         return _dumps({"re": value.real, "im": value.imag}, indent)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
@@ -157,9 +157,7 @@ def _build_model(args):
 
 
 def _cmd_two_level_q(args):
-    params = TwoLevelParams(h_x=args.hx, h_y=args.hy, h_z=args.hz,
-                            d_x=args.dx, d_y=args.dy, d_z=args.dz,
-                            theta=args.theta)
+    params = _build_model(args).params
     result = two_level_phase_point(params, n0=args.samples)
     payload = {
         "Q_numeric": result.q_index,
@@ -231,7 +229,9 @@ def _cmd_evolve(args):
     model = _build_model(args)
     steps = args.steps
     if steps is None:
-        steps = max(1000, math.ceil(10.0 * args.T))
+        # a non-finite T has no default step count; Schedule refuses it
+        steps = (max(1000, math.ceil(10.0 * args.T)) if math.isfinite(args.T)
+                 else 1000)
     schedule = Schedule(period_T=args.T, steps=steps)
     report = adiabatic_decomposition(model, schedule, band=args.band)
     payload = {
@@ -299,7 +299,7 @@ def build_parser():
         help="per-band phases and the global index of the two-level loop")
     _add_two_level_flags(s, required=True)
     _add_samples_flag(s)
-    s.set_defaults(func=_cmd_two_level_q)
+    s.set_defaults(func=_cmd_two_level_q, model=TWO_LEVEL)
 
     s = sub.add_parser(
         "bipartite",

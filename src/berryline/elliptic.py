@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 from scipy.special import elliprf, elliprj
 
+from .biortho import band_index
 from .errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
+from .models import _at_transition, _check_ratios
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,7 @@ class EllipticArgs:
 
         Valid while eta < |q - 1|; there both values sit in [0, 1).
         """
-        if q <= 0.0:
-            raise ValueError(f"q must be positive, got {q}")
-        if eta < 0.0:
-            raise ValueError(f"eta must be nonnegative, got {eta}")
+        _check_ratios(q, eta)
         x = 4.0 * q / ((q + 1.0) ** 2)
         y = 4.0 * q / ((q + 1.0) ** 2 - eta * eta)
         return cls(x=x, y=y)
@@ -64,11 +63,8 @@ def closed_form_gamma(q, eta, band):
     for q < 1. The band argument accepts the same labels as the numeric
     code ("plus"/"minus", "+"/"-", +1/-1).
     """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if eta < 0.0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if abs(q - 1.0) <= 1e-12:
+    _check_ratios(q, eta)
+    if _at_transition(q):
         raise UndefinedAtTransition(
             "the closed form changes discontinuously across q = 1 and has "
             "no value on the transition itself")
@@ -80,9 +76,4 @@ def closed_form_gamma(q, eta, band):
     kernel = ellip_k(args.y) + ((q - 1.0) / (q + 1.0)) * ellip_pi(args.x, args.y)
     imag = 0.5 * eta * math.sqrt(args.y / q) * kernel
     real = math.pi if q > 1.0 else 0.0
-    sign = {"plus": 1.0, "+": 1.0, 1: 1.0, "minus": -1.0, "-": -1.0, -1: -1.0}
-    try:
-        s = sign[band]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown band label {band!r}") from None
-    return complex(real, s * imag)
+    return complex(real, imag if band_index(band) == 0 else -imag)

@@ -37,11 +37,9 @@ import numpy as np
 
 from .biortho import band_index
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import (BIPARTITE, TWO_LEVEL, bipartite_closed_form,
-                     standard_loop, two_level_closed_form)
+from .models import _TWO_PI, standard_loop
 from .berry import band_berry_phase
 
-_TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 15           # steps per streamed chunk of matrix entries
 _GROUP_STEPS = 4096        # steps per pass of the propagator algebra
 _RENORM_MASK = 15          # renormalize at least every 16 steps
@@ -282,22 +280,16 @@ def adiabatic_decomposition(model, schedule, band):
     and its argument accumulated continuously. Applies to the two built-in
     model families.
     """
-    band = band_index(band)
-    labels = ("plus", "minus")
+    b = band_index(band)
     T, h, path_fn, alpha0 = _cycle(model, schedule)
 
-    if model.kind == TWO_LEVEL:
-        _, system = two_level_closed_form(model.params, alpha0)
-    elif model.kind == BIPARTITE:
-        _, system = bipartite_closed_form(model.params, alpha0)
-    else:
-        raise ValueError(f"unsupported model kind {model.kind!r}")
-    psi = system.right(labels[band])
+    frame = model.eigen_path(np.array([alpha0]))
+    psi = frame.right[:, b, 0]
     # alpha(T) differs from alpha(0) by one full period, where the
     # single-point closed-form frame coincides with the one at alpha(0),
     # so both end-of-cycle projections use the frame built here
-    lam_sel = np.conj(system.left(labels[band]))
-    lam_oth = np.conj(system.left(labels[1 - band]))
+    lam_sel = np.conj(frame.left[:, b, 0])
+    lam_oth = np.conj(frame.left[:, 1 - b, 0])
     state, log_scale, accum, _ = _propagate(
         model, path_fn, h, schedule.steps, psi, project=lam_sel)
 
@@ -313,12 +305,12 @@ def adiabatic_decomposition(model, schedule, band):
     total_phase = complex(accum, -(log_scale + math.log(c_mag)))
 
     energy_integral, max_im_half_gap = _band_energy_integral(
-        model, path_fn, h, schedule.steps, band)
+        model, path_fn, h, schedule.steps, b)
     gamma_dyn = -energy_integral
     strong_regime = max_im_half_gap * T / _TWO_PI > 50.0
 
     loop = standard_loop(model.kind, 4096)
-    gamma_geo = band_berry_phase(loop, model, labels[band])
+    gamma_geo = band_berry_phase(loop, model, band)
 
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):

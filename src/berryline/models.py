@@ -73,6 +73,19 @@ class TwoLevelParams:
                 or abs(abs(self.d_y) - abs(self.h_y)) <= tol)
 
 
+def _at_transition(q):
+    """True at hopping ratio 1, where v_k vanishes at k = pi and Q jumps."""
+    return abs(q - 1.0) <= 1e-12
+
+
+def _check_ratios(q, eta):
+    """Refuse ratios outside the chain's quadrant: finite q > 0, eta >= 0."""
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+
+
 @dataclass(frozen=True)
 class TwoLevelDerived:
     """Closed-form intermediates at a single azimuthal angle.
@@ -189,12 +202,17 @@ class ParameterLoop:
         return self.period / self.samples.size
 
 
+def _zone_grid(n):
+    """n uniform momenta over the Brillouin zone (-pi, pi], pi included."""
+    return -math.pi + (np.arange(n) + 1) * (_TWO_PI / n)
+
+
 def standard_loop(kind, n):
     """The default closed loop: phi over [0, 2pi) or k over (-pi, pi]."""
     if kind == TWO_LEVEL:
         samples = np.arange(n) * (_TWO_PI / n)
     elif kind == BIPARTITE:
-        samples = -math.pi + (np.arange(n) + 1) * (_TWO_PI / n)
+        samples = _zone_grid(n)
     else:
         raise ValueError(f"unknown loop kind {kind!r}")
     return ParameterLoop(samples=samples, period=_TWO_PI, kind=kind)
@@ -237,32 +255,59 @@ class EigenPath:
 
 def two_level_hamiltonian(p, phi):
     """Matrix of the two-level family at azimuthal angle phi."""
-    st = math.sin(p.theta)
-    ct = math.cos(p.theta)
-    z = complex(p.h_z, p.d_z)
-    c1 = complex((p.h_x + p.d_x) * math.cos(phi), -(p.h_y + p.d_y) * math.sin(phi))
-    c2 = complex((p.h_x - p.d_x) * math.cos(phi), (p.h_y - p.d_y) * math.sin(phi))
-    return ComplexMatrix2(z * ct, c1 * st, c2 * st, -z * ct)
+    return TwoLevelModel(p).matrix(phi)
 
 
 def bipartite_bloch(p, k):
     """Bloch matrix of the lossy chain at momentum k."""
-    vk = p.v + p.v_prime * complex(math.cos(k), -math.sin(k))
-    return ComplexMatrix2(p.eps_a, vk, vk.conjugate(), p.eps_b)
+    return BipartiteModel(p).matrix(k)
+
+
+def _two_level_axes(p):
+    """Semi-axes (a_p, a_m, b_p, b_m) of the ellipses c1 and c2 trace in phi."""
+    return p.h_x + p.d_x, p.h_x - p.d_x, p.h_y + p.d_y, p.h_y - p.d_y
+
+
+def _two_level_offdiag(p, cphi, sphi):
+    """Off-diagonal pair (c1, c2) of the two-level matrix, less sin(theta).
+
+    Their phases carry the winding: the global index is 1 exactly when
+    (d_x^2 - h_x^2)(d_y^2 - h_y^2) > 0.
+    """
+    a_p, a_m, b_p, b_m = _two_level_axes(p)
+    return a_p * cphi - 1j * b_p * sphi, a_m * cphi + 1j * b_m * sphi
+
+
+def _hopping(p, k):
+    """Off-diagonal Bloch entry v_k = v + v' exp(-ik) of the chain."""
+    return p.v + p.v_prime * np.exp(-1j * k)
+
+
+def _chain_radicand(v, v_prime, gamma, cos_k):
+    """|v_k|^2 - gamma^2: zero at the exceptional points, |v_k|^2 at gamma = 0."""
+    return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
+
+
+def _frame_connection(g, cos_chi, sin_chi, d_chi):
+    """Connection i<lambda_i|d psi_j> of a frame with complex mixing angle chi.
+
+    ``g`` is the connection trace and ``d_chi`` the derivative of chi.
+    """
+    app = 0.5 * g * (1.0 + cos_chi)
+    amm = 0.5 * g * (1.0 - cos_chi)
+    apm = -0.5 * g * sin_chi - 0.5j * d_chi
+    amp = -0.5 * g * sin_chi + 0.5j * d_chi
+    return np.stack([np.stack([app, apm]), np.stack([amp, amm])])
 
 
 def _two_level_frame(p, phi):
     """All closed-form arrays of the two-level family on a phi grid."""
     phi = np.asarray(phi, dtype=float)
-    a_p = p.h_x + p.d_x
-    a_m = p.h_x - p.d_x
-    b_p = p.h_y + p.d_y
-    b_m = p.h_y - p.d_y
+    a_p, a_m, b_p, b_m = _two_level_axes(p)
     amp_scale = max(1.0, abs(a_p), abs(a_m), abs(b_p), abs(b_m))
     cphi = np.cos(phi)
     sphi = np.sin(phi)
-    c1 = a_p * cphi - 1j * b_p * sphi
-    c2 = a_m * cphi + 1j * b_m * sphi
+    c1, c2 = _two_level_offdiag(p, cphi, sphi)
     r_p = np.abs(c1)
     r_m = np.abs(c2)
     if min(r_p.min(), r_m.min()) <= 1e-12 * amp_scale:
@@ -312,25 +357,18 @@ def _two_level_frame(p, phi):
     sin_chi = b / e
     d_chi = sin_chi * cos_chi * (
         0.5 * (dln_rp + dln_rm) + 0.5j * (d_nu2 + d_nu1))
-    app = 0.5 * g * (1.0 + cos_chi)
-    amm = 0.5 * g * (1.0 - cos_chi)
-    apm = -0.5 * g * sin_chi - 0.5j * d_chi
-    amp = -0.5 * g * sin_chi + 0.5j * d_chi
-    connection = np.stack([
-        np.stack([app, apm]),
-        np.stack([amp, amm]),
-    ])
     return SimpleNamespace(
         alphas=phi, c1=c1, c2=c2, r_p=r_p, r_m=r_m, nu1=nu1, nu2=nu2,
         nu_plus=nu_plus, nu_minus=nu_minus, rho=rho, z=z,
         values=np.stack([e, -e]), right=right, left=left,
-        connection=connection, trace=g, winding=nu_minus, chi=chi)
+        connection=_frame_connection(g, cos_chi, sin_chi, d_chi),
+        trace=g, winding=nu_minus, chi=chi)
 
 
 def _bipartite_frame(p, k):
     """All closed-form arrays of the lossy chain on a k grid."""
     k = np.asarray(k, dtype=float)
-    vk = p.v + p.v_prime * np.exp(-1j * k)
+    vk = _hopping(p, k)
     mod = np.abs(vk)
     rad = mod * mod - p.gamma * p.gamma
     if np.abs(rad).min() <= 1e-12 * max(1.0, (p.v + p.v_prime) ** 2, p.gamma ** 2):
@@ -365,19 +403,11 @@ def _bipartite_frame(p, k):
     d_mod = -p.v * p.v_prime * np.sin(k) / mod
     d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
     d_chi = 1j * p.gamma * d_mod / (s * s)
-    app = 0.5 * d_theta * (1.0 + cos_chi)
-    amm = 0.5 * d_theta * (1.0 - cos_chi)
-    apm = -0.5 * d_theta * sin_chi - 0.5j * d_chi
-    amp = -0.5 * d_theta * sin_chi + 0.5j * d_chi
-    connection = np.stack([
-        np.stack([app, apm]),
-        np.stack([amp, amm]),
-    ])
     return SimpleNamespace(
         alphas=k, v_k=vk, mod=mod, rad=rad, theta=theta,
         values=np.stack([centroid + s, centroid - s]), right=right, left=left,
-        connection=connection, trace=d_theta.astype(complex),
-        winding=theta, chi=chi)
+        connection=_frame_connection(d_theta, cos_chi, sin_chi, d_chi),
+        trace=d_theta.astype(complex), winding=theta, chi=chi)
 
 
 def _path_from_frame(frame):
@@ -386,6 +416,14 @@ def _path_from_frame(frame):
         left=frame.left, connection=frame.connection,
         trace_connection=frame.trace, winding_phase=frame.winding,
         chi=frame.chi)
+
+
+def _point_system(f):
+    """Eigen-system of a frame evaluated at a single point."""
+    return BiorthoEigenSystem(
+        eigenvalues=f.values[:, 0].copy(),
+        right_vectors=f.right[:, :, 0].copy(),
+        left_vectors=f.left[:, :, 0].copy())
 
 
 def two_level_closed_form(p, phi):
@@ -400,11 +438,7 @@ def two_level_closed_form(p, phi):
         nu1=float(f.nu1[0]), nu2=float(f.nu2[0]),
         nu_plus=float(f.nu_plus[0]), nu_minus=float(f.nu_minus[0]),
         rho=float(f.rho[0]), chi=complex(f.chi[0]))
-    system = BiorthoEigenSystem(
-        eigenvalues=f.values[:, 0].copy(),
-        right_vectors=f.right[:, :, 0].copy(),
-        left_vectors=f.left[:, :, 0].copy())
-    return derived, system
+    return derived, _point_system(f)
 
 
 def bipartite_closed_form(p, k):
@@ -413,11 +447,7 @@ def bipartite_closed_form(p, k):
     derived = BipartiteDerived(
         theta_k=float(f.theta[0]), chi_k=complex(f.chi[0]),
         v_k=complex(f.v_k[0]), radicand=float(f.rad[0]))
-    system = BiorthoEigenSystem(
-        eigenvalues=f.values[:, 0].copy(),
-        right_vectors=f.right[:, :, 0].copy(),
-        left_vectors=f.left[:, :, 0].copy())
-    return derived, system
+    return derived, _point_system(f)
 
 
 @dataclass(frozen=True)
@@ -429,7 +459,7 @@ class TwoLevelModel:
     period: ClassVar[float] = _TWO_PI
 
     def matrix(self, alpha):
-        return two_level_hamiltonian(self.params, float(alpha))
+        return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
         return _path_from_frame(_two_level_frame(self.params, alphas))
@@ -441,8 +471,7 @@ class TwoLevelModel:
         st = math.sin(p.theta)
         ct = math.cos(p.theta)
         a = complex(p.h_z, p.d_z) * ct
-        c1 = (p.h_x + p.d_x) * np.cos(phi) - 1j * (p.h_y + p.d_y) * np.sin(phi)
-        c2 = (p.h_x - p.d_x) * np.cos(phi) + 1j * (p.h_y - p.d_y) * np.sin(phi)
+        c1, c2 = _two_level_offdiag(p, np.cos(phi), np.sin(phi))
         w = a * a + c1 * c2 * (st * st)
         e = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w)))
         return np.stack([e, -e])
@@ -454,8 +483,7 @@ class TwoLevelModel:
         st = math.sin(p.theta)
         ct = math.cos(p.theta)
         z = complex(p.h_z, p.d_z)
-        c1 = (p.h_x + p.d_x) * np.cos(phi) - 1j * (p.h_y + p.d_y) * np.sin(phi)
-        c2 = (p.h_x - p.d_x) * np.cos(phi) + 1j * (p.h_y - p.d_y) * np.sin(phi)
+        c1, c2 = _two_level_offdiag(p, np.cos(phi), np.sin(phi))
         diag = np.full(phi.shape, z * ct, dtype=complex)
         return np.stack([diag, c1 * st, c2 * st, -diag])
 
@@ -469,7 +497,7 @@ class BipartiteModel:
     period: ClassVar[float] = _TWO_PI
 
     def matrix(self, alpha):
-        return bipartite_bloch(self.params, float(alpha))
+        return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
         return _path_from_frame(_bipartite_frame(self.params, alphas))
@@ -477,15 +505,15 @@ class BipartiteModel:
     def energies(self, alphas):
         p = self.params
         k = np.asarray(alphas, dtype=float)
-        mod2 = p.v * p.v + p.v_prime * p.v_prime + 2.0 * p.v * p.v_prime * np.cos(k)
-        s = np.sqrt((mod2 - p.gamma * p.gamma).astype(complex))
+        rad = _chain_radicand(p.v, p.v_prime, p.gamma, np.cos(k))
+        s = np.sqrt(rad.astype(complex))
         centroid = p.eps_a - 1j * p.gamma
         return np.stack([centroid + s, centroid - s])
 
     def entry_rows(self, alphas):
         p = self.params
         k = np.asarray(alphas, dtype=float)
-        vk = p.v + p.v_prime * np.exp(-1j * k)
+        vk = _hopping(p, k)
         diag_a = np.full(k.shape, complex(p.eps_a), dtype=complex)
         diag_b = np.full(k.shape, p.eps_b, dtype=complex)
         return np.stack([diag_a, vk, np.conj(vk), diag_b])
@@ -494,5 +522,5 @@ class BipartiteModel:
         """d theta / dk of the off-diagonal phase, finite for all q != 1."""
         p = self.params
         k = np.asarray(alphas, dtype=float)
-        mod2 = p.v * p.v + p.v_prime * p.v_prime + 2.0 * p.v * p.v_prime * np.cos(k)
+        mod2 = _chain_radicand(p.v, p.v_prime, 0.0, np.cos(k))
         return p.v_prime * (p.v_prime + p.v * np.cos(k)) / mod2

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassificationMismatch
+from .models import _chain_radicand, _check_ratios, _zone_grid
 
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
 TYPE_II = "TYPE_II"
-# reserved placeholder; never produced for valid (q, eta), which the three
-# closed regions cover completely
-NONE = "NONE"
 
 _WITNESS_TOL = 1e-8
 
@@ -51,23 +49,10 @@ class CrossingReport:
     all_labels: tuple
 
 
-def _check_ratios(q, eta):
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if eta < 0.0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-
-
-def _radicand(q, eta, k):
-    return 1.0 + q * q + 2.0 * q * np.cos(k) - eta * eta
-
-
-def _applicable_labels(q, eta):
+def _applicable_labels(q, eta, lo, hi):
     # closed inequalities, evaluated in radicand units with the same zero
     # tolerance the momentum scan uses, so an input rounded onto a boundary
     # line keeps the boundary tie no matter which side the last ulp lands
-    lo = (1.0 - q) ** 2 - eta * eta  # radicand minimum, at k = pi
-    hi = (1.0 + q) ** 2 - eta * eta  # radicand maximum, at k = 0
     tol = _WITNESS_TOL * max(1.0, (1.0 + q) ** 2, eta * eta)
     labels = []
     if lo <= tol and hi >= -tol:
@@ -79,18 +64,9 @@ def _applicable_labels(q, eta):
     return tuple(labels)
 
 
-def _gap_extremes(q, eta):
-    lo = (1.0 - q) ** 2 - eta * eta  # radicand minimum, at k = pi
-    hi = (1.0 + q) ** 2 - eta * eta  # radicand maximum, at k = 0
-    gap_min_re = 2.0 * math.sqrt(lo) if lo > 0.0 else 0.0
-    gap_min_im = 2.0 * math.sqrt(-hi) if hi < 0.0 else 0.0
-    return gap_min_re, gap_min_im
-
-
 def complex_gap(p, k):
     """Complex band separation E_plus - E_minus at momentum k."""
-    rad = (p.v * p.v + p.v_prime * p.v_prime
-           + 2.0 * p.v * p.v_prime * math.cos(k) - p.gamma * p.gamma)
+    rad = _chain_radicand(p.v, p.v_prime, p.gamma, math.cos(k))
     return complex(2.0 * np.sqrt(complex(rad)))
 
 
@@ -101,16 +77,18 @@ def classify_region(q, eta):
     radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
     """
     _check_ratios(q, eta)
-    labels = _applicable_labels(q, eta)
+    lo = (1.0 - q) ** 2 - eta * eta  # radicand minimum, at k = pi
+    hi = (1.0 + q) ** 2 - eta * eta  # radicand maximum, at k = 0
+    labels = _applicable_labels(q, eta, lo, hi)
     region = labels[0]
     witnesses = ()
     if region == GAPLESS_TRUE_CROSSING:
         c = (eta * eta - 1.0 - q * q) / (2.0 * q)
         k0 = math.acos(min(1.0, max(-1.0, c)))
         witnesses = (k0,) if k0 in (0.0, math.pi) else (-k0, k0)
-    gap_min_re, gap_min_im = _gap_extremes(q, eta)
     return CrossingReport(region=region, witnesses=witnesses,
-                          gap_min_re=gap_min_re, gap_min_im=gap_min_im,
+                          gap_min_re=2.0 * math.sqrt(lo) if lo > 0.0 else 0.0,
+                          gap_min_im=2.0 * math.sqrt(-hi) if hi < 0.0 else 0.0,
                           all_labels=labels)
 
 
@@ -145,11 +123,11 @@ def verify_region(q, eta, k_samples=1024):
     analytic = classify_region(q, eta)
     scale = max(1.0, (1.0 + q) ** 2, eta * eta)
 
-    grid = -math.pi + (np.arange(k_samples) + 1) * (2.0 * math.pi / k_samples)
-    values = _radicand(q, eta, grid)
+    grid = _zone_grid(k_samples)
+    values = _chain_radicand(1.0, q, eta, np.cos(grid))
 
     def f(k):
-        return 1.0 + q * q + 2.0 * q * math.cos(k) - eta * eta
+        return _chain_radicand(1.0, q, eta, math.cos(k))
 
     witnesses = []
     for i in range(k_samples):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .berry import analytic_q, bipartite_phase_point, two_level_phase_point
 from .errors import BerrylineError, NotConverged
-from .models import TwoLevelParams
+from .models import TwoLevelParams, _at_transition, _check_ratios
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
@@ -125,6 +125,8 @@ def _axis(bounds, count, name):
     count = int(count)
     if count < 1:
         raise ValueError(f"{name} needs at least one point")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} range must be finite, got ({lo}, {hi})")
     if count > 1 and not hi > lo:
         raise ValueError(f"{name} range must increase, got ({lo}, {hi})")
     return np.linspace(lo, hi, count)
@@ -142,8 +144,7 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     """
     q_axis = _axis(q_range, nq, "q")
     eta_axis = _axis(eta_range, neta, "eta")
-    if np.any(eta_axis < 0.0) or np.any(q_axis <= 0.0):
-        raise ValueError("q must stay positive and eta nonnegative")
+    _check_ratios(q_axis.min(), eta_axis.min())
     spacing = float(q_axis[1] - q_axis[0]) if nq > 1 else 0.0
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
@@ -252,8 +253,9 @@ def divergence_scan(q_fixed, line, decades=8):
     survivors.
     """
     q_fixed = float(q_fixed)
-    if q_fixed <= 0.0 or abs(q_fixed - 1.0) <= 1e-12:
-        raise ValueError("the scan needs a positive hopping ratio away from 1")
+    _check_ratios(q_fixed, 0.0)  # eta is scanned below
+    if _at_transition(q_fixed):
+        raise ValueError("the scan needs a hopping ratio away from 1")
     if line == "d1":
         eta_c = q_fixed + 1.0
         cap = _CELL_CAP

@@ -312,3 +312,12 @@ def test_first_order_trace_cancels():
     assert first_order_correction_trace(tl_loop, TwoLevelModel(hermitian)) < 1e-8
     bp_loop = standard_loop(BIPARTITE, 1024)
     assert first_order_correction_trace(bp_loop, _chain(2.0, 0.5)) < 1e-8
+
+
+@pytest.mark.parametrize("q, eta", [
+    (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3),
+    (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf),
+])
+def test_phase_point_refuses_non_finite_ratios(q, eta):
+    with pytest.raises(ValueError):
+        bipartite_phase_point(q, eta)

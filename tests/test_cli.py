@@ -258,3 +258,48 @@ def test_identical_flags_give_identical_output(capsys):
     second = run(capsys, "bipartite", "--q", "0.7", "--eta", "0.1")
     assert first[0] == 0
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("bipartite", "--q", "nan", "--eta", "0.3"),
+    ("bipartite", "--q", "inf", "--eta", "0.3"),
+    ("ep-classify", "--q", "nan", "--eta", "0.3"),
+    ("ep-classify", "--q", "2", "--eta", "inf"),
+    ("ep-classify", "--q", "inf", "--eta", "0.3"),
+    ("phase-diagram", "--q", "0.5:inf:2", "--eta", "0.1:0.2:2",
+     "--out", "x.csv"),
+])
+def test_non_finite_ratios_exit_1(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("period", ["inf", "nan"])
+def test_evolve_non_finite_cycle_time_exits_1(capsys, period):
+    code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",
+                         "--eta", "0.3", "--T", period)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cycle time must be positive, got {period}\n"
+
+
+def test_non_finite_results_print_as_null(capsys):
+    payload = run_json(capsys, "evolve", "--model", "two-level", "--hx", "1",
+                       "--hy", "1", "--hz", "0.2", "--dx", "0.5", "--dy", "0.2",
+                       "--dz", "1", "--theta", "0.3", "--T", "1000",
+                       "--band", "plus")
+    parts = [z[key] for z in payload["psi_final"] for key in ("re", "im")]
+    assert None in parts
+    assert all(x is None or math.isfinite(x) for x in parts)
+
+
+def test_control_characters_in_strings_stay_valid_json(capsys, tmp_path):
+    out_path = str(tmp_path / "a\tb.csv")
+    payload = run_json(capsys, "phase-diagram", "--q", "1.5:2.5:2",
+                       "--eta", "0:0.1:2", "--out", out_path)
+    assert payload["out"] == out_path
+    assert payload["sidecar"] == out_path + ".json"

@@ -132,3 +132,12 @@ def test_closed_form_domain_errors():
         closed_form_gamma(-2.0, 0.1, "plus")
     with pytest.raises(ValueError):
         closed_form_gamma(2.0, -0.1, "plus")
+
+
+@pytest.mark.parametrize("q, eta", [
+    (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3),
+    (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf),
+])
+def test_closed_form_refuses_non_finite_ratios(q, eta):
+    with pytest.raises(ValueError):
+        closed_form_gamma(q, eta, "plus")

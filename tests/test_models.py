@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berryline.biortho import eig2
-from berryline.errors import BadResolution, SingularParameters, TrueCrossing
+from berryline.errors import (BadResolution, DegenerateSpectrum, PathTooCoarse,
+                              SingularParameters, TrueCrossing)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -377,3 +380,80 @@ def test_entry_rows_match_matrices():
         assert abs(rows[1, j] - m[0, 1]) < 1e-15
         assert abs(rows[2, j] - m[1, 0]) < 1e-15
         assert abs(rows[3, j] - m[1, 1]) < 1e-15
+
+
+# Property tests: the accessors of one model must agree with each other on
+# random parameters away from the singular sets.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+_GRID = np.linspace(-0.5, 2.0 * np.pi, 1024)
+
+
+@st.composite
+def _two_level_models(draw):
+    amps = st.floats(-2.0, 2.0)
+    p = TwoLevelParams(*(draw(amps) for _ in range(6)),
+                       theta=draw(st.floats(0.0, np.pi)))
+    assume(not p.is_singular(tol=0.05))
+    return TwoLevelModel(p)
+
+
+@st.composite
+def _chain_models(draw):
+    q = draw(st.floats(0.05, 3.0))
+    assume(abs(q - 1.0) > 0.1)
+    if draw(st.booleans()):
+        eta = draw(st.floats(0.0, 0.9)) * (abs(q - 1.0) - 0.05)
+    else:
+        eta = q + 1.05 + draw(st.floats(0.0, 2.0))
+    return BipartiteModel(BipartiteParams.from_ratios(
+        q, eta, v=draw(st.floats(0.3, 2.0)), eps_a=draw(st.floats(-1.0, 1.0))))
+
+
+_models = st.one_of(_two_level_models(), _chain_models())
+
+
+@_PROPERTY
+@given(_models)
+def test_entry_rows_are_the_matrix_entries(model):
+    rows = model.entry_rows(_GRID)
+    scale = max(1.0, float(np.abs(rows).max()))
+    for j in range(0, _GRID.size, 97):
+        m = model.matrix(_GRID[j]).as_array()
+        assert np.abs(rows[:, j] - m.ravel()).max() <= 1e-14 * scale
+
+
+@_PROPERTY
+@given(_models)
+def test_energies_match_the_eigen_frame(model):
+    try:
+        values = model.eigen_path(_GRID).values
+    except (SingularParameters, DegenerateSpectrum, PathTooCoarse, TrueCrossing):
+        assume(False)
+    assume(np.abs(values[0] - values[1]).min() > 1e-2)
+    energies = model.energies(_GRID)
+    # the branch pair may come out globally exchanged
+    err = min(np.abs(values - energies).max(),
+              np.abs(values - energies[::-1]).max())
+    assert err <= 1e-10 * max(1.0, float(np.abs(values).max()))
+
+
+@_PROPERTY
+@given(_models)
+def test_trace_and_determinant_give_the_energies(model):
+    h11, h12, h21, h22 = model.entry_rows(_GRID)
+    e_plus, e_minus = model.energies(_GRID)
+    scale = max(1.0, float(np.abs([h11, h12, h21, h22]).max())) ** 2
+    assert np.abs((h11 + h22) - (e_plus + e_minus)).max() <= 1e-12 * scale
+    assert np.abs((h11 * h22 - h12 * h21) - e_plus * e_minus).max() <= 1e-12 * scale
+
+
+@_PROPERTY
+@given(st.floats(0.05, 3.0), st.floats(0.0, 4.0), st.floats(0.3, 2.0))
+def test_winding_rate_depends_on_the_hopping_ratio_alone(q, eta, v):
+    assume(abs(q - 1.0) > 0.05)
+    model = BipartiteModel(BipartiteParams.from_ratios(q, eta, v=v))
+    k = _GRID
+    # d theta/dk of v_k = v + v' exp(-ik) in ratio units, the integrand of
+    # the gapless winding route
+    want = q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
+    assert np.abs(model.winding_rate(k) - want).max() <= 1e-12 * np.abs(want).max()
