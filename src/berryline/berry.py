@@ -25,7 +25,7 @@ crossing momenta instead, and only the EP-free winding routes feed Q.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,7 +127,10 @@ class _Rung:
     gamma_plus: complex
     gamma_minus: complex
     q_quad: float
-    q_wilson: object
+    q_wilson: object = None
+
+    def band(self, b):
+        return self.gamma_plus if b == 0 else self.gamma_minus
 
 
 def _wilson_q(right, left, idx):
@@ -175,6 +178,7 @@ def _wilson_extrapolated(right, left, n):
 
 
 def _phase_rung(loop, model, n):
+    """The frame at n samples and its trapezoid phases, as (path, rung)."""
     alphas, _, _ = loop_grid(loop, n // loop.n)
     path = model.eigen_path(alphas)
     interior = slice(PAD, PAD + n)
@@ -184,9 +188,8 @@ def _phase_rung(loop, model, n):
                                              loop.period))
     q_quad = complex(trapezoid_periodic(path.trace_connection[interior],
                                         loop.period)).real / _TWO_PI
-    q_wilson = _wilson_extrapolated(path.right, path.left, n)
-    return _Rung(n=n, gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                 q_quad=q_quad, q_wilson=q_wilson)
+    return path, _Rung(n=n, gamma_plus=gamma_plus, gamma_minus=gamma_minus,
+                       q_quad=q_quad)
 
 
 def _gapless_loop(model, transition_error):
@@ -226,7 +229,7 @@ def global_berry_phase(loop, model, cap=65536):
     route_conflict = None
     while n <= cap:
         try:
-            rung = _phase_rung(loop, model, n)
+            path, rung = _phase_rung(loop, model, n)
         except PathTooCoarse:
             prev = None
             n *= 2
@@ -236,6 +239,8 @@ def global_berry_phase(loop, model, cap=65536):
             settled = (abs(rung.gamma_plus - prev.gamma_plus) < _GAMMA_TOL
                        and abs(rung.gamma_minus - prev.gamma_minus) < _GAMMA_TOL)
             if settled:
+                rung = replace(rung, q_wilson=_wilson_extrapolated(
+                    path.right, path.left, n))
                 if (rung.q_wilson is not None
                         and abs(rung.q_quad - rung.q_wilson) <= _ROUTE_TOL):
                     return _assemble_result(rung, history)
@@ -273,17 +278,10 @@ def band_berry_phase(loop, model, band, cap=65536):
     b = band_index(band)
     if _gapless_loop(model, UndefinedAtTransition):
         rung, _ = _gapless_integrals(model.params.q, model.params.eta, cap)
-        return rung.gamma_plus if b == 0 else rung.gamma_minus
-
-    def evaluate(n):
-        alphas, _, _ = loop_grid(loop, n // loop.n)
-        path = model.eigen_path(alphas)
-        return complex(trapezoid_periodic(path.connection[b, b, PAD:PAD + n],
-                                          loop.period))
-
+        return rung.band(b)
     value, _, _ = refine_dyadically(
-        evaluate, loop.n, _GAMMA_TOL, cap,
-        context=f"band phase on a {model.kind} loop")
+        lambda n: _phase_rung(loop, model, n)[1].band(b), loop.n, _GAMMA_TOL,
+        cap, context=f"band phase on a {model.kind} loop")
     return complex(value)
 
 
@@ -323,8 +321,7 @@ def _gapless_integrals(q, eta, cap=65536):
             "the two winding routes disagree in the gapless region",
             values=(q_quad, q_wilson))
 
-    cos_k0 = (eta * eta - 1.0 - q * q) / (2.0 * q)
-    k0 = math.acos(min(1.0, max(-1.0, cos_k0)))
+    k0 = classify_region(q, eta).witnesses[-1]
     # radicand factorization 2q(cos k - cos k0) = 4q sin((k+k0)/2) sin((k0-k)/2)
     # written in endpoint offsets so the square root stays accurate there
     if k0 > 1e-12:
@@ -377,21 +374,22 @@ def two_level_phase_point(params, n0=1024, cap=65536):
     return global_berry_phase(loop, TwoLevelModel(params), cap=cap)
 
 
-def bipartite_phase_point(q, eta, eps_a=0.0, v=1.0, n0=1024, cap=65536):
+def bipartite_phase_point(q, eta, n0=1024, cap=65536):
     """Global phase result of the lossy chain at ratios (q, eta).
 
     Gapped regions run the generic dual-route evaluator; the gapless
     region runs the principal-value split. Exactly at q = 1 no value
-    exists on either side of the transition.
+    exists on either side of the transition. The resolution ``n0`` is
+    checked before either route runs.
     """
+    loop = standard_loop(BIPARTITE, n0)
     if _at_transition(q):
         raise UndefinedAtTransition(
             "the topological index jumps at hopping ratio 1; no phase is "
             "defined on the transition itself")
     if classify_region(q, eta).region == GAPLESS_TRUE_CROSSING:
         return _assemble_result(*_gapless_integrals(q, eta, cap))
-    params = BipartiteParams.from_ratios(q, eta, v=v, eps_a=eps_a)
-    loop = standard_loop(BIPARTITE, n0)
+    params = BipartiteParams.from_ratios(q, eta)
     return global_berry_phase(loop, BipartiteModel(params), cap=cap)
 
 

@@ -33,7 +33,8 @@ from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      StepTooLarge, TrueCrossing, UndefinedAtTransition)
 from .evolution import Schedule, adiabatic_decomposition
 from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
-                     TwoLevelModel, TwoLevelParams, standard_loop)
+                     TwoLevelModel, TwoLevelParams, _check_ratios,
+                     standard_loop)
 from .spectrum import classify_region, verify_region
 from .sweep import phase_diagram, save_phase_diagram
 
@@ -52,8 +53,10 @@ _NUMERIC_ERRORS = (NotConverged, PathTooCoarse, Disagreement, StepTooLarge,
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-8.5e-05" for an option name; read it as a value
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # argparse takes "-8.5e-05" or "-inf" for an option name; read it as
+        # a value, so the parameter check can say what is wrong with it
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
     # argparse exits with 2 on usage errors; 2 is reserved here for
     # singular parameters, so remap to 1
@@ -87,10 +90,6 @@ def _dumps(value, indent=0):
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
-def _pair(z_re, z_im):
-    return {"re": float(z_re), "im": float(z_im)}
 
 
 def _range_arg(text):
@@ -153,22 +152,21 @@ def _build_model(args):
     missing = [f"--{n}" for n in ("q", "eta") if getattr(args, n) is None]
     if missing:
         raise ValueError(f"the bipartite model needs {' '.join(missing)}")
+    _check_ratios(args.q, args.eta)
     return BipartiteModel(BipartiteParams.from_ratios(args.q, args.eta))
 
 
 def _cmd_two_level_q(args):
     params = _build_model(args).params
     result = two_level_phase_point(params, n0=args.samples)
-    payload = {
+    return {
         "Q_numeric": result.q_index,
         "Q_analytic": analytic_q(params),
-        "gamma_plus": _pair(result.gamma_b_plus, result.xi_b_plus),
-        "gamma_minus": _pair(result.gamma_b_minus, result.xi_b_minus),
+        "gamma_plus": complex(result.gamma_b_plus, result.xi_b_plus),
+        "gamma_minus": complex(result.gamma_b_minus, result.xi_b_minus),
         "converged": result.q_rounded is not None,
         "resolution": result.resolution,
     }
-    print(_dumps(payload))
-    return 0
 
 
 def _cmd_bipartite(args):
@@ -177,8 +175,8 @@ def _cmd_bipartite(args):
         "q": args.q,
         "eta": args.eta,
         "region": classify_region(args.q, args.eta).region,
-        "gamma_plus": _pair(result.gamma_b_plus, result.xi_b_plus),
-        "gamma_minus": _pair(result.gamma_b_minus, result.xi_b_minus),
+        "gamma_plus": complex(result.gamma_b_plus, result.xi_b_plus),
+        "gamma_minus": complex(result.gamma_b_minus, result.xi_b_minus),
         "Q": result.q_index,
         "converged": result.q_rounded is not None,
         "resolution": result.resolution,
@@ -186,12 +184,8 @@ def _cmd_bipartite(args):
     if args.eta < abs(args.q - 1.0):
         plus = closed_form_gamma(args.q, args.eta, "plus")
         minus = closed_form_gamma(args.q, args.eta, "minus")
-        payload["closed_form"] = {
-            "gamma_plus": _pair(plus.real, plus.imag),
-            "gamma_minus": _pair(minus.real, minus.imag),
-        }
-    print(_dumps(payload))
-    return 0
+        payload["closed_form"] = {"gamma_plus": plus, "gamma_minus": minus}
+    return payload
 
 
 def _cmd_phase_diagram(args):
@@ -200,19 +194,17 @@ def _cmd_phase_diagram(args):
     grid = phase_diagram((q_lo, q_hi), (eta_lo, eta_hi), nq, neta,
                          samples_per_loop=args.samples)
     save_phase_diagram(grid, args.out)
-    payload = {
+    return {
         "out": args.out,
         "sidecar": args.out + ".json",
         "cells": int(nq * neta),
         "converged_cells": int(np.count_nonzero(grid.converged)),
     }
-    print(_dumps(payload))
-    return 0
 
 
 def _cmd_ep_classify(args):
     report = verify_region(args.q, args.eta, k_samples=args.k_samples)
-    payload = {
+    return {
         "q": args.q,
         "eta": args.eta,
         "region": report.region,
@@ -221,8 +213,6 @@ def _cmd_ep_classify(args):
         "gap_min_re": report.gap_min_re,
         "gap_min_im": report.gap_min_im,
     }
-    print(_dumps(payload))
-    return 0
 
 
 def _cmd_evolve(args):
@@ -234,21 +224,19 @@ def _cmd_evolve(args):
                  else 1000)
     schedule = Schedule(period_T=args.T, steps=steps)
     report = adiabatic_decomposition(model, schedule, band=args.band)
-    payload = {
+    return {
         "model": args.model,
         "T": args.T,
         "steps": steps,
         "band": args.band,
-        "total_phase": _pair(report.total_phase.real, report.total_phase.imag),
-        "gamma_d": _pair(report.gamma_d, report.xi_d),
-        "gamma_g": _pair(report.gamma_g, report.xi_g),
+        "total_phase": report.total_phase,
+        "gamma_d": complex(report.gamma_d, report.xi_d),
+        "gamma_g": complex(report.gamma_g, report.xi_g),
         "defect": report.defect,
         "strong_regime": report.strong_regime,
         "leak_ratio": report.leak_ratio,
-        "psi_final": [_pair(z.real, z.imag) for z in report.psi_final],
+        "psi_final": list(report.psi_final),
     }
-    print(_dumps(payload))
-    return 0
 
 
 def _cmd_gauge_check(args):
@@ -263,16 +251,14 @@ def _cmd_gauge_check(args):
         return windings[band] * np.asarray(alphas, dtype=float)
 
     check = apply_gauge(loop, model, gauge, windings)
-    payload = {
+    return {
         "model": args.model,
         "winding": args.winding,
         "band": args.band,
-        "gamma_plus": _pair(check.gamma_plus.real, check.gamma_plus.imag),
-        "gamma_plus_new": _pair(check.gamma_plus_new.real,
-                                check.gamma_plus_new.imag),
-        "gamma_minus": _pair(check.gamma_minus.real, check.gamma_minus.imag),
-        "gamma_minus_new": _pair(check.gamma_minus_new.real,
-                                 check.gamma_minus_new.imag),
+        "gamma_plus": check.gamma_plus,
+        "gamma_plus_new": check.gamma_plus_new,
+        "gamma_minus": check.gamma_minus,
+        "gamma_minus_new": check.gamma_minus_new,
         "Q": check.q_original,
         "Q_new": check.q_new,
         "delta_Q": check.q_new - check.q_original,
@@ -282,8 +268,6 @@ def _cmd_gauge_check(args):
         "residual_Q": check.residual_q,
         "resolution": check.resolution,
     }
-    print(_dumps(payload))
-    return 0
 
 
 def build_parser():
@@ -368,7 +352,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     try:
-        return args.func(args)
+        print(_dumps(args.func(args)))
     except (ValueError, BadResolution, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -378,6 +362,7 @@ def main(argv=None):
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ parameter derivative of the frame is packaged as a 2x2 connection at
 every sample. Downstream phase integration consumes these paths.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -36,11 +36,13 @@ BIPARTITE = "bipartite"
 _TWO_PI = 2.0 * math.pi
 
 
-def _require_finite(obj, names):
-    for name in names:
-        value = getattr(obj, name)
+def _require_finite(obj):
+    """Coerce every field of a frozen parameter record to a finite float."""
+    for field in dataclasses.fields(obj):
+        value = float(getattr(obj, field.name))
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{field.name} must be finite, got {value}")
+        object.__setattr__(obj, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,7 @@ class TwoLevelParams:
     theta: float
 
     def __post_init__(self):
-        for name in ("h_x", "h_y", "h_z", "d_x", "d_y", "d_z", "theta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _require_finite(self, ("h_x", "h_y", "h_z", "d_x", "d_y", "d_z", "theta"))
+        _require_finite(self)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -117,9 +117,7 @@ class BipartiteParams:
     eps_a: float = 0.0
 
     def __post_init__(self):
-        for name in ("v", "v_prime", "gamma", "eps_a"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        _require_finite(self, ("v", "v_prime", "gamma", "eps_a"))
+        _require_finite(self)
         if self.v <= 0.0:
             raise ValueError(f"v must be positive, got {self.v}")
         if self.v_prime < 0.0:
@@ -178,13 +176,10 @@ class ParameterLoop:
             raise ValueError(f"unknown loop kind {self.kind!r}")
         if arr.ndim != 1:
             raise ValueError("samples must be a 1-D array")
-        n = arr.size
-        if n < 16 or n & (n - 1):
-            raise BadResolution(
-                f"loop needs a power-of-two sample count of at least 16, got {n}")
+        _check_resolution(arr.size)
         if not self.period > 0.0:
             raise ValueError("period must be positive")
-        h = self.period / n
+        h = self.period / arr.size
         diffs = np.diff(arr)
         if np.any(diffs <= 0.0):
             raise ValueError("samples must increase strictly")
@@ -202,6 +197,13 @@ class ParameterLoop:
         return self.period / self.samples.size
 
 
+def _check_resolution(n):
+    """Refuse a loop sample count that is not a power of two of at least 16."""
+    if n < 16 or n & (n - 1):
+        raise BadResolution(
+            f"loop needs a power-of-two sample count of at least 16, got {n}")
+
+
 def _zone_grid(n):
     """n uniform momenta over the Brillouin zone (-pi, pi], pi included."""
     return -math.pi + (np.arange(n) + 1) * (_TWO_PI / n)
@@ -209,6 +211,7 @@ def _zone_grid(n):
 
 def standard_loop(kind, n):
     """The default closed loop: phi over [0, 2pi) or k over (-pi, pi]."""
+    _check_resolution(n)
     if kind == TWO_LEVEL:
         samples = np.arange(n) * (_TWO_PI / n)
     elif kind == BIPARTITE:
@@ -300,8 +303,34 @@ def _frame_connection(g, cos_chi, sin_chi, d_chi):
     return np.stack([np.stack([app, apm]), np.stack([amp, amm])])
 
 
+def _frame_path(alphas, values, u, winding, pr, mr, pl, trace, g, cos_chi,
+                sin_chi, d_chi):
+    """Biorthonormal frame along a grid from its mixing ratio u = exp(i chi).
+
+    Right kets are (pr cos, sin) and (mr sin, cos) of chi / 2, duals have pl
+    and -pl there; mr is -pr as the family rounds it (that sets the sign of
+    exact zeros). ``g`` feeds the connection, ``trace`` is reported as is.
+    """
+    chi = unwrap_checked(np.angle(u)) - 1j * np.log(np.abs(u))
+    half = 0.5 * chi
+    ch2 = np.cos(half)
+    sh2 = np.sin(half)
+    right = np.stack([
+        np.stack([pr * ch2, sh2]),
+        np.stack([mr * sh2, ch2]),
+    ], axis=1)
+    left = np.stack([
+        np.stack([pl * np.conj(ch2), np.conj(sh2)]),
+        np.stack([-pl * np.conj(sh2), np.conj(ch2)]),
+    ], axis=1)
+    return EigenPath(
+        alphas=alphas, values=values, right=right, left=left,
+        connection=_frame_connection(g, cos_chi, sin_chi, d_chi),
+        trace_connection=trace, winding_phase=winding, chi=chi)
+
+
 def _two_level_frame(p, phi):
-    """All closed-form arrays of the two-level family on a phi grid."""
+    """Two-level path on a phi grid, plus (r_p, r_m, nu1, nu2, nu_plus, rho)."""
     phi = np.asarray(phi, dtype=float)
     a_p, a_m, b_p, b_m = _two_level_axes(p)
     amp_scale = max(1.0, abs(a_p), abs(a_m), abs(b_p), abs(b_m))
@@ -321,8 +350,7 @@ def _two_level_frame(p, phi):
     rho = np.sqrt(r_p / r_m)
     st = math.sin(p.theta)
     ct = math.cos(p.theta)
-    z = complex(p.h_z, p.d_z)
-    a = z * ct
+    a = complex(p.h_z, p.d_z) * ct
     b = np.sqrt(r_p * r_m) * np.exp(1j * nu_plus) * st
     w = a * a + b * b
     aw = np.abs(w)
@@ -333,20 +361,7 @@ def _two_level_frame(p, phi):
     # branch of the square root follows the unwrapped argument, so the
     # energy is continuous along the sweep
     e = np.sqrt(aw) * np.exp(0.5j * unwrap_checked(np.angle(w)))
-    u = (a + 1j * b) / e
-    chi = unwrap_checked(np.angle(u)) - 1j * np.log(np.abs(u))
-    half = 0.5 * chi
-    ch2 = np.cos(half)
-    sh2 = np.sin(half)
     phase = np.exp(-1j * nu_minus)
-    right = np.stack([
-        np.stack([rho * phase * ch2, sh2]),
-        np.stack([-rho * phase * sh2, ch2]),
-    ], axis=1)
-    left = np.stack([
-        np.stack([(phase / rho) * np.conj(ch2), np.conj(sh2)]),
-        np.stack([-(phase / rho) * np.conj(sh2), np.conj(ch2)]),
-    ], axis=1)
 
     dln_rp = (b_p * b_p - a_p * a_p) * sphi * cphi / (r_p * r_p)
     dln_rm = (b_m * b_m - a_m * a_m) * sphi * cphi / (r_m * r_m)
@@ -357,16 +372,14 @@ def _two_level_frame(p, phi):
     sin_chi = b / e
     d_chi = sin_chi * cos_chi * (
         0.5 * (dln_rp + dln_rm) + 0.5j * (d_nu2 + d_nu1))
-    return SimpleNamespace(
-        alphas=phi, c1=c1, c2=c2, r_p=r_p, r_m=r_m, nu1=nu1, nu2=nu2,
-        nu_plus=nu_plus, nu_minus=nu_minus, rho=rho, z=z,
-        values=np.stack([e, -e]), right=right, left=left,
-        connection=_frame_connection(g, cos_chi, sin_chi, d_chi),
-        trace=g, winding=nu_minus, chi=chi)
+    path = _frame_path(phi, np.stack([e, -e]), (a + 1j * b) / e, nu_minus,
+                       rho * phase, -rho * phase, phase / rho, g, g, cos_chi,
+                       sin_chi, d_chi)
+    return path, (r_p, r_m, nu1, nu2, nu_plus, rho)
 
 
 def _bipartite_frame(p, k):
-    """All closed-form arrays of the lossy chain on a k grid."""
+    """Lossy-chain path on a k grid, plus the hopping v_k and the radicand."""
     k = np.asarray(k, dtype=float)
     vk = _hopping(p, k)
     mod = np.abs(vk)
@@ -382,20 +395,7 @@ def _bipartite_frame(p, k):
             "of the two energies merge")
     s = np.sqrt(rad.astype(complex))
     theta = -unwrap_checked(np.angle(vk))
-    u = 1j * (p.gamma + mod) / s
-    chi = unwrap_checked(np.angle(u)) - 1j * np.log(np.abs(u))
-    half = 0.5 * chi
-    ch2 = np.cos(half)
-    sh2 = np.sin(half)
     phase = np.exp(-1j * theta)
-    right = np.stack([
-        np.stack([phase * ch2, sh2]),
-        np.stack([-phase * sh2, ch2]),
-    ], axis=1)
-    left = np.stack([
-        np.stack([phase * np.conj(ch2), np.conj(sh2)]),
-        np.stack([-phase * np.conj(sh2), np.conj(ch2)]),
-    ], axis=1)
 
     centroid = p.eps_a - 1j * p.gamma
     cos_chi = 1j * p.gamma / s
@@ -403,27 +403,18 @@ def _bipartite_frame(p, k):
     d_mod = -p.v * p.v_prime * np.sin(k) / mod
     d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
     d_chi = 1j * p.gamma * d_mod / (s * s)
-    return SimpleNamespace(
-        alphas=k, v_k=vk, mod=mod, rad=rad, theta=theta,
-        values=np.stack([centroid + s, centroid - s]), right=right, left=left,
-        connection=_frame_connection(d_theta, cos_chi, sin_chi, d_chi),
-        trace=d_theta.astype(complex), winding=theta, chi=chi)
+    path = _frame_path(k, np.stack([centroid + s, centroid - s]),
+                       1j * (p.gamma + mod) / s, theta, phase, -phase, phase,
+                       d_theta.astype(complex), d_theta, cos_chi, sin_chi, d_chi)
+    return path, (vk, rad)
 
 
-def _path_from_frame(frame):
-    return EigenPath(
-        alphas=frame.alphas, values=frame.values, right=frame.right,
-        left=frame.left, connection=frame.connection,
-        trace_connection=frame.trace, winding_phase=frame.winding,
-        chi=frame.chi)
-
-
-def _point_system(f):
-    """Eigen-system of a frame evaluated at a single point."""
+def _point_system(path):
+    """Eigen-system of a path evaluated at a single point."""
     return BiorthoEigenSystem(
-        eigenvalues=f.values[:, 0].copy(),
-        right_vectors=f.right[:, :, 0].copy(),
-        left_vectors=f.left[:, :, 0].copy())
+        eigenvalues=path.values[:, 0].copy(),
+        right_vectors=path.right[:, :, 0].copy(),
+        left_vectors=path.left[:, :, 0].copy())
 
 
 def two_level_closed_form(p, phi):
@@ -432,22 +423,23 @@ def two_level_closed_form(p, phi):
     Branch angles are anchored at their principal values here; loop-level
     evaluation unwraps them continuously instead.
     """
-    f = _two_level_frame(p, np.array([float(phi)]))
+    path, (r_p, r_m, nu1, nu2, nu_plus, rho) = _two_level_frame(
+        p, np.array([float(phi)]))
     derived = TwoLevelDerived(
-        z=f.z, r_plus=float(f.r_p[0]), r_minus=float(f.r_m[0]),
-        nu1=float(f.nu1[0]), nu2=float(f.nu2[0]),
-        nu_plus=float(f.nu_plus[0]), nu_minus=float(f.nu_minus[0]),
-        rho=float(f.rho[0]), chi=complex(f.chi[0]))
-    return derived, _point_system(f)
+        z=complex(p.h_z, p.d_z), r_plus=float(r_p[0]), r_minus=float(r_m[0]),
+        nu1=float(nu1[0]), nu2=float(nu2[0]), nu_plus=float(nu_plus[0]),
+        nu_minus=float(path.winding_phase[0]), rho=float(rho[0]),
+        chi=complex(path.chi[0]))
+    return derived, _point_system(path)
 
 
 def bipartite_closed_form(p, k):
     """Closed-form intermediates and eigen-system at one momentum."""
-    f = _bipartite_frame(p, np.array([float(k)]))
+    path, (vk, rad) = _bipartite_frame(p, np.array([float(k)]))
     derived = BipartiteDerived(
-        theta_k=float(f.theta[0]), chi_k=complex(f.chi[0]),
-        v_k=complex(f.v_k[0]), radicand=float(f.rad[0]))
-    return derived, _point_system(f)
+        theta_k=float(path.winding_phase[0]), chi_k=complex(path.chi[0]),
+        v_k=complex(vk[0]), radicand=float(rad[0]))
+    return derived, _point_system(path)
 
 
 @dataclass(frozen=True)
@@ -462,7 +454,7 @@ class TwoLevelModel:
         return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
-        return _path_from_frame(_two_level_frame(self.params, alphas))
+        return _two_level_frame(self.params, alphas)[0]
 
     def energies(self, alphas):
         """Both energy branches on a grid, continuous along it, shape (2, M)."""
@@ -500,7 +492,7 @@ class BipartiteModel:
         return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
-        return _path_from_frame(_bipartite_frame(self.params, alphas))
+        return _bipartite_frame(self.params, alphas)[0]
 
     def energies(self, alphas):
         p = self.params

@@ -25,7 +25,8 @@ import numpy as np
 
 from .berry import analytic_q, bipartite_phase_point, two_level_phase_point
 from .errors import BerrylineError, NotConverged
-from .models import TwoLevelParams, _at_transition, _check_ratios
+from .models import (TwoLevelParams, _at_transition, _check_ratios,
+                     _check_resolution)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
@@ -142,6 +143,8 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     BERRYLINE_THREADS worker processes, capped at the cores and eta rows;
     results are assembled in order, so output never depends on scheduling.
     """
+    samples = int(samples_per_loop)
+    _check_resolution(samples)
     q_axis = _axis(q_range, nq, "q")
     eta_axis = _axis(eta_range, neta, "eta")
     _check_ratios(q_axis.min(), eta_axis.min())
@@ -149,7 +152,6 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    samples = int(samples_per_loop)
     args = [(float(eta), [float(q) for q in q_axis], samples, _CELL_CAP)
             for eta in eta_axis]
     workers = min(int(os.environ.get("BERRYLINE_THREADS", "1") or "1"),

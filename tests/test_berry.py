@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berryline.berry import (
     analytic_q,
@@ -321,3 +323,56 @@ def test_first_order_trace_cancels():
 def test_phase_point_refuses_non_finite_ratios(q, eta):
     with pytest.raises(ValueError):
         bipartite_phase_point(q, eta)
+
+
+# Property tests: away from the singular sets the index is an integer, the
+# sign conditions predict its magnitude, and it is the band-phase sum.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def _two_level_points(draw):
+    margin = st.floats(0.07, 2.0)
+    h_x, h_y = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    d_x = (h_x + draw(margin) if draw(st.booleans())
+           else max(0.0, h_x - draw(margin)))
+    d_y = (h_y + draw(margin) if draw(st.booleans())
+           else max(0.0, h_y - draw(margin)))
+    return TwoLevelParams(h_x=h_x, h_y=h_y, h_z=draw(st.floats(-1.0, 1.0)),
+                          d_x=d_x, d_y=d_y, d_z=draw(st.floats(-1.0, 1.0)),
+                          theta=draw(st.floats(0.1, math.pi - 0.1)))
+
+
+@st.composite
+def _chain_points(draw):
+    q = draw(st.floats(0.1, 3.0))
+    assume(abs(q - 1.0) > 0.15)
+    low, high = abs(q - 1.0), q + 1.0
+    # one of the three regions, at least 0.05 from both exceptional lines
+    eta = draw(st.one_of(st.floats(0.0, low - 0.05),
+                         st.floats(low + 0.05, high - 0.05),
+                         st.floats(high + 0.05, high + 2.0)))
+    return q, eta
+
+
+def _assert_integer_band_sum(r, expected):
+    assert r.q_rounded is not None
+    assert abs(r.q_rounded) == expected
+    band_sum = complex(r.gamma_b_plus + r.gamma_b_minus,
+                       r.xi_b_plus + r.xi_b_minus)
+    assert abs(band_sum - 2.0 * math.pi * r.q_rounded) <= 1e-9
+
+
+@_PROPERTY
+@given(_two_level_points())
+def test_two_level_index_is_the_integer_band_phase_sum(params):
+    r = two_level_phase_point(params, n0=256)
+    _assert_integer_band_sum(r, analytic_q(params))
+
+
+@_PROPERTY
+@given(_chain_points())
+def test_chain_index_is_the_integer_band_phase_sum(point):
+    q, eta = point
+    r = bipartite_phase_point(q, eta)
+    _assert_integer_band_sum(r, analytic_q(BipartiteParams.from_ratios(q, eta)))

@@ -1,9 +1,16 @@
 """End-to-end command-line behavior: flags, JSON payloads, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berryline import cli
 from berryline.cli import build_parser, main
@@ -303,3 +310,91 @@ def test_control_characters_in_strings_stay_valid_json(capsys, tmp_path):
                        "--eta", "0:0.1:2", "--out", out_path)
     assert payload["out"] == out_path
     assert payload["sidecar"] == out_path + ".json"
+
+
+_TWO_LEVEL_FLAGS = ("--hx", "1", "--hy", "1", "--hz", "0.2", "--dx", "0.5",
+                    "--dy", "0.5", "--dz", "0", "--theta", "1.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bipartite", "--q", "2", "--eta", "0.3", "--samples", "0"),
+    ("gauge-check", "--model", "bipartite", "--q", "2", "--eta", "0.3",
+     "--samples", "0"),
+    ("phase-diagram", "--q", "1.5:2.5:2", "--eta", "0:0.1:2", "--out",
+     "x.csv", "--samples", "0"),
+    ("two-level-q",) + _TWO_LEVEL_FLAGS + ("--samples", "-16"),
+    # gapless region: the principal-value route takes no loop, but the
+    # resolution is still refused the same way as in the gapped region
+    ("bipartite", "--q", "1.5", "--eta", "1.0", "--samples", "24"),
+    ("phase-diagram", "--q", "0.5:2:4", "--eta", "0.1:2.5:4", "--out",
+     "x.csv", "--samples", "24"),
+])
+def test_bad_samples_are_refused_before_any_work(capsys, monkeypatch,
+                                                 tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: loop needs a power-of-two sample count of at "
+                   f"least 16, got {argv[-1]}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan",
+                                   "-NaN"])
+def test_negative_non_finite_values_reach_the_parameter_check(capsys, value):
+    code, out, err = run(capsys, "bipartite", "--q", "2", "--eta", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: eta must be nonnegative and finite, got ")
+
+
+@pytest.mark.parametrize("ratios, message", [
+    (("0", "0.3"), "error: q must be positive and finite, got 0.0\n"),
+    (("2", "-0.5"), "error: eta must be nonnegative and finite, got -0.5\n"),
+], ids=["zero-q", "negative-eta"])
+def test_gauge_check_refuses_the_ratios_every_chain_command_refuses(
+        capsys, ratios, message):
+    q, eta = ratios
+    for argv in (("bipartite", "--q", q, "--eta", eta),
+                 ("gauge-check", "--model", "bipartite", "--q", q,
+                  "--eta", eta)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message)
+
+
+def test_evolve_refuses_bad_ratios_before_integrating(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cycle ran before the ratio check")
+
+    monkeypatch.setattr(cli, "adiabatic_decomposition", unreachable)
+    code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "0",
+                         "--eta", "0.3", "--T", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: q must be positive and finite, got 0.0\n"
+
+
+def _captured(argv):
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.floats(0.2, 3.0), st.floats(0.0, 3.0))
+def test_repeated_runs_give_identical_bytes(q, eta):
+    assume(abs(q - 1.0) > 0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "d.csv")
+        diagram = ("phase-diagram", "--q", f"{q!r}:{q + 0.5!r}:2",
+                   "--eta", f"{eta!r}:{eta + 0.5!r}:2", "--out", out)
+        runs = []
+        for _ in range(2):
+            runs.append((_captured(("bipartite", "--q", repr(q),
+                                    "--eta", repr(eta))),
+                         _captured(diagram),
+                         pathlib.Path(out).read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1][0] == 0

@@ -457,3 +457,18 @@ def test_winding_rate_depends_on_the_hopping_ratio_alone(q, eta, v):
     # the gapless winding route
     want = q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
     assert np.abs(model.winding_rate(k) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@_PROPERTY
+@given(_models, st.floats(-4.0, 8.0))
+def test_eigen_path_at_one_point_is_the_closed_form(model, alpha):
+    closed_form = (two_level_closed_form if model.kind == TWO_LEVEL
+                   else bipartite_closed_form)
+    try:
+        path = model.eigen_path(np.array([alpha]))
+    except (SingularParameters, DegenerateSpectrum, TrueCrossing):
+        assume(False)
+    _, system = closed_form(model.params, alpha)
+    assert np.array_equal(path.values[:, 0], system.eigenvalues)
+    assert np.array_equal(path.right[:, :, 0], system.right_vectors)
+    assert np.array_equal(path.left[:, :, 0], system.left_vectors)
