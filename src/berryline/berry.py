@@ -39,6 +39,7 @@ from .errors import (
     UndefinedAtTransition,
 )
 from .models import (
+    _MAX_SAMPLES,
     _TWO_PI,
     BIPARTITE,
     TWO_LEVEL,
@@ -212,7 +213,7 @@ def _gapless_loop(model, transition_error):
     return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
 
 
-def global_berry_phase(loop, model, cap=65536):
+def global_berry_phase(loop, model, cap=_MAX_SAMPLES):
     """Both per-band phases and the dual-route global index on one loop.
 
     Doubles the grid until per-band phases stop moving (below 1e-9 per
@@ -267,7 +268,7 @@ def _assemble_result(rung, history):
         q_wilson=rung.q_wilson)
 
 
-def band_berry_phase(loop, model, band, cap=65536):
+def band_berry_phase(loop, model, band):
     """Loop integral of one band's diagonal connection, as gamma + i xi.
 
     Gapped loops refine a periodic trapezoid until doubling moves the
@@ -277,15 +278,15 @@ def band_berry_phase(loop, model, band, cap=65536):
     """
     b = band_index(band)
     if _gapless_loop(model, UndefinedAtTransition):
-        rung, _ = _gapless_integrals(model.params.q, model.params.eta, cap)
+        rung, _ = _gapless_integrals(model.params.q, model.params.eta)
         return rung.band(b)
     value, _, _ = refine_dyadically(
         lambda n: _phase_rung(loop, model, n)[1].band(b), loop.n, _GAMMA_TOL,
-        cap, context=f"band phase on a {model.kind} loop")
+        _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
     return complex(value)
 
 
-def _gapless_integrals(q, eta, cap=65536):
+def _gapless_integrals(q, eta, cap=_MAX_SAMPLES):
     """Per-band phases and index inside the gapless region, as (rung, history).
 
     The crossing momenta +-k0 split the half zone: the inner part
@@ -368,13 +369,12 @@ def analytic_q(params):
     raise ValueError(f"unsupported parameter object {type(params).__name__}")
 
 
-def two_level_phase_point(params, n0=1024, cap=65536):
+def two_level_phase_point(params, n0=1024):
     """Global phase result of the standard azimuthal sweep at these parameters."""
-    loop = standard_loop(TWO_LEVEL, n0)
-    return global_berry_phase(loop, TwoLevelModel(params), cap=cap)
+    return global_berry_phase(standard_loop(TWO_LEVEL, n0), TwoLevelModel(params))
 
 
-def bipartite_phase_point(q, eta, n0=1024, cap=65536):
+def bipartite_phase_point(q, eta, n0=1024, cap=_MAX_SAMPLES):
     """Global phase result of the lossy chain at ratios (q, eta).
 
     Gapped regions run the generic dual-route evaluator; the gapless
@@ -515,8 +515,8 @@ def apply_gauge(loop, model, f, band_windings):
 
 
 def _correction_max(loop, model, n):
-    alphas = loop.samples[0] + np.arange(n) * (loop.period / n)
-    path = model.eigen_path(alphas)
+    alphas, _, _ = loop_grid(loop, n // loop.n)
+    path = model.eigen_path(alphas[PAD:PAD + n])
     dpsi = spectral_derivative(path.right, loop.period)
     dlam = spectral_derivative(path.left, loop.period)
     t1 = np.einsum("cm,cm->m", np.conj(dlam[:, 0, :]), path.right[:, 1, :])
@@ -540,7 +540,7 @@ def first_order_correction_trace(loop, model):
     """
     n = max(loop.n, 4096)
     value = _correction_max(loop, model, n)
-    while value > 1e-9 and n < 65536:
+    while value > 1e-9 and n < _MAX_SAMPLES:
         n *= 2
         probe = _correction_max(loop, model, n)
         if not probe < value:

@@ -32,9 +32,9 @@ from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      PathTooCoarse, SingularLoop, SingularParameters,
                      StepTooLarge, TrueCrossing, UndefinedAtTransition)
 from .evolution import Schedule, adiabatic_decomposition
-from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
-                     TwoLevelModel, TwoLevelParams, _check_ratios,
-                     standard_loop)
+from .models import (_MAX_SAMPLES, BIPARTITE, TWO_LEVEL, BipartiteModel,
+                     BipartiteParams, TwoLevelModel, TwoLevelParams,
+                     _check_ratios, standard_loop)
 from .spectrum import classify_region, verify_region
 from .sweep import phase_diagram, save_phase_diagram
 
@@ -135,7 +135,8 @@ def _add_bipartite_flags(sub, required):
 
 def _add_samples_flag(sub):
     sub.add_argument("--samples", type=int, default=1024,
-                     help="loop resolution, power of two >= 16 (default 1024)")
+                     help="loop resolution, power of two from 16 to "
+                          f"{_MAX_SAMPLES} (default 1024)")
 
 
 def _build_model(args):

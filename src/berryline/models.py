@@ -154,54 +154,17 @@ class BipartiteDerived:
     radicand: float
 
 
-@dataclass(frozen=True)
-class ParameterLoop:
-    """Uniform dyadic discretization of one closed parameter cycle.
-
-    Samples cover exactly one period: the implied closure point
-    samples[0] + period is not stored. Sample counts are powers of two,
-    at least 16, so grids refine by doubling without moving nodes.
-    """
-
-    samples: np.ndarray
-    period: float
-    kind: str
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "period", float(self.period))
-        arr.flags.writeable = False
-        if self.kind not in (TWO_LEVEL, BIPARTITE):
-            raise ValueError(f"unknown loop kind {self.kind!r}")
-        if arr.ndim != 1:
-            raise ValueError("samples must be a 1-D array")
-        _check_resolution(arr.size)
-        if not self.period > 0.0:
-            raise ValueError("period must be positive")
-        h = self.period / arr.size
-        diffs = np.diff(arr)
-        if np.any(diffs <= 0.0):
-            raise ValueError("samples must increase strictly")
-        if np.max(np.abs(diffs - h)) > 1e-12 * self.period:
-            raise ValueError("samples must be uniformly spaced")
-        if abs((arr[-1] - arr[0]) - (self.period - h)) > 1e-12 * self.period:
-            raise ValueError("samples must span exactly one period")
-
-    @property
-    def n(self):
-        return self.samples.size
-
-    @property
-    def spacing(self):
-        return self.period / self.samples.size
+_MAX_SAMPLES = 65536     # the finest loop, and the default refinement cap
 
 
 def _check_resolution(n):
-    """Refuse a loop sample count that is not a power of two of at least 16."""
+    """Refuse a loop sample count outside the powers of two from 16 to the cap."""
     if n < 16 or n & (n - 1):
         raise BadResolution(
             f"loop needs a power-of-two sample count of at least 16, got {n}")
+    if n > _MAX_SAMPLES:
+        raise BadResolution(
+            f"loop sample count {n} exceeds the refinement cap {_MAX_SAMPLES}")
 
 
 def _zone_grid(n):
@@ -209,16 +172,43 @@ def _zone_grid(n):
     return -math.pi + (np.arange(n) + 1) * (_TWO_PI / n)
 
 
+@dataclass(frozen=True)
+class ParameterLoop:
+    """Uniform dyadic discretization of one closed parameter cycle.
+
+    The family ``kind`` and the sample count ``n`` fix the loop: phi over
+    [0, 2pi) for the two-level family, k over (-pi, pi] for the chain.
+    Samples cover exactly one period: the implied closure point
+    samples[0] + period is not stored. Sample counts are powers of two
+    from 16 to the refinement cap, so grids refine by doubling without
+    moving nodes.
+    """
+
+    kind: str
+    n: int
+    samples: np.ndarray = dataclasses.field(init=False, repr=False,
+                                            compare=False)
+    period: ClassVar[float] = _TWO_PI
+
+    def __post_init__(self):
+        _check_resolution(self.n)
+        if self.kind == TWO_LEVEL:
+            samples = np.arange(self.n) * (_TWO_PI / self.n)
+        elif self.kind == BIPARTITE:
+            samples = _zone_grid(self.n)
+        else:
+            raise ValueError(f"unknown loop kind {self.kind!r}")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def spacing(self):
+        return self.period / self.n
+
+
 def standard_loop(kind, n):
-    """The default closed loop: phi over [0, 2pi) or k over (-pi, pi]."""
-    _check_resolution(n)
-    if kind == TWO_LEVEL:
-        samples = np.arange(n) * (_TWO_PI / n)
-    elif kind == BIPARTITE:
-        samples = _zone_grid(n)
-    else:
-        raise ValueError(f"unknown loop kind {kind!r}")
-    return ParameterLoop(samples=samples, period=_TWO_PI, kind=kind)
+    """The default closed loop of a family at n samples."""
+    return ParameterLoop(kind, n)
 
 
 def loop_grid(loop, refine=1):

@@ -129,18 +129,15 @@ def verify_region(q, eta, k_samples=1024):
     def f(k):
         return _chain_radicand(1.0, q, eta, math.cos(k))
 
-    witnesses = []
-    for i in range(k_samples):
-        # grid hits catch tangential zeros on the region boundaries, where
-        # the radicand touches zero without changing sign
-        if abs(values[i]) <= _WITNESS_TOL * scale:
-            witnesses.append(float(grid[i]))
-    for i in range(k_samples - 1):
-        if values[i] == 0.0 or values[i + 1] == 0.0:
-            continue
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            witnesses.append(_bisect_zero(f, float(grid[i]), float(grid[i + 1]),
-                                          float(values[i]), float(values[i + 1])))
+    # grid hits catch tangential zeros on the region boundaries, where
+    # the radicand touches zero without changing sign
+    witnesses = [float(k) for k in grid[np.abs(values) <= _WITNESS_TOL * scale]]
+    lo = values[:-1]
+    hi = values[1:]
+    flips = (lo != 0.0) & (hi != 0.0) & ((lo < 0.0) != (hi < 0.0))
+    for i in np.nonzero(flips)[0]:
+        witnesses.append(_bisect_zero(f, float(grid[i]), float(grid[i + 1]),
+                                      float(values[i]), float(values[i + 1])))
     witnesses.sort()
     kept = []
     for k in witnesses:

@@ -25,12 +25,11 @@ import numpy as np
 
 from .berry import analytic_q, bipartite_phase_point, two_level_phase_point
 from .errors import BerrylineError, NotConverged
-from .models import (TwoLevelParams, _at_transition, _check_ratios,
-                     _check_resolution)
+from .models import (_MAX_SAMPLES, TwoLevelParams, _at_transition,
+                     _check_ratios, _check_resolution)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
-_CELL_CAP = 65536       # dyadic escalation limit per diagram cell
 _D2_CAP = 131072        # the imaginary-part divergence needs finer contours
 _NEAR_LINE = 1e-3       # cells this close to a critical line are flagged
 
@@ -105,10 +104,10 @@ def _near_critical(q, eta):
             or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
 
 
-def _diagram_cell(q, eta, samples, cap):
+def _diagram_cell(q, eta, samples):
     region = classify_region(q, eta).region
     try:
-        r = bipartite_phase_point(q, eta, n0=samples, cap=cap)
+        r = bipartite_phase_point(q, eta, n0=samples)
     except BerrylineError:
         return (math.nan, math.nan, math.nan, math.nan, math.nan, region, False)
     converged = r.q_rounded is not None and not _near_critical(q, eta)
@@ -117,8 +116,8 @@ def _diagram_cell(q, eta, samples, cap):
 
 
 def _diagram_row(args):
-    eta, q_values, samples, cap = args
-    return [_diagram_cell(q, eta, samples, cap) for q in q_values]
+    eta, q_values, samples = args
+    return [_diagram_cell(q, eta, samples) for q in q_values]
 
 
 def _axis(bounds, count, name):
@@ -152,7 +151,7 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    args = [(float(eta), [float(q) for q in q_axis], samples, _CELL_CAP)
+    args = [(float(eta), [float(q) for q in q_axis], samples)
             for eta in eta_axis]
     workers = min(int(os.environ.get("BERRYLINE_THREADS", "1") or "1"),
                   os.cpu_count() or 1, neta)
@@ -260,7 +259,7 @@ def divergence_scan(q_fixed, line, decades=8):
         raise ValueError("the scan needs a hopping ratio away from 1")
     if line == "d1":
         eta_c = q_fixed + 1.0
-        cap = _CELL_CAP
+        cap = _MAX_SAMPLES
     elif line == "d2":
         eta_c = abs(q_fixed - 1.0)
         cap = _D2_CAP
@@ -315,7 +314,7 @@ class QMap:
 
 
 def two_level_q_map(h, d_x_range, d_y_range, n, h_z=0.2, d_z=0.0, theta=1.0,
-                    samples_per_loop=512, cap=65536):
+                    samples_per_loop=512):
     """Map the two-level index over amplitude space at fixed fields.
 
     Singular grid points (an amplitude magnitude matching its field) are
@@ -341,7 +340,7 @@ def two_level_q_map(h, d_x_range, d_y_range, n, h_z=0.2, d_z=0.0, theta=1.0,
                 continue
             analytic[i, j] = expected
             try:
-                r = two_level_phase_point(params, n0=samples_per_loop, cap=cap)
+                r = two_level_phase_point(params, n0=samples_per_loop)
             except BerrylineError:
                 mismatches.append((i, j))
                 continue

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from berryline import berry
 from berryline.berry import (
     analytic_q,
     apply_gauge,
@@ -17,7 +18,8 @@ from berryline.berry import (
     global_berry_phase,
     two_level_phase_point,
 )
-from berryline.errors import GaugeMismatch, SingularLoop, UndefinedAtTransition
+from berryline.errors import (Disagreement, GaugeMismatch, NotConverged,
+                              SingularLoop, UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -141,6 +143,42 @@ def test_band_phase_rejects_transition_and_singular_loops():
     singular = TwoLevelModel(_tl((1.0, 2.0, 0.3), (1.0, 0.5, 0.0), 1.0))
     with pytest.raises(SingularLoop):
         band_berry_phase(tl_loop, singular, "plus")
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+@pytest.mark.parametrize("q, eta", [(1.5, 1.0), (0.7, 0.9), (2.0, 2.5)])
+def test_gapless_band_phase_is_the_point_phase(q, eta):
+    loop = standard_loop(BIPARTITE, 1024)
+    r = bipartite_phase_point(q, eta)
+    plus = band_berry_phase(loop, _chain(q, eta), "plus")
+    minus = band_berry_phase(loop, _chain(q, eta), "minus")
+    assert _bits(plus) == _bits(complex(r.gamma_b_plus, r.xi_b_plus))
+    assert _bits(minus) == _bits(complex(r.gamma_b_minus, r.xi_b_minus))
+    for band in ("plus", "minus"):
+        with pytest.raises(UndefinedAtTransition):
+            band_berry_phase(loop, _chain(1.0, eta), band)
+
+
+def test_route_conflicts_raise_typed_errors(monkeypatch):
+    loop = standard_loop(BIPARTITE, 1024)
+    model = _chain(2.0, 0.3)
+    clean = global_berry_phase(loop, model, cap=2048)
+    assert clean.resolution == 2048
+    wilson = berry._wilson_extrapolated
+    monkeypatch.setattr(berry, "_wilson_extrapolated",
+                        lambda right, left, n: wilson(right, left, n) + 0.5)
+    with pytest.raises(Disagreement, match="Wilson loop give different") as err:
+        global_berry_phase(loop, model, cap=2048)
+    assert err.value.values == (clean.q_quadrature, clean.q_wilson + 0.5)
+    # an aliased Wilson route on every settled rung leaves nothing to compare
+    monkeypatch.setattr(berry, "_wilson_extrapolated",
+                        lambda right, left, n: None)
+    with pytest.raises(NotConverged, match="still moving at 2048") as err:
+        global_berry_phase(loop, model, cap=2048)
+    assert err.value.history == clean.refinement_history
 
 
 def test_global_phase_spec_points():
@@ -376,3 +414,19 @@ def test_chain_index_is_the_integer_band_phase_sum(point):
     q, eta = point
     r = bipartite_phase_point(q, eta)
     _assert_integer_band_sum(r, analytic_q(BipartiteParams.from_ratios(q, eta)))
+
+
+@_PROPERTY
+@given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(-1.0, 1.0),
+       st.floats(0.1, math.pi - 0.1))
+def test_hermitian_two_level_band_phases_are_real(h_x, h_y, h_z, theta):
+    r = two_level_phase_point(_tl((h_x, h_y, h_z), (0.0, 0.0, 0.0), theta))
+    assert max(abs(r.xi_b_plus), abs(r.xi_b_minus)) < 1e-12
+
+
+@_PROPERTY
+@given(st.floats(0.1, 3.0))
+def test_lossless_chain_band_phases_are_real(q):
+    assume(abs(q - 1.0) > 0.15)
+    r = bipartite_phase_point(q, 0.0)
+    assert max(abs(r.xi_b_plus), abs(r.xi_b_minus)) < 1e-12

@@ -340,6 +340,27 @@ def test_bad_samples_are_refused_before_any_work(capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("bipartite", "--q", "2", "--eta", "0.3", "--samples", "131072"),
+    ("bipartite", "--q", "1.5", "--eta", "1.0", "--samples", "131072"),
+    ("two-level-q",) + _TWO_LEVEL_FLAGS + ("--samples", "131072"),
+    ("gauge-check", "--model", "bipartite", "--q", "2", "--eta", "0.3",
+     "--samples", "131072"),
+    ("phase-diagram", "--q", "1.5:2.5:2", "--eta", "0:0.1:2", "--out",
+     "x.csv", "--samples", "131072"),
+    # 2^40 samples: refused before the grid is allocated
+    ("bipartite", "--q", "1.5", "--eta", "1.0", "--samples", "1099511627776"),
+])
+def test_samples_above_the_refinement_cap_are_refused(capsys, monkeypatch,
+                                                      tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: loop sample count {argv[-1]} exceeds the "
+                   "refinement cap 65536\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan",
                                    "-NaN"])
 def test_negative_non_finite_values_reach_the_parameter_check(capsys, value):

@@ -293,14 +293,34 @@ def test_standard_loop_resolution_guards():
 
 
 def test_parameter_loop_guards():
-    with pytest.raises(ValueError):
-        ParameterLoop(samples=np.linspace(0.0, 2.0 * np.pi, 16),
-                      period=2.0 * np.pi, kind=TWO_LEVEL)  # includes closure point
-    bad = np.arange(16) * (2.0 * np.pi / 16)
-    with pytest.raises(ValueError):
-        ParameterLoop(samples=bad, period=4.0 * np.pi, kind=TWO_LEVEL)
-    with pytest.raises(ValueError):
-        ParameterLoop(samples=bad[::-1], period=2.0 * np.pi, kind=TWO_LEVEL)
+    # a loop is its family and its sample count, both checked on entry
+    with pytest.raises(ValueError, match="unknown loop kind 'hexagonal'"):
+        ParameterLoop("hexagonal", 16)
+    for n in (0, -16, 8, 24, 1000):
+        with pytest.raises(BadResolution, match="at least 16, got"):
+            ParameterLoop(TWO_LEVEL, n)
+    loop = ParameterLoop(BIPARTITE, 64)
+    assert loop == standard_loop(BIPARTITE, 64)
+    assert loop.period == 2.0 * np.pi
+    assert not loop.samples.flags.writeable
+
+
+@pytest.mark.parametrize("kind", [TWO_LEVEL, BIPARTITE])
+@pytest.mark.parametrize("n", [2 ** 17, 2 ** 40])
+def test_loops_above_the_refinement_cap_are_refused(kind, n):
+    with pytest.raises(BadResolution,
+                       match=f"count {n} exceeds the refinement cap 65536"):
+        standard_loop(kind, n)
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 65536])
+def test_loop_samples_are_the_family_grids(n):
+    # phi = j 2pi/n from 0, k = -pi + (j + 1) 2pi/n up to pi, bit for bit
+    j = np.arange(n)
+    assert np.array_equal(standard_loop(TWO_LEVEL, n).samples,
+                          j * (2.0 * np.pi / n))
+    assert np.array_equal(standard_loop(BIPARTITE, n).samples,
+                          -np.pi + (j + 1) * (2.0 * np.pi / n))
 
 
 def test_loop_grid_padding():
@@ -472,3 +492,32 @@ def test_eigen_path_at_one_point_is_the_closed_form(model, alpha):
     assert np.array_equal(path.values[:, 0], system.eigenvalues)
     assert np.array_equal(path.right[:, :, 0], system.right_vectors)
     assert np.array_equal(path.left[:, :, 0], system.left_vectors)
+
+
+@_PROPERTY
+@given(_chain_models())
+def test_chain_rows_transpose_and_energies_are_even_under_k_to_minus_k(model):
+    rows = model.entry_rows(_GRID)
+    assert np.array_equal(model.entry_rows(-_GRID), rows[[0, 2, 1, 3]])
+    assert np.array_equal(model.energies(-_GRID), model.energies(_GRID))
+
+
+def _assert_hermitian(rows):
+    h11, h12, h21, h22 = rows
+    assert np.array_equal(h11.imag, np.zeros_like(h11.imag))
+    assert np.array_equal(h22.imag, np.zeros_like(h22.imag))
+    assert np.array_equal(h12, np.conj(h21))
+
+
+@_PROPERTY
+@given(st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.floats(0.0, np.pi))
+def test_two_level_rows_are_hermitian_without_gain_and_loss(h, theta):
+    model = TwoLevelModel(_tl(h, (0.0, 0.0, 0.0), theta))
+    _assert_hermitian(model.entry_rows(_GRID))
+
+
+@_PROPERTY
+@given(st.floats(0.05, 3.0), st.floats(0.3, 2.0), st.floats(-1.0, 1.0))
+def test_chain_rows_are_hermitian_without_loss(q, v, eps_a):
+    model = BipartiteModel(BipartiteParams.from_ratios(q, 0.0, v=v, eps_a=eps_a))
+    _assert_hermitian(model.entry_rows(_GRID))
