@@ -31,6 +31,7 @@ import numpy as np
 
 from .biortho import band_index
 from .errors import (
+    BerrylineError,
     Disagreement,
     GaugeMismatch,
     NotConverged,
@@ -41,6 +42,7 @@ from .errors import (
 from .models import (
     _MAX_SAMPLES,
     _TWO_PI,
+    _HoppingHalf,
     BIPARTITE,
     TWO_LEVEL,
     BipartiteModel,
@@ -48,6 +50,7 @@ from .models import (
     TwoLevelModel,
     TwoLevelParams,
     _at_transition,
+    _bipartite_frame,
     _hopping,
     _zone_grid,
     loop_grid,
@@ -134,17 +137,20 @@ class _Rung:
         return self.gamma_plus if b == 0 else self.gamma_minus
 
 
-def _wilson_q(right, left, idx):
+def _wilson_q(right, left, n, stride):
     """Accumulated overlap argument over a strided closed chain, per 2 pi.
 
-    Returns None when any single step turns by a quarter circle or more,
-    which signals aliasing rather than a usable phase.
+    The chain visits every ``stride``-th of the n loop samples and closes
+    on the sample one period past the anchor. Returns None when any
+    single step turns by a quarter circle or more, which signals aliasing
+    rather than a usable phase.
     """
+    later = slice(PAD + stride, PAD + n + 1, stride)
+    earlier = slice(PAD, PAD + n, stride)
     total = 0.0
     for b in (0, 1):
-        overlaps = np.einsum("cm,cm->m",
-                             np.conj(left[:, b, idx[1:]]),
-                             right[:, b, idx[:-1]])
+        overlaps = np.einsum("cm,cm->m", np.conj(left[:, b, later]),
+                             right[:, b, earlier])
         angles = np.angle(overlaps)
         if np.abs(angles).max() >= 0.5 * math.pi:
             return None
@@ -161,8 +167,7 @@ def _wilson_extrapolated(right, left, n):
     """
     values = []
     for stride in (8, 4, 2, 1):
-        idx = PAD + stride * np.arange(n // stride + 1)
-        q = _wilson_q(right, left, idx)
+        q = _wilson_q(right, left, n, stride)
         if q is None:
             values = []
             continue
@@ -178,10 +183,10 @@ def _wilson_extrapolated(right, left, n):
     return values[0]
 
 
-def _phase_rung(loop, model, n):
+def _phase_rung(loop, eigen_path, n):
     """The frame at n samples and its trapezoid phases, as (path, rung)."""
     alphas, _, _ = loop_grid(loop, n // loop.n)
-    path = model.eigen_path(alphas)
+    path = eigen_path(alphas)
     interior = slice(PAD, PAD + n)
     gamma_plus = complex(trapezoid_periodic(path.connection[0, 0, interior],
                                             loop.period))
@@ -194,10 +199,11 @@ def _phase_rung(loop, model, n):
 
 
 def _gapless_loop(model, transition_error):
-    """Refuse a loop on a singular set; True when the chain loop is gapless.
+    """Refuse a loop on a singular set; the crossing report of a gapless chain.
 
     A two-level loop on a singular line raises SingularLoop, a chain loop
-    at hopping ratio 1 raises ``transition_error``.
+    at hopping ratio 1 raises ``transition_error``. Any other loop gives
+    None.
     """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
@@ -205,12 +211,13 @@ def _gapless_loop(model, transition_error):
             "an off-diagonal amplitude vanishes somewhere on every sweep at "
             "these parameters; the winding index is undefined")
     if not isinstance(p, BipartiteParams):
-        return False
+        return None
     if _at_transition(p.q):
         raise transition_error(
             "at hopping ratio 1 the off-diagonal interferes to zero on the "
             "loop and the winding jumps between 0 and 1")
-    return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
+    report = classify_region(p.q, p.eta)
+    return report if report.region == GAPLESS_TRUE_CROSSING else None
 
 
 def global_berry_phase(loop, model, cap=_MAX_SAMPLES):
@@ -220,17 +227,22 @@ def global_berry_phase(loop, model, cap=_MAX_SAMPLES):
     doubling) and the two Q routes agree within 1e-6. Grids the frame
     flags as too coarse are discarded and refined further.
     """
-    if _gapless_loop(model, SingularLoop):
+    if _gapless_loop(model, SingularLoop) is not None:
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
+    return _settled_phases(loop, model.eigen_path, cap)
+
+
+def _settled_phases(loop, eigen_path, cap):
+    """The refinement of ``global_berry_phase`` on a loop known to be gapped."""
     n = loop.n
     history = []
     prev = None
     route_conflict = None
     while n <= cap:
         try:
-            path, rung = _phase_rung(loop, model, n)
+            path, rung = _phase_rung(loop, eigen_path, n)
         except PathTooCoarse:
             prev = None
             n *= 2
@@ -277,26 +289,66 @@ def band_berry_phase(loop, model, band):
     crossing momenta and is evaluated by the split closed-interval route.
     """
     b = band_index(band)
-    if _gapless_loop(model, UndefinedAtTransition):
-        rung, _ = _gapless_integrals(model.params.q, model.params.eta)
+    report = _gapless_loop(model, UndefinedAtTransition)
+    if report is not None:
+        p = model.params
+        rung, _ = _gapless_integrals(_ChainColumn(p.q, loop, _MAX_SAMPLES),
+                                     p.eta, report.witnesses[-1])
         return rung.band(b)
     value, _, _ = refine_dyadically(
-        lambda n: _phase_rung(loop, model, n)[1].band(b), loop.n, _GAMMA_TOL,
-        _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
+        lambda n: _phase_rung(loop, model.eigen_path, n)[1].band(b), loop.n,
+        _GAMMA_TOL, _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
     return complex(value)
 
 
-def _gapless_integrals(q, eta, cap=_MAX_SAMPLES):
-    """Per-band phases and index inside the gapless region, as (rung, history).
+class _ChainColumn:
+    """What a lossy-chain point at hopping ratio q computes from q alone.
 
-    The crossing momenta +-k0 split the half zone: the inner part
-    (imaginary gap) and outer part (real gap) each carry an integrable
-    inverse-square-root endpoint handled by double-exponential
-    quadrature. The winding comes from two EP-free routes that must
-    agree: refined quadrature of the closed-form phase rate, and discrete
-    unwrapping of the off-diagonal argument.
+    The gamma-free half of the frame on each grid of ``loop`` and the
+    gapless winding pair (or its typed error) are built on first use and
+    then shared by every eta. A phase-diagram column keeps one instance
+    for all its cells; ``bipartite_phase_point`` builds a fresh one per
+    call, so nothing outlives one column.
     """
-    params = BipartiteParams.from_ratios(q, eta)
+
+    def __init__(self, q, loop, cap):
+        self.q = q
+        self.loop = loop
+        self.cap = cap
+        self._halves = {}        # grid size -> _HoppingHalf
+        self._winding = None
+
+    def frames(self, eta):
+        """The chain's ``eigen_path`` at loss ratio eta, for grids of the loop."""
+        p = BipartiteParams.from_ratios(self.q, eta)
+
+        def eigen_path(alphas):
+            half = self._halves.get(len(alphas))
+            if half is None:
+                half = self._halves[len(alphas)] = _HoppingHalf(p, alphas)
+            return _bipartite_frame(p, half)[0]
+        return eigen_path
+
+    def winding(self):
+        """(q_quad, q_wilson, n, history) of the hopping phase's winding."""
+        if self._winding is None:
+            try:
+                self._winding = _gapless_winding(self.q, self.cap)
+            except BerrylineError as exc:
+                self._winding = exc
+        if isinstance(self._winding, BerrylineError):
+            raise self._winding.with_traceback(None)
+        return self._winding
+
+
+def _gapless_winding(q, cap):
+    """The winding of the hopping phase by two EP-free routes that must agree.
+
+    Refined quadrature of the closed-form phase rate, and discrete
+    unwrapping of the off-diagonal argument checked against aliasing.
+    Neither depends on the loss ratio.
+    """
+    params = BipartiteParams.from_ratios(q, 0.0)
     rate = BipartiteModel(params).winding_rate
 
     def mean_rate(n):
@@ -321,8 +373,20 @@ def _gapless_integrals(q, eta, cap=_MAX_SAMPLES):
         raise Disagreement(
             "the two winding routes disagree in the gapless region",
             values=(q_quad, q_wilson))
+    return float(q_quad), q_wilson, n_used, history
 
-    k0 = classify_region(q, eta).witnesses[-1]
+
+def _gapless_integrals(column, eta, k0):
+    """Per-band phases and index inside the gapless region, as (rung, history).
+
+    The crossing momenta +-k0 split the half zone: the inner part
+    (imaginary gap) and outer part (real gap) each carry an integrable
+    inverse-square-root endpoint handled by double-exponential
+    quadrature. The winding is the column's.
+    """
+    q = column.q
+    q_quad, q_wilson, n_used, history = column.winding()
+    rate = BipartiteModel(BipartiteParams.from_ratios(q, eta)).winding_rate
     # radicand factorization 2q(cos k - cos k0) = 4q sin((k+k0)/2) sin((k0-k)/2)
     # written in endpoint offsets so the square root stays accurate there
     if k0 > 1e-12:
@@ -339,11 +403,29 @@ def _gapless_integrals(q, eta, cap=_MAX_SAMPLES):
         m_outer = float(tanh_sinh(outer, k0, math.pi, tol=1e-10))
     else:
         m_outer = 0.0
-    q_quad = float(q_quad)
     return _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
                  gamma_plus=complex(math.pi * q_quad + eta * m_outer, eta * p_inner),
                  gamma_minus=complex(math.pi * q_quad - eta * m_outer,
-                                     -eta * p_inner)), history
+                                     -eta * p_inner)), list(history)
+
+
+def _chain_point(column, eta, report=None):
+    """The lossy chain's global phase result at (column.q, eta).
+
+    ``report`` is the crossing report of the point when the caller has
+    it already. Gapped regions run the dual-route refinement on the
+    column's frames; the gapless region runs the principal-value split.
+    """
+    if _at_transition(column.q):
+        raise UndefinedAtTransition(
+            "the topological index jumps at hopping ratio 1; no phase is "
+            "defined on the transition itself")
+    if report is None:
+        report = classify_region(column.q, eta)
+    if report.region == GAPLESS_TRUE_CROSSING:
+        return _assemble_result(
+            *_gapless_integrals(column, eta, report.witnesses[-1]))
+    return _settled_phases(column.loop, column.frames(eta), column.cap)
 
 
 def analytic_q(params):
@@ -383,14 +465,7 @@ def bipartite_phase_point(q, eta, n0=1024, cap=_MAX_SAMPLES):
     checked before either route runs.
     """
     loop = standard_loop(BIPARTITE, n0)
-    if _at_transition(q):
-        raise UndefinedAtTransition(
-            "the topological index jumps at hopping ratio 1; no phase is "
-            "defined on the transition itself")
-    if classify_region(q, eta).region == GAPLESS_TRUE_CROSSING:
-        return _assemble_result(*_gapless_integrals(q, eta, cap))
-    params = BipartiteParams.from_ratios(q, eta)
-    return global_berry_phase(loop, BipartiteModel(params), cap=cap)
+    return _chain_point(_ChainColumn(q, loop, cap), eta)
 
 
 def connection_samples(loop, model, derivative="fd"):

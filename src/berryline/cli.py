@@ -310,7 +310,8 @@ def build_parser():
         help="label the spectral region and verify it against sampled gaps")
     _add_bipartite_flags(s, required=True)
     s.add_argument("--k-samples", type=int, default=1024,
-                   help="momentum samples for the gap scan (default 1024)")
+                   help="momentum samples for the gap scan, 256 to 65536 "
+                   "(default 1024)")
     s.set_defaults(func=_cmd_ep_classify)
 
     s = sub.add_parser(

@@ -16,6 +16,7 @@ every sample. Downstream phase integration consumes these paths.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,6 +26,7 @@ from .biortho import BiorthoEigenSystem, ComplexMatrix2
 from .errors import (
     BadResolution,
     DegenerateSpectrum,
+    PathTooCoarse,
     SingularParameters,
     TrueCrossing,
 )
@@ -159,6 +161,9 @@ _MAX_SAMPLES = 65536     # the finest loop, and the default refinement cap
 
 def _check_resolution(n):
     """Refuse a loop sample count outside the powers of two from 16 to the cap."""
+    if not isinstance(n, numbers.Integral):
+        raise BadResolution(
+            f"loop sample count must be an integer, got {n!r}")
     if n < 16 or n & (n - 1):
         raise BadResolution(
             f"loop needs a power-of-two sample count of at least 16, got {n}")
@@ -286,11 +291,13 @@ def _frame_connection(g, cos_chi, sin_chi, d_chi):
 
     ``g`` is the connection trace and ``d_chi`` the derivative of chi.
     """
-    app = 0.5 * g * (1.0 + cos_chi)
-    amm = 0.5 * g * (1.0 - cos_chi)
-    apm = -0.5 * g * sin_chi - 0.5j * d_chi
-    amp = -0.5 * g * sin_chi + 0.5j * d_chi
-    return np.stack([np.stack([app, apm]), np.stack([amp, amm])])
+    a = np.empty((2, 2) + np.shape(cos_chi), dtype=complex)
+    a[0, 0] = 0.5 * g * (1.0 + cos_chi)
+    a[1, 1] = 0.5 * g * (1.0 - cos_chi)
+    off = -0.5 * g * sin_chi
+    a[0, 1] = off - 0.5j * d_chi
+    a[1, 0] = off + 0.5j * d_chi
+    return a
 
 
 def _frame_path(alphas, values, u, winding, pr, mr, pl, trace, g, cos_chi,
@@ -305,14 +312,14 @@ def _frame_path(alphas, values, u, winding, pr, mr, pl, trace, g, cos_chi,
     half = 0.5 * chi
     ch2 = np.cos(half)
     sh2 = np.sin(half)
-    right = np.stack([
-        np.stack([pr * ch2, sh2]),
-        np.stack([mr * sh2, ch2]),
-    ], axis=1)
-    left = np.stack([
-        np.stack([pl * np.conj(ch2), np.conj(sh2)]),
-        np.stack([-pl * np.conj(sh2), np.conj(ch2)]),
-    ], axis=1)
+    right = np.empty((2, 2) + chi.shape, dtype=complex)
+    right[0, 0] = pr * ch2
+    right[1, 0] = sh2
+    right[0, 1] = mr * sh2
+    right[1, 1] = ch2
+    left = np.conj(right)   # then pl and -pl in place of pr and mr
+    left[0, 0] = pl * left[1, 1]
+    left[0, 1] = -pl * left[1, 0]
     return EigenPath(
         alphas=alphas, values=values, right=right, left=left,
         connection=_frame_connection(g, cos_chi, sin_chi, d_chi),
@@ -368,35 +375,58 @@ def _two_level_frame(p, phi):
     return path, (r_p, r_m, nu1, nu2, nu_plus, rho)
 
 
-def _bipartite_frame(p, k):
-    """Lossy-chain path on a k grid, plus the hopping v_k and the radicand."""
-    k = np.asarray(k, dtype=float)
-    vk = _hopping(p, k)
-    mod = np.abs(vk)
+class _HoppingHalf:
+    """The gamma-free half of the lossy-chain frame on one k grid.
+
+    v_k, |v_k|, the unwrapped off-diagonal phase theta with exp(-i theta),
+    and the derivatives of |v_k| and theta depend on v and v' alone, so
+    every loss ratio on the same grid can share them. A failed check is
+    kept in ``error`` rather than raised: ``_bipartite_frame`` raises it
+    after its own gamma-dependent check, in the order of one evaluation.
+    """
+
+    def __init__(self, p, k):
+        self.k = np.asarray(k, dtype=float)
+        self.vk = _hopping(p, self.k)
+        self.mod = np.abs(self.vk)
+        self.error = None
+        if self.mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
+            # hoppings interfere to zero: the real parts of the two energies
+            # merge there, and the off-diagonal phase has no value either
+            self.error = TrueCrossing(
+                "the hoppings cancel at a sampled momentum and the real parts "
+                "of the two energies merge")
+            return
+        try:
+            self.theta = -unwrap_checked(np.angle(self.vk))
+        except PathTooCoarse as exc:
+            self.error = exc
+            return
+        self.phase = np.exp(-1j * self.theta)
+        self.d_mod = -p.v * p.v_prime * np.sin(self.k) / self.mod
+        self.d_theta = (p.v_prime * (p.v_prime + p.v * np.cos(self.k))
+                        / (self.mod * self.mod))
+
+
+def _bipartite_frame(p, half):
+    """Lossy-chain path on the grid of ``half``, plus v_k and the radicand."""
+    mod = half.mod
     rad = mod * mod - p.gamma * p.gamma
     if np.abs(rad).min() <= 1e-12 * max(1.0, (p.v + p.v_prime) ** 2, p.gamma ** 2):
         raise TrueCrossing(
             "the two complex energies coincide at a sampled momentum")
-    if mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
-        # hoppings interfere to zero: the real parts of the two energies
-        # merge there, and the off-diagonal phase has no value either
-        raise TrueCrossing(
-            "the hoppings cancel at a sampled momentum and the real parts "
-            "of the two energies merge")
+    if half.error is not None:
+        raise half.error.with_traceback(None)
     s = np.sqrt(rad.astype(complex))
-    theta = -unwrap_checked(np.angle(vk))
-    phase = np.exp(-1j * theta)
-
     centroid = p.eps_a - 1j * p.gamma
     cos_chi = 1j * p.gamma / s
     sin_chi = mod / s
-    d_mod = -p.v * p.v_prime * np.sin(k) / mod
-    d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
-    d_chi = 1j * p.gamma * d_mod / (s * s)
-    path = _frame_path(k, np.stack([centroid + s, centroid - s]),
-                       1j * (p.gamma + mod) / s, theta, phase, -phase, phase,
-                       d_theta.astype(complex), d_theta, cos_chi, sin_chi, d_chi)
-    return path, (vk, rad)
+    d_chi = 1j * p.gamma * half.d_mod / (s * s)
+    path = _frame_path(half.k, np.stack([centroid + s, centroid - s]),
+                       1j * (p.gamma + mod) / s, half.theta, half.phase,
+                       -half.phase, half.phase, half.d_theta.astype(complex),
+                       half.d_theta, cos_chi, sin_chi, d_chi)
+    return path, (half.vk, rad)
 
 
 def _point_system(path):
@@ -425,7 +455,7 @@ def two_level_closed_form(p, phi):
 
 def bipartite_closed_form(p, k):
     """Closed-form intermediates and eigen-system at one momentum."""
-    path, (vk, rad) = _bipartite_frame(p, np.array([float(k)]))
+    path, (vk, rad) = _bipartite_frame(p, _HoppingHalf(p, np.array([float(k)])))
     derived = BipartiteDerived(
         theta_k=float(path.winding_phase[0]), chi_k=complex(path.chi[0]),
         v_k=complex(vk[0]), radicand=float(rad[0]))
@@ -482,7 +512,8 @@ class BipartiteModel:
         return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
-        return _bipartite_frame(self.params, alphas)[0]
+        return _bipartite_frame(self.params,
+                                _HoppingHalf(self.params, alphas))[0]
 
     def energies(self, alphas):
         p = self.params

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationMismatch
-from .models import _chain_radicand, _check_ratios, _zone_grid
+from .errors import BadResolution, ClassificationMismatch
+from .models import _MAX_SAMPLES, _chain_radicand, _check_ratios, _zone_grid
 
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
@@ -112,12 +112,17 @@ def verify_region(q, eta, k_samples=1024):
     Scans k over (-pi, pi] on a grid containing 0 and pi exactly, locates
     every sign change of the radicand by bisection, and checks the sign
     pattern demanded by the analytic label. Raises ClassificationMismatch
-    when the scan contradicts the inequalities.
+    when the scan contradicts the inequalities. ``k_samples`` runs from
+    256 to the loop refinement cap; a count above the cap raises
+    BadResolution before any grid is built.
     """
     _check_ratios(q, eta)
     k_samples = int(k_samples)
     if k_samples < 256:
         raise ValueError(f"need at least 256 scan points, got {k_samples}")
+    if k_samples > _MAX_SAMPLES:
+        raise BadResolution(
+            f"scan needs at most {_MAX_SAMPLES} points, got {k_samples}")
     if k_samples & 1:
         k_samples += 1  # keep 0 and pi on the grid
     analytic = classify_region(q, eta)

@@ -4,9 +4,10 @@ Three sweep shapes: a (q, eta) phase diagram of the lossy chain with
 per-cell convergence flags, logarithmic approach scans to the two
 divergence lines with a straight-line fit as the summary, and a
 (d_x, d_y) map of the two-level index against its sign-condition
-prediction. Every grid cell is exactly one call of the corresponding
-point evaluator, so a cell never differs from what a user would get by
-asking for that point directly.
+prediction. Every grid cell runs the code of the corresponding point
+evaluator (a phase-diagram column shares only what depends on q alone),
+so a cell never differs from what a user would get by asking for that
+point directly.
 
 CSV output is written atomically with 17-significant-digit floats so
 reruns are byte-identical; the JSON sidecar carries axes, parameters,
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berry import analytic_q, bipartite_phase_point, two_level_phase_point
+from .berry import (_ChainColumn, _chain_point, analytic_q,
+                    bipartite_phase_point, two_level_phase_point)
 from .errors import BerrylineError, NotConverged
-from .models import (_MAX_SAMPLES, TwoLevelParams, _at_transition,
-                     _check_ratios, _check_resolution)
+from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams, _at_transition,
+                     _check_ratios, _check_resolution, standard_loop)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
@@ -104,20 +106,23 @@ def _near_critical(q, eta):
             or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
 
 
-def _diagram_cell(q, eta, samples):
-    region = classify_region(q, eta).region
+def _diagram_cell(column, eta):
+    report = classify_region(column.q, eta)
     try:
-        r = bipartite_phase_point(q, eta, n0=samples)
+        r = _chain_point(column, eta, report)
     except BerrylineError:
-        return (math.nan, math.nan, math.nan, math.nan, math.nan, region, False)
-    converged = r.q_rounded is not None and not _near_critical(q, eta)
+        return (math.nan, math.nan, math.nan, math.nan, math.nan,
+                report.region, False)
+    converged = r.q_rounded is not None and not _near_critical(column.q, eta)
     return (r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus, r.xi_b_minus,
-            r.q_index, region, converged)
+            r.q_index, report.region, converged)
 
 
-def _diagram_row(args):
-    eta, q_values, samples = args
-    return [_diagram_cell(q, eta, samples) for q in q_values]
+def _diagram_column(args):
+    # one q for every eta: the column shares what depends on q alone
+    q, eta_values, samples = args
+    column = _ChainColumn(q, standard_loop(BIPARTITE, samples), _MAX_SAMPLES)
+    return [_diagram_cell(column, eta) for eta in eta_values]
 
 
 def _axis(bounds, count, name):
@@ -138,8 +143,11 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     Grid points landing exactly on q = 1 are shifted by half a cell; the
     phases are genuinely two-valued there and no cell may sit on the
     transition. Per-cell failures are recorded as NaN rows with
-    converged=False, never aborting the rest of the grid. Rows may go to
-    BERRYLINE_THREADS worker processes, capped at the cores and eta rows;
+    converged=False, never aborting the rest of the grid. Each q column is
+    one task: its cells share the frame ingredients and the gapless
+    winding that depend on q alone, and every cell equals the direct
+    ``bipartite_phase_point`` call bit for bit. Columns may go to
+    BERRYLINE_THREADS worker processes, capped at the cores and q columns;
     results are assembled in order, so output never depends on scheduling.
     """
     samples = int(samples_per_loop)
@@ -151,15 +159,15 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    args = [(float(eta), [float(q) for q in q_axis], samples)
-            for eta in eta_axis]
+    args = [(float(q), [float(eta) for eta in eta_axis], samples)
+            for q in q_axis]
     workers = min(int(os.environ.get("BERRYLINE_THREADS", "1") or "1"),
-                  os.cpu_count() or 1, neta)
+                  os.cpu_count() or 1, nq)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_diagram_row, args))
+            columns = list(pool.map(_diagram_column, args))
     else:
-        rows = [_diagram_row(a) for a in args]
+        columns = [_diagram_column(a) for a in args]
 
     shape = (eta_axis.size, q_axis.size)
     gp = np.empty(shape)
@@ -169,8 +177,8 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     qi = np.empty(shape)
     region = np.empty(shape, dtype=object)
     conv = np.empty(shape, dtype=bool)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
+    for j, column in enumerate(columns):
+        for i, cell in enumerate(column):
             gp[i, j], xp[i, j], gm[i, j], xm[i, j], qi[i, j] = cell[:5]
             region[i, j] = cell[5]
             conv[i, j] = cell[6]

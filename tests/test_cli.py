@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berryline import cli
+from berryline import cli, spectrum
 from berryline.cli import build_parser, main
 from berryline.errors import AmplitudeOutOfRange
 
@@ -359,6 +359,27 @@ def test_samples_above_the_refinement_cap_are_refused(capsys, monkeypatch,
     assert err == (f"error: loop sample count {argv[-1]} exceeds the "
                    "refinement cap 65536\n")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k_samples", ["65537", "1099511627776"])
+def test_scan_sizes_above_the_cap_are_refused_before_the_scan(
+        capsys, monkeypatch, k_samples):
+    def no_grid(n):
+        raise AssertionError(f"a {n}-point scan grid was built")
+
+    monkeypatch.setattr(spectrum, "_zone_grid", no_grid)
+    code, out, err = run(capsys, "ep-classify", "--q", "1.5", "--eta", "1.0",
+                         "--k-samples", k_samples)
+    assert (code, out) == (1, "")
+    assert err == (f"error: scan needs at most 65536 points, got {k_samples}"
+                   "\n")
+    assert "Traceback" not in err
+
+
+def test_scan_at_the_cap_runs(capsys):
+    payload = run_json(capsys, "ep-classify", "--q", "1.5", "--eta", "1.0",
+                       "--k-samples", "65536")
+    assert payload["region"] == "GAPLESS_TRUE_CROSSING"
 
 
 @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan",

@@ -1,6 +1,7 @@
 """Hamiltonian families, closed-form frames, and loop containers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,6 +312,15 @@ def test_loops_above_the_refinement_cap_are_refused(kind, n):
     with pytest.raises(BadResolution,
                        match=f"count {n} exceeds the refinement cap 65536"):
         standard_loop(kind, n)
+
+
+@pytest.mark.parametrize("kind", [TWO_LEVEL, BIPARTITE])
+def test_loop_sample_counts_must_be_integers(kind):
+    for n in (16.0, 16.5, "16", np.float64(64.0)):
+        with pytest.raises(BadResolution,
+                           match=re.escape(f"must be an integer, got {n!r}")):
+            standard_loop(kind, n)
+    assert standard_loop(kind, np.int64(64)) == standard_loop(kind, 64)
 
 
 @pytest.mark.parametrize("n", [16, 64, 1024, 65536])

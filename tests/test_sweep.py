@@ -8,7 +8,8 @@ import pytest
 
 from berryline import sweep
 from berryline.berry import bipartite_phase_point
-from berryline.spectrum import TYPE_I
+from berryline.errors import BerrylineError
+from berryline.spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II
 from berryline.sweep import (
     divergence_scan,
     phase_diagram,
@@ -47,15 +48,34 @@ def test_strong_hopping_patch_is_wound(strong_grid):
         assert abs(cell.gamma_g_plus - math.pi) < 1e-6
 
 
-def test_cells_match_the_direct_point_evaluator(strong_grid):
-    # a grid cell is exactly one evaluator call, never a cheaper variant
-    c = strong_grid.cell(1, 2)
-    direct = bipartite_phase_point(c.q, c.eta, n0=strong_grid.samples_per_loop)
-    assert c.gamma_g_plus == direct.gamma_b_plus
-    assert c.xi_g_plus == direct.xi_b_plus
-    assert c.gamma_g_minus == direct.gamma_b_minus
-    assert c.xi_g_minus == direct.xi_b_minus
-    assert c.q_index == direct.q_index
+def test_cells_match_the_direct_point_evaluator():
+    # a column shares only what depends on q, so every cell is bit for bit
+    # the direct evaluator's value, or NaN exactly where it refuses; the
+    # grid holds all three regions, several gapless cells in one column,
+    # and a column next to q = 1 that the evaluator cannot converge
+    grid = phase_diagram((0.9995, 2.0005), (0.05, 3.25), 3, 5)
+    assert set(grid.region.ravel()) == {TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING}
+    gapless = (grid.region == GAPLESS_TRUE_CROSSING) & np.isfinite(grid.q_index)
+    assert gapless.sum(axis=0).max() >= 3
+    assert np.isnan(grid.q_index[:, 0]).all()
+    finite = 0
+    for c in grid.cells():
+        try:
+            direct = bipartite_phase_point(c.q, c.eta,
+                                           n0=grid.samples_per_loop)
+        except BerrylineError:
+            assert all(math.isnan(v) for v in (
+                c.gamma_g_plus, c.xi_g_plus, c.gamma_g_minus, c.xi_g_minus,
+                c.q_index)), c
+            assert not c.converged
+            continue
+        finite += 1
+        assert c.gamma_g_plus == direct.gamma_b_plus, c
+        assert c.xi_g_plus == direct.xi_b_plus, c
+        assert c.gamma_g_minus == direct.gamma_b_minus, c
+        assert c.xi_g_minus == direct.xi_b_minus, c
+        assert c.q_index == direct.q_index, c
+    assert finite == 10
 
 
 def test_exact_transition_gridpoints_are_nudged():
@@ -89,14 +109,19 @@ def test_grid_input_guards():
         phase_diagram((0.5, 1.5), (-0.2, 0.1), 3, 3)
 
 
-def test_worker_rows_match_serial_rows(monkeypatch):
-    serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 2)
-    monkeypatch.setenv("BERRYLINE_THREADS", "2")
-    pooled = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 2)
-    assert np.array_equal(serial.gamma_g_plus, pooled.gamma_g_plus)
-    assert np.array_equal(serial.xi_g_plus, pooled.xi_g_plus)
-    assert np.array_equal(serial.q_index, pooled.q_index)
-    assert np.array_equal(serial.converged, pooled.converged)
+def test_worker_rows_match_serial_rows(monkeypatch, tmp_path):
+    # three of the six cells are gapless, two of them in one q column
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    saved = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BERRYLINE_THREADS", threads)
+        grid = phase_diagram((1.6, 2.4), (0.05, 1.5), 2, 3)
+        assert np.count_nonzero(grid.region == GAPLESS_TRUE_CROSSING) == 3
+        path = str(tmp_path / f"threads{threads}.csv")
+        save_phase_diagram(grid, path)
+        with open(path, "rb") as fh:
+            saved.append(fh.read())
+    assert saved[0] == saved[1]
 
 
 def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
@@ -119,11 +144,13 @@ def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("BERRYLINE_THREADS", "100000")
-    pooled = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 3)
-    phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 6)
+    # one task per q column: 3 columns cap the pool at 3, 6 at the 4 cores
+    pooled = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
+    phase_diagram((1.6, 2.4), (0.05, 0.1), 6, 2)
+    phase_diagram((1.6, 2.4), (0.05, 0.1), 1, 6)
     assert started == [3, 4]
     monkeypatch.setenv("BERRYLINE_THREADS", "1")
-    serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 2, 3)
+    serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
     assert started == [3, 4]
     assert np.array_equal(serial.q_index, pooled.q_index)
 
