@@ -9,13 +9,10 @@ Wilson loop, contour vs elliptic closed form) are kept separate so they
 can cross-check each other.
 """
 
-from .berry import (BerryPhaseResult, ConnectionSample, GaugeCheckResult,
-                    analytic_q, apply_gauge, band_berry_phase,
-                    bipartite_phase_point, connection_samples,
+from .berry import (BerryPhaseResult, GaugeCheckResult, analytic_q,
+                    apply_gauge, band_berry_phase, bipartite_phase_point,
                     first_order_correction_trace, global_berry_phase,
                     two_level_phase_point)
-from .biortho import (BiorthoEigenSystem, ComplexMatrix2, band_index, eig2,
-                      track_along_path)
 from .elliptic import EllipticArgs, closed_form_gamma, ellip_k, ellip_pi
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      BerrylineError, ClassificationMismatch, DefectiveMatrix,
@@ -24,10 +21,10 @@ from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      PathTooCoarse, SingularLoop, SingularParameters,
                      StepTooLarge, TrueCrossing, UndefinedAtTransition)
 from .evolution import EvolutionReport, Schedule, adiabatic_decomposition, evolve
-from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
-                     EigenPath, ParameterLoop, TwoLevelModel, TwoLevelParams,
-                     bipartite_bloch, bipartite_closed_form, standard_loop,
-                     two_level_closed_form, two_level_hamiltonian)
+from .models import (BIPARTITE, TWO_LEVEL, BiorthoEigenSystem, BipartiteModel,
+                     BipartiteParams, EigenPath, ParameterLoop, TwoLevelModel,
+                     TwoLevelParams, band_index, bipartite_closed_form,
+                     standard_loop, two_level_closed_form)
 from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II, CrossingReport,
                        classify_region, complex_gap, verify_region)
 from .sweep import (DivergenceFit, GridCell, PhaseDiagramGrid, QMap,
@@ -40,10 +37,9 @@ __all__ = [
     "BIPARTITE", "TWO_LEVEL",
     "AmplitudeOutOfRange", "BadResolution", "BandLeakage", "BerrylineError",
     "BerryPhaseResult", "BiorthoEigenSystem", "BipartiteModel",
-    "BipartiteParams", "ClassificationMismatch", "ComplexMatrix2",
-    "ConnectionSample", "CrossingReport", "DefectiveMatrix",
-    "DegenerateSpectrum", "Disagreement", "DivergenceFit", "DomainError",
-    "EigenPath", "EllipticArgs", "EvolutionReport",
+    "BipartiteParams", "ClassificationMismatch", "CrossingReport",
+    "DefectiveMatrix", "DegenerateSpectrum", "Disagreement", "DivergenceFit",
+    "DomainError", "EigenPath", "EllipticArgs", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
     "GridCell", "NotConverged", "OutsideValidityDomain", "ParameterLoop",
     "PathTooCoarse", "PhaseDiagramGrid", "QMap", "Schedule",
@@ -51,12 +47,10 @@ __all__ = [
     "TwoLevelModel", "TwoLevelParams", "TYPE_I", "TYPE_II",
     "UndefinedAtTransition",
     "adiabatic_decomposition", "analytic_q", "apply_gauge",
-    "band_berry_phase", "band_index", "bipartite_bloch",
-    "bipartite_closed_form", "bipartite_phase_point", "classify_region",
-    "closed_form_gamma", "complex_gap", "connection_samples",
-    "divergence_scan", "eig2", "ellip_k", "ellip_pi", "evolve",
+    "band_berry_phase", "band_index", "bipartite_closed_form",
+    "bipartite_phase_point", "classify_region", "closed_form_gamma",
+    "complex_gap", "divergence_scan", "ellip_k", "ellip_pi", "evolve",
     "first_order_correction_trace", "global_berry_phase", "phase_diagram",
-    "save_phase_diagram", "standard_loop", "track_along_path",
-    "two_level_closed_form", "two_level_hamiltonian", "two_level_phase_point",
-    "two_level_q_map", "verify_region",
+    "save_phase_diagram", "standard_loop", "two_level_closed_form",
+    "two_level_phase_point", "two_level_q_map", "verify_region",
 ]

@@ -15,8 +15,6 @@ modes, and results are only accepted when the routes agree:
     between neighbouring frames, Richardson-extrapolated in step count).
   * Per-band phases by dyadically refined quadrature, accepted only when
     doubling the grid no longer moves them.
-  * Finite-difference connections cross-checked against the closed-form
-    derivative of the frame.
 
 Loops crossing a true spectral degeneracy of the lossy chain (its
 gapless parameter region) have no frame continuation; the per-band
@@ -29,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .biortho import band_index
 from .errors import (
     BerrylineError,
     Disagreement,
@@ -53,6 +50,7 @@ from .models import (
     _bipartite_frame,
     _hopping,
     _zone_grid,
+    band_index,
     loop_grid,
     standard_loop,
 )
@@ -63,14 +61,6 @@ from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
 _ROUND_TOL = 1e-6     # distance to the nearest integer
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    """The 2x2 connection coefficient at one loop parameter."""
-
-    alpha: float
-    a_matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -466,40 +456,6 @@ def bipartite_phase_point(q, eta, n0=1024, cap=_MAX_SAMPLES):
     """
     loop = standard_loop(BIPARTITE, n0)
     return _chain_point(_ChainColumn(q, loop, cap), eta)
-
-
-def connection_samples(loop, model, derivative="fd"):
-    """Connection matrices on the loop samples, one ConnectionSample each.
-
-    The default route differentiates the frame by 4th-order central
-    finite differences and must agree with the closed-form derivative
-    within 1e-8 (refining up to 4x if the first grid falls short);
-    derivative="analytic" returns the closed form directly.
-    """
-    if derivative == "analytic":
-        alphas, _, _ = loop_grid(loop)
-        path = model.eigen_path(alphas)
-        return [ConnectionSample(float(alpha),
-                                 path.connection[:, :, PAD + j].copy())
-                for j, alpha in enumerate(loop.samples)]
-    if derivative != "fd":
-        raise ValueError(f"unknown derivative route {derivative!r}")
-    last_err = None
-    for refine in (1, 2, 4):
-        alphas, h, n = loop_grid(loop, refine)
-        path = model.eigen_path(alphas)
-        dpsi = fd4(path.right, h)
-        left_interior = path.left[:, :, PAD:PAD + n]
-        a_fd = 1j * np.einsum("cim,cjm->ijm", np.conj(left_interior), dpsi)
-        a_ref = path.connection[:, :, PAD:PAD + n]
-        last_err = float(np.abs(a_fd - a_ref).max())
-        if last_err <= 1e-8 * max(1.0, float(np.abs(a_ref).max())):
-            picks = a_fd[:, :, ::refine]
-            return [ConnectionSample(float(alpha), picks[:, :, j].copy())
-                    for j, alpha in enumerate(loop.samples)]
-    raise Disagreement(
-        "finite-difference and closed-form connections still disagree at "
-        f"4x refinement (worst {last_err:.3e})", values=(last_err,))
 
 
 def _fd_diag(left, right, h, interior):

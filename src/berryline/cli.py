@@ -220,9 +220,10 @@ def _cmd_evolve(args):
     model = _build_model(args)
     steps = args.steps
     if steps is None:
-        # a non-finite T has no default step count; Schedule refuses it
-        steps = (max(1000, math.ceil(10.0 * args.T)) if math.isfinite(args.T)
-                 else 1000)
+        # a T whose 10 T overflows has no default step count; Schedule
+        # refuses it
+        ten_t = 10.0 * args.T
+        steps = max(1000, math.ceil(ten_t)) if math.isfinite(ten_t) else 1000
     schedule = Schedule(period_T=args.T, steps=steps)
     report = adiabatic_decomposition(model, schedule, band=args.band)
     return {

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from scipy.special import elliprf, elliprj
 
-from .biortho import band_index
 from .errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
-from .models import _at_transition, _check_ratios
+from .models import _at_transition, _check_ratios, band_index
 
 
 @dataclass(frozen=True)

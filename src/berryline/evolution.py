@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biortho import band_index
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import _TWO_PI, standard_loop
+from .models import _TWO_PI, band_index, standard_loop
 from .berry import band_berry_phase
 
 _CHUNK = 1 << 15           # steps per streamed chunk of matrix entries

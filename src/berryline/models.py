@@ -11,7 +11,9 @@ Both families come with closed-form eigen frames built along whole loops:
 branch angles are continuously unwrapped, dual (left) vectors are paired
 so <lambda_i|psi_j> = delta_ij holds to roundoff, and the analytic
 parameter derivative of the frame is packaged as a 2x2 connection at
-every sample. Downstream phase integration consumes these paths.
+every sample. Downstream phase integration consumes these paths. At a
+single point the same frame comes as a ``BiorthoEigenSystem``, its two
+bands labelled 'plus' and 'minus'.
 """
 
 import dataclasses
@@ -22,7 +24,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .biortho import BiorthoEigenSystem, ComplexMatrix2
 from .errors import (
     BadResolution,
     DegenerateSpectrum,
@@ -36,6 +37,19 @@ TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
 
 _TWO_PI = 2.0 * math.pi
+
+_BAND_INDEX = {
+    "plus": 0, "+": 0, 1: 0, +1: 0,
+    "minus": 1, "-": 1, -1: 1,
+}
+
+
+def band_index(band):
+    """Map a band label ('plus'/'minus', +1/-1) to the storage index."""
+    try:
+        return _BAND_INDEX[band]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown band label {band!r}") from None
 
 
 def _require_finite(obj):
@@ -80,12 +94,18 @@ def _at_transition(q):
     return abs(q - 1.0) <= 1e-12
 
 
+_MAX_RATIO = 1e150      # squares of larger ratios leave the float range
+
+
 def _check_ratios(q, eta):
-    """Refuse ratios outside the chain's quadrant: finite q > 0, eta >= 0."""
+    """Refuse ratios outside the chain's quadrant or too large to square."""
     if not 0.0 < q < math.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be nonnegative and finite, got {eta}")
+    if q > _MAX_RATIO or eta > _MAX_RATIO:
+        name, value = ("q", q) if q > _MAX_RATIO else ("eta", eta)
+        raise ValueError(f"{name} must be at most {_MAX_RATIO:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -249,16 +269,6 @@ class EigenPath:
     trace_connection: np.ndarray
     winding_phase: np.ndarray
     chi: np.ndarray
-
-
-def two_level_hamiltonian(p, phi):
-    """Matrix of the two-level family at azimuthal angle phi."""
-    return TwoLevelModel(p).matrix(phi)
-
-
-def bipartite_bloch(p, k):
-    """Bloch matrix of the lossy chain at momentum k."""
-    return BipartiteModel(p).matrix(k)
 
 
 def _two_level_axes(p):
@@ -429,6 +439,31 @@ def _bipartite_frame(p, half):
     return path, (half.vk, rad)
 
 
+@dataclass(frozen=True)
+class BiorthoEigenSystem:
+    """Eigenvalues with paired right and left eigenvectors at one point.
+
+    ``eigenvalues[0]`` belongs to the first band, ``eigenvalues[1]`` to the
+    second. Columns of ``right_vectors`` are the kets |psi_i>; columns of
+    ``left_vectors`` are kets of the adjoint matrix, so the bra <lambda_i|
+    is the conjugate transpose of column i, normalized to
+    <lambda_i|psi_j> = delta_ij.
+    """
+
+    eigenvalues: np.ndarray
+    right_vectors: np.ndarray
+    left_vectors: np.ndarray
+
+    def eigenvalue(self, band):
+        return complex(self.eigenvalues[band_index(band)])
+
+    def right(self, band):
+        return self.right_vectors[:, band_index(band)].copy()
+
+    def left(self, band):
+        return self.left_vectors[:, band_index(band)].copy()
+
+
 def _point_system(path):
     """Eigen-system of a path evaluated at a single point."""
     return BiorthoEigenSystem(
@@ -470,9 +505,6 @@ class TwoLevelModel:
     kind: ClassVar[str] = TWO_LEVEL
     period: ClassVar[float] = _TWO_PI
 
-    def matrix(self, alpha):
-        return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
-
     def eigen_path(self, alphas):
         return _two_level_frame(self.params, alphas)[0]
 
@@ -507,9 +539,6 @@ class BipartiteModel:
     params: BipartiteParams
     kind: ClassVar[str] = BIPARTITE
     period: ClassVar[float] = _TWO_PI
-
-    def matrix(self, alpha):
-        return ComplexMatrix2(*self.entry_rows(np.array([float(alpha)]))[:, 0])
 
     def eigen_path(self, alphas):
         return _bipartite_frame(self.params,

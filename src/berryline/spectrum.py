@@ -18,6 +18,7 @@ changes of the radicand and raises if the two disagree.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +113,14 @@ def verify_region(q, eta, k_samples=1024):
     Scans k over (-pi, pi] on a grid containing 0 and pi exactly, locates
     every sign change of the radicand by bisection, and checks the sign
     pattern demanded by the analytic label. Raises ClassificationMismatch
-    when the scan contradicts the inequalities. ``k_samples`` runs from
-    256 to the loop refinement cap; a count above the cap raises
-    BadResolution before any grid is built.
+    when the scan contradicts the inequalities. ``k_samples`` is an integer
+    from 256 to the loop refinement cap; any other type, or a count above
+    the cap, raises BadResolution before any grid is built.
     """
     _check_ratios(q, eta)
+    if not isinstance(k_samples, numbers.Integral):
+        raise BadResolution(
+            f"scan point count must be an integer, got {k_samples!r}")
     k_samples = int(k_samples)
     if k_samples < 256:
         raise ValueError(f"need at least 256 scan points, got {k_samples}")

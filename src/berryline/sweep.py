@@ -18,6 +18,7 @@ reproducible output trees).
 import datetime
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 
 from .berry import (_ChainColumn, _chain_point, analytic_q,
                     bipartite_phase_point, two_level_phase_point)
-from .errors import BerrylineError, NotConverged
+from .errors import BadResolution, BerrylineError, NotConverged
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams, _at_transition,
                      _check_ratios, _check_resolution, standard_loop)
 from .quadrature import pearson_line
@@ -127,9 +128,15 @@ def _diagram_column(args):
 
 def _axis(bounds, count, name):
     lo, hi = float(bounds[0]), float(bounds[1])
+    if not isinstance(count, numbers.Integral):
+        raise BadResolution(
+            f"{name} axis count must be an integer, got {count!r}")
     count = int(count)
     if count < 1:
         raise ValueError(f"{name} needs at least one point")
+    if count > _MAX_SAMPLES:
+        raise BadResolution(
+            f"{name} axis needs at most {_MAX_SAMPLES} points, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} range must be finite, got ({lo}, {hi})")
     if count > 1 and not hi > lo:
@@ -149,12 +156,15 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     ``bipartite_phase_point`` call bit for bit. Columns may go to
     BERRYLINE_THREADS worker processes, capped at the cores and q columns;
     results are assembled in order, so output never depends on scheduling.
+    The resolution and the axis counts (at most 65536 each) are checked
+    before any axis is built.
     """
+    _check_resolution(samples_per_loop)
     samples = int(samples_per_loop)
-    _check_resolution(samples)
     q_axis = _axis(q_range, nq, "q")
     eta_axis = _axis(eta_range, neta, "eta")
     _check_ratios(q_axis.min(), eta_axis.min())
+    _check_ratios(q_axis.max(), eta_axis.max())
     spacing = float(q_axis[1] - q_axis[0]) if nq > 1 else 0.0
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)

@@ -3,9 +3,12 @@
 Every function here reaches a target quantity by a route the library
 does not use: arithmetic-geometric-mean iteration and scipy adaptive
 quadrature for the elliptic integrals, characteristic-polynomial roots
-for eigenvalues, Pauli-matrix assembly for the two-level Hamiltonian,
-and dense unwrapped sampling for windings. Agreement between these and
-the library is evidence, not tautology.
+and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
+assembly for the two-level Hamiltonian, finite differences of the frame
+for the connection, and dense unwrapped sampling for windings. Agreement
+between these and the library is evidence, not tautology. ``matrix_at``
+is the one plain helper: it reads the library's own matrix at a point,
+for the checks against these routes.
 """
 
 import cmath
@@ -13,6 +16,10 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from berryline.errors import DefectiveMatrix, DegenerateSpectrum
+from berryline.models import BiorthoEigenSystem, loop_grid
+from berryline.quadrature import PAD
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -51,6 +58,131 @@ def char_poly_eigs(matrix):
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     roots = np.roots([1.0, -tr, det])
     return sorted(roots, key=lambda z: (-z.real, -z.imag))
+
+
+def matrix_at(model, alpha):
+    """The library's 2x2 matrix of a model at one loop parameter."""
+    return model.entry_rows(np.array([float(alpha)]))[:, 0].reshape(2, 2)
+
+
+# Gap below this fraction of the matrix scale counts as a degeneracy.
+DEGENERACY_RTOL = 1e-9
+
+# Left/right pairing weaker than this means the eigenvector matrix is
+# numerically singular and biorthogonal normalization would blow up.
+_PAIRING_TOL = 1e-6
+
+_CONSTRUCTION_TOL = 1e-10
+
+
+def metrics(system, matrix):
+    """Worst residual ||H psi - E psi|| and worst |<lambda_i|psi_j> - delta_ij|.
+
+    Returned as a dict with keys 'residual' and 'biortho'.
+    """
+    r = system.right_vectors
+    residual = np.linalg.norm(np.asarray(matrix) @ r - r * system.eigenvalues,
+                              axis=0)
+    overlap = system.left_vectors.conj().T @ r
+    return {"residual": float(residual.max()),
+            "biortho": float(np.abs(overlap - np.eye(2)).max())}
+
+
+def _direction(c0, c1, scale):
+    """Pick the better conditioned of two candidate (c0, c1) vectors."""
+    v = np.array(c0 if abs(c0[0]) + abs(c0[1]) >= abs(c1[0]) + abs(c1[1]) else c1,
+                 dtype=complex)
+    norm = np.linalg.norm(v)
+    if norm <= 1e-14 * scale:
+        raise DefectiveMatrix("no usable eigendirection at this eigenvalue")
+    return v / norm
+
+
+def eig2(matrix):
+    """Closed-form biorthogonal eigen-system of any 2x2 complex matrix.
+
+    Eigenvalues are ordered by descending real part, ties broken by
+    descending imaginary part. Right vectors have unit norm with their
+    largest-modulus component rotated real positive; left vectors are
+    rescaled against them so the pairing is exactly biorthonormal.
+
+    Raises DegenerateSpectrum when the gap falls below
+    ``DEGENERACY_RTOL * max(1, ||H||_F)`` and the matrix is a multiple of
+    the identity, DefectiveMatrix when the coalescence leaves a single
+    eigendirection or the left/right pairing is numerically singular.
+    """
+    h = np.asarray(matrix, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(h)))
+    mean = 0.5 * (h[0, 0] + h[1, 1])
+    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+    s = np.sqrt(complex(mean * mean - det))
+    e_hi, e_lo = mean + s, mean - s
+    if (e_hi.real, e_hi.imag) < (e_lo.real, e_lo.imag):
+        e_hi, e_lo = e_lo, e_hi
+    gap = abs(e_hi - e_lo)
+    if gap <= DEGENERACY_RTOL * scale:
+        off = max(abs(h[0, 1]), abs(h[1, 0]),
+                  abs(h[0, 0] - mean), abs(h[1, 1] - mean))
+        if off <= DEGENERACY_RTOL * scale:
+            raise DegenerateSpectrum(
+                f"eigenvalues coincide, gap {gap:.3e} on a scalar matrix", gap=gap)
+        raise DefectiveMatrix(
+            f"coalescent eigenvalues (gap {gap:.3e}) with a single eigendirection")
+
+    rights = []
+    lefts = []
+    for e in (e_hi, e_lo):
+        psi = _direction((h[0, 1], e - h[0, 0]), (e - h[1, 1], h[1, 0]), scale)
+        k = int(np.argmax(np.abs(psi)))
+        psi = psi / (psi[k] / abs(psi[k]))
+        row = _direction((h[1, 0], e - h[0, 0]), (e - h[1, 1], h[0, 1]), scale)
+        pairing = row @ psi
+        if abs(pairing) <= _PAIRING_TOL:
+            raise DefectiveMatrix(
+                f"left/right pairing {abs(pairing):.3e} is numerically singular")
+        rights.append(psi)
+        lefts.append(np.conj(row) / np.conj(pairing))
+
+    system = BiorthoEigenSystem(
+        eigenvalues=np.array([e_hi, e_lo]),
+        right_vectors=np.column_stack(rights),
+        left_vectors=np.column_stack(lefts),
+    )
+    checks = metrics(system, h)
+    if checks["residual"] > _CONSTRUCTION_TOL * scale or checks["biortho"] > _CONSTRUCTION_TOL:
+        raise DefectiveMatrix(
+            "eigen-system failed construction checks "
+            f"(residual {checks['residual']:.3e}, biortho {checks['biortho']:.3e})")
+    return system
+
+
+def fd_connection(loop, model):
+    """Finite-difference connection i<lambda_i|d psi_j> on the loop samples.
+
+    Differentiates the model's right frame by 4th-order central
+    differences on the padded loop grid, refining 2x and 4x until it
+    agrees with the frame's closed-form connection within 1e-8 (relative
+    to its largest entry). Returns the connection as shape (2, 2, n).
+    """
+    worst = None
+    for refine in (1, 2, 4):
+        alphas, h, n = loop_grid(loop, refine)
+        path = model.eigen_path(alphas)
+
+        def right(shift):
+            return path.right[:, :, PAD + shift:PAD + n + shift]
+
+        dpsi = (right(-2) - 8.0 * right(-1)
+                + 8.0 * right(1) - right(2)) / (12.0 * h)
+        left = np.conj(path.left[:, :, PAD:PAD + n])
+        a_fd = 1j * np.einsum("cim,cjm->ijm", left, dpsi)
+        a_ref = path.connection[:, :, PAD:PAD + n]
+        worst = float(np.abs(a_fd - a_ref).max())
+        if worst <= 1e-8 * max(1.0, float(np.abs(a_ref).max())):
+            return a_fd[:, :, ::refine]
+    raise AssertionError(
+        "finite-difference and closed-form connections still disagree at "
+        f"4x refinement (worst {worst:.3e})")
 
 
 def assemble_two_level(p, phi):

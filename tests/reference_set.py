@@ -9,7 +9,8 @@ Usage, from the repository root::
 each. Every command runs in-process through ``berryline.cli.main`` with
 ``SOURCE_DATE_EPOCH=0`` and ``BERRYLINE_THREADS=1``; a refactor that is
 meant to keep the output bits must leave every line unchanged. The file
-name keeps pytest from collecting it.
+name keeps pytest from collecting it; ``test_reference_set.py`` pins the
+digests in the Tier-1 suite.
 """
 
 import contextlib
@@ -54,6 +55,19 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def digests(main):
+    """(sha256, label) of every reference output, run through ``main``."""
+    pairs = [(_sha(_run(main, command.split())), command)
+             for command in COMMANDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "diagram.csv")
+        _run(main, DIAGRAM.split() + ["--out", out])
+        for path, label in ((out, "CSV"), (out + ".json", "JSON sidecar")):
+            pairs.append((_sha(pathlib.Path(path).read_bytes()),
+                          f"{DIAGRAM} {label}"))
+    return pairs
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -64,13 +78,8 @@ def main(argv=None):
     sys.path.insert(0, str(src))
     from berryline import cli
 
-    for command in COMMANDS:
-        print(_sha(_run(cli.main, command.split())), command)
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "diagram.csv")
-        _run(cli.main, DIAGRAM.split() + ["--out", out])
-        for path, label in ((out, "CSV"), (out + ".json", "JSON sidecar")):
-            print(_sha(pathlib.Path(path).read_bytes()), DIAGRAM, label)
+    for digest, label in digests(cli.main):
+        print(digest, label)
 
 
 if __name__ == "__main__":

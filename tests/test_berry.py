@@ -13,7 +13,6 @@ from berryline.berry import (
     apply_gauge,
     band_berry_phase,
     bipartite_phase_point,
-    connection_samples,
     first_order_correction_trace,
     global_berry_phase,
     two_level_phase_point,
@@ -27,10 +26,12 @@ from berryline.models import (
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    loop_grid,
     standard_loop,
 )
+from berryline.quadrature import PAD
 
-from oracles import draw_two_level
+from oracles import draw_two_level, fd_connection
 
 
 def _tl(h, d, theta):
@@ -42,13 +43,17 @@ def _chain(q, eta):
     return BipartiteModel(BipartiteParams.from_ratios(q, eta))
 
 
+def _analytic_connection(loop, model):
+    alphas, _, n = loop_grid(loop)
+    return model.eigen_path(alphas).connection[:, :, PAD:PAD + n]
+
+
 def test_connection_vanishes_for_constant_frame():
     # v_prime = 0 freezes the Bloch matrix over the whole zone.
     model = BipartiteModel(BipartiteParams(v=1.0, v_prime=0.0, gamma=0.3))
     loop = standard_loop(BIPARTITE, 64)
-    for route in ("analytic", "fd"):
-        for sample in connection_samples(loop, model, derivative=route):
-            assert np.max(np.abs(sample.a_matrix)) < 1e-10
+    for route in (_analytic_connection, fd_connection):
+        assert np.max(np.abs(route(loop, model))) < 1e-10
 
 
 def test_connection_hermitian_two_level_diagonal():
@@ -60,9 +65,9 @@ def test_connection_hermitian_two_level_diagonal():
     e = math.sqrt(h * h * math.sin(theta) ** 2 + hz * hz * math.cos(theta) ** 2)
     cos_chi = hz * math.cos(theta) / e
     loop = standard_loop(TWO_LEVEL, 64)
-    for sample in connection_samples(loop, TwoLevelModel(p)):
-        assert abs(sample.a_matrix[0, 0] - 0.5 * (1.0 + cos_chi)) < 1e-8
-        assert abs(sample.a_matrix[1, 1] - 0.5 * (1.0 - cos_chi)) < 1e-8
+    a = fd_connection(loop, TwoLevelModel(p))
+    assert np.abs(a[0, 0] - 0.5 * (1.0 + cos_chi)).max() < 1e-8
+    assert np.abs(a[1, 1] - 0.5 * (1.0 - cos_chi)).max() < 1e-8
 
 
 def test_connection_bipartite_pauli_decomposition():
@@ -75,11 +80,11 @@ def test_connection_bipartite_pauli_decomposition():
     params = BipartiteParams.from_ratios(2.0, 0.5)
     model = BipartiteModel(params)
     loop = standard_loop(BIPARTITE, 512)
-    samples = connection_samples(loop, model)
+    connection = fd_connection(loop, model)
     step = 1e-6
-    for sample in samples[::37]:
-        k = sample.alpha
-        a = sample.a_matrix
+    for j in range(0, loop.n, 37):
+        k = float(loop.samples[j])
+        a = connection[:, :, j]
         dtheta = float(model.winding_rate(np.array([k]))[0])
         chi = bipartite_closed_form(params, k)[0].chi_k
         dchi = (bipartite_closed_form(params, k + step)[0].chi_k
@@ -93,13 +98,10 @@ def test_connection_bipartite_pauli_decomposition():
 def test_connection_fd_matches_analytic():
     model = _chain(2.0, 0.5)
     loop = standard_loop(BIPARTITE, 512)
-    fd = connection_samples(loop, model)
-    an = connection_samples(loop, model, derivative="analytic")
-    assert len(fd) == len(an) == 512
-    worst = max(np.max(np.abs(a.a_matrix - b.a_matrix)) for a, b in zip(fd, an))
-    assert worst < 1e-7
-    with pytest.raises(ValueError):
-        connection_samples(loop, model, derivative="spline")
+    fd = fd_connection(loop, model)
+    an = _analytic_connection(loop, model)
+    assert fd.shape == an.shape == (2, 2, 512)
+    assert np.abs(fd - an).max() < 1e-7
 
 
 def test_band_phase_lossless_chain_is_a_step():
@@ -340,6 +342,32 @@ def test_gauge_declared_winding_must_match():
     zero = lambda alphas, band: np.zeros_like(alphas)
     with pytest.raises(GaugeMismatch):
         apply_gauge(loop, model, zero, {"plus": 1, "minus": 0})
+
+
+_GAUGE_MODELS = {
+    TWO_LEVEL: TwoLevelModel(_tl((1.0, 1.0, 0.5), (2.0, 2.0, 0.0), 1.0)),
+    BIPARTITE: _chain(2.0, 0.5),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_GAUGE_MODELS)), st.integers(-3, 3),
+       st.integers(-3, 3), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_gauge_laws_hold_for_random_windings_on_both_bands(
+        kind, n_plus, n_minus, bump, offset):
+    # a winding on each band plus a smooth periodic part that winds nowhere
+    windings = {"plus": n_plus, "minus": n_minus}
+
+    def gauge(alphas, band):
+        return windings[band] * alphas + bump * np.sin(alphas + offset)
+
+    loop = standard_loop(kind, 1024)
+    r = apply_gauge(loop, _GAUGE_MODELS[kind], gauge, windings)
+    assert r.residual_a <= 1e-9
+    assert max(r.residual_gamma_plus, r.residual_gamma_minus) <= 1e-8
+    assert r.residual_q <= 1e-6
+    assert abs((r.q_new - r.q_original) - (n_plus + n_minus)) <= 1e-6
+    assert (r.winding_plus, r.winding_minus) == (n_plus, n_minus)
 
 
 def test_first_order_trace_cancels():

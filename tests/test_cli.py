@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: flags, JSON payloads, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,10 @@ import math
 import os
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from berryline import cli, spectrum
@@ -285,6 +287,21 @@ def test_non_finite_ratios_exit_1(capsys, monkeypatch, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ep-classify", "--q", "1e308", "--eta", "0.3"),
+     "q must be at most 1e+150, got 1e+308"),
+    (("bipartite", "--q", "2", "--eta", "1e151"),
+     "eta must be at most 1e+150, got 1e+151"),
+    (("phase-diagram", "--q", "0.5:1e200:2", "--eta", "0.1:0.2:2",
+      "--out", "x.csv"), "q must be at most 1e+150, got 1e+200"),
+])
+def test_ratios_whose_squares_overflow_exit_1(capsys, monkeypatch, tmp_path,
+                                              argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("period", ["inf", "nan"])
 def test_evolve_non_finite_cycle_time_exits_1(capsys, period):
     code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",
@@ -292,6 +309,15 @@ def test_evolve_non_finite_cycle_time_exits_1(capsys, period):
     assert code == 1
     assert out == ""
     assert err == f"error: cycle time must be positive, got {period}\n"
+
+
+def test_evolve_cycle_time_without_a_default_step_count_exits_1(capsys):
+    # 10 T overflows, so there is no default step count to derive
+    code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",
+                         "--eta", "0.3", "--T", "1e308")
+    assert (code, out) == (1, "")
+    assert err == ("error: 1000 steps over T=1e+308 is fewer than 10 per unit "
+                   "time\n")
 
 
 def test_non_finite_results_print_as_null(capsys):
@@ -382,6 +408,21 @@ def test_scan_at_the_cap_runs(capsys):
     assert payload["region"] == "GAPLESS_TRUE_CROSSING"
 
 
+@pytest.mark.parametrize("axis", ["q", "eta"])
+def test_diagram_axis_counts_above_the_cap_are_refused_before_allocation(
+        capsys, capped_linspace, tmp_path, axis):
+    ranges = {"q": "0.5:2:2", "eta": "0.1:0.2:2"}
+    ranges[axis] = ranges[axis][:-1] + "1099511627776"
+    code, out, err = run(capsys, "phase-diagram", "--q", ranges["q"],
+                         "--eta", ranges["eta"], "--out",
+                         str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {axis} axis needs at most 65536 points, got "
+                   "1099511627776\n")
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan",
                                    "-NaN"])
 def test_negative_non_finite_values_reach_the_parameter_check(capsys, value):
@@ -440,3 +481,85 @@ def test_repeated_runs_give_identical_bytes(q, eta):
                          pathlib.Path(out).read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][1][0] == 0
+
+
+# Property over the parser's own argv surface: each case draws a command,
+# its flags, and for every value either a token the flag accepts or an
+# adversarial one (zero, negatives, infinities, nan, exponent notation,
+# powers of two up to 2^62, non-integers for integer flags). Accepted
+# values stay small so each case runs in well under a second: sizes at
+# most 1024, axis counts at most 3, short cycles. Step counts have no cap,
+# so a large one is valid and only costs time; none is drawn.
+_HOSTILE = ("0", "-1", "-2.5e-3", "inf", "-inf", "nan", "-nan", "1e308",
+            "1e400", "-1e400", "0x10", "")
+_BIG = tuple(str(2 ** k) for k in range(17, 63, 5)) + (str(2 ** 62),)
+_TOKENS = {   # flag kind: (accepted tokens, adversarial tokens)
+    "float": (("0.3", "0.5", "1", "1.5", "2", "3", "1e-1", "2.5e0"),
+              _HOSTILE + tuple(str(2 ** k) for k in range(0, 63, 3))),
+    "--T": (("0.5", "2", "1e1", "64", "1e-300"), _HOSTILE),
+    "--steps": (("1000", "1024"), ("0", "-1000", "999", "1000.5", "1e3", "")),
+    "--winding": (("0", "1", "-3"), ("2.5", "nan", "16", str(2 ** 62))),
+    "size": (("256", "512", "1024"), ("0", "-16", "24", "16.5", "1e3", "nan")
+             + _BIG),
+    "count": (("1", "2", "3"), ("0", "-1", "1.5", "nan", "1e3") + _BIG),
+}
+
+
+def _token(draw, kind, hostile):
+    return draw(st.sampled_from(_TOKENS[kind][1 if hostile else 0]))
+
+
+def _flag_value(draw, action, hostile):
+    name = action.option_strings[0]
+    if action.choices is not None:
+        return "other" if hostile else draw(st.sampled_from(action.choices))
+    if action.type is cli._range_arg:
+        # a hostile range spoils one of its three parts, or its shape
+        spoil = draw(st.integers(0, 3)) if hostile else None
+        if spoil == 3:
+            return draw(st.sampled_from(("1:2", "a:b:c", "1:2:3:4")))
+        return ":".join([_token(draw, "float", spoil == 0),
+                         _token(draw, "float", spoil == 1),
+                         _token(draw, "count", spoil == 2)])
+    kind = ("size" if name in ("--samples", "--k-samples")
+            else name if name in _TOKENS else "float")
+    return _token(draw, kind, hostile)
+
+
+_COMMANDS = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def _argvs(draw, out_path):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    every_flag = draw(st.booleans())
+    actions = [a for a in _COMMANDS[command]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)
+               and (a.required or every_flag or draw(st.integers(0, 3)) > 0)]
+    hostile = draw(st.sets(st.integers(0, len(actions) - 1)))
+    argv = [command]
+    for i, action in enumerate(actions):
+        argv.append(action.option_strings[0])
+        argv.append(out_path if action.dest == "out"
+                    else _flag_value(draw, action, i in hostile))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_every_argv_exits_with_a_documented_code_and_no_partial_file(data):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"BERRYLINE_THREADS": "1"}):
+        argv = data.draw(_argvs(os.path.join(tmp, "d.csv")), label="argv")
+        code, out, err = _captured(argv)
+        written = sorted(os.listdir(tmp))
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code != 0:
+        assert (out, written) == ("", [])
+    elif argv[0] == "phase-diagram":
+        assert written == ["d.csv", "d.csv.json"]
+    else:
+        assert written == []

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berryline.biortho import eig2
 from berryline.errors import (BadResolution, DegenerateSpectrum, PathTooCoarse,
                               SingularParameters, TrueCrossing)
 from berryline.models import (
@@ -19,16 +18,15 @@ from berryline.models import (
     ParameterLoop,
     TwoLevelModel,
     TwoLevelParams,
-    bipartite_bloch,
     bipartite_closed_form,
     loop_grid,
     standard_loop,
     two_level_closed_form,
-    two_level_hamiltonian,
 )
 from berryline.quadrature import PAD
 
-from oracles import assemble_two_level, bloch_matrix, char_poly_eigs, dense_winding
+from oracles import (assemble_two_level, bloch_matrix, char_poly_eigs,
+                     dense_winding, eig2, matrix_at)
 
 
 def _tl(h, d, theta):
@@ -38,7 +36,7 @@ def _tl(h, d, theta):
 
 def test_polar_axis_matrix_is_diagonal():
     p = _tl((1.0, 2.0, 0.7), (0.3, 0.4, 0.2), 0.0)
-    m = two_level_hamiltonian(p, 1.3).as_array()
+    m = matrix_at(TwoLevelModel(p), 1.3)
     assert m[0, 1] == 0.0 and m[1, 0] == 0.0
     assert m[0, 0] == 0.7 + 0.2j
     assert m[1, 1] == -(0.7 + 0.2j)
@@ -46,13 +44,13 @@ def test_polar_axis_matrix_is_diagonal():
 
 def test_equatorial_hermitian_x_field_is_sigma_x():
     p = _tl((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), np.pi / 2)
-    m = two_level_hamiltonian(p, 0.0).as_array()
+    m = matrix_at(TwoLevelModel(p), 0.0)
     assert np.max(np.abs(m - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-15
 
 
 def test_two_level_matches_independent_assembly():
     p = _tl((1.0, 2.0, 3.0), (0.5, 0.25, 0.1), np.pi / 3)
-    got = two_level_hamiltonian(p, np.pi / 5).as_array()
+    got = matrix_at(TwoLevelModel(p), np.pi / 5)
     want = assemble_two_level(p, np.pi / 5)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -63,7 +61,7 @@ def test_two_level_assembly_identity_many_draws():
         p = _tl(rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3),
                 rng.uniform(0.0, np.pi))
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        got = two_level_hamiltonian(p, phi).as_array()
+        got = matrix_at(TwoLevelModel(p), phi)
         assert np.max(np.abs(got - assemble_two_level(p, phi))) < 1e-12
 
 
@@ -71,7 +69,7 @@ def test_two_level_hermitian_when_amplitudes_vanish():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p = _tl(rng.uniform(-2.0, 2.0, 3), (0.0, 0.0, 0.0), rng.uniform(0.0, np.pi))
-        m = two_level_hamiltonian(p, rng.uniform(0.0, 2.0 * np.pi)).as_array()
+        m = matrix_at(TwoLevelModel(p), rng.uniform(0.0, 2.0 * np.pi))
         assert np.array_equal(m, m.conj().T)
 
 
@@ -114,8 +112,7 @@ def test_closed_form_residuals_random_draws():
         p = _tl(h, d, rng.uniform(0.2, np.pi - 0.2))
         phi = rng.uniform(0.0, 2.0 * np.pi)
         derived, system = two_level_closed_form(p, phi)
-        m = two_level_hamiltonian(p, phi)
-        arr = m.as_array()
+        arr = matrix_at(TwoLevelModel(p), phi)
         for band in ("plus", "minus"):
             psi = system.right(band)
             resid = np.linalg.norm(arr @ psi - system.eigenvalue(band) * psi)
@@ -123,7 +120,7 @@ def test_closed_form_residuals_random_draws():
         assert abs(np.vdot(system.left("plus"), system.right("minus"))) < 1e-10
         assert abs(np.vdot(system.left("minus"), system.right("plus"))) < 1e-10
         # against the generic solver: same states up to gauge
-        ref = eig2(m)
+        ref = eig2(arr)
         for band in ("plus", "minus"):
             e = system.eigenvalue(band)
             ref_band = min(("plus", "minus"),
@@ -169,15 +166,15 @@ def test_closed_form_rejects_vanishing_dual_amplitude():
 
 def test_bloch_matrix_examples():
     p = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.0, eps_a=0.7)
-    m = bipartite_bloch(p, 0.0).as_array()
+    m = matrix_at(BipartiteModel(p), 0.0)
     assert np.max(np.abs(m - np.array([[0.7, 3.0], [3.0, 0.7]]))) < 1e-15
 
     p = BipartiteParams(v=1.0, v_prime=1.0, gamma=0.0)
-    m = bipartite_bloch(p, np.pi).as_array()
+    m = matrix_at(BipartiteModel(p), np.pi)
     assert abs(m[0, 1]) < 1e-15 and abs(m[1, 0]) < 1e-15
 
     p = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.5, eps_a=0.2)
-    assert bipartite_bloch(p, 1.0).as_array()[1, 1] == 0.2 - 1.0j
+    assert matrix_at(BipartiteModel(p), 1.0)[1, 1] == 0.2 - 1.0j
 
 
 def test_bloch_matrix_matches_independent_assembly():
@@ -188,7 +185,7 @@ def test_bloch_matrix_matches_independent_assembly():
         g = rng.uniform(0.0, 2.0)
         ea = rng.uniform(-1.0, 1.0)
         k = rng.uniform(-np.pi, np.pi)
-        got = bipartite_bloch(BipartiteParams(v, vp, g, ea), k).as_array()
+        got = matrix_at(BipartiteModel(BipartiteParams(v, vp, g, ea)), k)
         assert np.max(np.abs(got - bloch_matrix(v, vp, g, k, ea))) < 1e-15
 
 
@@ -197,7 +194,7 @@ def test_bipartite_hermitian_when_lossless():
     for _ in range(20):
         p = BipartiteParams(v=rng.uniform(0.5, 2.0), v_prime=rng.uniform(0.0, 3.0),
                             gamma=0.0, eps_a=rng.uniform(-1.0, 1.0))
-        m = bipartite_bloch(p, rng.uniform(-np.pi, np.pi)).as_array()
+        m = matrix_at(BipartiteModel(p), rng.uniform(-np.pi, np.pi))
         assert np.array_equal(m, m.conj().T)
 
 
@@ -348,11 +345,11 @@ def test_matrix_periodicity():
     b = BipartiteModel(BipartiteParams(v=1.0, v_prime=1.7, gamma=0.6))
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0.0, 2.0 * np.pi, 25):
-        a1 = model.matrix(alpha).as_array()
-        a2 = model.matrix(alpha + 2.0 * np.pi).as_array()
+        a1 = matrix_at(model, alpha)
+        a2 = matrix_at(model, alpha + 2.0 * np.pi)
         assert np.max(np.abs(a1 - a2)) < 1e-13
-        b1 = b.matrix(alpha).as_array()
-        b2 = b.matrix(alpha + 2.0 * np.pi).as_array()
+        b1 = matrix_at(b, alpha)
+        b2 = matrix_at(b, alpha + 2.0 * np.pi)
         assert np.max(np.abs(b1 - b2)) < 1e-13
 
 
@@ -364,7 +361,7 @@ def test_closed_form_eigenvalues_match_eig2_both_models():
         p = _tl(h, d, rng.uniform(0.3, np.pi - 0.3))
         phi = rng.uniform(0.0, 2.0 * np.pi)
         _, system = two_level_closed_form(p, phi)
-        ref = sorted(eig2(two_level_hamiltonian(p, phi)).eigenvalues,
+        ref = sorted(eig2(matrix_at(TwoLevelModel(p), phi)).eigenvalues,
                      key=lambda z: (z.real, z.imag))
         got = sorted(system.eigenvalues, key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-10
@@ -373,7 +370,7 @@ def test_closed_form_eigenvalues_match_eig2_both_models():
                              gamma=rng.uniform(0.0, 0.4))
         k = rng.uniform(-np.pi, np.pi)
         _, bsys = bipartite_closed_form(bp, k)
-        bref = sorted(eig2(bipartite_bloch(bp, k)).eigenvalues,
+        bref = sorted(eig2(matrix_at(BipartiteModel(bp), k)).eigenvalues,
                       key=lambda z: (z.real, z.imag))
         bgot = sorted(bsys.eigenvalues, key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(bgot, bref)) < 1e-10
@@ -405,7 +402,7 @@ def test_entry_rows_match_matrices():
     phis = np.array([0.0, 1.0, 2.5])
     rows = model.entry_rows(phis)
     for j, phi in enumerate(phis):
-        m = model.matrix(phi).as_array()
+        m = assemble_two_level(p, phi)
         assert abs(rows[0, j] - m[0, 0]) < 1e-15
         assert abs(rows[1, j] - m[0, 1]) < 1e-15
         assert abs(rows[2, j] - m[1, 0]) < 1e-15
@@ -442,13 +439,20 @@ def _chain_models(draw):
 _models = st.one_of(_two_level_models(), _chain_models())
 
 
+def _assembled(model, alpha):
+    p = model.params
+    if model.kind == TWO_LEVEL:
+        return assemble_two_level(p, alpha)
+    return bloch_matrix(p.v, p.v_prime, p.gamma, alpha, p.eps_a)
+
+
 @_PROPERTY
 @given(_models)
 def test_entry_rows_are_the_matrix_entries(model):
     rows = model.entry_rows(_GRID)
     scale = max(1.0, float(np.abs(rows).max()))
     for j in range(0, _GRID.size, 97):
-        m = model.matrix(_GRID[j]).as_array()
+        m = _assembled(model, _GRID[j])
         assert np.abs(rows[:, j] - m.ravel()).max() <= 1e-14 * scale
 
 

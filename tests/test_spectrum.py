@@ -1,11 +1,12 @@
 """Region classification of the lossy chain's complex spectrum."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from berryline.errors import ClassificationMismatch
+from berryline.errors import BadResolution
 from berryline.models import BipartiteParams
 from berryline.spectrum import (
     GAPLESS_TRUE_CROSSING,
@@ -121,6 +122,13 @@ def test_verify_scan_resolution_guard():
     # odd counts are rounded up so 0 and pi stay on the grid
     report = verify_region(1.0, 1.0, k_samples=257)
     assert report.region == GAPLESS_TRUE_CROSSING
+    # a count is an integer, never truncated
+    for k_samples in (300.7, 1024.0, "1024"):
+        with pytest.raises(BadResolution, match=re.escape(
+                f"scan point count must be an integer, got {k_samples!r}")):
+            verify_region(1.5, 1.0, k_samples=k_samples)
+    assert (verify_region(1.5, 1.0, k_samples=np.int64(300))
+            == verify_region(1.5, 1.0, k_samples=300))
 
 
 def test_verify_deep_interior_has_no_witnesses():

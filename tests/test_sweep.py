@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from berryline import sweep
 from berryline.berry import bipartite_phase_point
-from berryline.errors import BerrylineError
+from berryline.errors import BadResolution, BerrylineError
 from berryline.spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II
 from berryline.sweep import (
     divergence_scan,
@@ -107,6 +108,32 @@ def test_grid_input_guards():
         phase_diagram((-0.5, 1.5), (0.0, 0.1), 3, 3)
     with pytest.raises(ValueError):
         phase_diagram((0.5, 1.5), (-0.2, 0.1), 3, 3)
+    # the resolution is checked before anything truncates it
+    for samples in (1024.9, 1024.0, "1024"):
+        with pytest.raises(BadResolution, match=re.escape(
+                f"must be an integer, got {samples!r}")):
+            phase_diagram((2.0, 2.0), (0.3, 0.3), 1, 1,
+                          samples_per_loop=samples)
+    grid = phase_diagram((2.0, 2.0), (0.3, 0.3), 1, 1,
+                         samples_per_loop=np.int64(64))
+    assert grid.samples_per_loop == 64
+
+
+def test_axis_counts_above_the_cap_are_refused_before_allocation(
+        capped_linspace):
+    assert sweep._axis((0.0, 1.0), 65536, "q").size == 65536
+    with pytest.raises(BadResolution,
+                       match="^q axis needs at most 65536 points, got 65537$"):
+        phase_diagram((0.5, 2.0), (0.1, 0.2), 65537, 2)
+    with pytest.raises(BadResolution, match="^eta axis needs at most 65536 "
+                                            "points, got 1099511627776$"):
+        phase_diagram((0.5, 2.0), (0.1, 0.2), 2, 2 ** 40)
+    with pytest.raises(BadResolution, match="^d_x axis needs at most 65536 "
+                                            "points, got 1099511627776$"):
+        two_level_q_map((1.0, 1.0), (0.1, 2.9), (0.1, 2.9), 2 ** 40)
+    with pytest.raises(BadResolution,
+                       match="^q axis count must be an integer, got 2.7$"):
+        phase_diagram((1.5, 2.5), (0.1, 0.2), 2.7, 1)
 
 
 def test_worker_rows_match_serial_rows(monkeypatch, tmp_path):
