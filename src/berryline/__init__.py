@@ -21,12 +21,11 @@ from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      PathTooCoarse, SingularLoop, SingularParameters,
                      StepTooLarge, TrueCrossing, UndefinedAtTransition)
 from .evolution import EvolutionReport, Schedule, adiabatic_decomposition, evolve
-from .models import (BIPARTITE, TWO_LEVEL, BiorthoEigenSystem, BipartiteModel,
-                     BipartiteParams, EigenPath, ParameterLoop, TwoLevelModel,
-                     TwoLevelParams, band_index, bipartite_closed_form,
-                     standard_loop, two_level_closed_form)
+from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
+                     EigenPath, ParameterLoop, TwoLevelModel, TwoLevelParams,
+                     band_index, standard_loop)
 from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II, CrossingReport,
-                       classify_region, complex_gap, verify_region)
+                       classify_region, verify_region)
 from .sweep import (DivergenceFit, GridCell, PhaseDiagramGrid, QMap,
                     divergence_scan, phase_diagram, save_phase_diagram,
                     two_level_q_map)
@@ -36,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BIPARTITE", "TWO_LEVEL",
     "AmplitudeOutOfRange", "BadResolution", "BandLeakage", "BerrylineError",
-    "BerryPhaseResult", "BiorthoEigenSystem", "BipartiteModel",
-    "BipartiteParams", "ClassificationMismatch", "CrossingReport",
+    "BerryPhaseResult", "BipartiteModel", "BipartiteParams",
+    "ClassificationMismatch", "CrossingReport",
     "DefectiveMatrix", "DegenerateSpectrum", "Disagreement", "DivergenceFit",
     "DomainError", "EigenPath", "EllipticArgs", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
@@ -47,10 +46,10 @@ __all__ = [
     "TwoLevelModel", "TwoLevelParams", "TYPE_I", "TYPE_II",
     "UndefinedAtTransition",
     "adiabatic_decomposition", "analytic_q", "apply_gauge",
-    "band_berry_phase", "band_index", "bipartite_closed_form",
-    "bipartite_phase_point", "classify_region", "closed_form_gamma",
-    "complex_gap", "divergence_scan", "ellip_k", "ellip_pi", "evolve",
-    "first_order_correction_trace", "global_berry_phase", "phase_diagram",
-    "save_phase_diagram", "standard_loop", "two_level_closed_form",
-    "two_level_phase_point", "two_level_q_map", "verify_region",
+    "band_berry_phase", "band_index", "bipartite_phase_point",
+    "classify_region", "closed_form_gamma", "divergence_scan", "ellip_k",
+    "ellip_pi", "evolve", "first_order_correction_trace",
+    "global_berry_phase", "phase_diagram", "save_phase_diagram",
+    "standard_loop", "two_level_phase_point", "two_level_q_map",
+    "verify_region",
 ]

@@ -54,8 +54,8 @@ from .models import (
     loop_grid,
     standard_loop,
 )
-from .quadrature import (PAD, fd4, refine_dyadically, spectral_derivative,
-                         tanh_sinh, trapezoid_periodic)
+from .quadrature import (MAX_PHASE_STEP, PAD, fd4, refine_dyadically,
+                         spectral_derivative, tanh_sinh, trapezoid_periodic)
 from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -142,7 +142,7 @@ def _wilson_q(right, left, n, stride):
         overlaps = np.einsum("cm,cm->m", np.conj(left[:, b, later]),
                              right[:, b, earlier])
         angles = np.angle(overlaps)
-        if np.abs(angles).max() >= 0.5 * math.pi:
+        if np.abs(angles).max() >= MAX_PHASE_STEP:
             return None
         total += angles.sum()
     return total / _TWO_PI
@@ -178,9 +178,9 @@ def _phase_rung(loop, eigen_path, n):
     alphas, _, _ = loop_grid(loop, n // loop.n)
     path = eigen_path(alphas)
     interior = slice(PAD, PAD + n)
-    gamma_plus = complex(trapezoid_periodic(path.connection[0, 0, interior],
+    gamma_plus = complex(trapezoid_periodic(path.connection[0, interior],
                                             loop.period))
-    gamma_minus = complex(trapezoid_periodic(path.connection[1, 1, interior],
+    gamma_minus = complex(trapezoid_periodic(path.connection[1, interior],
                                              loop.period))
     q_quad = complex(trapezoid_periodic(path.trace_connection[interior],
                                         loop.period)).real / _TWO_PI
@@ -316,7 +316,7 @@ class _ChainColumn:
             half = self._halves.get(len(alphas))
             if half is None:
                 half = self._halves[len(alphas)] = _HoppingHalf(p, alphas)
-            return _bipartite_frame(p, half)[0]
+            return _bipartite_frame(p, half)
         return eigen_path
 
     def winding(self):
@@ -351,7 +351,7 @@ def _gapless_winding(q, cap):
     while True:
         vk = _hopping(params, np.linspace(-math.pi, math.pi, n + 1))
         steps = np.angle(vk[1:] / vk[:-1])
-        if np.abs(steps).max() < 0.5 * math.pi:
+        if np.abs(steps).max() < MAX_PHASE_STEP:
             break
         if n >= cap:
             raise NotConverged(

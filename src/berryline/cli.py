@@ -139,7 +139,7 @@ def _add_samples_flag(sub):
                           f"{_MAX_SAMPLES} (default 1024)")
 
 
-def _build_model(args):
+def _model_from_args(args):
     if args.model == TWO_LEVEL:
         names = ("hx", "hy", "hz", "dx", "dy", "dz", "theta")
         missing = [f"--{n}" for n in names if getattr(args, n) is None]
@@ -158,7 +158,7 @@ def _build_model(args):
 
 
 def _cmd_two_level_q(args):
-    params = _build_model(args).params
+    params = _model_from_args(args).params
     result = two_level_phase_point(params, n0=args.samples)
     return {
         "Q_numeric": result.q_index,
@@ -217,7 +217,7 @@ def _cmd_ep_classify(args):
 
 
 def _cmd_evolve(args):
-    model = _build_model(args)
+    model = _model_from_args(args)
     steps = args.steps
     if steps is None:
         # a T whose 10 T overflows has no default step count; Schedule
@@ -242,7 +242,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_gauge_check(args):
-    model = _build_model(args)
+    model = _model_from_args(args)
     loop = standard_loop(model.kind, args.samples)
     windings = {
         "plus": args.winding if args.band in ("plus", "both") else 0,

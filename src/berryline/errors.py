@@ -14,27 +14,21 @@ class BerrylineError(Exception):
 class DegenerateSpectrum(BerrylineError):
     """Eigenvalues coalesce within tolerance; eigenvectors are unreliable."""
 
-    def __init__(self, message, index=None, gap=None):
+    def __init__(self, message, gap=None):
         super().__init__(message)
-        self.index = index
         self.gap = gap
 
 
 class DefectiveMatrix(BerrylineError):
     """The eigenvector matrix is numerically singular (Jordan-like block)."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class PathTooCoarse(BerrylineError):
     """Consecutive path samples are too far apart to keep band labels."""
 
-    def __init__(self, message, index=None, overlap=None):
+    def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
-        self.overlap = overlap
 
 
 class SingularParameters(BerrylineError):

@@ -31,6 +31,7 @@ this and their defect genuinely vanishes as 1/T.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +46,42 @@ _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
 _EYE = np.eye(2)[:, :, None]
+_MAX_STEPS = 2 ** 24       # about 10 s of RK4 at 1.6M steps per second
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """One closed drive cycle: duration, step count, and the path alpha(t).
+    """One closed drive cycle alpha(t) = 2 pi t / T: duration and step count.
 
-    The default path is linear over one period. Step counts below 1000,
-    or fewer than 10 steps per unit time, are refused outright; explicit
-    stepping is not trustworthy there.
+    The drive advances the loop parameter by one period at a constant
+    rate. The step count must be an integer no larger than 2^24, so one
+    cycle ends in seconds. Counts below 1000, or fewer than 10 steps per
+    unit time, are refused too; explicit stepping is not trustworthy
+    there. Every refusal is a ValueError.
     """
 
     period_T: float
     steps: int
-    path: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "period_T", float(self.period_T))
-        object.__setattr__(self, "steps", int(self.steps))
         if not math.isfinite(self.period_T) or self.period_T <= 0.0:
             raise ValueError(f"cycle time must be positive, got {self.period_T}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"step count must be an integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
+        if self.steps > _MAX_STEPS:
+            raise ValueError(
+                f"need at most {_MAX_STEPS} steps, got {self.steps}")
         if self.steps < 1000:
             raise ValueError(f"need at least 1000 steps, got {self.steps}")
         if self.steps < 10.0 * self.period_T:
             raise ValueError(
                 f"{self.steps} steps over T={self.period_T} is fewer than 10 "
                 "per unit time")
-        if self.path is not None and not callable(self.path):
-            raise ValueError("path must be callable or None")
 
     def path_function(self):
-        if self.path is not None:
-            return self.path
+        """The drive alpha(t) = 2 pi t / T, vectorized over t."""
         T = self.period_T
         return lambda t: (np.asarray(t, dtype=float) / T) * _TWO_PI
 
@@ -104,18 +109,6 @@ class EvolutionReport:
     leak_ratio: float
 
 
-def _cycle(model, schedule):
-    """(T, step h, path function, alpha(0)) of a schedule closing the loop once."""
-    T = schedule.period_T
-    path_fn = schedule.path_function()
-    ends = np.asarray(path_fn(np.array([0.0, T])), dtype=float)
-    if abs((ends[1] - ends[0]) - model.period) > 1e-9:
-        raise ValueError(
-            "the schedule must advance the loop parameter by exactly one "
-            f"period; it advances by {ends[1] - ends[0]!r}")
-    return T, T / schedule.steps, path_fn, float(ends[0])
-
-
 def _apply(a, x):
     """Matrices a[row, col, ...] times the column vectors x[row, ...]."""
     y = a[:, 0, None] * x[0]
@@ -124,15 +117,17 @@ def _apply(a, x):
 
 
 @np.errstate(all="ignore")
-def _propagate(model, path_fn, h, steps, psi, dual=False, project=None,
+def _propagate(model, schedule, psi, dual=False, project=None,
                record_every=None):
-    """One cycle from psi: (state, log_scale, turn, records).
+    """One cycle of ``schedule`` from psi: (state, log_scale, turn, records).
 
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
     ``record_every`` steps. Raises StepTooLarge at the first step that
     grows the squared norm a hundredfold or turns c over 1.5 rad.
     """
+    path_fn, steps = schedule.path_function(), schedule.steps
+    h = schedule.period_T / steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
     records = None if record_every is None else [(0.0, state.copy())]
     for step0 in range(0, steps, _CHUNK):
@@ -224,15 +219,13 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
         raise ValueError("initial state must be finite")
     if not np.any(psi0 != 0.0):
         raise ValueError("initial state must be nonzero")
-    T, h, path_fn, _ = _cycle(model, schedule)
     if record_every is not None:
         record_every = int(record_every)
         if record_every <= 0:
             raise ValueError("record_every must be a positive stride")
 
     state, log_scale, _, records = _propagate(
-        model, path_fn, h, schedule.steps, psi0, dual=dual,
-        record_every=record_every)
+        model, schedule, psi0, dual=dual, record_every=record_every)
     with np.errstate(over="ignore", invalid="ignore"):
         psi_final = state * np.exp(log_scale)
     if not (np.all(np.isfinite(psi_final)) and np.any(psi_final != 0.0)):
@@ -241,12 +234,12 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
             "floating-point range", log_scale=log_scale)
     if records is None:
         return psi_final
-    if records[-1][0] != T:
-        records.append((T, psi_final.copy()))
+    if records[-1][0] != schedule.period_T:
+        records.append((schedule.period_T, psi_final.copy()))
     return psi_final, records
 
 
-def _band_energy_integral(model, path_fn, h, steps, band):
+def _band_energy_integral(model, schedule, band):
     """Trapezoid of the tracked band energy over the cycle, plus extremes.
 
     Energies come chunkwise with a per-chunk branch anchor; the sign of
@@ -254,6 +247,8 @@ def _band_energy_integral(model, path_fn, h, steps, band):
     chunk's last value, which is exact because the ambiguity is a global
     flip of the branch pair.
     """
+    path_fn, steps = schedule.path_function(), schedule.steps
+    h = schedule.period_T / steps
     total = 0.0 + 0.0j
     prev_plus = None
     max_im_half_gap = 0.0
@@ -280,17 +275,15 @@ def adiabatic_decomposition(model, schedule, band):
     model families.
     """
     b = band_index(band)
-    T, h, path_fn, alpha0 = _cycle(model, schedule)
-
-    frame = model.eigen_path(np.array([alpha0]))
+    frame = model.eigen_path(np.array([0.0]))
     psi = frame.right[:, b, 0]
-    # alpha(T) differs from alpha(0) by one full period, where the
+    # alpha(T) = 2 pi is one full period past alpha(0) = 0, where the
     # single-point closed-form frame coincides with the one at alpha(0),
     # so both end-of-cycle projections use the frame built here
     lam_sel = np.conj(frame.left[:, b, 0])
     lam_oth = np.conj(frame.left[:, 1 - b, 0])
-    state, log_scale, accum, _ = _propagate(
-        model, path_fn, h, schedule.steps, psi, project=lam_sel)
+    state, log_scale, accum, _ = _propagate(model, schedule, psi,
+                                            project=lam_sel)
 
     c_mag = abs(lam_sel @ state)
     if c_mag == 0.0:
@@ -303,10 +296,9 @@ def adiabatic_decomposition(model, schedule, band):
             ratio=leak_ratio)
     total_phase = complex(accum, -(log_scale + math.log(c_mag)))
 
-    energy_integral, max_im_half_gap = _band_energy_integral(
-        model, path_fn, h, schedule.steps, b)
+    energy_integral, max_im_half_gap = _band_energy_integral(model, schedule, b)
     gamma_dyn = -energy_integral
-    strong_regime = max_im_half_gap * T / _TWO_PI > 50.0
+    strong_regime = max_im_half_gap * schedule.period_T / _TWO_PI > 50.0
 
     loop = standard_loop(model.kind, 4096)
     gamma_geo = band_berry_phase(loop, model, band)

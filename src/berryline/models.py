@@ -9,11 +9,12 @@ the zone k in (-pi, pi].
 
 Both families come with closed-form eigen frames built along whole loops:
 branch angles are continuously unwrapped, dual (left) vectors are paired
-so <lambda_i|psi_j> = delta_ij holds to roundoff, and the analytic
-parameter derivative of the frame is packaged as a 2x2 connection at
-every sample. Downstream phase integration consumes these paths. At a
-single point the same frame comes as a ``BiorthoEigenSystem``, its two
-bands labelled 'plus' and 'minus'.
+so <lambda_b|psi_b'> = delta_bb' holds to roundoff, and the analytic
+parameter derivative of the frame gives each band's diagonal connection
+i<lambda_b|d psi_b> at every sample. Downstream phase integration
+consumes these paths. A single point's frame is the path on a one-point
+grid, ``model.eigen_path(np.array([alpha]))`` at index 0; its two bands
+are labelled 'plus' (index 0) and 'minus' (index 1).
 """
 
 import dataclasses
@@ -109,27 +110,6 @@ def _check_ratios(q, eta):
 
 
 @dataclass(frozen=True)
-class TwoLevelDerived:
-    """Closed-form intermediates at a single azimuthal angle.
-
-    ``chi`` is the complex mixing angle of the eigen frame; ``nu1``/``nu2``
-    are the phases of the two off-diagonal entries, combined into
-    ``nu_plus``/``nu_minus``; ``rho`` is the amplitude asymmetry entering
-    the frame normalization.
-    """
-
-    z: complex
-    r_plus: float
-    r_minus: float
-    nu1: float
-    nu2: float
-    nu_plus: float
-    nu_minus: float
-    rho: float
-    chi: complex
-
-
-@dataclass(frozen=True)
 class BipartiteParams:
     """Lattice parameters: one lossy sublattice, two hopping amplitudes."""
 
@@ -164,16 +144,6 @@ class BipartiteParams:
     def eps_b(self):
         # the lossy on-site energy is derived, never stored
         return self.eps_a - 2j * self.gamma
-
-
-@dataclass(frozen=True)
-class BipartiteDerived:
-    """Closed-form intermediates at a single momentum."""
-
-    theta_k: float
-    chi_k: complex
-    v_k: complex
-    radicand: float
 
 
 _MAX_SAMPLES = 65536     # the finest loop, and the default refinement cap
@@ -253,15 +223,16 @@ def loop_grid(loop, refine=1):
 class EigenPath:
     """Closed-form eigen frame evaluated along a grid of loop parameters.
 
-    Axis convention: ``right[c, b, m]`` is component c of band b's right
-    vector at sample m, and ``left`` holds the dual kets in the same
-    layout. ``connection[i, j, m]`` is i<lambda_i|d psi_j> from the
-    analytic parameter derivative of the frame. ``winding_phase`` is the
-    unwrapped angle whose net advance carries the topological index, and
-    ``chi`` the unwrapped complex mixing angle.
+    Axis convention: ``values[b, m]`` is band b's energy at sample m,
+    ``right[c, b, m]`` is component c of band b's right vector, and
+    ``left`` holds the dual kets in the same layout. ``connection[b, m]``,
+    shape (2, M), is band b's diagonal connection i<lambda_b|d psi_b> from
+    the analytic parameter derivative of the frame, and
+    ``trace_connection`` their sum. ``winding_phase`` is the unwrapped
+    angle whose net advance carries the topological index, and ``chi``
+    the unwrapped complex mixing angle.
     """
 
-    alphas: np.ndarray
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -296,27 +267,13 @@ def _chain_radicand(v, v_prime, gamma, cos_k):
     return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
 
 
-def _frame_connection(g, cos_chi, sin_chi, d_chi):
-    """Connection i<lambda_i|d psi_j> of a frame with complex mixing angle chi.
-
-    ``g`` is the connection trace and ``d_chi`` the derivative of chi.
-    """
-    a = np.empty((2, 2) + np.shape(cos_chi), dtype=complex)
-    a[0, 0] = 0.5 * g * (1.0 + cos_chi)
-    a[1, 1] = 0.5 * g * (1.0 - cos_chi)
-    off = -0.5 * g * sin_chi
-    a[0, 1] = off - 0.5j * d_chi
-    a[1, 0] = off + 0.5j * d_chi
-    return a
-
-
-def _frame_path(alphas, values, u, winding, pr, mr, pl, trace, g, cos_chi,
-                sin_chi, d_chi):
+def _frame_path(values, u, winding, pr, mr, pl, trace, g, cos_chi):
     """Biorthonormal frame along a grid from its mixing ratio u = exp(i chi).
 
     Right kets are (pr cos, sin) and (mr sin, cos) of chi / 2, duals have pl
     and -pl there; mr is -pr as the family rounds it (that sets the sign of
-    exact zeros). ``g`` feeds the connection, ``trace`` is reported as is.
+    exact zeros). The diagonal connection is g (1 +- cos chi) / 2 for the
+    connection trace g; ``trace`` is reported as is.
     """
     chi = unwrap_checked(np.angle(u)) - 1j * np.log(np.abs(u))
     half = 0.5 * chi
@@ -330,14 +287,15 @@ def _frame_path(alphas, values, u, winding, pr, mr, pl, trace, g, cos_chi,
     left = np.conj(right)   # then pl and -pl in place of pr and mr
     left[0, 0] = pl * left[1, 1]
     left[0, 1] = -pl * left[1, 0]
+    connection = np.stack([0.5 * g * (1.0 + cos_chi),
+                           0.5 * g * (1.0 - cos_chi)])
     return EigenPath(
-        alphas=alphas, values=values, right=right, left=left,
-        connection=_frame_connection(g, cos_chi, sin_chi, d_chi),
+        values=values, right=right, left=left, connection=connection,
         trace_connection=trace, winding_phase=winding, chi=chi)
 
 
 def _two_level_frame(p, phi):
-    """Two-level path on a phi grid, plus (r_p, r_m, nu1, nu2, nu_plus, rho)."""
+    """Two-level eigen path on a phi grid."""
     phi = np.asarray(phi, dtype=float)
     a_p, a_m, b_p, b_m = _two_level_axes(p)
     amp_scale = max(1.0, abs(a_p), abs(a_m), abs(b_p), abs(b_m))
@@ -375,30 +333,24 @@ def _two_level_frame(p, phi):
     d_nu1 = -a_p * b_p / (r_p * r_p)
     d_nu2 = a_m * b_m / (r_m * r_m)
     g = 0.5j * (dln_rp - dln_rm) + 0.5 * (d_nu2 - d_nu1)
-    cos_chi = a / e
-    sin_chi = b / e
-    d_chi = sin_chi * cos_chi * (
-        0.5 * (dln_rp + dln_rm) + 0.5j * (d_nu2 + d_nu1))
-    path = _frame_path(phi, np.stack([e, -e]), (a + 1j * b) / e, nu_minus,
-                       rho * phase, -rho * phase, phase / rho, g, g, cos_chi,
-                       sin_chi, d_chi)
-    return path, (r_p, r_m, nu1, nu2, nu_plus, rho)
+    return _frame_path(np.stack([e, -e]), (a + 1j * b) / e, nu_minus,
+                       rho * phase, -rho * phase, phase / rho, g, g, a / e)
 
 
 class _HoppingHalf:
     """The gamma-free half of the lossy-chain frame on one k grid.
 
-    v_k, |v_k|, the unwrapped off-diagonal phase theta with exp(-i theta),
-    and the derivatives of |v_k| and theta depend on v and v' alone, so
-    every loss ratio on the same grid can share them. A failed check is
-    kept in ``error`` rather than raised: ``_bipartite_frame`` raises it
-    after its own gamma-dependent check, in the order of one evaluation.
+    |v_k|, the unwrapped phase theta of v_k with exp(-i theta), and the
+    derivative of theta depend on v and v' alone, so every loss ratio on
+    the same grid can share them. A failed check is kept in ``error``
+    rather than raised: ``_bipartite_frame`` raises it after its own
+    gamma-dependent check, in the order of one evaluation.
     """
 
     def __init__(self, p, k):
         self.k = np.asarray(k, dtype=float)
-        self.vk = _hopping(p, self.k)
-        self.mod = np.abs(self.vk)
+        vk = _hopping(p, self.k)
+        self.mod = np.abs(vk)
         self.error = None
         if self.mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
             # hoppings interfere to zero: the real parts of the two energies
@@ -408,18 +360,17 @@ class _HoppingHalf:
                 "of the two energies merge")
             return
         try:
-            self.theta = -unwrap_checked(np.angle(self.vk))
+            self.theta = -unwrap_checked(np.angle(vk))
         except PathTooCoarse as exc:
             self.error = exc
             return
         self.phase = np.exp(-1j * self.theta)
-        self.d_mod = -p.v * p.v_prime * np.sin(self.k) / self.mod
         self.d_theta = (p.v_prime * (p.v_prime + p.v * np.cos(self.k))
                         / (self.mod * self.mod))
 
 
 def _bipartite_frame(p, half):
-    """Lossy-chain path on the grid of ``half``, plus v_k and the radicand."""
+    """Lossy-chain eigen path on the grid of ``half``."""
     mod = half.mod
     rad = mod * mod - p.gamma * p.gamma
     if np.abs(rad).min() <= 1e-12 * max(1.0, (p.v + p.v_prime) ** 2, p.gamma ** 2):
@@ -429,72 +380,10 @@ def _bipartite_frame(p, half):
         raise half.error.with_traceback(None)
     s = np.sqrt(rad.astype(complex))
     centroid = p.eps_a - 1j * p.gamma
-    cos_chi = 1j * p.gamma / s
-    sin_chi = mod / s
-    d_chi = 1j * p.gamma * half.d_mod / (s * s)
-    path = _frame_path(half.k, np.stack([centroid + s, centroid - s]),
+    return _frame_path(np.stack([centroid + s, centroid - s]),
                        1j * (p.gamma + mod) / s, half.theta, half.phase,
                        -half.phase, half.phase, half.d_theta.astype(complex),
-                       half.d_theta, cos_chi, sin_chi, d_chi)
-    return path, (half.vk, rad)
-
-
-@dataclass(frozen=True)
-class BiorthoEigenSystem:
-    """Eigenvalues with paired right and left eigenvectors at one point.
-
-    ``eigenvalues[0]`` belongs to the first band, ``eigenvalues[1]`` to the
-    second. Columns of ``right_vectors`` are the kets |psi_i>; columns of
-    ``left_vectors`` are kets of the adjoint matrix, so the bra <lambda_i|
-    is the conjugate transpose of column i, normalized to
-    <lambda_i|psi_j> = delta_ij.
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-
-    def eigenvalue(self, band):
-        return complex(self.eigenvalues[band_index(band)])
-
-    def right(self, band):
-        return self.right_vectors[:, band_index(band)].copy()
-
-    def left(self, band):
-        return self.left_vectors[:, band_index(band)].copy()
-
-
-def _point_system(path):
-    """Eigen-system of a path evaluated at a single point."""
-    return BiorthoEigenSystem(
-        eigenvalues=path.values[:, 0].copy(),
-        right_vectors=path.right[:, :, 0].copy(),
-        left_vectors=path.left[:, :, 0].copy())
-
-
-def two_level_closed_form(p, phi):
-    """Closed-form intermediates and eigen-system at one azimuthal angle.
-
-    Branch angles are anchored at their principal values here; loop-level
-    evaluation unwraps them continuously instead.
-    """
-    path, (r_p, r_m, nu1, nu2, nu_plus, rho) = _two_level_frame(
-        p, np.array([float(phi)]))
-    derived = TwoLevelDerived(
-        z=complex(p.h_z, p.d_z), r_plus=float(r_p[0]), r_minus=float(r_m[0]),
-        nu1=float(nu1[0]), nu2=float(nu2[0]), nu_plus=float(nu_plus[0]),
-        nu_minus=float(path.winding_phase[0]), rho=float(rho[0]),
-        chi=complex(path.chi[0]))
-    return derived, _point_system(path)
-
-
-def bipartite_closed_form(p, k):
-    """Closed-form intermediates and eigen-system at one momentum."""
-    path, (vk, rad) = _bipartite_frame(p, _HoppingHalf(p, np.array([float(k)])))
-    derived = BipartiteDerived(
-        theta_k=float(path.winding_phase[0]), chi_k=complex(path.chi[0]),
-        v_k=complex(vk[0]), radicand=float(rad[0]))
-    return derived, _point_system(path)
+                       half.d_theta, 1j * p.gamma / s)
 
 
 @dataclass(frozen=True)
@@ -506,7 +395,7 @@ class TwoLevelModel:
     period: ClassVar[float] = _TWO_PI
 
     def eigen_path(self, alphas):
-        return _two_level_frame(self.params, alphas)[0]
+        return _two_level_frame(self.params, alphas)
 
     def energies(self, alphas):
         """Both energy branches on a grid, continuous along it, shape (2, M)."""
@@ -541,8 +430,7 @@ class BipartiteModel:
     period: ClassVar[float] = _TWO_PI
 
     def eigen_path(self, alphas):
-        return _bipartite_frame(self.params,
-                                _HoppingHalf(self.params, alphas))[0]
+        return _bipartite_frame(self.params, _HoppingHalf(self.params, alphas))
 
     def energies(self, alphas):
         p = self.params

@@ -65,12 +65,6 @@ def _applicable_labels(q, eta, lo, hi):
     return tuple(labels)
 
 
-def complex_gap(p, k):
-    """Complex band separation E_plus - E_minus at momentum k."""
-    rad = _chain_radicand(p.v, p.v_prime, p.gamma, math.cos(k))
-    return complex(2.0 * np.sqrt(complex(rad)))
-
-
 def classify_region(q, eta):
     """Region of the (q, eta) plane from the closed inequalities alone.
 

@@ -45,7 +45,7 @@ def _chain(q, eta):
 
 def _analytic_connection(loop, model):
     alphas, _, n = loop_grid(loop)
-    return model.eigen_path(alphas).connection[:, :, PAD:PAD + n]
+    return model.eigen_path(alphas).connection[:, PAD:PAD + n]
 
 
 def test_connection_vanishes_for_constant_frame():
@@ -74,34 +74,39 @@ def test_connection_bipartite_pauli_decomposition():
     # The connection splits as
     #   (1/2)(s0 + sz cos chi - sx sin chi) dtheta - (i/2) sy dchi.
     # Trace and mixing angle come from independent routes: the winding
-    # rate method and central differences of the pointwise closed form.
-    from berryline.models import bipartite_closed_form
-
-    params = BipartiteParams.from_ratios(2.0, 0.5)
-    model = BipartiteModel(params)
+    # rate method and central differences of the frame's mixing angle at
+    # single points.
+    model = _chain(2.0, 0.5)
     loop = standard_loop(BIPARTITE, 512)
     connection = fd_connection(loop, model)
     step = 1e-6
+
+    def chi_at(k):
+        return model.eigen_path(np.array([k])).chi[0]
+
     for j in range(0, loop.n, 37):
         k = float(loop.samples[j])
         a = connection[:, :, j]
         dtheta = float(model.winding_rate(np.array([k]))[0])
-        chi = bipartite_closed_form(params, k)[0].chi_k
-        dchi = (bipartite_closed_form(params, k + step)[0].chi_k
-                - bipartite_closed_form(params, k - step)[0].chi_k) / (2.0 * step)
+        chi = chi_at(k)
+        dchi = (chi_at(k + step) - chi_at(k - step)) / (2.0 * step)
         assert abs((a[0, 0] + a[1, 1]) - dtheta) < 1e-7
         assert abs((a[0, 0] - a[1, 1]) - np.cos(chi) * dtheta) < 1e-6
         assert abs((a[0, 1] + a[1, 0]) + np.sin(chi) * dtheta) < 1e-6
         assert abs((a[0, 1] - a[1, 0]) + 1j * dchi) < 1e-5
 
 
-def test_connection_fd_matches_analytic():
-    model = _chain(2.0, 0.5)
-    loop = standard_loop(BIPARTITE, 512)
+@pytest.mark.parametrize("model", [
+    _chain(2.0, 0.5),
+    TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)),
+], ids=["bipartite", "two-level"])
+def test_connection_fd_matches_analytic(model):
+    loop = standard_loop(model.kind, 512)
     fd = fd_connection(loop, model)
     an = _analytic_connection(loop, model)
-    assert fd.shape == an.shape == (2, 2, 512)
-    assert np.abs(fd - an).max() < 1e-7
+    assert fd.shape == (2, 2, 512)
+    assert an.shape == (2, 512)
+    assert np.abs(fd[[0, 1], [0, 1]] - an).max() < 1e-7
 
 
 def test_band_phase_lossless_chain_is_a_step():
@@ -273,7 +278,7 @@ def test_resolution_convergence_is_at_least_fourth_order():
     def gamma_at(n):
         k = -np.pi + (np.arange(n) + 1.0) * (2.0 * np.pi / n)
         path = model.eigen_path(k)
-        return complex(np.sum(path.connection[0, 0]) * (2.0 * np.pi / n))
+        return complex(np.sum(path.connection[0]) * (2.0 * np.pi / n))
 
     reference = gamma_at(8192)
     errors = [abs(gamma_at(n) - reference) for n in (16, 32, 64)]
@@ -286,7 +291,7 @@ def test_trace_additivity_and_real_total():
     model = TwoLevelModel(p)
     phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     path = model.eigen_path(phis)
-    diag_sum = path.connection[0, 0] + path.connection[1, 1]
+    diag_sum = path.connection[0] + path.connection[1]
     assert np.max(np.abs(path.trace_connection - diag_sum)) < 1e-10
     # the amplitude-asymmetry term integrates out over a full period
     total = np.sum(path.trace_connection) * (2.0 * np.pi / 512)

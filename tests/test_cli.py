@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from berryline import cli, spectrum
+from berryline import cli, evolution, spectrum
 from berryline.cli import build_parser, main
 from berryline.errors import AmplitudeOutOfRange
 
@@ -320,6 +320,23 @@ def test_evolve_cycle_time_without_a_default_step_count_exits_1(capsys):
                    "time\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--T", "1e12"), "need at most 16777216 steps, got 10000000000000"),
+    (("--T", "2", "--steps", "16777217"),
+     "need at most 16777216 steps, got 16777217"),
+], ids=["long-cycle", "explicit-steps"])
+def test_evolve_step_counts_above_the_cap_exit_1(capsys, monkeypatch, flags,
+                                                 message):
+    # a long cycle time asks for 10 T steps; without the cap it never ends
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("the cycle started")
+
+    monkeypatch.setattr(evolution, "_propagate", no_cycle)
+    code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",
+                         "--eta", "0.3", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_non_finite_results_print_as_null(capsys):
     payload = run_json(capsys, "evolve", "--model", "two-level", "--hx", "1",
                        "--hy", "1", "--hz", "0.2", "--dx", "0.5", "--dy", "0.2",
@@ -486,18 +503,19 @@ def test_repeated_runs_give_identical_bytes(q, eta):
 # Property over the parser's own argv surface: each case draws a command,
 # its flags, and for every value either a token the flag accepts or an
 # adversarial one (zero, negatives, infinities, nan, exponent notation,
-# powers of two up to 2^62, non-integers for integer flags). Accepted
-# values stay small so each case runs in well under a second: sizes at
-# most 1024, axis counts at most 3, short cycles. Step counts have no cap,
-# so a large one is valid and only costs time; none is drawn.
+# powers of two up to 2^62, non-integers for integer flags, cycle times
+# and step counts past the step cap). Accepted values stay small so each
+# case runs in well under a second: sizes at most 1024, axis counts at
+# most 3, short cycles.
 _HOSTILE = ("0", "-1", "-2.5e-3", "inf", "-inf", "nan", "-nan", "1e308",
             "1e400", "-1e400", "0x10", "")
 _BIG = tuple(str(2 ** k) for k in range(17, 63, 5)) + (str(2 ** 62),)
 _TOKENS = {   # flag kind: (accepted tokens, adversarial tokens)
     "float": (("0.3", "0.5", "1", "1.5", "2", "3", "1e-1", "2.5e0"),
               _HOSTILE + tuple(str(2 ** k) for k in range(0, 63, 3))),
-    "--T": (("0.5", "2", "1e1", "64", "1e-300"), _HOSTILE),
-    "--steps": (("1000", "1024"), ("0", "-1000", "999", "1000.5", "1e3", "")),
+    "--T": (("0.5", "2", "1e1", "64", "1e-300"), _HOSTILE + ("1e12", "1e300")),
+    "--steps": (("1000", "1024"),
+                ("0", "-1000", "999", "1000.5", "1e3", "", "16777217")),
     "--winding": (("0", "1", "-3"), ("2.5", "nan", "16", str(2 ** 62))),
     "size": (("256", "512", "1024"), ("0", "-16", "24", "16.5", "1e3", "nan")
              + _BIG),

@@ -10,16 +10,13 @@ from berryline.elliptic import closed_form_gamma
 from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
 from berryline.evolution import Schedule, adiabatic_decomposition, evolve
 from berryline.models import (
-    TWO_LEVEL,
     BipartiteModel,
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
-    bipartite_closed_form,
-    two_level_closed_form,
 )
 from berryline.quadrature import pearson_line
-from oracles import scalar_rk4
+from oracles import point_system, scalar_rk4
 
 
 def _tl(h, d, theta):
@@ -44,8 +41,25 @@ def test_schedule_rejects_bad_periods_and_paths():
     for bad in (0.0, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             Schedule(period_T=bad, steps=1000)
-    with pytest.raises(ValueError):
-        Schedule(period_T=1.0, steps=1000, path=3.0)
+    # the drive is always alpha(t) = 2 pi t / T; no other path is taken
+    with pytest.raises(TypeError):
+        Schedule(period_T=1.0, steps=1000, path=lambda t: t)
+
+
+def test_schedule_refuses_unbounded_and_non_integer_step_counts():
+    # 2^24 steps is about 10 s of RK4; a count past it would run on
+    # without bound as T grows, and a fractional count used to truncate
+    assert Schedule(period_T=1.0, steps=2 ** 24).steps == 2 ** 24
+    assert Schedule(period_T=1.0, steps=np.int64(1000)).steps == 1000
+    for steps, message in (
+            (2 ** 24 + 1, "need at most 16777216 steps, got 16777217"),
+            (10 ** 13, "need at most 16777216 steps, got 10000000000000"),
+            (1000.5, "step count must be an integer, got 1000.5"),
+            (1000.0, "step count must be an integer, got 1000.0"),
+            ("1000", "step count must be an integer, got '1000'")):
+        with pytest.raises(ValueError) as info:
+            Schedule(period_T=1.0, steps=steps)
+        assert str(info.value) == message
 
 
 def test_schedule_default_path_is_linear_over_one_turn():
@@ -90,14 +104,6 @@ def test_evolve_input_guards():
         evolve(model, sched, (math.nan, 1.0))
     with pytest.raises(ValueError):
         evolve(model, sched, (1.0, 0.0), record_every=0)
-
-
-def test_evolve_rejects_paths_that_miss_one_period():
-    model = TwoLevelModel(_tl((0.7, 0.4, 1.0), (0.0, 0.0, 0.0), 0.0))
-    sched = Schedule(period_T=1.0, steps=1000,
-                     path=lambda t: 4.0 * math.pi * np.asarray(t, dtype=float))
-    with pytest.raises(ValueError):
-        evolve(model, sched, (1.0, 0.0))
 
 
 def test_dual_evolution_matches_forward_for_hermitian_matrices():
@@ -302,9 +308,7 @@ def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
 def test_decomposition_matches_the_scalar_oracle(model, T, steps):
     sched = Schedule(period_T=T, steps=steps)
     r = adiabatic_decomposition(model, sched, "plus")
-    closed_form = (two_level_closed_form if model.kind == TWO_LEVEL
-                   else bipartite_closed_form)
-    _, system = closed_form(model.params, 0.0)
+    system = point_system(model, 0.0)
     lam = np.conj(system.left("plus"))
     psi, log_scale, turn, _ = scalar_rk4(model, sched, system.right("plus"),
                                          project=lam)
@@ -333,7 +337,7 @@ def test_guards_fire_at_the_oracle_steps():
     # turn: |E| h reaches 2.5 rad per step a quarter into the cycle
     model = TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2))
     sched = Schedule(period_T=100.0, steps=1000)
-    _, system = two_level_closed_form(model.params, 0.0)
+    system = point_system(model, 0.0)
     with pytest.raises(StepTooLarge) as ours:
         adiabatic_decomposition(model, sched, "plus")
     with pytest.raises(StepTooLarge) as ref:
@@ -346,7 +350,7 @@ def test_guards_fire_at_the_oracle_steps():
 def test_band_leakage_matches_the_oracle():
     model = _chain(2.0, 0.3)
     sched = Schedule(period_T=1.0, steps=1000)
-    _, system = bipartite_closed_form(model.params, 0.0)
+    system = point_system(model, 0.0)
     psi, _, _, _ = scalar_rk4(model, sched, system.right("plus"),
                               project=np.conj(system.left("plus")))
     leak = abs(np.conj(system.left("minus")) @ psi) / abs(

@@ -18,15 +18,13 @@ from berryline.models import (
     ParameterLoop,
     TwoLevelModel,
     TwoLevelParams,
-    bipartite_closed_form,
     loop_grid,
     standard_loop,
-    two_level_closed_form,
 )
 from berryline.quadrature import PAD
 
 from oracles import (assemble_two_level, bloch_matrix, char_poly_eigs,
-                     dense_winding, eig2, matrix_at)
+                     dense_winding, eig2, matrix_at, point_system)
 
 
 def _tl(h, d, theta):
@@ -92,15 +90,19 @@ def test_hermitian_closed_form_reduction():
     # loses its phi dependence, the amplitude asymmetry is one, and the
     # off-diagonal phase splits into exactly +/- phi.
     h, hz, theta, phi = 1.4, 0.6, 1.1, 0.7
-    p = _tl((h, h, hz), (0.0, 0.0, 0.0), theta)
-    derived, system = two_level_closed_form(p, phi)
+    model = TwoLevelModel(_tl((h, h, hz), (0.0, 0.0, 0.0), theta))
+    path = model.eigen_path(np.array([phi]))
     e = math.sqrt(h * h * math.sin(theta) ** 2 + hz * hz * math.cos(theta) ** 2)
-    assert abs(system.eigenvalue("plus") - e) < 1e-14
-    assert abs(system.eigenvalue("minus") + e) < 1e-14
-    assert abs(derived.rho - 1.0) < 1e-14
-    assert abs(derived.nu_minus - phi) < 1e-14
-    assert abs(derived.nu1 + phi) < 1e-14
-    assert abs(derived.nu2 - phi) < 1e-14
+    assert abs(path.values[0, 0] - e) < 1e-14
+    assert abs(path.values[1, 0] + e) < 1e-14
+    assert abs(path.winding_phase[0] - phi) < 1e-14
+    # the plus ket's upper entry is rho exp(-i nu_minus) times the minus
+    # ket's lower one, with rho the amplitude asymmetry
+    ratio = path.right[0, 0, 0] / path.right[1, 1, 0]
+    assert abs(ratio - np.exp(-1j * phi)) < 1e-14
+    m = matrix_at(model, phi)
+    assert abs(np.angle(m[0, 1]) + phi) < 1e-14
+    assert abs(np.angle(m[1, 0]) - phi) < 1e-14
 
 
 def test_closed_form_residuals_random_draws():
@@ -111,7 +113,7 @@ def test_closed_form_residuals_random_draws():
         d = rng.uniform(-0.5, 0.5, 3)
         p = _tl(h, d, rng.uniform(0.2, np.pi - 0.2))
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        derived, system = two_level_closed_form(p, phi)
+        system = point_system(TwoLevelModel(p), phi)
         arr = matrix_at(TwoLevelModel(p), phi)
         for band in ("plus", "minus"):
             psi = system.right(band)
@@ -132,10 +134,10 @@ def test_closed_form_residuals_random_draws():
 
 def test_closed_form_mixing_angle_identity():
     p = _tl((1.0, 1.5, 0.8), (0.2, -0.1, 0.3), 1.2)
-    derived, system = two_level_closed_form(p, 0.9)
+    path = TwoLevelModel(p).eigen_path(np.array([0.9]))
     z = complex(p.h_z, p.d_z)
-    cos_chi = z * math.cos(p.theta) / system.eigenvalue("plus")
-    assert abs(np.cos(derived.chi) - cos_chi) < 1e-12
+    cos_chi = z * math.cos(p.theta) / path.values[0, 0]
+    assert abs(np.cos(path.chi[0]) - cos_chi) < 1e-12
 
 
 def test_off_diagonal_phase_winding_with_dominant_amplitudes():
@@ -161,7 +163,7 @@ def test_closed_form_rejects_vanishing_dual_amplitude():
     # h_x = d_x and h_y = d_y kill the lower off-diagonal entry outright.
     p = _tl((1.0, 1.0, 0.5), (1.0, 1.0, 0.0), 1.0)
     with pytest.raises(SingularParameters):
-        two_level_closed_form(p, 0.4)
+        TwoLevelModel(p).eigen_path(np.array([0.4]))
 
 
 def test_bloch_matrix_examples():
@@ -219,20 +221,21 @@ def test_bipartite_param_guards():
 def test_bipartite_hermitian_closed_form():
     p = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.0, eps_a=0.4)
     k = 0.9
-    derived, system = bipartite_closed_form(p, k)
+    path = BipartiteModel(p).eigen_path(np.array([k]))
+    system = point_system(BipartiteModel(p), k)
     vk = 1.0 + 2.0 * np.exp(-1j * k)
     assert abs(system.eigenvalue("plus") - (0.4 + abs(vk))) < 1e-14
     assert abs(system.eigenvalue("minus") - (0.4 - abs(vk))) < 1e-14
-    assert derived.chi_k == np.pi / 2
+    assert path.chi[0] == np.pi / 2
     r = 1.0 / np.sqrt(2.0)
-    phase = np.exp(-1j * derived.theta_k)
+    phase = np.exp(-1j * path.winding_phase[0])
     assert np.max(np.abs(system.right("plus") - [phase * r, r])) < 1e-14
     assert np.max(np.abs(system.right("minus") - [-phase * r, r])) < 1e-14
 
 
 def test_bipartite_closed_form_frozen_point():
-    derived, system = bipartite_closed_form(
-        BipartiteParams(v=1.0, v_prime=2.0, gamma=0.5), 0.0)
+    system = point_system(
+        BipartiteModel(BipartiteParams(v=1.0, v_prime=2.0, gamma=0.5)), 0.0)
     root = np.sqrt(8.75)
     assert abs(system.eigenvalue("plus") - (root - 0.5j)) < 1e-14
     assert abs(system.eigenvalue("minus") - (-root - 0.5j)) < 1e-14
@@ -241,7 +244,7 @@ def test_bipartite_closed_form_frozen_point():
 def test_bipartite_closed_form_vs_characteristic_roots():
     p = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.5)
     k = np.pi / 3
-    derived, system = bipartite_closed_form(p, k)
+    system = point_system(BipartiteModel(p), k)
     want = char_poly_eigs(bloch_matrix(1.0, 2.0, 0.5, k, 0.0))
     assert abs(system.eigenvalue("plus") - want[0]) < 1e-13
     assert abs(system.eigenvalue("minus") - want[1]) < 1e-13
@@ -249,16 +252,16 @@ def test_bipartite_closed_form_vs_characteristic_roots():
 
 def test_bipartite_mixing_angle_identity():
     p = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.5)
-    derived, _ = bipartite_closed_form(p, 1.0)
+    chi = BipartiteModel(p).eigen_path(np.array([1.0])).chi[0]
     # tan of the mixing angle reproduces |v_k| / (i Gamma)
-    want = abs(derived.v_k) / (1j * p.gamma)
-    assert abs(np.tan(derived.chi_k) - want) < 1e-12
+    want = abs(bloch_matrix(1.0, 2.0, 0.5, 1.0)[0, 1]) / (1j * p.gamma)
+    assert abs(np.tan(chi) - want) < 1e-12
 
 
 def test_bipartite_interference_zero_is_a_crossing():
     p = BipartiteParams.from_ratios(1.0, 1.0)
     with pytest.raises(TrueCrossing):
-        bipartite_closed_form(p, np.pi)
+        BipartiteModel(p).eigen_path(np.array([np.pi]))
 
 
 def test_bipartite_radicand_zero_is_a_crossing():
@@ -267,7 +270,7 @@ def test_bipartite_radicand_zero_is_a_crossing():
     p = BipartiteParams.from_ratios(2.0, 1.5)
     k0 = math.acos((1.5**2 - 5.0) / 4.0)
     with pytest.raises(TrueCrossing):
-        bipartite_closed_form(p, k0)
+        BipartiteModel(p).eigen_path(np.array([k0]))
 
 
 def test_standard_loops():
@@ -360,7 +363,7 @@ def test_closed_form_eigenvalues_match_eig2_both_models():
         d = rng.uniform(-0.4, 0.4, 3)
         p = _tl(h, d, rng.uniform(0.3, np.pi - 0.3))
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        _, system = two_level_closed_form(p, phi)
+        system = point_system(TwoLevelModel(p), phi)
         ref = sorted(eig2(matrix_at(TwoLevelModel(p), phi)).eigenvalues,
                      key=lambda z: (z.real, z.imag))
         got = sorted(system.eigenvalues, key=lambda z: (z.real, z.imag))
@@ -369,7 +372,7 @@ def test_closed_form_eigenvalues_match_eig2_both_models():
         bp = BipartiteParams(v=1.0, v_prime=rng.uniform(0.1, 3.0),
                              gamma=rng.uniform(0.0, 0.4))
         k = rng.uniform(-np.pi, np.pi)
-        _, bsys = bipartite_closed_form(bp, k)
+        bsys = point_system(BipartiteModel(bp), k)
         bref = sorted(eig2(matrix_at(BipartiteModel(bp), k)).eigenvalues,
                       key=lambda z: (z.real, z.imag))
         bgot = sorted(bsys.eigenvalues, key=lambda z: (z.real, z.imag))
@@ -491,21 +494,6 @@ def test_winding_rate_depends_on_the_hopping_ratio_alone(q, eta, v):
     # the gapless winding route
     want = q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
     assert np.abs(model.winding_rate(k) - want).max() <= 1e-12 * np.abs(want).max()
-
-
-@_PROPERTY
-@given(_models, st.floats(-4.0, 8.0))
-def test_eigen_path_at_one_point_is_the_closed_form(model, alpha):
-    closed_form = (two_level_closed_form if model.kind == TWO_LEVEL
-                   else bipartite_closed_form)
-    try:
-        path = model.eigen_path(np.array([alpha]))
-    except (SingularParameters, DegenerateSpectrum, TrueCrossing):
-        assume(False)
-    _, system = closed_form(model.params, alpha)
-    assert np.array_equal(path.values[:, 0], system.eigenvalues)
-    assert np.array_equal(path.right[:, :, 0], system.right_vectors)
-    assert np.array_equal(path.left[:, :, 0], system.left_vectors)
 
 
 @_PROPERTY
