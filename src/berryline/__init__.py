@@ -11,8 +11,7 @@ can cross-check each other.
 
 from .berry import (BerryPhaseResult, GaugeCheckResult, analytic_q,
                     apply_gauge, band_berry_phase, bipartite_phase_point,
-                    first_order_correction_trace, global_berry_phase,
-                    two_level_phase_point)
+                    global_berry_phase, two_level_phase_point)
 from .elliptic import EllipticArgs, closed_form_gamma, ellip_k, ellip_pi
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      BerrylineError, ClassificationMismatch, DefectiveMatrix,
@@ -26,9 +25,8 @@ from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
                      band_index, standard_loop)
 from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II, CrossingReport,
                        classify_region, verify_region)
-from .sweep import (DivergenceFit, GridCell, PhaseDiagramGrid, QMap,
-                    divergence_scan, phase_diagram, save_phase_diagram,
-                    two_level_q_map)
+from .sweep import (DivergenceFit, PhaseDiagramGrid, QMap, divergence_scan,
+                    phase_diagram, save_phase_diagram, two_level_q_map)
 
 __version__ = "0.1.0"
 
@@ -40,16 +38,15 @@ __all__ = [
     "DefectiveMatrix", "DegenerateSpectrum", "Disagreement", "DivergenceFit",
     "DomainError", "EigenPath", "EllipticArgs", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
-    "GridCell", "NotConverged", "OutsideValidityDomain", "ParameterLoop",
-    "PathTooCoarse", "PhaseDiagramGrid", "QMap", "Schedule",
+    "NotConverged", "OutsideValidityDomain", "ParameterLoop", "PathTooCoarse",
+    "PhaseDiagramGrid", "QMap", "Schedule",
     "SingularLoop", "SingularParameters", "StepTooLarge", "TrueCrossing",
     "TwoLevelModel", "TwoLevelParams", "TYPE_I", "TYPE_II",
     "UndefinedAtTransition",
     "adiabatic_decomposition", "analytic_q", "apply_gauge",
     "band_berry_phase", "band_index", "bipartite_phase_point",
     "classify_region", "closed_form_gamma", "divergence_scan", "ellip_k",
-    "ellip_pi", "evolve", "first_order_correction_trace",
-    "global_berry_phase", "phase_diagram", "save_phase_diagram",
-    "standard_loop", "two_level_phase_point", "two_level_q_map",
-    "verify_region",
+    "ellip_pi", "evolve", "global_berry_phase", "phase_diagram",
+    "save_phase_diagram", "standard_loop", "two_level_phase_point",
+    "two_level_q_map", "verify_region",
 ]

@@ -48,6 +48,7 @@ from .models import (
     TwoLevelParams,
     _at_transition,
     _bipartite_frame,
+    _check_integer,
     _hopping,
     _zone_grid,
     band_index,
@@ -55,7 +56,7 @@ from .models import (
     standard_loop,
 )
 from .quadrature import (MAX_PHASE_STEP, PAD, fd4, refine_dyadically,
-                         spectral_derivative, tanh_sinh, trapezoid_periodic)
+                         tanh_sinh, trapezoid_periodic)
 from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -68,8 +69,8 @@ class BerryPhaseResult:
     """Converged per-band phases and the dual-route global index.
 
     ``q_index`` is the unrounded trace-quadrature value; ``q_rounded`` is
-    its nearest integer when within 1e-6, else None. ``q_quadrature`` and
-    ``q_wilson`` expose both routes separately, and
+    its nearest integer when within 1e-6, else None. ``q_wilson`` is the
+    Wilson-loop route's value, within 1e-6 of ``q_index``, and
     ``refinement_history`` records (N, Q) per accepted grid.
     """
 
@@ -81,25 +82,19 @@ class BerryPhaseResult:
     q_rounded: object
     resolution: int
     refinement_history: list
-    q_quadrature: float
     q_wilson: float
 
 
 @dataclass(frozen=True)
 class GaugeCheckResult:
-    """Transformed frame plus all three gauge-law residuals.
+    """Band phases and index before and after a gauge, with the law residuals.
 
-    ``right``/``left`` hold the transformed frames on the loop samples,
-    ``connection_diag`` the recomputed diagonal connection from them.
-    Residuals are the passing slacks: samplewise connection shift (a),
-    per-band phase shift against 2 pi n (b), and index shift against the
-    winding sum (c).
+    The residuals are the passing slacks of the three shift laws:
+    samplewise connection shift (a), per-band phase shift against 2 pi n
+    (b), and index shift against the winding sum (c). ``resolution`` is
+    the loop sample count at which law (a) held.
     """
 
-    alphas: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    connection_diag: np.ndarray
     gamma_plus: complex
     gamma_minus: complex
     gamma_plus_new: complex
@@ -175,7 +170,7 @@ def _wilson_extrapolated(right, left, n):
 
 def _phase_rung(loop, eigen_path, n):
     """The frame at n samples and its trapezoid phases, as (path, rung)."""
-    alphas, _, _ = loop_grid(loop, n // loop.n)
+    alphas, _ = loop_grid(loop, n)
     path = eigen_path(alphas)
     interior = slice(PAD, PAD + n)
     gamma_plus = complex(trapezoid_periodic(path.connection[0, interior],
@@ -266,8 +261,7 @@ def _assemble_result(rung, history):
         gamma_b_plus=rung.gamma_plus.real, xi_b_plus=rung.gamma_plus.imag,
         gamma_b_minus=rung.gamma_minus.real, xi_b_minus=rung.gamma_minus.imag,
         q_index=rung.q_quad, q_rounded=q_rounded, resolution=rung.n,
-        refinement_history=history, q_quadrature=rung.q_quad,
-        q_wilson=rung.q_wilson)
+        refinement_history=history, q_wilson=rung.q_wilson)
 
 
 def band_berry_phase(loop, model, band):
@@ -476,12 +470,14 @@ def apply_gauge(loop, model, f, band_windings):
     laws checked: (a) the diagonal connection shifts samplewise by the
     derivative of f within 1e-9, (b) each band phase shifts by 2 pi n
     within 1e-8, (c) the index shifts by the winding sum within 1e-6.
+    A declared winding that is not an integer raises ValueError.
     """
-    windings = {"plus": int(band_windings.get("plus", 0)),
-                "minus": int(band_windings.get("minus", 0))}
+    windings = {name: _check_integer(band_windings.get(name, 0),
+                                     f"declared winding on the {name} band")
+                for name in ("plus", "minus")}
     n = max(loop.n, 8192)
     while True:
-        alphas, h, _ = loop_grid(loop, n // loop.n)
+        alphas, h = loop_grid(loop, n)
         f_vals = np.stack([np.asarray(f(alphas, "plus"), dtype=float),
                            np.asarray(f(alphas, "minus"), dtype=float)])
         for b, name in enumerate(("plus", "minus")):
@@ -530,10 +526,6 @@ def apply_gauge(loop, model, f, band_windings):
             "index shift misses the declared winding sum",
             values=(residual_q,))
     return GaugeCheckResult(
-        alphas=alphas[interior].copy(),
-        right=right_t[:, :, interior].copy(),
-        left=left_t[:, :, interior].copy(),
-        connection_diag=a_new,
         gamma_plus=complex(gamma_orig[0]), gamma_minus=complex(gamma_orig[1]),
         gamma_plus_new=complex(gamma_new[0]), gamma_minus_new=complex(gamma_new[1]),
         q_original=q_orig, q_new=q_new,
@@ -543,38 +535,3 @@ def apply_gauge(loop, model, f, band_windings):
         residual_q=float(residual_q),
         winding_plus=windings["plus"], winding_minus=windings["minus"],
         resolution=n)
-
-
-def _correction_max(loop, model, n):
-    alphas, _, _ = loop_grid(loop, n // loop.n)
-    path = model.eigen_path(alphas[PAD:PAD + n])
-    dpsi = spectral_derivative(path.right, loop.period)
-    dlam = spectral_derivative(path.left, loop.period)
-    t1 = np.einsum("cm,cm->m", np.conj(dlam[:, 0, :]), path.right[:, 1, :])
-    t2 = np.einsum("cm,cm->m", np.conj(path.left[:, 1, :]), dpsi[:, 0, :])
-    t3 = np.einsum("cm,cm->m", np.conj(dlam[:, 1, :]), path.right[:, 0, :])
-    t4 = np.einsum("cm,cm->m", np.conj(path.left[:, 0, :]), dpsi[:, 1, :])
-    trace_first_order = (1j * (t1 * t2 - t3 * t4)
-                         / (path.values[0] - path.values[1]))
-    return float(np.abs(trace_first_order).max())
-
-
-def first_order_correction_trace(loop, model):
-    """Largest modulus along the loop of the first-order connection trace.
-
-    The two cross terms cancel identically for biorthonormal frames, so
-    this measures numerical consistency of independently differentiated
-    left and right frames. Fourier differentiation of the periodic paths
-    converges spectrally; the grid doubles from 4096 samples while the
-    probe still improves and sits above 1e-9, so sharply localised frame
-    features get resolved instead of polluting the estimate.
-    """
-    n = max(loop.n, 4096)
-    value = _correction_max(loop, model, n)
-    while value > 1e-9 and n < _MAX_SAMPLES:
-        n *= 2
-        probe = _correction_max(loop, model, n)
-        if not probe < value:
-            break
-        value = probe
-    return value

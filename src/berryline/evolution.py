@@ -31,13 +31,12 @@ this and their defect genuinely vanishes as 1/T.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import _TWO_PI, band_index, standard_loop
+from .models import _TWO_PI, _check_integer, band_index, standard_loop
 from .berry import band_berry_phase
 
 _CHUNK = 1 << 15           # steps per streamed chunk of matrix entries
@@ -67,9 +66,8 @@ class Schedule:
         object.__setattr__(self, "period_T", float(self.period_T))
         if not math.isfinite(self.period_T) or self.period_T <= 0.0:
             raise ValueError(f"cycle time must be positive, got {self.period_T}")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"step count must be an integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps",
+                           _check_integer(self.steps, "step count"))
         if self.steps > _MAX_STEPS:
             raise ValueError(
                 f"need at most {_MAX_STEPS} steps, got {self.steps}")
@@ -213,6 +211,8 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
     hundredfold aborts the run: the step size is unstable against the
     local spectrum, and no later result would mean anything. A final
     state outside the floating-point range raises AmplitudeOutOfRange.
+    ``record_every``, the recording stride in steps, must be a positive
+    integer.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     if not np.all(np.isfinite(psi0)):
@@ -220,7 +220,7 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
     if not np.any(psi0 != 0.0):
         raise ValueError("initial state must be nonzero")
     if record_every is not None:
-        record_every = int(record_every)
+        record_every = _check_integer(record_every, "record_every")
         if record_every <= 0:
             raise ValueError("record_every must be a positive stride")
 

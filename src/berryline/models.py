@@ -149,6 +149,13 @@ class BipartiteParams:
 _MAX_SAMPLES = 65536     # the finest loop, and the default refinement cap
 
 
+def _check_integer(value, name):
+    """``value`` as an int; anything but an integer raises ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_resolution(n):
     """Refuse a loop sample count outside the powers of two from 16 to the cap."""
     if not isinstance(n, numbers.Integral):
@@ -206,17 +213,16 @@ def standard_loop(kind, n):
     return ParameterLoop(kind, n)
 
 
-def loop_grid(loop, refine=1):
-    """Padded evaluation grid for a loop at ``refine`` times its resolution.
+def loop_grid(loop, n):
+    """Padded evaluation grid of n samples per period of a loop.
 
-    Returns (alphas, spacing, n) where alphas holds n + 2*PAD uniformly
+    Returns (alphas, spacing) where alphas holds n + 2*PAD uniformly
     spaced values starting PAD steps before the loop anchor; index PAD + n
     is the closure point one full period past the anchor.
     """
-    n = loop.n * int(refine)
     h = loop.period / n
     alphas = loop.samples[0] + np.arange(-PAD, n + PAD) * h
-    return alphas, h, n
+    return alphas, h
 
 
 @dataclass(frozen=True)

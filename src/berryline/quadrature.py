@@ -34,25 +34,6 @@ def fd4(padded, h):
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
 
 
-def spectral_derivative(samples, period, axis=-1):
-    """Derivative of smooth samples covering exactly one period, by FFT.
-
-    Truncation decays exponentially with the sample count for analytic
-    inputs, so the rounding floor is reached at far coarser grids than a
-    finite-difference stencil allows. The unmatched Nyquist mode of even
-    grids is dropped; it carries no usable derivative information.
-    """
-    f = np.asarray(samples)
-    n = f.shape[axis]
-    wave = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        wave[n // 2] = 0.0
-    shape = [1] * f.ndim
-    shape[axis] = n
-    factor = (2j * np.pi / period) * wave.reshape(shape)
-    return np.fft.ifft(np.fft.fft(f, axis=axis) * factor, axis=axis)
-
-
 def trapezoid_periodic(values, period):
     """Trapezoid sum of uniform samples covering exactly one period.
 

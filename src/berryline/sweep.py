@@ -9,7 +9,8 @@ evaluator (a phase-diagram column shares only what depends on q alone),
 so a cell never differs from what a user would get by asking for that
 point directly.
 
-CSV output is written atomically with 17-significant-digit floats so
+The CSV is written atomically straight from the grid's arrays, one row
+per cell with eta outer and q inner, in 17-significant-digit floats so
 reruns are byte-identical; the JSON sidecar carries axes, parameters,
 tool version, and a timestamp (honoring SOURCE_DATE_EPOCH when set, for
 reproducible output trees).
@@ -29,7 +30,8 @@ from .berry import (_ChainColumn, _chain_point, analytic_q,
                     bipartite_phase_point, two_level_phase_point)
 from .errors import BadResolution, BerrylineError, NotConverged
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams, _at_transition,
-                     _check_ratios, _check_resolution, standard_loop)
+                     _check_integer, _check_ratios, _check_resolution,
+                     standard_loop)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
@@ -46,21 +48,6 @@ def _tool_version():
         return version("berryline")
     except Exception:
         return "0.1.0"
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """One (q, eta) record of a phase diagram."""
-
-    q: float
-    eta: float
-    gamma_g_plus: float
-    xi_g_plus: float
-    gamma_g_minus: float
-    xi_g_minus: float
-    q_index: float
-    region: str
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -82,23 +69,6 @@ class PhaseDiagramGrid:
     region: np.ndarray
     converged: np.ndarray
     samples_per_loop: int
-
-    def cell(self, eta_i, q_j):
-        return GridCell(
-            q=float(self.q_axis[q_j]), eta=float(self.eta_axis[eta_i]),
-            gamma_g_plus=float(self.gamma_g_plus[eta_i, q_j]),
-            xi_g_plus=float(self.xi_g_plus[eta_i, q_j]),
-            gamma_g_minus=float(self.gamma_g_minus[eta_i, q_j]),
-            xi_g_minus=float(self.xi_g_minus[eta_i, q_j]),
-            q_index=float(self.q_index[eta_i, q_j]),
-            region=str(self.region[eta_i, q_j]),
-            converged=bool(self.converged[eta_i, q_j]))
-
-    def cells(self):
-        """All cells in output order: eta outer, q inner."""
-        for i in range(self.eta_axis.size):
-            for j in range(self.q_axis.size):
-                yield self.cell(i, j)
 
 
 def _near_critical(q, eta):
@@ -179,23 +149,14 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     else:
         columns = [_diagram_column(a) for a in args]
 
-    shape = (eta_axis.size, q_axis.size)
-    gp = np.empty(shape)
-    xp = np.empty(shape)
-    gm = np.empty(shape)
-    xm = np.empty(shape)
-    qi = np.empty(shape)
-    region = np.empty(shape, dtype=object)
-    conv = np.empty(shape, dtype=bool)
-    for j, column in enumerate(columns):
-        for i, cell in enumerate(column):
-            gp[i, j], xp[i, j], gm[i, j], xm[i, j], qi[i, j] = cell[:5]
-            region[i, j] = cell[5]
-            conv[i, j] = cell[6]
+    # the cells' 7-tuples, indexed [eta, q, field]
+    table = np.array(columns, dtype=object).transpose(1, 0, 2)
+    gp, xp, gm, xm, qi = (table[..., k].astype(float) for k in range(5))
     return PhaseDiagramGrid(
         q_axis=q_axis, eta_axis=eta_axis, gamma_g_plus=gp, xi_g_plus=xp,
-        gamma_g_minus=gm, xi_g_minus=xm, q_index=qi, region=region,
-        converged=conv, samples_per_loop=samples)
+        gamma_g_minus=gm, xi_g_minus=xm, q_index=qi,
+        region=table[..., 5].copy(), converged=table[..., 6].astype(bool),
+        samples_per_loop=samples)
 
 
 def _fmt(x):
@@ -211,14 +172,15 @@ def _write_atomic(path, text):
 
 def save_phase_diagram(grid, path):
     """Write the grid as CSV plus a JSON sidecar at path + ".json"."""
+    values = (grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
+              grid.xi_g_minus, grid.q_index)
     lines = [_CSV_HEADER]
-    for cell in grid.cells():
-        lines.append(",".join([
-            _fmt(cell.q), _fmt(cell.eta),
-            _fmt(cell.gamma_g_plus), _fmt(cell.xi_g_plus),
-            _fmt(cell.gamma_g_minus), _fmt(cell.xi_g_minus),
-            _fmt(cell.q_index), cell.region,
-            "true" if cell.converged else "false"]))
+    for i, eta in enumerate(grid.eta_axis):
+        for j, q in enumerate(grid.q_axis):
+            lines.append(",".join([
+                _fmt(q), _fmt(eta), *(_fmt(v[i, j]) for v in values),
+                str(grid.region[i, j]),
+                "true" if grid.converged[i, j] else "false"]))
     _write_atomic(path, "\n".join(lines) + "\n")
 
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -268,9 +230,10 @@ def divergence_scan(q_fixed, line, decades=8):
     Line "d1" is eta = q + 1, approached from inside the gapless region,
     fitting the real part's magnitude; "d2" is eta = |q - 1|, approached
     from the weak-loss side, fitting the imaginary part. Points are
-    eta_c (1 - 10^-j) for j = 1..decades; a fit needs at least 6
-    survivors.
+    eta_c (1 - 10^-j) for j = 1..decades, an integer; a fit needs at
+    least 6 survivors.
     """
+    decades = _check_integer(decades, "decades")
     q_fixed = float(q_fixed)
     _check_ratios(q_fixed, 0.0)  # eta is scanned below
     if _at_transition(q_fixed):
@@ -288,7 +251,7 @@ def divergence_scan(q_fixed, line, decades=8):
     values = []
     gammas = []
     excluded = []
-    for j in range(1, int(decades) + 1):
+    for j in range(1, decades + 1):
         eta = eta_c * (1.0 - 10.0 ** (-j))
         try:
             r = bipartite_phase_point(q_fixed, eta, cap=cap)

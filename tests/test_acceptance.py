@@ -13,7 +13,6 @@ import numpy as np
 from berryline.berry import (
     apply_gauge,
     bipartite_phase_point,
-    first_order_correction_trace,
     two_level_phase_point,
 )
 from berryline.elliptic import closed_form_gamma, ellip_k, ellip_pi
@@ -32,7 +31,8 @@ from berryline.quadrature import pearson_line
 from berryline.spectrum import classify_region, verify_region
 from berryline.sweep import divergence_scan, phase_diagram
 
-from oracles import agm_k, draw_bipartite, draw_two_level, quad_k, quad_pi
+from oracles import (agm_k, draw_bipartite, draw_two_level,
+                     first_order_correction_trace, quad_k, quad_pi)
 
 
 def _chain(q, eta):

@@ -13,7 +13,6 @@ from berryline.berry import (
     apply_gauge,
     band_berry_phase,
     bipartite_phase_point,
-    first_order_correction_trace,
     global_berry_phase,
     two_level_phase_point,
 )
@@ -31,7 +30,8 @@ from berryline.models import (
 )
 from berryline.quadrature import PAD
 
-from oracles import draw_two_level, fd_connection
+from oracles import (draw_two_level, fd_connection,
+                     first_order_correction_trace)
 
 
 def _tl(h, d, theta):
@@ -44,8 +44,8 @@ def _chain(q, eta):
 
 
 def _analytic_connection(loop, model):
-    alphas, _, n = loop_grid(loop)
-    return model.eigen_path(alphas).connection[:, PAD:PAD + n]
+    alphas, _ = loop_grid(loop, loop.n)
+    return model.eigen_path(alphas).connection[:, PAD:PAD + loop.n]
 
 
 def test_connection_vanishes_for_constant_frame():
@@ -179,7 +179,7 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
                         lambda right, left, n: wilson(right, left, n) + 0.5)
     with pytest.raises(Disagreement, match="Wilson loop give different") as err:
         global_berry_phase(loop, model, cap=2048)
-    assert err.value.values == (clean.q_quadrature, clean.q_wilson + 0.5)
+    assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
     # an aliased Wilson route on every settled rung leaves nothing to compare
     monkeypatch.setattr(berry, "_wilson_extrapolated",
                         lambda right, left, n: None)
@@ -210,7 +210,7 @@ def test_global_phase_quantization_random_draws():
             assert abs(result.q_index - result.q_rounded) < 1e-6
             assert analytic_q(params) == expected
             # both routes stored and in agreement on every accepted run
-            assert abs(result.q_quadrature - result.q_wilson) <= 1e-6
+            assert abs(result.q_index - result.q_wilson) <= 1e-6
 
 
 def test_global_phase_hermitian_reality():
@@ -248,7 +248,7 @@ def test_gapless_region_phases():
     # the EP-free winding routes, and the band phases pair up.
     r = bipartite_phase_point(1.5, 1.0)
     assert r.q_rounded == 1
-    assert abs(r.q_quadrature - r.q_wilson) <= 1e-6
+    assert abs(r.q_index - r.q_wilson) <= 1e-6
     assert abs(r.xi_b_plus + r.xi_b_minus) < 1e-12
     assert abs((r.gamma_b_plus + r.gamma_b_minus)
                - 2.0 * math.pi * r.q_index) < 1e-9
@@ -347,6 +347,13 @@ def test_gauge_declared_winding_must_match():
     zero = lambda alphas, band: np.zeros_like(alphas)
     with pytest.raises(GaugeMismatch):
         apply_gauge(loop, model, zero, {"plus": 1, "minus": 0})
+    # a declaration is an integer, never truncated to one
+    turn = lambda alphas, band: alphas if band == "plus" else 0.0 * alphas
+    for declared in (1.7, "1", 1.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            apply_gauge(loop, model, turn, {"plus": declared})
+    checked = apply_gauge(loop, model, turn, {"plus": np.int64(1)})
+    assert checked.winding_plus == 1
 
 
 _GAUGE_MODELS = {

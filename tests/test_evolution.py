@@ -104,6 +104,11 @@ def test_evolve_input_guards():
         evolve(model, sched, (math.nan, 1.0))
     with pytest.raises(ValueError):
         evolve(model, sched, (1.0, 0.0), record_every=0)
+    for stride in (128.9, "128", 128.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            evolve(model, sched, (1.0, 0.0), record_every=stride)
+    _, records = evolve(model, sched, (1.0, 0.0), record_every=np.int64(500))
+    assert len(records) == 3
 
 
 def test_dual_evolution_matches_forward_for_hermitian_matrices():

@@ -335,11 +335,11 @@ def test_loop_samples_are_the_family_grids(n):
 
 def test_loop_grid_padding():
     loop = standard_loop(TWO_LEVEL, 32)
-    alphas, h, n = loop_grid(loop, refine=2)
-    assert n == 64
-    assert alphas.size == n + 2 * PAD
+    alphas, h = loop_grid(loop, 64)
+    assert h == loop.period / 64
+    assert alphas.size == 64 + 2 * PAD
     assert abs(alphas[PAD] - loop.samples[0]) < 1e-15
-    assert abs(alphas[PAD + n] - (loop.samples[0] + loop.period)) < 1e-12
+    assert abs(alphas[PAD + 64] - (loop.samples[0] + loop.period)) < 1e-12
 
 
 def test_matrix_periodicity():

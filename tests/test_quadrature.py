@@ -10,11 +10,12 @@ from berryline.quadrature import (
     fd4,
     pearson_line,
     refine_dyadically,
-    spectral_derivative,
     tanh_sinh,
     trapezoid_periodic,
     unwrap_checked,
 )
+
+from oracles import spectral_derivative
 
 
 def _ghosted(func, x0, n, h):

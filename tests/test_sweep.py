@@ -32,50 +32,51 @@ def strong_grid():
     return phase_diagram((1.5, 2.5), (0.0, 0.1), 3, 3)
 
 
+@pytest.fixture(scope="module")
+def mixed_grid():
+    # all three regions, and a column by q = 1 that cannot converge
+    return phase_diagram((0.9995, 2.0005), (0.05, 3.25), 3, 5)
+
+
 def test_weak_hopping_patch_is_trivial(weak_grid):
     assert weak_grid.q_axis.shape == (3,)
     assert weak_grid.eta_axis.shape == (3,)
-    for cell in weak_grid.cells():
-        assert cell.converged
-        assert cell.region == TYPE_I
-        assert abs(cell.q_index) < 1e-6
+    assert weak_grid.converged.all()
+    assert (weak_grid.region == TYPE_I).all()
+    assert np.abs(weak_grid.q_index).max() < 1e-6
 
 
 def test_strong_hopping_patch_is_wound(strong_grid):
-    for cell in strong_grid.cells():
-        assert cell.converged
-        assert cell.region == TYPE_I
-        assert abs(cell.q_index - 1.0) < 1e-6
-        assert abs(cell.gamma_g_plus - math.pi) < 1e-6
+    assert strong_grid.converged.all()
+    assert (strong_grid.region == TYPE_I).all()
+    assert np.abs(strong_grid.q_index - 1.0).max() < 1e-6
+    assert np.abs(strong_grid.gamma_g_plus - math.pi).max() < 1e-6
 
 
-def test_cells_match_the_direct_point_evaluator():
+def test_cells_match_the_direct_point_evaluator(mixed_grid):
     # a column shares only what depends on q, so every cell is bit for bit
-    # the direct evaluator's value, or NaN exactly where it refuses; the
-    # grid holds all three regions, several gapless cells in one column,
-    # and a column next to q = 1 that the evaluator cannot converge
-    grid = phase_diagram((0.9995, 2.0005), (0.05, 3.25), 3, 5)
+    # the direct evaluator's value, or NaN exactly where it refuses
+    grid = mixed_grid
     assert set(grid.region.ravel()) == {TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING}
     gapless = (grid.region == GAPLESS_TRUE_CROSSING) & np.isfinite(grid.q_index)
     assert gapless.sum(axis=0).max() >= 3
     assert np.isnan(grid.q_index[:, 0]).all()
     finite = 0
-    for c in grid.cells():
+    for i, j in np.ndindex(grid.q_index.shape):
+        q, eta = float(grid.q_axis[j]), float(grid.eta_axis[i])
+        cell = [float(v[i, j]) for v in (
+            grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
+            grid.xi_g_minus, grid.q_index)]
         try:
-            direct = bipartite_phase_point(c.q, c.eta,
-                                           n0=grid.samples_per_loop)
+            direct = bipartite_phase_point(q, eta, n0=grid.samples_per_loop)
         except BerrylineError:
-            assert all(math.isnan(v) for v in (
-                c.gamma_g_plus, c.xi_g_plus, c.gamma_g_minus, c.xi_g_minus,
-                c.q_index)), c
-            assert not c.converged
+            assert all(math.isnan(v) for v in cell), (q, eta)
+            assert not grid.converged[i, j]
             continue
         finite += 1
-        assert c.gamma_g_plus == direct.gamma_b_plus, c
-        assert c.xi_g_plus == direct.xi_b_plus, c
-        assert c.gamma_g_minus == direct.gamma_b_minus, c
-        assert c.xi_g_minus == direct.xi_b_minus, c
-        assert c.q_index == direct.q_index, c
+        assert cell == [direct.gamma_b_plus, direct.xi_b_plus,
+                        direct.gamma_b_minus, direct.xi_b_minus,
+                        direct.q_index], (q, eta)
     assert finite == 10
 
 
@@ -182,29 +183,29 @@ def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
     assert np.array_equal(serial.q_index, pooled.q_index)
 
 
-def test_csv_layout_and_roundtrip(strong_grid, tmp_path):
-    path = str(tmp_path / "patch.csv")
-    save_phase_diagram(strong_grid, path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 9
-    for line, cell in zip(lines[1:], strong_grid.cells()):
-        f = line.split(",")
-        assert len(f) == 9
-        # 17 significant digits means parsing back is exact
-        assert float(f[0]) == cell.q
-        assert float(f[1]) == cell.eta
-        assert float(f[2]) == cell.gamma_g_plus
-        assert float(f[3]) == cell.xi_g_plus
-        assert float(f[4]) == cell.gamma_g_minus
-        assert float(f[5]) == cell.xi_g_minus
-        assert float(f[6]) == cell.q_index
-        assert f[7] == cell.region
-        assert f[8] == ("true" if cell.converged else "false")
-    # row order is eta outer, q inner
-    assert float(lines[1].split(",")[0]) == strong_grid.q_axis[0]
-    assert float(lines[2].split(",")[0]) == strong_grid.q_axis[1]
+def test_csv_layout_and_roundtrip(strong_grid, mixed_grid, tmp_path):
+    # the mixed grid pins the nan/false rows of refused cells too
+    assert np.isnan(mixed_grid.q_index).any()
+    for name, grid in (("strong", strong_grid), ("mixed", mixed_grid)):
+        path = str(tmp_path / f"{name}.csv")
+        save_phase_diagram(grid, path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == CSV_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert [len(f) for f in rows] == [9] * grid.q_index.size
+        # row order is eta outer, q inner
+        eta, q = np.meshgrid(grid.eta_axis, grid.q_axis, indexing="ij")
+        floats = (q, eta, grid.gamma_g_plus, grid.xi_g_plus,
+                  grid.gamma_g_minus, grid.xi_g_minus, grid.q_index)
+        for k, expected in enumerate(floats):
+            # 17 significant digits means parsing back is bit-exact
+            parsed = np.array([float(f[k]) for f in rows])
+            assert np.array_equal(parsed.view(np.uint64),
+                                  expected.ravel().view(np.uint64)), (name, k)
+        assert [f[7] for f in rows] == list(grid.region.ravel())
+        assert [f[8] for f in rows] == ["true" if c else "false"
+                                        for c in grid.converged.ravel()]
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -242,6 +243,9 @@ def test_divergence_scan_input_guards():
         divergence_scan(1.0, "d2")
     with pytest.raises(ValueError):
         divergence_scan(0.5, "d3")
+    for decades in (7.9, "8", 8.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            divergence_scan(0.5, "d1", decades=decades)
 
 
 def test_real_part_grows_toward_the_outer_line():
