@@ -12,7 +12,7 @@ can cross-check each other.
 from .berry import (BerryPhaseResult, GaugeCheckResult, analytic_q,
                     apply_gauge, band_berry_phase, bipartite_phase_point,
                     global_berry_phase, two_level_phase_point)
-from .elliptic import EllipticArgs, closed_form_gamma, ellip_k, ellip_pi
+from .elliptic import closed_form_gamma, ellip_k, ellip_pi
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      BerrylineError, ClassificationMismatch, DefectiveMatrix,
                      DegenerateSpectrum, Disagreement, DomainError,
@@ -36,7 +36,7 @@ __all__ = [
     "BerryPhaseResult", "BipartiteModel", "BipartiteParams",
     "ClassificationMismatch", "CrossingReport",
     "DefectiveMatrix", "DegenerateSpectrum", "Disagreement", "DivergenceFit",
-    "DomainError", "EigenPath", "EllipticArgs", "EvolutionReport",
+    "DomainError", "EigenPath", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
     "NotConverged", "OutsideValidityDomain", "ParameterLoop", "PathTooCoarse",
     "PhaseDiagramGrid", "QMap", "Schedule",

@@ -17,9 +17,10 @@ modes, and results are only accepted when the routes agree:
     doubling the grid no longer moves them.
 
 Loops crossing a true spectral degeneracy of the lossy chain (its
-gapless parameter region) have no frame continuation; the per-band
-phases there come from principal-value split integrals around the
-crossing momenta instead, and only the EP-free winding routes feed Q.
+gapless parameter region) have no frame continuation. The per-band
+phases there are the split integrals around the crossing momenta, read
+from their elliptic closed form (``elliptic.closed_form_gamma``), and Q
+comes from the two EP-free winding routes of the hopping phase.
 """
 
 import math
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .elliptic import closed_form_gamma
 from .errors import (
     BerrylineError,
     Disagreement,
@@ -56,7 +58,7 @@ from .models import (
     standard_loop,
 )
 from .quadrature import (MAX_PHASE_STEP, PAD, fd4, refine_dyadically,
-                         tanh_sinh, trapezoid_periodic)
+                         trapezoid_periodic)
 from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -184,11 +186,10 @@ def _phase_rung(loop, eigen_path, n):
 
 
 def _gapless_loop(model, transition_error):
-    """Refuse a loop on a singular set; the crossing report of a gapless chain.
+    """Refuse a loop on a singular set; whether it is a gapless chain loop.
 
     A two-level loop on a singular line raises SingularLoop, a chain loop
-    at hopping ratio 1 raises ``transition_error``. Any other loop gives
-    None.
+    at hopping ratio 1 raises ``transition_error``.
     """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
@@ -196,36 +197,35 @@ def _gapless_loop(model, transition_error):
             "an off-diagonal amplitude vanishes somewhere on every sweep at "
             "these parameters; the winding index is undefined")
     if not isinstance(p, BipartiteParams):
-        return None
+        return False
     if _at_transition(p.q):
         raise transition_error(
             "at hopping ratio 1 the off-diagonal interferes to zero on the "
             "loop and the winding jumps between 0 and 1")
-    report = classify_region(p.q, p.eta)
-    return report if report.region == GAPLESS_TRUE_CROSSING else None
+    return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
 
 
-def global_berry_phase(loop, model, cap=_MAX_SAMPLES):
+def global_berry_phase(loop, model):
     """Both per-band phases and the dual-route global index on one loop.
 
     Doubles the grid until per-band phases stop moving (below 1e-9 per
     doubling) and the two Q routes agree within 1e-6. Grids the frame
     flags as too coarse are discarded and refined further.
     """
-    if _gapless_loop(model, SingularLoop) is not None:
+    if _gapless_loop(model, SingularLoop):
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
-    return _settled_phases(loop, model.eigen_path, cap)
+    return _settled_phases(loop, model.eigen_path)
 
 
-def _settled_phases(loop, eigen_path, cap):
+def _settled_phases(loop, eigen_path):
     """The refinement of ``global_berry_phase`` on a loop known to be gapped."""
     n = loop.n
     history = []
     prev = None
     route_conflict = None
-    while n <= cap:
+    while n <= _MAX_SAMPLES:
         try:
             path, rung = _phase_rung(loop, eigen_path, n)
         except PathTooCoarse:
@@ -251,7 +251,8 @@ def _settled_phases(loop, eigen_path, cap):
             f"({route_conflict[0]:.9f} vs {route_conflict[1]:.9f})",
             values=route_conflict)
     raise NotConverged(
-        f"per-band phases still moving at {cap} samples", history=history)
+        f"per-band phases still moving at {_MAX_SAMPLES} samples",
+        history=history)
 
 
 def _assemble_result(rung, history):
@@ -270,15 +271,11 @@ def band_berry_phase(loop, model, band):
     Gapped loops refine a periodic trapezoid until doubling moves the
     value by less than 1e-9. For the lossy chain inside its gapless
     region the integral exists only as a principal value around the
-    crossing momenta and is evaluated by the split closed-interval route.
+    crossing momenta and is read from its elliptic closed form.
     """
     b = band_index(band)
-    report = _gapless_loop(model, UndefinedAtTransition)
-    if report is not None:
-        p = model.params
-        rung, _ = _gapless_integrals(_ChainColumn(p.q, loop, _MAX_SAMPLES),
-                                     p.eta, report.witnesses[-1])
-        return rung.band(b)
+    if _gapless_loop(model, UndefinedAtTransition):
+        return closed_form_gamma(model.params.q, model.params.eta, band)
     value, _, _ = refine_dyadically(
         lambda n: _phase_rung(loop, model.eigen_path, n)[1].band(b), loop.n,
         _GAMMA_TOL, _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
@@ -295,10 +292,9 @@ class _ChainColumn:
     call, so nothing outlives one column.
     """
 
-    def __init__(self, q, loop, cap):
+    def __init__(self, q, loop):
         self.q = q
         self.loop = loop
-        self.cap = cap
         self._halves = {}        # grid size -> _HoppingHalf
         self._winding = None
 
@@ -317,7 +313,7 @@ class _ChainColumn:
         """(q_quad, q_wilson, n, history) of the hopping phase's winding."""
         if self._winding is None:
             try:
-                self._winding = _gapless_winding(self.q, self.cap)
+                self._winding = _gapless_winding(self.q)
             except BerrylineError as exc:
                 self._winding = exc
         if isinstance(self._winding, BerrylineError):
@@ -325,7 +321,7 @@ class _ChainColumn:
         return self._winding
 
 
-def _gapless_winding(q, cap):
+def _gapless_winding(q):
     """The winding of the hopping phase by two EP-free routes that must agree.
 
     Refined quadrature of the closed-form phase rate, and discrete
@@ -339,7 +335,8 @@ def _gapless_winding(q, cap):
         return trapezoid_periodic(rate(_zone_grid(n)), _TWO_PI) / _TWO_PI
 
     q_quad, n_used, history = refine_dyadically(
-        mean_rate, 1024, 1e-9, cap, context="winding of the hopping phase")
+        mean_rate, 1024, 1e-9, _MAX_SAMPLES,
+        context="winding of the hopping phase")
 
     n = max(n_used, 4096)
     while True:
@@ -347,7 +344,7 @@ def _gapless_winding(q, cap):
         steps = np.angle(vk[1:] / vk[:-1])
         if np.abs(steps).max() < MAX_PHASE_STEP:
             break
-        if n >= cap:
+        if n >= _MAX_SAMPLES:
             raise NotConverged(
                 "discrete winding of the hopping phase keeps aliasing",
                 history=history)
@@ -360,45 +357,13 @@ def _gapless_winding(q, cap):
     return float(q_quad), q_wilson, n_used, history
 
 
-def _gapless_integrals(column, eta, k0):
-    """Per-band phases and index inside the gapless region, as (rung, history).
-
-    The crossing momenta +-k0 split the half zone: the inner part
-    (imaginary gap) and outer part (real gap) each carry an integrable
-    inverse-square-root endpoint handled by double-exponential
-    quadrature. The winding is the column's.
-    """
-    q = column.q
-    q_quad, q_wilson, n_used, history = column.winding()
-    rate = BipartiteModel(BipartiteParams.from_ratios(q, eta)).winding_rate
-    # radicand factorization 2q(cos k - cos k0) = 4q sin((k+k0)/2) sin((k0-k)/2)
-    # written in endpoint offsets so the square root stays accurate there
-    if k0 > 1e-12:
-        def inner(x, da, db):
-            root = 4.0 * q * np.sin(k0 - 0.5 * db) * np.sin(0.5 * db)
-            return rate(x) / np.sqrt(root)
-        p_inner = float(tanh_sinh(inner, 0.0, k0, tol=1e-10))
-    else:
-        p_inner = 0.0
-    if math.pi - k0 > 1e-12:
-        def outer(x, da, db):
-            root = 4.0 * q * np.sin(k0 + 0.5 * da) * np.sin(0.5 * da)
-            return rate(x) / np.sqrt(root)
-        m_outer = float(tanh_sinh(outer, k0, math.pi, tol=1e-10))
-    else:
-        m_outer = 0.0
-    return _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
-                 gamma_plus=complex(math.pi * q_quad + eta * m_outer, eta * p_inner),
-                 gamma_minus=complex(math.pi * q_quad - eta * m_outer,
-                                     -eta * p_inner)), list(history)
-
-
 def _chain_point(column, eta, report=None):
     """The lossy chain's global phase result at (column.q, eta).
 
     ``report`` is the crossing report of the point when the caller has
     it already. Gapped regions run the dual-route refinement on the
-    column's frames; the gapless region runs the principal-value split.
+    column's frames; in the gapless region the band phases are the
+    elliptic closed form and the index is the column's winding.
     """
     if _at_transition(column.q):
         raise UndefinedAtTransition(
@@ -407,9 +372,12 @@ def _chain_point(column, eta, report=None):
     if report is None:
         report = classify_region(column.q, eta)
     if report.region == GAPLESS_TRUE_CROSSING:
-        return _assemble_result(
-            *_gapless_integrals(column, eta, report.witnesses[-1]))
-    return _settled_phases(column.loop, column.frames(eta), column.cap)
+        q_quad, q_wilson, n_used, history = column.winding()
+        rung = _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
+                     gamma_plus=closed_form_gamma(column.q, eta, "plus"),
+                     gamma_minus=closed_form_gamma(column.q, eta, "minus"))
+        return _assemble_result(rung, list(history))
+    return _settled_phases(column.loop, column.frames(eta))
 
 
 def analytic_q(params):
@@ -440,16 +408,16 @@ def two_level_phase_point(params, n0=1024):
     return global_berry_phase(standard_loop(TWO_LEVEL, n0), TwoLevelModel(params))
 
 
-def bipartite_phase_point(q, eta, n0=1024, cap=_MAX_SAMPLES):
+def bipartite_phase_point(q, eta, n0=1024):
     """Global phase result of the lossy chain at ratios (q, eta).
 
     Gapped regions run the generic dual-route evaluator; the gapless
-    region runs the principal-value split. Exactly at q = 1 no value
-    exists on either side of the transition. The resolution ``n0`` is
-    checked before either route runs.
+    region reads the elliptic closed form of the split integrals. Exactly
+    at q = 1 no value exists on either side of the transition. The
+    resolution ``n0`` is checked before either route runs.
     """
     loop = standard_loop(BIPARTITE, n0)
-    return _chain_point(_ChainColumn(q, loop, cap), eta)
+    return _chain_point(_ChainColumn(q, loop), eta)
 
 
 def _fd_diag(left, right, h, interior):

@@ -5,6 +5,11 @@ periodic grids, a dyadic refinement driver, double-exponential quadrature
 for endpoint singularities, guarded phase unwrapping, and a plain Pearson
 line fit. Everything here is deterministic: no adaptive randomness, fixed
 node layouts, so repeated runs give identical bits.
+
+Nothing in the package calls the double-exponential rule: the chain's gapless
+phases come from their elliptic closed form. It stays as the quadrature
+of the test oracle for that closed form, and the benchmark's tracer
+binds it by name.
 """
 
 import numpy as np
@@ -48,7 +53,7 @@ def unwrap_checked(raw_angles):
     """np.unwrap plus a sanity guard on the spacing of the result.
 
     Raises PathTooCoarse when any unwrapped step reaches pi/2, since at
-    that point aliasing by a full turn can no longer be excluded.
+    that point aliasing by a full turn can no longer be ruled out.
     """
     out = np.unwrap(np.asarray(raw_angles, dtype=float))
     if out.size > 1:

@@ -2,9 +2,9 @@
 
 Three sweep shapes: a (q, eta) phase diagram of the lossy chain with
 per-cell convergence flags, logarithmic approach scans to the two
-divergence lines with a straight-line fit as the summary, and a
-(d_x, d_y) map of the two-level index against its sign-condition
-prediction. Every grid cell runs the code of the corresponding point
+divergence lines on the elliptic closed form with a straight-line fit as
+the summary, and a (d_x, d_y) map of the two-level index against its
+sign-condition prediction. Every grid cell runs the code of the corresponding point
 evaluator (a phase-diagram column shares only what depends on q alone),
 so a cell never differs from what a user would get by asking for that
 point directly.
@@ -27,15 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .berry import (_ChainColumn, _chain_point, analytic_q,
-                    bipartite_phase_point, two_level_phase_point)
-from .errors import BadResolution, BerrylineError, NotConverged
+                    two_level_phase_point)
+from .elliptic import closed_form_gamma
+from .errors import BadResolution, BerrylineError
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams, _at_transition,
                      _check_integer, _check_ratios, _check_resolution,
                      standard_loop)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
-_D2_CAP = 131072        # the imaginary-part divergence needs finer contours
 _NEAR_LINE = 1e-3       # cells this close to a critical line are flagged
 
 _CSV_HEADER = ("q,eta,gamma_g_plus,xi_g_plus,gamma_g_minus,xi_g_minus,"
@@ -92,7 +92,7 @@ def _diagram_cell(column, eta):
 def _diagram_column(args):
     # one q for every eta: the column shares what depends on q alone
     q, eta_values, samples = args
-    column = _ChainColumn(q, standard_loop(BIPARTITE, samples), _MAX_SAMPLES)
+    column = _ChainColumn(q, standard_loop(BIPARTITE, samples))
     return [_diagram_cell(column, eta) for eta in eta_values]
 
 
@@ -208,9 +208,8 @@ class DivergenceFit:
     """Straight-line fit of a phase magnitude against -ln(distance to a line).
 
     ``values`` are the fitted magnitudes at ``etas``; ``gammas`` keeps the
-    full complex band phase at each point so boundedness of the
-    non-diverging part can be checked. ``excluded`` lists approach points
-    whose contour refinement gave up.
+    full complex plus-band phase at each point, from the elliptic closed
+    form, so boundedness of the non-diverging part can be checked.
     """
 
     slope: float
@@ -221,7 +220,6 @@ class DivergenceFit:
     etas: tuple
     values: tuple
     gammas: tuple
-    excluded: tuple
 
 
 def divergence_scan(q_fixed, line, decades=8):
@@ -230,50 +228,33 @@ def divergence_scan(q_fixed, line, decades=8):
     Line "d1" is eta = q + 1, approached from inside the gapless region,
     fitting the real part's magnitude; "d2" is eta = |q - 1|, approached
     from the weak-loss side, fitting the imaginary part. Points are
-    eta_c (1 - 10^-j) for j = 1..decades, an integer; a fit needs at
-    least 6 survivors.
+    eta_c (1 - 10^-j) for j = 1..decades, read from the elliptic closed
+    form. ``decades`` is an integer from 6, the fewest points a fit takes,
+    to 15: from j = 16 on, the point lies within an ulp of the line.
     """
     decades = _check_integer(decades, "decades")
+    if not 6 <= decades <= 15:
+        raise ValueError(f"decades must be from 6 to 15, got {decades}")
     q_fixed = float(q_fixed)
     _check_ratios(q_fixed, 0.0)  # eta is scanned below
     if _at_transition(q_fixed):
         raise ValueError("the scan needs a hopping ratio away from 1")
     if line == "d1":
         eta_c = q_fixed + 1.0
-        cap = _MAX_SAMPLES
     elif line == "d2":
         eta_c = abs(q_fixed - 1.0)
-        cap = _D2_CAP
     else:
         raise ValueError(f"unknown divergence line {line!r}")
 
-    etas = []
-    values = []
-    gammas = []
-    excluded = []
-    for j in range(1, decades + 1):
-        eta = eta_c * (1.0 - 10.0 ** (-j))
-        try:
-            r = bipartite_phase_point(q_fixed, eta, cap=cap)
-        except NotConverged:
-            excluded.append(eta)
-            continue
-        etas.append(eta)
-        gammas.append(complex(r.gamma_b_plus, r.xi_b_plus))
-        values.append(abs(r.gamma_b_plus) if line == "d1"
-                      else abs(r.xi_b_plus))
-    if len(values) < 6:
-        raise NotConverged(
-            f"only {len(values)} usable approach points toward {line} at "
-            f"q={q_fixed}; a fit needs 6",
-            history=list(zip(etas, values)))
+    etas = [eta_c * (1.0 - 10.0 ** (-j)) for j in range(1, decades + 1)]
+    gammas = [closed_form_gamma(q_fixed, eta, "plus") for eta in etas]
+    values = [abs(g.real) if line == "d1" else abs(g.imag) for g in gammas]
     x = np.array([-math.log(eta_c - eta) for eta in etas])
     slope, intercept, correlation = pearson_line(x, np.array(values))
     return DivergenceFit(
         slope=float(slope), intercept=float(intercept),
         correlation=float(correlation), line=line, q_fixed=q_fixed,
-        etas=tuple(etas), values=tuple(values), gammas=tuple(gammas),
-        excluded=tuple(excluded))
+        etas=tuple(etas), values=tuple(values), gammas=tuple(gammas))
 
 
 @dataclass(frozen=True)

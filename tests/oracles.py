@@ -2,7 +2,8 @@
 
 Every function here reaches a target quantity by a route the library
 does not use: arithmetic-geometric-mean iteration and scipy adaptive
-quadrature for the elliptic integrals, characteristic-polynomial roots
+quadrature for the elliptic integrals, double-exponential quadrature of
+the chain's gapless split integrals, characteristic-polynomial roots
 and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
 assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the frame for the
@@ -22,7 +23,7 @@ from scipy import integrate
 
 from berryline.errors import DefectiveMatrix, DegenerateSpectrum
 from berryline.models import _MAX_SAMPLES, band_index, loop_grid
-from berryline.quadrature import PAD
+from berryline.quadrature import PAD, tanh_sinh
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -52,6 +53,33 @@ def quad_pi(x, y):
                          * math.sqrt(1.0 - y * math.sin(t) ** 2)),
         0.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+def split_integrals(q, eta):
+    """(inner, outer) split integrals of the lossy chain's gapless phase.
+
+    The crossing momentum k0 splits the half zone into the imaginary-gap
+    part (0, k0) and the real-gap part (k0, pi). Each integrates the
+    hopping phase's winding rate over the square root of the radicand's
+    magnitude 2q |cos k - cos k0|, an inverse-square-root endpoint that
+    double-exponential quadrature resolves. The radicand is written in
+    endpoint offsets, 4q sin((k+k0)/2) sin(|k0-k|/2), so the square root
+    keeps its digits there. The band phases are
+    pi [q > 1] +- eta (outer + i inner).
+    """
+    k0 = math.acos((eta * eta - 1.0 - q * q) / (2.0 * q))
+
+    def rate(k):
+        return q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
+
+    def inner(x, da, db):
+        return rate(x) / np.sqrt(4.0 * q * np.sin(k0 - 0.5 * db) * np.sin(0.5 * db))
+
+    def outer(x, da, db):
+        return rate(x) / np.sqrt(4.0 * q * np.sin(k0 + 0.5 * da) * np.sin(0.5 * da))
+
+    return (float(tanh_sinh(inner, 0.0, k0, tol=1e-12)),
+            float(tanh_sinh(outer, k0, math.pi, tol=1e-12)))
 
 
 def char_poly_eigs(matrix):

@@ -95,6 +95,16 @@ def test_c05_logarithmic_divergences_along_both_lines():
     assert d1.correlation >= 0.99
 
 
+def test_c05_divergence_slopes_reach_the_analytic_rate():
+    # at q = 0.5 both parts grow like (sqrt(2) / 4) ln(1 / distance); the
+    # slope through the two deepest of 15 decades must match within 1e-9
+    for line, eta_c in (("d1", 1.5), ("d2", 0.5)):
+        fit = divergence_scan(0.5, line, decades=15)
+        x = [-math.log(eta_c - eta) for eta in fit.etas[-2:]]
+        slope = (fit.values[-1] - fit.values[-2]) / (x[1] - x[0])
+        assert abs(slope - math.sqrt(2.0) / 4.0) <= 1e-9, (line, slope)
+
+
 def test_c06_region_classification_has_no_mismatches():
     mismatches = []
     for q in np.linspace(0.1, 3.0, 50):

@@ -172,19 +172,20 @@ def test_gapless_band_phase_is_the_point_phase(q, eta):
 def test_route_conflicts_raise_typed_errors(monkeypatch):
     loop = standard_loop(BIPARTITE, 1024)
     model = _chain(2.0, 0.3)
-    clean = global_berry_phase(loop, model, cap=2048)
+    monkeypatch.setattr(berry, "_MAX_SAMPLES", 2048)
+    clean = global_berry_phase(loop, model)
     assert clean.resolution == 2048
     wilson = berry._wilson_extrapolated
     monkeypatch.setattr(berry, "_wilson_extrapolated",
                         lambda right, left, n: wilson(right, left, n) + 0.5)
     with pytest.raises(Disagreement, match="Wilson loop give different") as err:
-        global_berry_phase(loop, model, cap=2048)
+        global_berry_phase(loop, model)
     assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
     # an aliased Wilson route on every settled rung leaves nothing to compare
     monkeypatch.setattr(berry, "_wilson_extrapolated",
                         lambda right, left, n: None)
     with pytest.raises(NotConverged, match="still moving at 2048") as err:
-        global_berry_phase(loop, model, cap=2048)
+        global_berry_phase(loop, model)
     assert err.value.history == clean.refinement_history
 
 

@@ -98,6 +98,15 @@ def test_bipartite_transition_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("eta", ["0.5", "2.5"])
+def test_bipartite_on_a_divergence_line_exits_2(capsys, eta):
+    # eta = |q - 1| and eta = q + 1: the band phases diverge there
+    code, out, err = run(capsys, "bipartite", "--q", "1.5", "--eta", eta)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_bipartite_near_transition_exits_3(capsys):
     code, out, err = run(capsys, "bipartite", "--q", "0.9995", "--eta", "0.5")
     assert code == 3

@@ -1,14 +1,14 @@
-"""Complete elliptic integrals and the weak-loss closed-form phase."""
+"""Complete elliptic integrals and the closed-form phase of the lossy chain."""
 
 import math
 
 import numpy as np
 import pytest
 
-from berryline.elliptic import EllipticArgs, closed_form_gamma, ellip_k, ellip_pi
+from berryline.elliptic import closed_form_gamma, ellip_k, ellip_pi
 from berryline.errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
 
-from oracles import agm_k, quad_k, quad_pi
+from oracles import agm_k, quad_k, quad_pi, split_integrals
 
 # Frozen from the arithmetic-geometric-mean iteration in oracles.agm_k.
 K_TABLE = {
@@ -65,26 +65,6 @@ def test_pi_domain():
         ellip_pi(0.5, 1.0)
 
 
-def test_args_stay_in_unit_interval_inside_domain():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        q = rng.uniform(0.1, 3.0)
-        if abs(q - 1.0) < 0.05:
-            continue
-        eta = rng.uniform(0.0, 0.999) * abs(q - 1.0)
-        args = EllipticArgs.from_ratios(q, eta)
-        assert 0.0 < args.x < 1.0
-        assert 0.0 < args.y < 1.0
-        assert args.y >= args.x
-
-
-def test_args_guards():
-    with pytest.raises(ValueError):
-        EllipticArgs.from_ratios(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        EllipticArgs.from_ratios(1.0, -0.5)
-
-
 def test_lossless_phase_is_a_pure_step():
     assert closed_form_gamma(2.0, 0.0, "plus") == complex(math.pi, 0.0)
     assert closed_form_gamma(5.0, 0.0, "minus") == complex(math.pi, 0.0)
@@ -120,6 +100,12 @@ def test_closed_form_band_labels():
 
 
 def test_closed_form_domain_errors():
+    # between the lines the reduction has a value; frozen from 40-digit
+    # mpmath quadrature of the split integrals
+    gapless = closed_form_gamma(1.5, 1.0, "plus")
+    assert abs(gapless - complex(5.443316256331932, 1.6414759256536529)) < 1e-12
+    with pytest.raises(OutsideValidityDomain):
+        closed_form_gamma(2.0, 3.5, "plus")      # TYPE_II, beyond eta = q + 1
     with pytest.raises(UndefinedAtTransition):
         closed_form_gamma(1.0, 0.0, "plus")
     with pytest.raises(OutsideValidityDomain):
@@ -132,6 +118,22 @@ def test_closed_form_domain_errors():
         closed_form_gamma(-2.0, 0.1, "plus")
     with pytest.raises(ValueError):
         closed_form_gamma(2.0, -0.1, "plus")
+
+
+def test_gapless_closed_form_matches_the_split_quadrature():
+    # cells more than 1e-3 from both lines and from the transition
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        q = float(rng.uniform(0.1, 3.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        eta = float(rng.uniform(abs(q - 1.0) + 1e-3, q + 1.0 - 1e-3))
+        inner, outer = split_integrals(q, eta)
+        step = math.pi if q > 1.0 else 0.0
+        plus = complex(step + eta * outer, eta * inner)
+        minus = complex(step - eta * outer, -eta * inner)
+        assert abs(closed_form_gamma(q, eta, "plus") - plus) <= 1e-10, (q, eta)
+        assert abs(closed_form_gamma(q, eta, "minus") - minus) <= 1e-10, (q, eta)
 
 
 @pytest.mark.parametrize("q, eta", [

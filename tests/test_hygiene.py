@@ -1,6 +1,11 @@
-"""Package hygiene: no unused import or private name; exports resolve once."""
+"""Package hygiene: no unused import or private name; exports resolve once.
+
+The benchmark's tracer binds package names from outside the package;
+those bindings must resolve too.
+"""
 
 import ast
+import importlib
 import pathlib
 
 import berryline
@@ -60,3 +65,26 @@ def test_every_private_module_name_is_referenced():
                if d[1].startswith("_") and not d[1].endswith("__")]
     assert ("models.py", "_check_resolution") in private
     assert not [d for d in private if d[1] not in referenced]
+
+
+def test_every_binding_of_the_bench_tracer_resolves():
+    # bench/tracer.py wraps these names from outside; a name that a
+    # removal leaves unresolved breaks every traced benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    constants = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("FUNCTIONS", "MODEL_CLASSES", "MODEL_METHODS"):
+                constants[name] = ast.literal_eval(node.value)
+    assert len(constants) == 3, sorted(constants)
+    missing = [f"{layer}.{func}" for layer, func in constants["FUNCTIONS"]
+               if not callable(getattr(importlib.import_module(
+                   f"berryline.{layer}"), func, None))]
+    for cls_name in constants["MODEL_CLASSES"]:
+        cls = getattr(berryline.models, cls_name)
+        # the tracer reads each method from the class's own namespace
+        missing += [f"models.{cls_name}.{method}"
+                    for method in constants["MODEL_METHODS"]
+                    if method not in vars(cls)]
+    assert not missing, missing

@@ -246,6 +246,12 @@ def test_divergence_scan_input_guards():
     for decades in (7.9, "8", 8.0):
         with pytest.raises(ValueError, match="must be an integer"):
             divergence_scan(0.5, "d1", decades=decades)
+    # fewer than 6 points cannot fit; from j = 16 on a point is within an
+    # ulp of the line
+    for decades in (5, 16, 18):
+        for line in ("d1", "d2"):
+            with pytest.raises(ValueError, match="from 6 to 15"):
+                divergence_scan(0.5, line, decades=decades)
 
 
 def test_real_part_grows_toward_the_outer_line():
@@ -260,13 +266,21 @@ def test_real_part_grows_toward_the_outer_line():
 
 def test_imaginary_part_grows_toward_the_inner_line():
     fit = divergence_scan(0.5, "d2")
-    # the deepest approach point exceeds the contour budget and is excluded
-    assert len(fit.etas) == 7
-    assert len(fit.excluded) == 1
+    # every approach point has a closed-form value
+    assert len(fit.etas) == len(fit.values) == len(fit.gammas) == 8
+    assert all(b > a for a, b in zip(fit.values, fit.values[1:]))
     assert fit.slope > 0.0
     assert fit.correlation > 0.99
     # the real part stays pinned at zero on the weak-loss side of q < 1
     assert max(abs(g.real) for g in fit.gammas) < 1e-8
+
+
+def test_inner_line_scan_matches_the_frame_route():
+    # the scan reads the closed form; the numeric frame route is the other
+    fit = divergence_scan(0.5, "d2")
+    for eta, gamma in zip(fit.etas[:6], fit.gammas[:6]):
+        r = bipartite_phase_point(0.5, eta)
+        assert abs(complex(r.gamma_b_plus, r.xi_b_plus) - gamma) <= 1e-9, eta
 
 
 def test_amplitude_map_matches_the_sign_condition():
