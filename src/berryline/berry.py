@@ -30,6 +30,7 @@ import numpy as np
 
 from .elliptic import closed_form_gamma
 from .errors import (
+    BadResolution,
     BerrylineError,
     Disagreement,
     GaugeMismatch,
@@ -205,23 +206,38 @@ def _gapless_loop(model, transition_error):
     return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
 
 
+def _first_rung(loop):
+    """``loop.n`` as the first rung; a loop at the cap leaves no second one."""
+    if loop.n > _MAX_SAMPLES // 2:
+        raise BadResolution(
+            f"the refinement starts at most at {_MAX_SAMPLES // 2} samples, "
+            f"so that a second rung can settle it; got {loop.n}")
+    return loop.n
+
+
 def global_berry_phase(loop, model):
     """Both per-band phases and the dual-route global index on one loop.
 
-    Doubles the grid until per-band phases stop moving (below 1e-9 per
-    doubling) and the two Q routes agree within 1e-6. Grids the frame
-    flags as too coarse are discarded and refined further.
+    Doubles the grid from ``loop.n`` until per-band phases stop moving
+    (below 1e-9 per doubling) and the two Q routes agree within 1e-6.
+    Grids the frame flags as too coarse are discarded and refined
+    further. A loop above 32768 samples leaves no second rung below the
+    cap and raises BadResolution before any frame is built.
     """
     if _gapless_loop(model, SingularLoop):
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
-    return _settled_phases(loop, model.eigen_path)
+    return _settled_phases(loop, model.eigen_path, _first_rung(loop))
 
 
-def _settled_phases(loop, eigen_path):
-    """The refinement of ``global_berry_phase`` on a loop known to be gapped."""
-    n = loop.n
+def _settled_phases(loop, eigen_path, start):
+    """The refinement of ``global_berry_phase`` from rung ``start`` upward.
+
+    The loop must be gapped. Every rung, ``start`` below ``loop.n``
+    included, is anchored at ``loop.samples[0]``.
+    """
+    n = start
     history = []
     prev = None
     route_conflict = None
@@ -271,13 +287,16 @@ def band_berry_phase(loop, model, band):
     Gapped loops refine a periodic trapezoid until doubling moves the
     value by less than 1e-9. For the lossy chain inside its gapless
     region the integral exists only as a principal value around the
-    crossing momenta and is read from its elliptic closed form.
+    crossing momenta and is read from its elliptic closed form. A gapped
+    loop above 32768 samples leaves no second rung below the cap and
+    raises BadResolution before any frame is built.
     """
     b = band_index(band)
     if _gapless_loop(model, UndefinedAtTransition):
         return closed_form_gamma(model.params.q, model.params.eta, band)
     value, _, _ = refine_dyadically(
-        lambda n: _phase_rung(loop, model.eigen_path, n)[1].band(b), loop.n,
+        lambda n: _phase_rung(loop, model.eigen_path, n)[1].band(b),
+        _first_rung(loop),
         _GAMMA_TOL, _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
     return complex(value)
 
@@ -357,13 +376,50 @@ def _gapless_winding(q):
     return float(q_quad), q_wilson, n_used, history
 
 
+def _strip_width(q, eta):
+    """Half-width of the strip about real k where a gapped chain loop is analytic.
+
+    The nearest exceptional point sits at Im k = acosh|c|, where
+    cos k = c = (eta^2 - 1 - q^2) / (2 q), and the zero of v_k at
+    Im k = |ln q|. |c| - 1 is r(pi) / (2 q) below eta = |q - 1| and
+    -r(0) / (2 q) above eta = q + 1, from the factorized radicand
+    extremes, and acosh(1 + d) = log1p(d + sqrt(d (d + 2))), so the width
+    keeps its digits next to the lines.
+    """
+    d = abs(1.0 - q)
+    rpi = (d - eta) * (d + eta)
+    r0 = (1.0 + q - eta) * (1.0 + q + eta)
+    delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
+    return min(math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
+               abs(math.log(q)))
+
+
+def _strip_rung(q, eta):
+    """The rung a gapped chain loop's refinement needs to start from.
+
+    The periodic trapezoid error falls like exp(-a n) for strip
+    half-width a (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so this
+    is the smallest power of two n >= 16 with a n >= ln(1 / 1e-9), the
+    settle tolerance, capped at 32768 to leave a second rung below the
+    refinement cap.
+    """
+    a = _strip_width(q, eta)
+    n = 16
+    while n < _MAX_SAMPLES // 2 and a * n < -math.log(_GAMMA_TOL):
+        n *= 2
+    return n
+
+
 def _chain_point(column, eta, report=None):
     """The lossy chain's global phase result at (column.q, eta).
 
     ``report`` is the crossing report of the point when the caller has
     it already. Gapped regions run the dual-route refinement on the
-    column's frames; in the gapless region the band phases are the
-    elliptic closed form and the index is the column's winding.
+    column's frames, starting at the strip rung of (q, eta) or at
+    ``column.loop.n``, whichever is smaller; the loop's sample count is
+    the anchor of every rung and the finest start. In the gapless region
+    the band phases are the elliptic closed form and the index is the
+    column's winding.
     """
     if _at_transition(column.q):
         raise UndefinedAtTransition(
@@ -377,7 +433,8 @@ def _chain_point(column, eta, report=None):
                      gamma_plus=closed_form_gamma(column.q, eta, "plus"),
                      gamma_minus=closed_form_gamma(column.q, eta, "minus"))
         return _assemble_result(rung, list(history))
-    return _settled_phases(column.loop, column.frames(eta))
+    start = min(column.loop.n, _strip_rung(column.q, eta))
+    return _settled_phases(column.loop, column.frames(eta), start)
 
 
 def analytic_q(params):
@@ -411,7 +468,10 @@ def two_level_phase_point(params, n0=1024):
 def bipartite_phase_point(q, eta, n0=1024):
     """Global phase result of the lossy chain at ratios (q, eta).
 
-    Gapped regions run the generic dual-route evaluator; the gapless
+    Gapped regions run the dual-route refinement, starting at the rung
+    the analytic strip width of the integrand asks for, or at ``n0`` if
+    that is smaller; every rung is anchored at the first sample of the
+    ``n0`` loop, so ``resolution`` may lie below ``n0``. The gapless
     region reads the elliptic closed form of the split integrals. Exactly
     at q = 1 no value exists on either side of the transition. The
     resolution ``n0`` is checked before either route runs.

@@ -57,6 +57,9 @@ class PhaseDiagramGrid:
     ``converged`` is True only for cells that evaluated cleanly, landed
     within 1e-6 of an integer index, and sit at least 1e-3 away from the
     transition q = 1 and from both divergence lines.
+    ``samples_per_loop`` is the loop sample count the grid was asked for:
+    the anchor of every cell's rungs and the finest start of a gapped
+    cell's refinement, not the rung any cell settled at.
     """
 
     q_axis: np.ndarray
@@ -123,11 +126,15 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     converged=False, never aborting the rest of the grid. Each q column is
     one task: its cells share the frame ingredients and the gapless
     winding that depend on q alone, and every cell equals the direct
-    ``bipartite_phase_point`` call bit for bit. Columns may go to
+    ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call bit for
+    bit. ``samples_per_loop`` is the loop's anchor and the finest rung a
+    gapped cell's refinement starts from; a cell starts lower where the
+    analytic strip width of its integrand allows. Columns may go to
     BERRYLINE_THREADS worker processes, capped at the cores and q columns;
-    results are assembled in order, so output never depends on scheduling.
-    The resolution and the axis counts (at most 65536 each) are checked
-    before any axis is built.
+    a value of 1 or less (or none set) runs the columns serially, and one
+    that is not an integer raises ValueError. Results are assembled in
+    order, so output never depends on scheduling. The resolution and the
+    axis counts (at most 65536 each) are checked before any axis is built.
     """
     _check_resolution(samples_per_loop)
     samples = int(samples_per_loop)
@@ -141,8 +148,13 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
 
     args = [(float(q), [float(eta) for eta in eta_axis], samples)
             for q in q_axis]
-    workers = min(int(os.environ.get("BERRYLINE_THREADS", "1") or "1"),
-                  os.cpu_count() or 1, nq)
+    threads = os.environ.get("BERRYLINE_THREADS", "1") or "1"
+    try:
+        requested = int(threads)
+    except ValueError:
+        raise ValueError("BERRYLINE_THREADS must be an integer, got "
+                         f"{threads!r}") from None
+    workers = min(requested, os.cpu_count() or 1, nq)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_diagram_column, args))

@@ -16,8 +16,10 @@ from berryline.berry import (
     global_berry_phase,
     two_level_phase_point,
 )
-from berryline.errors import (Disagreement, GaugeMismatch, NotConverged,
-                              SingularLoop, UndefinedAtTransition)
+from berryline.elliptic import closed_form_gamma
+from berryline.errors import (BadResolution, Disagreement, GaugeMismatch,
+                              NotConverged, SingularLoop,
+                              UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -133,8 +135,6 @@ def test_band_phase_hermitian_two_level():
 
 
 def test_band_phase_matches_elliptic_closed_form():
-    from berryline.elliptic import closed_form_gamma
-
     loop = standard_loop(BIPARTITE, 1024)
     for q, eta in ((2.0, 0.5), (0.5, 0.2), (3.0, 1.2)):
         for band in ("plus", "minus"):
@@ -228,10 +228,100 @@ def test_global_phase_result_shape():
     r = bipartite_phase_point(2.0, 0.5)
     assert r.q_rounded == 1
     assert abs(r.q_index - 1.0) < 1e-6
-    assert r.resolution >= 1024
+    # the refinement starts at the strip rung and settles on the next one
+    start = berry._strip_rung(2.0, 0.5)
+    assert 16 <= start < 1024
+    assert r.refinement_history[0][0] == start
+    assert r.resolution == 2 * start
     assert r.refinement_history[-1][0] == r.resolution
     assert abs(r.gamma_b_plus - math.pi) < 1e-6
     assert abs(r.xi_b_plus + r.xi_b_minus) < 1e-9
+
+
+def test_strip_rung_grows_toward_every_line_and_stays_below_the_cap():
+    approaches = {
+        "d2 from below, q > 1": [(2.0, 1.0 - 10.0 ** -j) for j in range(1, 16)],
+        "d2 from below, q < 1": [(0.5, 0.5 - 10.0 ** -j) for j in range(1, 16)],
+        "d1 from above": [(0.5, 1.5 + 10.0 ** -j) for j in range(1, 16)],
+        "q = 1 from above": [(1.0 + 10.0 ** -j, 0.0) for j in range(1, 12)],
+        "q = 1 from below": [(1.0 - 10.0 ** -j, 0.0) for j in range(1, 12)],
+    }
+    for label, points in approaches.items():
+        rungs = [berry._strip_rung(q, eta) for q, eta in points]
+        assert all(16 <= n <= 32768 and n & (n - 1) == 0 for n in rungs), label
+        assert rungs == sorted(rungs), label
+        assert rungs[0] < rungs[-1] == 32768, label
+    # far from every line the refinement starts at a few dozen samples
+    assert berry._strip_rung(3.0, 0.0) == 32
+
+
+def test_strip_width_matches_the_arccosine_form_near_the_lines():
+    eps = np.finfo(float).eps
+    points = ([(2.0, 1.0 - 10.0 ** -j) for j in range(2, 13)]
+              + [(0.5, 1.5 + 10.0 ** -j) for j in range(2, 13)]
+              + [(0.3, 0.7 - 10.0 ** -j) for j in range(2, 13)])
+    for q, eta in points:
+        c = (eta * eta - 1.0 - q * q) / (2.0 * q)
+        naive = math.acosh(abs(c))
+        # |c| carries a few ulp of rounding, which acosh magnifies by
+        # 1 / sinh(width) next to the lines
+        kept = 8.0 * eps * abs(c) / math.sqrt(c * c - 1.0) + 8.0 * eps * naive
+        assert naive < abs(math.log(q))
+        assert abs(berry._strip_width(q, eta) - naive) <= kept, (q, eta)
+
+
+def test_strip_start_agrees_with_the_loop_start():
+    # gapped cells more than 1e-3 from both lines and from the transition
+    rng = np.random.default_rng(12)
+    loop = standard_loop(BIPARTITE, 1024)
+    cells = 0
+    while cells < 200:
+        q = float(rng.uniform(0.1, 3.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        if cells % 2:
+            eta = float(rng.uniform(q + 1.0 + 1e-3, q + 3.0))
+        elif abs(q - 1.0) > 2e-3:
+            eta = float(rng.uniform(0.0, abs(q - 1.0) - 1e-3))
+        else:
+            continue
+        strip = bipartite_phase_point(q, eta)
+        full = global_berry_phase(loop, _chain(q, eta))
+        assert strip.refinement_history[0][0] <= 1024
+        for name in ("gamma_b_plus", "xi_b_plus", "gamma_b_minus",
+                     "xi_b_minus"):
+            assert abs(getattr(strip, name) - getattr(full, name)) <= 1e-12, (
+                q, eta, name)
+        assert strip.q_rounded == full.q_rounded
+        cells += 1
+
+
+@pytest.mark.parametrize("model", [
+    _chain(2.0, 0.3),
+    TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)),
+], ids=["bipartite", "two-level"])
+def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
+    at_cap = standard_loop(model.kind, 65536)
+
+    def no_rung(loop, eigen_path, n):
+        raise AssertionError(f"a {n}-sample rung was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(berry, "_phase_rung", no_rung)
+        for evaluate in (lambda: global_berry_phase(at_cap, model),
+                         lambda: band_berry_phase(at_cap, model, "plus")):
+            with pytest.raises(BadResolution,
+                               match="at most at 32768 samples.*got 65536"):
+                evaluate()
+    # one rung below the cap leaves room to settle
+    below = standard_loop(model.kind, 32768)
+    assert global_berry_phase(below, model).resolution == 65536
+    # the gauge check takes one grid, and the gapless chain phase none
+    check = apply_gauge(at_cap, model, lambda alphas, band: 0.0 * alphas, {})
+    assert check.resolution == 65536
+    gapless = standard_loop(BIPARTITE, 65536)
+    assert band_berry_phase(gapless, _chain(1.5, 1.0), "plus") == (
+        closed_form_gamma(1.5, 1.0, "plus"))
 
 
 def test_global_phase_rejects_singular_sets():

@@ -413,6 +413,36 @@ def test_samples_above_the_refinement_cap_are_refused(capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+def test_a_start_at_the_cap_settles_or_is_refused(capsys):
+    # one rung at the cap could never settle: the chain starts lower, the
+    # two-level refinement is refused before it runs
+    payload = run_json(capsys, "bipartite", "--q", "2", "--eta", "0.3",
+                       "--samples", "65536")
+    assert payload["converged"] is True
+    assert payload["resolution"] < 65536
+    code, out, err = run(capsys, "two-level-q", *_TWO_LEVEL_FLAGS,
+                         "--samples", "65536")
+    assert (code, out) == (1, "")
+    assert err == ("error: the refinement starts at most at 32768 samples, "
+                   "so that a second rung can settle it; got 65536\n")
+    payload = run_json(capsys, "gauge-check", "--model", "bipartite", "--q",
+                       "2", "--eta", "0.3", "--samples", "65536")
+    assert payload["resolution"] == 65536
+
+
+@pytest.mark.parametrize("threads", ["abc", "1.5"])
+def test_unreadable_thread_counts_exit_1_naming_the_variable(
+        capsys, monkeypatch, tmp_path, threads):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BERRYLINE_THREADS", threads)
+    code, out, err = run(capsys, "phase-diagram", "--q", "1.5:2.5:2",
+                         "--eta", "0:0.1:2", "--out", "x.csv")
+    assert (code, out) == (1, "")
+    assert err == (f"error: BERRYLINE_THREADS must be an integer, got "
+                   f"'{threads}'\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("k_samples", ["65537", "1099511627776"])
 def test_scan_sizes_above_the_cap_are_refused_before_the_scan(
         capsys, monkeypatch, k_samples):

@@ -177,10 +177,12 @@ def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
     phase_diagram((1.6, 2.4), (0.05, 0.1), 6, 2)
     phase_diagram((1.6, 2.4), (0.05, 0.1), 1, 6)
     assert started == [3, 4]
-    monkeypatch.setenv("BERRYLINE_THREADS", "1")
-    serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
-    assert started == [3, 4]
-    assert np.array_equal(serial.q_index, pooled.q_index)
+    # a value of 1 or less means serial
+    for threads in ("1", "0", "-3"):
+        monkeypatch.setenv("BERRYLINE_THREADS", threads)
+        serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
+        assert started == [3, 4]
+        assert np.array_equal(serial.q_index, pooled.q_index)
 
 
 def test_csv_layout_and_roundtrip(strong_grid, mixed_grid, tmp_path):
