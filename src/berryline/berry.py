@@ -42,7 +42,7 @@ from .errors import (
 from .models import (
     _MAX_SAMPLES,
     _TWO_PI,
-    _HoppingHalf,
+    _ChainRows,
     BIPARTITE,
     TWO_LEVEL,
     BipartiteModel,
@@ -50,7 +50,6 @@ from .models import (
     TwoLevelModel,
     TwoLevelParams,
     _at_transition,
-    _bipartite_frame,
     _check_integer,
     _hopping,
     _zone_grid,
@@ -65,6 +64,7 @@ from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
 _ROUND_TOL = 1e-6     # distance to the nearest integer
+_PASS_SAMPLES = 1 << 18   # rows times samples of one array pass, for memory
 
 
 @dataclass(frozen=True)
@@ -119,71 +119,99 @@ class _Rung:
     gamma_plus: complex
     gamma_minus: complex
     q_quad: float
-    q_wilson: object = None
+    q_wilson: float = math.nan
 
-    def band(self, b):
-        return self.gamma_plus if b == 0 else self.gamma_minus
+    def settled_since(self, last):
+        """Whether both band phases moved by less than 1e-9 since ``last``."""
+        return (last is not None
+                and abs(self.gamma_plus - last.gamma_plus) < _GAMMA_TOL
+                and abs(self.gamma_minus - last.gamma_minus) < _GAMMA_TOL)
 
 
 def _wilson_q(right, left, n, stride):
     """Accumulated overlap argument over a strided closed chain, per 2 pi.
 
-    The chain visits every ``stride``-th of the n loop samples and closes
-    on the sample one period past the anchor. Returns None when any
-    single step turns by a quarter circle or more, which signals aliasing
-    rather than a usable phase.
+    ``right`` and ``left`` are ket stacks shaped (2, 2, ..., M); the
+    result has one value per row. The chain visits every ``stride``-th of
+    the n loop samples and closes on the sample one period past the
+    anchor. A row is NaN when any single step turns by a quarter circle or
+    more, which signals aliasing rather than a usable phase.
     """
     later = slice(PAD + stride, PAD + n + 1, stride)
     earlier = slice(PAD, PAD + n, stride)
-    total = 0.0
-    for b in (0, 1):
-        overlaps = np.einsum("cm,cm->m", np.conj(left[:, b, later]),
-                             right[:, b, earlier])
-        angles = np.angle(overlaps)
-        if np.abs(angles).max() >= MAX_PHASE_STEP:
-            return None
-        total += angles.sum()
-    return total / _TWO_PI
+    overlaps = np.einsum("cb...m,cb...m->b...m", np.conj(left[..., later]),
+                         right[..., earlier])
+    angles = np.angle(overlaps)
+    sums = angles.sum(axis=-1)
+    aliased = (np.abs(angles) >= MAX_PHASE_STEP).any(axis=(0, -1))
+    # accumulated from 0.0, so a sum of zeros reads +0.0
+    return np.where(aliased, math.nan, (0.0 + sums[0] + sums[1]) / _TWO_PI)
 
 
 def _wilson_extrapolated(right, left, n):
-    """Wilson-loop Q with Richardson extrapolation over strides 8,4,2,1.
+    """Wilson-loop Q per row, Richardson-extrapolated over strides 8,4,2,1.
 
     The raw arg-sum error falls off like 1/N, so each extrapolation level
-    removes one power. Aliased strides are dropped; with fewer than two
-    clean strides the finest raw value (or None) is returned.
+    removes one power. A row drops its aliased strides and every coarser
+    one; with fewer than two clean strides left its finest raw value is
+    returned, and NaN when none is clean.
     """
-    values = []
-    for stride in (8, 4, 2, 1):
-        q = _wilson_q(right, left, n, stride)
-        if q is None:
-            values = []
-            continue
-        values.append(q)
-    if not values:
-        return None
-    level = 1
-    while len(values) > 1:
-        factor = 2.0 ** level
-        values = [(factor * values[i + 1] - values[i]) / (factor - 1.0)
-                  for i in range(len(values) - 1)]
-        level += 1
-    return values[0]
+    strides = np.stack([_wilson_q(right, left, n, stride)
+                        for stride in (8, 4, 2, 1)], axis=-1)
+    out = np.full(strides.shape[:-1], math.nan)
+    for row in np.ndindex(out.shape):
+        values = []
+        for q in strides[row].tolist():
+            values = [] if math.isnan(q) else values + [q]
+        level = 1
+        while len(values) > 1:
+            factor = 2.0 ** level
+            values = [(factor * values[i + 1] - values[i]) / (factor - 1.0)
+                      for i in range(len(values) - 1)]
+            level += 1
+        if values:
+            out[row] = values[0]
+    return out
 
 
-def _phase_rung(loop, eigen_path, n):
-    """The frame at n samples and its trapezoid phases, as (path, rung)."""
+def _phase_rung(loop, frames, n):
+    """The frame stack at n samples and its rows' trapezoid phases.
+
+    Returns (stack, phases, q_quad): ``phases[b, r]`` is band b's phase on
+    row r and q_quad the index of the connection trace the rows share;
+    both are None when no row has a frame.
+    """
     alphas, _ = loop_grid(loop, n)
-    path = eigen_path(alphas)
+    stack = frames(alphas)
+    if stack.connection is None:
+        return stack, None, None
     interior = slice(PAD, PAD + n)
-    gamma_plus = complex(trapezoid_periodic(path.connection[0, interior],
-                                            loop.period))
-    gamma_minus = complex(trapezoid_periodic(path.connection[1, interior],
-                                             loop.period))
-    q_quad = complex(trapezoid_periodic(path.trace_connection[interior],
-                                        loop.period)).real / _TWO_PI
-    return path, _Rung(n=n, gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                       q_quad=q_quad)
+    phases = trapezoid_periodic(stack.connection[..., interior], loop.period)
+    q_quad = float(trapezoid_periodic(stack.trace[interior],
+                                      loop.period).real) / _TWO_PI
+    return stack, phases, q_quad
+
+
+class _PathRows:
+    """A model's eigen path as a one-row frame stack.
+
+    A PathTooCoarse is the row's verdict; every other error is raised.
+    """
+
+    def __init__(self, eigen_path, alphas):
+        self.connection = None
+        try:
+            self.path = eigen_path(alphas)
+        except PathTooCoarse as exc:
+            self.errors = [exc]
+            return
+        self.errors = [None]
+        self.connection = self.path.connection[:, None]
+        self.trace = self.path.trace_connection
+
+    def kets(self, rows):
+        """Right and dual kets of the one row, each (2, 2, 1, M)."""
+        return self.path.right[:, :, None], self.path.left[:, :, None]
 
 
 def _gapless_loop(model, transition_error):
@@ -228,47 +256,78 @@ def global_berry_phase(loop, model):
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
-    return _settled_phases(loop, model.eigen_path, _first_rung(loop))
+    (outcome,) = _settled_phases(
+        loop, lambda alphas, rows: _PathRows(model.eigen_path, alphas),
+        [_first_rung(loop)])
+    if isinstance(outcome, BerrylineError):
+        raise outcome
+    return outcome
 
 
-def _settled_phases(loop, eigen_path, start):
-    """The refinement of ``global_berry_phase`` from rung ``start`` upward.
+def _settled_phases(loop, frames, starts):
+    """The refinement of gapped rows on one loop, level by level.
 
-    The loop must be gapped. Every rung, ``start`` below ``loop.n``
-    included, is anchored at ``loop.samples[0]``.
+    ``frames(alphas, rows)`` is the frame stack of the listed rows on one
+    padded grid, and row r starts at rung ``starts[r]``. Each row doubles
+    its grid until its per-band phases move by less than 1e-9 and its two
+    Q routes agree within 1e-6; a rung its frame flags too coarse is
+    discarded. The rows at the same rung go through one array pass (in
+    passes of at most 2^18 samples, which bounds the memory), and only the
+    rows that settle there build kets, for the Wilson route.
+    Every rung, any below ``loop.n`` included, is anchored at
+    ``loop.samples[0]``. Returns per row its BerryPhaseResult or the
+    BerrylineError it ended with.
     """
-    n = start
-    history = []
-    prev = None
-    route_conflict = None
-    while n <= _MAX_SAMPLES:
-        try:
-            path, rung = _phase_rung(loop, eigen_path, n)
-        except PathTooCoarse:
-            prev = None
-            n *= 2
-            continue
-        history.append((n, rung.q_quad))
-        if prev is not None:
-            settled = (abs(rung.gamma_plus - prev.gamma_plus) < _GAMMA_TOL
-                       and abs(rung.gamma_minus - prev.gamma_minus) < _GAMMA_TOL)
-            if settled:
-                rung = replace(rung, q_wilson=_wilson_extrapolated(
-                    path.right, path.left, n))
-                if (rung.q_wilson is not None
-                        and abs(rung.q_quad - rung.q_wilson) <= _ROUTE_TOL):
-                    return _assemble_result(rung, history)
-                route_conflict = (rung.q_quad, rung.q_wilson)
-        prev = rung
-        n *= 2
-    if route_conflict is not None and route_conflict[1] is not None:
-        raise Disagreement(
-            "trace quadrature and Wilson loop give different indices "
-            f"({route_conflict[0]:.9f} vs {route_conflict[1]:.9f})",
-            values=route_conflict)
-    raise NotConverged(
-        f"per-band phases still moving at {_MAX_SAMPLES} samples",
-        history=history)
+    outcomes = [None] * len(starts)
+    rung_of = dict(enumerate(starts))      # unfinished row -> next rung
+    history = {row: [] for row in rung_of}
+    prev = {}
+    conflict = {}
+    while rung_of and min(rung_of.values()) <= _MAX_SAMPLES:
+        n = min(rung_of.values())
+        at_n = [row for row, m in rung_of.items() if m == n]
+        size = max(1, _PASS_SAMPLES // n)
+        for rows in (at_n[k:k + size] for k in range(0, len(at_n), size)):
+            stack, phases, q_quad = _phase_rung(
+                loop, lambda alphas: frames(alphas, rows), n)
+            settling = []
+            for i, (row, error) in enumerate(zip(rows, stack.errors)):
+                rung_of[row] = 2 * n
+                if isinstance(error, PathTooCoarse):
+                    prev.pop(row, None)
+                    continue
+                if error is not None:
+                    outcomes[row] = error
+                    del rung_of[row]
+                    continue
+                rung = _Rung(n=n, gamma_plus=complex(phases[0, i]),
+                             gamma_minus=complex(phases[1, i]), q_quad=q_quad)
+                history[row].append((n, q_quad))
+                if rung.settled_since(prev.get(row)):
+                    settling.append((i, row, rung))
+                prev[row] = rung
+            if not settling:
+                continue
+            right, left = stack.kets([i for i, _, _ in settling])
+            q_wilson = _wilson_extrapolated(right, left, n).tolist()
+            for (_, row, rung), q_w in zip(settling, q_wilson):
+                if abs(rung.q_quad - q_w) <= _ROUTE_TOL:
+                    outcomes[row] = _assemble_result(
+                        replace(rung, q_wilson=q_w), history[row])
+                    del rung_of[row]
+                else:
+                    conflict[row] = (rung.q_quad, q_w)
+    for row in rung_of:
+        if row in conflict and not math.isnan(conflict[row][1]):
+            values = conflict[row]
+            outcomes[row] = Disagreement(
+                "trace quadrature and Wilson loop give different indices "
+                f"({values[0]:.9f} vs {values[1]:.9f})", values=values)
+        else:
+            outcomes[row] = NotConverged(
+                f"per-band phases still moving at {_MAX_SAMPLES} samples",
+                history=history[row])
+    return outcomes
 
 
 def _assemble_result(rung, history):
@@ -294,50 +353,16 @@ def band_berry_phase(loop, model, band):
     b = band_index(band)
     if _gapless_loop(model, UndefinedAtTransition):
         return closed_form_gamma(model.params.q, model.params.eta, band)
+
+    def band_phase(n):
+        alphas, _ = loop_grid(loop, n)
+        connection = model.eigen_path(alphas).connection[b, PAD:PAD + n]
+        return complex(trapezoid_periodic(connection, loop.period))
+
     value, _, _ = refine_dyadically(
-        lambda n: _phase_rung(loop, model.eigen_path, n)[1].band(b),
-        _first_rung(loop),
-        _GAMMA_TOL, _MAX_SAMPLES, context=f"band phase on a {model.kind} loop")
+        band_phase, _first_rung(loop), _GAMMA_TOL, _MAX_SAMPLES,
+        context=f"band phase on a {model.kind} loop")
     return complex(value)
-
-
-class _ChainColumn:
-    """What a lossy-chain point at hopping ratio q computes from q alone.
-
-    The gamma-free half of the frame on each grid of ``loop`` and the
-    gapless winding pair (or its typed error) are built on first use and
-    then shared by every eta. A phase-diagram column keeps one instance
-    for all its cells; ``bipartite_phase_point`` builds a fresh one per
-    call, so nothing outlives one column.
-    """
-
-    def __init__(self, q, loop):
-        self.q = q
-        self.loop = loop
-        self._halves = {}        # grid size -> _HoppingHalf
-        self._winding = None
-
-    def frames(self, eta):
-        """The chain's ``eigen_path`` at loss ratio eta, for grids of the loop."""
-        p = BipartiteParams.from_ratios(self.q, eta)
-
-        def eigen_path(alphas):
-            half = self._halves.get(len(alphas))
-            if half is None:
-                half = self._halves[len(alphas)] = _HoppingHalf(p, alphas)
-            return _bipartite_frame(p, half)
-        return eigen_path
-
-    def winding(self):
-        """(q_quad, q_wilson, n, history) of the hopping phase's winding."""
-        if self._winding is None:
-            try:
-                self._winding = _gapless_winding(self.q)
-            except BerrylineError as exc:
-                self._winding = exc
-        if isinstance(self._winding, BerrylineError):
-            raise self._winding.with_traceback(None)
-        return self._winding
 
 
 def _gapless_winding(q):
@@ -410,31 +435,58 @@ def _strip_rung(q, eta):
     return n
 
 
-def _chain_point(column, eta, report=None):
-    """The lossy chain's global phase result at (column.q, eta).
+def _chain_cells(q, loop, etas, reports=None):
+    """The lossy chain's global phase results at hopping ratio q, per eta.
 
-    ``report`` is the crossing report of the point when the caller has
-    it already. Gapped regions run the dual-route refinement on the
-    column's frames, starting at the strip rung of (q, eta) or at
-    ``column.loop.n``, whichever is smaller; the loop's sample count is
-    the anchor of every rung and the finest start. In the gapless region
-    the band phases are the elliptic closed form and the index is the
-    column's winding.
+    Returns per eta a BerryPhaseResult or the BerrylineError that cell
+    raises; ``reports`` are the crossing reports of the cells when the
+    caller has them already. Gapped cells run the dual-route refinement
+    together, each starting at the strip rung of (q, eta) or at
+    ``loop.n``, whichever is smaller; the loop's sample count is the
+    anchor of every rung and the finest start. In the gapless region the
+    band phases are the elliptic closed form and the index is the winding
+    of the hopping phase, computed once for all such cells.
     """
-    if _at_transition(column.q):
-        raise UndefinedAtTransition(
+    if _at_transition(q):
+        return [UndefinedAtTransition(
             "the topological index jumps at hopping ratio 1; no phase is "
-            "defined on the transition itself")
-    if report is None:
-        report = classify_region(column.q, eta)
-    if report.region == GAPLESS_TRUE_CROSSING:
-        q_quad, q_wilson, n_used, history = column.winding()
+            "defined on the transition itself") for _ in etas]
+    if reports is None:
+        reports = [classify_region(q, eta) for eta in etas]
+    outcomes = [None] * len(etas)
+    gapped = []
+    winding = None
+    for i, (eta, report) in enumerate(zip(etas, reports)):
+        if report.region != GAPLESS_TRUE_CROSSING:
+            gapped.append(i)
+            continue
+        if winding is None:
+            try:
+                winding = _gapless_winding(q)
+            except BerrylineError as exc:
+                winding = exc
+        if isinstance(winding, BerrylineError):
+            outcomes[i] = winding
+            continue
+        q_quad, q_wilson, n_used, history = winding
+        try:
+            plus, minus = (closed_form_gamma(q, eta, band)
+                           for band in ("plus", "minus"))
+        except BerrylineError as exc:
+            outcomes[i] = exc
+            continue
         rung = _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
-                     gamma_plus=closed_form_gamma(column.q, eta, "plus"),
-                     gamma_minus=closed_form_gamma(column.q, eta, "minus"))
-        return _assemble_result(rung, list(history))
-    start = min(column.loop.n, _strip_rung(column.q, eta))
-    return _settled_phases(column.loop, column.frames(eta), start)
+                     gamma_plus=plus, gamma_minus=minus)
+        outcomes[i] = _assemble_result(rung, list(history))
+    p = BipartiteParams.from_ratios(q, 0.0)
+    gammas = [etas[i] * p.v for i in gapped]
+    settled = _settled_phases(
+        loop,
+        lambda alphas, rows: _ChainRows(p, [gammas[r] for r in rows], alphas),
+        [min(loop.n, _strip_rung(q, etas[i])) for i in gapped])
+    for i, outcome in zip(gapped, settled):
+        outcomes[i] = outcome
+    return outcomes
 
 
 def analytic_q(params):
@@ -476,8 +528,10 @@ def bipartite_phase_point(q, eta, n0=1024):
     at q = 1 no value exists on either side of the transition. The
     resolution ``n0`` is checked before either route runs.
     """
-    loop = standard_loop(BIPARTITE, n0)
-    return _chain_point(_ChainColumn(q, loop), eta)
+    (outcome,) = _chain_cells(q, standard_loop(BIPARTITE, n0), [eta])
+    if isinstance(outcome, BerrylineError):
+        raise outcome
+    return outcome
 
 
 def _fd_diag(left, right, h, interior):

@@ -15,6 +15,7 @@ failed an internal cross-check.
 """
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -351,8 +352,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser every ``main`` call reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

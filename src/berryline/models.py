@@ -12,9 +12,11 @@ branch angles are continuously unwrapped, dual (left) vectors are paired
 so <lambda_b|psi_b'> = delta_bb' holds to roundoff, and the analytic
 parameter derivative of the frame gives each band's diagonal connection
 i<lambda_b|d psi_b> at every sample. Downstream phase integration
-consumes these paths. A single point's frame is the path on a one-point
-grid, ``model.eigen_path(np.array([alpha]))`` at index 0; its two bands
-are labelled 'plus' (index 0) and 'minus' (index 1).
+consumes these paths; the chain's frame also comes as a stack over loss
+rates that shares the rate-free half and builds kets only on demand. A
+single point's frame is the path on a one-point grid,
+``model.eigen_path(np.array([alpha]))`` at index 0; its two bands are
+labelled 'plus' (index 0) and 'minus' (index 1).
 """
 
 import dataclasses
@@ -32,7 +34,7 @@ from .errors import (
     SingularParameters,
     TrueCrossing,
 )
-from .quadrature import PAD, unwrap_checked
+from .quadrature import PAD, unwrap_checked, unwrap_rows
 
 TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
@@ -273,15 +275,18 @@ def _chain_radicand(v, v_prime, gamma, cos_k):
     return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
 
 
-def _frame_path(values, u, winding, pr, mr, pl, trace, g, cos_chi):
-    """Biorthonormal frame along a grid from its mixing ratio u = exp(i chi).
+def _mixing_angle(unwrapped, u):
+    """The complex mixing angle chi from u = exp(i chi) and arg u unwrapped."""
+    return unwrapped - 1j * np.log(np.abs(u))
+
+
+def _kets(chi, pr, mr, pl):
+    """Right and dual kets from the mixing angle chi, each (2, 2) + chi.shape.
 
     Right kets are (pr cos, sin) and (mr sin, cos) of chi / 2, duals have pl
     and -pl there; mr is -pr as the family rounds it (that sets the sign of
-    exact zeros). The diagonal connection is g (1 +- cos chi) / 2 for the
-    connection trace g; ``trace`` is reported as is.
+    exact zeros).
     """
-    chi = unwrap_checked(np.angle(u)) - 1j * np.log(np.abs(u))
     half = 0.5 * chi
     ch2 = np.cos(half)
     sh2 = np.sin(half)
@@ -293,11 +298,12 @@ def _frame_path(values, u, winding, pr, mr, pl, trace, g, cos_chi):
     left = np.conj(right)   # then pl and -pl in place of pr and mr
     left[0, 0] = pl * left[1, 1]
     left[0, 1] = -pl * left[1, 0]
-    connection = np.stack([0.5 * g * (1.0 + cos_chi),
-                           0.5 * g * (1.0 - cos_chi)])
-    return EigenPath(
-        values=values, right=right, left=left, connection=connection,
-        trace_connection=trace, winding_phase=winding, chi=chi)
+    return right, left
+
+
+def _band_connection(g, cos_chi):
+    """The diagonal connections g (1 +- cos chi) / 2 for connection trace g."""
+    return np.stack([0.5 * g * (1.0 + cos_chi), 0.5 * g * (1.0 - cos_chi)])
 
 
 def _two_level_frame(p, phi):
@@ -339,57 +345,93 @@ def _two_level_frame(p, phi):
     d_nu1 = -a_p * b_p / (r_p * r_p)
     d_nu2 = a_m * b_m / (r_m * r_m)
     g = 0.5j * (dln_rp - dln_rm) + 0.5 * (d_nu2 - d_nu1)
-    return _frame_path(np.stack([e, -e]), (a + 1j * b) / e, nu_minus,
-                       rho * phase, -rho * phase, phase / rho, g, g, a / e)
+    u = (a + 1j * b) / e
+    chi = _mixing_angle(unwrap_checked(np.angle(u)), u)
+    right, left = _kets(chi, rho * phase, -rho * phase, phase / rho)
+    return EigenPath(
+        values=np.stack([e, -e]), right=right, left=left,
+        connection=_band_connection(g, a / e), trace_connection=g,
+        winding_phase=nu_minus, chi=chi)
 
 
-class _HoppingHalf:
-    """The gamma-free half of the lossy-chain frame on one k grid.
+class _ChainRows:
+    """The lossy-chain frame on one k grid for a stack of loss rates.
 
-    |v_k|, the unwrapped phase theta of v_k with exp(-i theta), and the
-    derivative of theta depend on v and v' alone, so every loss ratio on
-    the same grid can share them. A failed check is kept in ``error``
-    rather than raised: ``_bipartite_frame`` raises it after its own
-    gamma-dependent check, in the order of one evaluation.
+    Row r is the chain at the hoppings of ``p`` with loss rate gammas[r].
+    The gamma-free half, |v_k| and the unwrapped phase theta of v_k with
+    its derivative, is built once for all rows. ``errors[r]`` is None or
+    the TrueCrossing or PathTooCoarse that row r's frame raises, checked
+    in the order of one frame: the energies meeting, then the hoppings
+    cancelling or theta aliasing, then the mixing angle aliasing. A row
+    without an error reads ``connection[b, r, m]``, band b's diagonal
+    connection, and ``trace``, the connection trace every row shares;
+    ``kets(rows)`` builds the right and dual kets of the given rows only.
+    When the hoppings fail, every row fails and ``connection`` is None.
     """
 
-    def __init__(self, p, k):
-        self.k = np.asarray(k, dtype=float)
-        vk = _hopping(p, self.k)
-        self.mod = np.abs(vk)
-        self.error = None
-        if self.mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
+    def __init__(self, p, gammas, k):
+        k = np.asarray(k, dtype=float)
+        vk = _hopping(p, k)
+        mod = np.abs(vk)
+        g = np.asarray(gammas, dtype=float)[:, None]
+        rad = mod * mod - g * g
+        crossing = np.abs(rad).min(axis=-1) <= [
+            1e-12 * max(1.0, (p.v + p.v_prime) ** 2, gamma ** 2)
+            for gamma in g[:, 0].tolist()]
+        hop_error = None
+        if mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
             # hoppings interfere to zero: the real parts of the two energies
             # merge there, and the off-diagonal phase has no value either
-            self.error = TrueCrossing(
+            hop_error = TrueCrossing(
                 "the hoppings cancel at a sampled momentum and the real parts "
                 "of the two energies merge")
+        else:
+            try:
+                self.theta = -unwrap_checked(np.angle(vk))
+            except PathTooCoarse as exc:
+                hop_error = exc
+        self.errors = [
+            TrueCrossing("the two complex energies coincide at a sampled "
+                         "momentum") if cross else hop_error
+            for cross in crossing.tolist()]
+        self.connection = None
+        if hop_error is not None:
             return
-        try:
-            self.theta = -unwrap_checked(np.angle(vk))
-        except PathTooCoarse as exc:
-            self.error = exc
-            return
+        if crossing.any():
+            # a crossing row is evaluated lossless: its unread values stay finite
+            rad = np.where(crossing[:, None], mod * mod, rad)
         self.phase = np.exp(-1j * self.theta)
-        self.d_theta = (p.v_prime * (p.v_prime + p.v * np.cos(self.k))
-                        / (self.mod * self.mod))
+        d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
+        self.trace = d_theta.astype(complex)
+        self.s = np.sqrt(rad.astype(complex))
+        self.u = 1j * (g + mod) / self.s
+        self.angle, coarse = unwrap_rows(np.angle(self.u))
+        self.errors = [late if error is None else error
+                       for error, late in zip(self.errors, coarse)]
+        self.connection = _band_connection(d_theta, 1j * g / self.s)
+
+    def chi(self, rows):
+        """The complex mixing angle of the given rows."""
+        return _mixing_angle(self.angle[rows], self.u[rows])
+
+    def kets(self, rows):
+        """Right and dual kets of the given rows, each (2, 2, len(rows), M)."""
+        return _kets(self.chi(rows), self.phase, -self.phase, self.phase)
 
 
-def _bipartite_frame(p, half):
-    """Lossy-chain eigen path on the grid of ``half``."""
-    mod = half.mod
-    rad = mod * mod - p.gamma * p.gamma
-    if np.abs(rad).min() <= 1e-12 * max(1.0, (p.v + p.v_prime) ** 2, p.gamma ** 2):
-        raise TrueCrossing(
-            "the two complex energies coincide at a sampled momentum")
-    if half.error is not None:
-        raise half.error.with_traceback(None)
-    s = np.sqrt(rad.astype(complex))
+def _bipartite_frame(p, k):
+    """Lossy-chain eigen path on a k grid: the chain stack's one row."""
+    rows = _ChainRows(p, [p.gamma], k)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    right, left = rows.kets([0])
     centroid = p.eps_a - 1j * p.gamma
-    return _frame_path(np.stack([centroid + s, centroid - s]),
-                       1j * (p.gamma + mod) / s, half.theta, half.phase,
-                       -half.phase, half.phase, half.d_theta.astype(complex),
-                       half.d_theta, 1j * p.gamma / s)
+    s = rows.s[0]
+    return EigenPath(
+        values=np.stack([centroid + s, centroid - s]), right=right[:, :, 0],
+        left=left[:, :, 0], connection=rows.connection[:, 0],
+        trace_connection=rows.trace, winding_phase=rows.theta,
+        chi=rows.chi([0])[0])
 
 
 @dataclass(frozen=True)
@@ -436,7 +478,7 @@ class BipartiteModel:
     period: ClassVar[float] = _TWO_PI
 
     def eigen_path(self, alphas):
-        return _bipartite_frame(self.params, _HoppingHalf(self.params, alphas))
+        return _bipartite_frame(self.params, alphas)
 
     def energies(self, alphas):
         p = self.params

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berry import (_ChainColumn, _chain_point, analytic_q,
+from .berry import (_chain_cells, _first_rung, analytic_q,
                     two_level_phase_point)
 from .elliptic import closed_form_gamma
 from .errors import BadResolution, BerrylineError
-from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams, _at_transition,
-                     _check_integer, _check_ratios, _check_resolution,
-                     standard_loop)
+from .models import (_MAX_SAMPLES, BIPARTITE, TWO_LEVEL, TwoLevelParams,
+                     _at_transition, _check_integer, _check_ratios,
+                     _check_resolution, standard_loop)
 from .quadrature import pearson_line
 from .spectrum import classify_region
 
@@ -80,23 +80,22 @@ def _near_critical(q, eta):
             or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
 
 
-def _diagram_cell(column, eta):
-    report = classify_region(column.q, eta)
-    try:
-        r = _chain_point(column, eta, report)
-    except BerrylineError:
-        return (math.nan, math.nan, math.nan, math.nan, math.nan,
-                report.region, False)
-    converged = r.q_rounded is not None and not _near_critical(column.q, eta)
-    return (r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus, r.xi_b_minus,
-            r.q_index, report.region, converged)
-
-
 def _diagram_column(args):
-    # one q for every eta: the column shares what depends on q alone
+    # one q for every eta: the column's gapped cells refine together
     q, eta_values, samples = args
-    column = _ChainColumn(q, standard_loop(BIPARTITE, samples))
-    return [_diagram_cell(column, eta) for eta in eta_values]
+    reports = [classify_region(q, eta) for eta in eta_values]
+    outcomes = _chain_cells(q, standard_loop(BIPARTITE, samples), eta_values,
+                            reports)
+    cells = []
+    for eta, report, r in zip(eta_values, reports, outcomes):
+        if isinstance(r, BerrylineError):
+            cells.append((math.nan, math.nan, math.nan, math.nan, math.nan,
+                          report.region, False))
+            continue
+        converged = r.q_rounded is not None and not _near_critical(q, eta)
+        cells.append((r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
+                      r.xi_b_minus, r.q_index, report.region, converged))
+    return cells
 
 
 def _axis(bounds, count, name):
@@ -124,17 +123,20 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     phases are genuinely two-valued there and no cell may sit on the
     transition. Per-cell failures are recorded as NaN rows with
     converged=False, never aborting the rest of the grid. Each q column is
-    one task: its cells share the frame ingredients and the gapless
-    winding that depend on q alone, and every cell equals the direct
-    ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call bit for
-    bit. ``samples_per_loop`` is the loop's anchor and the finest rung a
-    gapped cell's refinement starts from; a cell starts lower where the
-    analytic strip width of its integrand allows. Columns may go to
-    BERRYLINE_THREADS worker processes, capped at the cores and q columns;
-    a value of 1 or less (or none set) runs the columns serially, and one
-    that is not an integer raises ValueError. Results are assembled in
-    order, so output never depends on scheduling. The resolution and the
-    axis counts (at most 65536 each) are checked before any axis is built.
+    one task: its gapped cells refine together, one array pass per rung
+    size over the cells at that rung, with kets built only for the cells
+    that settle there; its gapless cells share the winding of the hopping
+    phase. Every cell equals the direct
+    ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call, the same
+    refinement with one row, bit for bit. ``samples_per_loop`` is the
+    loop's anchor and the finest rung a gapped cell's refinement starts
+    from; a cell starts lower where the analytic strip width of its
+    integrand allows. Columns may go to BERRYLINE_THREADS worker
+    processes, capped at the cores and q columns; a value of 1 or less (or
+    none set) runs the columns serially, and one that is not an integer
+    raises ValueError. Results are assembled in order, so output never
+    depends on scheduling. The resolution and the axis counts (at most
+    65536 each) are checked before any axis is built.
     """
     _check_resolution(samples_per_loop)
     samples = int(samples_per_loop)
@@ -294,8 +296,12 @@ def two_level_q_map(h, d_x_range, d_y_range, n, h_z=0.2, d_z=0.0, theta=1.0,
     Singular grid points (an amplitude magnitude matching its field) are
     marked undefined and skipped, never computed. Everything else runs
     the full numeric evaluator and is compared against the sign
-    condition; failures of either kind land in ``mismatch_cells``.
+    condition; failures of either kind land in ``mismatch_cells``. A
+    resolution the point evaluator refuses (not a power of two from 16,
+    or above 32768, which leaves no second rung) raises BadResolution
+    before any cell runs.
     """
+    _first_rung(standard_loop(TWO_LEVEL, samples_per_loop))
     h_x, h_y = float(h[0]), float(h[1])
     dx_axis = _axis(d_x_range, n, "d_x")
     dy_axis = _axis(d_y_range, n, "d_y")

@@ -18,7 +18,7 @@ from berryline.berry import (
 )
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import (BadResolution, Disagreement, GaugeMismatch,
-                              NotConverged, SingularLoop,
+                              NotConverged, PathTooCoarse, SingularLoop,
                               UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
@@ -27,10 +27,12 @@ from berryline.models import (
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    _ChainRows,
     loop_grid,
     standard_loop,
 )
-from berryline.quadrature import PAD
+from berryline.quadrature import (PAD, trapezoid_periodic, unwrap_checked,
+                                  unwrap_rows)
 
 from oracles import (draw_two_level, fd_connection,
                      first_order_correction_trace)
@@ -181,12 +183,61 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
     with pytest.raises(Disagreement, match="Wilson loop give different") as err:
         global_berry_phase(loop, model)
     assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
-    # an aliased Wilson route on every settled rung leaves nothing to compare
+    # an aliased Wilson route (NaN) on every settled rung leaves nothing to
+    # compare
     monkeypatch.setattr(berry, "_wilson_extrapolated",
-                        lambda right, left, n: None)
+                        lambda right, left, n: wilson(right, left, n) * math.nan)
     with pytest.raises(NotConverged, match="still moving at 2048") as err:
         global_berry_phase(loop, model)
     assert err.value.history == clean.refinement_history
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 65536])
+def test_row_stacks_reduce_to_each_rows_bits(n):
+    # a column evaluates its rows as one stack; every reduction along the
+    # last axis must give each row the bits of its own 1-D evaluation
+    rng = np.random.default_rng(n)
+    samples = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    stacked = trapezoid_periodic(samples, 2.0 * math.pi)
+    # smooth phase ramps, the last row with one step too wide to unwrap
+    steps = rng.uniform(-1.5, 1.5, (6, n))
+    steps[-1, n // 3] = 2.0
+    raw = np.angle(np.exp(1j * np.cumsum(steps, axis=-1)))
+    unwrapped, errors = unwrap_rows(raw)
+    assert [error is None for error in errors] == [True] * 5 + [False]
+    for r in range(6):
+        row = samples[r].copy()
+        assert stacked[r].tobytes() == trapezoid_periodic(
+            row, 2.0 * math.pi).tobytes()
+        try:
+            alone = unwrap_checked(raw[r].copy())
+        except PathTooCoarse as exc:
+            assert (str(errors[r]), errors[r].index) == (str(exc), exc.index)
+        else:
+            assert errors[r] is None
+            assert unwrapped[r].tobytes() == alone.tobytes()
+
+    # kets of clean, partly aliased and fully aliased Wilson rows
+    etas = [0.0, 0.3, 0.9, 0.999, 3.01, 5.0]
+    p = BipartiteParams.from_ratios(2.0, 0.0)
+    alphas, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
+    right, left = _ChainRows(p, etas, alphas).kets(list(range(len(etas))))
+    strides = [berry._wilson_q(right, left, n, s) for s in (8, 4, 2, 1)]
+    wilson = berry._wilson_extrapolated(right, left, n)
+    for r, eta in enumerate(etas):
+        right_r, left_r = _ChainRows(p, [eta], alphas).kets([0])
+        assert right_r[:, :, 0].tobytes() == right[:, :, r].tobytes()
+        assert left_r[:, :, 0].tobytes() == left[:, :, r].tobytes()
+        for s, stride in zip(strides, (8, 4, 2, 1)):
+            alone = berry._wilson_q(right_r[:, :, 0], left_r[:, :, 0], n,
+                                    stride)
+            assert s[r].tobytes() == alone.tobytes(), (eta, stride)
+        alone = berry._wilson_extrapolated(right_r[:, :, 0],
+                                           left_r[:, :, 0], n)
+        assert wilson[r].tobytes() == alone.tobytes(), eta
+    if n == 16:
+        assert np.isnan(strides[0][1]) and np.isfinite(wilson[1])
+        assert np.isnan(wilson[3])
 
 
 def test_global_phase_spec_points():

@@ -271,6 +271,22 @@ def test_help_exits_zero_for_every_command(capsys):
         assert "usage" in out.lower()
 
 
+def test_the_reused_parser_answers_like_a_first_call(capsys):
+    # main builds its parser once per process; a usage error, a query and
+    # the help text each read exactly as they do from a fresh parser
+    queries = [("bipartite", "--q", "2"),
+               ("bipartite", "--q", "2", "--eta", "0.3"),
+               ("--help",)]
+    first = []
+    for argv in queries:
+        cli._shared_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [1, 0, 0]
+    parser = cli._shared_parser()
+    assert [run(capsys, *argv) for argv in queries] == first
+    assert cli._shared_parser() is parser
+
+
 def test_identical_flags_give_identical_output(capsys):
     first = run(capsys, "bipartite", "--q", "0.7", "--eta", "0.1")
     second = run(capsys, "bipartite", "--q", "0.7", "--eta", "0.1")

@@ -6,10 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from berryline import sweep
+from berryline import berry, sweep
 from berryline.berry import bipartite_phase_point
 from berryline.errors import BadResolution, BerrylineError
+from berryline.models import BIPARTITE, standard_loop
+from berryline.quadrature import PAD
 from berryline.spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II
 from berryline.sweep import (
     divergence_scan,
@@ -78,6 +82,75 @@ def test_cells_match_the_direct_point_evaluator(mixed_grid):
                         direct.gamma_b_minus, direct.xi_b_minus,
                         direct.q_index], (q, eta)
     assert finite == 10
+
+
+@st.composite
+def _columns(draw):
+    q = draw(st.floats(0.1, 3.0))
+    low, high = abs(q - 1.0), q + 1.0
+    if draw(st.booleans()):
+        # every cell gapless
+        etas = draw(st.lists(st.floats(low + 1e-3, high - 1e-3), min_size=1,
+                             max_size=4))
+    else:
+        etas = draw(st.lists(st.floats(0.0, high + 3.0), max_size=5))
+        # the lossless cell and the gapped sides of both lines, whose strip
+        # rung is the start cap
+        etas += [0.0, low - 1e-6, high + 1e-6]
+    n0 = draw(st.sampled_from([16, 64, 1024]))
+    return q, draw(st.permutations(etas)), n0
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(_columns())
+# at 16 samples the hopping phase of this column aliases: the first rung of
+# every gapped cell is discarded
+@example((1.05, [0.0, 0.02, 0.0498, 2.06, 3.5], 16))
+def test_a_column_gives_every_cell_its_point_bits(column):
+    q, etas, n0 = column
+    etas = [eta for eta in etas if eta >= 0.0]
+    cells = sweep._diagram_column((q, etas, n0))
+    outcomes = berry._chain_cells(q, standard_loop(BIPARTITE, n0), etas)
+    for eta, cell, outcome in zip(etas, cells, outcomes):
+        try:
+            direct = bipartite_phase_point(q, eta, n0=n0)
+        except BerrylineError as exc:
+            assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+            assert all(math.isnan(v) for v in cell[:5]), (q, eta)
+            assert cell[6] is False
+            continue
+        # the same result object, rungs and routes included
+        assert outcome == direct, (q, eta)
+        assert list(cell[:5]) == [direct.gamma_b_plus, direct.xi_b_plus,
+                                  direct.gamma_b_minus, direct.xi_b_minus,
+                                  direct.q_index], (q, eta)
+        assert cell[6] == (direct.q_rounded is not None
+                           and not sweep._near_critical(q, eta))
+
+
+def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
+    q, loop = 2.0, standard_loop(BIPARTITE, 1024)
+    etas = [0.1 * k for k in range(10)] + [0.999999]
+    whole = berry._chain_cells(q, loop, etas)
+    passes = []
+    chain_rows = berry._ChainRows
+
+    def recorded(p, gammas, k):
+        passes.append((len(gammas), len(k) - 2 * PAD))
+        return chain_rows(p, gammas, k)
+
+    monkeypatch.setattr(berry, "_ChainRows", recorded)
+    monkeypatch.setattr(berry, "_PASS_SAMPLES", 256)
+    assert berry._chain_cells(q, loop, etas) == whole
+    # a pass holds at most 256 samples, or one row when a rung is longer
+    assert all(rows * n <= 256 or rows == 1 for rows, n in passes)
+    assert max(rows for rows, _ in passes) > 1
+    assert max(n for _, n in passes) > 256
+
+
+def test_the_discarded_rung_example_discards_a_rung():
+    r = bipartite_phase_point(1.05, 0.02, n0=16)
+    assert r.refinement_history[0][0] == 32
 
 
 def test_exact_transition_gridpoints_are_nudged():
@@ -295,6 +368,21 @@ def test_amplitude_map_matches_the_sign_condition():
     # both the trivial and the wound phase show up on this window
     assert qmap.analytic.min() == 0.0
     assert qmap.analytic.max() == 1.0
+
+
+@pytest.mark.parametrize("samples, message", [
+    (24, "power-of-two sample count of at least 16, got 24"),
+    (65536, "at most at 32768 samples.*got 65536"),
+])
+def test_amplitude_map_refuses_a_resolution_before_any_cell(
+        monkeypatch, samples, message):
+    def no_cell(params, n0):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep, "two_level_phase_point", no_cell)
+    with pytest.raises(BadResolution, match=message):
+        two_level_q_map((1.0, 1.0), (0.3, 1.7), (0.3, 1.7), 2,
+                        samples_per_loop=samples)
 
 
 def test_amplitude_map_marks_singular_cells_undefined():
