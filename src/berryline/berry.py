@@ -19,8 +19,9 @@ modes, and results are only accepted when the routes agree:
 Loops crossing a true spectral degeneracy of the lossy chain (its
 gapless parameter region) have no frame continuation. The per-band
 phases there are the split integrals around the crossing momenta, read
-from their elliptic closed form (``elliptic.closed_form_gamma``), and Q
-comes from the two EP-free winding routes of the hopping phase.
+from their elliptic closed form (``elliptic.closed_form_gamma``). Q
+depends on the hopping winding alone, so it is the dual-route index of
+the lossless chain at the same hopping ratio.
 """
 
 import math
@@ -51,8 +52,6 @@ from .models import (
     TwoLevelParams,
     _at_transition,
     _check_integer,
-    _hopping,
-    _zone_grid,
     band_index,
     loop_grid,
     standard_loop,
@@ -111,21 +110,6 @@ class GaugeCheckResult:
     winding_plus: int
     winding_minus: int
     resolution: int
-
-
-@dataclass(frozen=True)
-class _Rung:
-    n: int
-    gamma_plus: complex
-    gamma_minus: complex
-    q_quad: float
-    q_wilson: float = math.nan
-
-    def settled_since(self, last):
-        """Whether both band phases moved by less than 1e-9 since ``last``."""
-        return (last is not None
-                and abs(self.gamma_plus - last.gamma_plus) < _GAMMA_TOL
-                and abs(self.gamma_minus - last.gamma_minus) < _GAMMA_TOL)
 
 
 def _wilson_q(right, left, n, stride):
@@ -281,7 +265,7 @@ def _settled_phases(loop, frames, starts):
     outcomes = [None] * len(starts)
     rung_of = dict(enumerate(starts))      # unfinished row -> next rung
     history = {row: [] for row in rung_of}
-    prev = {}
+    prev = {}          # row -> its band phases on the last accepted rung
     conflict = {}
     while rung_of and min(rung_of.values()) <= _MAX_SAMPLES:
         n = min(rung_of.values())
@@ -300,23 +284,31 @@ def _settled_phases(loop, frames, starts):
                     outcomes[row] = error
                     del rung_of[row]
                     continue
-                rung = _Rung(n=n, gamma_plus=complex(phases[0, i]),
-                             gamma_minus=complex(phases[1, i]), q_quad=q_quad)
+                bands = phases[:, i].tolist()
                 history[row].append((n, q_quad))
-                if rung.settled_since(prev.get(row)):
-                    settling.append((i, row, rung))
-                prev[row] = rung
+                last = prev.get(row)
+                if last is not None and all(
+                        abs(g - old) < _GAMMA_TOL for g, old in zip(bands, last)):
+                    settling.append((i, row, bands))
+                prev[row] = bands
             if not settling:
                 continue
             right, left = stack.kets([i for i, _, _ in settling])
             q_wilson = _wilson_extrapolated(right, left, n).tolist()
-            for (_, row, rung), q_w in zip(settling, q_wilson):
-                if abs(rung.q_quad - q_w) <= _ROUTE_TOL:
-                    outcomes[row] = _assemble_result(
-                        replace(rung, q_wilson=q_w), history[row])
-                    del rung_of[row]
-                else:
-                    conflict[row] = (rung.q_quad, q_w)
+            for (_, row, (plus, minus)), q_w in zip(settling, q_wilson):
+                if not abs(q_quad - q_w) <= _ROUTE_TOL:    # NaN: aliased
+                    conflict[row] = (q_quad, q_w)
+                    continue
+                nearest = round(q_quad)
+                outcomes[row] = BerryPhaseResult(
+                    gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+                    gamma_b_minus=minus.real, xi_b_minus=minus.imag,
+                    q_index=q_quad,
+                    q_rounded=(nearest if abs(q_quad - nearest) < _ROUND_TOL
+                               else None),
+                    resolution=n, refinement_history=history[row],
+                    q_wilson=q_w)
+                del rung_of[row]
     for row in rung_of:
         if row in conflict and not math.isnan(conflict[row][1]):
             values = conflict[row]
@@ -328,16 +320,6 @@ def _settled_phases(loop, frames, starts):
                 f"per-band phases still moving at {_MAX_SAMPLES} samples",
                 history=history[row])
     return outcomes
-
-
-def _assemble_result(rung, history):
-    nearest = round(rung.q_quad)
-    q_rounded = int(nearest) if abs(rung.q_quad - nearest) < _ROUND_TOL else None
-    return BerryPhaseResult(
-        gamma_b_plus=rung.gamma_plus.real, xi_b_plus=rung.gamma_plus.imag,
-        gamma_b_minus=rung.gamma_minus.real, xi_b_minus=rung.gamma_minus.imag,
-        q_index=rung.q_quad, q_rounded=q_rounded, resolution=rung.n,
-        refinement_history=history, q_wilson=rung.q_wilson)
 
 
 def band_berry_phase(loop, model, band):
@@ -363,42 +345,6 @@ def band_berry_phase(loop, model, band):
         band_phase, _first_rung(loop), _GAMMA_TOL, _MAX_SAMPLES,
         context=f"band phase on a {model.kind} loop")
     return complex(value)
-
-
-def _gapless_winding(q):
-    """The winding of the hopping phase by two EP-free routes that must agree.
-
-    Refined quadrature of the closed-form phase rate, and discrete
-    unwrapping of the off-diagonal argument checked against aliasing.
-    Neither depends on the loss ratio.
-    """
-    params = BipartiteParams.from_ratios(q, 0.0)
-    rate = BipartiteModel(params).winding_rate
-
-    def mean_rate(n):
-        return trapezoid_periodic(rate(_zone_grid(n)), _TWO_PI) / _TWO_PI
-
-    q_quad, n_used, history = refine_dyadically(
-        mean_rate, 1024, 1e-9, _MAX_SAMPLES,
-        context="winding of the hopping phase")
-
-    n = max(n_used, 4096)
-    while True:
-        vk = _hopping(params, np.linspace(-math.pi, math.pi, n + 1))
-        steps = np.angle(vk[1:] / vk[:-1])
-        if np.abs(steps).max() < MAX_PHASE_STEP:
-            break
-        if n >= _MAX_SAMPLES:
-            raise NotConverged(
-                "discrete winding of the hopping phase keeps aliasing",
-                history=history)
-        n *= 2
-    q_wilson = -float(steps.sum()) / _TWO_PI
-    if abs(q_quad - q_wilson) > _ROUTE_TOL:
-        raise Disagreement(
-            "the two winding routes disagree in the gapless region",
-            values=(q_quad, q_wilson))
-    return float(q_quad), q_wilson, n_used, history
 
 
 def _strip_width(q, eta):
@@ -443,9 +389,10 @@ def _chain_cells(q, loop, etas, reports=None):
     caller has them already. Gapped cells run the dual-route refinement
     together, each starting at the strip rung of (q, eta) or at
     ``loop.n``, whichever is smaller; the loop's sample count is the
-    anchor of every rung and the finest start. In the gapless region the
-    band phases are the elliptic closed form and the index is the winding
-    of the hopping phase, computed once for all such cells.
+    anchor of every rung and the finest start. Q depends on the hopping
+    winding alone, so when any cell is gapless one lossless row (eta = 0)
+    joins the refinement, and each gapless cell is that row's result with
+    the band phases of the elliptic closed form.
     """
     if _at_transition(q):
         return [UndefinedAtTransition(
@@ -453,39 +400,36 @@ def _chain_cells(q, loop, etas, reports=None):
             "defined on the transition itself") for _ in etas]
     if reports is None:
         reports = [classify_region(q, eta) for eta in etas]
-    outcomes = [None] * len(etas)
-    gapped = []
-    winding = None
-    for i, (eta, report) in enumerate(zip(etas, reports)):
-        if report.region != GAPLESS_TRUE_CROSSING:
-            gapped.append(i)
+    gapless = [r.region == GAPLESS_TRUE_CROSSING for r in reports]
+    # the gapped cells, then the lossless row when a cell is gapless
+    row_etas = [eta for eta, g in zip(etas, gapless) if not g]
+    row_etas += [0.0] if any(gapless) else []
+    p = BipartiteParams.from_ratios(q, 0.0)
+    settled = _settled_phases(
+        loop,
+        lambda alphas, rows: _ChainRows(p, [row_etas[r] * p.v for r in rows],
+                                        alphas),
+        [min(loop.n, _strip_rung(q, eta)) for eta in row_etas])
+    lossless = settled.pop() if any(gapless) else None
+    gapped = iter(settled)
+    outcomes = []
+    for eta, g in zip(etas, gapless):
+        if not g:
+            outcomes.append(next(gapped))
             continue
-        if winding is None:
-            try:
-                winding = _gapless_winding(q)
-            except BerrylineError as exc:
-                winding = exc
-        if isinstance(winding, BerrylineError):
-            outcomes[i] = winding
+        if isinstance(lossless, BerrylineError):
+            outcomes.append(lossless)
             continue
-        q_quad, q_wilson, n_used, history = winding
         try:
             plus, minus = (closed_form_gamma(q, eta, band)
                            for band in ("plus", "minus"))
         except BerrylineError as exc:
-            outcomes[i] = exc
+            outcomes.append(exc)
             continue
-        rung = _Rung(n=n_used, q_quad=q_quad, q_wilson=q_wilson,
-                     gamma_plus=plus, gamma_minus=minus)
-        outcomes[i] = _assemble_result(rung, list(history))
-    p = BipartiteParams.from_ratios(q, 0.0)
-    gammas = [etas[i] * p.v for i in gapped]
-    settled = _settled_phases(
-        loop,
-        lambda alphas, rows: _ChainRows(p, [gammas[r] for r in rows], alphas),
-        [min(loop.n, _strip_rung(q, etas[i])) for i in gapped])
-    for i, outcome in zip(gapped, settled):
-        outcomes[i] = outcome
+        outcomes.append(replace(
+            lossless, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+            gamma_b_minus=minus.real, xi_b_minus=minus.imag,
+            refinement_history=list(lossless.refinement_history)))
     return outcomes
 
 
@@ -524,9 +468,11 @@ def bipartite_phase_point(q, eta, n0=1024):
     the analytic strip width of the integrand asks for, or at ``n0`` if
     that is smaller; every rung is anchored at the first sample of the
     ``n0`` loop, so ``resolution`` may lie below ``n0``. The gapless
-    region reads the elliptic closed form of the split integrals. Exactly
-    at q = 1 no value exists on either side of the transition. The
-    resolution ``n0`` is checked before either route runs.
+    region reads the elliptic closed form of the split integrals, and
+    its index, resolution and history are those of the lossless point
+    (q, 0) with the same ``n0``. Exactly at q = 1 no value exists on
+    either side of the transition. The resolution ``n0`` is checked
+    before either route runs.
     """
     (outcome,) = _chain_cells(q, standard_loop(BIPARTITE, n0), [eta])
     if isinstance(outcome, BerrylineError):
@@ -591,8 +537,9 @@ def apply_gauge(loop, model, f, band_windings):
                    / _TWO_PI)
     q_new = float(trapezoid_periodic(a_new[0] + a_new[1], loop.period).real
                   / _TWO_PI)
-    q_new_wilson = _wilson_extrapolated(right_t, left_t, n)
-    if q_new_wilson is None or abs(q_new - q_new_wilson) > _ROUTE_TOL:
+    q_new_wilson = float(_wilson_extrapolated(right_t, left_t, n))
+    # an aliased Wilson route is NaN and agrees with nothing
+    if not abs(q_new - q_new_wilson) <= _ROUTE_TOL:
         raise Disagreement(
             "transformed index routes disagree",
             values=(q_new, q_new_wilson))

@@ -34,7 +34,7 @@ from .errors import (
     SingularParameters,
     TrueCrossing,
 )
-from .quadrature import PAD, unwrap_checked, unwrap_rows
+from .quadrature import PAD, unwrap_checked
 
 TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
@@ -238,7 +238,7 @@ class EigenPath:
     the analytic parameter derivative of the frame, and
     ``trace_connection`` their sum. ``winding_phase`` is the unwrapped
     angle whose net advance carries the topological index, and ``chi``
-    the unwrapped complex mixing angle.
+    the complex mixing angle, continuous along the grid.
     """
 
     values: np.ndarray
@@ -275,9 +275,9 @@ def _chain_radicand(v, v_prime, gamma, cos_k):
     return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
 
 
-def _mixing_angle(unwrapped, u):
-    """The complex mixing angle chi from u = exp(i chi) and arg u unwrapped."""
-    return unwrapped - 1j * np.log(np.abs(u))
+def _mixing_angle(angle, u):
+    """The complex mixing angle chi from u = exp(i chi) and a continuous arg u."""
+    return angle - 1j * np.log(np.abs(u))
 
 
 def _kets(chi, pr, mr, pl):
@@ -360,9 +360,10 @@ class _ChainRows:
     Row r is the chain at the hoppings of ``p`` with loss rate gammas[r].
     The gamma-free half, |v_k| and the unwrapped phase theta of v_k with
     its derivative, is built once for all rows. ``errors[r]`` is None or
-    the TrueCrossing or PathTooCoarse that row r's frame raises, checked
-    in the order of one frame: the energies meeting, then the hoppings
-    cancelling or theta aliasing, then the mixing angle aliasing. A row
+    the error row r's frame raises, checked in the order of one frame: a
+    TrueCrossing where the energies meet at a sample or the radicand
+    |v_k|^2 - gamma^2 changes sign between two, then the TrueCrossing or
+    PathTooCoarse of the hoppings cancelling or theta aliasing. A row
     without an error reads ``connection[b, r, m]``, band b's diagonal
     connection, and ``trace``, the connection trace every row shares;
     ``kets(rows)`` builds the right and dual kets of the given rows only.
@@ -375,9 +376,10 @@ class _ChainRows:
         mod = np.abs(vk)
         g = np.asarray(gammas, dtype=float)[:, None]
         rad = mod * mod - g * g
-        crossing = np.abs(rad).min(axis=-1) <= [
+        crossing = (np.abs(rad).min(axis=-1) <= [
             1e-12 * max(1.0, (p.v + p.v_prime) ** 2, gamma ** 2)
-            for gamma in g[:, 0].tolist()]
+            for gamma in g[:, 0].tolist()]) | (
+                (rad.min(axis=-1) < 0.0) & (rad.max(axis=-1) > 0.0))
         hop_error = None
         if mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
             # hoppings interfere to zero: the real parts of the two energies
@@ -391,8 +393,8 @@ class _ChainRows:
             except PathTooCoarse as exc:
                 hop_error = exc
         self.errors = [
-            TrueCrossing("the two complex energies coincide at a sampled "
-                         "momentum") if cross else hop_error
+            TrueCrossing("the two complex energies meet at or between sampled "
+                         "momenta") if cross else hop_error
             for cross in crossing.tolist()]
         self.connection = None
         if hop_error is not None:
@@ -404,15 +406,15 @@ class _ChainRows:
         d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
         self.trace = d_theta.astype(complex)
         self.s = np.sqrt(rad.astype(complex))
+        # arg u is constant along a gapped row, pi/2 where s is real and 0
+        # where it is imaginary, so it needs no unwrapping
         self.u = 1j * (g + mod) / self.s
-        self.angle, coarse = unwrap_rows(np.angle(self.u))
-        self.errors = [late if error is None else error
-                       for error, late in zip(self.errors, coarse)]
         self.connection = _band_connection(d_theta, 1j * g / self.s)
 
     def chi(self, rows):
         """The complex mixing angle of the given rows."""
-        return _mixing_angle(self.angle[rows], self.u[rows])
+        u = self.u[rows]
+        return _mixing_angle(np.angle(u), u)
 
     def kets(self, rows):
         """Right and dual kets of the given rows, each (2, 2, len(rows), M)."""
@@ -495,10 +497,3 @@ class BipartiteModel:
         diag_a = np.full(k.shape, complex(p.eps_a), dtype=complex)
         diag_b = np.full(k.shape, p.eps_b, dtype=complex)
         return np.stack([diag_a, vk, np.conj(vk), diag_b])
-
-    def winding_rate(self, alphas):
-        """d theta / dk of the off-diagonal phase, finite for all q != 1."""
-        p = self.params
-        k = np.asarray(alphas, dtype=float)
-        mod2 = _chain_radicand(p.v, p.v_prime, 0.0, np.cos(k))
-        return p.v_prime * (p.v_prime + p.v * np.cos(k)) / mod2

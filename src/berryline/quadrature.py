@@ -49,33 +49,23 @@ def trapezoid_periodic(values, period):
     return v.sum(axis=-1) * (period / v.shape[-1])
 
 
-def unwrap_rows(raw_angles):
-    """np.unwrap along the last axis, with the guard's verdict per row.
-
-    Returns (unwrapped, errors): ``errors[r]`` is the PathTooCoarse of
-    ``unwrap_checked`` on row r, or None.
-    """
-    out = np.unwrap(np.asarray(raw_angles, dtype=float))
-    if out.shape[-1] < 2:
-        return out, [None] * len(out)
-    steps = np.abs(np.diff(out))
-    return out, [
-        PathTooCoarse(f"phase step {peak:.3f} rad at sample {int(row.argmax())} "
-                      "exceeds pi/2; refine the grid", index=int(row.argmax()))
-        if peak >= MAX_PHASE_STEP else None
-        for row, peak in zip(steps, steps.max(axis=-1).tolist())]
-
-
 def unwrap_checked(raw_angles):
     """np.unwrap plus a sanity guard on the spacing of the result.
 
     Raises PathTooCoarse when any unwrapped step reaches pi/2, since at
     that point aliasing by a full turn can no longer be ruled out.
     """
-    out, (error,) = unwrap_rows(np.asarray(raw_angles, dtype=float)[None])
-    if error is not None:
-        raise error
-    return out[0]
+    out = np.unwrap(np.asarray(raw_angles, dtype=float))
+    if out.size > 1:
+        steps = np.abs(np.diff(out))
+        worst = int(np.argmax(steps))
+        if steps[worst] >= MAX_PHASE_STEP:
+            raise PathTooCoarse(
+                f"phase step {steps[worst]:.3f} rad at sample {worst} "
+                "exceeds pi/2; refine the grid",
+                index=worst,
+            )
+    return out
 
 
 def refine_dyadically(evaluate, n0, tol, cap, context=""):

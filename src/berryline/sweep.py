@@ -4,10 +4,11 @@ Three sweep shapes: a (q, eta) phase diagram of the lossy chain with
 per-cell convergence flags, logarithmic approach scans to the two
 divergence lines on the elliptic closed form with a straight-line fit as
 the summary, and a (d_x, d_y) map of the two-level index against its
-sign-condition prediction. Every grid cell runs the code of the corresponding point
-evaluator (a phase-diagram column shares only what depends on q alone),
-so a cell never differs from what a user would get by asking for that
-point directly.
+sign-condition prediction. Every grid cell runs the code of the
+corresponding point evaluator (a phase-diagram column shares only what
+depends on q alone: the loss-free half of the frame, and for its gapless
+cells the index of the lossless row), so a cell never differs from what a
+user would get by asking for that point directly.
 
 The CSV is written atomically straight from the grid's arrays, one row
 per cell with eta outer and q inner, in 17-significant-digit floats so
@@ -125,8 +126,8 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     converged=False, never aborting the rest of the grid. Each q column is
     one task: its gapped cells refine together, one array pass per rung
     size over the cells at that rung, with kets built only for the cells
-    that settle there; its gapless cells share the winding of the hopping
-    phase. Every cell equals the direct
+    that settle there; its gapless cells share the index of one lossless
+    row refined with them. Every cell equals the direct
     ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call, the same
     refinement with one row, bit for bit. ``samples_per_loop`` is the
     loop's anchor and the finest rung a gapped cell's refinement starts

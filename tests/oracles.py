@@ -7,7 +7,8 @@ the chain's gapless split integrals, characteristic-polynomial roots
 and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
 assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the frame for the
-first-order connection trace, and dense unwrapped sampling for windings.
+first-order connection trace, the closed-form rate of the chain's
+hopping phase, and dense unwrapped sampling for windings.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -22,7 +23,8 @@ import numpy as np
 from scipy import integrate
 
 from berryline.errors import DefectiveMatrix, DegenerateSpectrum
-from berryline.models import _MAX_SAMPLES, band_index, loop_grid
+from berryline.models import (_MAX_SAMPLES, _chain_radicand, band_index,
+                              loop_grid)
 from berryline.quadrature import PAD, tanh_sinh
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -321,6 +323,13 @@ def assemble_two_level(p, phi):
             + p.d_y * sy * np.array([[0.0, -1.0j], [-1.0j, 0.0]], dtype=complex)
             + p.d_z * cz * np.array([[1.0j, 0.0], [0.0, -1.0j]], dtype=complex))
     return herm + loss
+
+
+def winding_rate(params, alphas):
+    """d theta / dk of the chain's off-diagonal phase, finite for all q != 1."""
+    k = np.asarray(alphas, dtype=float)
+    mod2 = _chain_radicand(params.v, params.v_prime, 0.0, np.cos(k))
+    return params.v_prime * (params.v_prime + params.v * np.cos(k)) / mod2
 
 
 def dense_winding(values_fn, n=1 << 16):

@@ -18,7 +18,7 @@ from berryline.berry import (
 )
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import (BadResolution, Disagreement, GaugeMismatch,
-                              NotConverged, PathTooCoarse, SingularLoop,
+                              NotConverged, SingularLoop,
                               UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
@@ -31,11 +31,11 @@ from berryline.models import (
     loop_grid,
     standard_loop,
 )
-from berryline.quadrature import (PAD, trapezoid_periodic, unwrap_checked,
-                                  unwrap_rows)
+from berryline.quadrature import PAD, trapezoid_periodic
+from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 from oracles import (draw_two_level, fd_connection,
-                     first_order_correction_trace)
+                     first_order_correction_trace, winding_rate)
 
 
 def _tl(h, d, theta):
@@ -91,7 +91,7 @@ def test_connection_bipartite_pauli_decomposition():
     for j in range(0, loop.n, 37):
         k = float(loop.samples[j])
         a = connection[:, :, j]
-        dtheta = float(model.winding_rate(np.array([k]))[0])
+        dtheta = float(winding_rate(model.params, np.array([k]))[0])
         chi = chi_at(k)
         dchi = (chi_at(k + step) - chi_at(k - step)) / (2.0 * step)
         assert abs((a[0, 0] + a[1, 1]) - dtheta) < 1e-7
@@ -199,23 +199,10 @@ def test_row_stacks_reduce_to_each_rows_bits(n):
     rng = np.random.default_rng(n)
     samples = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
     stacked = trapezoid_periodic(samples, 2.0 * math.pi)
-    # smooth phase ramps, the last row with one step too wide to unwrap
-    steps = rng.uniform(-1.5, 1.5, (6, n))
-    steps[-1, n // 3] = 2.0
-    raw = np.angle(np.exp(1j * np.cumsum(steps, axis=-1)))
-    unwrapped, errors = unwrap_rows(raw)
-    assert [error is None for error in errors] == [True] * 5 + [False]
     for r in range(6):
         row = samples[r].copy()
         assert stacked[r].tobytes() == trapezoid_periodic(
             row, 2.0 * math.pi).tobytes()
-        try:
-            alone = unwrap_checked(raw[r].copy())
-        except PathTooCoarse as exc:
-            assert (str(errors[r]), errors[r].index) == (str(exc), exc.index)
-        else:
-            assert errors[r] is None
-            assert unwrapped[r].tobytes() == alone.tobytes()
 
     # kets of clean, partly aliased and fully aliased Wilson rows
     etas = [0.0, 0.3, 0.9, 0.999, 3.01, 5.0]
@@ -387,7 +374,7 @@ def test_global_phase_rejects_singular_sets():
 
 def test_gapless_region_phases():
     # Interior of the gapless region: the index still quantizes through
-    # the EP-free winding routes, and the band phases pair up.
+    # the lossless row's two routes, and the band phases pair up.
     r = bipartite_phase_point(1.5, 1.0)
     assert r.q_rounded == 1
     assert abs(r.q_index - r.q_wilson) <= 1e-6
@@ -438,6 +425,21 @@ def test_trace_additivity_and_real_total():
     # the amplitude-asymmetry term integrates out over a full period
     total = np.sum(path.trace_connection) * (2.0 * np.pi / 512)
     assert abs(total.imag) < 1e-8
+
+
+def test_an_aliased_gauge_wilson_route_is_refused(monkeypatch):
+    # the Wilson route marks aliasing with NaN, which compares false
+    model = _chain(2.0, 0.3)
+    loop = standard_loop(BIPARTITE, 1024)
+    zero = lambda alphas, band: np.zeros_like(alphas)
+    wilson = berry._wilson_extrapolated
+    monkeypatch.setattr(berry, "_wilson_extrapolated",
+                        lambda right, left, n: wilson(right, left, n) * math.nan)
+    with pytest.raises(Disagreement, match="transformed index") as err:
+        apply_gauge(loop, model, zero, {})
+    q_new, q_wilson = err.value.values
+    assert type(q_new) is float and type(q_wilson) is float
+    assert math.isnan(q_wilson)
 
 
 def test_gauge_identity_leaves_everything_alone():
@@ -612,3 +614,21 @@ def test_lossless_chain_band_phases_are_real(q):
     assume(abs(q - 1.0) > 0.15)
     r = bipartite_phase_point(q, 0.0)
     assert max(abs(r.xi_b_plus), abs(r.xi_b_minus)) < 1e-12
+
+
+@_PROPERTY
+@given(st.floats(0.1, 3.0), st.floats(0.01, 0.99),
+       st.sampled_from([16, 64, 1024]))
+def test_a_gapless_point_carries_the_lossless_points_index(q, t, n0):
+    # Q depends on the hopping winding alone: a gapless point reads it from
+    # the lossless row at the same hopping ratio
+    assume(abs(q - 1.0) > 1e-6)
+    eta = abs(q - 1.0) + t * (2.0 * min(q, 1.0))
+    assume(classify_region(q, eta).region == GAPLESS_TRUE_CROSSING)
+    gapless = bipartite_phase_point(q, eta, n0)
+    lossless = bipartite_phase_point(q, 0.0, n0)
+    for name in ("q_index", "q_rounded", "q_wilson", "resolution",
+                 "refinement_history"):
+        assert getattr(gapless, name) == getattr(lossless, name), name
+    assert (gapless.gamma_b_plus, gapless.xi_b_plus) != (
+        lossless.gamma_b_plus, lossless.xi_b_plus)

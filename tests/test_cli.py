@@ -137,6 +137,15 @@ def test_gauge_check_bipartite_example(capsys):
     assert payload["residual_Q"] < 1e-6
 
 
+def test_gauge_check_in_the_gapless_region_exits_2(capsys):
+    # the energies cross between samples: no frame to gauge, at any grid
+    code, out, err = run(capsys, "gauge-check", "--model", "bipartite",
+                         "--q", "1.5", "--eta", "1.0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "energies meet" in err
+
+
 def test_gauge_check_two_level_model(capsys):
     payload = run_json(capsys, "gauge-check", "--winding", "1", "--band",
                        "plus", "--model", "two-level", "--hx", "1",

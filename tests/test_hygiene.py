@@ -1,4 +1,5 @@
-"""Package hygiene: no unused import or private name; exports resolve once.
+"""Package hygiene: no unused import, private name or public method
+nothing calls; exports resolve once.
 
 The benchmark's tracer binds package names from outside the package;
 those bindings must resolve too.
@@ -43,9 +44,12 @@ def test_every_exported_name_resolves_and_is_unique():
     assert not missing, missing
 
 
-def test_every_private_module_name_is_referenced():
-    # a helper that a deletion leaves behind has no reference left in src/
-    trees = {p.name: ast.parse(p.read_text()) for p in _PACKAGE.glob("*.py")}
+def _trees():
+    return {p.name: ast.parse(p.read_text()) for p in _PACKAGE.glob("*.py")}
+
+
+def _referenced(trees):
+    """Every name src/ loads, reads as an attribute or imports."""
     referenced = set()
     for node in (n for tree in trees.values() for n in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -54,6 +58,25 @@ def test_every_private_module_name_is_referenced():
             referenced.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def _tracer_constants():
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    constants = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("FUNCTIONS", "MODEL_CLASSES", "MODEL_METHODS"):
+                constants[name] = ast.literal_eval(node.value)
+    assert len(constants) == 3, sorted(constants)
+    return constants
+
+
+def test_every_private_module_name_is_referenced():
+    # a helper that a deletion leaves behind has no reference left in src/
+    trees = _trees()
+    referenced = _referenced(trees)
     defined = []
     for module, tree in sorted(trees.items()):
         for node in tree.body:
@@ -67,17 +90,24 @@ def test_every_private_module_name_is_referenced():
     assert not [d for d in private if d[1] not in referenced]
 
 
+def test_every_public_method_is_referenced():
+    # a method whose last caller a deletion removes is left behind; the
+    # tracer's model methods are read from outside
+    trees = _trees()
+    referenced = _referenced(trees) | set(_tracer_constants()["MODEL_METHODS"])
+    methods = [(module, cls.name, node.name)
+               for module, tree in sorted(trees.items())
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")]
+    assert ("models.py", "_ChainRows", "kets") in methods
+    assert not [m for m in methods if m[2] not in referenced]
+
+
 def test_every_binding_of_the_bench_tracer_resolves():
     # bench/tracer.py wraps these names from outside; a name that a
     # removal leaves unresolved breaks every traced benchmark run
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    constants = {}
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            name = getattr(node.targets[0], "id", None)
-            if name in ("FUNCTIONS", "MODEL_CLASSES", "MODEL_METHODS"):
-                constants[name] = ast.literal_eval(node.value)
-    assert len(constants) == 3, sorted(constants)
+    constants = _tracer_constants()
     missing = [f"{layer}.{func}" for layer, func in constants["FUNCTIONS"]
                if not callable(getattr(importlib.import_module(
                    f"berryline.{layer}"), func, None))]

@@ -24,7 +24,8 @@ from berryline.models import (
 from berryline.quadrature import PAD
 
 from oracles import (assemble_two_level, bloch_matrix, char_poly_eigs,
-                     dense_winding, eig2, matrix_at, point_system)
+                     dense_winding, eig2, matrix_at, point_system,
+                     winding_rate)
 
 
 def _tl(h, d, theta):
@@ -273,6 +274,16 @@ def test_bipartite_radicand_zero_is_a_crossing():
         BipartiteModel(p).eigen_path(np.array([k0]))
 
 
+def test_bipartite_gapless_loop_is_a_crossing():
+    # no sample hits the crossing momenta, but the radicand changes sign
+    # between samples: no frame continues around the loop, however fine
+    model = BipartiteModel(BipartiteParams.from_ratios(1.5, 1.0))
+    for n in (64, 1024, 65536):
+        alphas, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
+        with pytest.raises(TrueCrossing, match="between sampled momenta"):
+            model.eigen_path(alphas)
+
+
 def test_standard_loops():
     loop = standard_loop(TWO_LEVEL, 16)
     assert loop.n == 16
@@ -393,10 +404,10 @@ def test_eigen_path_biorthonormal_along_loop():
 def test_winding_rate_integrates_to_topological_advance():
     ks = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
     dk = 2.0 * np.pi / 4096
-    fast = BipartiteModel(BipartiteParams(v=1.0, v_prime=2.0, gamma=0.0))
-    slow = BipartiteModel(BipartiteParams(v=1.0, v_prime=0.5, gamma=0.0))
-    assert abs(np.sum(fast.winding_rate(ks)) * dk - 2.0 * np.pi) < 1e-10
-    assert abs(np.sum(slow.winding_rate(ks)) * dk) < 1e-10
+    fast = BipartiteParams(v=1.0, v_prime=2.0, gamma=0.0)
+    slow = BipartiteParams(v=1.0, v_prime=0.5, gamma=0.0)
+    assert abs(np.sum(winding_rate(fast, ks)) * dk - 2.0 * np.pi) < 1e-10
+    assert abs(np.sum(winding_rate(slow, ks)) * dk) < 1e-10
 
 
 def test_entry_rows_match_matrices():
@@ -488,12 +499,12 @@ def test_trace_and_determinant_give_the_energies(model):
 @given(st.floats(0.05, 3.0), st.floats(0.0, 4.0), st.floats(0.3, 2.0))
 def test_winding_rate_depends_on_the_hopping_ratio_alone(q, eta, v):
     assume(abs(q - 1.0) > 0.05)
-    model = BipartiteModel(BipartiteParams.from_ratios(q, eta, v=v))
+    params = BipartiteParams.from_ratios(q, eta, v=v)
     k = _GRID
-    # d theta/dk of v_k = v + v' exp(-ik) in ratio units, the integrand of
-    # the gapless winding route
+    # d theta/dk of v_k = v + v' exp(-ik) in ratio units, the connection
+    # trace of the chain's frame
     want = q * (q + np.cos(k)) / (1.0 + q * q + 2.0 * q * np.cos(k))
-    assert np.abs(model.winding_rate(k) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(winding_rate(params, k) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @_PROPERTY

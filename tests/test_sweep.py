@@ -148,6 +148,18 @@ def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
     assert max(n for _, n in passes) > 256
 
 
+@pytest.mark.parametrize("q", [0.991, 0.995, 1.0035, 1.008])
+def test_gapless_cells_next_to_the_transition_keep_an_integer_index(q):
+    # the lossless row's trace quadrature keeps Q on its integer where the
+    # hopping winding rate peaks like q / |q - 1|
+    etas = list(np.linspace(1.01 * abs(q - 1.0), 0.99 * (q + 1.0), 7))
+    cells = sweep._diagram_column((q, etas, 1024))
+    gapless = [cell for cell in cells if cell[5] == GAPLESS_TRUE_CROSSING]
+    assert len(gapless) == len(etas)
+    for cell in gapless:
+        assert abs(cell[4] - round(cell[4])) <= 1e-14, (q, cell)
+
+
 def test_the_discarded_rung_example_discards_a_rung():
     r = bipartite_phase_point(1.05, 0.02, n0=16)
     assert r.refinement_history[0][0] == 32
