@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import closed_form_gamma
+from .elliptic import _closed_form_pair, closed_form_gamma
 from .errors import (
     BadResolution,
     BerrylineError,
@@ -64,6 +64,7 @@ _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
 _ROUND_TOL = 1e-6     # distance to the nearest integer
 _PASS_SAMPLES = 1 << 18   # rows times samples of one array pass, for memory
+_STRIP_DECAY = -math.log(_GAMMA_TOL)   # strip width times start rung
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ def _phase_rung(loop, frames, n):
     """The frame stack at n samples and its rows' trapezoid phases.
 
     Returns (stack, phases, q_quad): ``phases[b, r]`` is band b's phase on
-    row r and q_quad the index of the connection trace the rows share;
-    both are None when no row has a frame.
+    row r and ``q_quad[r]`` the index of row r's connection trace; both
+    are None when no row has a frame.
     """
     alphas, _ = loop_grid(loop, n)
     stack = frames(alphas)
@@ -171,8 +172,8 @@ def _phase_rung(loop, frames, n):
         return stack, None, None
     interior = slice(PAD, PAD + n)
     phases = trapezoid_periodic(stack.connection[..., interior], loop.period)
-    q_quad = float(trapezoid_periodic(stack.trace[interior],
-                                      loop.period).real) / _TWO_PI
+    q_quad = (trapezoid_periodic(stack.trace[..., interior], loop.period).real
+              / _TWO_PI).tolist()
     return stack, phases, q_quad
 
 
@@ -191,7 +192,7 @@ class _PathRows:
             return
         self.errors = [None]
         self.connection = self.path.connection[:, None]
-        self.trace = self.path.trace_connection
+        self.trace = self.path.trace_connection[None]
 
     def kets(self, rows):
         """Right and dual kets of the one row, each (2, 2, 1, M)."""
@@ -252,15 +253,15 @@ def _settled_phases(loop, frames, starts):
     """The refinement of gapped rows on one loop, level by level.
 
     ``frames(alphas, rows)`` is the frame stack of the listed rows on one
-    padded grid, and row r starts at rung ``starts[r]``. Each row doubles
-    its grid until its per-band phases move by less than 1e-9 and its two
-    Q routes agree within 1e-6; a rung its frame flags too coarse is
-    discarded. The rows at the same rung go through one array pass (in
-    passes of at most 2^18 samples, which bounds the memory), and only the
-    rows that settle there build kets, for the Wilson route.
-    Every rung, any below ``loop.n`` included, is anchored at
-    ``loop.samples[0]``. Returns per row its BerryPhaseResult or the
-    BerrylineError it ended with.
+    padded grid of the loop parameter, and row r starts at rung
+    ``starts[r]``. Each row doubles its grid until its per-band phases
+    move by less than 1e-9 and its two Q routes agree within 1e-6; a rung
+    its frame flags too coarse is discarded. The rows at the same rung go
+    through one array pass (in passes of at most 2^18 samples, which
+    bounds the memory), and only the rows that settle there build kets,
+    for the Wilson route. Every rung, any below ``loop.n`` included, is
+    anchored at ``loop.samples[0]``. Returns per row its BerryPhaseResult
+    or the BerrylineError it ended with.
     """
     outcomes = [None] * len(starts)
     rung_of = dict(enumerate(starts))      # unfinished row -> next rung
@@ -285,7 +286,7 @@ def _settled_phases(loop, frames, starts):
                     del rung_of[row]
                     continue
                 bands = phases[:, i].tolist()
-                history[row].append((n, q_quad))
+                history[row].append((n, q_quad[i]))
                 last = prev.get(row)
                 if last is not None and all(
                         abs(g - old) < _GAMMA_TOL for g, old in zip(bands, last)):
@@ -295,16 +296,17 @@ def _settled_phases(loop, frames, starts):
                 continue
             right, left = stack.kets([i for i, _, _ in settling])
             q_wilson = _wilson_extrapolated(right, left, n).tolist()
-            for (_, row, (plus, minus)), q_w in zip(settling, q_wilson):
-                if not abs(q_quad - q_w) <= _ROUTE_TOL:    # NaN: aliased
-                    conflict[row] = (q_quad, q_w)
+            for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
+                q_q = q_quad[i]
+                if not abs(q_q - q_w) <= _ROUTE_TOL:    # NaN: aliased
+                    conflict[row] = (q_q, q_w)
                     continue
-                nearest = round(q_quad)
+                nearest = round(q_q)
                 outcomes[row] = BerryPhaseResult(
                     gamma_b_plus=plus.real, xi_b_plus=plus.imag,
                     gamma_b_minus=minus.real, xi_b_minus=minus.imag,
-                    q_index=q_quad,
-                    q_rounded=(nearest if abs(q_quad - nearest) < _ROUND_TOL
+                    q_index=q_q,
+                    q_rounded=(nearest if abs(q_q - nearest) < _ROUND_TOL
                                else None),
                     resolution=n, refinement_history=history[row],
                     q_wilson=q_w)
@@ -347,25 +349,7 @@ def band_berry_phase(loop, model, band):
     return complex(value)
 
 
-def _strip_width(q, eta):
-    """Half-width of the strip about real k where a gapped chain loop is analytic.
-
-    The nearest exceptional point sits at Im k = acosh|c|, where
-    cos k = c = (eta^2 - 1 - q^2) / (2 q), and the zero of v_k at
-    Im k = |ln q|. |c| - 1 is r(pi) / (2 q) below eta = |q - 1| and
-    -r(0) / (2 q) above eta = q + 1, from the factorized radicand
-    extremes, and acosh(1 + d) = log1p(d + sqrt(d (d + 2))), so the width
-    keeps its digits next to the lines.
-    """
-    d = abs(1.0 - q)
-    rpi = (d - eta) * (d + eta)
-    r0 = (1.0 + q - eta) * (1.0 + q + eta)
-    delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
-    return min(math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
-               abs(math.log(q)))
-
-
-def _strip_rung(q, eta):
+def _strip_rung(width):
     """The rung a gapped chain loop's refinement needs to start from.
 
     The periodic trapezoid error falls like exp(-a n) for strip
@@ -374,62 +358,124 @@ def _strip_rung(q, eta):
     settle tolerance, capped at 32768 to leave a second rung below the
     refinement cap.
     """
-    a = _strip_width(q, eta)
     n = 16
-    while n < _MAX_SAMPLES // 2 and a * n < -math.log(_GAMMA_TOL):
+    while n < _MAX_SAMPLES // 2 and width * n < _STRIP_DECAY:
         n *= 2
     return n
 
 
-def _chain_cells(q, loop, etas, reports=None):
-    """The lossy chain's global phase results at hopping ratio q, per eta.
+def _singularities(q, eta):
+    """Distances of a gapped chain integrand's singularities from real k.
 
-    Returns per eta a BerryPhaseResult or the BerrylineError that cell
+    Returns (exceptional, hopping, at_zero). The zero of v_k sits at
+    k = pi + i |ln q|. The exceptional points sit at Im k = acosh|c|,
+    where cos k = c = (eta^2 - 1 - q^2) / (2 q): at Re k = pi below
+    eta = |q - 1| and at Re k = 0 (``at_zero``) above eta = q + 1. |c| - 1
+    is r(pi) / (2 q) or -r(0) / (2 q), from the factorized radicand
+    extremes, and acosh(1 + d) = log1p(d + sqrt(d (d + 2))), so the
+    distance keeps its digits next to the lines.
+    """
+    d = abs(1.0 - q)
+    rpi = (d - eta) * (d + eta)
+    r0 = (1.0 + q - eta) * (1.0 + q + eta)
+    delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
+    return (math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
+            abs(math.log(q)), rpi < 0.0)
+
+
+def _chain_grid(q, eta):
+    """Start rung and node map of a gapped chain row's refinement.
+
+    Returns (n, b): the row samples k(t) = t - b sin t at uniform loop
+    nodes t, with dk/dt = 1 - b cos t. This is the periodic map
+    t - beta sin(t - k0) of Hale & Trefethen (SIAM J. Numer. Anal. 46, 930
+    (2008)) with b = beta cos k0, which clusters the nodes at k0, the
+    real part of the singularity nearest the real axis (at distance a,
+    see ``_singularities``). beta = (y - a) / sinh y with y = a^(1/3)
+    puts that singularity's preimage at Im t = y; one at distance a' at
+    the opposite point has its preimage at y' + beta sinh y' = a'. The
+    start rung is ``_strip_rung`` of min(y, y'), and b = 0 (k = t
+    exactly) where that is no lower than the rung of a on the uniform
+    grid.
+    """
+    exceptional, hopping, at_zero = _singularities(q, eta)
+    near, far = sorted((exceptional, hopping))
+    uniform = _strip_rung(near)
+    y = near ** (1.0 / 3.0)
+    beta = (y - near) / math.sinh(y)
+    n = _strip_rung(y)
+    if at_zero:
+        # the far singularity sits at the opposite point; y' n >= ln(1e9)
+        # holds where its preimage height y' is at least w = ln(1e9) / n,
+        # that is where w + beta sinh w <= a'
+        while (n < _MAX_SAMPLES // 2 and _STRIP_DECAY / n
+               + beta * math.sinh(_STRIP_DECAY / n) > far):
+            n *= 2
+    if n >= uniform:
+        return uniform, 0.0
+    return n, (beta if at_zero and exceptional <= hopping else -beta)
+
+
+def _chain_cells(loop, cells, reports=None):
+    """The lossy chain's global phase results at (q, eta) cells on one loop.
+
+    Returns per cell a BerryPhaseResult or the BerrylineError that cell
     raises; ``reports`` are the crossing reports of the cells when the
     caller has them already. Gapped cells run the dual-route refinement
-    together, each starting at the strip rung of (q, eta) or at
-    ``loop.n``, whichever is smaller; the loop's sample count is the
-    anchor of every rung and the finest start. Q depends on the hopping
-    winding alone, so when any cell is gapless one lossless row (eta = 0)
-    joins the refinement, and each gapless cell is that row's result with
-    the band phases of the elliptic closed form.
+    together, each on the node map of ``_chain_grid`` and starting at
+    its rung or at ``loop.n``, whichever is smaller; every rung is
+    anchored at the loop's first sample, in the loop parameter t. Q
+    depends on the hopping winding alone, so each hopping ratio with a
+    gapless cell adds one lossless row (eta = 0) to the refinement, and
+    each gapless cell is that row's result with the band phases of the
+    elliptic closed form. A row computes from its own (q, eta) alone, so
+    every cell has the bits of its one-cell call.
     """
-    if _at_transition(q):
-        return [UndefinedAtTransition(
-            "the topological index jumps at hopping ratio 1; no phase is "
-            "defined on the transition itself") for _ in etas]
-    if reports is None:
-        reports = [classify_region(q, eta) for eta in etas]
-    gapless = [r.region == GAPLESS_TRUE_CROSSING for r in reports]
-    # the gapped cells, then the lossless row when a cell is gapless
-    row_etas = [eta for eta, g in zip(etas, gapless) if not g]
-    row_etas += [0.0] if any(gapless) else []
-    p = BipartiteParams.from_ratios(q, 0.0)
-    settled = _settled_phases(
-        loop,
-        lambda alphas, rows: _ChainRows(p, [row_etas[r] * p.v for r in rows],
-                                        alphas),
-        [min(loop.n, _strip_rung(q, eta)) for eta in row_etas])
-    lossless = settled.pop() if any(gapless) else None
-    gapped = iter(settled)
-    outcomes = []
-    for eta, g in zip(etas, gapless):
-        if not g:
-            outcomes.append(next(gapped))
+    reads = []         # per cell: (row, gapless), or None at q = 1
+    rows = {}          # (q, eta) of a refined row -> its index
+    for i, (q, eta) in enumerate(cells):
+        if _at_transition(q):
+            reads.append(None)
             continue
-        if isinstance(lossless, BerrylineError):
-            outcomes.append(lossless)
+        report = reports[i] if reports is not None else classify_region(q, eta)
+        gapless = report.region == GAPLESS_TRUE_CROSSING
+        row = rows.setdefault((q, 0.0) if gapless else (q, eta), len(rows))
+        reads.append((row, gapless))
+    ratios = list(rows)
+    grids = [_chain_grid(q, eta) for q, eta in ratios]
+
+    def frames(t, idx):
+        b = [grids[r][1] for r in idx]
+        k, dk = t, None
+        if any(b):
+            b = np.array(b)[:, None]
+            k = t - b * np.sin(t)
+            dk = 1.0 - b * np.cos(t)
+        return _ChainRows([1.0] * len(idx), [ratios[r][0] for r in idx],
+                          [ratios[r][1] for r in idx], k, dk)
+
+    settled = _settled_phases(loop, frames,
+                              [min(loop.n, n) for n, _ in grids])
+    outcomes = []
+    for (q, eta), read in zip(cells, reads):
+        if read is None:
+            outcomes.append(UndefinedAtTransition(
+                "the topological index jumps at hopping ratio 1; no phase is "
+                "defined on the transition itself"))
+            continue
+        outcome = settled[read[0]]
+        if not read[1] or isinstance(outcome, BerrylineError):
+            outcomes.append(outcome)
             continue
         try:
-            plus, minus = (closed_form_gamma(q, eta, band)
-                           for band in ("plus", "minus"))
+            plus, minus = _closed_form_pair(q, eta)
         except BerrylineError as exc:
             outcomes.append(exc)
             continue
         outcomes.append(replace(
-            lossless, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+            outcome, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
             gamma_b_minus=minus.real, xi_b_minus=minus.imag,
-            refinement_history=list(lossless.refinement_history)))
+            refinement_history=list(outcome.refinement_history)))
     return outcomes
 
 
@@ -464,17 +510,20 @@ def two_level_phase_point(params, n0=1024):
 def bipartite_phase_point(q, eta, n0=1024):
     """Global phase result of the lossy chain at ratios (q, eta).
 
-    Gapped regions run the dual-route refinement, starting at the rung
-    the analytic strip width of the integrand asks for, or at ``n0`` if
-    that is smaller; every rung is anchored at the first sample of the
-    ``n0`` loop, so ``resolution`` may lie below ``n0``. The gapless
-    region reads the elliptic closed form of the split integrals, and
-    its index, resolution and history are those of the lossless point
-    (q, 0) with the same ``n0``. Exactly at q = 1 no value exists on
-    either side of the transition. The resolution ``n0`` is checked
-    before either route runs.
+    Gapped regions run the dual-route refinement on uniform nodes t of
+    the loop parameter, mapped to momenta that cluster where the
+    integrand's nearest singularity lies, and starting at the rung the
+    analytic strip width of the mapped integrand asks for, or at ``n0``
+    if that is smaller (see ``_chain_grid``; where the map would not
+    lower the start, k = t). Every rung is anchored in t at the first
+    sample of the ``n0`` loop, so ``resolution``, a count of samples in
+    t, may lie below ``n0``. The gapless region reads the elliptic closed
+    form of the split integrals, and its index, resolution and history
+    are those of the lossless point (q, 0) with the same ``n0``. Exactly
+    at q = 1 no value exists on either side of the transition. The
+    resolution ``n0`` is checked before either route runs.
     """
-    (outcome,) = _chain_cells(q, standard_loop(BIPARTITE, n0), [eta])
+    (outcome,) = _chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)])
     if isinstance(outcome, BerrylineError):
         raise outcome
     return outcome

@@ -25,7 +25,7 @@ import numpy as np
 
 from .berry import (analytic_q, apply_gauge, bipartite_phase_point,
                     two_level_phase_point)
-from .elliptic import closed_form_gamma
+from .elliptic import _closed_form_pair
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
                      ClassificationMismatch, DefectiveMatrix,
                      DegenerateSpectrum, Disagreement, DomainError,
@@ -184,8 +184,7 @@ def _cmd_bipartite(args):
         "resolution": result.resolution,
     }
     if args.eta < abs(args.q - 1.0):
-        plus = closed_form_gamma(args.q, args.eta, "plus")
-        minus = closed_form_gamma(args.q, args.eta, "minus")
+        plus, minus = _closed_form_pair(args.q, args.eta)
         payload["closed_form"] = {"gamma_plus": plus, "gamma_minus": minus}
     return payload
 

@@ -57,6 +57,16 @@ def closed_form_gamma(q, eta, band):
     value. The band argument accepts the same labels as the numeric code
     ("plus"/"minus", "+"/"-", +1/-1).
     """
+    b = band_index(band)
+    return _closed_form_pair(q, eta)[b]
+
+
+def _closed_form_pair(q, eta):
+    """Both bands' phases (plus, minus) of ``closed_form_gamma`` at once.
+
+    The bands share the elliptic work: with plus = step + x + i y, minus
+    is step - x - i y exactly.
+    """
     _check_ratios(q, eta)
     if _at_transition(q):
         raise UndefinedAtTransition(
@@ -65,14 +75,14 @@ def closed_form_gamma(q, eta, band):
     r0 = (1.0 + q - eta) * (1.0 + q + eta)
     d = abs(1.0 - q)
     rpi = (d - eta) * (d + eta)
-    sign = 1.0 if band_index(band) == 0 else -1.0
     step = math.pi if q > 1.0 else 0.0
     if rpi > 0.0:
         y = 4.0 * q / ((q + 1.0) ** 2 - eta * eta)
         x = 4.0 * q / ((q + 1.0) ** 2)
         mc = rpi / r0           # 1 - y
         kernel = _k(mc) + ((q - 1.0) / (q + 1.0)) * _pi(x, mc)
-        return complex(step, sign * 0.5 * eta * math.sqrt(y / q) * kernel)
+        half = 0.5 * eta * math.sqrt(y / q) * kernel
+        return complex(step, half), complex(step, -half)
     if rpi == 0.0 or r0 <= 0.0:
         raise OutsideValidityDomain(
             "the elliptic reduction holds only for eta below q + 1 and off "
@@ -87,5 +97,6 @@ def closed_form_gamma(q, eta, band):
         r0 / (1.0 + q) ** 2, 0.5 * a)
     outer = 0.5 * _k(0.5 * b) + (q + 1.0) / (2.0 * (q - 1.0)) * _pi(
         rpi / d ** 2, 0.5 * b)
-    scale = sign * eta / math.sqrt(q)
-    return complex(step + scale * outer, scale * inner)
+    scale = eta / math.sqrt(q)
+    x, y = scale * outer, scale * inner
+    return complex(step + x, y), complex(step - x, -y)

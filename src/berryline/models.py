@@ -12,9 +12,10 @@ branch angles are continuously unwrapped, dual (left) vectors are paired
 so <lambda_b|psi_b'> = delta_bb' holds to roundoff, and the analytic
 parameter derivative of the frame gives each band's diagonal connection
 i<lambda_b|d psi_b> at every sample. Downstream phase integration
-consumes these paths; the chain's frame also comes as a stack over loss
-rates that shares the rate-free half and builds kets only on demand. A
-single point's frame is the path on a one-point grid,
+consumes these paths; the chain's frame also comes as a stack of rows,
+each with its own hoppings, loss rate and momentum grid, that builds
+kets only on demand. A single point's frame is the path on a one-point
+grid,
 ``model.eigen_path(np.array([alpha]))`` at index 0; its two bands are
 labelled 'plus' (index 0) and 'minus' (index 1).
 """
@@ -30,11 +31,10 @@ import numpy as np
 from .errors import (
     BadResolution,
     DegenerateSpectrum,
-    PathTooCoarse,
     SingularParameters,
     TrueCrossing,
 )
-from .quadrature import PAD, unwrap_checked
+from .quadrature import PAD, unwrap_checked, unwrap_rows
 
 TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
@@ -265,9 +265,9 @@ def _two_level_offdiag(p, cphi, sphi):
     return a_p * cphi - 1j * b_p * sphi, a_m * cphi + 1j * b_m * sphi
 
 
-def _hopping(p, k):
+def _hopping(v, v_prime, k):
     """Off-diagonal Bloch entry v_k = v + v' exp(-ik) of the chain."""
-    return p.v + p.v_prime * np.exp(-1j * k)
+    return v + v_prime * np.exp(-1j * k)
 
 
 def _chain_radicand(v, v_prime, gamma, cos_k):
@@ -335,9 +335,17 @@ def _two_level_frame(p, phi):
         raise DegenerateSpectrum(
             "the two branches touch at a sampled angle of this loop",
             gap=2.0 * math.sqrt(aw.min()))
-    # branch of the square root follows the unwrapped argument, so the
-    # energy is continuous along the sweep
-    e = np.sqrt(aw) * np.exp(0.5j * unwrap_checked(np.angle(w)))
+    # the square root is the principal one at the loop anchor phi = 0 (the
+    # sample nearest it) and follows the unwrapped argument from there, so
+    # the energy is continuous along the sweep and the band labels do not
+    # depend on how finely it is sampled
+    principal = np.angle(w)
+    arg_w = unwrap_checked(principal)
+    anchor = int(np.argmin(np.abs(phi)))
+    turns = round(float(arg_w[anchor] - principal[anchor]) / _TWO_PI)
+    if turns:
+        arg_w = arg_w - turns * _TWO_PI
+    e = np.sqrt(aw) * np.exp(0.5j * arg_w)
     phase = np.exp(-1j * nu_minus)
 
     dln_rp = (b_p * b_p - a_p * a_p) * sphi * cphi / (r_p * r_p)
@@ -355,85 +363,87 @@ def _two_level_frame(p, phi):
 
 
 class _ChainRows:
-    """The lossy-chain frame on one k grid for a stack of loss rates.
+    """The lossy-chain frame for a stack of rows, each on its own k grid.
 
-    Row r is the chain at the hoppings of ``p`` with loss rate gammas[r].
-    The gamma-free half, |v_k| and the unwrapped phase theta of v_k with
-    its derivative, is built once for all rows. ``errors[r]`` is None or
-    the error row r's frame raises, checked in the order of one frame: a
-    TrueCrossing where the energies meet at a sample or the radicand
-    |v_k|^2 - gamma^2 changes sign between two, then the TrueCrossing or
-    PathTooCoarse of the hoppings cancelling or theta aliasing. A row
-    without an error reads ``connection[b, r, m]``, band b's diagonal
-    connection, and ``trace``, the connection trace every row shares;
-    ``kets(rows)`` builds the right and dual kets of the given rows only.
-    When the hoppings fail, every row fails and ``connection`` is None.
+    Row r is the chain at hoppings v[r], v_prime[r] and loss rate
+    gamma[r], sampled at the momenta k[r] (a 1-D k is every row's grid).
+    ``dk``, when given, holds dk/dt of each row's grid along the loop
+    parameter t, and the connection and its trace are per unit t.
+    ``errors[r]`` is None or the error row r's frame raises, checked in
+    the order of one frame: a TrueCrossing where the energies meet at a
+    sample or the radicand |v_k|^2 - gamma^2 changes sign between two,
+    then a TrueCrossing where the hoppings cancel, then the PathTooCoarse
+    of the hopping phase theta aliasing. A row without an error reads
+    ``connection[b, r, m]``, band b's diagonal connection, and
+    ``trace[r, m]``, their sum; ``kets(rows)`` builds the right and dual
+    kets of the given rows only.
     """
 
-    def __init__(self, p, gammas, k):
+    def __init__(self, v, v_prime, gamma, k, dk=None):
+        scales = [max(1.0, (a + b) ** 2, c ** 2)
+                  for a, b, c in zip(v, v_prime, gamma)]
+        v, v_prime, g = np.array([v, v_prime, gamma], dtype=float)[..., None]
         k = np.asarray(k, dtype=float)
-        vk = _hopping(p, k)
+        vk = _hopping(v, v_prime, k)
         mod = np.abs(vk)
-        g = np.asarray(gammas, dtype=float)[:, None]
         rad = mod * mod - g * g
         crossing = (np.abs(rad).min(axis=-1) <= [
-            1e-12 * max(1.0, (p.v + p.v_prime) ** 2, gamma ** 2)
-            for gamma in g[:, 0].tolist()]) | (
+            1e-12 * scale for scale in scales]) | (
                 (rad.min(axis=-1) < 0.0) & (rad.max(axis=-1) > 0.0))
-        hop_error = None
-        if mod.min() <= 1e-12 * max(1.0, p.v + p.v_prime):
-            # hoppings interfere to zero: the real parts of the two energies
-            # merge there, and the off-diagonal phase has no value either
-            hop_error = TrueCrossing(
-                "the hoppings cancel at a sampled momentum and the real parts "
-                "of the two energies merge")
-        else:
-            try:
-                self.theta = -unwrap_checked(np.angle(vk))
-            except PathTooCoarse as exc:
-                hop_error = exc
+        # hoppings interfering to zero merge the real parts of the two
+        # energies, and leave the off-diagonal phase without a value
+        cancel = mod.min(axis=-1) <= 1e-12 * np.maximum(1.0, v + v_prime)[:, 0]
+        theta, coarse = unwrap_rows(np.angle(vk))
+        self.theta = -theta
         self.errors = [
             TrueCrossing("the two complex energies meet at or between sampled "
-                         "momenta") if cross else hop_error
-            for cross in crossing.tolist()]
-        self.connection = None
-        if hop_error is not None:
-            return
+                         "momenta") if cross
+            else TrueCrossing("the hoppings cancel at a sampled momentum and "
+                              "the real parts of the two energies merge")
+            if cut else error
+            for cross, cut, error in zip(crossing.tolist(), cancel.tolist(),
+                                         coarse)]
         if crossing.any():
             # a crossing row is evaluated lossless: its unread values stay finite
             rad = np.where(crossing[:, None], mod * mod, rad)
-        self.phase = np.exp(-1j * self.theta)
-        d_theta = p.v_prime * (p.v_prime + p.v * np.cos(k)) / (mod * mod)
+        if cancel.any():
+            mod = np.where(cancel[:, None], 1.0, mod)
+            rad = np.where(cancel[:, None], 1.0, rad)
+        d_theta = v_prime * (v_prime + v * np.cos(k)) / (mod * mod)
+        if dk is not None:
+            d_theta = d_theta * dk
         self.trace = d_theta.astype(complex)
         self.s = np.sqrt(rad.astype(complex))
-        # arg u is constant along a gapped row, pi/2 where s is real and 0
-        # where it is imaginary, so it needs no unwrapping
-        self.u = 1j * (g + mod) / self.s
         self.connection = _band_connection(d_theta, 1j * g / self.s)
+        self._g, self._mod = g, mod
 
     def chi(self, rows):
         """The complex mixing angle of the given rows."""
-        u = self.u[rows]
+        # arg u is constant along a gapped row, pi/2 where s is real and 0
+        # where it is imaginary, so it needs no unwrapping
+        u = 1j * (self._g[rows] + self._mod[rows]) / self.s[rows]
         return _mixing_angle(np.angle(u), u)
 
     def kets(self, rows):
         """Right and dual kets of the given rows, each (2, 2, len(rows), M)."""
-        return _kets(self.chi(rows), self.phase, -self.phase, self.phase)
+        phase = np.exp(-1j * self.theta[rows])
+        return _kets(self.chi(rows), phase, -phase, phase)
 
 
 def _bipartite_frame(p, k):
     """Lossy-chain eigen path on a k grid: the chain stack's one row."""
-    rows = _ChainRows(p, [p.gamma], k)
+    rows = _ChainRows([p.v], [p.v_prime], [p.gamma], k)
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    right, left = rows.kets([0])
+    chi = rows.chi([0])[0]
+    phase = np.exp(-1j * rows.theta[0])
+    right, left = _kets(chi, phase, -phase, phase)
     centroid = p.eps_a - 1j * p.gamma
     s = rows.s[0]
     return EigenPath(
-        values=np.stack([centroid + s, centroid - s]), right=right[:, :, 0],
-        left=left[:, :, 0], connection=rows.connection[:, 0],
-        trace_connection=rows.trace, winding_phase=rows.theta,
-        chi=rows.chi([0])[0])
+        values=np.stack([centroid + s, centroid - s]), right=right, left=left,
+        connection=rows.connection[:, 0], trace_connection=rows.trace[0],
+        winding_phase=rows.theta[0], chi=chi)
 
 
 @dataclass(frozen=True)
@@ -493,7 +503,7 @@ class BipartiteModel:
     def entry_rows(self, alphas):
         p = self.params
         k = np.asarray(alphas, dtype=float)
-        vk = _hopping(p, k)
+        vk = _hopping(p.v, p.v_prime, k)
         diag_a = np.full(k.shape, complex(p.eps_a), dtype=complex)
         diag_b = np.full(k.shape, p.eps_b, dtype=complex)
         return np.stack([diag_a, vk, np.conj(vk), diag_b])

@@ -49,23 +49,42 @@ def trapezoid_periodic(values, period):
     return v.sum(axis=-1) * (period / v.shape[-1])
 
 
-def unwrap_checked(raw_angles):
-    """np.unwrap plus a sanity guard on the spacing of the result.
+def unwrap_rows(raw_angles):
+    """np.unwrap of each row of a 2-D stack, with a spacing verdict per row.
 
-    Raises PathTooCoarse when any unwrapped step reaches pi/2, since at
-    that point aliasing by a full turn can no longer be ruled out.
+    Returns the unwrapped stack and per row None or a PathTooCoarse: once
+    an unwrapped step reaches pi/2, aliasing by a full turn can no longer
+    be ruled out and the grid has to be refined.
     """
-    out = np.unwrap(np.asarray(raw_angles, dtype=float))
-    if out.size > 1:
-        steps = np.abs(np.diff(out))
-        worst = int(np.argmax(steps))
-        if steps[worst] >= MAX_PHASE_STEP:
-            raise PathTooCoarse(
-                f"phase step {steps[worst]:.3f} rad at sample {worst} "
+    p = np.asarray(raw_angles, dtype=float)
+    # np.unwrap along the last axis, operation for operation, without its
+    # per-call overhead
+    dd = p[:, 1:] - p[:, :-1]
+    turn = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(turn, np.pi, where=(turn == -np.pi) & (dd > 0.0))
+    correction = turn - dd
+    np.copyto(correction, 0.0, where=np.abs(dd) < np.pi)
+    out = p.copy()
+    out[:, 1:] += correction.cumsum(axis=-1)
+    errors = [None] * len(out)
+    if out.shape[-1] > 1:
+        steps = np.abs(out[:, 1:] - out[:, :-1])
+        for r in np.flatnonzero(steps.max(axis=-1) >= MAX_PHASE_STEP).tolist():
+            worst = int(np.argmax(steps[r]))
+            errors[r] = PathTooCoarse(
+                f"phase step {steps[r, worst]:.3f} rad at sample {worst} "
                 "exceeds pi/2; refine the grid",
                 index=worst,
             )
-    return out
+    return out, errors
+
+
+def unwrap_checked(raw_angles):
+    """np.unwrap of one path, raising its PathTooCoarse (see ``unwrap_rows``)."""
+    out, (error,) = unwrap_rows(np.asarray(raw_angles, dtype=float)[None])
+    if error is not None:
+        raise error
+    return out[0]
 
 
 def refine_dyadically(evaluate, n0, tol, cap, context=""):

@@ -5,10 +5,11 @@ per-cell convergence flags, logarithmic approach scans to the two
 divergence lines on the elliptic closed form with a straight-line fit as
 the summary, and a (d_x, d_y) map of the two-level index against its
 sign-condition prediction. Every grid cell runs the code of the
-corresponding point evaluator (a phase-diagram column shares only what
-depends on q alone: the loss-free half of the frame, and for its gapless
-cells the index of the lossless row), so a cell never differs from what a
-user would get by asking for that point directly.
+corresponding point evaluator: a phase diagram refines its gapped cells,
+and one lossless row per hopping ratio for the index of its gapless
+cells, as one stack whose rows compute from their own (q, eta) alone, so
+a cell never differs from what a user would get by asking for that point
+directly.
 
 The CSV is written atomically straight from the grid's arrays, one row
 per cell with eta outer and q inner, in 17-significant-digit floats so
@@ -59,8 +60,9 @@ class PhaseDiagramGrid:
     within 1e-6 of an integer index, and sit at least 1e-3 away from the
     transition q = 1 and from both divergence lines.
     ``samples_per_loop`` is the loop sample count the grid was asked for:
-    the anchor of every cell's rungs and the finest start of a gapped
-    cell's refinement, not the rung any cell settled at.
+    the anchor of every cell's rungs in the loop parameter t and the
+    finest start of a gapped cell's refinement, not the rung any cell
+    settled at.
     """
 
     q_axis: np.ndarray
@@ -81,22 +83,22 @@ def _near_critical(q, eta):
             or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
 
 
-def _diagram_column(args):
-    # one q for every eta: the column's gapped cells refine together
-    q, eta_values, samples = args
-    reports = [classify_region(q, eta) for eta in eta_values]
-    outcomes = _chain_cells(q, standard_loop(BIPARTITE, samples), eta_values,
-                            reports)
-    cells = []
-    for eta, report, r in zip(eta_values, reports, outcomes):
+def _diagram_cells(args):
+    # a block of q columns, refined as one stack; cells in column order
+    q_values, eta_values, samples = args
+    cells = [(q, eta) for q in q_values for eta in eta_values]
+    reports = [classify_region(q, eta) for q, eta in cells]
+    outcomes = _chain_cells(standard_loop(BIPARTITE, samples), cells, reports)
+    rows = []
+    for (q, eta), report, r in zip(cells, reports, outcomes):
         if isinstance(r, BerrylineError):
-            cells.append((math.nan, math.nan, math.nan, math.nan, math.nan,
-                          report.region, False))
+            rows.append((math.nan, math.nan, math.nan, math.nan, math.nan,
+                         report.region, False))
             continue
         converged = r.q_rounded is not None and not _near_critical(q, eta)
-        cells.append((r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
-                      r.xi_b_minus, r.q_index, report.region, converged))
-    return cells
+        rows.append((r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
+                     r.xi_b_minus, r.q_index, report.region, converged))
+    return rows
 
 
 def _axis(bounds, count, name):
@@ -123,21 +125,23 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     Grid points landing exactly on q = 1 are shifted by half a cell; the
     phases are genuinely two-valued there and no cell may sit on the
     transition. Per-cell failures are recorded as NaN rows with
-    converged=False, never aborting the rest of the grid. Each q column is
-    one task: its gapped cells refine together, one array pass per rung
-    size over the cells at that rung, with kets built only for the cells
-    that settle there; its gapless cells share the index of one lossless
-    row refined with them. Every cell equals the direct
+    converged=False, never aborting the rest of the grid. The whole grid
+    is one task: its gapped cells refine together, each on its own
+    node-clustered momentum grid, one array pass per rung size over the
+    cells at that rung, with kets built only for the cells that settle
+    there; the gapless cells of each q share the index of one lossless row
+    refined with them. Every cell equals the direct
     ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call, the same
     refinement with one row, bit for bit. ``samples_per_loop`` is the
     loop's anchor and the finest rung a gapped cell's refinement starts
     from; a cell starts lower where the analytic strip width of its
-    integrand allows. Columns may go to BERRYLINE_THREADS worker
-    processes, capped at the cores and q columns; a value of 1 or less (or
-    none set) runs the columns serially, and one that is not an integer
-    raises ValueError. Results are assembled in order, so output never
-    depends on scheduling. The resolution and the axis counts (at most
-    65536 each) are checked before any axis is built.
+    mapped integrand allows. With BERRYLINE_THREADS above 1 the grid goes
+    to that many worker processes instead, capped at the cores and q
+    columns, one contiguous block of columns each; a value of 1 or less
+    (or none set) runs serially, and one that is not an integer raises
+    ValueError. Results are assembled in order, so output never depends
+    on scheduling. The resolution and the axis counts (at most 65536
+    each) are checked before any axis is built.
     """
     _check_resolution(samples_per_loop)
     samples = int(samples_per_loop)
@@ -149,8 +153,8 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    args = [(float(q), [float(eta) for eta in eta_axis], samples)
-            for q in q_axis]
+    q_values = [float(q) for q in q_axis]
+    eta_values = [float(eta) for eta in eta_axis]
     threads = os.environ.get("BERRYLINE_THREADS", "1") or "1"
     try:
         requested = int(threads)
@@ -159,13 +163,18 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
                          f"{threads!r}") from None
     workers = min(requested, os.cpu_count() or 1, nq)
     if workers > 1:
+        ends = [len(q_values) * w // workers for w in range(workers + 1)]
+        blocks = [(q_values[lo:hi], eta_values, samples)
+                  for lo, hi in zip(ends, ends[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_diagram_column, args))
+            cells = [c for block in pool.map(_diagram_cells, blocks)
+                     for c in block]
     else:
-        columns = [_diagram_column(a) for a in args]
+        cells = _diagram_cells((q_values, eta_values, samples))
 
     # the cells' 7-tuples, indexed [eta, q, field]
-    table = np.array(columns, dtype=object).transpose(1, 0, 2)
+    table = np.array(cells, dtype=object).reshape(
+        q_axis.size, eta_axis.size, 7).transpose(1, 0, 2)
     gp, xp, gm, xm, qi = (table[..., k].astype(float) for k in range(5))
     return PhaseDiagramGrid(
         q_axis=q_axis, eta_axis=eta_axis, gamma_g_plus=gp, xi_g_plus=xp,

@@ -18,7 +18,7 @@ from berryline.berry import (
 )
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import (BadResolution, Disagreement, GaugeMismatch,
-                              NotConverged, SingularLoop,
+                              NotConverged, PathTooCoarse, SingularLoop,
                               UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
@@ -194,7 +194,7 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024, 65536])
 def test_row_stacks_reduce_to_each_rows_bits(n):
-    # a column evaluates its rows as one stack; every reduction along the
+    # a sweep evaluates its rows as one stack; every reduction along the
     # last axis must give each row the bits of its own 1-D evaluation
     rng = np.random.default_rng(n)
     samples = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
@@ -204,27 +204,46 @@ def test_row_stacks_reduce_to_each_rows_bits(n):
         assert stacked[r].tobytes() == trapezoid_periodic(
             row, 2.0 * math.pi).tobytes()
 
-    # kets of clean, partly aliased and fully aliased Wilson rows
-    etas = [0.0, 0.3, 0.9, 0.999, 3.01, 5.0]
-    p = BipartiteParams.from_ratios(2.0, 0.0)
-    alphas, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
-    right, left = _ChainRows(p, etas, alphas).kets(list(range(len(etas))))
+    # rows (v, v', gamma, b) with their own hoppings, loss rates and node
+    # maps k = t - b sin t: clean, partly aliased and fully aliased Wilson
+    # rows, a row at v != 1, and rows clustered at k = pi (b < 0) and 0
+    rows = [(1.0, 2.0, 0.0, 0.0), (1.0, 2.0, 0.3, 0.0), (1.0, 2.0, 0.9, 0.0),
+            (1.0, 2.0, 0.999, 0.0), (1.0, 2.0, 3.01, 0.0),
+            (1.0, 2.0, 5.0, 0.0), (1.0, 2.0, 0.999, -0.9),
+            (0.7, 1.3, 0.4, 0.0), (2.5, 1.1, 4.0, 0.6),
+            (1.0, 1.05, 0.02, -0.97), (1.0, 1.2, 2.2001, 0.9)]
+    t, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
+    b = np.array([row[3] for row in rows])[:, None]
+    v, v_prime, gamma, _ = zip(*rows)
+    stack = _ChainRows(v, v_prime, gamma, t - b * np.sin(t),
+                       1.0 - b * np.cos(t))
+    right, left = stack.kets(list(range(len(rows))))
     strides = [berry._wilson_q(right, left, n, s) for s in (8, 4, 2, 1)]
     wilson = berry._wilson_extrapolated(right, left, n)
-    for r, eta in enumerate(etas):
-        right_r, left_r = _ChainRows(p, [eta], alphas).kets([0])
+    for r, (v_r, vp_r, gamma_r, b_r) in enumerate(rows):
+        # a row without a map is the plain frame on k = t
+        grid = (t - b_r * np.sin(t), 1.0 - b_r * np.cos(t)) if b_r else (t,)
+        one = _ChainRows([v_r], [vp_r], [gamma_r], *grid)
+        assert type(one.errors[0]) is type(stack.errors[r]), rows[r]
+        assert str(one.errors[0]) == str(stack.errors[r]), rows[r]
+        assert one.connection[:, 0].tobytes() == (
+            stack.connection[:, r].tobytes()), rows[r]
+        assert one.trace[0].tobytes() == stack.trace[r].tobytes(), rows[r]
+        right_r, left_r = one.kets([0])
         assert right_r[:, :, 0].tobytes() == right[:, :, r].tobytes()
         assert left_r[:, :, 0].tobytes() == left[:, :, r].tobytes()
         for s, stride in zip(strides, (8, 4, 2, 1)):
             alone = berry._wilson_q(right_r[:, :, 0], left_r[:, :, 0], n,
                                     stride)
-            assert s[r].tobytes() == alone.tobytes(), (eta, stride)
+            assert s[r].tobytes() == alone.tobytes(), (rows[r], stride)
         alone = berry._wilson_extrapolated(right_r[:, :, 0],
                                            left_r[:, :, 0], n)
-        assert wilson[r].tobytes() == alone.tobytes(), eta
+        assert wilson[r].tobytes() == alone.tobytes(), rows[r]
     if n == 16:
         assert np.isnan(strides[0][1]) and np.isfinite(wilson[1])
         assert np.isnan(wilson[3])
+        # the map clustered at 0 leaves the hopping zero at pi aliased
+        assert isinstance(stack.errors[10], PathTooCoarse)
 
 
 def test_global_phase_spec_points():
@@ -267,7 +286,7 @@ def test_global_phase_result_shape():
     assert r.q_rounded == 1
     assert abs(r.q_index - 1.0) < 1e-6
     # the refinement starts at the strip rung and settles on the next one
-    start = berry._strip_rung(2.0, 0.5)
+    start = berry._chain_grid(2.0, 0.5)[0]
     assert 16 <= start < 1024
     assert r.refinement_history[0][0] == start
     assert r.resolution == 2 * start
@@ -285,12 +304,26 @@ def test_strip_rung_grows_toward_every_line_and_stays_below_the_cap():
         "q = 1 from below": [(1.0 - 10.0 ** -j, 0.0) for j in range(1, 12)],
     }
     for label, points in approaches.items():
-        rungs = [berry._strip_rung(q, eta) for q, eta in points]
+        grids = [berry._chain_grid(q, eta) for q, eta in points]
+        rungs = [n for n, _ in grids]
         assert all(16 <= n <= 32768 and n & (n - 1) == 0 for n in rungs), label
         assert rungs == sorted(rungs), label
-        assert rungs[0] < rungs[-1] == 32768, label
-    # far from every line the refinement starts at a few dozen samples
-    assert berry._strip_rung(3.0, 0.0) == 32
+        assert rungs[0] < rungs[-1], label
+        for (q, eta), (n, b) in zip(points, grids):
+            uniform = berry._strip_rung(min(berry._singularities(q, eta)[:2]))
+            # the map only ever lowers the start, and is off where it cannot
+            assert n <= uniform and (b == 0.0) == (n == uniform), (q, eta)
+            assert abs(b) < 1.0, (q, eta)
+    # 1e-6 from a divergence line the uniform grid starts at 16384 samples
+    # or more, the clustered one at a few hundred
+    for q, eta in [(2.0, 1.0 - 1e-6), (0.5, 0.5 - 1e-6), (0.5, 1.5 + 1e-6),
+                   (3.0, 4.0 + 1e-6)]:
+        assert berry._strip_rung(min(berry._singularities(q, eta)[:2])) >= (
+            16384)
+        assert berry._chain_grid(q, eta)[0] <= 512, (q, eta)
+    # far from every line the refinement starts at a few dozen samples, on
+    # the uniform grid
+    assert berry._chain_grid(3.0, 0.0) == (32, 0.0)
 
 
 def test_strip_width_matches_the_arccosine_form_near_the_lines():
@@ -305,7 +338,7 @@ def test_strip_width_matches_the_arccosine_form_near_the_lines():
         # 1 / sinh(width) next to the lines
         kept = 8.0 * eps * abs(c) / math.sqrt(c * c - 1.0) + 8.0 * eps * naive
         assert naive < abs(math.log(q))
-        assert abs(berry._strip_width(q, eta) - naive) <= kept, (q, eta)
+        assert abs(berry._singularities(q, eta)[0] - naive) <= kept, (q, eta)
 
 
 def test_strip_start_agrees_with_the_loop_start():
@@ -332,6 +365,73 @@ def test_strip_start_agrees_with_the_loop_start():
                 q, eta, name)
         assert strip.q_rounded == full.q_rounded
         cells += 1
+
+
+def _uniform_route(q, eta):
+    try:
+        return global_berry_phase(standard_loop(BIPARTITE, 1024), _chain(q, eta))
+    except (NotConverged, SingularLoop):
+        # within 1e-4 of q = 1 a lossless loop counts as gapless
+        return None
+
+
+def test_clustered_route_matches_the_uniform_route_next_to_the_lines():
+    # gapped points 10^-j from both divergence lines, and lossless points
+    # 10^-j from the transition: the node-clustered refinement against
+    # the uniform one from the loop's 1024 samples
+    points = [(q, eta) for j in range(1, 8) for q, eta in (
+        (2.0, 1.0 - 10.0 ** -j), (0.5, 0.5 - 10.0 ** -j),
+        (0.5, 1.5 + 10.0 ** -j), (2.0, 3.0 + 10.0 ** -j))]
+    points += [(1.0 + s * 10.0 ** -j, 0.0) for j in range(1, 6)
+               for s in (1.0, -1.0)]
+    compared = 0
+    for q, eta in points:
+        clustered = bipartite_phase_point(q, eta)
+        assert abs(clustered.q_index - clustered.q_wilson) <= 1e-9, (q, eta)
+        assert clustered.q_rounded == analytic_q(
+            BipartiteParams.from_ratios(q, eta)), (q, eta)
+        uniform = _uniform_route(q, eta)
+        if uniform is None:
+            continue
+        compared += 1
+        for name in ("gamma_b_plus", "xi_b_plus", "gamma_b_minus",
+                     "xi_b_minus"):
+            assert abs(getattr(clustered, name) - getattr(uniform, name)) <= (
+                1e-10), (q, eta, name)
+    assert compared >= 20
+    # the uniform route runs out of rungs where the clustered one settles
+    assert _uniform_route(2.0, 1.0 - 1e-7) is None
+    assert bipartite_phase_point(2.0, 1.0 - 1e-7).resolution <= 1024
+
+
+def _band_phases(r):
+    return (r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus, r.xi_b_minus)
+
+
+def test_two_level_band_labels_do_not_depend_on_the_sample_count():
+    # the square root of w is anchored at phi = 0; anchored at the first
+    # padded sample, -2 (2 pi / n), the plus band here swapped with n
+    p = _tl((1.9284154599511412, 2.1814682775669567, -0.06090155581024259),
+            (2.7037356430929704, 5.048916623729786, 0.8013489945159307),
+            0.532023354799509)
+    want = _band_phases(two_level_phase_point(p, 1024))
+    assert abs(want[0] - 1.778396) < 1e-6
+    for n0 in (16, 32, 64, 128, 256, 512, 2048, 4096):
+        got = _band_phases(two_level_phase_point(p, n0))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, n0
+    # the loop's plus band at phi = 0 is the one-point frame's plus band
+    model = TwoLevelModel(p)
+    alphas, _ = loop_grid(standard_loop(TWO_LEVEL, 256), 256)
+    e_loop = model.eigen_path(alphas).values[0, PAD]
+    e_point = model.eigen_path(np.array([0.0])).values[0, 0]
+    assert abs(e_loop - e_point) <= 1e-12 * abs(e_point)
+
+    rng = np.random.default_rng(2014)
+    for style in ("positive", "negative") * 100:
+        params = draw_two_level(rng, style)
+        coarse = _band_phases(two_level_phase_point(params, 64))
+        fine = _band_phases(two_level_phase_point(params, 1024))
+        assert max(abs(a - b) for a, b in zip(coarse, fine)) <= 1e-12, params
 
 
 @pytest.mark.parametrize("model", [

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from berryline.elliptic import closed_form_gamma, ellip_k, ellip_pi
+from berryline.elliptic import (_closed_form_pair, closed_form_gamma,
+                                ellip_k, ellip_pi)
 from berryline.errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
 
 from oracles import agm_k, quad_k, quad_pi, split_integrals
@@ -134,6 +135,28 @@ def test_gapless_closed_form_matches_the_split_quadrature():
         minus = complex(step - eta * outer, -eta * inner)
         assert abs(closed_form_gamma(q, eta, "plus") - plus) <= 1e-10, (q, eta)
         assert abs(closed_form_gamma(q, eta, "minus") - minus) <= 1e-10, (q, eta)
+
+
+def test_both_bands_at_once_are_the_one_band_calls_bit_for_bit():
+    # TYPE_I and gapless points: one elliptic evaluation gives both bands
+    rng = np.random.default_rng(11)
+    regions = {"TYPE_I": 0, "gapless": 0}
+    while min(regions.values()) < 100:
+        q = float(rng.uniform(0.1, 3.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        if rng.integers(2):
+            eta = float(rng.uniform(0.0, abs(q - 1.0)))
+            region = "TYPE_I"
+        else:
+            eta = float(rng.uniform(abs(q - 1.0), q + 1.0))
+            region = "gapless"
+        plus, minus = _closed_form_pair(q, eta)
+        for got, band in ((plus, "plus"), (minus, "minus")):
+            want = closed_form_gamma(q, eta, band)
+            assert (got.real.hex(), got.imag.hex()) == (
+                want.real.hex(), want.imag.hex()), (q, eta, band)
+        regions[region] += 1
 
 
 @pytest.mark.parametrize("q, eta", [

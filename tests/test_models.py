@@ -1,5 +1,6 @@
 """Hamiltonian families, closed-form frames, and loop containers."""
 
+import hashlib
 import math
 import re
 
@@ -282,6 +283,22 @@ def test_bipartite_gapless_loop_is_a_crossing():
         alphas, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
         with pytest.raises(TrueCrossing, match="between sampled momenta"):
             model.eigen_path(alphas)
+
+
+def test_chain_frames_off_unit_hopping_keep_their_bits():
+    # the chain frame is the one-row case of a stack whose rows carry their
+    # own hoppings and grids; at v != 1 its arrays keep the bits pinned
+    # from the frame that shared one hopping set across its rows
+    digest = hashlib.sha256()
+    for p in (BipartiteParams(v=0.7, v_prime=1.3, gamma=0.4, eps_a=0.2),
+              BipartiteParams(v=2.5, v_prime=1.1, gamma=4.0, eps_a=-0.3)):
+        alphas, _ = loop_grid(standard_loop(BIPARTITE, 64), 64)
+        path = BipartiteModel(p).eigen_path(alphas)
+        for name in ("values", "right", "left", "connection",
+                     "trace_connection", "winding_phase", "chi"):
+            digest.update(np.ascontiguousarray(getattr(path, name)).tobytes())
+    assert digest.hexdigest() == (
+        "164dbcc62a2d79522ae63c4d2780ae6e3c6029a5bab17bcd638285611a6e86f2")
 
 
 def test_standard_loops():

@@ -13,6 +13,7 @@ from berryline.quadrature import (
     tanh_sinh,
     trapezoid_periodic,
     unwrap_checked,
+    unwrap_rows,
 )
 
 from oracles import spectral_derivative
@@ -125,6 +126,29 @@ def test_unwrap_checked_step_just_below_limit():
     step = MAX_PHASE_STEP - 1e-3
     out = unwrap_checked(np.arange(5) * step % (2 * np.pi))
     assert out.size == 5
+
+
+def test_unwrap_rows_is_numpys_unwrap_bit_for_bit():
+    # random walks of every step size, steps of exactly +-pi (where the
+    # unwrap picks the sign of the step), and one- and two-sample rows
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 64, 1028):
+        walks = np.cumsum(rng.uniform(-3.0, 3.0, (6, n)), axis=-1)
+        walks[1, n // 2:] += np.pi
+        walks[2, n // 2:] -= np.pi
+        walks[3] = np.pi * (np.arange(n) % 2)
+        for raw in (np.angle(np.exp(1j * walks)), walks):
+            out, errors = unwrap_rows(raw)
+            assert out.tobytes() == np.unwrap(raw).tobytes(), n
+            for r in range(len(raw)):
+                try:
+                    alone = unwrap_checked(raw[r])
+                except PathTooCoarse as exc:
+                    assert (errors[r].index, str(errors[r])) == (
+                        exc.index, str(exc))
+                    continue
+                assert errors[r] is None
+                assert alone.tobytes() == out[r].tobytes()
 
 
 def test_refine_dyadically_settles():

@@ -14,9 +14,9 @@ import reference_set
 _EXPECTED = """
 416fcc43402155d79495b7a7f84516a540d3255e740335d3e39b2f695f547a8a
 179fe0238b641da53de7e0948828636a6c7e1aa03b480d6458e5d05341beae41
-4f67f376ed2cd6d60f3e94e4ef6974f2ede979a07dcb66fb1888a657a4363805
+27536d0b7d374dbfd89d4591dc452f83bbab11bce79978988a363775597aa1b6
 1fd70d8fa2f744a66de076cc2edf4d7ada95b55fc73ddf5305a4635880d2fda3
-a52f0833a961077cde1d7dac476196be536d4d367b114c3662d92612df11d938
+c05218cf731e2511905c1019e6ace7c179a504e052752157283dc8a19520123d
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 c697c86a73fd88a1d3f44278a2998d0812be25fc1f3e601b431cdcd6545d338a
@@ -24,7 +24,7 @@ f561976c99ee04f90ecf26ef0460ffb2c129dab5989c6f464f66d562f809b468
 b35c9f87a2e169ce5fd12556430e7839a48c96e48772b8bb59a5f19ff2618113
 4b19e352c0e3ac390cdb106ee5f3415a5779949ec9ebc9cc4f56ff6b531f62f2
 3507b9582ccc57a3648349cfced794d6d1232448029a559d921881a1fc7340bc
-e4c02c1ceeaa9c0bf210c58ed31b3f04b137e98b67ccbec0ffdde8c74262df2c
+365d7e7f3371893c95132fe6ab8c3be01360b36ef29fa8a7631740f05664fc28
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
 

@@ -14,7 +14,8 @@ from berryline.berry import bipartite_phase_point
 from berryline.errors import BadResolution, BerrylineError
 from berryline.models import BIPARTITE, standard_loop
 from berryline.quadrature import PAD
-from berryline.spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II
+from berryline.spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II,
+                                classify_region)
 from berryline.sweep import (
     divergence_scan,
     phase_diagram,
@@ -38,8 +39,8 @@ def strong_grid():
 
 @pytest.fixture(scope="module")
 def mixed_grid():
-    # all three regions, and a column by q = 1 that cannot converge
-    return phase_diagram((0.9995, 2.0005), (0.05, 3.25), 3, 5)
+    # all three regions, and a column 2e-9 from q = 1 that cannot converge
+    return phase_diagram((1.0 - 2e-9, 2.0005), (0.05, 3.25), 3, 5)
 
 
 def test_weak_hopping_patch_is_trivial(weak_grid):
@@ -85,67 +86,109 @@ def test_cells_match_the_direct_point_evaluator(mixed_grid):
 
 
 @st.composite
-def _columns(draw):
-    q = draw(st.floats(0.1, 3.0))
-    low, high = abs(q - 1.0), q + 1.0
-    if draw(st.booleans()):
-        # every cell gapless
-        etas = draw(st.lists(st.floats(low + 1e-3, high - 1e-3), min_size=1,
-                             max_size=4))
-    else:
-        etas = draw(st.lists(st.floats(0.0, high + 3.0), max_size=5))
-        # the lossless cell and the gapped sides of both lines, whose strip
-        # rung is the start cap
-        etas += [0.0, low - 1e-6, high + 1e-6]
+def _stacks(draw):
+    # the cells of up to three hopping ratios in one stack, in any order
+    cells = []
+    for q in draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3)):
+        low, high = abs(q - 1.0), q + 1.0
+        if draw(st.booleans()):
+            # every cell gapless
+            etas = draw(st.lists(st.floats(low + 1e-3, high - 1e-3),
+                                 min_size=1, max_size=3))
+        else:
+            etas = draw(st.lists(st.floats(0.0, high + 3.0), max_size=4))
+            # the lossless cell and the gapped sides of both lines, whose
+            # start rungs take a node map
+            etas += [0.0, low - 1e-6, high + 1e-6]
+        cells += [(q, eta) for eta in etas if eta >= 0.0]
     n0 = draw(st.sampled_from([16, 64, 1024]))
-    return q, draw(st.permutations(etas)), n0
+    return draw(st.permutations(cells)), n0
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
-@given(_columns())
-# at 16 samples the hopping phase of this column aliases: the first rung of
-# every gapped cell is discarded
-@example((1.05, [0.0, 0.02, 0.0498, 2.06, 3.5], 16))
-def test_a_column_gives_every_cell_its_point_bits(column):
-    q, etas, n0 = column
-    etas = [eta for eta in etas if eta >= 0.0]
-    cells = sweep._diagram_column((q, etas, n0))
-    outcomes = berry._chain_cells(q, standard_loop(BIPARTITE, n0), etas)
-    for eta, cell, outcome in zip(etas, cells, outcomes):
+@given(_stacks())
+# rows with and without a map, of four hopping ratios; at 16 samples the
+# rows at q = 1.1 and 1.2 clustered at k = 0 alias the hopping zero at pi
+# and discard their first rungs
+@example(([(2.0, 0.3), (1.05, 0.02), (1.2, 2.2001), (0.5, 2.0), (1.05, 0.0),
+           (1.1, 2.1001), (2.0, 1.0 - 1e-6), (0.5, 1.0), (1.05, 1.5)], 16))
+@example(([(2.0, 0.3), (1.05, 0.02), (1.2, 2.2001), (0.5, 2.0), (1.05, 0.0),
+           (1.1, 2.1001), (2.0, 1.0 - 1e-6), (0.5, 1.0), (1.05, 1.5)], 1024))
+def test_a_column_gives_every_cell_its_point_bits(stack):
+    cells, n0 = stack
+    loop = standard_loop(BIPARTITE, n0)
+    outcomes = berry._chain_cells(loop, cells)
+    for (q, eta), outcome in zip(cells, outcomes):
         try:
             direct = bipartite_phase_point(q, eta, n0=n0)
         except BerrylineError as exc:
             assert (type(outcome), str(outcome)) == (type(exc), str(exc))
-            assert all(math.isnan(v) for v in cell[:5]), (q, eta)
-            assert cell[6] is False
             continue
         # the same result object, rungs and routes included
         assert outcome == direct, (q, eta)
-        assert list(cell[:5]) == [direct.gamma_b_plus, direct.xi_b_plus,
-                                  direct.gamma_b_minus, direct.xi_b_minus,
-                                  direct.q_index], (q, eta)
-        assert cell[6] == (direct.q_rounded is not None
+    # the sweep's rows over the grid of these ratios: every cell has the
+    # bits of its result in the stack above, where other rows kept it company
+    q_values = sorted({q for q, _ in cells})
+    eta_values = sorted({eta for _, eta in cells})
+    grid = sweep._diagram_cells((q_values, eta_values, n0))
+    results = dict(zip(cells, outcomes))
+    for (q, eta), cell in zip(
+            [(q, eta) for q in q_values for eta in eta_values], grid):
+        if (q, eta) not in results:
+            continue
+        r = results[q, eta]
+        if isinstance(r, BerrylineError):
+            assert all(math.isnan(v) for v in cell[:5]), (q, eta)
+            assert cell[6] is False
+            continue
+        assert list(cell[:5]) == [r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
+                                  r.xi_b_minus, r.q_index], (q, eta)
+        assert cell[6] == (r.q_rounded is not None
                            and not sweep._near_critical(q, eta))
 
 
 def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
-    q, loop = 2.0, standard_loop(BIPARTITE, 1024)
-    etas = [0.1 * k for k in range(10)] + [0.999999]
-    whole = berry._chain_cells(q, loop, etas)
+    loop = standard_loop(BIPARTITE, 1024)
+    cells = [(q, 0.1 * k + 0.05) for q in (2.0, 0.5, 1.05) for k in range(10)]
+    cells += [(2.0, 0.999999), (1.5, 1.0)]
+    whole = berry._chain_cells(loop, cells)
     passes = []
     chain_rows = berry._ChainRows
 
-    def recorded(p, gammas, k):
-        passes.append((len(gammas), len(k) - 2 * PAD))
-        return chain_rows(p, gammas, k)
+    def recorded(v, v_prime, gamma, k, dk=None):
+        passes.append((len(gamma), k.shape[-1] - 2 * PAD, len(set(v_prime)),
+                       dk is not None))
+        return chain_rows(v, v_prime, gamma, k, dk)
 
     monkeypatch.setattr(berry, "_ChainRows", recorded)
     monkeypatch.setattr(berry, "_PASS_SAMPLES", 256)
-    assert berry._chain_cells(q, loop, etas) == whole
+    assert berry._chain_cells(loop, cells) == whole
     # a pass holds at most 256 samples, or one row when a rung is longer
-    assert all(rows * n <= 256 or rows == 1 for rows, n in passes)
-    assert max(rows for rows, _ in passes) > 1
-    assert max(n for _, n in passes) > 256
+    assert all(rows * n <= 256 or rows == 1 for rows, n, _, _ in passes)
+    assert max(rows for rows, _, _, _ in passes) > 1
+    assert max(n for _, n, _, _ in passes) > 256
+    # passes mix hopping ratios, and rows with and without a node map
+    assert any(ratios > 1 and mapped for _, _, ratios, mapped in passes)
+    assert not all(mapped for _, _, _, mapped in passes)
+
+
+def test_cells_hugging_the_lines_settle_within_a_thousand_samples():
+    # a guard on the sample count of a sweep, not on its time: gapped
+    # cells 1e-6 to 1e-3 from both divergence lines settle at 1024 samples
+    # or fewer, and lossless rows 1e-5 or more from q = 1 at 2048 or fewer
+    loop = standard_loop(BIPARTITE, 1024)
+    gapped = [(q, eta) for q in (0.3, 0.5, 2.0, 3.0)
+              for distance in (1e-6, 1e-5, 1e-4, 1e-3)
+              for eta in (abs(q - 1.0) - distance, q + 1.0 + distance)]
+    lossless = [(1.0 + s * distance, 0.0) for s in (1.0, -1.0)
+                for distance in (1e-5, 1e-4, 1e-3, 1e-2)]
+    outcomes = berry._chain_cells(loop, gapped + lossless)
+    for (q, eta), r in zip(gapped + lossless, outcomes):
+        assert not isinstance(r, BerrylineError), (q, eta, r)
+        assert r.resolution <= (1024 if eta else 2048), (q, eta)
+    # the first cells lie on the gapped sides of both lines
+    assert {classify_region(q, eta).region for q, eta in gapped} == {
+        TYPE_I, TYPE_II}
 
 
 @pytest.mark.parametrize("q", [0.991, 0.995, 1.0035, 1.008])
@@ -153,7 +196,7 @@ def test_gapless_cells_next_to_the_transition_keep_an_integer_index(q):
     # the lossless row's trace quadrature keeps Q on its integer where the
     # hopping winding rate peaks like q / |q - 1|
     etas = list(np.linspace(1.01 * abs(q - 1.0), 0.99 * (q + 1.0), 7))
-    cells = sweep._diagram_column((q, etas, 1024))
+    cells = sweep._diagram_cells(([q], etas, 1024))
     gapless = [cell for cell in cells if cell[5] == GAPLESS_TRUE_CROSSING]
     assert len(gapless) == len(etas)
     for cell in gapless:
@@ -161,7 +204,7 @@ def test_gapless_cells_next_to_the_transition_keep_an_integer_index(q):
 
 
 def test_the_discarded_rung_example_discards_a_rung():
-    r = bipartite_phase_point(1.05, 0.02, n0=16)
+    r = bipartite_phase_point(1.2, 2.2001, n0=16)
     assert r.refinement_history[0][0] == 32
 
 
@@ -174,9 +217,9 @@ def test_exact_transition_gridpoints_are_nudged():
 
 
 def test_cells_near_critical_lines_are_flagged_unconverged():
-    # cells this close to q = 1 exhaust the contour budget and come back
-    # as NaN rows instead of aborting the grid
-    grid = phase_diagram((0.9995, 1.0005), (0.5, 0.5), 2, 1)
+    # cells this close to q = 1 exhaust the refinement budget and come
+    # back as NaN rows instead of aborting the grid
+    grid = phase_diagram((1.0 - 2e-9, 1.0 + 2e-9), (3.0, 3.0), 2, 1)
     assert not grid.converged.any()
     assert np.all(np.isnan(grid.q_index))
     # a clean evaluation within 1e-3 of a divergence line is demoted too
