@@ -387,9 +387,11 @@ class _ChainRows:
         vk = _hopping(v, v_prime, k)
         mod = np.abs(vk)
         rad = mod * mod - g * g
-        crossing = (np.abs(rad).min(axis=-1) <= [
+        # a lossless row's radicand |v_k|^2 stays at or above (v - v')^2, so
+        # its energies can meet only where the hoppings cancel (below)
+        crossing = (g[:, 0] != 0.0) & ((np.abs(rad).min(axis=-1) <= [
             1e-12 * scale for scale in scales]) | (
-                (rad.min(axis=-1) < 0.0) & (rad.max(axis=-1) > 0.0))
+                (rad.min(axis=-1) < 0.0) & (rad.max(axis=-1) > 0.0)))
         # hoppings interfering to zero merge the real parts of the two
         # energies, and leave the off-diagonal phase without a value
         cancel = mod.min(axis=-1) <= 1e-12 * np.maximum(1.0, v + v_prime)[:, 0]

@@ -3,7 +3,8 @@
 Every function here reaches a target quantity by a route the library
 does not use: arithmetic-geometric-mean iteration and scipy adaptive
 quadrature for the elliptic integrals, double-exponential quadrature of
-the chain's gapless split integrals, characteristic-polynomial roots
+the chain's gapless split integrals, the chain's elliptic reduction in
+60-digit arithmetic, characteristic-polynomial roots
 and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
 assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the frame for the
@@ -19,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -82,6 +84,32 @@ def split_integrals(q, eta):
 
     return (float(tanh_sinh(inner, 0.0, k0, tol=1e-12)),
             float(tanh_sinh(outer, k0, math.pi, tol=1e-12)))
+
+
+def closed_form_mp(q, eta):
+    """(x, y) of the chain's plus-band phase pi [q > 1] + x + i y, to 60 digits.
+
+    The same Byrd & Friedman reduction as ``elliptic``, K + c Pi(n | m),
+    evaluated by mpmath from the exact float inputs: every difference
+    that loses digits in floating point next to q = 1 (1 - n above all)
+    is exact here. Below eta = |q - 1| the real part x is 0.
+    """
+    with mpmath.workdps(60):
+        q, eta = mpmath.mpf(q), mpmath.mpf(eta)
+        r0 = (1 + q - eta) * (1 + q + eta)
+        rpi = (q - 1) ** 2 - eta ** 2
+
+        def part(c, n, m):
+            return mpmath.ellipk(m) + c * mpmath.ellippi(n, m)
+
+        if rpi > 0:
+            half = eta / mpmath.sqrt(r0) * part(
+                (q - 1) / (q + 1), 4 * q / (q + 1) ** 2, 1 - rpi / r0)
+            return 0.0, float(half)
+        scale = eta / (2 * mpmath.sqrt(q))
+        inner = part((q - 1) / (q + 1), r0 / (q + 1) ** 2, 1 + rpi / (4 * q))
+        outer = part((q + 1) / (q - 1), rpi / (q - 1) ** 2, 1 - r0 / (4 * q))
+        return float(scale * outer), float(scale * inner)
 
 
 def char_poly_eigs(matrix):

@@ -18,6 +18,8 @@ from berryline import cli, evolution, spectrum
 from berryline.cli import build_parser, main
 from berryline.errors import AmplitudeOutOfRange
 
+from oracles import closed_form_mp
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -105,6 +107,24 @@ def test_bipartite_on_a_divergence_line_exits_2(capsys, eta):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_bipartite_next_to_the_transition_keeps_its_digits(capsys):
+    # 60-digit mpmath value; forming 1 - n in floating point printed
+    # 0.54959202024239673
+    payload = run_json(capsys, "bipartite", "--q", "1.0001", "--eta", "5e-5")
+    assert abs(payload["gamma_plus"]["im"] - 0.5495919786995336) <= 1e-13
+
+
+@pytest.mark.parametrize("q, eta", [
+    ("1.000002", "0.5"), ("1.000001", "5e-7"), ("0.999999", "5e-7")])
+def test_lossless_rows_next_to_the_transition_are_not_crossings(capsys, q, eta):
+    # the energies +-|v_k| of a lossless row stay 2 |1 - q| apart; an
+    # absolute radicand tolerance above (1 - q)^2 once called them a crossing
+    payload = run_json(capsys, "bipartite", "--q", q, "--eta", eta)
+    assert abs(payload["Q"] - (float(q) > 1.0)) < 1e-9
+    _, want_y = closed_form_mp(float(q), float(eta))
+    assert abs(payload["gamma_plus"]["im"] - want_y) <= 1e-13
 
 
 def test_bipartite_near_transition_exits_3(capsys):

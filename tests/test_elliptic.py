@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from berryline.elliptic import (_closed_form_pair, closed_form_gamma,
+from berryline.elliptic import (_closed_form_pair, cel, closed_form_gamma,
                                 ellip_k, ellip_pi)
 from berryline.errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
 
-from oracles import agm_k, quad_k, quad_pi, split_integrals
+from oracles import agm_k, closed_form_mp, quad_k, quad_pi, split_integrals
 
 # Frozen from the arithmetic-geometric-mean iteration in oracles.agm_k.
 K_TABLE = {
@@ -64,6 +64,26 @@ def test_pi_domain():
         ellip_pi(1.0, 0.5)
     with pytest.raises(DomainError):
         ellip_pi(0.5, 1.0)
+
+
+@pytest.mark.parametrize("kc", [math.nan, 0.0, math.inf, -math.inf])
+def test_cel_refuses_a_modulus_that_never_settles(kc):
+    # the iteration stops when its two means meet, which they never do
+    # from kc = 0 or a non-finite kc; a bounded loop raises instead
+    with pytest.raises(DomainError):
+        cel(kc, 0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, math.nan])
+def test_cel_refuses_a_characteristic_at_or_beyond_the_pole(p):
+    with pytest.raises(DomainError):
+        cel(0.5, p, 1.0, 1.0)
+
+
+def test_cel_settles_down_to_the_smallest_complementary_parameter():
+    # K(m) ~ ln(4 / kc) as kc -> 0
+    for kc in (math.sqrt(5e-324), 1e-150, 1e-20):
+        assert abs(cel(kc, 1.0, 1.0, 1.0) - math.log(4.0 / kc)) < 1e-12
 
 
 def test_lossless_phase_is_a_pure_step():
@@ -157,6 +177,44 @@ def test_both_bands_at_once_are_the_one_band_calls_bit_for_bit():
             assert (got.real.hex(), got.imag.hex()) == (
                 want.real.hex(), want.imag.hex()), (q, eta, band)
         regions[region] += 1
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_closed_form_keeps_its_digits_next_to_the_transition(side):
+    # q = 1 +- 10^-j; q = 1 +- 1e-12 is the transition itself. eta is drawn
+    # below the inner line, just above it and across the gapless band. The
+    # parameters of the elliptic integrals are written out in q and eta, so
+    # x and y keep full precision; forming 1 - n in floating point lost up
+    # to 1e-10 at j = 3 and every digit from j = 8 on
+    rng = np.random.default_rng(1009)
+    for j in range(3, 12):
+        q = 1.0 + side * 10.0 ** -j
+        d = abs(q - 1.0)
+        step = math.pi if q > 1.0 else 0.0
+        etas = np.concatenate([rng.uniform(0.0, d, 3),
+                               d * rng.uniform(1.0, 20.0, 3),
+                               rng.uniform(d, 1.9, 3)])
+        for eta in etas.tolist():
+            want_x, want_y = closed_form_mp(q, eta)
+            plus, _ = _closed_form_pair(q, eta)
+            assert abs(plus.real - step - want_x) <= 1e-13, (q, eta)
+            assert abs(plus.imag - want_y) <= 1e-13, (q, eta)
+
+
+def test_closed_form_matches_60_digit_arithmetic_away_from_the_transition():
+    rng = np.random.default_rng(1013)
+    for _ in range(60):
+        q = float(rng.uniform(0.05, 4.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        eta = float(rng.uniform(0.0, q + 1.0))
+        if abs(eta - abs(q - 1.0)) < 1e-6:
+            continue
+        want_x, want_y = closed_form_mp(q, eta)
+        plus, _ = _closed_form_pair(q, eta)
+        step = math.pi if q > 1.0 else 0.0
+        assert abs(plus.real - step - want_x) <= 1e-13, (q, eta)
+        assert abs(plus.imag - want_y) <= 1e-13, (q, eta)
 
 
 @pytest.mark.parametrize("q, eta", [

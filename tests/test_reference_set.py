@@ -12,9 +12,9 @@ import reference_set
 # in the order reference_set.digests yields them: the 12 commands, then
 # the phase-diagram CSV and its JSON sidecar
 _EXPECTED = """
-416fcc43402155d79495b7a7f84516a540d3255e740335d3e39b2f695f547a8a
+e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 179fe0238b641da53de7e0948828636a6c7e1aa03b480d6458e5d05341beae41
-27536d0b7d374dbfd89d4591dc452f83bbab11bce79978988a363775597aa1b6
+5ccb5920a12bf62e12afc007e9184897fcefdb667e52f1aeb102a53b23587dc6
 1fd70d8fa2f744a66de076cc2edf4d7ada95b55fc73ddf5305a4635880d2fda3
 c05218cf731e2511905c1019e6ace7c179a504e052752157283dc8a19520123d
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
@@ -24,7 +24,7 @@ f561976c99ee04f90ecf26ef0460ffb2c129dab5989c6f464f66d562f809b468
 b35c9f87a2e169ce5fd12556430e7839a48c96e48772b8bb59a5f19ff2618113
 4b19e352c0e3ac390cdb106ee5f3415a5779949ec9ebc9cc4f56ff6b531f62f2
 3507b9582ccc57a3648349cfced794d6d1232448029a559d921881a1fc7340bc
-365d7e7f3371893c95132fe6ab8c3be01360b36ef29fa8a7631740f05664fc28
+86d47a76fbbfd1be1a4cb68c947f27d259e6130139d6e87e3a41e5229cb88668
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
 
