@@ -56,9 +56,10 @@ from .models import (
     loop_grid,
     standard_loop,
 )
-from .quadrature import (MAX_PHASE_STEP, PAD, fd4, refine_dyadically,
-                         trapezoid_periodic)
-from .spectrum import GAPLESS_TRUE_CROSSING, classify_region
+from .quadrature import (MAX_PHASE_STEP, refine_dyadically,
+                         spectral_derivative, trapezoid_periodic)
+from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, _boundary_ties,
+                       classify_region)
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
@@ -95,7 +96,8 @@ class GaugeCheckResult:
     The residuals are the passing slacks of the three shift laws:
     samplewise connection shift (a), per-band phase shift against 2 pi n
     (b), and index shift against the winding sum (c). ``resolution`` is
-    the loop sample count at which law (a) held.
+    the first rung from ``loop.n`` at which the frame, law (a) and the
+    transformed Wilson route all held.
     """
 
     gamma_plus: complex
@@ -122,10 +124,9 @@ def _wilson_q(right, left, n, stride):
     anchor. A row is NaN when any single step turns by a quarter circle or
     more, which signals aliasing rather than a usable phase.
     """
-    later = slice(PAD + stride, PAD + n + 1, stride)
-    earlier = slice(PAD, PAD + n, stride)
-    overlaps = np.einsum("cb...m,cb...m->b...m", np.conj(left[..., later]),
-                         right[..., earlier])
+    overlaps = np.einsum("cb...m,cb...m->b...m",
+                         np.conj(left[..., stride:n + 1:stride]),
+                         right[..., :n:stride])
     angles = np.angle(overlaps)
     sums = angles.sum(axis=-1)
     aliased = (np.abs(angles) >= MAX_PHASE_STEP).any(axis=(0, -1))
@@ -166,13 +167,11 @@ def _phase_rung(loop, frames, n):
     row r and ``q_quad[r]`` the index of row r's connection trace; both
     are None when no row has a frame.
     """
-    alphas, _ = loop_grid(loop, n)
-    stack = frames(alphas)
+    stack = frames(loop_grid(loop, n))
     if stack.connection is None:
         return stack, None, None
-    interior = slice(PAD, PAD + n)
-    phases = trapezoid_periodic(stack.connection[..., interior], loop.period)
-    q_quad = (trapezoid_periodic(stack.trace[..., interior], loop.period).real
+    phases = trapezoid_periodic(stack.connection[..., :n], loop.period)
+    q_quad = (trapezoid_periodic(stack.trace[..., :n], loop.period).real
               / _TWO_PI).tolist()
     return stack, phases, q_quad
 
@@ -200,7 +199,7 @@ class _PathRows:
 
 
 def _gapless_loop(model, transition_error):
-    """Refuse a loop on a singular set; whether it is a gapless chain loop.
+    """Refuse a loop on a singular set; whether it reads the closed form.
 
     A two-level loop on a singular line raises SingularLoop, a chain loop
     at hopping ratio 1 raises ``transition_error``.
@@ -216,7 +215,21 @@ def _gapless_loop(model, transition_error):
         raise transition_error(
             "at hopping ratio 1 the off-diagonal interferes to zero on the "
             "loop and the winding jumps between 0 and 1")
-    return classify_region(p.q, p.eta).region == GAPLESS_TRUE_CROSSING
+    return _reads_closed_form(p.q, p.eta, classify_region(p.q, p.eta).region)
+
+
+def _reads_closed_form(q, eta, region):
+    """Whether a chain loop's band phases come from the elliptic closed form.
+
+    A gapless loop has no frame to refine. A TYPE_I loop whose radicand
+    minimum lies within 1e-8 max(1, (1 + q)^2, eta^2) of zero, as the
+    whole strip does next to q = 1, has exceptional points so near the
+    real zone that only the closed form keeps its digits there.
+    """
+    if region == TYPE_I:
+        lo = _boundary_ties(q, eta)[0]
+        return lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
+    return region == GAPLESS_TRUE_CROSSING
 
 
 def _first_rung(loop):
@@ -253,7 +266,7 @@ def _settled_phases(loop, frames, starts):
     """The refinement of gapped rows on one loop, level by level.
 
     ``frames(alphas, rows)`` is the frame stack of the listed rows on one
-    padded grid of the loop parameter, and row r starts at rung
+    grid of the loop parameter, and row r starts at rung
     ``starts[r]``. Each row doubles its grid until its per-band phases
     move by less than 1e-9 and its two Q routes agree within 1e-6; a rung
     its frame flags too coarse is discarded. The rows at the same rung go
@@ -339,8 +352,7 @@ def band_berry_phase(loop, model, band):
         return closed_form_gamma(model.params.q, model.params.eta, band)
 
     def band_phase(n):
-        alphas, _ = loop_grid(loop, n)
-        connection = model.eigen_path(alphas).connection[b, PAD:PAD + n]
+        connection = model.eigen_path(loop_grid(loop, n)).connection[b, :n]
         return complex(trapezoid_periodic(connection, loop.period))
 
     value, _, _ = refine_dyadically(
@@ -426,10 +438,10 @@ def _chain_cells(loop, cells, reports=None):
     its rung or at ``loop.n``, whichever is smaller; every rung is
     anchored at the loop's first sample, in the loop parameter t. Q
     depends on the hopping winding alone, so each hopping ratio with a
-    gapless cell adds one lossless row (eta = 0) to the refinement, and
-    each gapless cell is that row's result with the band phases of the
-    elliptic closed form. A row computes from its own (q, eta) alone, so
-    every cell has the bits of its one-cell call.
+    cell that ``_reads_closed_form`` adds one lossless row (eta = 0) to
+    the refinement, and each such cell is that row's result with the band
+    phases of the elliptic closed form. A row computes from its own
+    (q, eta) alone, so every cell has the bits of its one-cell call.
     """
     reads = []         # per cell: (row, gapless), or None at q = 1
     rows = {}          # (q, eta) of a refined row -> its index
@@ -438,7 +450,7 @@ def _chain_cells(loop, cells, reports=None):
             reads.append(None)
             continue
         report = reports[i] if reports is not None else classify_region(q, eta)
-        gapless = report.region == GAPLESS_TRUE_CROSSING
+        gapless = _reads_closed_form(q, eta, report.region)
         row = rows.setdefault((q, 0.0) if gapless else (q, eta), len(rows))
         reads.append((row, gapless))
     ratios = list(rows)
@@ -529,15 +541,6 @@ def bipartite_phase_point(q, eta, n0=1024):
     return outcome
 
 
-def _fd_diag(left, right, h, interior):
-    dpsi = fd4(right, h)
-    li = left[:, :, interior]
-    return np.stack([
-        1j * np.einsum("cm,cm->m", np.conj(li[:, 0, :]), dpsi[:, 0, :]),
-        1j * np.einsum("cm,cm->m", np.conj(li[:, 1, :]), dpsi[:, 1, :]),
-    ])
-
-
 def apply_gauge(loop, model, f, band_windings):
     """Apply a per-band phase gauge and verify all three shift laws.
 
@@ -545,60 +548,72 @@ def apply_gauge(loop, model, f, band_windings):
     2 pi times the declared integer winding over one period; the declared
     and measured windings are compared and a mismatch is refused. The
     laws checked: (a) the diagonal connection shifts samplewise by the
-    derivative of f within 1e-9, (b) each band phase shifts by 2 pi n
-    within 1e-8, (c) the index shifts by the winding sum within 1e-6.
-    A declared winding that is not an integer raises ValueError.
+    derivative of f within 1e-9, by Fourier derivatives of the kets and
+    exp(-i f), (b) each band phase shifts by 2 pi n within 1e-8, (c) the
+    index shifts by the winding sum within 1e-6. The grid doubles from
+    ``loop.n`` while the frame is too coarse, law (a) misses, or the new
+    index's Wilson route misses its quadrature by over 1e-6, up to 65536
+    samples. A declared winding that is not an integer raises ValueError.
     """
-    windings = {name: _check_integer(band_windings.get(name, 0),
-                                     f"declared winding on the {name} band")
-                for name in ("plus", "minus")}
-    n = max(loop.n, 8192)
+    bands = ("plus", "minus")
+    windings = [_check_integer(band_windings.get(name, 0),
+                               f"declared winding on the {name} band")
+                for name in bands]
+    n = loop.n
     while True:
-        alphas, h = loop_grid(loop, n)
-        f_vals = np.stack([np.asarray(f(alphas, "plus"), dtype=float),
-                           np.asarray(f(alphas, "minus"), dtype=float)])
-        for b, name in enumerate(("plus", "minus")):
-            measured = (f_vals[b, PAD + n] - f_vals[b, PAD]) / _TWO_PI
-            if abs(measured - windings[name]) > 1e-6:
+        alphas = loop_grid(loop, n)
+        f_vals = np.stack([np.asarray(f(alphas, name), dtype=float)
+                           for name in bands])
+        for name, declared, turns in zip(
+                bands, windings, (f_vals[:, n] - f_vals[:, 0]) / _TWO_PI):
+            if abs(turns - declared) > 1e-6:
                 raise GaugeMismatch(
-                    f"declared winding {windings[name]} on the {name} band "
-                    f"but the gauge function advances {measured:.9f} turns")
-        path = model.eigen_path(alphas)
+                    f"declared winding {declared} on the {name} band but "
+                    f"the gauge function advances {turns:.9f} turns")
+        try:
+            path = model.eigen_path(alphas)
+        except PathTooCoarse:
+            if n >= _MAX_SAMPLES:
+                raise
+            n *= 2
+            continue
         phase = np.exp(-1j * f_vals)
-        right_t = path.right * phase[None, :, :]
-        left_t = path.left * phase[None, :, :]
-        interior = slice(PAD, PAD + n)
-        a_orig = _fd_diag(path.left, path.right, h, interior)
-        a_new = _fd_diag(left_t, right_t, h, interior)
-        df = np.stack([fd4(f_vals[0], h), fd4(f_vals[1], h)])
+        # the frame before and after the gauge, and i<lambda_b|d psi_b>
+        right = np.stack([path.right, path.right * phase])
+        left = np.stack([path.left, path.left * phase])
+        a_orig, a_new = 1j * np.einsum(
+            "gcbm,gcbm->gbm", np.conj(left[..., :n]),
+            spectral_derivative(right, loop.period))
+        # exp(-i f) is periodic for an integer winding, where f is not
+        df = (1j * np.conj(phase[:, :n])
+              * spectral_derivative(phase, loop.period)).real
         residual_a = float(np.abs(a_new - (a_orig + df)).max())
-        if residual_a <= 1e-9 or n >= 16384:
+        q_orig, q_new = (
+            float(trapezoid_periodic(a[0] + a[1], loop.period).real / _TWO_PI)
+            for a in (a_orig, a_new))
+        # an aliased Wilson route is NaN and agrees with nothing
+        q_wilson = (float(_wilson_extrapolated(right[1], left[1], n))
+                    if residual_a <= 1e-9 else math.nan)
+        if abs(q_new - q_wilson) <= _ROUTE_TOL or n >= _MAX_SAMPLES:
             break
         n *= 2
     if residual_a > 1e-9:
         raise Disagreement(
             f"gauge shift of the connection misses samplewise ({residual_a:.3e})",
             values=(residual_a,))
-
+    if not abs(q_new - q_wilson) <= _ROUTE_TOL:
+        raise Disagreement("transformed index routes disagree",
+                           values=(q_new, q_wilson))
     gamma_orig = trapezoid_periodic(a_orig, loop.period)
     gamma_new = trapezoid_periodic(a_new, loop.period)
-    q_orig = float(trapezoid_periodic(a_orig[0] + a_orig[1], loop.period).real
-                   / _TWO_PI)
-    q_new = float(trapezoid_periodic(a_new[0] + a_new[1], loop.period).real
-                  / _TWO_PI)
-    q_new_wilson = float(_wilson_extrapolated(right_t, left_t, n))
-    # an aliased Wilson route is NaN and agrees with nothing
-    if not abs(q_new - q_new_wilson) <= _ROUTE_TOL:
-        raise Disagreement(
-            "transformed index routes disagree",
-            values=(q_new, q_new_wilson))
-    residual_gp = abs(gamma_new[0] - gamma_orig[0] - _TWO_PI * windings["plus"])
-    residual_gm = abs(gamma_new[1] - gamma_orig[1] - _TWO_PI * windings["minus"])
+    residual_gp, residual_gm = (
+        float(abs(gamma_new[b] - gamma_orig[b] - _TWO_PI * windings[b]))
+        for b in (0, 1))
     if max(residual_gp, residual_gm) > 1e-8:
         raise Disagreement(
             "per-band phase shift misses its 2 pi n target",
             values=(residual_gp, residual_gm))
-    residual_q = abs(q_new - q_orig - (windings["plus"] + windings["minus"]))
+    residual_q = abs(q_new - q_orig - sum(windings))
     if residual_q > _ROUTE_TOL:
         raise Disagreement(
             "index shift misses the declared winding sum",
@@ -606,10 +621,7 @@ def apply_gauge(loop, model, f, band_windings):
     return GaugeCheckResult(
         gamma_plus=complex(gamma_orig[0]), gamma_minus=complex(gamma_orig[1]),
         gamma_plus_new=complex(gamma_new[0]), gamma_minus_new=complex(gamma_new[1]),
-        q_original=q_orig, q_new=q_new,
-        residual_a=residual_a,
-        residual_gamma_plus=float(residual_gp),
-        residual_gamma_minus=float(residual_gm),
-        residual_q=float(residual_q),
-        winding_plus=windings["plus"], winding_minus=windings["minus"],
-        resolution=n)
+        q_original=q_orig, q_new=q_new, residual_a=residual_a,
+        residual_gamma_plus=residual_gp, residual_gamma_minus=residual_gm,
+        residual_q=float(residual_q), winding_plus=windings[0],
+        winding_minus=windings[1], resolution=n)

@@ -345,7 +345,7 @@ def build_parser():
     s.add_argument("--band", choices=("plus", "minus", "both"),
                    default="plus",
                    help="band(s) the gauge acts on (default plus)")
-    _add_samples_flag(s, "loop resolution")
+    _add_samples_flag(s, "first rung of the gauge check")
     s.set_defaults(func=_cmd_gauge_check)
 
     return parser

@@ -34,7 +34,7 @@ from .errors import (
     SingularParameters,
     TrueCrossing,
 )
-from .quadrature import PAD, unwrap_checked, unwrap_rows
+from .quadrature import unwrap_checked, unwrap_rows
 
 TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
@@ -205,10 +205,6 @@ class ParameterLoop:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def spacing(self):
-        return self.period / self.n
-
 
 def standard_loop(kind, n):
     """The default closed loop of a family at n samples."""
@@ -216,15 +212,10 @@ def standard_loop(kind, n):
 
 
 def loop_grid(loop, n):
-    """Padded evaluation grid of n samples per period of a loop.
-
-    Returns (alphas, spacing) where alphas holds n + 2*PAD uniformly
-    spaced values starting PAD steps before the loop anchor; index PAD + n
-    is the closure point one full period past the anchor.
+    """n + 1 uniform parameters from ``loop.samples[0]`` to one period on,
+    so a frame on them shows how each ket closes on itself.
     """
-    h = loop.period / n
-    alphas = loop.samples[0] + np.arange(-PAD, n + PAD) * h
-    return alphas, h
+    return loop.samples[0] + np.arange(n + 1) * (loop.period / n)
 
 
 @dataclass(frozen=True)

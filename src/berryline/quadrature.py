@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Finite differences on ghost-padded grids, trapezoid sums on uniform
-periodic grids, a dyadic refinement driver, double-exponential quadrature
-for endpoint singularities, guarded phase unwrapping, and a plain Pearson
-line fit. Everything here is deterministic: no adaptive randomness, fixed
-node layouts, so repeated runs give identical bits.
+Fourier differentiation and trapezoid sums on uniform periodic grids, a
+dyadic refinement driver, double-exponential quadrature for endpoint
+singularities, guarded phase unwrapping, and a plain Pearson line fit.
+Everything here is deterministic: no adaptive randomness, fixed node
+layouts, so repeated runs give identical bits.
 
 Nothing in the package calls the double-exponential rule: the chain's gapless
 phases come from their elliptic closed form. It stays as the quadrature
@@ -16,27 +16,29 @@ import numpy as np
 
 from .errors import NotConverged, PathTooCoarse
 
-# Ghost samples on each side of a padded array, enough for the 5-point stencil.
-PAD = 2
-
 # A phase step this large between neighbouring samples means the unwrap is
 # no longer trustworthy and the grid has to be refined.
 MAX_PHASE_STEP = 0.5 * np.pi
 
 
-def fd4(padded, h):
-    """Fourth-order central derivative of samples with PAD ghosts per side.
+def spectral_derivative(samples, period):
+    """Fourier derivative at the n loop samples of a closed loop's n + 1.
 
-    ``padded`` has shape (..., N + 2*PAD); the result has shape (..., N) and
-    holds the derivative at the interior samples.
+    The last sample is the closure point, one period past the first
+    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3). A slice
+    whose closure lies nearer minus its first sample, as a ket that comes
+    back with its sign flipped, is differentiated on half-integer
+    wavenumbers; a periodic slice drops the Nyquist mode of an even grid.
     """
-    f = np.asarray(padded)
-    n = f.shape[-1] - 2 * PAD
-    m2 = f[..., 0:n]
-    m1 = f[..., 1:n + 1]
-    p1 = f[..., 3:n + 3]
-    p2 = f[..., 4:n + 4]
-    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+    f = np.asarray(samples)
+    n = f.shape[-1] - 1
+    anti = np.abs(f[..., n:] + f[..., :1]) < np.abs(f[..., n:] - f[..., :1])
+    wave = np.fft.fftfreq(n, d=1.0 / n)
+    half = np.exp((1j * np.pi / n) * np.arange(n))
+    spectrum = np.fft.fft(np.where(anti, f[..., :n] / half, f[..., :n]))
+    spectrum *= np.where(anti, wave + 0.5, np.where(wave == -n / 2, 0.0, wave))
+    derivative = np.fft.ifft(spectrum * (2j * np.pi / period))
+    return np.where(anti, derivative * half, derivative)
 
 
 def trapezoid_periodic(values, period):

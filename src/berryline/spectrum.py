@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadResolution, ClassificationMismatch
-from .models import _MAX_SAMPLES, _chain_radicand, _check_ratios, _zone_grid
+from .models import _MAX_SAMPLES, _check_ratios, _zone_grid
 
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
@@ -50,19 +50,19 @@ class CrossingReport:
     all_labels: tuple
 
 
-def _applicable_labels(q, eta, lo, hi):
-    # closed inequalities, evaluated in radicand units with the same zero
-    # tolerance the momentum scan uses, so an input rounded onto a boundary
-    # line keeps the boundary tie no matter which side the last ulp lands
-    tol = _WITNESS_TOL * max(1.0, (1.0 + q) ** 2, eta * eta)
-    labels = []
-    if lo <= tol and hi >= -tol:
-        labels.append(GAPLESS_TRUE_CROSSING)
-    if lo >= -tol:
-        labels.append(TYPE_I)
-    if hi <= tol:
-        labels.append(TYPE_II)
-    return tuple(labels)
+def _boundary_ties(q, eta):
+    """Radicand extremes lo = r(pi), hi = r(0), and ties to the two lines.
+
+    lo and hi come from their factors (|1 - q| - eta)(|1 - q| + eta) and
+    (1 + q - eta)(1 + q + eta). A point ties eta = |1 - q| (tie_pi) or
+    eta = 1 + q (tie_zero) within 1e-8 max(1, 1 + q, eta) in distance to
+    the line, so an input rounded onto a line keeps its tie; a tolerance
+    in radicand units would cover the whole TYPE_I strip next to q = 1.
+    """
+    d = abs(1.0 - q)
+    tol = _WITNESS_TOL * max(1.0, 1.0 + q, eta)
+    return ((d - eta) * (d + eta), (1.0 + q - eta) * (1.0 + q + eta),
+            abs(d - eta) <= tol, abs(1.0 + q - eta) <= tol)
 
 
 def classify_region(q, eta):
@@ -72,9 +72,11 @@ def classify_region(q, eta):
     radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
     """
     _check_ratios(q, eta)
-    lo = (1.0 - q) ** 2 - eta * eta  # radicand minimum, at k = pi
-    hi = (1.0 + q) ** 2 - eta * eta  # radicand maximum, at k = 0
-    labels = _applicable_labels(q, eta, lo, hi)
+    lo, hi, tie_pi, tie_zero = _boundary_ties(q, eta)
+    crossing = (lo <= 0.0 or tie_pi) and (hi >= 0.0 or tie_zero)
+    labels = tuple(label for label, holds in (
+        (GAPLESS_TRUE_CROSSING, crossing), (TYPE_I, lo >= 0.0 or tie_pi),
+        (TYPE_II, hi <= 0.0 or tie_zero)) if holds)
     region = labels[0]
     witnesses = ()
     if region == GAPLESS_TRUE_CROSSING:
@@ -125,48 +127,38 @@ def verify_region(q, eta, k_samples=1024):
         k_samples += 1  # keep 0 and pi on the grid
     analytic = classify_region(q, eta)
     scale = max(1.0, (1.0 + q) ** 2, eta * eta)
+    lo, _, tie_pi, tie_zero = _boundary_ties(q, eta)
 
+    # r(k) = r(pi) + 2 q (1 + cos k) is exact at pi, where the expanded
+    # radicand cancels to more than the TYPE_I strip next to q = 1
     grid = _zone_grid(k_samples)
-    values = _chain_radicand(1.0, q, eta, np.cos(grid))
+    values = lo + 2.0 * q * (1.0 + np.cos(grid))
 
     def f(k):
-        return _chain_radicand(1.0, q, eta, math.cos(k))
+        return lo + 2.0 * q * (1.0 + math.cos(k))
 
-    # grid hits catch tangential zeros on the region boundaries, where
-    # the radicand touches zero without changing sign
-    witnesses = [float(k) for k in grid[np.abs(values) <= _WITNESS_TOL * scale]]
-    lo = values[:-1]
-    hi = values[1:]
-    flips = (lo != 0.0) & (hi != 0.0) & ((lo < 0.0) != (hi < 0.0))
-    for i in np.nonzero(flips)[0]:
-        witnesses.append(_bisect_zero(f, float(grid[i]), float(grid[i + 1]),
-                                      float(values[i]), float(values[i + 1])))
-    witnesses.sort()
-    kept = []
-    for k in witnesses:
-        if not kept or k - kept[-1] > 1e-6:
-            kept.append(k)
-
-    bad = [k for k in kept if abs(f(k)) > _WITNESS_TOL * scale]
+    flips = np.sign(values[:-1]) * np.sign(values[1:]) < 0.0
+    bisected = [_bisect_zero(f, float(grid[i]), float(grid[i + 1]),
+                             float(values[i]), float(values[i + 1]))
+                for i in np.flatnonzero(flips)]
+    bad = [k for k in bisected if abs(f(k)) > _WITNESS_TOL * scale]
     if bad:
         raise ClassificationMismatch(
             f"witness candidates fail the crossing condition: {bad}")
-    if analytic.region == GAPLESS_TRUE_CROSSING:
-        if not kept:
-            raise ClassificationMismatch(
-                f"gapless label at q={q}, eta={eta} but the scan finds no "
-                "radicand zero")
-    elif analytic.region == TYPE_I:
-        if kept or values.min() <= 0.0:
-            raise ClassificationMismatch(
-                f"TYPE_I label at q={q}, eta={eta} but the radicand is not "
-                "positive over the whole zone")
-    else:
-        if kept or values.max() >= 0.0:
-            raise ClassificationMismatch(
-                f"TYPE_II label at q={q}, eta={eta} but the radicand is not "
-                "negative over the whole zone")
-
+    # r touches zero without a sign change only at k = 0 and pi, on a line
+    witnesses = [k for k, tie in ((0.0, tie_zero), (math.pi, tie_pi)) if tie]
+    kept = []
+    for k in sorted(witnesses + bisected
+                    + [float(k) for k in grid[values == 0.0]]):
+        if not kept or k - kept[-1] > 1e-6:
+            kept.append(k)
+    if not {GAPLESS_TRUE_CROSSING: bool(kept),
+            TYPE_I: not kept and values.min() > 0.0,
+            TYPE_II: not kept and values.max() < 0.0}[analytic.region]:
+        raise ClassificationMismatch(
+            f"{analytic.region} label at q={q}, eta={eta} but the scan finds "
+            f"{len(kept)} radicand zeros and values from {values.min():.3e} "
+            f"to {values.max():.3e}")
     return CrossingReport(region=analytic.region, witnesses=tuple(kept),
                           gap_min_re=analytic.gap_min_re,
                           gap_min_im=analytic.gap_min_im,

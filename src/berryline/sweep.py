@@ -23,7 +23,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +162,8 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
                          f"{threads!r}") from None
     workers = min(requested, os.cpu_count() or 1, nq)
     if workers > 1:
+        # imported here, where the pool is used: it costs an import 10 ms
+        from concurrent.futures import ProcessPoolExecutor
         ends = [len(q_values) * w // workers for w in range(workers + 1)]
         blocks = [(q_values[lo:hi], eta_values, samples)
                   for lo, hi in zip(ends, ends[1:])]

@@ -7,8 +7,9 @@ the chain's gapless split integrals, the chain's elliptic reduction in
 60-digit arithmetic, characteristic-polynomial roots
 and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
 assembly for the two-level Hamiltonian, finite differences of the frame
-for the connection, Fourier differentiation of the frame for the
-first-order connection trace, the closed-form rate of the chain's
+for the connection, Fourier differentiation of the left and right
+frames (with ``quadrature.spectral_derivative``) for the first-order
+connection trace, the closed-form rate of the chain's
 hopping phase, and dense unwrapped sampling for windings.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
@@ -27,7 +28,7 @@ from scipy import integrate
 from berryline.errors import DefectiveMatrix, DegenerateSpectrum
 from berryline.models import (_MAX_SAMPLES, _chain_radicand, band_index,
                               loop_grid)
-from berryline.quadrature import PAD, tanh_sinh
+from berryline.quadrature import spectral_derivative, tanh_sinh
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -266,17 +267,18 @@ def fd_connection(loop, model):
     worst = None
     for refine in (1, 2, 4):
         n = loop.n * refine
-        alphas, h = loop_grid(loop, n)
-        path = model.eigen_path(alphas)
+        h = loop.period / n
+        # two ghost samples on each side of the n loop samples
+        path = model.eigen_path(loop.samples[0] + np.arange(-2, n + 2) * h)
 
         def right(shift):
-            return path.right[:, :, PAD + shift:PAD + n + shift]
+            return path.right[:, :, 2 + shift:2 + n + shift]
 
         dpsi = (right(-2) - 8.0 * right(-1)
                 + 8.0 * right(1) - right(2)) / (12.0 * h)
-        left = np.conj(path.left[:, :, PAD:PAD + n])
+        left = np.conj(path.left[:, :, 2:2 + n])
         a_fd = 1j * np.einsum("cim,cjm->ijm", left, dpsi)
-        a_ref = path.connection[:, PAD:PAD + n]
+        a_ref = path.connection[:, 2:2 + n]
         worst = float(np.abs(a_fd[[0, 1], [0, 1]] - a_ref).max())
         if worst <= 1e-8 * max(1.0, float(np.abs(a_ref).max())):
             return a_fd[:, :, ::refine]
@@ -285,33 +287,16 @@ def fd_connection(loop, model):
         f"4x refinement (worst {worst:.3e})")
 
 
-def spectral_derivative(samples, period, axis=-1):
-    """Derivative of smooth samples covering exactly one period, by FFT.
-
-    Spectrally accurate for analytic inputs; the unmatched Nyquist mode of
-    even grids carries no derivative information and is dropped.
-    """
-    f = np.asarray(samples)
-    n = f.shape[axis]
-    wave = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        wave[n // 2] = 0.0
-    shape = [1] * f.ndim
-    shape[axis] = n
-    factor = (2j * np.pi / period) * wave.reshape(shape)
-    return np.fft.ifft(np.fft.fft(f, axis=axis) * factor, axis=axis)
-
-
 def _correction_max(loop, model, n):
-    alphas, _ = loop_grid(loop, n)
-    path = model.eigen_path(alphas[PAD:PAD + n])
+    path = model.eigen_path(loop_grid(loop, n))
     dpsi = spectral_derivative(path.right, loop.period)
     dlam = spectral_derivative(path.left, loop.period)
-    dlam_psi = np.einsum("cim,cjm->ijm", np.conj(dlam), path.right)
-    lam_dpsi = np.einsum("cim,cjm->ijm", np.conj(path.left), dpsi)
+    right, left = path.right[..., :n], path.left[..., :n]
+    dlam_psi = np.einsum("cim,cjm->ijm", np.conj(dlam), right)
+    lam_dpsi = np.einsum("cim,cjm->ijm", np.conj(left), dpsi)
     trace_first_order = (1j * (dlam_psi[0, 1] * lam_dpsi[1, 0]
                                - dlam_psi[1, 0] * lam_dpsi[0, 1])
-                         / (path.values[0] - path.values[1]))
+                         / (path.values[0, :n] - path.values[1, :n]))
     return float(np.abs(trace_first_order).max())
 
 

@@ -31,10 +31,10 @@ from berryline.models import (
     loop_grid,
     standard_loop,
 )
-from berryline.quadrature import PAD, trapezoid_periodic
+from berryline.quadrature import trapezoid_periodic
 from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
-from oracles import (draw_two_level, fd_connection,
+from oracles import (draw_bipartite, draw_two_level, fd_connection,
                      first_order_correction_trace, winding_rate)
 
 
@@ -48,8 +48,7 @@ def _chain(q, eta):
 
 
 def _analytic_connection(loop, model):
-    alphas, _ = loop_grid(loop, loop.n)
-    return model.eigen_path(alphas).connection[:, PAD:PAD + loop.n]
+    return model.eigen_path(loop_grid(loop, loop.n)).connection[:, :loop.n]
 
 
 def test_connection_vanishes_for_constant_frame():
@@ -212,7 +211,7 @@ def test_row_stacks_reduce_to_each_rows_bits(n):
             (1.0, 2.0, 5.0, 0.0), (1.0, 2.0, 0.999, -0.9),
             (0.7, 1.3, 0.4, 0.0), (2.5, 1.1, 4.0, 0.6),
             (1.0, 1.05, 0.02, -0.97), (1.0, 1.2, 2.2001, 0.9)]
-    t, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
+    t = loop_grid(standard_loop(BIPARTITE, 1024), n)
     b = np.array([row[3] for row in rows])[:, None]
     v, v_prime, gamma, _ = zip(*rows)
     stack = _ChainRows(v, v_prime, gamma, t - b * np.sin(t),
@@ -421,8 +420,8 @@ def test_two_level_band_labels_do_not_depend_on_the_sample_count():
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, n0
     # the loop's plus band at phi = 0 is the one-point frame's plus band
     model = TwoLevelModel(p)
-    alphas, _ = loop_grid(standard_loop(TWO_LEVEL, 256), 256)
-    e_loop = model.eigen_path(alphas).values[0, PAD]
+    alphas = loop_grid(standard_loop(TWO_LEVEL, 256), 256)
+    e_loop = model.eigen_path(alphas).values[0, 0]
     e_point = model.eigen_path(np.array([0.0])).values[0, 0]
     assert abs(e_loop - e_point) <= 1e-12 * abs(e_point)
 
@@ -624,6 +623,25 @@ def test_gauge_laws_hold_for_random_windings_on_both_bands(
     assert r.residual_q <= 1e-6
     assert abs((r.q_new - r.q_original) - (n_plus + n_minus)) <= 1e-6
     assert (r.winding_plus, r.winding_minus) == (n_plus, n_minus)
+
+
+def test_gauge_reports_the_settled_band_phases():
+    # the gauge check stops at the first rung where its laws hold; the
+    # untransformed phases it reports there are the refined band phases
+    rng = np.random.default_rng(5)
+    models = [TwoLevelModel(draw_two_level(rng, style))
+              for style in ("positive", "negative") * 6]
+    models += [_chain(*draw_bipartite(rng, region))
+               for region in ("TYPE_I", "TYPE_II") * 4]
+    for model in models:
+        loop = standard_loop(model.kind, 1024)
+        windings = {"plus": int(rng.integers(-3, 4)),
+                    "minus": int(rng.integers(-3, 4))}
+        r = apply_gauge(loop, model,
+                        lambda alphas, band: windings[band] * alphas, windings)
+        for band, gamma in (("plus", r.gamma_plus), ("minus", r.gamma_minus)):
+            assert abs(gamma - band_berry_phase(loop, model, band)) <= 1e-8, (
+                model, band)
 
 
 def test_first_order_trace_cancels():

@@ -127,6 +127,17 @@ def test_lossless_rows_next_to_the_transition_are_not_crossings(capsys, q, eta):
     assert abs(payload["gamma_plus"]["im"] - want_y) <= 1e-13
 
 
+def test_the_type_i_strip_next_to_the_transition_is_type_i(capsys):
+    # eta < |q - 1|: a boundary tie in radicand units once called it gapless
+    report = run_json(capsys, "ep-classify", "--q", "1.0001", "--eta", "5e-5")
+    assert report["region"] == "TYPE_I"
+    assert report["all_labels"] == ["TYPE_I"]
+    assert report["witnesses"] == []
+    payload = run_json(capsys, "bipartite", "--q", "1.0001", "--eta", "5e-5")
+    assert payload["region"] == "TYPE_I"
+    assert "closed_form" in payload
+
+
 def test_bipartite_near_transition_exits_3(capsys):
     # 1e-9 above q = 1 the hopping zero lies too close to the real axis for
     # any rung below the cap
@@ -175,6 +186,27 @@ def test_gauge_check_two_level_model(capsys):
                        "--dz", "0", "--theta", "1.0")
     assert abs(payload["delta_Q"] - 1.0) < 1e-6
     assert payload["residual_Q"] < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    "--model two-level --hx 2.327888941111846 --hy 2.357824299305748 "
+    "--hz 0.8223018952005992 --dx 1.059301366681343 --dy 3.1264720536629764 "
+    "--dz 0.7686109712617415 --theta 0.4729759152266675 --winding 3",
+    "--model two-level --hx 1.2261331949868297 --hy 2.7863109224293017 "
+    "--hz 0.9491071565869256 --dx 0.5461286027538825 --dy 3.1439149987588664 "
+    "--dz -0.5728360849621252 --theta 0.6090952999985743 --winding 2",
+    "--model bipartite --q 1.016939434614687 --eta 3.115604892391529 "
+    "--winding 1",
+], ids=["two-level-w3", "two-level-w2", "bipartite-w1"])
+def test_gauge_check_holds_law_a_where_finite_differences_missed(capsys, argv):
+    # a fourth-order difference of the kets missed 1e-9 samplewise here up
+    # to 16384 samples; the Fourier derivative meets it on the doubling
+    # from --samples
+    payload = run_json(capsys, "gauge-check", *argv.split(), "--band", "both")
+    assert payload["residual_connection"] <= 1e-9
+    assert payload["residual_gamma_plus"] <= 1e-8
+    assert payload["residual_gamma_minus"] <= 1e-8
+    assert payload["residual_Q"] <= 1e-6
 
 
 def test_evolve_bipartite_cycle(capsys):

@@ -123,11 +123,14 @@ def test_every_binding_of_the_bench_tracer_resolves():
 
 
 def test_importing_the_package_and_its_cli_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy serves the test oracles.
-    # -I keeps the environment and the user's site out of the child
+    # numpy is the one runtime dependency; scipy serves the test oracles,
+    # and the process pool loads only when a sweep starts one. -I keeps
+    # the environment and the user's site out of the child
     code = (f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); "
             "import berryline, berryline.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing') "
+            "or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-I", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -22,7 +22,6 @@ from berryline.models import (
     loop_grid,
     standard_loop,
 )
-from berryline.quadrature import PAD
 
 from oracles import (assemble_two_level, bloch_matrix, char_poly_eigs,
                      dense_winding, eig2, matrix_at, point_system,
@@ -280,7 +279,7 @@ def test_bipartite_gapless_loop_is_a_crossing():
     # between samples: no frame continues around the loop, however fine
     model = BipartiteModel(BipartiteParams.from_ratios(1.5, 1.0))
     for n in (64, 1024, 65536):
-        alphas, _ = loop_grid(standard_loop(BIPARTITE, 1024), n)
+        alphas = loop_grid(standard_loop(BIPARTITE, 1024), n)
         with pytest.raises(TrueCrossing, match="between sampled momenta"):
             model.eigen_path(alphas)
 
@@ -288,11 +287,14 @@ def test_bipartite_gapless_loop_is_a_crossing():
 def test_chain_frames_off_unit_hopping_keep_their_bits():
     # the chain frame is the one-row case of a stack whose rows carry their
     # own hoppings and grids; at v != 1 its arrays keep the bits pinned
-    # from the frame that shared one hopping set across its rows
+    # from the frame that shared one hopping set across its rows, on the
+    # 68 momenta they were pinned on: two steps before the anchor of a
+    # 64-sample loop to two steps past its closure
+    loop = standard_loop(BIPARTITE, 64)
+    alphas = loop.samples[0] + np.arange(-2, 66) * (loop.period / 64)
     digest = hashlib.sha256()
     for p in (BipartiteParams(v=0.7, v_prime=1.3, gamma=0.4, eps_a=0.2),
               BipartiteParams(v=2.5, v_prime=1.1, gamma=4.0, eps_a=-0.3)):
-        alphas, _ = loop_grid(standard_loop(BIPARTITE, 64), 64)
         path = BipartiteModel(p).eigen_path(alphas)
         for name in ("values", "right", "left", "connection",
                      "trace_connection", "winding_phase", "chi"):
@@ -305,7 +307,7 @@ def test_standard_loops():
     loop = standard_loop(TWO_LEVEL, 16)
     assert loop.n == 16
     assert loop.samples[0] == 0.0
-    assert abs(loop.spacing - np.pi / 8.0) < 1e-15
+    assert abs(loop.samples[1] - np.pi / 8.0) < 1e-15
     loop = standard_loop(BIPARTITE, 1024)
     assert loop.n == 1024
     assert abs(loop.samples[-1] - np.pi) < 1e-12
@@ -361,13 +363,20 @@ def test_loop_samples_are_the_family_grids(n):
                           -np.pi + (j + 1) * (2.0 * np.pi / n))
 
 
-def test_loop_grid_padding():
-    loop = standard_loop(TWO_LEVEL, 32)
-    alphas, h = loop_grid(loop, 64)
-    assert h == loop.period / 64
-    assert alphas.size == 64 + 2 * PAD
-    assert abs(alphas[PAD] - loop.samples[0]) < 1e-15
-    assert abs(alphas[PAD + 64] - (loop.samples[0] + loop.period)) < 1e-12
+def test_loop_grid_runs_from_the_anchor_to_the_closure_point():
+    # n + 1 uniform parameters: the loop anchor, then one per step up to
+    # the same point one period later, bit for bit j * (2 pi / n) past it
+    for kind in (TWO_LEVEL, BIPARTITE):
+        loop = standard_loop(kind, 32)
+        for n in (16, 32, 64):
+            alphas = loop_grid(loop, n)
+            assert alphas.shape == (n + 1,)
+            assert alphas[0] == loop.samples[0]
+            assert np.array_equal(
+                alphas, loop.samples[0] + np.arange(n + 1) * (loop.period / n))
+            assert abs(alphas[n] - (loop.samples[0] + loop.period)) < 1e-12
+        # the loop's own rung is its samples and the closure point
+        assert np.abs(loop_grid(loop, 32)[:32] - loop.samples).max() < 1e-14
 
 
 def test_matrix_periodicity():

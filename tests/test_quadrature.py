@@ -1,58 +1,27 @@
-"""Shared kernels: stencils, periodic sums, refinement, DE quadrature."""
+"""Shared kernels: Fourier derivatives, periodic sums, refinement, DE quadrature."""
 
 import numpy as np
 import pytest
 
+from berryline.berry import apply_gauge
 from berryline.errors import NotConverged, PathTooCoarse
+from berryline.models import (TWO_LEVEL, TwoLevelModel, TwoLevelParams,
+                              loop_grid, standard_loop)
 from berryline.quadrature import (
     MAX_PHASE_STEP,
-    PAD,
-    fd4,
     pearson_line,
     refine_dyadically,
+    spectral_derivative,
     tanh_sinh,
     trapezoid_periodic,
     unwrap_checked,
     unwrap_rows,
 )
 
-from oracles import spectral_derivative
 
-
-def _ghosted(func, x0, n, h):
-    grid = x0 + h * np.arange(-PAD, n + PAD)
-    return func(grid)
-
-
-def test_fd4_exact_on_cubic():
-    # The 5-point stencil has zero truncation error on polynomials up to
-    # degree four, so a cubic must come out exact to roundoff.
-    h = 0.1
-    x = 0.3 + h * np.arange(11)
-    poly = lambda t: t**3 - 2.0 * t**2 + 0.5 * t - 1.0
-    got = fd4(_ghosted(poly, 0.3, 11, h), h)
-    want = 3.0 * x**2 - 4.0 * x + 0.5
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_fd4_fourth_order_on_sine():
-    x0, n = 0.2, 17
-    errs = []
-    for h in (0.1, 0.05):
-        x = x0 + h * np.arange(n)
-        got = fd4(_ghosted(np.sin, x0, n, h), h)
-        errs.append(np.max(np.abs(got - np.cos(x))))
-    ratio = errs[0] / errs[1]
-    assert 12.0 < ratio < 20.0
-
-
-def test_fd4_complex_values():
-    h = 0.01
-    n = 9
-    f = lambda t: np.exp(1j * t)
-    got = fd4(_ghosted(f, 0.0, n, h), h)
-    want = 1j * np.exp(1j * (h * np.arange(n)))
-    assert np.max(np.abs(got - want)) < 1e-9
+def _closed_grid(n, period=2.0 * np.pi):
+    # n samples over one period and the closure point
+    return np.linspace(0.0, period, n + 1)
 
 
 def test_trapezoid_periodic_sine_squared():
@@ -81,21 +50,23 @@ def test_trapezoid_periodic_batched():
 
 
 def test_spectral_derivative_analytic_periodic():
-    x = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    x = _closed_grid(64)
     got = spectral_derivative(np.exp(np.sin(x)), 2.0 * np.pi)
-    want = np.cos(x) * np.exp(np.sin(x))
+    want = np.cos(x[:64]) * np.exp(np.sin(x[:64]))
+    assert got.shape == (64,)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_spectral_derivative_complex_batched_period():
     period = 4.0
-    x = np.linspace(0.0, period, 48, endpoint=False)
+    x = _closed_grid(48, period)
     w = 2.0 * np.pi / period
     rows = np.stack([np.exp(3j * w * x), np.cos(2.0 * w * x) + 1j * np.sin(w * x)])
     got = spectral_derivative(rows, period)
+    x = x[:48]
     want = np.stack([3j * w * np.exp(3j * w * x),
                      -2.0 * w * np.sin(2.0 * w * x) + 1j * w * np.cos(w * x)])
-    assert got.shape == rows.shape
+    assert got.shape == (2, 48)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -103,9 +74,46 @@ def test_spectral_derivative_drops_nyquist():
     # On an even grid the highest mode aliases between +-n/2 and carries no
     # sign information for a derivative, so it must be zeroed, not guessed.
     n = 16
-    x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    x = _closed_grid(n)
     got = spectral_derivative(np.cos((n // 2) * x), 2.0 * np.pi)
     assert np.max(np.abs(got)) < 1e-12
+
+
+def test_spectral_derivative_anti_periodic():
+    # a slice whose closure sample is minus its first one is differentiated
+    # on half-integer wavenumbers, next to a periodic slice in one stack
+    x = _closed_grid(64)
+    g = np.exp(np.cos(x)) + 0.5j * np.sin(2.0 * x)
+    dg = -np.sin(x) * np.exp(np.cos(x)) + 1j * np.cos(2.0 * x)
+    half = np.exp(0.5j * x)
+    rows = np.stack([np.cos(0.5 * x), half * g, g])
+    want = np.stack([-0.5 * np.sin(0.5 * x), half * (0.5j * g + dg), dg])
+    got = spectral_derivative(rows, 2.0 * np.pi)
+    assert got.shape == (3, 64)
+    assert np.max(np.abs(got - want[:, :64])) < 1e-12
+
+
+def test_a_frame_closing_on_minus_itself_keeps_gauge_law_a():
+    # the ket's mixing angle and phase turn by an odd multiple of pi along
+    # this sweep, so the frame comes back as minus itself; its Fourier
+    # connection is the closed-form one, and law (a) holds at loop.n
+    p = TwoLevelParams(h_x=2.1289621798653426, h_y=2.308069923072421,
+                       h_z=0.030332767262147398, d_x=1.6809384525208386,
+                       d_y=1.1383944952666627, d_z=-0.37614756542581174,
+                       theta=0.26672057693975126)
+    model = TwoLevelModel(p)
+    loop = standard_loop(TWO_LEVEL, 2048)
+    path = model.eigen_path(loop_grid(loop, loop.n))
+    right = path.right
+    assert np.abs(right[..., -1] + right[..., 0]).max() < 1e-12
+    dpsi = spectral_derivative(right, loop.period)
+    connection = 1j * np.einsum("cbm,cbm->bm", np.conj(path.left[..., :-1]),
+                                dpsi)
+    assert np.abs(connection - path.connection[:, :-1]).max() < 1e-9
+    check = apply_gauge(loop, model, lambda a, band: 2.0 * a + 0.3 * np.sin(a),
+                        {"plus": 2, "minus": 2})
+    assert check.resolution == loop.n
+    assert check.residual_a <= 1e-9
 
 
 def test_unwrap_checked_smooth_ramp():

@@ -19,8 +19,8 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 c05218cf731e2511905c1019e6ace7c179a504e052752157283dc8a19520123d
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
-c697c86a73fd88a1d3f44278a2998d0812be25fc1f3e601b431cdcd6545d338a
-f561976c99ee04f90ecf26ef0460ffb2c129dab5989c6f464f66d562f809b468
+9a021035b8abf1ec229f0747fa3b90f53284be680d638f9c0173a07483678eb2
+914bdc85b87a1f856eb6f3757b3794add04f1e5b7010f37cb5deba4afbe6163b
 b35c9f87a2e169ce5fd12556430e7839a48c96e48772b8bb59a5f19ff2618113
 4b19e352c0e3ac390cdb106ee5f3415a5779949ec9ebc9cc4f56ff6b531f62f2
 3507b9582ccc57a3648349cfced794d6d1232448029a559d921881a1fc7340bc

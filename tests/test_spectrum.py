@@ -80,6 +80,24 @@ def test_classify_boundary_ties_prefer_gapless():
     assert high.witnesses == (0.0,)
 
 
+@pytest.mark.parametrize("q", [1.0001, 0.9999, 1.000001])
+def test_the_type_i_strip_next_to_q_one_is_not_a_boundary_tie(q):
+    # eta = |1 - q| / 2: the whole strip is narrower than a tie measured in
+    # radicand units, which once labelled it gapless with a witness at pi
+    for report in (classify_region(q, 0.5 * abs(1.0 - q)),
+                   verify_region(q, 0.5 * abs(1.0 - q))):
+        assert report.region == TYPE_I
+        assert report.all_labels == (TYPE_I,)
+        assert report.witnesses == ()
+    # the line itself keeps its tie, whichever side the last ulp lands
+    for eta in (abs(1.0 - q), np.nextafter(abs(1.0 - q), 1.0),
+                np.nextafter(abs(1.0 - q), 0.0)):
+        for report in (classify_region(q, float(eta)),
+                       verify_region(q, float(eta))):
+            assert report.all_labels == (GAPLESS_TRUE_CROSSING, TYPE_I)
+            assert abs(report.witnesses[-1] - math.pi) < 1e-6
+
+
 def test_classify_ratio_guards():
     with pytest.raises(ValueError):
         classify_region(0.0, 1.0)

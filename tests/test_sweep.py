@@ -1,5 +1,6 @@
 """Phase-diagram grids, divergence-line scans, and file persistence."""
 
+import concurrent.futures
 import json
 import math
 import re
@@ -13,7 +14,6 @@ from berryline import berry, sweep
 from berryline.berry import bipartite_phase_point
 from berryline.errors import BadResolution, BerrylineError
 from berryline.models import BIPARTITE, standard_loop
-from berryline.quadrature import PAD
 from berryline.spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II,
                                 classify_region)
 from berryline.sweep import (
@@ -156,7 +156,7 @@ def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
     chain_rows = berry._ChainRows
 
     def recorded(v, v_prime, gamma, k, dk=None):
-        passes.append((len(gamma), k.shape[-1] - 2 * PAD, len(set(v_prime)),
+        passes.append((len(gamma), k.shape[-1] - 1, len(set(v_prime)),
                        dk is not None))
         return chain_rows(v, v_prime, gamma, k, dk)
 
@@ -297,7 +297,9 @@ def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # the sweep imports the pool class when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("BERRYLINE_THREADS", "100000")
     # one task per q column: 3 columns cap the pool at 3, 6 at the 4 cores
