@@ -14,7 +14,7 @@ from .berry import (BerryPhaseResult, GaugeCheckResult, analytic_q,
                     global_berry_phase, two_level_phase_point)
 from .elliptic import closed_form_gamma, ellip_k, ellip_pi
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
-                     BerrylineError, ClassificationMismatch, DefectiveMatrix,
+                     BerrylineError, ClassificationMismatch,
                      DegenerateSpectrum, Disagreement, DomainError,
                      GaugeMismatch, NotConverged, OutsideValidityDomain,
                      PathTooCoarse, SingularLoop, SingularParameters,
@@ -35,7 +35,7 @@ __all__ = [
     "AmplitudeOutOfRange", "BadResolution", "BandLeakage", "BerrylineError",
     "BerryPhaseResult", "BipartiteModel", "BipartiteParams",
     "ClassificationMismatch", "CrossingReport",
-    "DefectiveMatrix", "DegenerateSpectrum", "Disagreement", "DivergenceFit",
+    "DegenerateSpectrum", "Disagreement", "DivergenceFit",
     "DomainError", "EigenPath", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
     "NotConverged", "OutsideValidityDomain", "ParameterLoop", "PathTooCoarse",

@@ -12,7 +12,8 @@ modes, and results are only accepted when the routes agree:
 
   * Q by trapezoid quadrature of the connection trace, and independently
     by a discrete Wilson loop (accumulated argument of per-band overlaps
-    between neighbouring frames, Richardson-extrapolated in step count).
+    between neighbouring frames, with one Richardson step from the chain
+    over every second sample to the full one).
   * Per-band phases by dyadically refined quadrature, accepted only when
     doubling the grid no longer moves them.
 
@@ -52,14 +53,14 @@ from .models import (
     TwoLevelParams,
     _at_transition,
     _check_integer,
+    _radicand_extremes,
     band_index,
     loop_grid,
     standard_loop,
 )
 from .quadrature import (MAX_PHASE_STEP, refine_dyadically,
                          spectral_derivative, trapezoid_periodic)
-from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, _boundary_ties,
-                       classify_region)
+from .spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
 _ROUTE_TOL = 1e-6     # quadrature Q vs Wilson Q
@@ -135,29 +136,16 @@ def _wilson_q(right, left, n, stride):
 
 
 def _wilson_extrapolated(right, left, n):
-    """Wilson-loop Q per row, Richardson-extrapolated over strides 8,4,2,1.
+    """Wilson-loop Q per row, one Richardson step over strides 2 and 1.
 
-    The raw arg-sum error falls off like 1/N, so each extrapolation level
-    removes one power. A row drops its aliased strides and every coarser
-    one; with fewer than two clean strides left its finest raw value is
-    returned, and NaN when none is clean.
+    The raw arg-sum error falls off like 1/N, so 2 Q(1) - Q(2) removes
+    its leading term (Sidi, Practical Extrapolation Methods, ch. 1);
+    coarser strides need not have reached that regime yet. A row whose
+    stride-2 chain aliases keeps its raw stride-1 value, and a row whose
+    stride-1 chain aliases is NaN.
     """
-    strides = np.stack([_wilson_q(right, left, n, stride)
-                        for stride in (8, 4, 2, 1)], axis=-1)
-    out = np.full(strides.shape[:-1], math.nan)
-    for row in np.ndindex(out.shape):
-        values = []
-        for q in strides[row].tolist():
-            values = [] if math.isnan(q) else values + [q]
-        level = 1
-        while len(values) > 1:
-            factor = 2.0 ** level
-            values = [(factor * values[i + 1] - values[i]) / (factor - 1.0)
-                      for i in range(len(values) - 1)]
-            level += 1
-        if values:
-            out[row] = values[0]
-    return out
+    coarse, fine = (_wilson_q(right, left, n, stride) for stride in (2, 1))
+    return np.where(np.isnan(coarse), fine, 2.0 * fine - coarse)
 
 
 def _phase_rung(loop, frames, n):
@@ -227,7 +215,7 @@ def _reads_closed_form(q, eta, region):
     real zone that only the closed form keeps its digits there.
     """
     if region == TYPE_I:
-        lo = _boundary_ties(q, eta)[0]
+        lo = _radicand_extremes(q, eta)[0]
         return lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
     return region == GAPLESS_TRUE_CROSSING
 
@@ -387,9 +375,7 @@ def _singularities(q, eta):
     extremes, and acosh(1 + d) = log1p(d + sqrt(d (d + 2))), so the
     distance keeps its digits next to the lines.
     """
-    d = abs(1.0 - q)
-    rpi = (d - eta) * (d + eta)
-    r0 = (1.0 + q - eta) * (1.0 + q + eta)
+    rpi, r0 = _radicand_extremes(q, eta)
     delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
     return (math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
             abs(math.log(q)), rpi < 0.0)

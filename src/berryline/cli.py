@@ -27,11 +27,11 @@ from .berry import (analytic_q, apply_gauge, bipartite_phase_point,
                     two_level_phase_point)
 from .elliptic import _closed_form_pair
 from .errors import (AmplitudeOutOfRange, BadResolution, BandLeakage,
-                     ClassificationMismatch, DefectiveMatrix,
-                     DegenerateSpectrum, Disagreement, DomainError,
-                     GaugeMismatch, NotConverged, OutsideValidityDomain,
-                     PathTooCoarse, SingularLoop, SingularParameters,
-                     StepTooLarge, TrueCrossing, UndefinedAtTransition)
+                     ClassificationMismatch, DegenerateSpectrum,
+                     Disagreement, DomainError, GaugeMismatch, NotConverged,
+                     OutsideValidityDomain, PathTooCoarse, SingularLoop,
+                     SingularParameters, StepTooLarge, TrueCrossing,
+                     UndefinedAtTransition)
 from .evolution import Schedule, adiabatic_decomposition
 from .models import (_MAX_SAMPLES, BIPARTITE, TWO_LEVEL, BipartiteModel,
                      BipartiteParams, TwoLevelModel, TwoLevelParams,
@@ -45,7 +45,7 @@ _NUMERIC_EXIT = 3
 
 _SINGULAR_ERRORS = (SingularParameters, SingularLoop, TrueCrossing,
                     UndefinedAtTransition, DegenerateSpectrum,
-                    DefectiveMatrix, OutsideValidityDomain)
+                    OutsideValidityDomain)
 _NUMERIC_ERRORS = (NotConverged, PathTooCoarse, Disagreement, StepTooLarge,
                    BandLeakage, ClassificationMismatch, GaugeMismatch,
                    AmplitudeOutOfRange)

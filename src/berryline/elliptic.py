@@ -23,7 +23,8 @@ of order 1/|q - 1|, magnifies the loss; p written out keeps them all.
 import math
 
 from .errors import DomainError, OutsideValidityDomain, UndefinedAtTransition
-from .models import _at_transition, _check_ratios, band_index
+from .models import (_at_transition, _check_ratios, _radicand_extremes,
+                     band_index)
 
 # cel stops once the arithmetic and geometric means of 1 and kc agree to
 # _CEL_TOL; the relative error left is about its square. For kc from the
@@ -105,9 +106,7 @@ def _closed_form_pair(q, eta):
         raise UndefinedAtTransition(
             "the closed form changes discontinuously across q = 1 and has "
             "no value on the transition itself")
-    r0 = (1.0 + q - eta) * (1.0 + q + eta)
-    d = abs(1.0 - q)
-    rpi = (d - eta) * (d + eta)
+    rpi, r0 = _radicand_extremes(q, eta)
     step = math.pi if q > 1.0 else 0.0
     t = (q - 1.0) / (q + 1.0)
     if rpi > 0.0:
@@ -129,7 +128,7 @@ def _closed_form_pair(q, eta):
     # the outer part (K + Pi / t) / 2 at 1 - m = (1 - u_0) / 2 and
     # 1 - n = (eta / |1-q|)^2
     p_in = (eta / (1.0 + q)) ** 2
-    p_out = (eta / d) ** 2
+    p_out = (eta / abs(1.0 - q)) ** 2
     inner = 0.5 * cel(math.sqrt(-rpi / (4.0 * q)), p_in, 1.0 + t, p_in + t)
     outer = 0.5 * cel(math.sqrt(r0 / (4.0 * q)), p_out, 1.0 + 1.0 / t,
                       p_out + 1.0 / t)

@@ -19,10 +19,6 @@ class DegenerateSpectrum(BerrylineError):
         self.gap = gap
 
 
-class DefectiveMatrix(BerrylineError):
-    """The eigenvector matrix is numerically singular (Jordan-like block)."""
-
-
 class PathTooCoarse(BerrylineError):
     """Consecutive path samples are too far apart to keep band labels."""
 

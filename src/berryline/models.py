@@ -266,6 +266,16 @@ def _chain_radicand(v, v_prime, gamma, cos_k):
     return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
 
 
+def _radicand_extremes(q, eta):
+    """The radicand's extremes (r(pi), r(0)) at ratios (q, eta), in factors.
+
+    r(pi) = (|1 - q| - eta)(|1 - q| + eta) and r(0) = (1 + q - eta)(1 + q
+    + eta) keep their digits next to the lines eta = |1 - q| and 1 + q.
+    """
+    d = abs(1.0 - q)
+    return (d - eta) * (d + eta), (1.0 + q - eta) * (1.0 + q + eta)
+
+
 def _mixing_angle(angle, u):
     """The complex mixing angle chi from u = exp(i chi) and a continuous arg u."""
     return angle - 1j * np.log(np.abs(u))
@@ -445,7 +455,6 @@ class TwoLevelModel:
 
     params: TwoLevelParams
     kind: ClassVar[str] = TWO_LEVEL
-    period: ClassVar[float] = _TWO_PI
 
     def eigen_path(self, alphas):
         return _two_level_frame(self.params, alphas)
@@ -480,7 +489,6 @@ class BipartiteModel:
 
     params: BipartiteParams
     kind: ClassVar[str] = BIPARTITE
-    period: ClassVar[float] = _TWO_PI
 
     def eigen_path(self, alphas):
         return _bipartite_frame(self.params, alphas)

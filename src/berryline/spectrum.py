@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadResolution, ClassificationMismatch
-from .models import _MAX_SAMPLES, _check_ratios, _zone_grid
+from .models import (_MAX_SAMPLES, _check_ratios, _radicand_extremes,
+                     _zone_grid)
 
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
@@ -53,16 +54,14 @@ class CrossingReport:
 def _boundary_ties(q, eta):
     """Radicand extremes lo = r(pi), hi = r(0), and ties to the two lines.
 
-    lo and hi come from their factors (|1 - q| - eta)(|1 - q| + eta) and
-    (1 + q - eta)(1 + q + eta). A point ties eta = |1 - q| (tie_pi) or
-    eta = 1 + q (tie_zero) within 1e-8 max(1, 1 + q, eta) in distance to
-    the line, so an input rounded onto a line keeps its tie; a tolerance
-    in radicand units would cover the whole TYPE_I strip next to q = 1.
+    A point ties eta = |1 - q| (tie_pi) or eta = 1 + q (tie_zero) within
+    1e-8 max(1, 1 + q, eta) in distance to the line, so an input rounded
+    onto a line keeps its tie; a tolerance in radicand units would cover
+    the whole TYPE_I strip next to q = 1.
     """
-    d = abs(1.0 - q)
     tol = _WITNESS_TOL * max(1.0, 1.0 + q, eta)
-    return ((d - eta) * (d + eta), (1.0 + q - eta) * (1.0 + q + eta),
-            abs(d - eta) <= tol, abs(1.0 + q - eta) <= tol)
+    return (*_radicand_extremes(q, eta), abs(abs(1.0 - q) - eta) <= tol,
+            abs(1.0 + q - eta) <= tol)
 
 
 def classify_region(q, eta):

@@ -5,7 +5,8 @@ does not use: arithmetic-geometric-mean iteration and scipy adaptive
 quadrature for the elliptic integrals, double-exponential quadrature of
 the chain's gapless split integrals, the chain's elliptic reduction in
 60-digit arithmetic, characteristic-polynomial roots
-and a generic 2x2 biorthogonal solver for eigen-systems, Pauli-matrix
+and a generic 2x2 biorthogonal solver for eigen-systems (with the
+``DefectiveMatrix`` error it raises at a Jordan block), Pauli-matrix
 assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the left and right
 frames (with ``quadrature.spectral_derivative``) for the first-order
@@ -25,10 +26,15 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from berryline.errors import DefectiveMatrix, DegenerateSpectrum
+from berryline.errors import BerrylineError, DegenerateSpectrum
 from berryline.models import (_MAX_SAMPLES, _chain_radicand, band_index,
                               loop_grid)
 from berryline.quadrature import spectral_derivative, tanh_sinh
+
+
+class DefectiveMatrix(BerrylineError):
+    """The eigenvector matrix is numerically singular (Jordan-like block)."""
+
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

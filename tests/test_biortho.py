@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from berryline.errors import DefectiveMatrix, DegenerateSpectrum
+from berryline.errors import DegenerateSpectrum
 from berryline.models import band_index
 
-from oracles import bloch_matrix, char_poly_eigs, eig2, metrics
+from oracles import (DefectiveMatrix, bloch_matrix, char_poly_eigs, eig2,
+                     metrics)
 
 
 def test_band_index_labels():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from berryline import cli, evolution, spectrum
+from berryline import (TwoLevelParams, cli, evolution, spectrum,
+                       two_level_phase_point)
 from berryline.cli import build_parser, main
 from berryline.errors import AmplitudeOutOfRange
 
@@ -46,6 +47,20 @@ def test_two_level_q_wound_point(capsys):
     assert payload["Q_analytic"] == 1
     assert payload["converged"] is True
     assert payload["resolution"] >= 1024
+
+
+def test_two_level_q_settles_where_the_coarse_wilson_strides_lag(capsys):
+    # the Wilson chains over every 8th and 4th sample have not reached their
+    # 1/N error here; one Richardson step over strides 2 and 1 settles
+    values = (2.4861593476389867, 1.7291616806604981, -0.870617648948008,
+              5.276805187410267, 0.47488934414198636, -0.8525002331389908,
+              2.6471595184258714)
+    names = ("--hx", "--hy", "--hz", "--dx", "--dy", "--dz", "--theta")
+    payload = run_json(capsys, "two-level-q",
+                       *[x for pair in zip(names, map(repr, values))
+                         for x in pair])
+    assert abs(payload["Q_numeric"]) < 1e-6
+    assert abs(two_level_phase_point(TwoLevelParams(*values)).q_wilson) < 1e-6
 
 
 def test_two_level_q_hermitian_point(capsys):

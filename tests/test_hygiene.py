@@ -92,6 +92,20 @@ def test_every_private_module_name_is_referenced():
     assert not [d for d in private if d[1] not in referenced]
 
 
+def test_every_error_class_is_raised_by_some_module():
+    # an error class that no other module constructs is dead taxonomy, and
+    # the CLI maps it to an exit code nothing can reach
+    errors = importlib.import_module("berryline.errors")
+    classes = [name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.BerrylineError)
+               and cls is not errors.BerrylineError]
+    assert "TrueCrossing" in classes
+    constructed = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                   for module, tree in _trees().items() if module != "errors.py"
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not [name for name in classes if name not in constructed]
+
+
 def test_every_public_method_is_referenced():
     # a method whose last caller a deletion removes is left behind; the
     # tracer's model methods are read from outside
