@@ -15,7 +15,9 @@ modes, and results are only accepted when the routes agree:
     between neighbouring frames, with one Richardson step from the chain
     over every second sample to the full one).
   * Per-band phases by dyadically refined quadrature, accepted only when
-    doubling the grid no longer moves them.
+    doubling the grid no longer moves them. The point evaluators start at
+    the rung the integrand's analytic strip asks for, on loop nodes
+    clustered at its nearest singularity.
 
 Loops crossing a true spectral degeneracy of the lossy chain (its
 gapless parameter region) have no frame continuation. The per-band
@@ -25,6 +27,7 @@ depends on the hopping winding alone, so it is the dual-route index of
 the lossless chain at the same hopping ratio.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -54,6 +57,7 @@ from .models import (
     _at_transition,
     _check_integer,
     _radicand_extremes,
+    _two_level_axes,
     band_index,
     loop_grid,
     standard_loop,
@@ -168,9 +172,11 @@ class _PathRows:
     """A model's eigen path as a one-row frame stack.
 
     A PathTooCoarse is the row's verdict; every other error is raised.
+    ``dalpha``, when given, holds d alpha / dt of the grid along the loop
+    parameter t, and the connection and its trace are per unit t.
     """
 
-    def __init__(self, eigen_path, alphas):
+    def __init__(self, eigen_path, alphas, dalpha=None):
         self.connection = None
         try:
             self.path = eigen_path(alphas)
@@ -180,6 +186,9 @@ class _PathRows:
         self.errors = [None]
         self.connection = self.path.connection[:, None]
         self.trace = self.path.trace_connection[None]
+        if dalpha is not None:
+            self.connection = self.connection * dalpha
+            self.trace = self.trace * dalpha
 
     def kets(self, rows):
         """Right and dual kets of the one row, each (2, 2, 1, M)."""
@@ -242,9 +251,14 @@ def global_berry_phase(loop, model):
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
-    (outcome,) = _settled_phases(
+    return _raised(_settled_phases(
         loop, lambda alphas, rows: _PathRows(model.eigen_path, alphas),
-        [_first_rung(loop)])
+        [_first_rung(loop)]))
+
+
+def _raised(outcomes):
+    """The one row's result, or the BerrylineError it ended with, raised."""
+    (outcome,) = outcomes
     if isinstance(outcome, BerrylineError):
         raise outcome
     return outcome
@@ -349,19 +363,38 @@ def band_berry_phase(loop, model, band):
     return complex(value)
 
 
-def _strip_rung(width):
-    """The rung a gapped chain loop's refinement needs to start from.
+def _strip_rung(width, cap=_MAX_SAMPLES // 2):
+    """The rung a gapped loop's refinement needs to start from.
 
     The periodic trapezoid error falls like exp(-a n) for strip
     half-width a (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so this
     is the smallest power of two n >= 16 with a n >= ln(1 / 1e-9), the
-    settle tolerance, capped at 32768 to leave a second rung below the
-    refinement cap.
+    settle tolerance, capped by default at 32768 to leave a second rung
+    below the refinement cap.
     """
     n = 16
-    while n < _MAX_SAMPLES // 2 and width * n < _STRIP_DECAY:
+    while n < cap and width * n < _STRIP_DECAY:
         n *= 2
     return n
+
+
+def _node_map(t, beta, centre, fold):
+    """Loop samples clustered by a periodic node map, and their derivative.
+
+    Returns (alpha, dalpha) at the loop parameters t: alpha(t) = t -
+    (beta / m) [sin m (t - c) + sin m c] with m = ``fold`` and c =
+    ``centre``, and d alpha / dt = 1 - beta cos m (t - c). This is the
+    map of Hale & Trefethen (SIAM J. Numer. Anal. 46, 930 (2008)) in
+    m alpha, for an integrand whose singularities repeat every 2 pi / m;
+    it clusters the nodes at t = c + 2 pi j / m and keeps alpha(0) = 0.
+    Where every ``beta`` is 0 the samples are t themselves, and
+    ``dalpha`` is None.
+    """
+    if not np.any(beta):
+        return t, None
+    arg = fold * (t - centre)
+    return (t - (beta / fold) * (np.sin(arg) + np.sin(fold * centre)),
+            1.0 - beta * np.cos(arg))
 
 
 def _singularities(q, eta):
@@ -385,7 +418,8 @@ def _chain_grid(q, eta):
     """Start rung and node map of a gapped chain row's refinement.
 
     Returns (n, b): the row samples k(t) = t - b sin t at uniform loop
-    nodes t, with dk/dt = 1 - b cos t. This is the periodic map
+    nodes t (``_node_map`` with m = 1 at centre 0), with dk/dt = 1 - b
+    cos t. This is the periodic map
     t - beta sin(t - k0) of Hale & Trefethen (SIAM J. Numer. Anal. 46, 930
     (2008)) with b = beta cos k0, which clusters the nodes at k0, the
     real part of the singularity nearest the real axis (at distance a,
@@ -412,6 +446,97 @@ def _chain_grid(q, eta):
     if n >= uniform:
         return uniform, 0.0
     return n, (beta if at_zero and exceptional <= hopping else -beta)
+
+
+def _two_level_singularities(p):
+    """Distances from the real axis and centres of the two-level singularities.
+
+    Returns (a, phi0) for the zero of c1 (its mirror image through |c1|
+    shares it), the zero of c2 (likewise) and the two zeros of w = A^2 +
+    sin^2(theta) c1 c2, with A = (h_z + i d_z) cos(theta). Each is a root
+    z^2 = u in z = exp(i phi): u = -(a+ + b+) / (a+ - b+) and -(a- - b-) /
+    (a- + b-) from the axes of ``models._two_level_axes``, and the roots
+    of (s/4) P u^2 + ((s/4) Q + A^2) u + (s/4) R, with s = sin^2(theta),
+    P = (a+ - b+)(a- + b-), R = (a+ + b+)(a- - b-) and Q = (a+ - b+)(a- -
+    b-) + (a+ + b+)(a- + b-). The singularity sits at phi0 and phi0 + pi,
+    a = |ln|u|| / 2 off the real axis, with phi0 = arg(u) / 2. A root at
+    u = 0 or infinity, which a vanishing coefficient leaves, has a = inf.
+    """
+    a_p, a_m, b_p, b_m = _two_level_axes(p)
+    s = 0.25 * math.sin(p.theta) ** 2
+    amp = complex(p.h_z, p.d_z) * math.cos(p.theta)
+    lead = s * (a_p - b_p) * (a_m + b_m)
+    mid = s * ((a_p - b_p) * (a_m - b_m) + (a_p + b_p) * (a_m + b_m)) + amp * amp
+    last = s * (a_p + b_p) * (a_m - b_m)
+    root = cmath.sqrt(mid * mid - 4.0 * lead * last)
+    # the sign without cancellation; the roots are big / lead and last / big
+    big = -0.5 * (mid + root if (mid.conjugate() * root).real >= 0.0
+                  else mid - root)
+    return tuple(
+        (0.5 * abs(math.log(abs(num)) - math.log(abs(den))),
+         0.5 * (cmath.phase(num) - cmath.phase(den))) if num and den
+        else (math.inf, 0.0)
+        for num, den in ((-(a_p + b_p), a_p - b_p), (b_m - a_m, a_m + b_m),
+                         (big, lead), (last, big)))
+
+
+def _kepler(mean, e):
+    """The root x of Kepler's equation x - e sin x = mean, for 0 <= e < 1.
+
+    Newton's method from Danby's start mean + 0.85 e sign(sin mean),
+    which converges for every mean and e (Danby, Fundamentals of
+    Celestial Mechanics, 2nd ed., 1988, ch. 6).
+    """
+    x = mean + math.copysign(0.85 * e, math.sin(mean))
+    for _ in range(50):
+        step = (x - e * math.sin(x) - mean) / (1.0 - e * math.cos(x))
+        x -= step
+        if abs(step) <= 1e-12:
+            break
+    return x
+
+
+def _two_level_grid(p):
+    """Start rung and node map of a two-level loop's refinement.
+
+    Returns (n, beta, t0): the loop samples phi(t) = t - (beta / 2)
+    [sin 2 (t - t0) + sin 2 t0] at uniform loop nodes t (``_node_map``
+    with m = 2), with dphi/dt = 1 - beta cos 2 (t - t0). Every
+    singularity of the frame repeats at phi + pi (see
+    ``_two_level_singularities``), so this is the map of Hale & Trefethen
+    in 2 phi. With the nearest one at distance a and centre phi0, beta =
+    (y - 2a) / sinh y with y = (2a)^(1/3) puts its preimages at Im t =
+    y / 2, and t0, the root of 2 t0 - beta sin 2 t0 = 2 phi0, centres the
+    map on them; the sin 2 t0 term keeps phi(0) = 0, where the frame
+    anchors its square-root branch. The start rung is ``_strip_rung`` of
+    y / 2, doubled until every other singularity's preimage clears the
+    strip of that rung too, and beta = 0 (phi = t exactly) where that is
+    no lower than the rung of a on the uniform grid, both uncapped.
+    """
+    found = _two_level_singularities(p)
+    a, phi0 = min(found)
+    if not 0.0 < a < _STRIP_DECAY / 16:
+        # a singularity on the loop, or none near enough to need 32 samples
+        return _strip_rung(a), 0.0, 0.0
+    uniform = _strip_rung(a, math.inf)
+    y = (2.0 * a) ** (1.0 / 3.0)
+    beta = (y - 2.0 * a) / math.sinh(y)
+    n = _strip_rung(0.5 * y, math.inf)
+    for far, centre in found:
+        # in u = 2 (t - t0), u - beta sin u = 2 (phi - phi0); the line
+        # Im u = v maps to the curve x - beta cosh v sin x + i (v - beta
+        # sinh v cos x), monotone in x for v <= y, and the singularity at
+        # 2 (centre - phi0) + 2i far lies above it where its preimage does
+        while n < uniform and (far, centre) != (a, phi0):
+            v = 2.0 * _STRIP_DECAY / n
+            lift = beta * math.sinh(v)
+            if 2.0 * far >= v + lift or 2.0 * far >= v - lift * math.cos(
+                    _kepler(2.0 * (centre - phi0), beta * math.cosh(v))):
+                break
+            n *= 2
+    if n >= uniform:
+        return min(uniform, _MAX_SAMPLES // 2), 0.0, 0.0
+    return min(n, _MAX_SAMPLES // 2), beta, 0.5 * _kepler(2.0 * phi0, beta)
 
 
 def _chain_cells(loop, cells, reports=None):
@@ -443,12 +568,8 @@ def _chain_cells(loop, cells, reports=None):
     grids = [_chain_grid(q, eta) for q, eta in ratios]
 
     def frames(t, idx):
-        b = [grids[r][1] for r in idx]
-        k, dk = t, None
-        if any(b):
-            b = np.array(b)[:, None]
-            k = t - b * np.sin(t)
-            dk = 1.0 - b * np.cos(t)
+        k, dk = _node_map(t, np.array([grids[r][1] for r in idx])[:, None],
+                          0.0, 1)
         return _ChainRows([1.0] * len(idx), [ratios[r][0] for r in idx],
                           [ratios[r][1] for r in idx], k, dk)
 
@@ -501,8 +622,28 @@ def analytic_q(params):
 
 
 def two_level_phase_point(params, n0=1024):
-    """Global phase result of the standard azimuthal sweep at these parameters."""
-    return global_berry_phase(standard_loop(TWO_LEVEL, n0), TwoLevelModel(params))
+    """Global phase result of the standard azimuthal sweep at these parameters.
+
+    Runs the dual-route refinement on uniform nodes t of the loop
+    parameter, mapped to angles phi(t) that cluster at the pair of
+    singularities of the frame nearest the real axis, and starting at the
+    rung the analytic strip width of the mapped integrand asks for, or at
+    ``n0`` if that is smaller (see ``_two_level_grid``; where the map
+    would not lower the start, phi = t). Every rung is anchored at t = 0,
+    where phi = 0 too, so the band labels are those of the uniform grid;
+    ``resolution``, a count of samples in t, may lie below ``n0``. A loop
+    on the singular lines raises SingularLoop, and ``n0`` is checked
+    before any frame is built.
+    """
+    model = TwoLevelModel(params)
+    loop = standard_loop(TWO_LEVEL, n0)
+    _gapless_loop(model, SingularLoop)
+    start = _first_rung(loop)
+    n, beta, centre = _two_level_grid(params)
+    return _raised(_settled_phases(
+        loop, lambda t, rows: _PathRows(model.eigen_path,
+                                        *_node_map(t, beta, centre, 2)),
+        [min(start, n)]))
 
 
 def bipartite_phase_point(q, eta, n0=1024):
@@ -521,10 +662,7 @@ def bipartite_phase_point(q, eta, n0=1024):
     at q = 1 no value exists on either side of the transition. The
     resolution ``n0`` is checked before either route runs.
     """
-    (outcome,) = _chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)])
-    if isinstance(outcome, BerrylineError):
-        raise outcome
-    return outcome
+    return _raised(_chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)]))
 
 
 def apply_gauge(loop, model, f, band_windings):
@@ -539,15 +677,20 @@ def apply_gauge(loop, model, f, band_windings):
     index shifts by the winding sum within 1e-6. The grid doubles from
     ``loop.n`` while the frame is too coarse, law (a) misses, or the new
     index's Wilson route misses its quadrature by over 1e-6, up to 65536
-    samples. A declared winding that is not an integer raises ValueError.
+    samples. A two-level loop samples the node map of ``_two_level_grid``
+    at uniform nodes t, so the gauge reads f(phi(t)), still periodic in t,
+    and law (a) holds per unit t; a chain loop samples its uniform grid.
+    A declared winding that is not an integer raises ValueError.
     """
     bands = ("plus", "minus")
     windings = [_check_integer(band_windings.get(name, 0),
                                f"declared winding on the {name} band")
                 for name in bands]
+    _, beta, centre = (_two_level_grid(model.params)
+                       if model.kind == TWO_LEVEL else (0, 0.0, 0.0))
     n = loop.n
     while True:
-        alphas = loop_grid(loop, n)
+        alphas, _ = _node_map(loop_grid(loop, n), beta, centre, 2)
         f_vals = np.stack([np.asarray(f(alphas, name), dtype=float)
                            for name in bands])
         for name, declared, turns in zip(

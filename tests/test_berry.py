@@ -1,5 +1,6 @@
 """Complex band phases, the quantized global index, and gauge laws."""
 
+import cmath
 import math
 
 import numpy as np
@@ -406,6 +407,109 @@ def test_clustered_route_matches_the_uniform_route_next_to_the_lines():
     assert bipartite_phase_point(2.0, 1.0 - 1e-7).resolution <= 1024
 
 
+def _two_level_zeros(p, phi):
+    """|c1|, its mirror, |c2|, its mirror and |w| at a complex phi, each
+    relative to the size of its terms."""
+    cos, sin = cmath.cos(phi), cmath.sin(phi)
+    a_p, a_m = p.h_x + p.d_x, p.h_x - p.d_x
+    b_p, b_m = p.h_y + p.d_y, p.h_y - p.d_y
+    amp = complex(p.h_z, p.d_z) * math.cos(p.theta)
+    s = math.sin(p.theta) ** 2
+    c1, c2 = a_p * cos - 1j * b_p * sin, a_m * cos + 1j * b_m * sin
+    w = amp * amp + s * c1 * c2
+    return (abs(c1) / (abs(a_p * cos) + abs(b_p * sin)),
+            abs(a_p * cos + 1j * b_p * sin) / (abs(a_p * cos) + abs(b_p * sin)),
+            abs(c2) / (abs(a_m * cos) + abs(b_m * sin)),
+            abs(a_m * cos - 1j * b_m * sin) / (abs(a_m * cos) + abs(b_m * sin)),
+            abs(w) / (abs(amp * amp) + s * abs(c1 * c2)))
+
+
+def test_two_level_singularities_are_zeros_of_the_frame_amplitudes():
+    rng = np.random.default_rng(31)
+    for style in ("positive", "negative") * 20:
+        p = draw_two_level(rng, style)
+        found = berry._two_level_singularities(p)
+        assert len(found) == 4
+        # each pair (a, phi0) is a zero of c1 or its mirror, of c2 or its
+        # mirror, and of w, at phi0 and phi0 + pi, on one side of the axis
+        for (a, phi0), picks in zip(found, ((0, 1), (2, 3), (4,), (4,))):
+            assert 0.0 < a < math.inf, p
+            for shift in (0.0, math.pi):
+                worst = min(_two_level_zeros(p, complex(phi0 + shift, sign * a))[i]
+                            for sign in (1.0, -1.0) for i in picks)
+                assert worst <= 1e-10, (p, a, phi0)
+
+
+def test_two_level_singularities_on_degenerate_coefficients():
+    inf = math.inf
+    sing = berry._two_level_singularities
+    # a+ = b+ and a+ = -b+: c1 = a+ exp(-+ i phi) has no zero, and the
+    # quadratic in z^2 loses its leading or its constant coefficient,
+    # which leaves one zero of w
+    for p in (_tl((1.0, 1.2, 0.2), (1.5, 1.3, 0.3), 1.0),
+              _tl((1.0, -1.5, 0.2), (0.5, 0.0, 0.3), 1.0)):
+        assert p.h_x + p.d_x == abs(p.h_y + p.d_y)
+        found = sing(p)
+        assert found[0] == (inf, 0.0)
+        assert math.isfinite(found[1][0])
+        assert sorted(math.isfinite(a) for a, _ in found[2:]) == [False, True]
+        assert berry._two_level_grid(p)[0] >= 16
+    # a- = b- and a+ = b+ together leave c1 c2 constant: nothing anywhere
+    p = _tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)
+    assert sing(p) == ((inf, 0.0),) * 4
+    assert berry._two_level_grid(p) == (16, 0.0, 0.0)
+    # theta = 0 leaves w = A^2 constant, and theta = pi a sin^2 of 1.5e-32
+    base = dict(h_x=1.2, h_y=0.7, h_z=0.3, d_x=0.4, d_y=1.1, d_z=0.2)
+    w_free = sing(TwoLevelParams(**base, theta=0.0))
+    assert w_free[2:] == ((inf, 0.0),) * 2
+    assert all(a > 30.0 for a, _ in sing(TwoLevelParams(**base, theta=math.pi))[2:])
+    # no A with theta = 0 either: w vanishes identically, and has no root
+    assert sing(_tl((1.2, 0.7, 0.0), (0.4, 1.1, 0.0), 0.0))[2:] == (
+        (inf, 0.0),) * 2
+    # A = 0: w = sin^2(theta) c1 c2 has the zeros of c1 and c2
+    found = sing(_tl((1.2, 0.7, 0.0), (0.4, 1.1, 0.0), 1.0))
+    for (a, phi0), (b, psi0) in zip(sorted(found[:2]), sorted(found[2:])):
+        assert abs(a - b) <= 1e-14 and abs(math.cos(2.0 * (phi0 - psi0)) - 1.0) <= 1e-14
+    # Hermitian: the zeros of c1 and c2 and the two of w come in reciprocal
+    # pairs in z^2, the same distance off the axis
+    (a1, _), (a2, _), (w1, _), (w2, _) = sing(_tl((1.2, 0.7, 0.3), (0.0, 0.0, 0.0), 1.0))
+    assert abs(a1 - a2) <= 1e-15 and abs(w1 - w2) <= 1e-15 and w1 > 0.0
+
+
+def _uniform_two_level(params):
+    return global_berry_phase(standard_loop(TWO_LEVEL, 1024),
+                              TwoLevelModel(params))
+
+
+def test_two_level_refinement_starts_at_its_strip_rung():
+    reference = two_level_phase_point(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0))
+    assert reference.refinement_history[0][0] < 1024
+    # the map and its start rung never make a draw settle later than the
+    # uniform grid from 1024 samples
+    rng = np.random.default_rng(21)
+    for style in ("positive", "negative") * 100:
+        params = draw_two_level(rng, style)
+        n, beta, centre = berry._two_level_grid(params)
+        assert 16 <= n <= 32768 and 0.0 <= beta < 1.0, params
+        assert two_level_phase_point(params).resolution <= (
+            _uniform_two_level(params).resolution), params
+
+
+def test_two_level_gauge_check_settles_next_to_a_singularity():
+    # a zero of w 3.8e-4 off the real axis: on the uniform grid law (a)
+    # still missed by 9e-5 at 65536 samples
+    params = _tl((2.4619798884207325, 2.330319178968498, 0.131),
+                 (2.3191840780926776, 1.1330371030812918, -0.33381887109522435),
+                 2.8001497453191635)
+    assert _two_level_zeros(params, complex(0.13409664, -3.7556515e-4))[4] < 1e-6
+    r = apply_gauge(standard_loop(TWO_LEVEL, 1024), TwoLevelModel(params),
+                    lambda alphas, band: 2.0 * alphas, {"plus": 2, "minus": 2})
+    assert r.residual_a <= 1e-9
+    assert max(r.residual_gamma_plus, r.residual_gamma_minus) <= 1e-8
+    assert abs(r.q_new - r.q_original - 4.0) <= 1e-6
+    assert r.resolution <= 2048
+
+
 def _band_phases(r):
     return (r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus, r.xi_b_minus)
 
@@ -753,3 +857,25 @@ def test_a_gapless_point_carries_the_lossless_points_index(q, t, n0):
         assert getattr(gapless, name) == getattr(lossless, name), name
     assert (gapless.gamma_b_plus, gapless.xi_b_plus) != (
         lossless.gamma_b_plus, lossless.xi_b_plus)
+
+
+@st.composite
+def _two_level_draws(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return draw_two_level(rng, draw(st.sampled_from(("positive", "negative"))))
+
+
+@_PROPERTY
+@given(_two_level_draws())
+def test_clustered_two_level_route_matches_the_uniform_route(params):
+    clustered = two_level_phase_point(params)
+    uniform = _uniform_two_level(params)
+    # per band, so a swapped label would show as a miss
+    for name in ("gamma_b_plus", "xi_b_plus", "gamma_b_minus", "xi_b_minus",
+                 "q_index"):
+        assert abs(getattr(clustered, name) - getattr(uniform, name)) <= 1e-10, (
+            name)
+    assert clustered.q_rounded == uniform.q_rounded == analytic_q(params)
+    # the map leaves the branch anchor phi(0) = 0 where it was
+    _, beta, centre = berry._two_level_grid(params)
+    assert berry._node_map(np.zeros(1), beta, centre, 2)[0][0] == 0.0

@@ -46,7 +46,26 @@ def test_two_level_q_wound_point(capsys):
     assert abs(payload["Q_numeric"] - 1.0) < 1e-6
     assert payload["Q_analytic"] == 1
     assert payload["converged"] is True
-    assert payload["resolution"] >= 1024
+    # at h_x = h_y and d_x = d_y the product c1 c2 is constant, so the
+    # frame has no singularity: the refinement starts at 16 samples of t
+    # and settles on the next rung, below --samples
+    assert payload["resolution"] == 32
+
+
+def test_two_level_q_settles_next_to_an_exceptional_point(capsys):
+    # the gap dips to 0.034 at phi = 3.28, with a singularity 5.1e-4 off
+    # the real axis: the uniform grid was still moving at 65536 samples,
+    # the clustered one settles at 1024
+    values = (2.4619798884207325, 2.330319178968498, 0.13251552530117428,
+              2.3191840780926776, 1.1330371030812918, -0.33381887109522435,
+              2.8001497453191635)
+    names = ("--hx", "--hy", "--hz", "--dx", "--dy", "--dz", "--theta")
+    payload = run_json(capsys, "two-level-q",
+                       *[x for pair in zip(names, map(repr, values))
+                         for x in pair])
+    assert payload["converged"] is True and payload["Q_analytic"] == 1
+    assert abs(payload["Q_numeric"] - 1.0) < 1e-6
+    assert payload["resolution"] <= 1024
 
 
 def test_two_level_q_settles_where_the_coarse_wilson_strides_lag(capsys):

@@ -15,8 +15,8 @@ _EXPECTED = """
 e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 179fe0238b641da53de7e0948828636a6c7e1aa03b480d6458e5d05341beae41
 5ccb5920a12bf62e12afc007e9184897fcefdb667e52f1aeb102a53b23587dc6
-1fd70d8fa2f744a66de076cc2edf4d7ada95b55fc73ddf5305a4635880d2fda3
-c05218cf731e2511905c1019e6ace7c179a504e052752157283dc8a19520123d
+17722f0063a0ea6ecd6d7a7d4ec48f225a99eee51b5ae0123b89f0ff49489bda
+62e41b06727c27e187aea95fa26e4afca4e72e9b0328ae51026a5d17ea74c8f6
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 9a021035b8abf1ec229f0747fa3b90f53284be680d638f9c0173a07483678eb2
