@@ -363,17 +363,19 @@ def band_berry_phase(loop, model, band):
     return complex(value)
 
 
-def _strip_rung(width, cap=_MAX_SAMPLES // 2):
+def _strip_rung(width):
     """The rung a gapped loop's refinement needs to start from.
 
     The periodic trapezoid error falls like exp(-a n) for strip
     half-width a (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so this
     is the smallest power of two n >= 16 with a n >= ln(1 / 1e-9), the
-    settle tolerance, capped by default at 32768 to leave a second rung
-    below the refinement cap.
+    settle tolerance. A width of 0, a singularity on the loop, has no
+    such rung and gives math.inf.
     """
+    if width <= 0.0:
+        return math.inf
     n = 16
-    while n < cap and width * n < _STRIP_DECAY:
+    while width * n < _STRIP_DECAY:
         n *= 2
     return n
 
@@ -397,55 +399,21 @@ def _node_map(t, beta, centre, fold):
             1.0 - beta * np.cos(arg))
 
 
-def _singularities(q, eta):
-    """Distances of a gapped chain integrand's singularities from real k.
+def _chain_singularities(q, eta):
+    """Distances from real k and centres of a gapped chain row's singularities.
 
-    Returns (exceptional, hopping, at_zero). The zero of v_k sits at
-    k = pi + i |ln q|. The exceptional points sit at Im k = acosh|c|,
-    where cos k = c = (eta^2 - 1 - q^2) / (2 q): at Re k = pi below
-    eta = |q - 1| and at Re k = 0 (``at_zero``) above eta = q + 1. |c| - 1
-    is r(pi) / (2 q) or -r(0) / (2 q), from the factorized radicand
-    extremes, and acosh(1 + d) = log1p(d + sqrt(d (d + 2))), so the
-    distance keeps its digits next to the lines.
+    Returns ((a, k0), (|ln q|, pi)): the exceptional points sit at Im k =
+    acosh|c|, where cos k = c = (eta^2 - 1 - q^2) / (2 q), with k0 = pi
+    below eta = |q - 1| and k0 = 0 above eta = q + 1, and the zero of v_k
+    at k = pi + i |ln q|. |c| - 1 is r(pi) / (2 q) or -r(0) / (2 q), from
+    the factorized radicand extremes, and acosh(1 + d) = log1p(d +
+    sqrt(d (d + 2))), so the distance keeps its digits next to the lines.
     """
     rpi, r0 = _radicand_extremes(q, eta)
     delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
-    return (math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
-            abs(math.log(q)), rpi < 0.0)
-
-
-def _chain_grid(q, eta):
-    """Start rung and node map of a gapped chain row's refinement.
-
-    Returns (n, b): the row samples k(t) = t - b sin t at uniform loop
-    nodes t (``_node_map`` with m = 1 at centre 0), with dk/dt = 1 - b
-    cos t. This is the periodic map
-    t - beta sin(t - k0) of Hale & Trefethen (SIAM J. Numer. Anal. 46, 930
-    (2008)) with b = beta cos k0, which clusters the nodes at k0, the
-    real part of the singularity nearest the real axis (at distance a,
-    see ``_singularities``). beta = (y - a) / sinh y with y = a^(1/3)
-    puts that singularity's preimage at Im t = y; one at distance a' at
-    the opposite point has its preimage at y' + beta sinh y' = a'. The
-    start rung is ``_strip_rung`` of min(y, y'), and b = 0 (k = t
-    exactly) where that is no lower than the rung of a on the uniform
-    grid.
-    """
-    exceptional, hopping, at_zero = _singularities(q, eta)
-    near, far = sorted((exceptional, hopping))
-    uniform = _strip_rung(near)
-    y = near ** (1.0 / 3.0)
-    beta = (y - near) / math.sinh(y)
-    n = _strip_rung(y)
-    if at_zero:
-        # the far singularity sits at the opposite point; y' n >= ln(1e9)
-        # holds where its preimage height y' is at least w = ln(1e9) / n,
-        # that is where w + beta sinh w <= a'
-        while (n < _MAX_SAMPLES // 2 and _STRIP_DECAY / n
-               + beta * math.sinh(_STRIP_DECAY / n) > far):
-            n *= 2
-    if n >= uniform:
-        return uniform, 0.0
-    return n, (beta if at_zero and exceptional <= hopping else -beta)
+    return ((math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
+             math.pi if rpi > 0.0 else 0.0),
+            (abs(math.log(q)), math.pi))
 
 
 def _two_level_singularities(p):
@@ -496,47 +464,44 @@ def _kepler(mean, e):
     return x
 
 
-def _two_level_grid(p):
-    """Start rung and node map of a two-level loop's refinement.
+def _node_grid(found, fold):
+    """Start rung and node map of a loop with singularities every 2 pi / m.
 
-    Returns (n, beta, t0): the loop samples phi(t) = t - (beta / 2)
-    [sin 2 (t - t0) + sin 2 t0] at uniform loop nodes t (``_node_map``
-    with m = 2), with dphi/dt = 1 - beta cos 2 (t - t0). Every
-    singularity of the frame repeats at phi + pi (see
-    ``_two_level_singularities``), so this is the map of Hale & Trefethen
-    in 2 phi. With the nearest one at distance a and centre phi0, beta =
-    (y - 2a) / sinh y with y = (2a)^(1/3) puts its preimages at Im t =
-    y / 2, and t0, the root of 2 t0 - beta sin 2 t0 = 2 phi0, centres the
-    map on them; the sin 2 t0 term keeps phi(0) = 0, where the frame
-    anchors its square-root branch. The start rung is ``_strip_rung`` of
-    y / 2, doubled until every other singularity's preimage clears the
-    strip of that rung too, and beta = 0 (phi = t exactly) where that is
-    no lower than the rung of a on the uniform grid, both uncapped.
+    ``found`` lists (a, c) per singularity, its distance from the real
+    axis and its real part, and m = ``fold`` (1 for the chain, 2 for the
+    two-level loop). Returns (n, beta, t0) for ``_node_map``. With the
+    nearest singularity at (a, c), beta = (y - m a) / sinh y with y =
+    (m a)^(1/3) puts its preimages at Im t = y / m, and t0, the root of
+    m t0 - beta sin m t0 = m c, centres the map on them. The start rung
+    is ``_strip_rung`` of y / m, doubled until every other singularity's
+    preimage clears the strip of that rung too, and beta = 0 (alpha = t
+    exactly) where that is no lower than the rung of a on the uniform
+    grid, both uncapped; n is then capped at 32768 to leave a second
+    rung below the cap.
     """
-    found = _two_level_singularities(p)
-    a, phi0 = min(found)
+    a, c = min(found)
     if not 0.0 < a < _STRIP_DECAY / 16:
         # a singularity on the loop, or none near enough to need 32 samples
-        return _strip_rung(a), 0.0, 0.0
-    uniform = _strip_rung(a, math.inf)
-    y = (2.0 * a) ** (1.0 / 3.0)
-    beta = (y - 2.0 * a) / math.sinh(y)
-    n = _strip_rung(0.5 * y, math.inf)
+        return min(_strip_rung(a), _MAX_SAMPLES // 2), 0.0, 0.0
+    uniform = _strip_rung(a)
+    y = (fold * a) ** (1.0 / 3.0)
+    beta = (y - fold * a) / math.sinh(y)
+    n = _strip_rung(y / fold)
     for far, centre in found:
-        # in u = 2 (t - t0), u - beta sin u = 2 (phi - phi0); the line
-        # Im u = v maps to the curve x - beta cosh v sin x + i (v - beta
-        # sinh v cos x), monotone in x for v <= y, and the singularity at
-        # 2 (centre - phi0) + 2i far lies above it where its preimage does
-        while n < uniform and (far, centre) != (a, phi0):
-            v = 2.0 * _STRIP_DECAY / n
+        # in u = m (t - t0), u - beta sin u = m (alpha - c); the line Im u
+        # = v maps to the curve x - beta cosh v sin x + i (v - beta sinh v
+        # cos x), monotone in x for v <= y, and the singularity at
+        # m (centre - c) + i m far lies above it where its preimage does
+        while n < uniform and (far, centre) != (a, c):
+            v = fold * _STRIP_DECAY / n
             lift = beta * math.sinh(v)
-            if 2.0 * far >= v + lift or 2.0 * far >= v - lift * math.cos(
-                    _kepler(2.0 * (centre - phi0), beta * math.cosh(v))):
+            if fold * far >= v + lift or fold * far >= v - lift * math.cos(
+                    _kepler(fold * (centre - c), beta * math.cosh(v))):
                 break
             n *= 2
     if n >= uniform:
         return min(uniform, _MAX_SAMPLES // 2), 0.0, 0.0
-    return min(n, _MAX_SAMPLES // 2), beta, 0.5 * _kepler(2.0 * phi0, beta)
+    return min(n, _MAX_SAMPLES // 2), beta, _kepler(fold * c, beta) / fold
 
 
 def _chain_cells(loop, cells, reports=None):
@@ -545,8 +510,8 @@ def _chain_cells(loop, cells, reports=None):
     Returns per cell a BerryPhaseResult or the BerrylineError that cell
     raises; ``reports`` are the crossing reports of the cells when the
     caller has them already. Gapped cells run the dual-route refinement
-    together, each on the node map of ``_chain_grid`` and starting at
-    its rung or at ``loop.n``, whichever is smaller; every rung is
+    together, each on the node map ``_node_grid`` gives it and starting
+    at its rung or at ``loop.n``, whichever is smaller; every rung is
     anchored at the loop's first sample, in the loop parameter t. Q
     depends on the hopping winding alone, so each hopping ratio with a
     cell that ``_reads_closed_form`` adds one lossless row (eta = 0) to
@@ -565,16 +530,16 @@ def _chain_cells(loop, cells, reports=None):
         row = rows.setdefault((q, 0.0) if gapless else (q, eta), len(rows))
         reads.append((row, gapless))
     ratios = list(rows)
-    grids = [_chain_grid(q, eta) for q, eta in ratios]
+    grids = [_node_grid(_chain_singularities(q, eta), 1) for q, eta in ratios]
 
     def frames(t, idx):
-        k, dk = _node_map(t, np.array([grids[r][1] for r in idx])[:, None],
-                          0.0, 1)
+        beta, t0 = np.array([grids[r][1:] for r in idx]).T[:, :, None]
+        k, dk = _node_map(t, beta, t0, 1)
         return _ChainRows([1.0] * len(idx), [ratios[r][0] for r in idx],
                           [ratios[r][1] for r in idx], k, dk)
 
     settled = _settled_phases(loop, frames,
-                              [min(loop.n, n) for n, _ in grids])
+                              [min(loop.n, grid[0]) for grid in grids])
     outcomes = []
     for (q, eta), read in zip(cells, reads):
         if read is None:
@@ -628,7 +593,7 @@ def two_level_phase_point(params, n0=1024):
     parameter, mapped to angles phi(t) that cluster at the pair of
     singularities of the frame nearest the real axis, and starting at the
     rung the analytic strip width of the mapped integrand asks for, or at
-    ``n0`` if that is smaller (see ``_two_level_grid``; where the map
+    ``n0`` if that is smaller (see ``_node_grid``, m = 2; where the map
     would not lower the start, phi = t). Every rung is anchored at t = 0,
     where phi = 0 too, so the band labels are those of the uniform grid;
     ``resolution``, a count of samples in t, may lie below ``n0``. A loop
@@ -639,7 +604,7 @@ def two_level_phase_point(params, n0=1024):
     loop = standard_loop(TWO_LEVEL, n0)
     _gapless_loop(model, SingularLoop)
     start = _first_rung(loop)
-    n, beta, centre = _two_level_grid(params)
+    n, beta, centre = _node_grid(_two_level_singularities(params), 2)
     return _raised(_settled_phases(
         loop, lambda t, rows: _PathRows(model.eigen_path,
                                         *_node_map(t, beta, centre, 2)),
@@ -653,7 +618,7 @@ def bipartite_phase_point(q, eta, n0=1024):
     the loop parameter, mapped to momenta that cluster where the
     integrand's nearest singularity lies, and starting at the rung the
     analytic strip width of the mapped integrand asks for, or at ``n0``
-    if that is smaller (see ``_chain_grid``; where the map would not
+    if that is smaller (see ``_node_grid``, m = 1; where the map would not
     lower the start, k = t). Every rung is anchored in t at the first
     sample of the ``n0`` loop, so ``resolution``, a count of samples in
     t, may lie below ``n0``. The gapless region reads the elliptic closed
@@ -677,7 +642,7 @@ def apply_gauge(loop, model, f, band_windings):
     index shifts by the winding sum within 1e-6. The grid doubles from
     ``loop.n`` while the frame is too coarse, law (a) misses, or the new
     index's Wilson route misses its quadrature by over 1e-6, up to 65536
-    samples. A two-level loop samples the node map of ``_two_level_grid``
+    samples. A two-level loop samples the node map of ``_node_grid``
     at uniform nodes t, so the gauge reads f(phi(t)), still periodic in t,
     and law (a) holds per unit t; a chain loop samples its uniform grid.
     A declared winding that is not an integer raises ValueError.
@@ -686,7 +651,7 @@ def apply_gauge(loop, model, f, band_windings):
     windings = [_check_integer(band_windings.get(name, 0),
                                f"declared winding on the {name} band")
                 for name in bands]
-    _, beta, centre = (_two_level_grid(model.params)
+    _, beta, centre = (_node_grid(_two_level_singularities(model.params), 2)
                        if model.kind == TWO_LEVEL else (0, 0.0, 0.0))
     n = loop.n
     while True:

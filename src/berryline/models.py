@@ -55,6 +55,9 @@ def band_index(band):
         raise ValueError(f"unknown band label {band!r}") from None
 
 
+_MAX_RATIO = 1e150      # squares of larger values leave the float range
+
+
 def _require_finite(obj):
     """Coerce every field of a frozen parameter record to a finite float."""
     for field in dataclasses.fields(obj):
@@ -80,6 +83,10 @@ class TwoLevelParams:
         _require_finite(self)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        for name, value in vars(self).items():
+            if abs(value) > _MAX_RATIO:
+                raise ValueError(f"{name} must be at most {_MAX_RATIO:g} in "
+                                 f"magnitude, got {value}")
 
     def is_singular(self, tol=1e-12):
         """True when an amplitude magnitude matches its field magnitude.
@@ -95,9 +102,6 @@ class TwoLevelParams:
 def _at_transition(q):
     """True at hopping ratio 1, where v_k vanishes at k = pi and Q jumps."""
     return abs(q - 1.0) <= 1e-12
-
-
-_MAX_RATIO = 1e150      # squares of larger ratios leave the float range
 
 
 def _check_ratios(q, eta):

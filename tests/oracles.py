@@ -11,7 +11,8 @@ assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the left and right
 frames (with ``quadrature.spectral_derivative``) for the first-order
 connection trace, the closed-form rate of the chain's
-hopping phase, and dense unwrapped sampling for windings.
+hopping phase, dense unwrapped sampling for windings, and the
+chain-only rule for a gapped chain row's start rung and node map.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -27,8 +28,8 @@ import numpy as np
 from scipy import integrate
 
 from berryline.errors import BerrylineError, DegenerateSpectrum
-from berryline.models import (_MAX_SAMPLES, _chain_radicand, band_index,
-                              loop_grid)
+from berryline.models import (_MAX_SAMPLES, _chain_radicand,
+                              _radicand_extremes, band_index, loop_grid)
 from berryline.quadrature import spectral_derivative, tanh_sinh
 
 
@@ -409,6 +410,47 @@ def draw_bipartite(rng, region):
     else:
         raise ValueError(region)
     return q, eta
+
+
+def chain_grid(q, eta):
+    """Start rung and node map of a gapped chain row, by the chain-only rule.
+
+    Returns (n, b) for the momenta k(t) = t - b sin t at uniform loop
+    nodes t. The exceptional points sit acosh|c| off the real axis, with
+    cos k = c = (eta^2 - 1 - q^2) / (2 q), at Re k = pi below eta =
+    |q - 1| and at Re k = 0 above eta = q + 1; the zero of v_k sits at
+    k = pi + i |ln q|. With the nearer one at distance a, beta = (y - a)
+    / sinh y with y = a^(1/3), b = beta at centre 0 and -beta at centre
+    pi. The rung is the strip rung of y, capped at 32768 and doubled
+    while w = ln(1e9) / n and a far singularity at the opposite point
+    (distance a') leave w + beta sinh w > a'; b = 0 where that rung is no
+    lower than the capped rung of a on the uniform grid.
+    """
+    decay = -math.log(1e-9)
+    cap = _MAX_SAMPLES // 2
+
+    def rung(width):
+        n = 16
+        while n < cap and width * n < decay:
+            n *= 2
+        return n
+
+    rpi, r0 = _radicand_extremes(q, eta)
+    delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
+    exceptional = math.log1p(delta + math.sqrt(delta * (delta + 2.0)))
+    hopping = abs(math.log(q))
+    at_zero = rpi < 0.0
+    near, far = sorted((exceptional, hopping))
+    uniform = rung(near)
+    y = near ** (1.0 / 3.0)
+    beta = (y - near) / math.sinh(y)
+    n = rung(y)
+    if at_zero:
+        while n < cap and decay / n + beta * math.sinh(decay / n) > far:
+            n *= 2
+    if n >= uniform:
+        return uniform, 0.0
+    return n, (beta if at_zero and exceptional <= hopping else -beta)
 
 
 def scalar_rk4(model, schedule, psi0, dual=False, project=None,

@@ -35,8 +35,9 @@ from berryline.models import (
 from berryline.quadrature import trapezoid_periodic
 from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
-from oracles import (draw_bipartite, draw_two_level, fd_connection,
-                     first_order_correction_trace, winding_rate)
+from oracles import (chain_grid, draw_bipartite, draw_two_level,
+                     fd_connection, first_order_correction_trace,
+                     winding_rate)
 
 
 def _tl(h, d, theta):
@@ -46,6 +47,19 @@ def _tl(h, d, theta):
 
 def _chain(q, eta):
     return BipartiteModel(BipartiteParams.from_ratios(q, eta))
+
+
+def _chain_grid(q, eta):
+    return berry._node_grid(berry._chain_singularities(q, eta), 1)
+
+
+def _two_level_grid(p):
+    return berry._node_grid(berry._two_level_singularities(p), 2)
+
+
+def _uniform_rung(found):
+    # the uncapped rung of the nearest singularity on the uniform grid
+    return berry._strip_rung(min(found)[0])
 
 
 def _analytic_connection(loop, model):
@@ -289,7 +303,7 @@ def test_global_phase_result_shape():
     assert r.q_rounded == 1
     assert abs(r.q_index - 1.0) < 1e-6
     # the refinement starts at the strip rung and settles on the next one
-    start = berry._chain_grid(2.0, 0.5)[0]
+    start = _chain_grid(2.0, 0.5)[0]
     assert 16 <= start < 1024
     assert r.refinement_history[0][0] == start
     assert r.resolution == 2 * start
@@ -307,26 +321,77 @@ def test_strip_rung_grows_toward_every_line_and_stays_below_the_cap():
         "q = 1 from below": [(1.0 - 10.0 ** -j, 0.0) for j in range(1, 12)],
     }
     for label, points in approaches.items():
-        grids = [berry._chain_grid(q, eta) for q, eta in points]
-        rungs = [n for n, _ in grids]
+        grids = [_chain_grid(q, eta) for q, eta in points]
+        rungs = [n for n, _, _ in grids]
         assert all(16 <= n <= 32768 and n & (n - 1) == 0 for n in rungs), label
         assert rungs == sorted(rungs), label
         assert rungs[0] < rungs[-1], label
-        for (q, eta), (n, b) in zip(points, grids):
-            uniform = berry._strip_rung(min(berry._singularities(q, eta)[:2]))
-            # the map only ever lowers the start, and is off where it cannot
-            assert n <= uniform and (b == 0.0) == (n == uniform), (q, eta)
-            assert abs(b) < 1.0, (q, eta)
+        for (q, eta), (n, beta, _) in zip(points, grids):
+            uniform = _uniform_rung(berry._chain_singularities(q, eta))
+            # the map only ever lowers the start, and is off exactly where
+            # it cannot; at the 32768 cap a row may keep the map, whose
+            # uncapped rung lies below the uncapped uniform one
+            assert n <= min(uniform, 32768), (q, eta)
+            assert beta != 0.0 or n == min(uniform, 32768), (q, eta)
+            assert n == 32768 or (beta == 0.0) == (n == uniform), (q, eta)
+            assert 0.0 <= beta < 1.0, (q, eta)
     # 1e-6 from a divergence line the uniform grid starts at 16384 samples
     # or more, the clustered one at a few hundred
     for q, eta in [(2.0, 1.0 - 1e-6), (0.5, 0.5 - 1e-6), (0.5, 1.5 + 1e-6),
                    (3.0, 4.0 + 1e-6)]:
-        assert berry._strip_rung(min(berry._singularities(q, eta)[:2])) >= (
-            16384)
-        assert berry._chain_grid(q, eta)[0] <= 512, (q, eta)
+        assert _uniform_rung(berry._chain_singularities(q, eta)) >= 16384
+        assert _chain_grid(q, eta)[0] <= 512, (q, eta)
     # far from every line the refinement starts at a few dozen samples, on
     # the uniform grid
-    assert berry._chain_grid(3.0, 0.0) == (32, 0.0)
+    assert _chain_grid(3.0, 0.0) == (32, 0.0, 0.0)
+    # a singularity on the loop has no strip rung, and starts at the cap
+    assert berry._strip_rung(0.0) == math.inf
+    assert berry._node_grid([(0.0, 0.0)], 1) == (32768, 0.0, 0.0)
+
+
+def _refined_chain_rows(cells):
+    """The rows ``_chain_cells`` refines for these cells: a gapped cell's own
+    (q, eta), or the lossless row (q, 0) of a closed-form cell."""
+    rows = set()
+    for q, eta in cells:
+        if abs(q - 1.0) <= 1e-12:
+            continue
+        gapless = berry._reads_closed_form(q, eta,
+                                           classify_region(q, eta).region)
+        rows.add((q, 0.0) if gapless else (q, eta))
+    return sorted(rows)
+
+
+def test_node_grid_matches_the_chain_only_rule():
+    # the 50 x 50 reference diagram, seeded draws, and approaches to every
+    # line from 1e-1 to 1e-15 (1e-11 for q = 1, whose own 1e-12 is refused)
+    cells = [(q, eta) for q in np.linspace(0.55, 2.05, 50)
+             for eta in np.linspace(0.05, 2.55, 50)]
+    rng = np.random.default_rng(23)
+    cells += [(float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 6.0)))
+              for _ in range(20000)]
+    for j in range(1, 16):
+        d = 10.0 ** -j
+        cells += [(2.0, 1.0 - d), (0.5, 0.5 - d), (0.5, 1.5 + d),
+                  (2.0, 3.0 + d), (0.2, 0.8 - d), (3.0, 4.0 + d)]
+        if j <= 11:
+            cells += [(1.0 + d, 0.0), (1.0 - d, 0.0), (1.0 + d, 0.5 * d)]
+    compared, centres = 0, set()
+    for q, eta in _refined_chain_rows(cells):
+        found = berry._chain_singularities(q, eta)
+        n, beta, t0 = berry._node_grid(found, 1)
+        assert berry._node_map(np.zeros(1), beta, t0, 1)[0][0] == 0.0
+        if _uniform_rung(found) > 32768:
+            # the uncapped rule keeps the map here, the capped one did not
+            continue
+        rung, b = chain_grid(q, eta)
+        assert (n, beta) == (rung, abs(b)), (q, eta)
+        if beta:
+            # the map clusters at k = 0 for b > 0 and at k = pi for b < 0
+            assert abs(t0 - (0.0 if b > 0.0 else math.pi)) <= 1e-12, (q, eta)
+            centres.add(b > 0.0)
+        compared += 1
+    assert compared > 3000 and centres == {True, False}
 
 
 def test_strip_width_matches_the_arccosine_form_near_the_lines():
@@ -341,7 +406,8 @@ def test_strip_width_matches_the_arccosine_form_near_the_lines():
         # 1 / sinh(width) next to the lines
         kept = 8.0 * eps * abs(c) / math.sqrt(c * c - 1.0) + 8.0 * eps * naive
         assert naive < abs(math.log(q))
-        assert abs(berry._singularities(q, eta)[0] - naive) <= kept, (q, eta)
+        width = berry._chain_singularities(q, eta)[0][0]
+        assert abs(width - naive) <= kept, (q, eta)
 
 
 def test_strip_start_agrees_with_the_loop_start():
@@ -453,11 +519,11 @@ def test_two_level_singularities_on_degenerate_coefficients():
         assert found[0] == (inf, 0.0)
         assert math.isfinite(found[1][0])
         assert sorted(math.isfinite(a) for a, _ in found[2:]) == [False, True]
-        assert berry._two_level_grid(p)[0] >= 16
+        assert _two_level_grid(p)[0] >= 16
     # a- = b- and a+ = b+ together leave c1 c2 constant: nothing anywhere
     p = _tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)
     assert sing(p) == ((inf, 0.0),) * 4
-    assert berry._two_level_grid(p) == (16, 0.0, 0.0)
+    assert _two_level_grid(p) == (16, 0.0, 0.0)
     # theta = 0 leaves w = A^2 constant, and theta = pi a sin^2 of 1.5e-32
     base = dict(h_x=1.2, h_y=0.7, h_z=0.3, d_x=0.4, d_y=1.1, d_z=0.2)
     w_free = sing(TwoLevelParams(**base, theta=0.0))
@@ -489,7 +555,7 @@ def test_two_level_refinement_starts_at_its_strip_rung():
     rng = np.random.default_rng(21)
     for style in ("positive", "negative") * 100:
         params = draw_two_level(rng, style)
-        n, beta, centre = berry._two_level_grid(params)
+        n, beta, centre = _two_level_grid(params)
         assert 16 <= n <= 32768 and 0.0 <= beta < 1.0, params
         assert two_level_phase_point(params).resolution <= (
             _uniform_two_level(params).resolution), params
@@ -877,5 +943,5 @@ def test_clustered_two_level_route_matches_the_uniform_route(params):
             name)
     assert clustered.q_rounded == uniform.q_rounded == analytic_q(params)
     # the map leaves the branch anchor phi(0) = 0 where it was
-    _, beta, centre = berry._two_level_grid(params)
+    _, beta, centre = _two_level_grid(params)
     assert berry._node_map(np.zeros(1), beta, centre, 2)[0][0] == 0.0

@@ -424,6 +424,33 @@ def test_ratios_whose_squares_overflow_exit_1(capsys, monkeypatch, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+
+def _huge_fields(size):
+    half = repr(float(size) / 2.0)
+    return ("--hx", size, "--hy", size, "--hz", "0.2", "--dx", half,
+            "--dy", half, "--dz", "0", "--theta", "1")
+
+
+@pytest.mark.parametrize("command", [
+    ("two-level-q",),
+    ("gauge-check", "--model", "two-level", "--winding", "1", "--band", "plus"),
+    ("evolve", "--model", "two-level", "--T", "10"),
+])
+def test_two_level_fields_whose_squares_overflow_exit_1(capsys, command):
+    # above 1e152 the frame's amplitude overflowed to NaN and the CLI
+    # exited 1 with "cannot convert float NaN to integer"
+    assert run(capsys, *command, *_huge_fields("1e155")) == (
+        1, "", "error: h_x must be at most 1e+150 in magnitude, got 1e+155\n")
+    with pytest.raises(ValueError, match="d_z must be at most 1e"):
+        TwoLevelParams(h_x=1.0, h_y=1.0, h_z=0.2, d_x=0.5, d_y=0.5,
+                       d_z=-2e150, theta=1.0)
+
+
+def test_two_level_fields_at_the_bound_still_run(capsys):
+    payload = run_json(capsys, "two-level-q", *_huge_fields("1e150"))
+    assert payload["Q_numeric"] == payload["Q_analytic"] == 1
+
+
 @pytest.mark.parametrize("period", ["inf", "nan"])
 def test_evolve_non_finite_cycle_time_exits_1(capsys, period):
     code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",

@@ -24,7 +24,7 @@ d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 b35c9f87a2e169ce5fd12556430e7839a48c96e48772b8bb59a5f19ff2618113
 4b19e352c0e3ac390cdb106ee5f3415a5779949ec9ebc9cc4f56ff6b531f62f2
 3507b9582ccc57a3648349cfced794d6d1232448029a559d921881a1fc7340bc
-86d47a76fbbfd1be1a4cb68c947f27d259e6130139d6e87e3a41e5229cb88668
+a8cf0759ad9581fcbb1082c6907fc58ca6be8d7b7723d77bb19650e72f6c1741
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
 
