@@ -17,7 +17,10 @@ modes, and results are only accepted when the routes agree:
   * Per-band phases by dyadically refined quadrature, accepted only when
     doubling the grid no longer moves them. The point evaluators start at
     the rung the integrand's analytic strip asks for, on loop nodes
-    clustered at its nearest singularity.
+    clustered at its nearest singularity. The first two rungs come from
+    one frame: the first rung's grid is every second sample of the
+    second's, and the frame of the second gives the first its phases and
+    its spacing verdict.
 
 Loops crossing a true spectral degeneracy of the lossy chain (its
 gapless parameter region) have no frame continuation. The per-band
@@ -152,26 +155,30 @@ def _wilson_extrapolated(right, left, n):
     return np.where(np.isnan(coarse), fine, 2.0 * fine - coarse)
 
 
-def _phase_rung(loop, frames, n):
-    """The frame stack at n samples and its rows' trapezoid phases.
+def _phase_sums(loop, stack, n, stride=1):
+    """A frame stack's trapezoid phases and trace indices on n of its samples.
 
-    Returns (stack, phases, q_quad): ``phases[b, r]`` is band b's phase on
-    row r and ``q_quad[r]`` the index of row r's connection trace; both
-    are None when no row has a frame.
+    The samples are every ``stride``-th from the first. Returns (phases,
+    q_quad): ``phases[b, r]`` is band b's phase on row r and ``q_quad[r]``
+    the index of row r's connection trace; both are None when no row has
+    a frame. Strided samples are summed from contiguous copies, the
+    layout of a stack built on them alone, so the sums keep its bits.
     """
-    stack = frames(loop_grid(loop, n))
     if stack.connection is None:
-        return stack, None, None
-    phases = trapezoid_periodic(stack.connection[..., :n], loop.period)
-    q_quad = (trapezoid_periodic(stack.trace[..., :n], loop.period).real
-              / _TWO_PI).tolist()
-    return stack, phases, q_quad
+        return None, None
+    connection, trace = (a[..., :stride * n:stride]
+                         for a in (stack.connection, stack.trace))
+    if stride > 1:
+        connection, trace = map(np.ascontiguousarray, (connection, trace))
+    return (trapezoid_periodic(connection, loop.period),
+            (trapezoid_periodic(trace, loop.period).real / _TWO_PI).tolist())
 
 
 class _PathRows:
     """A model's eigen path as a one-row frame stack.
 
-    A PathTooCoarse is the row's verdict; every other error is raised.
+    The BerrylineError the frame raises is the row's verdict, and
+    ``halved()`` the frame's verdict on every second sample.
     ``dalpha``, when given, holds d alpha / dt of the grid along the loop
     parameter t, and the connection and its trace are per unit t.
     """
@@ -180,7 +187,7 @@ class _PathRows:
         self.connection = None
         try:
             self.path = eigen_path(alphas)
-        except PathTooCoarse as exc:
+        except BerrylineError as exc:
             self.errors = [exc]
             return
         self.errors = [None]
@@ -193,6 +200,10 @@ class _PathRows:
     def kets(self, rows):
         """Right and dual kets of the one row, each (2, 2, 1, M)."""
         return self.path.right[:, :, None], self.path.left[:, :, None]
+
+    def halved(self):
+        """The one row's spacing verdict on every second sample, as a list."""
+        return [self.path.halved()]
 
 
 def _gapless_loop(model, transition_error):
@@ -275,57 +286,94 @@ def _settled_phases(loop, frames, starts):
     through one array pass (in passes of at most 2^18 samples, which
     bounds the memory), and only the rows that settle there build kets,
     for the Wilson route. Every rung, any below ``loop.n`` included, is
-    anchored at ``loop.samples[0]``. Returns per row its BerryPhaseResult
-    or the BerrylineError it ended with.
+    anchored at ``loop.samples[0]``.
+
+    A row without an accepted rung builds one frame at 2n, within the
+    cap, for rungs n and 2n: rung n's grid is the even samples of rung
+    2n's, so it takes its phases from them and its spacing verdict from
+    the frame's ``halved()``. Its other checks hold on a subset of a grid
+    that passed them, so it gets the verdict and trace index of a frame
+    of its own, and band phases that differ at most in the last bits
+    (the rounding of a two-level frame's unwrapped arg w), below what
+    the settle test sees. A row whose 2n frame flags any error builds
+    rung n on its own. Returns per row its BerryPhaseResult or the
+    BerrylineError it ended with.
     """
     outcomes = [None] * len(starts)
     rung_of = dict(enumerate(starts))      # unfinished row -> next rung
     history = {row: [] for row in rung_of}
     prev = {}          # row -> its band phases on the last accepted rung
     conflict = {}
+
+    def passes(rows, n):
+        size = max(1, _PASS_SAMPLES // n)
+        return (rows[k:k + size] for k in range(0, len(rows), size))
+
+    def accept(stack, n, entries, phases, q_quad):
+        """Book rung n of (stack index, row, verdict) entries; settle rows."""
+        settling = []
+        for i, row, error in entries:
+            rung_of[row] = 2 * n
+            if isinstance(error, PathTooCoarse):
+                prev.pop(row, None)
+                continue
+            if error is not None:
+                outcomes[row] = error
+                del rung_of[row]
+                continue
+            bands = phases[:, i].tolist()
+            history[row].append((n, q_quad[i]))
+            last = prev.get(row)
+            if last is not None and all(
+                    abs(g - old) < _GAMMA_TOL for g, old in zip(bands, last)):
+                settling.append((i, row, bands))
+            prev[row] = bands
+        if not settling:
+            return
+        right, left = stack.kets([i for i, _, _ in settling])
+        q_wilson = _wilson_extrapolated(right, left, n).tolist()
+        for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
+            q_q = q_quad[i]
+            if not abs(q_q - q_w) <= _ROUTE_TOL:    # NaN: aliased
+                conflict[row] = (q_q, q_w)
+                continue
+            nearest = round(q_q)
+            outcomes[row] = BerryPhaseResult(
+                gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+                gamma_b_minus=minus.real, xi_b_minus=minus.imag,
+                q_index=q_q,
+                q_rounded=(nearest if abs(q_q - nearest) < _ROUND_TOL
+                           else None),
+                resolution=n, refinement_history=history[row],
+                q_wilson=q_w)
+            del rung_of[row]
+
     while rung_of and min(rung_of.values()) <= _MAX_SAMPLES:
         n = min(rung_of.values())
         at_n = [row for row, m in rung_of.items() if m == n]
-        size = max(1, _PASS_SAMPLES // n)
-        for rows in (at_n[k:k + size] for k in range(0, len(at_n), size)):
-            stack, phases, q_quad = _phase_rung(
-                loop, lambda alphas: frames(alphas, rows), n)
-            settling = []
+        nested = 2 * n <= _MAX_SAMPLES
+        alone = [row for row in at_n if row in prev or not nested]
+        ahead = [row for row in at_n if row not in prev and nested]
+        for rows in passes(ahead, 2 * n):
+            stack = frames(loop_grid(loop, 2 * n), rows)
+            framed = []
             for i, (row, error) in enumerate(zip(rows, stack.errors)):
-                rung_of[row] = 2 * n
-                if isinstance(error, PathTooCoarse):
-                    prev.pop(row, None)
-                    continue
-                if error is not None:
-                    outcomes[row] = error
-                    del rung_of[row]
-                    continue
-                bands = phases[:, i].tolist()
-                history[row].append((n, q_quad[i]))
-                last = prev.get(row)
-                if last is not None and all(
-                        abs(g - old) < _GAMMA_TOL for g, old in zip(bands, last)):
-                    settling.append((i, row, bands))
-                prev[row] = bands
-            if not settling:
+                if error is None:
+                    framed.append((i, row))
+                else:
+                    alone.append(row)
+            if not framed:
                 continue
-            right, left = stack.kets([i for i, _, _ in settling])
-            q_wilson = _wilson_extrapolated(right, left, n).tolist()
-            for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
-                q_q = q_quad[i]
-                if not abs(q_q - q_w) <= _ROUTE_TOL:    # NaN: aliased
-                    conflict[row] = (q_q, q_w)
-                    continue
-                nearest = round(q_q)
-                outcomes[row] = BerryPhaseResult(
-                    gamma_b_plus=plus.real, xi_b_plus=plus.imag,
-                    gamma_b_minus=minus.real, xi_b_minus=minus.imag,
-                    q_index=q_q,
-                    q_rounded=(nearest if abs(q_q - nearest) < _ROUND_TOL
-                               else None),
-                    resolution=n, refinement_history=history[row],
-                    q_wilson=q_w)
-                del rung_of[row]
+            halved = stack.halved()
+            accept(stack, n, [(i, row, halved[i]) for i, row in framed],
+                   *_phase_sums(loop, stack, n, 2))
+            accept(stack, 2 * n, [(i, row, None) for i, row in framed],
+                   *_phase_sums(loop, stack, 2 * n))
+        for rows in passes(alone, n):
+            stack = frames(loop_grid(loop, n), rows)
+            accept(stack, n, [(i, row, error) for i, (row, error)
+                              in enumerate(zip(rows, stack.errors))],
+                   *_phase_sums(loop, stack, n))
     for row in rung_of:
         if row in conflict and not math.isnan(conflict[row][1]):
             values = conflict[row]

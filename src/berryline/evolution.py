@@ -122,7 +122,8 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
     ``record_every`` steps. Raises StepTooLarge at the first step that
-    grows the squared norm a hundredfold or turns c over 1.5 rad.
+    grows the squared norm a hundredfold, leaves it without a finite
+    value, or turns c over 1.5 rad.
     """
     path_fn, steps = schedule.path_function(), schedule.steps
     h = schedule.period_T / steps
@@ -178,7 +179,8 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         n2 = np.linalg.norm(states, axis=1) ** 2
         before = np.concatenate([np.linalg.norm(starts, axis=0)[None] ** 2, n2[:-1]])
         before[_RENORM_MASK::_RENORM_MASK + 1] /= norms * norms
-        bad = grown = n2 > _GROWTH_LIMIT_SQ * before
+        # written so that a norm that is not finite fails it too
+        bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
         if project is not None:
             c = project @ states
             turns = np.angle(c / np.concatenate([(project @ starts)[None], c[:-1]]))
@@ -189,8 +191,9 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             step = step0 + int((b * length + k).min())
             b, k = divmod(step - step0, length)
             growth = float(np.sqrt(n2[k, b] / before[k, b])) if grown[k, b] else None
-            what = (f"norm grew {growth:.2f}-fold" if growth
-                    else "the band amplitude turned over 1.5 rad")
+            what = ("the band amplitude turned over 1.5 rad" if growth is None
+                    else f"norm grew {growth:.2f}-fold" if math.isfinite(n2[k, b])
+                    else "the state is no longer finite")
             raise StepTooLarge(f"{what} in step {step}; the fixed step cannot "
                                "follow this spectrum", step=step, growth=growth)
         if records is not None:

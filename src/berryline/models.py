@@ -34,7 +34,7 @@ from .errors import (
     SingularParameters,
     TrueCrossing,
 )
-from .quadrature import unwrap_checked, unwrap_rows
+from .quadrature import halved_verdicts, unwrap_checked, unwrap_rows
 
 TWO_LEVEL = "two-level"
 BIPARTITE = "bipartite"
@@ -233,7 +233,8 @@ class EigenPath:
     the analytic parameter derivative of the frame, and
     ``trace_connection`` their sum. ``winding_phase`` is the unwrapped
     angle whose net advance carries the topological index, and ``chi``
-    the complex mixing angle, continuous along the grid.
+    the complex mixing angle, continuous along the grid. ``angles`` are
+    the unwrapped angles whose spacing the frame checked.
     """
 
     values: np.ndarray
@@ -243,6 +244,11 @@ class EigenPath:
     trace_connection: np.ndarray
     winding_phase: np.ndarray
     chi: np.ndarray
+    angles: tuple
+
+    def halved(self):
+        """None, or the PathTooCoarse of this frame on every second sample."""
+        return next(filter(None, halved_verdicts(np.stack(self.angles))), None)
 
 
 def _two_level_axes(p):
@@ -359,12 +365,13 @@ def _two_level_frame(p, phi):
     d_nu2 = a_m * b_m / (r_m * r_m)
     g = 0.5j * (dln_rp - dln_rm) + 0.5 * (d_nu2 - d_nu1)
     u = (a + 1j * b) / e
-    chi = _mixing_angle(unwrap_checked(np.angle(u)), u)
+    arg_u = unwrap_checked(np.angle(u))
+    chi = _mixing_angle(arg_u, u)
     right, left = _kets(chi, rho * phase, -rho * phase, phase / rho)
     return EigenPath(
         values=np.stack([e, -e]), right=right, left=left,
         connection=_band_connection(g, a / e), trace_connection=g,
-        winding_phase=nu_minus, chi=chi)
+        winding_phase=nu_minus, chi=chi, angles=(nu1, nu2, arg_w, arg_u))
 
 
 class _ChainRows:
@@ -381,7 +388,8 @@ class _ChainRows:
     of the hopping phase theta aliasing. A row without an error reads
     ``connection[b, r, m]``, band b's diagonal connection, and
     ``trace[r, m]``, their sum; ``kets(rows)`` builds the right and dual
-    kets of the given rows only.
+    kets of the given rows only, and ``halved()`` the rows' spacing
+    verdicts on every second sample.
     """
 
     def __init__(self, v, v_prime, gamma, k, dk=None):
@@ -436,6 +444,10 @@ class _ChainRows:
         phase = np.exp(-1j * self.theta[rows])
         return _kets(self.chi(rows), phase, -phase, phase)
 
+    def halved(self):
+        """Per row, None or its PathTooCoarse on every second sample."""
+        return halved_verdicts(self.theta)
+
 
 def _bipartite_frame(p, k):
     """Lossy-chain eigen path on a k grid: the chain stack's one row."""
@@ -450,7 +462,7 @@ def _bipartite_frame(p, k):
     return EigenPath(
         values=np.stack([centroid + s, centroid - s]), right=right, left=left,
         connection=rows.connection[:, 0], trace_connection=rows.trace[0],
-        winding_phase=rows.theta[0], chi=chi)
+        winding_phase=rows.theta[0], chi=chi, angles=(rows.theta[0],))
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,23 @@ def unwrap_rows(raw_angles):
     np.copyto(correction, 0.0, where=np.abs(dd) < np.pi)
     out = p.copy()
     out[:, 1:] += correction.cumsum(axis=-1)
+    return out, _spacing_verdicts(out)
+
+
+def halved_verdicts(unwrapped):
+    """The spacing verdicts of ``unwrap_rows`` on every second sample.
+
+    ``unwrapped`` is a stack ``unwrap_rows`` returned without an error.
+    Its steps are below pi/2, so a step over two samples is their sum and
+    below pi, and unwrapping every second raw angle on its own gives that
+    same step up to rounding: the verdicts are those the grid of the even
+    samples would get, without unwrapping it again.
+    """
+    return _spacing_verdicts(unwrapped[:, ::2])
+
+
+def _spacing_verdicts(out):
+    """Per row of unwrapped angles, None or the PathTooCoarse of its largest step."""
     errors = [None] * len(out)
     if out.shape[-1] > 1:
         steps = np.abs(out[:, 1:] - out[:, :-1])
@@ -78,7 +95,7 @@ def unwrap_rows(raw_angles):
                 "exceeds pi/2; refine the grid",
                 index=worst,
             )
-    return out, errors
+    return errors
 
 
 def unwrap_checked(raw_angles):

@@ -11,8 +11,9 @@ assembly for the two-level Hamiltonian, finite differences of the frame
 for the connection, Fourier differentiation of the left and right
 frames (with ``quadrature.spectral_derivative``) for the first-order
 connection trace, the closed-form rate of the chain's
-hopping phase, dense unwrapped sampling for windings, and the
-chain-only rule for a gapped chain row's start rung and node map.
+hopping phase, dense unwrapped sampling for windings, the
+chain-only rule for a gapped chain row's start rung and node map, and
+the rung-by-rung refinement that builds one frame per rung.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -27,10 +28,15 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from berryline.errors import BerrylineError, DegenerateSpectrum
-from berryline.models import (_MAX_SAMPLES, _chain_radicand,
+from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
+                             _ROUTE_TOL, BerryPhaseResult,
+                             _wilson_extrapolated)
+from berryline.errors import (BerrylineError, DegenerateSpectrum,
+                              Disagreement, NotConverged, PathTooCoarse)
+from berryline.models import (_MAX_SAMPLES, _TWO_PI, _chain_radicand,
                               _radicand_extremes, band_index, loop_grid)
-from berryline.quadrature import spectral_derivative, tanh_sinh
+from berryline.quadrature import (spectral_derivative, tanh_sinh,
+                                  trapezoid_periodic)
 
 
 class DefectiveMatrix(BerrylineError):
@@ -532,3 +538,78 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
             c_prev *= inv
             n2 = 1.0
     return np.array([a, b]), log_scale, turn, records
+
+
+def settled_phases(loop, frames, starts):
+    """The refinement of ``berry._settled_phases``, one frame per rung.
+
+    The reference route for the nested first rung: every rung, a row's
+    first included, builds its own frame stack at its own sample count,
+    so rung n never reads the samples of rung 2n. Arguments and outcomes
+    are those of ``berry._settled_phases``.
+    """
+    outcomes = [None] * len(starts)
+    rung_of = dict(enumerate(starts))
+    history = {row: [] for row in rung_of}
+    prev = {}
+    conflict = {}
+    while rung_of and min(rung_of.values()) <= _MAX_SAMPLES:
+        n = min(rung_of.values())
+        at_n = [row for row, m in rung_of.items() if m == n]
+        size = max(1, _PASS_SAMPLES // n)
+        for rows in (at_n[k:k + size] for k in range(0, len(at_n), size)):
+            stack = frames(loop_grid(loop, n), rows)
+            phases = q_quad = None       # no row has a frame
+            if stack.connection is not None:
+                phases = trapezoid_periodic(stack.connection[..., :n],
+                                            loop.period)
+                q_quad = (trapezoid_periodic(stack.trace[..., :n],
+                                             loop.period).real
+                          / _TWO_PI).tolist()
+            settling = []
+            for i, (row, error) in enumerate(zip(rows, stack.errors)):
+                rung_of[row] = 2 * n
+                if isinstance(error, PathTooCoarse):
+                    prev.pop(row, None)
+                    continue
+                if error is not None:
+                    outcomes[row] = error
+                    del rung_of[row]
+                    continue
+                bands = phases[:, i].tolist()
+                history[row].append((n, q_quad[i]))
+                last = prev.get(row)
+                if last is not None and all(
+                        abs(g - old) < _GAMMA_TOL for g, old in zip(bands, last)):
+                    settling.append((i, row, bands))
+                prev[row] = bands
+            if not settling:
+                continue
+            right, left = stack.kets([i for i, _, _ in settling])
+            q_wilson = _wilson_extrapolated(right, left, n).tolist()
+            for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
+                q_q = q_quad[i]
+                if not abs(q_q - q_w) <= _ROUTE_TOL:
+                    conflict[row] = (q_q, q_w)
+                    continue
+                nearest = round(q_q)
+                outcomes[row] = BerryPhaseResult(
+                    gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+                    gamma_b_minus=minus.real, xi_b_minus=minus.imag,
+                    q_index=q_q,
+                    q_rounded=(nearest if abs(q_q - nearest) < _ROUND_TOL
+                               else None),
+                    resolution=n, refinement_history=history[row],
+                    q_wilson=q_w)
+                del rung_of[row]
+    for row in rung_of:
+        if row in conflict and not math.isnan(conflict[row][1]):
+            values = conflict[row]
+            outcomes[row] = Disagreement(
+                "trace quadrature and Wilson loop give different indices "
+                f"({values[0]:.9f} vs {values[1]:.9f})", values=values)
+        else:
+            outcomes[row] = NotConverged(
+                f"per-band phases still moving at {_MAX_SAMPLES} samples",
+                history=history[row])
+    return outcomes

@@ -1,6 +1,7 @@
 """Complex band phases, the quantized global index, and gauge laws."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -18,9 +19,10 @@ from berryline.berry import (
     two_level_phase_point,
 )
 from berryline.elliptic import closed_form_gamma
-from berryline.errors import (BadResolution, Disagreement, GaugeMismatch,
+from berryline.errors import (BadResolution, BerrylineError,
+                              DegenerateSpectrum, Disagreement, GaugeMismatch,
                               NotConverged, PathTooCoarse, SingularLoop,
-                              UndefinedAtTransition)
+                              SingularParameters, UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -29,6 +31,7 @@ from berryline.models import (
     TwoLevelModel,
     TwoLevelParams,
     _ChainRows,
+    _two_level_offdiag,
     loop_grid,
     standard_loop,
 )
@@ -37,7 +40,7 @@ from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 from oracles import (chain_grid, draw_bipartite, draw_two_level,
                      fd_connection, first_order_correction_trace,
-                     winding_rate)
+                     settled_phases, winding_rate)
 
 
 def _tl(h, d, theta):
@@ -613,11 +616,11 @@ def test_two_level_band_labels_do_not_depend_on_the_sample_count():
 def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
     at_cap = standard_loop(model.kind, 65536)
 
-    def no_rung(loop, eigen_path, n):
+    def no_rung(loop, n):
         raise AssertionError(f"a {n}-sample rung was built")
 
     with monkeypatch.context() as m:
-        m.setattr(berry, "_phase_rung", no_rung)
+        m.setattr(berry, "loop_grid", no_rung)
         for evaluate in (lambda: global_berry_phase(at_cap, model),
                          lambda: band_berry_phase(at_cap, model, "plus")):
             with pytest.raises(BadResolution,
@@ -945,3 +948,141 @@ def test_clustered_two_level_route_matches_the_uniform_route(params):
     # the map leaves the branch anchor phi(0) = 0 where it was
     _, beta, centre = _two_level_grid(params)
     assert berry._node_map(np.zeros(1), beta, centre, 2)[0][0] == 0.0
+
+
+def _outcome_bits(outcome):
+    """Every field of an outcome as text; repr keeps each float's bits."""
+    if isinstance(outcome, BerrylineError):
+        return type(outcome), str(outcome), repr(sorted(vars(outcome).items()))
+    return [(field.name, repr(getattr(outcome, field.name)))
+            for field in dataclasses.fields(outcome)]
+
+
+def _both_routes(monkeypatch, call):
+    """``call()``'s outcome by the nested first rung, then by the oracle's."""
+    outcomes = []
+    for route in (berry._settled_phases, settled_phases):
+        with monkeypatch.context() as m:
+            m.setattr(berry, "_settled_phases", route)
+            try:
+                outcomes.append(call())
+            except BerrylineError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def _degenerate_at(phi0, theta=1.0):
+    # h_z + i d_z chosen so that w = A^2 + sin^2(theta) c1 c2 vanishes at phi0
+    base = _tl((1.0, 1.3, 0.0), (0.4, 0.2, 0.0), theta)
+    c1, c2 = _two_level_offdiag(base, math.cos(phi0), math.sin(phi0))
+    amp = cmath.sqrt(-(math.sin(theta) ** 2) * c1 * c2) / math.cos(theta)
+    return _tl((1.0, 1.3, amp.real), (0.4, 0.2, amp.imag), theta)
+
+
+def test_the_nested_first_rung_matches_the_rung_by_rung_oracle(monkeypatch):
+    rng = np.random.default_rng(24)
+    seen = set()
+
+    def check(call, label):
+        ours, ref = _both_routes(monkeypatch, call)
+        seen.add(type(ref))
+        assert _outcome_bits(ours) == _outcome_bits(ref), label
+
+    for i in range(90):
+        params = draw_two_level(rng, ("positive", "negative")[i % 2])
+        if i % 3 == 0:
+            # an amplitude 1e-2 to 1e-6 from its field
+            off = 10.0 ** rng.uniform(-6.0, -2.0) * rng.choice((-1.0, 1.0))
+            name = ("d_x", "d_y")[i % 2]
+            field = abs(params.h_x if name == "d_x" else params.h_y)
+            params = dataclasses.replace(params, **{name: field + off})
+        n0 = int(rng.choice((16, 64, 1024)))
+        check(lambda: two_level_phase_point(params, n0), (params, n0))
+        if i % 3 == 1:
+            loop = standard_loop(TWO_LEVEL, n0)
+            check(lambda: global_berry_phase(loop, TwoLevelModel(params)),
+                  (params, n0))
+    # a vanishing amplitude at phi = 0, and touching branches on the even
+    # and on the odd samples of the 32-sample grid
+    for params in (_tl((1.0, 1.3, 0.2), (-1.0 + 1.5e-12, 0.2, 0.1), 1.0),
+                   _degenerate_at(math.pi / 16), _degenerate_at(math.pi / 8)):
+        loop = standard_loop(TWO_LEVEL, 16)
+        check(lambda: global_berry_phase(loop, TwoLevelModel(params)), params)
+    cells = []
+    for i in range(300):
+        kind = i % 4
+        if kind < 2:
+            cells.append(draw_bipartite(rng, ("TYPE_I", "TYPE_II")[kind]))
+        elif kind == 2:
+            # next to eta = |q - 1|, on both sides
+            q = rng.uniform(0.2, 3.0)
+            eta = abs(q - 1.0) + 10.0 ** rng.uniform(-12.0, -1.0) * rng.choice(
+                (-1.0, 1.0))
+            cells.append((q, max(eta, 0.0)))
+        else:
+            # next to q = 1
+            q = 1.0 + 10.0 ** rng.uniform(-11.0, -2.0) * rng.choice((-1.0, 1.0))
+            cells.append((q, rng.uniform(0.0, 2.0) * abs(q - 1.0)))
+    cells = [(float(q), float(eta)) for q, eta in cells]
+    for n0 in (16, 1024):
+        loop = standard_loop(BIPARTITE, n0)
+        ours, ref = _both_routes(monkeypatch,
+                                 lambda: berry._chain_cells(loop, cells))
+        for cell, a, b in zip(cells, ours, ref):
+            seen.add(type(b))
+            assert _outcome_bits(a) == _outcome_bits(b), (cell, n0)
+    assert {berry.BerryPhaseResult, NotConverged, SingularParameters,
+            DegenerateSpectrum} <= seen
+
+
+def _frame_sizes(monkeypatch):
+    """The sample count of every frame built from here on, in order."""
+    sizes = []
+    two_level = TwoLevelModel.eigen_path
+
+    def eigen_path(self, alphas):
+        sizes.append(len(alphas))
+        return two_level(self, alphas)
+
+    def chain_rows(v, v_prime, gamma, k, dk=None):
+        sizes.append(np.shape(k)[-1])
+        return _ChainRows(v, v_prime, gamma, k, dk)
+
+    monkeypatch.setattr(TwoLevelModel, "eigen_path", eigen_path)
+    monkeypatch.setattr(berry, "_ChainRows", chain_rows)
+    return sizes
+
+
+def test_a_point_settling_on_its_second_rung_builds_one_frame(monkeypatch):
+    sizes = _frame_sizes(monkeypatch)
+    for call in (
+            lambda: two_level_phase_point(_tl((1.0, 1.0, 0.2),
+                                              (0.5, 0.5, 0.0), 1.0)),
+            lambda: bipartite_phase_point(0.5, 0.1)):
+        sizes.clear()
+        result = call()
+        (n, _), (fine, _) = result.refinement_history
+        assert fine == 2 * n == result.resolution
+        assert sizes == [fine + 1]
+        # the rung-by-rung route builds both
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(berry, "_settled_phases", settled_phases)
+            assert _outcome_bits(call()) == _outcome_bits(result)
+        assert sizes == [n + 1, fine + 1]
+
+
+def test_a_too_coarse_second_rung_builds_the_first_on_its_own(monkeypatch):
+    params = _tl((2.1179737789356254, 2.038462778703135, 0.9616706775524602),
+                 (3.312149012922944, 1.9629706411540049, 0.3710839689613894),
+                 2.013386228528742)
+    model = TwoLevelModel(params)
+    loop = standard_loop(TWO_LEVEL, 16)
+    with pytest.raises(PathTooCoarse):
+        model.eigen_path(loop_grid(loop, 32))
+    sizes = _frame_sizes(monkeypatch)
+    ours, ref = _both_routes(monkeypatch,
+                             lambda: global_berry_phase(loop, model))
+    assert sizes[:2] == [33, 17]
+    assert isinstance(ours, berry.BerryPhaseResult)
+    assert _outcome_bits(ours) == _outcome_bits(ref)

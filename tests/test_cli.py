@@ -451,6 +451,23 @@ def test_two_level_fields_at_the_bound_still_run(capsys):
     assert payload["Q_numeric"] == payload["Q_analytic"] == 1
 
 
+@pytest.mark.parametrize("field, amplitude, message", [
+    ("1e20", "5e19", "norm grew "),
+    ("1e100", "5e99", "the state is no longer finite in step 0"),
+])
+def test_evolve_whose_state_overflows_exits_3(capsys, field, amplitude,
+                                              message):
+    # at 1e100 the first step's norm is NaN, which a plain "grew more than
+    # a hundredfold" comparison let through: the CLI exited 0 with null
+    # phases and a null final state
+    code, out, err = run(capsys, "evolve", "--model", "two-level", "--T", "10",
+                         "--hx", field, "--hy", field, "--hz", "0.2",
+                         "--dx", amplitude, "--dy", amplitude, "--dz", "0",
+                         "--theta", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + message)
+
+
 @pytest.mark.parametrize("period", ["inf", "nan"])
 def test_evolve_non_finite_cycle_time_exits_1(capsys, period):
     code, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "2",

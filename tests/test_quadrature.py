@@ -9,6 +9,7 @@ from berryline.models import (TWO_LEVEL, TwoLevelModel, TwoLevelParams,
                               loop_grid, standard_loop)
 from berryline.quadrature import (
     MAX_PHASE_STEP,
+    halved_verdicts,
     pearson_line,
     refine_dyadically,
     spectral_derivative,
@@ -157,6 +158,28 @@ def test_unwrap_rows_is_numpys_unwrap_bit_for_bit():
                     continue
                 assert errors[r] is None
                 assert alone.tobytes() == out[r].tobytes()
+
+
+def test_halved_verdicts_are_those_of_the_even_samples_unwrapped_alone():
+    # walks whose every step stays below pi/2, so the full unwrap passes
+    # and the steps over two samples spread on both sides of pi/2
+    rng = np.random.default_rng(11)
+    seen = set()
+    for n in (3, 4, 17, 65, 1025):
+        walks = np.cumsum(rng.uniform(-1.0, 1.0, (400, n))
+                          * rng.uniform(0.0, 0.999 * MAX_PHASE_STEP, (400, 1)),
+                          axis=-1) + rng.uniform(-9.0, 9.0, (400, 1))
+        raw = np.angle(np.exp(1j * walks))
+        out, errors = unwrap_rows(raw)
+        assert errors == [None] * len(raw)
+        _, alone = unwrap_rows(raw[..., ::2])
+        for ours, theirs in zip(halved_verdicts(out), alone):
+            seen.add(theirs is None)
+            if theirs is None:
+                assert ours is None
+            else:
+                assert (ours.index, str(ours)) == (theirs.index, str(theirs))
+    assert seen == {True, False}
 
 
 def test_refine_dyadically_settles():
