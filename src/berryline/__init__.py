@@ -9,6 +9,9 @@ Wilson loop, contour vs elliptic closed form) are kept separate so they
 can cross-check each other.
 """
 
+# before the submodules, which read it
+__version__ = "0.1.0"
+
 from .berry import (BerryPhaseResult, GaugeCheckResult, analytic_q,
                     apply_gauge, band_berry_phase, bipartite_phase_point,
                     global_berry_phase, two_level_phase_point)
@@ -27,8 +30,6 @@ from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II, CrossingReport,
                        classify_region, verify_region)
 from .sweep import (DivergenceFit, PhaseDiagramGrid, QMap, divergence_scan,
                     phase_diagram, save_phase_diagram, two_level_q_map)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BIPARTITE", "TWO_LEVEL",

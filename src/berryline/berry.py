@@ -65,8 +65,7 @@ from .models import (
     loop_grid,
     standard_loop,
 )
-from .quadrature import (MAX_PHASE_STEP, refine_dyadically,
-                         spectral_derivative, trapezoid_periodic)
+from .quadrature import MAX_PHASE_STEP, spectral_derivative, trapezoid_periodic
 from .spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -390,25 +389,20 @@ def _settled_phases(loop, frames, starts):
 def band_berry_phase(loop, model, band):
     """Loop integral of one band's diagonal connection, as gamma + i xi.
 
-    Gapped loops refine a periodic trapezoid until doubling moves the
-    value by less than 1e-9. For the lossy chain inside its gapless
-    region the integral exists only as a principal value around the
-    crossing momenta and is read from its elliptic closed form. A gapped
-    loop above 32768 samples leaves no second rung below the cap and
-    raises BadResolution before any frame is built.
+    A gapped loop returns this band of ``global_berry_phase``, bit for
+    bit, so the two Q routes must agree too. It raises Disagreement where
+    they do not, NotConverged "per-band phases still moving at 65536
+    samples" where the phases do not settle, and BadResolution above
+    32768 samples, before any frame is built. For the lossy chain inside
+    its gapless region the integral exists only as a principal value
+    around the crossing momenta and is read from its elliptic closed form.
     """
     b = band_index(band)
     if _gapless_loop(model, UndefinedAtTransition):
         return closed_form_gamma(model.params.q, model.params.eta, band)
-
-    def band_phase(n):
-        connection = model.eigen_path(loop_grid(loop, n)).connection[b, :n]
-        return complex(trapezoid_periodic(connection, loop.period))
-
-    value, _, _ = refine_dyadically(
-        band_phase, _first_rung(loop), _GAMMA_TOL, _MAX_SAMPLES,
-        context=f"band phase on a {model.kind} loop")
-    return complex(value)
+    r = global_berry_phase(loop, model)
+    return (complex(r.gamma_b_plus, r.xi_b_plus),
+            complex(r.gamma_b_minus, r.xi_b_minus))[b]
 
 
 def _strip_rung(width):

@@ -6,10 +6,12 @@ singularities, guarded phase unwrapping, and a plain Pearson line fit.
 Everything here is deterministic: no adaptive randomness, fixed node
 layouts, so repeated runs give identical bits.
 
-Nothing in the package calls the double-exponential rule: the chain's gapless
-phases come from their elliptic closed form. It stays as the quadrature
-of the test oracle for that closed form, and the benchmark's tracer
-binds it by name.
+Nothing in the package calls ``refine_dyadically`` or ``tanh_sinh``:
+every gapped band phase settles in ``berry._settled_phases``, and the
+chain's gapless phases come from their elliptic closed form. The first
+stays as the test reference of the band phase's former route, the
+second as the quadrature of the test oracle for that closed form, and
+the benchmark's tracer binds both by name.
 """
 
 import numpy as np
@@ -113,7 +115,8 @@ def refine_dyadically(evaluate, n0, tol, cap, context=""):
     (absolute). PathTooCoarse from the evaluator discards the rung and
     continues doubling. Returns ``(value, n, history)`` where history is
     the list of (n, value) pairs actually evaluated; raises NotConverged
-    carrying that history when n would exceed ``cap``.
+    carrying that history when n would exceed ``cap``. No package path
+    calls it (see the module docstring).
     """
     history = []
     previous = None

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .berry import (_chain_cells, _first_rung, analytic_q,
                     two_level_phase_point)
 from .elliptic import closed_form_gamma
@@ -41,14 +42,6 @@ _NEAR_LINE = 1e-3       # cells this close to a critical line are flagged
 
 _CSV_HEADER = ("q,eta,gamma_g_plus,xi_g_plus,gamma_g_minus,xi_g_minus,"
                "Q,region,converged")
-
-
-def _tool_version():
-    try:
-        from importlib.metadata import version
-        return version("berryline")
-    except Exception:
-        return "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def save_phase_diagram(grid, path):
             "neta": int(grid.eta_axis.size),
             "samples_per_loop": int(grid.samples_per_loop),
         },
-        "tool": {"name": "berryline", "version": _tool_version()},
+        "tool": {"name": "berryline", "version": __version__},
         "timestamp": stamp.isoformat(),
     }
     _write_atomic(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -35,7 +35,7 @@ from berryline.models import (
     loop_grid,
     standard_loop,
 )
-from berryline.quadrature import trapezoid_periodic
+from berryline.quadrature import refine_dyadically, trapezoid_periodic
 from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 from oracles import (chain_grid, draw_bipartite, draw_two_level,
@@ -195,18 +195,59 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
     clean = global_berry_phase(loop, model)
     assert clean.resolution == 2048
     wilson = berry._wilson_extrapolated
+    # a gapped band phase is its band of the global phase, so it refuses
+    # where the global phase does
+    routes = (lambda: global_berry_phase(loop, model),
+              lambda: band_berry_phase(loop, model, "plus"))
     monkeypatch.setattr(berry, "_wilson_extrapolated",
                         lambda right, left, n: wilson(right, left, n) + 0.5)
-    with pytest.raises(Disagreement, match="Wilson loop give different") as err:
-        global_berry_phase(loop, model)
-    assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
+    for route in routes:
+        with pytest.raises(Disagreement,
+                           match="Wilson loop give different") as err:
+            route()
+        assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
     # an aliased Wilson route (NaN) on every settled rung leaves nothing to
     # compare
     monkeypatch.setattr(berry, "_wilson_extrapolated",
                         lambda right, left, n: wilson(right, left, n) * math.nan)
-    with pytest.raises(NotConverged, match="still moving at 2048") as err:
-        global_berry_phase(loop, model)
-    assert err.value.history == clean.refinement_history
+    for route in routes:
+        with pytest.raises(NotConverged, match="still moving at 2048") as err:
+            route()
+        assert err.value.history == clean.refinement_history
+
+
+def _dyadic_band_phase(loop, model, band):
+    # the band phase's former route: uniform trapezoid rungs from loop.n,
+    # each built on its own, refined until one doubling moves it < 1e-9
+    b = berry.band_index(band)
+
+    def band_phase(n):
+        connection = model.eigen_path(loop_grid(loop, n)).connection[b, :n]
+        return complex(trapezoid_periodic(connection, loop.period))
+
+    return refine_dyadically(band_phase, loop.n, 1e-9, 65536)[0]
+
+
+def test_gapped_band_phase_is_its_band_of_the_global_phase():
+    # the evolve reference loops, then seeded draws of both families
+    models = [_chain(2.0, 0.3), _chain(0.5, 0.2),
+              TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0))]
+    rng = np.random.default_rng(25)
+    models += [TwoLevelModel(draw_two_level(rng, style))
+               for style in ("positive", "negative") * 8]
+    models += [_chain(*draw_bipartite(rng, region))
+               for region in ("TYPE_I", "TYPE_II") * 5]
+    for model in models:
+        for n in (1024, 4096):
+            loop = standard_loop(model.kind, n)
+            r = global_berry_phase(loop, model)
+            for band, value in (("plus", complex(r.gamma_b_plus, r.xi_b_plus)),
+                                ("minus",
+                                 complex(r.gamma_b_minus, r.xi_b_minus))):
+                got = band_berry_phase(loop, model, band)
+                assert _bits(got) == _bits(value), (model, n, band)
+                assert abs(got - _dyadic_band_phase(loop, model, band)) <= (
+                    1e-15), (model, n, band)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024, 65536])

@@ -136,6 +136,18 @@ def test_every_binding_of_the_bench_tracer_resolves():
     assert not missing, missing
 
 
+def test_one_refinement_loop_serves_the_package():
+    # every gapped phase settles in berry._settled_phases; the dyadic
+    # refinement and the double-exponential rule stay in quadrature as test
+    # references with no caller in the package
+    kernels = {"refine_dyadically", "tanh_sinh"}
+    trees = _trees()
+    callers = sorted(f"{module}: {name}" for module, tree in trees.items()
+                     if module != "quadrature.py"
+                     for name in _referenced({module: tree}) & kernels)
+    assert not callers, callers
+
+
 def test_importing_the_package_and_its_cli_loads_no_scipy():
     # numpy is the one runtime dependency; scipy serves the test oracles,
     # and the process pool loads only when a sweep starts one. -I keeps
