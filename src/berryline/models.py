@@ -488,15 +488,21 @@ class TwoLevelModel:
         return np.stack([e, -e])
 
     def entry_rows(self, alphas):
-        """Matrix entries (h11, h12, h21, h22) on a grid, shape (4, M)."""
+        """Matrix entries (h11, h12, h21, h22) on a grid, a fresh (4, M) array.
+
+        The array is the caller's to overwrite: the evolution kernel
+        scales it in place.
+        """
         p = self.params
         phi = np.asarray(alphas, dtype=float)
         st = math.sin(p.theta)
-        ct = math.cos(p.theta)
-        z = complex(p.h_z, p.d_z)
+        diag = complex(p.h_z, p.d_z) * math.cos(p.theta)
         c1, c2 = _two_level_offdiag(p, np.cos(phi), np.sin(phi))
-        diag = np.full(phi.shape, z * ct, dtype=complex)
-        return np.stack([diag, c1 * st, c2 * st, -diag])
+        rows = np.empty((4,) + phi.shape, dtype=complex)
+        rows[0], rows[3] = diag, -diag
+        np.multiply(c1, st, out=rows[1])
+        np.multiply(c2, st, out=rows[2])
+        return rows
 
 
 @dataclass(frozen=True)
@@ -518,9 +524,15 @@ class BipartiteModel:
         return np.stack([centroid + s, centroid - s])
 
     def entry_rows(self, alphas):
+        """Bloch matrix entries (h11, h12, h21, h22), a fresh (4, M) array.
+
+        The array is the caller's to overwrite: the evolution kernel
+        scales it in place.
+        """
         p = self.params
         k = np.asarray(alphas, dtype=float)
-        vk = _hopping(p.v, p.v_prime, k)
-        diag_a = np.full(k.shape, complex(p.eps_a), dtype=complex)
-        diag_b = np.full(k.shape, p.eps_b, dtype=complex)
-        return np.stack([diag_a, vk, np.conj(vk), diag_b])
+        rows = np.empty((4,) + k.shape, dtype=complex)
+        rows[0], rows[3] = p.eps_a, p.eps_b
+        rows[1] = _hopping(p.v, p.v_prime, k)
+        np.conjugate(rows[1], out=rows[2])
+        return rows

@@ -12,8 +12,9 @@ for the connection, Fourier differentiation of the left and right
 frames (with ``quadrature.spectral_derivative``) for the first-order
 connection trace, the closed-form rate of the chain's
 hopping phase, dense unwrapped sampling for windings, the
-chain-only rule for a gapped chain row's start rung and node map, and
-the rung-by-rung refinement that builds one frame per rung.
+chain-only rule for a gapped chain row's start rung and node map, the
+rung-by-rung refinement that builds one frame per rung, and the RK4 step
+matrices composed on whole (2, 2, N) stacks by broadcasting.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -457,6 +458,32 @@ def chain_grid(q, eta):
     if n >= uniform:
         return uniform, 0.0
     return n, (beta if at_zero and exceptional <= hopping else -beta)
+
+
+_EYE = np.eye(2)[:, :, None]
+
+
+def _apply(a, x):
+    """Matrices a[row, col, ...] times the column vectors x[row, ...]."""
+    y = a[:, 0, None] * x[0]
+    y += a[:, 1, None] * x[1]
+    return y
+
+
+def broadcast_step_matrices(seg):
+    """RK4 step matrices M[:, :, n] of the (4, 2 N + 1) entry rows ``seg``.
+
+    The composition of ``evolution._step_matrices``, M = (P + 2 x2 + x3 +
+    R x3) / 3 with x2 = I + Q (I + P) and x3 = I + 2 Q x2, but on whole
+    (2, 2, N) stacks with I broadcast, so each product and sum is one
+    numpy call over all four entries.
+    """
+    p, q, r = (e.reshape(2, 2, -1)
+               for e in (seg[:, :-1:2], seg[:, 1::2], seg[:, 2::2]))
+    x2 = _apply(q, p + _EYE) + _EYE
+    x3 = 2.0 * _apply(q, x2) + _EYE
+    acc = _apply(r, x3) + x3 + 2.0 * x2 + p
+    return acc * (1.0 / 3.0)
 
 
 def scalar_rk4(model, schedule, psi0, dual=False, project=None,

@@ -1,6 +1,7 @@
 """Cycle integration, its stability guards, and the adiabatic phase split."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from berryline.evolution import Schedule, adiabatic_decomposition, evolve
+from berryline.evolution import (Schedule, _step_matrices,
+                                 adiabatic_decomposition, evolve)
 from berryline.models import (
     BipartiteModel,
     BipartiteParams,
@@ -16,7 +18,7 @@ from berryline.models import (
     TwoLevelParams,
 )
 from berryline.quadrature import pearson_line
-from oracles import point_system, scalar_rk4
+from oracles import broadcast_step_matrices, point_system, scalar_rk4
 
 
 def _tl(h, d, theta):
@@ -47,7 +49,7 @@ def test_schedule_rejects_bad_periods_and_paths():
 
 
 def test_schedule_refuses_unbounded_and_non_integer_step_counts():
-    # 2^24 steps is about 10 s of RK4; a count past it would run on
+    # 2^24 steps is about 2 s of RK4; a count past it would run on
     # without bound as T grows, and a fractional count used to truncate
     assert Schedule(period_T=1.0, steps=2 ** 24).steps == 2 ** 24
     assert Schedule(period_T=1.0, steps=np.int64(1000)).steps == 1000
@@ -303,6 +305,78 @@ def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
             t for t, _ in ref_records]
         for (_, state), (_, ref_state) in zip(records[1:], ref_records):
             assert _close(state, ref_state)
+
+
+def _random_rows(rng, size, constant_diagonal, zero_offdiagonal):
+    rows = 0.05 * (rng.normal(size=(4, size)) + 1j * rng.normal(size=(4, size)))
+    if constant_diagonal:
+        rows[0], rows[3] = rows[0, 0], -rows[0, 0]
+    if zero_offdiagonal:
+        # theta = 0: both parts of h12 and h21 are zeros of either sign
+        rows.real[1:3] = rng.choice([0.0, -0.0], size=(2, size))
+        rows.imag[1:3] = rng.choice([0.0, -0.0], size=(2, size))
+    return rows
+
+
+@pytest.mark.parametrize("constant_diagonal", [False, True])
+@pytest.mark.parametrize("zero_offdiagonal", [False, True])
+def test_step_matrices_are_the_broadcast_composition_bit_for_bit(
+        constant_diagonal, zero_offdiagonal):
+    # blocks of 37 steps in groups of 8 blocks, the last group holding 6
+    length, nblocks, group = 37, 30, 8
+    rng = np.random.default_rng([constant_diagonal, zero_offdiagonal])
+    rows = _random_rows(rng, 2 * length * nblocks + 1, constant_diagonal,
+                        zero_offdiagonal)
+    mats = np.empty((length, 2, 2, nblocks), dtype=complex)
+    for b0 in range(0, nblocks, group):
+        _step_matrices(list(rows[:, 2 * b0 * length:
+                                 2 * (b0 + group) * length + 1]),
+                       mats[..., b0:b0 + group])
+    got = mats.transpose(1, 2, 3, 0).reshape(2, 2, -1)
+    want = broadcast_step_matrices(rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    # zero off-diagonals give zero off-diagonal steps, whose signs are pinned
+    assert zero_offdiagonal == (not want[0, 1].any())
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.asarray(a).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of psi(T) and of the records, (t, psi(t)) pairs as float64 and
+# complex128 bytes: the CLI reference set pins no dual run and no records
+@pytest.mark.parametrize("model, T, steps, dual, psi_sha, records_sha", [
+    (_chain(2.0, 0.3), 100.0, 40000, False,
+     "f0164dd8ee817f01741c5771e314298eb953ec13fe4215650409c9f0402bc90c",
+     "c87bd9bf378ad57eebed6cf1e3f20b8e2eae0a257314aac1f6a17e010007f8b0"),
+    (_chain(2.0, 0.3), 100.0, 40000, True,
+     "5579a7371565f6e7fffd43b1acc017a6445c25a79bd52904856ac4a7bcaf8849",
+     "7401fceb3bda85324f7a1ecec130fef8ee661c9b51ab0051549d99fd9f73555f"),
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
+     False,
+     "342ccbb7c99fc12bc941ae47777ec6b215c4ceb9c5084b5329a346db1c072179",
+     "936136566c51d3d2ad3332ac8852c9c533b4b4302c0feba4b7498cf7d064194b"),
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
+     True,
+     "027e84b30e956c980c1a898733362d3a0bc47d75de338c62d8600df3f006f69f",
+     "0aa2b0eb7a59cc7bad3a2d6aa29c3136487a9fef3c2af0ef7c8892bcbc5073a0"),
+])
+def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
+                                      records_sha):
+    # the chain's 40000 steps span two chunks, the second with a ragged
+    # last block
+    psi, records = evolve(model, Schedule(period_T=T, steps=steps),
+                          np.array([0.6, 0.8j]), dual=dual,
+                          record_every=3000)
+    assert len(records) == (15 if steps == 40000 else 3)
+    assert _sha256(psi) == psi_sha
+    assert _sha256(*(a for t, state in records
+                     for a in (np.float64(t), state))) == records_sha
 
 
 @pytest.mark.parametrize("model, T, steps", [

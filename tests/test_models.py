@@ -19,6 +19,8 @@ from berryline.models import (
     ParameterLoop,
     TwoLevelModel,
     TwoLevelParams,
+    _hopping,
+    _two_level_offdiag,
     loop_grid,
     standard_loop,
 )
@@ -447,6 +449,43 @@ def test_entry_rows_match_matrices():
         assert abs(rows[1, j] - m[0, 1]) < 1e-15
         assert abs(rows[2, j] - m[1, 0]) < 1e-15
         assert abs(rows[3, j] - m[1, 1]) < 1e-15
+
+
+def _stacked_rows(model, alphas):
+    """The entry rows built by np.full and np.stack, the byte reference."""
+    p = model.params
+    x = np.asarray(alphas, dtype=float)
+    if model.kind == TWO_LEVEL:
+        sin_t, cos_t = math.sin(p.theta), math.cos(p.theta)
+        c1, c2 = _two_level_offdiag(p, np.cos(x), np.sin(x))
+        diag = np.full(x.shape, complex(p.h_z, p.d_z) * cos_t, dtype=complex)
+        return np.stack([diag, c1 * sin_t, c2 * sin_t, -diag])
+    vk = _hopping(p.v, p.v_prime, x)
+    diag_a = np.full(x.shape, complex(p.eps_a), dtype=complex)
+    diag_b = np.full(x.shape, p.eps_b, dtype=complex)
+    return np.stack([diag_a, vk, np.conj(vk), diag_b])
+
+
+@pytest.mark.parametrize("model", [
+    TwoLevelModel(_tl((1.0, 0.5, 0.2), (0.1, 0.3, -0.4), 0.9)),
+    # theta = 0 makes the off-diagonal pair zeros of either sign
+    TwoLevelModel(_tl((1.0, -0.5, 0.2), (0.1, 0.3, -0.4), 0.0)),
+    TwoLevelModel(_tl((-1.0, 0.5, 0.0), (0.0, 0.0, -0.0), 2.0)),
+    BipartiteModel(BipartiteParams.from_ratios(2.0, 0.3)),
+    BipartiteModel(BipartiteParams.from_ratios(0.5, 0.0, eps_a=-0.25)),
+])
+def test_entry_rows_are_a_fresh_array_the_caller_may_overwrite(model):
+    # the evolution kernel scales the rows in place
+    grid = np.concatenate([[0.0, -0.0, np.pi, -np.pi], _GRID])
+    rows = model.entry_rows(grid)
+    assert rows.shape == (4, grid.size) and rows.dtype == complex
+    assert rows.flags.c_contiguous and rows.flags.writeable
+    want = _stacked_rows(model, grid).tobytes()
+    assert rows.tobytes() == want
+    rows *= np.nan
+    again = model.entry_rows(grid)
+    assert not np.shares_memory(again, rows)
+    assert again.tobytes() == want
 
 
 # Property tests: the accessors of one model must agree with each other on
