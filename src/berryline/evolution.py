@@ -11,15 +11,19 @@ phase, and states the leftover defect openly instead of hiding it.
 One kernel steps both ``evolve`` and the decomposition. Each RK4 step of
 the linear equation is a 2x2 matrix; per streamed chunk of m steps all of
 them are built at once and split into about 2 sqrt(m) blocks. The model's
-entry rows come once per chunk, on the half-step grid of all its blocks,
-and are scaled in place (and conjugated, for a dual run); the step
-matrices are then composed entry by entry on strided 1-D rows of them, a
-few thousand steps per pass. Running products within the blocks come
-vectorized across blocks, a walk over the block products gives each
-block's start, and then every per-step state at once feeds the growth
-guard, the records and the branch of c(t). Products are renormalized
-every 16 steps and states at each block start, the scale kept as a
-running log, so no cycle underflows or overflows in the kernel.
+entry rows come once per chunk, at the drive phasors exp(i alpha) of the
+half-step grid of all its blocks. Each phasor is one product of a coarse
+and a fine table entry (``Schedule.phasors``), so a chunk takes about 256
++ 2 m / 256 cosines and sines, not 2 (2 m + 1); the decomposition reads
+its band energies at the even points of the same grid. The rows are
+scaled in place (and conjugated, for a dual run); the step matrices are
+then composed entry by entry on strided 1-D rows of them, a few thousand
+steps per pass. Running products within the blocks come vectorized
+across blocks, a walk over the block products gives each block's start,
+and then every per-step state at once feeds the growth guard, the
+records and the branch of c(t). Products are renormalized every 16 steps
+and states at each block start, the scale kept as a running log, so no
+cycle underflows or overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -48,7 +52,8 @@ _GROUP_STEPS = 4096        # steps per pass of the propagator algebra
 _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # about 2 s of RK4 at 9M steps/s on a 2-core x86
+_MAX_STEPS = 2 ** 24       # about 1.2 s of RK4 at 14M steps/s on a 2-core x86
+_FINE = 256                # drive phasors per row of the coarse x fine table
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,22 @@ class Schedule:
                 f"{self.steps} steps over T={self.period_T} is fewer than 10 "
                 "per unit time")
 
-    def path_function(self):
-        """The drive alpha(t) = 2 pi t / T, vectorized over t."""
-        T = self.period_T
-        return lambda t: (np.asarray(t, dtype=float) / T) * _TWO_PI
+    def phasors(self, start, count):
+        """Drive phasors exp(i alpha_j) at half steps start <= j < start + count.
+
+        alpha_j = pi j / steps is the drive at t = j h / 2. Each phasor is
+        one product coarse[J] fine[r] for j = J S + r and S = _FINE, so a
+        run of count phasors takes about S + count / S cosines and sines.
+        The product depends on j alone: any run is the same slice of the
+        whole-cycle grid, bit for bit.
+        """
+        n = self.steps
+        top = np.arange(start // _FINE, (start + count - 1) // _FINE + 1)
+        # J S reduced into [-n, n) in integers, so its angle is within pi
+        coarse = np.exp(1j * (((top * _FINE + n) % (2 * n) - n) * (math.pi / n)))
+        fine = np.exp(1j * (np.arange(_FINE) * (math.pi / n)))
+        first = start - int(top[0]) * _FINE
+        return (coarse[:, None] * fine).ravel()[first:first + count]
 
 
 @dataclass(frozen=True)
@@ -172,7 +189,7 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     grows the squared norm a hundredfold, leaves it without a finite
     value, or turns c over 1.5 rad.
     """
-    path_fn, steps = schedule.path_function(), schedule.steps
+    steps = schedule.steps
     h = schedule.period_T / steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
     records = None if record_every is None else [(0.0, state.copy())]
@@ -182,9 +199,8 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         # half-step grid of all nblocks blocks, and padding steps get M = I
         length = math.isqrt(m // 4) + 1
         nblocks = -(-m // length)
-        t = ((np.arange(2 * length * nblocks + 1, dtype=float) + 2.0 * step0)
-             * (0.5 * h))
-        ent = model.entry_rows(np.asarray(path_fn(t), dtype=float))
+        ent = model.entry_rows(
+            schedule.phasors(2 * step0, 2 * length * nblocks + 1))
         rows = list(ent)
         if dual:
             # adjoint: conjugate entries, swap the off-diagonal pair
@@ -292,15 +308,16 @@ def _band_energy_integral(model, schedule, band):
     chunk's last value, which is exact because the ambiguity is a global
     flip of the branch pair.
     """
-    path_fn, steps = schedule.path_function(), schedule.steps
+    steps = schedule.steps
     h = schedule.period_T / steps
     total = 0.0 + 0.0j
     prev_plus = None
     max_im_half_gap = 0.0
     for s0 in range(0, steps, _CHUNK):
         s_end = min(s0 + _CHUNK, steps)
-        t = (np.arange(s0, s_end + 1, dtype=float)) * h
-        e = model.energies(np.asarray(path_fn(t), dtype=float))
+        # the integer steps are the even points of the kernel's half-step grid
+        e = model.energies(
+            schedule.phasors(2 * s0, 2 * (s_end - s0) + 1)[::2])
         if prev_plus is not None and abs(e[0, 0] + prev_plus) < abs(e[0, 0] - prev_plus):
             e = e[::-1]
         sel = e[band]

@@ -475,33 +475,36 @@ class TwoLevelModel:
     def eigen_path(self, alphas):
         return _two_level_frame(self.params, alphas)
 
-    def energies(self, alphas):
-        """Both energy branches on a grid, continuous along it, shape (2, M)."""
+    def energies(self, phasors):
+        """Both energy branches at phasors exp(i phi), continuous along them, (2, M)."""
         p = self.params
-        phi = np.asarray(alphas, dtype=float)
+        u = np.asarray(phasors, dtype=complex)
         st = math.sin(p.theta)
         ct = math.cos(p.theta)
         a = complex(p.h_z, p.d_z) * ct
-        c1, c2 = _two_level_offdiag(p, np.cos(phi), np.sin(phi))
+        c1, c2 = _two_level_offdiag(p, u.real, u.imag)
         w = a * a + c1 * c2 * (st * st)
         e = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w)))
         return np.stack([e, -e])
 
-    def entry_rows(self, alphas):
-        """Matrix entries (h11, h12, h21, h22) on a grid, a fresh (4, M) array.
+    def entry_rows(self, phasors):
+        """Matrix entries (h11, h12, h21, h22) at phasors exp(i phi).
 
-        The array is the caller's to overwrite: the evolution kernel
-        scales it in place.
+        They come as a fresh (4, M) array, the caller's to overwrite: the
+        evolution kernel scales it in place.
         """
         p = self.params
-        phi = np.asarray(alphas, dtype=float)
+        u = np.asarray(phasors, dtype=complex)
         st = math.sin(p.theta)
         diag = complex(p.h_z, p.d_z) * math.cos(p.theta)
-        c1, c2 = _two_level_offdiag(p, np.cos(phi), np.sin(phi))
-        rows = np.empty((4,) + phi.shape, dtype=complex)
+        a_p, a_m, b_p, b_m = _two_level_axes(p)
+        rows = np.empty((4,) + u.shape, dtype=complex)
         rows[0], rows[3] = diag, -diag
-        np.multiply(c1, st, out=rows[1])
-        np.multiply(c2, st, out=rows[2])
+        # sin(theta) (c1, c2), part by part
+        np.multiply(u.real, st * a_p, out=rows[1].real)
+        np.multiply(u.imag, -st * b_p, out=rows[1].imag)
+        np.multiply(u.real, st * a_m, out=rows[2].real)
+        np.multiply(u.imag, st * b_m, out=rows[2].imag)
         return rows
 
 
@@ -515,24 +518,28 @@ class BipartiteModel:
     def eigen_path(self, alphas):
         return _bipartite_frame(self.params, alphas)
 
-    def energies(self, alphas):
+    def energies(self, phasors):
+        """Both energy branches at phasors exp(ik) along a grid, shape (2, M)."""
         p = self.params
-        k = np.asarray(alphas, dtype=float)
-        rad = _chain_radicand(p.v, p.v_prime, p.gamma, np.cos(k))
+        u = np.asarray(phasors, dtype=complex)
+        rad = _chain_radicand(p.v, p.v_prime, p.gamma, u.real)
         s = np.sqrt(rad.astype(complex))
         centroid = p.eps_a - 1j * p.gamma
         return np.stack([centroid + s, centroid - s])
 
-    def entry_rows(self, alphas):
-        """Bloch matrix entries (h11, h12, h21, h22), a fresh (4, M) array.
+    def entry_rows(self, phasors):
+        """Bloch matrix entries (h11, h12, h21, h22) at phasors exp(ik).
 
-        The array is the caller's to overwrite: the evolution kernel
-        scales it in place.
+        They come as a fresh (4, M) array, the caller's to overwrite: the
+        evolution kernel scales it in place.
         """
         p = self.params
-        k = np.asarray(alphas, dtype=float)
-        rows = np.empty((4,) + k.shape, dtype=complex)
+        u = np.asarray(phasors, dtype=complex)
+        rows = np.empty((4,) + u.shape, dtype=complex)
         rows[0], rows[3] = p.eps_a, p.eps_b
-        rows[1] = _hopping(p.v, p.v_prime, k)
+        # v_k = v + v' exp(-ik), part by part
+        np.multiply(u.real, p.v_prime, out=rows[1].real)
+        rows[1].real += p.v
+        np.multiply(u.imag, -p.v_prime, out=rows[1].imag)
         np.conjugate(rows[1], out=rows[2])
         return rows

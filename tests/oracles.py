@@ -138,7 +138,8 @@ def char_poly_eigs(matrix):
 
 def matrix_at(model, alpha):
     """The library's 2x2 matrix of a model at one loop parameter."""
-    return model.entry_rows(np.array([float(alpha)]))[:, 0].reshape(2, 2)
+    u = np.exp(1j * np.array([float(alpha)]))
+    return model.entry_rows(u)[:, 0].reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -491,8 +492,10 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     """Reference RK4 cycle: one scalar step at a time, no blocking.
 
     Steps psi one classical 4th-order step at a time in plain Python
-    complex arithmetic, on the same half-step grid of ``model.entry_rows``
-    as the library's blocked kernel, with the same stability guards.
+    complex arithmetic, with the same stability guards as the library's
+    blocked kernel. Its ``model.entry_rows`` come on the same half-step
+    grid, but by another route: cosines and sines of the drive angle
+    (t / T) 2 pi, not the kernel's table of phasors.
     Without ``project`` the state is never rescaled; with ``project`` =
     (l0, l1) it also tracks the branch of c = l0 a + l1 b stepwise and
     renormalizes every 16 steps. Returns (psi, log_scale, turn, records)
@@ -504,7 +507,8 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     steps = schedule.steps
     h = T / steps
     t = np.arange(2 * steps + 1, dtype=float) * (0.5 * h)
-    rows = model.entry_rows(np.asarray(schedule.path_function()(t), dtype=float))
+    alpha = (t / T) * _TWO_PI
+    rows = model.entry_rows(np.cos(alpha) + 1j * np.sin(alpha))
     if dual:
         rows = np.conj(rows[[0, 2, 1, 3], :])
     e11, e12, e21, e22 = (r.tolist() for r in rows)

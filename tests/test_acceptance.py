@@ -121,7 +121,7 @@ def test_c06_region_classification_has_no_mismatches():
         q = float(q)
         for model, k in ((_chain(q, abs(q - 1.0)), math.pi),
                          (_chain(q, q + 1.0), 0.0)):
-            e = model.energies(np.array([k]))
+            e = model.energies(np.exp(1j * np.array([k])))
             radicand = ((e[0, 0] - e[1, 0]) / 2.0) ** 2
             assert abs(radicand) <= 1e-12, (q, k)
 

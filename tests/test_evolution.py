@@ -4,13 +4,15 @@ import cmath
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from berryline.evolution import (Schedule, _step_matrices,
-                                 adiabatic_decomposition, evolve)
+from berryline.evolution import (_CHUNK, Schedule, _band_energy_integral,
+                                 _step_matrices, adiabatic_decomposition,
+                                 evolve)
 from berryline.models import (
     BipartiteModel,
     BipartiteParams,
@@ -49,7 +51,7 @@ def test_schedule_rejects_bad_periods_and_paths():
 
 
 def test_schedule_refuses_unbounded_and_non_integer_step_counts():
-    # 2^24 steps is about 2 s of RK4; a count past it would run on
+    # 2^24 steps is about 1.2 s of RK4; a count past it would run on
     # without bound as T grows, and a fractional count used to truncate
     assert Schedule(period_T=1.0, steps=2 ** 24).steps == 2 ** 24
     assert Schedule(period_T=1.0, steps=np.int64(1000)).steps == 1000
@@ -65,11 +67,72 @@ def test_schedule_refuses_unbounded_and_non_integer_step_counts():
 
 
 def test_schedule_default_path_is_linear_over_one_turn():
+    # half step j is at t = j h / 2, so the drive reaches a quarter turn at
+    # j = steps / 2 and closes the turn at j = 2 steps
     sched = Schedule(period_T=8.0, steps=1000)
-    path = sched.path_function()
-    assert float(path(0.0)) == 0.0
-    assert abs(float(path(8.0)) - 2.0 * math.pi) < 1e-15
-    assert abs(float(path(2.0)) - 0.5 * math.pi) < 1e-15
+    u = sched.phasors(0, 2001)
+    assert u[0] == 1.0
+    ulp = np.spacing(1.0)
+    for j, want in ((500, 1j), (2000, 1.0)):
+        assert abs(u[j].real - want.real) <= 2 * ulp
+        assert abs(u[j].imag - want.imag) <= 2 * ulp
+
+
+@pytest.mark.parametrize("steps, start, stop, stride", [
+    (1000, 0, 2001, 1),
+    (10240, 0, 20481, 1),
+    # a stride prime to the table's 256 columns meets every fine phasor
+    # and every coarse row
+    (278000, 0, 556001, 13),
+    # the last chunk of the longest cycle: 65703 half steps, the last 167
+    # of them padding past the end of the cycle
+    (2 ** 24, 2 * (2 ** 24 - 2 ** 15), 2 ** 25 + 167, 5),
+])
+def test_schedule_phasors_match_the_exact_drive(steps, start, stop, stride):
+    u = Schedule(period_T=1.0, steps=steps).phasors(start, stop - start)
+    j = np.arange(start, stop, stride)
+    with mpmath.workprec(80):
+        want = np.array([complex(mpmath.expjpi(mpmath.mpf(i) / steps))
+                         for i in j.tolist()])
+    assert np.abs(u[j - start] - want).max() <= 1.5e-15
+
+
+class _Recorder:
+    """A model that records the phasors its rows and energies are read at."""
+
+    def __init__(self, model):
+        self.model, self.at_rows, self.at_energies = model, [], []
+
+    def entry_rows(self, phasors):
+        self.at_rows.append(np.array(phasors))
+        return self.model.entry_rows(phasors)
+
+    def energies(self, phasors):
+        self.at_energies.append(np.array(phasors))
+        return self.model.energies(phasors)
+
+
+@pytest.mark.parametrize("steps", [1000, 40000, 2 ** 17 + 3])
+def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps):
+    sched = Schedule(period_T=float(steps) / 10.0, steps=steps)
+    recorder = _Recorder(_chain(2.0, 0.0))
+    evolve(recorder, sched, (0.6, 0.8j))
+    _band_energy_integral(recorder, sched, 0)
+    starts = range(0, steps, _CHUNK)
+    assert len(recorder.at_rows) == len(recorder.at_energies) == len(starts)
+    whole = sched.phasors(0, 2 * steps + 2 * _CHUNK)
+    for step0, u, e in zip(starts, recorder.at_rows, recorder.at_energies):
+        j = 2 * step0
+        assert u.tobytes() == whole[j:j + u.size].tobytes()
+        # the energies read the integer steps, the even half steps
+        assert e.size == min(_CHUNK, steps - step0) + 1
+        assert e.tobytes() == whole[j:j + 2 * e.size:2].tobytes()
+    # and any run of the grid is its slice, wherever it starts
+    rng = np.random.default_rng(5)
+    for start in rng.integers(0, 2 * steps, 20).tolist():
+        count = int(rng.integers(1, 2000))
+        assert (sched.phasors(start, count).tobytes()
+                == whole[start:start + count].tobytes())
 
 
 def test_evolve_constant_diagonal_matches_the_exact_exponential():
@@ -236,8 +299,9 @@ class _BurstDrive:
         self.T = T
         self.decay = decay
 
-    def entry_rows(self, alphas):
-        t = np.asarray(alphas) * (self.T / self.period)
+    def entry_rows(self, phasors):
+        # the time read off the drive angle, in [0, T)
+        t = np.mod(np.angle(phasors), self.period) * (self.T / self.period)
         diag = np.where((t > 1500.02) & (t < 1500.27), 50j, -1j * self.decay)
         zero = np.zeros_like(diag)
         return np.stack([diag, zero, zero, diag])
@@ -352,20 +416,20 @@ def _sha256(*arrays):
 # complex128 bytes: the CLI reference set pins no dual run and no records
 @pytest.mark.parametrize("model, T, steps, dual, psi_sha, records_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
-     "f0164dd8ee817f01741c5771e314298eb953ec13fe4215650409c9f0402bc90c",
-     "c87bd9bf378ad57eebed6cf1e3f20b8e2eae0a257314aac1f6a17e010007f8b0"),
+     "1669e54f41aed9dafe13fc067285bf243306d419e310bd8422f2d51cc92bc098",
+     "d0ad6f9fca977ba807753d69f645188d14727e32d5f2471d51a1c941c6a1c4a2"),
     (_chain(2.0, 0.3), 100.0, 40000, True,
-     "5579a7371565f6e7fffd43b1acc017a6445c25a79bd52904856ac4a7bcaf8849",
-     "7401fceb3bda85324f7a1ecec130fef8ee661c9b51ab0051549d99fd9f73555f"),
+     "62cac6662af66747f6fad08709afa4f6ff37c667f945662b260920bfa9b12216",
+     "686d5584d860926fffcf9b1a87f1a6fa92bc9d9eb25c7da8241510379113b0fa"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      False,
-     "342ccbb7c99fc12bc941ae47777ec6b215c4ceb9c5084b5329a346db1c072179",
-     "936136566c51d3d2ad3332ac8852c9c533b4b4302c0feba4b7498cf7d064194b"),
+     "b2a9024c9cf9975cbb9b3070dd3d8209d929292508569732be599bdcedf36aad",
+     "548efdda464e859537f8cd1a9905a7bc530599bf9ca7d5e2051ddd6939de3bb4"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      True,
-     "027e84b30e956c980c1a898733362d3a0bc47d75de338c62d8600df3f006f69f",
-     "0aa2b0eb7a59cc7bad3a2d6aa29c3136487a9fef3c2af0ef7c8892bcbc5073a0"),
-])
+     "a3491cf2376ae6027df91663c4dfaf53c2c4c2fe19f065c45b6256b369c02f40",
+     "63d70fe2423c945751f3d1609040890d212332405749d9a10864bebd80a775af"),
+], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
 def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
                                       records_sha):
     # the chain's 40000 steps span two chunks, the second with a ragged

@@ -19,8 +19,7 @@ from berryline.models import (
     ParameterLoop,
     TwoLevelModel,
     TwoLevelParams,
-    _hopping,
-    _two_level_offdiag,
+    _two_level_axes,
     loop_grid,
     standard_loop,
 )
@@ -426,7 +425,7 @@ def test_eigen_path_biorthonormal_along_loop():
     overlap = np.einsum("cim,cjm->ijm", path.left.conj(), path.right)
     eye = np.eye(2)[:, :, None]
     assert np.max(np.abs(overlap - eye)) < 1e-12
-    assert np.max(np.abs(path.values - model.energies(ks))) < 1e-12
+    assert np.max(np.abs(path.values - model.energies(np.exp(1j * ks)))) < 1e-12
 
 
 def test_winding_rate_integrates_to_topological_advance():
@@ -442,7 +441,7 @@ def test_entry_rows_match_matrices():
     p = _tl((1.0, 0.5, 0.2), (0.1, 0.3, 0.0), 0.9)
     model = TwoLevelModel(p)
     phis = np.array([0.0, 1.0, 2.5])
-    rows = model.entry_rows(phis)
+    rows = model.entry_rows(np.exp(1j * phis))
     for j, phi in enumerate(phis):
         m = assemble_two_level(p, phi)
         assert abs(rows[0, j] - m[0, 0]) < 1e-15
@@ -451,19 +450,28 @@ def test_entry_rows_match_matrices():
         assert abs(rows[3, j] - m[1, 1]) < 1e-15
 
 
-def _stacked_rows(model, alphas):
-    """The entry rows built by np.full and np.stack, the byte reference."""
+def _stacked_rows(model, phasors):
+    """The entry rows assembled by complex() and np.stack, the byte reference.
+
+    complex(re, im) keeps the sign of a zero part, so the reference pins
+    the signs of the zeros too.
+    """
     p = model.params
-    x = np.asarray(alphas, dtype=float)
+    c, s = phasors.real, phasors.imag
+    pair = np.frompyfunc(complex, 2, 1)
     if model.kind == TWO_LEVEL:
-        sin_t, cos_t = math.sin(p.theta), math.cos(p.theta)
-        c1, c2 = _two_level_offdiag(p, np.cos(x), np.sin(x))
-        diag = np.full(x.shape, complex(p.h_z, p.d_z) * cos_t, dtype=complex)
-        return np.stack([diag, c1 * sin_t, c2 * sin_t, -diag])
-    vk = _hopping(p.v, p.v_prime, x)
-    diag_a = np.full(x.shape, complex(p.eps_a), dtype=complex)
-    diag_b = np.full(x.shape, p.eps_b, dtype=complex)
-    return np.stack([diag_a, vk, np.conj(vk), diag_b])
+        st = math.sin(p.theta)
+        a_p, a_m, b_p, b_m = _two_level_axes(p)
+        h12 = pair(st * a_p * c, -st * b_p * s)
+        h21 = pair(st * a_m * c, st * b_m * s)
+        diag = complex(p.h_z, p.d_z) * math.cos(p.theta)
+        diag_a, diag_b = diag, -diag
+    else:
+        re, im = p.v_prime * c + p.v, -p.v_prime * s
+        h12, h21 = pair(re, im), pair(re, -im)
+        diag_a, diag_b = p.eps_a, p.eps_b
+    return np.stack([np.full(c.shape, diag_a, dtype=complex), h12, h21,
+                     np.full(c.shape, diag_b, dtype=complex)]).astype(complex)
 
 
 @pytest.mark.parametrize("model", [
@@ -476,14 +484,15 @@ def _stacked_rows(model, alphas):
 ])
 def test_entry_rows_are_a_fresh_array_the_caller_may_overwrite(model):
     # the evolution kernel scales the rows in place
-    grid = np.concatenate([[0.0, -0.0, np.pi, -np.pi], _GRID])
-    rows = model.entry_rows(grid)
-    assert rows.shape == (4, grid.size) and rows.dtype == complex
+    u = np.concatenate([[1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0)],
+                        _PHASORS])
+    rows = model.entry_rows(u)
+    assert rows.shape == (4, u.size) and rows.dtype == complex
     assert rows.flags.c_contiguous and rows.flags.writeable
-    want = _stacked_rows(model, grid).tobytes()
+    want = _stacked_rows(model, u).tobytes()
     assert rows.tobytes() == want
     rows *= np.nan
-    again = model.entry_rows(grid)
+    again = model.entry_rows(u)
     assert not np.shares_memory(again, rows)
     assert again.tobytes() == want
 
@@ -492,6 +501,7 @@ def test_entry_rows_are_a_fresh_array_the_caller_may_overwrite(model):
 # random parameters away from the singular sets.
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 _GRID = np.linspace(-0.5, 2.0 * np.pi, 1024)
+_PHASORS = np.exp(1j * _GRID)
 
 
 @st.composite
@@ -528,7 +538,7 @@ def _assembled(model, alpha):
 @_PROPERTY
 @given(_models)
 def test_entry_rows_are_the_matrix_entries(model):
-    rows = model.entry_rows(_GRID)
+    rows = model.entry_rows(_PHASORS)
     scale = max(1.0, float(np.abs(rows).max()))
     for j in range(0, _GRID.size, 97):
         m = _assembled(model, _GRID[j])
@@ -543,7 +553,7 @@ def test_energies_match_the_eigen_frame(model):
     except (SingularParameters, DegenerateSpectrum, PathTooCoarse, TrueCrossing):
         assume(False)
     assume(np.abs(values[0] - values[1]).min() > 1e-2)
-    energies = model.energies(_GRID)
+    energies = model.energies(_PHASORS)
     # the branch pair may come out globally exchanged
     err = min(np.abs(values - energies).max(),
               np.abs(values - energies[::-1]).max())
@@ -553,8 +563,8 @@ def test_energies_match_the_eigen_frame(model):
 @_PROPERTY
 @given(_models)
 def test_trace_and_determinant_give_the_energies(model):
-    h11, h12, h21, h22 = model.entry_rows(_GRID)
-    e_plus, e_minus = model.energies(_GRID)
+    h11, h12, h21, h22 = model.entry_rows(_PHASORS)
+    e_plus, e_minus = model.energies(_PHASORS)
     scale = max(1.0, float(np.abs([h11, h12, h21, h22]).max())) ** 2
     assert np.abs((h11 + h22) - (e_plus + e_minus)).max() <= 1e-12 * scale
     assert np.abs((h11 * h22 - h12 * h21) - e_plus * e_minus).max() <= 1e-12 * scale
@@ -575,9 +585,10 @@ def test_winding_rate_depends_on_the_hopping_ratio_alone(q, eta, v):
 @_PROPERTY
 @given(_chain_models())
 def test_chain_rows_transpose_and_energies_are_even_under_k_to_minus_k(model):
-    rows = model.entry_rows(_GRID)
-    assert np.array_equal(model.entry_rows(-_GRID), rows[[0, 2, 1, 3]])
-    assert np.array_equal(model.energies(-_GRID), model.energies(_GRID))
+    rows = model.entry_rows(_PHASORS)
+    flipped = np.exp(1j * -_GRID)
+    assert np.array_equal(model.entry_rows(flipped), rows[[0, 2, 1, 3]])
+    assert np.array_equal(model.energies(flipped), model.energies(_PHASORS))
 
 
 def _assert_hermitian(rows):
@@ -591,11 +602,11 @@ def _assert_hermitian(rows):
 @given(st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.floats(0.0, np.pi))
 def test_two_level_rows_are_hermitian_without_gain_and_loss(h, theta):
     model = TwoLevelModel(_tl(h, (0.0, 0.0, 0.0), theta))
-    _assert_hermitian(model.entry_rows(_GRID))
+    _assert_hermitian(model.entry_rows(_PHASORS))
 
 
 @_PROPERTY
 @given(st.floats(0.05, 3.0), st.floats(0.3, 2.0), st.floats(-1.0, 1.0))
 def test_chain_rows_are_hermitian_without_loss(q, v, eps_a):
     model = BipartiteModel(BipartiteParams.from_ratios(q, 0.0, v=v, eps_a=eps_a))
-    _assert_hermitian(model.entry_rows(_GRID))
+    _assert_hermitian(model.entry_rows(_PHASORS))

@@ -21,9 +21,9 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 9a021035b8abf1ec229f0747fa3b90f53284be680d638f9c0173a07483678eb2
 914bdc85b87a1f856eb6f3757b3794add04f1e5b7010f37cb5deba4afbe6163b
-b35c9f87a2e169ce5fd12556430e7839a48c96e48772b8bb59a5f19ff2618113
-4b19e352c0e3ac390cdb106ee5f3415a5779949ec9ebc9cc4f56ff6b531f62f2
-3507b9582ccc57a3648349cfced794d6d1232448029a559d921881a1fc7340bc
+e2847f22454cc87c82c096d00bd680352e281ab133007b333d3b00d4878bf394
+1c19b4968ac23d27c9559e6237d7c54bf1b03fdc5f129913500adf9a54b74b5c
+d49c35b3dc1316c7fa68597f9aa63a52ef6b39722f92a7c5cff70f6d853d08dd
 a8cf0759ad9581fcbb1082c6907fc58ca6be8d7b7723d77bb19650e72f6c1741
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()

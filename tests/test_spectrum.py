@@ -19,7 +19,7 @@ from berryline.spectrum import (
 
 def _complex_gap(p, k):
     """Band separation E_plus - E_minus of the chain at momentum k."""
-    e = BipartiteModel(p).energies(np.array([k]))
+    e = BipartiteModel(p).energies(np.exp(1j * np.array([k])))
     return complex(e[0, 0] - e[1, 0])
 
 
