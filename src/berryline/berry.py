@@ -65,7 +65,8 @@ from .models import (
     loop_grid,
     standard_loop,
 )
-from .quadrature import MAX_PHASE_STEP, spectral_derivative, trapezoid_periodic
+from .quadrature import (MAX_PHASE_STEP, halved_verdicts, spectral_derivative,
+                         trapezoid_periodic)
 from .spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -202,7 +203,8 @@ class _PathRows:
 
     def halved(self):
         """The one row's spacing verdict on every second sample, as a list."""
-        return [self.path.halved()]
+        verdicts = halved_verdicts(np.stack(self.path.angles))
+        return [next(filter(None, verdicts), None)]
 
 
 def _gapless_loop(model, transition_error):
@@ -291,12 +293,11 @@ def _settled_phases(loop, frames, starts):
     cap, for rungs n and 2n: rung n's grid is the even samples of rung
     2n's, so it takes its phases from them and its spacing verdict from
     the frame's ``halved()``. Its other checks hold on a subset of a grid
-    that passed them, so it gets the verdict and trace index of a frame
-    of its own, and band phases that differ at most in the last bits
-    (the rounding of a two-level frame's unwrapped arg w), below what
-    the settle test sees. A row whose 2n frame flags any error builds
-    rung n on its own. Returns per row its BerryPhaseResult or the
-    BerrylineError it ended with.
+    that passed them, and a frame's unwrapped angles at the even samples
+    are those of the even samples unwrapped alone, so it gets the verdict,
+    trace index and band phases of a frame of its own, bit for bit. A row
+    whose 2n frame flags any error builds rung n on its own. Returns per
+    row its BerryPhaseResult or the BerrylineError it ended with.
     """
     outcomes = [None] * len(starts)
     rung_of = dict(enumerate(starts))      # unfinished row -> next rung

@@ -246,10 +246,6 @@ class EigenPath:
     chi: np.ndarray
     angles: tuple
 
-    def halved(self):
-        """None, or the PathTooCoarse of this frame on every second sample."""
-        return next(filter(None, halved_verdicts(np.stack(self.angles))), None)
-
 
 def _two_level_axes(p):
     """Semi-axes (a_p, a_m, b_p, b_m) of the ellipses c1 and c2 trace in phi."""

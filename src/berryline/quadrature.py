@@ -54,22 +54,19 @@ def trapezoid_periodic(values, period):
 
 
 def unwrap_rows(raw_angles):
-    """np.unwrap of each row of a 2-D stack, with a spacing verdict per row.
+    """Each row of a 2-D stack unwrapped, with a spacing verdict per row.
 
+    A sample is its raw angle plus the whole number of turns that puts it
+    nearest the unwrapped sample before it, added in one rounding, so its
+    bits depend on its own raw angle and that count of turns alone.
     Returns the unwrapped stack and per row None or a PathTooCoarse: once
     an unwrapped step reaches pi/2, aliasing by a full turn can no longer
     be ruled out and the grid has to be refined.
     """
     p = np.asarray(raw_angles, dtype=float)
-    # np.unwrap along the last axis, operation for operation, without its
-    # per-call overhead
-    dd = p[:, 1:] - p[:, :-1]
-    turn = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
-    np.copyto(turn, np.pi, where=(turn == -np.pi) & (dd > 0.0))
-    correction = turn - dd
-    np.copyto(correction, 0.0, where=np.abs(dd) < np.pi)
     out = p.copy()
-    out[:, 1:] += correction.cumsum(axis=-1)
+    out[:, 1:] += (2.0 * np.pi) * np.rint(
+        (p[:, :-1] - p[:, 1:]) / (2.0 * np.pi)).cumsum(axis=-1)
     return out, _spacing_verdicts(out)
 
 
@@ -77,10 +74,11 @@ def halved_verdicts(unwrapped):
     """The spacing verdicts of ``unwrap_rows`` on every second sample.
 
     ``unwrapped`` is a stack ``unwrap_rows`` returned without an error.
-    Its steps are below pi/2, so a step over two samples is their sum and
-    below pi, and unwrapping every second raw angle on its own gives that
-    same step up to rounding: the verdicts are those the grid of the even
-    samples would get, without unwrapping it again.
+    Its steps are below pi/2, so a step over two samples is below pi and
+    spans the same whole turns as the two steps within it: unwrapping
+    every second raw angle on its own gives exactly these samples, and
+    the verdicts are those the grid of the even samples would get,
+    without unwrapping it again.
     """
     return _spacing_verdicts(unwrapped[:, ::2])
 
@@ -101,7 +99,7 @@ def _spacing_verdicts(out):
 
 
 def unwrap_checked(raw_angles):
-    """np.unwrap of one path, raising its PathTooCoarse (see ``unwrap_rows``)."""
+    """One path unwrapped, raising its PathTooCoarse (see ``unwrap_rows``)."""
     out, (error,) = unwrap_rows(np.asarray(raw_angles, dtype=float)[None])
     if error is not None:
         raise error

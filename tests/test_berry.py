@@ -1076,6 +1076,40 @@ def test_the_nested_first_rung_matches_the_rung_by_rung_oracle(monkeypatch):
             DegenerateSpectrum} <= seen
 
 
+def test_a_frame_on_the_even_samples_of_a_grid_is_that_grid_s_frame():
+    # rung n of a node-mapped loop is the even samples of rung 2n, and
+    # each unwrapped angle is its raw angle plus whole turns, so the frame
+    # built on rung n is bit for bit the even samples of rung 2n's frame
+    rng = np.random.default_rng(29)
+    frames = []
+    for i in range(60):
+        p = draw_two_level(rng, ("positive", "negative")[i % 2])
+        _, beta, centre = _two_level_grid(p)
+        frames.append((TWO_LEVEL, lambda t, m=TwoLevelModel(p), b=beta,
+                       c=centre: berry._PathRows(
+                           m.eigen_path, *berry._node_map(t, b, c, 2))))
+        q, eta = draw_bipartite(rng, ("TYPE_I", "TYPE_II")[i % 2])
+        _, beta, t0 = _chain_grid(q, eta)
+        frames.append((BIPARTITE, lambda t, q=q, eta=eta, b=beta, c=t0:
+                       _ChainRows([1.0], [q], [eta],
+                                  *berry._node_map(t, b, c, 1))))
+    compared = refused = 0
+    for kind, frame in frames:
+        loop = standard_loop(kind, 1024)
+        for n in (64, 256, 1024):
+            ours = frame(loop_grid(loop, n))
+            theirs = frame(loop_grid(loop, 2 * n))
+            if ours.errors != [None] or theirs.errors != [None]:
+                refused += 1
+                continue
+            compared += 1
+            for a, b in ((ours.connection, theirs.connection),
+                         (ours.trace, theirs.trace),
+                         *zip(ours.kets([0]), theirs.kets([0]))):
+                assert a.tobytes() == b[..., ::2].tobytes(), (kind, n)
+    assert compared >= 9 * refused
+
+
 def _frame_sizes(monkeypatch):
     """The sample count of every frame built from here on, in order."""
     sizes = []

@@ -137,9 +137,10 @@ def test_unwrap_checked_step_just_below_limit():
     assert out.size == 5
 
 
-def test_unwrap_rows_is_numpys_unwrap_bit_for_bit():
-    # random walks of every step size, steps of exactly +-pi (where the
-    # unwrap picks the sign of the step), and one- and two-sample rows
+def test_unwrap_rows_adds_whole_turns_to_the_raw_angles():
+    # random walks of every step size, steps of exactly +-pi, and one- and
+    # two-sample rows: each sample is its raw angle plus whole turns, the
+    # first sample is left alone, and the rows flagged are np.unwrap's
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 64, 1028):
         walks = np.cumsum(rng.uniform(-3.0, 3.0, (6, n)), axis=-1)
@@ -148,7 +149,12 @@ def test_unwrap_rows_is_numpys_unwrap_bit_for_bit():
         walks[3] = np.pi * (np.arange(n) % 2)
         for raw in (np.angle(np.exp(1j * walks)), walks):
             out, errors = unwrap_rows(raw)
-            assert out.tobytes() == np.unwrap(raw).tobytes(), n
+            assert out[:, 0].tobytes() == raw[:, 0].tobytes(), n
+            # out - raw itself rounds where the angles are large
+            turns = np.rint((out - raw) / (2.0 * np.pi))
+            assert out.tobytes() == (raw + 2.0 * np.pi * turns).tobytes(), n
+            _, numpys = unwrap_rows(np.unwrap(raw))
+            assert [e is None for e in errors] == [e is None for e in numpys]
             for r in range(len(raw)):
                 try:
                     alone = unwrap_checked(raw[r])
@@ -172,7 +178,8 @@ def test_halved_verdicts_are_those_of_the_even_samples_unwrapped_alone():
         raw = np.angle(np.exp(1j * walks))
         out, errors = unwrap_rows(raw)
         assert errors == [None] * len(raw)
-        _, alone = unwrap_rows(raw[..., ::2])
+        even, alone = unwrap_rows(raw[..., ::2])
+        assert out[:, ::2].tobytes() == even.tobytes(), n
         for ours, theirs in zip(halved_verdicts(out), alone):
             seen.add(theirs is None)
             if theirs is None:

@@ -19,10 +19,10 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 62e41b06727c27e187aea95fa26e4afca4e72e9b0328ae51026a5d17ea74c8f6
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
-9a021035b8abf1ec229f0747fa3b90f53284be680d638f9c0173a07483678eb2
-914bdc85b87a1f856eb6f3757b3794add04f1e5b7010f37cb5deba4afbe6163b
+e964f1b2e67e07d8799cd3b90495f8cb3224be79f31173202ab33d664137197c
+ee622dc840da7489afbf8ffdfb80fee1a14f80c156de4ba6c78e1e50aeb086b0
 e2847f22454cc87c82c096d00bd680352e281ab133007b333d3b00d4878bf394
-1c19b4968ac23d27c9559e6237d7c54bf1b03fdc5f129913500adf9a54b74b5c
+5ea6a88c502a2bf79d5edd2d644e0982a2ed72ea71137bedbef0c575bdce0444
 d49c35b3dc1316c7fa68597f9aa63a52ef6b39722f92a7c5cff70f6d853d08dd
 a8cf0759ad9581fcbb1082c6907fc58ca6be8d7b7723d77bb19650e72f6c1741
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
