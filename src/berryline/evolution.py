@@ -1,12 +1,12 @@
 """Direct time evolution under a cycled Hamiltonian and its phase accounting.
 
-States follow i d psi/dt = H(alpha(t)) psi (and duals follow the adjoint
+States follow i d psi/dt = H(alpha(t)) psi (and duals the adjoint
 equation) under classical fixed-step 4th-order integration. After one
-full cycle the band amplitude c(T) = <lambda_band(0)|psi(T)> defines the
-total complex phase -i log c(T), with the log branch tracked stepwise so
-no 2 pi is ever lost. The report splits that phase into a dynamical part
-(minus the time integral of the band energy) plus the geometric loop
-phase, and states the leftover defect openly instead of hiding it.
+cycle the band amplitude c(T) = <lambda_band(0)|psi(T)> gives the total
+complex phase -i log c(T), its log branch tracked stepwise so no 2 pi is
+lost. The report splits it into a dynamical part (minus the time integral
+of the band energy) plus the loop phase of the family's point evaluator,
+and states the leftover defect openly instead of hiding it.
 
 One kernel steps both ``evolve`` and the decomposition. Each RK4 step of
 the linear equation is a 2x2 matrix; per streamed chunk of m steps all of
@@ -15,7 +15,7 @@ entry rows come once per chunk, at the drive phasors exp(i alpha) of the
 half-step grid of all its blocks. Each phasor is one product of a coarse
 and a fine table entry (``Schedule.phasors``), so a chunk takes about 256
 + 2 m / 256 cosines and sines, not 2 (2 m + 1); the decomposition reads
-its band energies at the even points of the same grid. The rows are
+its band energies at the even points of the same phasors. The rows are
 scaled in place (and conjugated, for a dual run); the step matrices are
 then composed entry by entry on strided 1-D rows of them, a few thousand
 steps per pass. Running products within the blocks come vectorized
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import _TWO_PI, _check_integer, band_index, standard_loop
-from .berry import band_berry_phase
+from .models import _TWO_PI, TWO_LEVEL, _check_integer, band_index
+from .berry import bipartite_phase_point, two_level_phase_point
 
 _CHUNK = 1 << 15           # steps per streamed chunk of matrix entries
 _GROUP_STEPS = 4096        # steps per pass of the propagator algebra
@@ -180,14 +180,15 @@ def _step_matrices(seg, out):
 
 @np.errstate(all="ignore")
 def _propagate(model, schedule, psi, dual=False, project=None,
-               record_every=None):
+               record_every=None, energies=None):
     """One cycle of ``schedule`` from psi: (state, log_scale, turn, records).
 
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
-    ``record_every`` steps. Raises StepTooLarge at the first step that
-    grows the squared norm a hundredfold, leaves it without a finite
-    value, or turns c over 1.5 rad.
+    ``record_every`` steps. ``energies``, if given, takes each chunk's
+    drive phasors at its integer steps, the even half steps. Raises
+    StepTooLarge at the first step that grows the squared norm a
+    hundredfold, leaves it without a finite value, or turns c over 1.5 rad.
     """
     steps = schedule.steps
     h = schedule.period_T / steps
@@ -199,8 +200,10 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         # half-step grid of all nblocks blocks, and padding steps get M = I
         length = math.isqrt(m // 4) + 1
         nblocks = -(-m // length)
-        ent = model.entry_rows(
-            schedule.phasors(2 * step0, 2 * length * nblocks + 1))
+        u = schedule.phasors(2 * step0, 2 * length * nblocks + 1)
+        if energies is not None:
+            energies(u[:2 * m + 1:2])
+        ent = model.entry_rows(u)
         rows = list(ent)
         if dual:
             # adjoint: conjugate entries, swap the off-diagonal pair
@@ -300,41 +303,37 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
     return psi_final, records
 
 
-def _band_energy_integral(model, schedule, band):
+class _BandEnergyIntegral:
     """Trapezoid of the tracked band energy over the cycle, plus extremes.
 
-    Energies come chunkwise with a per-chunk branch anchor; the sign of
-    the square root is re-matched at each seam against the previous
-    chunk's last value, which is exact because the ambiguity is a global
-    flip of the branch pair.
+    Fed each chunk as ``_propagate``'s ``energies``, each with its own
+    branch anchor. The root's sign is re-matched at each seam against the
+    previous chunk's last value, exactly: the ambiguity flips both bands.
     """
-    steps = schedule.steps
-    h = schedule.period_T / steps
-    total = 0.0 + 0.0j
-    prev_plus = None
-    max_im_half_gap = 0.0
-    for s0 in range(0, steps, _CHUNK):
-        s_end = min(s0 + _CHUNK, steps)
-        # the integer steps are the even points of the kernel's half-step grid
-        e = model.energies(
-            schedule.phasors(2 * s0, 2 * (s_end - s0) + 1)[::2])
-        if prev_plus is not None and abs(e[0, 0] + prev_plus) < abs(e[0, 0] - prev_plus):
+
+    def __init__(self, model, schedule, band):
+        self.model, self.band, self.last = model, band, None
+        self.h = schedule.period_T / schedule.steps
+        self.total, self.max_im_half_gap = 0.0 + 0.0j, 0.0
+
+    def __call__(self, phasors):
+        e, last = self.model.energies(phasors), self.last
+        if last is not None and abs(e[0, 0] + last) < abs(e[0, 0] - last):
             e = e[::-1]
-        sel = e[band]
-        total += h * (sel.sum() - 0.5 * (sel[0] + sel[-1]))
-        max_im_half_gap = max(max_im_half_gap,
-                              float(np.abs(np.imag(0.5 * (e[0] - e[1]))).max()))
-        prev_plus = complex(e[0, -1])
-    return total, max_im_half_gap
+        sel = e[self.band]
+        self.total += self.h * (sel.sum() - 0.5 * (sel[0] + sel[-1]))
+        self.max_im_half_gap = max(self.max_im_half_gap, float(
+            np.abs(np.imag(0.5 * (e[0] - e[1]))).max()))
+        self.last = complex(e[0, -1])
 
 
 def adiabatic_decomposition(model, schedule, band):
     """Evolve one band eigenstate through a cycle and split its phase.
 
     The initial state is the closed-form band eigenvector at alpha(0);
-    the amplitude c(t) = <lambda_band(0)|psi(t)> is projected every step
-    and its argument accumulated continuously. Applies to the two built-in
-    model families.
+    c(t) = <lambda_band(0)|psi(t)> is projected every step and its
+    argument accumulated continuously. The loop phase is this band's of
+    ``two_level_phase_point`` or ``bipartite_phase_point``, bit for bit.
     """
     b = band_index(band)
     frame = model.eigen_path(np.array([0.0]))
@@ -344,8 +343,9 @@ def adiabatic_decomposition(model, schedule, band):
     # so both end-of-cycle projections use the frame built here
     lam_sel = np.conj(frame.left[:, b, 0])
     lam_oth = np.conj(frame.left[:, 1 - b, 0])
+    energy = _BandEnergyIntegral(model, schedule, b)
     state, log_scale, accum, _ = _propagate(model, schedule, psi,
-                                            project=lam_sel)
+                                            project=lam_sel, energies=energy)
 
     c_mag = abs(lam_sel @ state)
     if c_mag == 0.0:
@@ -358,12 +358,14 @@ def adiabatic_decomposition(model, schedule, band):
             ratio=leak_ratio)
     total_phase = complex(accum, -(log_scale + math.log(c_mag)))
 
-    energy_integral, max_im_half_gap = _band_energy_integral(model, schedule, b)
-    gamma_dyn = -energy_integral
-    strong_regime = max_im_half_gap * schedule.period_T / _TWO_PI > 50.0
+    gamma_dyn = -energy.total
+    strong_regime = energy.max_im_half_gap * schedule.period_T / _TWO_PI > 50.0
 
-    loop = standard_loop(model.kind, 4096)
-    gamma_geo = band_berry_phase(loop, model, band)
+    p = model.params
+    r = (two_level_phase_point(p) if model.kind == TWO_LEVEL
+         else bipartite_phase_point(p.q, p.eta))
+    gamma_geo = (complex(r.gamma_b_plus, r.xi_b_plus),
+                 complex(r.gamma_b_minus, r.xi_b_minus))[b]
 
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):

@@ -472,15 +472,20 @@ class TwoLevelModel:
         return _two_level_frame(self.params, alphas)
 
     def energies(self, phasors):
-        """Both energy branches at phasors exp(i phi), continuous along them, (2, M)."""
+        """Both energy branches at phasors exp(i phi), continuous along them, (2, M).
+
+        The principal root of the squared energy w, its sign flipped after
+        each pair of roots that point apart, as np.unwrap does on arg w.
+        """
         p = self.params
         u = np.asarray(phasors, dtype=complex)
         st = math.sin(p.theta)
         ct = math.cos(p.theta)
         a = complex(p.h_z, p.d_z) * ct
         c1, c2 = _two_level_offdiag(p, u.real, u.imag)
-        w = a * a + c1 * c2 * (st * st)
-        e = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w)))
+        e = np.sqrt(a * a + c1 * c2 * (st * st))
+        apart = e.real[1:] * e.real[:-1] + e.imag[1:] * e.imag[:-1] < 0.0
+        np.negative(e[1:], out=e[1:], where=np.logical_xor.accumulate(apart))
         return np.stack([e, -e])
 
     def entry_rows(self, phasors):

@@ -13,8 +13,9 @@ frames (with ``quadrature.spectral_derivative``) for the first-order
 connection trace, the closed-form rate of the chain's
 hopping phase, dense unwrapped sampling for windings, the
 chain-only rule for a gapped chain row's start rung and node map, the
-rung-by-rung refinement that builds one frame per rung, and the RK4 step
-matrices composed on whole (2, 2, N) stacks by broadcasting.
+rung-by-rung refinement that builds one frame per rung, the RK4 step
+matrices composed on whole (2, 2, N) stacks by broadcasting, and the
+two-level energies on the branch of ``np.unwrap``.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -35,7 +36,8 @@ from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
                               Disagreement, NotConverged, PathTooCoarse)
 from berryline.models import (_MAX_SAMPLES, _TWO_PI, _chain_radicand,
-                              _radicand_extremes, band_index, loop_grid)
+                              _radicand_extremes, _two_level_offdiag,
+                              band_index, loop_grid)
 from berryline.quadrature import (spectral_derivative, tanh_sinh,
                                   trapezoid_periodic)
 
@@ -403,6 +405,23 @@ def draw_two_level(rng, sign_region):
     return TwoLevelParams(h_x=h_x, h_y=h_y, h_z=rng.uniform(-1.0, 1.0),
                           d_x=d_x, d_y=d_y, d_z=rng.uniform(-1.0, 1.0),
                           theta=rng.uniform(0.1, math.pi - 0.1))
+
+
+def unwrapped_two_level_energies(params, phasors):
+    """Both two-level energy branches at phasors exp(i phi), shape (2, M).
+
+    sqrt|w| exp(i arg_w / 2) with arg w unwrapped by ``np.unwrap`` from
+    its principal value at the first phasor: the branch rule the
+    library's principal root with sign flips must reproduce. The radicand
+    w is the library's, so only the root and its branch differ.
+    """
+    u = np.asarray(phasors, dtype=complex)
+    st = math.sin(params.theta)
+    a = complex(params.h_z, params.d_z) * math.cos(params.theta)
+    c1, c2 = _two_level_offdiag(params, u.real, u.imag)
+    w = a * a + c1 * c2 * (st * st)
+    e = np.sqrt(np.abs(w)) * np.exp(0.5j * np.unwrap(np.angle(w)))
+    return np.stack([e, -e])
 
 
 def draw_bipartite(rng, region):

@@ -269,6 +269,19 @@ def test_evolve_leakage_exits_3(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("eta, T, code, says", [
+    # a slow cycle stops at the step guard, a fast one at the loop phase
+    ("0.3", "200", 3, "the fixed step cannot follow"),
+    ("0.0", "0.25", 2, "hopping ratio 1"),
+])
+def test_evolve_at_unit_hopping_ratio_exits_with_a_typed_error(
+        capsys, eta, T, code, says):
+    got, out, err = run(capsys, "evolve", "--model", "bipartite", "--q", "1",
+                        "--eta", eta, "--T", T)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:") and says in err
+
+
 def test_evolve_state_out_of_float_range_exits_3(capsys, monkeypatch):
     def out_of_range(*args, **kwargs):
         raise AmplitudeOutOfRange("norm exp(800)", log_scale=800.0)

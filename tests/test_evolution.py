@@ -8,9 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from berryline.berry import (band_berry_phase, bipartite_phase_point,
+                             two_level_phase_point)
 from berryline.elliptic import closed_form_gamma
 from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from berryline.evolution import (_CHUNK, Schedule, _band_energy_integral,
+from berryline.evolution import (_CHUNK, Schedule, _BandEnergyIntegral,
                                  _step_matrices, adiabatic_decomposition,
                                  evolve)
 from berryline.models import (
@@ -18,9 +20,11 @@ from berryline.models import (
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    standard_loop,
 )
 from berryline.quadrature import pearson_line
-from oracles import broadcast_step_matrices, point_system, scalar_rk4
+from oracles import (broadcast_step_matrices, draw_two_level, point_system,
+                     scalar_rk4, unwrapped_two_level_energies)
 
 
 def _tl(h, d, theta):
@@ -103,6 +107,9 @@ class _Recorder:
     def __init__(self, model):
         self.model, self.at_rows, self.at_energies = model, [], []
 
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
     def entry_rows(self, phasors):
         self.at_rows.append(np.array(phasors))
         return self.model.entry_rows(phasors)
@@ -113,13 +120,23 @@ class _Recorder:
 
 
 @pytest.mark.parametrize("steps", [1000, 40000, 2 ** 17 + 3])
-def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps):
+def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     sched = Schedule(period_T=float(steps) / 10.0, steps=steps)
+    runs = []
+    phasors = Schedule.phasors
+
+    def counted(self, start, count):
+        runs.append((start, count))
+        return phasors(self, start, count)
+
+    monkeypatch.setattr(Schedule, "phasors", counted)
     recorder = _Recorder(_chain(2.0, 0.0))
-    evolve(recorder, sched, (0.6, 0.8j))
-    _band_energy_integral(recorder, sched, 0)
+    adiabatic_decomposition(recorder, sched, "plus")
+    monkeypatch.undo()
     starts = range(0, steps, _CHUNK)
-    assert len(recorder.at_rows) == len(recorder.at_energies) == len(starts)
+    # one run of phasors per chunk serves its rows and its energies
+    assert (len(runs) == len(recorder.at_rows) == len(recorder.at_energies)
+            == len(starts))
     whole = sched.phasors(0, 2 * steps + 2 * _CHUNK)
     for step0, u, e in zip(starts, recorder.at_rows, recorder.at_energies):
         j = 2 * step0
@@ -133,6 +150,48 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps):
         count = int(rng.integers(1, 2000))
         assert (sched.phasors(start, count).tobytes()
                 == whole[start:start + count].tobytes())
+
+
+@pytest.mark.parametrize("sign_region", ["positive", "negative"])
+def test_two_level_energies_take_the_unwrapped_branch(sign_region):
+    # the principal root with sign flips against the former np.unwrap
+    # form: the same branch at every sample, to rounding
+    rng = np.random.default_rng([7, sign_region == "positive"])
+    sched = Schedule(period_T=409.6, steps=4096)
+    u = sched.phasors(0, 2 * sched.steps + 1)[::2]
+    left = []
+    for _ in range(100):
+        p = draw_two_level(rng, sign_region)
+        got = TwoLevelModel(p).energies(u)
+        want = unwrapped_two_level_energies(p, u)
+        assert np.all((got * np.conj(want)).real > 0.0)
+        assert (np.abs(got - want) / np.abs(want)).max() <= 4e-15
+        # arg w leaves (-pi, pi] where the tracked root turns left of the
+        # imaginary axis
+        if (want[0].real < 0.0).any():
+            left.append(p)
+    assert len(left) >= 30
+    # a cycle of three chunks: each chunk takes the branch of its own
+    # anchor, and the seams re-match it to the branch of the whole cycle
+    sched = Schedule(period_T=7000.0, steps=2 * _CHUNK + 5000)
+    whole = sched.phasors(0, 2 * sched.steps + 1)[::2]
+    h = sched.period_T / sched.steps
+    for p in left[:4]:
+        model = TwoLevelModel(p)
+        integrals = [_BandEnergyIntegral(model, sched, b) for b in (0, 1)]
+        for step0 in range(0, sched.steps, _CHUNK):
+            m = min(_CHUNK, sched.steps - step0)
+            chunk = sched.phasors(2 * step0, 2 * m + 1)[::2]
+            want = unwrapped_two_level_energies(p, chunk)
+            got = model.energies(chunk)
+            assert np.all((got * np.conj(want)).real > 0.0)
+            assert (np.abs(got - want) / np.abs(want)).max() <= 4e-15
+            for integral in integrals:
+                integral(chunk)
+        for b, integral in enumerate(integrals):
+            e = unwrapped_two_level_energies(p, whole)[b]
+            want = h * (e.sum() - 0.5 * (e[0] + e[-1]))
+            assert abs(integral.total - want) <= 1e-13 * h * np.abs(e).sum()
 
 
 def test_evolve_constant_diagonal_matches_the_exact_exponential():
@@ -217,6 +276,34 @@ def test_evolve_is_self_convergent_under_step_refinement():
     scale = np.linalg.norm(fine)
     assert 0.0 < scale < 1e-50
     assert np.linalg.norm(coarse - fine) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("band", ["plus", "minus"])
+@pytest.mark.parametrize("model, T", [
+    # the benchmark's three loops
+    (_chain(2.0, 0.3), 64.0),
+    (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 64.0),
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 64.0),
+    (_chain(0.5, 0.2), 64.0),
+    # a gapless loop and a TYPE_I loop next to q = 1 read the closed form;
+    # only a cycle this fast keeps their state in its band
+    (_chain(1.2, 0.25), 0.25),
+    (_chain(1.000001, 5e-7), 0.25),
+])
+def test_loop_phase_is_the_point_evaluators_band_phase(model, T, band):
+    steps = max(1000, math.ceil(3.0 * T ** 1.5))
+    r = adiabatic_decomposition(model, Schedule(period_T=T, steps=steps), band)
+    p = model.params
+    point = (two_level_phase_point(p) if model.kind == "two-level"
+             else bipartite_phase_point(p.q, p.eta))
+    want = ((point.gamma_b_plus, point.xi_b_plus) if band == "plus"
+            else (point.gamma_b_minus, point.xi_b_minus))
+    assert np.array([r.gamma_g, r.xi_g]).tobytes() == np.array(want).tobytes()
+    if model.kind == "bipartite" and T < 1.0:
+        assert complex(*want) == closed_form_gamma(p.q, p.eta, band)
+    # the uniform refinement of the loop agrees within its settle slack
+    loop = standard_loop(model.kind, 4096)
+    assert abs(complex(*want) - band_berry_phase(loop, model, band)) <= 1e-9
 
 
 def test_decomposition_lossless_chain_recovers_the_loop_phase():

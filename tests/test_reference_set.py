@@ -22,8 +22,8 @@ d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 e964f1b2e67e07d8799cd3b90495f8cb3224be79f31173202ab33d664137197c
 ee622dc840da7489afbf8ffdfb80fee1a14f80c156de4ba6c78e1e50aeb086b0
 e2847f22454cc87c82c096d00bd680352e281ab133007b333d3b00d4878bf394
-5ea6a88c502a2bf79d5edd2d644e0982a2ed72ea71137bedbef0c575bdce0444
-d49c35b3dc1316c7fa68597f9aa63a52ef6b39722f92a7c5cff70f6d853d08dd
+0d7aa57a9d6bbdd9a25d66adfc2a61ba46ee76401dbeb1df840d3939a74729e2
+5e8475fdca65d9bf1e24d47fd1c2ca823da06e7862430884f6d3815c1c3075d7
 a8cf0759ad9581fcbb1082c6907fc58ca6be8d7b7723d77bb19650e72f6c1741
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
