@@ -65,8 +65,7 @@ from .models import (
     loop_grid,
     standard_loop,
 )
-from .quadrature import (MAX_PHASE_STEP, halved_verdicts, spectral_derivative,
-                         trapezoid_periodic)
+from .quadrature import MAX_PHASE_STEP, spectral_derivative, trapezoid_periodic
 from .spectrum import GAPLESS_TRUE_CROSSING, TYPE_I, classify_region
 
 _GAMMA_TOL = 1e-9     # per-band phase change under one grid doubling
@@ -174,39 +173,6 @@ def _phase_sums(loop, stack, n, stride=1):
             (trapezoid_periodic(trace, loop.period).real / _TWO_PI).tolist())
 
 
-class _PathRows:
-    """A model's eigen path as a one-row frame stack.
-
-    The BerrylineError the frame raises is the row's verdict, and
-    ``halved()`` the frame's verdict on every second sample.
-    ``dalpha``, when given, holds d alpha / dt of the grid along the loop
-    parameter t, and the connection and its trace are per unit t.
-    """
-
-    def __init__(self, eigen_path, alphas, dalpha=None):
-        self.connection = None
-        try:
-            self.path = eigen_path(alphas)
-        except BerrylineError as exc:
-            self.errors = [exc]
-            return
-        self.errors = [None]
-        self.connection = self.path.connection[:, None]
-        self.trace = self.path.trace_connection[None]
-        if dalpha is not None:
-            self.connection = self.connection * dalpha
-            self.trace = self.trace * dalpha
-
-    def kets(self, rows):
-        """Right and dual kets of the one row, each (2, 2, 1, M)."""
-        return self.path.right[:, :, None], self.path.left[:, :, None]
-
-    def halved(self):
-        """The one row's spacing verdict on every second sample, as a list."""
-        verdicts = halved_verdicts(np.stack(self.path.angles))
-        return [next(filter(None, verdicts), None)]
-
-
 def _gapless_loop(model, transition_error):
     """Refuse a loop on a singular set; whether it reads the closed form.
 
@@ -230,15 +196,17 @@ def _gapless_loop(model, transition_error):
 def _reads_closed_form(q, eta, region):
     """Whether a chain loop's band phases come from the elliptic closed form.
 
-    A gapless loop has no frame to refine. A TYPE_I loop whose radicand
-    minimum lies within 1e-8 max(1, (1 + q)^2, eta^2) of zero, as the
-    whole strip does next to q = 1, has exceptional points so near the
-    real zone that only the closed form keeps its digits there.
+    A gapless loop has no frame to refine, but one that is gapless only
+    by its tie to eta = q + 1 from above, where r(0) < 0, is TYPE_II and
+    refines its frame. A TYPE_I loop whose radicand minimum lies within
+    1e-8 max(1, (1 + q)^2, eta^2) of zero, as the whole strip does next
+    to q = 1, has exceptional points so near the real zone that only the
+    closed form keeps its digits there.
     """
+    lo, hi = _radicand_extremes(q, eta)
     if region == TYPE_I:
-        lo = _radicand_extremes(q, eta)[0]
         return lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
-    return region == GAPLESS_TRUE_CROSSING
+    return region == GAPLESS_TRUE_CROSSING and hi >= 0.0
 
 
 def _first_rung(loop):
@@ -264,8 +232,7 @@ def global_berry_phase(loop, model):
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
     return _raised(_settled_phases(
-        loop, lambda alphas, rows: _PathRows(model.eigen_path, alphas),
-        [_first_rung(loop)]))
+        loop, lambda alphas, rows: model._rows(alphas), [_first_rung(loop)]))
 
 
 def _raised(outcomes):
@@ -280,8 +247,8 @@ def _settled_phases(loop, frames, starts):
     """The refinement of gapped rows on one loop, level by level.
 
     ``frames(alphas, rows)`` is the frame stack of the listed rows on one
-    grid of the loop parameter, and row r starts at rung
-    ``starts[r]``. Each row doubles its grid until its per-band phases
+    grid of the loop parameter, a ``_ChainRows`` or a model's one-row
+    ``_rows``, and row r starts at rung ``starts[r]``. Each row doubles its grid until its per-band phases
     move by less than 1e-9 and its two Q routes agree within 1e-6; a rung
     its frame flags too coarse is discarded. The rows at the same rung go
     through one array pass (in passes of at most 2^18 samples, which
@@ -649,8 +616,7 @@ def two_level_phase_point(params, n0=1024):
     start = _first_rung(loop)
     n, beta, centre = _node_grid(_two_level_singularities(params), 2)
     return _raised(_settled_phases(
-        loop, lambda t, rows: _PathRows(model.eigen_path,
-                                        *_node_map(t, beta, centre, 2)),
+        loop, lambda t, rows: model._rows(*_node_map(t, beta, centre, 2)),
         [min(start, n)]))
 
 

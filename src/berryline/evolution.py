@@ -333,9 +333,16 @@ def adiabatic_decomposition(model, schedule, band):
     The initial state is the closed-form band eigenvector at alpha(0);
     c(t) = <lambda_band(0)|psi(t)> is projected every step and its
     argument accumulated continuously. The loop phase is this band's of
-    ``two_level_phase_point`` or ``bipartite_phase_point``, bit for bit.
+    ``two_level_phase_point`` or ``bipartite_phase_point``, bit for bit,
+    taken before any step, so a loop without one is refused before the
+    cycle runs.
     """
     b = band_index(band)
+    p = model.params
+    r = (two_level_phase_point(p) if model.kind == TWO_LEVEL
+         else bipartite_phase_point(p.q, p.eta))
+    gamma_geo = (complex(r.gamma_b_plus, r.xi_b_plus),
+                 complex(r.gamma_b_minus, r.xi_b_minus))[b]
     frame = model.eigen_path(np.array([0.0]))
     psi = frame.right[:, b, 0]
     # alpha(T) = 2 pi is one full period past alpha(0) = 0, where the
@@ -360,13 +367,6 @@ def adiabatic_decomposition(model, schedule, band):
 
     gamma_dyn = -energy.total
     strong_regime = energy.max_im_half_gap * schedule.period_T / _TWO_PI > 50.0
-
-    p = model.params
-    r = (two_level_phase_point(p) if model.kind == TWO_LEVEL
-         else bipartite_phase_point(p.q, p.eta))
-    gamma_geo = (complex(r.gamma_b_plus, r.xi_b_plus),
-                 complex(r.gamma_b_minus, r.xi_b_minus))[b]
-
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):
         psi_final = state * np.exp(log_scale)

@@ -11,13 +11,13 @@ Both families come with closed-form eigen frames built along whole loops:
 branch angles are continuously unwrapped, dual (left) vectors are paired
 so <lambda_b|psi_b'> = delta_bb' holds to roundoff, and the analytic
 parameter derivative of the frame gives each band's diagonal connection
-i<lambda_b|d psi_b> at every sample. Downstream phase integration
-consumes these paths; the chain's frame also comes as a stack of rows,
-each with its own hoppings, loss rate and momentum grid, that builds
-kets only on demand. A single point's frame is the path on a one-point
-grid,
-``model.eigen_path(np.array([alpha]))`` at index 0; its two bands are
-labelled 'plus' (index 0) and 'minus' (index 1).
+i<lambda_b|d psi_b> at every sample. Both come as stacks of rows that
+build kets only on demand, which the phase refinement reads: the chain's
+rows each have their own hoppings, loss rate and momentum grid, and a
+model's ``_rows`` is its frame as a stack of one row. ``eigen_path`` is
+the one-row view of that stack; a single point's frame is the path on a
+one-point grid, ``model.eigen_path(np.array([alpha]))`` at index 0, and
+its two bands are labelled 'plus' (index 0) and 'minus' (index 1).
 """
 
 import dataclasses
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BadResolution,
     DegenerateSpectrum,
+    PathTooCoarse,
     SingularParameters,
     TrueCrossing,
 )
@@ -233,8 +234,7 @@ class EigenPath:
     the analytic parameter derivative of the frame, and
     ``trace_connection`` their sum. ``winding_phase`` is the unwrapped
     angle whose net advance carries the topological index, and ``chi``
-    the complex mixing angle, continuous along the grid. ``angles`` are
-    the unwrapped angles whose spacing the frame checked.
+    the complex mixing angle, continuous along the grid.
     """
 
     values: np.ndarray
@@ -244,7 +244,6 @@ class EigenPath:
     trace_connection: np.ndarray
     winding_phase: np.ndarray
     chi: np.ndarray
-    angles: tuple
 
 
 def _two_level_axes(p):
@@ -313,61 +312,83 @@ def _band_connection(g, cos_chi):
     return np.stack([0.5 * g * (1.0 + cos_chi), 0.5 * g * (1.0 - cos_chi)])
 
 
-def _two_level_frame(p, phi):
-    """Two-level eigen path on a phi grid."""
-    phi = np.asarray(phi, dtype=float)
-    a_p, a_m, b_p, b_m = _two_level_axes(p)
-    amp_scale = max(1.0, abs(a_p), abs(a_m), abs(b_p), abs(b_m))
-    cphi = np.cos(phi)
-    sphi = np.sin(phi)
-    c1, c2 = _two_level_offdiag(p, cphi, sphi)
-    r_p = np.abs(c1)
-    r_m = np.abs(c2)
-    if min(r_p.min(), r_m.min()) <= 1e-12 * amp_scale:
-        raise SingularParameters(
-            "an off-diagonal amplitude vanishes at a sampled angle; the dual "
-            "frame is undefined there")
-    nu1 = unwrap_checked(np.angle(c1))
-    nu2 = unwrap_checked(np.angle(c2))
-    nu_minus = 0.5 * (nu2 - nu1)
-    nu_plus = 0.5 * (nu2 + nu1)
-    rho = np.sqrt(r_p / r_m)
-    st = math.sin(p.theta)
-    ct = math.cos(p.theta)
-    a = complex(p.h_z, p.d_z) * ct
-    b = np.sqrt(r_p * r_m) * np.exp(1j * nu_plus) * st
-    w = a * a + b * b
-    aw = np.abs(w)
-    if aw.min() <= 1e-12 * max(1.0, aw.max()):
-        raise DegenerateSpectrum(
-            "the two branches touch at a sampled angle of this loop",
-            gap=2.0 * math.sqrt(aw.min()))
-    # the square root is the principal one at the loop anchor phi = 0 (the
-    # sample nearest it) and follows the unwrapped argument from there, so
-    # the energy is continuous along the sweep and the band labels do not
-    # depend on how finely it is sampled
-    principal = np.angle(w)
-    arg_w = unwrap_checked(principal)
-    anchor = int(np.argmin(np.abs(phi)))
-    turns = round(float(arg_w[anchor] - principal[anchor]) / _TWO_PI)
-    if turns:
-        arg_w = arg_w - turns * _TWO_PI
-    e = np.sqrt(aw) * np.exp(0.5j * arg_w)
-    phase = np.exp(-1j * nu_minus)
+class _TwoLevelRows:
+    """The two-level frame on a phi grid, as a stack of one row.
 
-    dln_rp = (b_p * b_p - a_p * a_p) * sphi * cphi / (r_p * r_p)
-    dln_rm = (b_m * b_m - a_m * a_m) * sphi * cphi / (r_m * r_m)
-    d_nu1 = -a_p * b_p / (r_p * r_p)
-    d_nu2 = a_m * b_m / (r_m * r_m)
-    g = 0.5j * (dln_rp - dln_rm) + 0.5 * (d_nu2 - d_nu1)
-    u = (a + 1j * b) / e
-    arg_u = unwrap_checked(np.angle(u))
-    chi = _mixing_angle(arg_u, u)
-    right, left = _kets(chi, rho * phase, -rho * phase, phase / rho)
-    return EigenPath(
-        values=np.stack([e, -e]), right=right, left=left,
-        connection=_band_connection(g, a / e), trace_connection=g,
-        winding_phase=nu_minus, chi=chi, angles=(nu1, nu2, arg_w, arg_u))
+    The contract of ``_ChainRows``, with ``dphi`` as its ``dk``; the row's
+    error is checked in the order SingularParameters, the PathTooCoarse
+    of nu1 and of nu2, DegenerateSpectrum, then the PathTooCoarse of
+    arg w and of arg u.
+    """
+
+    def __init__(self, p, phi, dphi=None):
+        self.connection, self.errors = None, [None]
+        try:
+            self._build(p, np.asarray(phi, dtype=float), dphi)
+        except (SingularParameters, PathTooCoarse, DegenerateSpectrum) as exc:
+            self.errors = [exc]
+
+    def _build(self, p, phi, dphi):
+        a_p, a_m, b_p, b_m = _two_level_axes(p)
+        amp_scale = max(1.0, abs(a_p), abs(a_m), abs(b_p), abs(b_m))
+        cphi, sphi = np.cos(phi), np.sin(phi)
+        c1, c2 = _two_level_offdiag(p, cphi, sphi)
+        r_p, r_m = np.abs(c1), np.abs(c2)
+        if min(r_p.min(), r_m.min()) <= 1e-12 * amp_scale:
+            raise SingularParameters(
+                "an off-diagonal amplitude vanishes at a sampled angle; the "
+                "dual frame is undefined there")
+        nu1, nu2 = (unwrap_checked(np.angle(c)) for c in (c1, c2))
+        nu_minus, nu_plus = 0.5 * (nu2 - nu1), 0.5 * (nu2 + nu1)
+        a = complex(p.h_z, p.d_z) * math.cos(p.theta)
+        b = np.sqrt(r_p * r_m) * np.exp(1j * nu_plus) * math.sin(p.theta)
+        w = a * a + b * b
+        aw = np.abs(w)
+        if aw.min() <= 1e-12 * max(1.0, aw.max()):
+            raise DegenerateSpectrum(
+                "the two branches touch at a sampled angle of this loop",
+                gap=2.0 * math.sqrt(aw.min()))
+        # the square root is the principal one at the loop anchor phi = 0
+        # (the sample nearest it) and follows the unwrapped argument from
+        # there, so the energy is continuous along the sweep and the band
+        # labels do not depend on how finely it is sampled
+        principal = np.angle(w)
+        arg_w = unwrap_checked(principal)
+        anchor = int(np.argmin(np.abs(phi)))
+        turns = round(float(arg_w[anchor] - principal[anchor]) / _TWO_PI)
+        if turns:
+            arg_w = arg_w - turns * _TWO_PI
+        e = np.sqrt(aw) * np.exp(0.5j * arg_w)
+        dln_rp = (b_p * b_p - a_p * a_p) * sphi * cphi / (r_p * r_p)
+        dln_rm = (b_m * b_m - a_m * a_m) * sphi * cphi / (r_m * r_m)
+        d_nu1 = -a_p * b_p / (r_p * r_p)
+        d_nu2 = a_m * b_m / (r_m * r_m)
+        g = 0.5j * (dln_rp - dln_rm) + 0.5 * (d_nu2 - d_nu1)
+        u = (a + 1j * b) / e
+        arg_u = unwrap_checked(np.angle(u))
+        connection, trace = _band_connection(g, a / e)[:, None], g[None]
+        if dphi is not None:
+            connection, trace = connection * dphi, trace * dphi
+        self.connection, self.trace = connection, trace
+        self.s, self.winding = e[None], nu_minus[None]
+        self._chi = _mixing_angle(arg_u, u)[None]
+        self._rho = np.sqrt(r_p / r_m)[None]
+        self._phase = np.exp(-1j * nu_minus)[None]
+        self._angles = nu1, nu2, arg_w, arg_u
+
+    def chi(self, rows):
+        """The complex mixing angle of the given rows."""
+        return self._chi[rows]
+
+    def kets(self, rows):
+        """Right and dual kets of the given rows, each (2, 2, len(rows), M)."""
+        rho, phase = self._rho[rows], self._phase[rows]
+        return _kets(self._chi[rows], rho * phase, -rho * phase, phase / rho)
+
+    def halved(self):
+        """The row's first PathTooCoarse on every second sample, as a list."""
+        verdicts = halved_verdicts(np.stack(self._angles))
+        return [next(filter(None, verdicts), None)]
 
 
 class _ChainRows:
@@ -405,7 +426,7 @@ class _ChainRows:
         # energies, and leave the off-diagonal phase without a value
         cancel = mod.min(axis=-1) <= 1e-12 * np.maximum(1.0, v + v_prime)[:, 0]
         theta, coarse = unwrap_rows(np.angle(vk))
-        self.theta = -theta
+        self.winding = -theta
         self.errors = [
             TrueCrossing("the two complex energies meet at or between sampled "
                          "momenta") if cross
@@ -437,28 +458,29 @@ class _ChainRows:
 
     def kets(self, rows):
         """Right and dual kets of the given rows, each (2, 2, len(rows), M)."""
-        phase = np.exp(-1j * self.theta[rows])
+        phase = np.exp(-1j * self.winding[rows])
         return _kets(self.chi(rows), phase, -phase, phase)
 
     def halved(self):
         """Per row, None or its PathTooCoarse on every second sample."""
-        return halved_verdicts(self.theta)
+        return halved_verdicts(self.winding)
 
 
-def _bipartite_frame(p, k):
-    """Lossy-chain eigen path on a k grid: the chain stack's one row."""
-    rows = _ChainRows([p.v], [p.v_prime], [p.gamma], k)
+def _one_row(rows, centroid=None):
+    """The EigenPath of a one-row frame stack, or the row's error raised.
+
+    Row 0 is read without its row axis. The energies are ``centroid`` +-
+    ``rows.s``, half their splitting, or +- ``rows.s`` alone.
+    """
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    chi = rows.chi([0])[0]
-    phase = np.exp(-1j * rows.theta[0])
-    right, left = _kets(chi, phase, -phase, phase)
-    centroid = p.eps_a - 1j * p.gamma
-    s = rows.s[0]
+    (right, left), s = rows.kets(0), rows.s[0]
+    values = np.stack([s, -s])
     return EigenPath(
-        values=np.stack([centroid + s, centroid - s]), right=right, left=left,
-        connection=rows.connection[:, 0], trace_connection=rows.trace[0],
-        winding_phase=rows.theta[0], chi=chi, angles=(rows.theta[0],))
+        values=values if centroid is None else centroid + values,
+        right=right, left=left, connection=rows.connection[:, 0],
+        trace_connection=rows.trace[0], winding_phase=rows.winding[0],
+        chi=rows.chi(0))
 
 
 @dataclass(frozen=True)
@@ -469,7 +491,11 @@ class TwoLevelModel:
     kind: ClassVar[str] = TWO_LEVEL
 
     def eigen_path(self, alphas):
-        return _two_level_frame(self.params, alphas)
+        return _one_row(self._rows(alphas))
+
+    def _rows(self, alphas, dalpha=None):
+        """The frame on a grid of loop parameters, as a one-row stack."""
+        return _TwoLevelRows(self.params, alphas, dalpha)
 
     def energies(self, phasors):
         """Both energy branches at phasors exp(i phi), continuous along them, (2, M).
@@ -517,7 +543,13 @@ class BipartiteModel:
     kind: ClassVar[str] = BIPARTITE
 
     def eigen_path(self, alphas):
-        return _bipartite_frame(self.params, alphas)
+        p = self.params
+        return _one_row(self._rows(alphas), p.eps_a - 1j * p.gamma)
+
+    def _rows(self, alphas, dalpha=None):
+        """The frame on a grid of loop parameters, as a one-row stack."""
+        p = self.params
+        return _ChainRows([p.v], [p.v_prime], [p.gamma], alphas, dalpha)
 
     def energies(self, phasors):
         """Both energy branches at phasors exp(ik) along a grid, shape (2, M)."""

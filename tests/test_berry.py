@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from berryline import berry
+from berryline import berry, models
 from berryline.berry import (
     analytic_q,
     apply_gauge,
@@ -22,7 +23,8 @@ from berryline.elliptic import closed_form_gamma
 from berryline.errors import (BadResolution, BerrylineError,
                               DegenerateSpectrum, Disagreement, GaugeMismatch,
                               NotConverged, PathTooCoarse, SingularLoop,
-                              SingularParameters, UndefinedAtTransition)
+                              SingularParameters, TrueCrossing,
+                              UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -1086,8 +1088,7 @@ def test_a_frame_on_the_even_samples_of_a_grid_is_that_grid_s_frame():
         p = draw_two_level(rng, ("positive", "negative")[i % 2])
         _, beta, centre = _two_level_grid(p)
         frames.append((TWO_LEVEL, lambda t, m=TwoLevelModel(p), b=beta,
-                       c=centre: berry._PathRows(
-                           m.eigen_path, *berry._node_map(t, b, c, 2))))
+                       c=centre: m._rows(*berry._node_map(t, b, c, 2))))
         q, eta = draw_bipartite(rng, ("TYPE_I", "TYPE_II")[i % 2])
         _, beta, t0 = _chain_grid(q, eta)
         frames.append((BIPARTITE, lambda t, q=q, eta=eta, b=beta, c=t0:
@@ -1110,20 +1111,91 @@ def test_a_frame_on_the_even_samples_of_a_grid_is_that_grid_s_frame():
     assert compared >= 9 * refused
 
 
+def _frame_cases():
+    """Seeded (model, grid) pairs of both families, refusals included."""
+    rng = np.random.default_rng(33)
+    drawn = []
+    for i in range(48):
+        p = draw_two_level(rng, ("positive", "negative")[i % 2])
+        if i % 4 == 1:
+            # an amplitude 1e-14 to 1e-3 from its field: SingularParameters
+            # or, farther off, a too-coarse nu1 or nu2
+            name = ("d_x", "d_y")[i % 8 == 1]
+            field = abs(getattr(p, "h" + name[1:]))
+            p = dataclasses.replace(p, **{name: field * (
+                1.0 + 10.0 ** rng.uniform(-14.0, -3.0) * rng.choice((-1, 1)))})
+        elif i % 4 == 2:
+            # branches touching on a sample or between two of them
+            p = _degenerate_at(rng.choice((math.pi / 8, rng.uniform(0.0, 6.0))))
+        drawn.append(TwoLevelModel(p))
+    for i in range(48):
+        if i % 4 < 2:
+            q, eta = draw_bipartite(rng, ("TYPE_I", "TYPE_II")[i % 2])
+        elif i % 4 == 2:
+            # gapless: the energies cross between the samples
+            q = rng.uniform(0.2, 3.0)
+            eta = rng.uniform(abs(q - 1.0), q + 1.0)
+        else:
+            # next to q = 1, where the hoppings nearly cancel at k = pi
+            q, eta = 1.0 + 10.0 ** rng.uniform(-13.0, -2.0), 0.0
+        drawn.append(BipartiteModel(BipartiteParams.from_ratios(
+            q, eta, v=rng.uniform(0.5, 2.0), eps_a=rng.uniform(-1.0, 1.0))))
+    return [(model, loop_grid(standard_loop(model.kind, 16), n))
+            for model in drawn for n in (16, 64, 512)]
+
+
+def test_the_one_row_stack_and_eigen_path_are_one_frame():
+    # eigen_path is the one-row view of the stack the refinement reads:
+    # the same connection, trace and kets bit for bit, or the same
+    # refusal; the digest pins every frame's bits and every refusal's
+    # class and message, and so the order of the two-level checks
+    digest = hashlib.sha256()
+    refused = set()
+    for model, alphas in _frame_cases():
+        stack = model._rows(alphas)
+        try:
+            path = model.eigen_path(alphas)
+        except BerrylineError as exc:
+            (error,) = stack.errors
+            assert type(error) is type(exc) and str(error) == str(exc)
+            refused.add(type(exc))
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        assert stack.errors == [None]
+        assert stack.connection[:, 0].tobytes() == path.connection.tobytes()
+        assert stack.trace[0].tobytes() == path.trace_connection.tobytes()
+        for kets, ket in zip(stack.kets([0]), (path.right, path.left)):
+            assert kets[:, :, 0].tobytes() == ket.tobytes()
+        for name in ("values", "right", "left", "connection",
+                     "trace_connection", "winding_phase", "chi"):
+            digest.update(np.ascontiguousarray(getattr(path, name)).tobytes())
+        if model.kind == TWO_LEVEL:
+            # a node map scales the connection and its trace per unit t
+            dphi = 1.0 - 0.3 * np.cos(2.0 * alphas)
+            mapped = model._rows(alphas, dphi)
+            assert mapped.connection.tobytes() == (
+                stack.connection * dphi).tobytes()
+            assert mapped.trace.tobytes() == (stack.trace * dphi).tobytes()
+    assert refused == {SingularParameters, PathTooCoarse, DegenerateSpectrum,
+                       TrueCrossing}
+    assert digest.hexdigest() == (
+        "41dddb7b7fe5e73a42ee8512f6b8846a06e4b2ef454ba58319669c62fa92f5df")
+
+
 def _frame_sizes(monkeypatch):
     """The sample count of every frame built from here on, in order."""
     sizes = []
-    two_level = TwoLevelModel.eigen_path
+    two_level_rows = models._TwoLevelRows
 
-    def eigen_path(self, alphas):
-        sizes.append(len(alphas))
-        return two_level(self, alphas)
+    def two_level(p, phi, dphi=None):
+        sizes.append(len(phi))
+        return two_level_rows(p, phi, dphi)
 
     def chain_rows(v, v_prime, gamma, k, dk=None):
         sizes.append(np.shape(k)[-1])
         return _ChainRows(v, v_prime, gamma, k, dk)
 
-    monkeypatch.setattr(TwoLevelModel, "eigen_path", eigen_path)
+    monkeypatch.setattr(models, "_TwoLevelRows", two_level)
     monkeypatch.setattr(berry, "_ChainRows", chain_rows)
     return sizes
 

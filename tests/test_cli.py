@@ -172,6 +172,22 @@ def test_the_type_i_strip_next_to_the_transition_is_type_i(capsys):
     assert "closed_form" in payload
 
 
+def test_a_point_tied_to_the_outer_line_from_above_refines_as_type_ii(capsys):
+    # 1e-8 above eta = q + 1 the region keeps its tie to the line, but the
+    # loop is TYPE_II and its frame refines, where the closed form, which
+    # holds only below q + 1, once refused it
+    tied = run_json(capsys, "bipartite", "--q", "2", "--eta", "3.00000001")
+    assert tied["region"] == "GAPLESS_TRUE_CROSSING"
+    assert tied["converged"] is True and abs(tied["Q"] - 1.0) < 1e-9
+    assert "closed_form" not in tied
+    # one decade nearer the line, gamma_+ grows by the log divergence
+    # (sqrt(q) / 2) ln 10
+    apart = run_json(capsys, "bipartite", "--q", "2", "--eta", "3.0000001")
+    assert apart["region"] == "TYPE_II"
+    step = tied["gamma_plus"]["re"] - apart["gamma_plus"]["re"]
+    assert abs(step - math.sqrt(0.5) * math.log(10.0)) < 1e-6
+
+
 def test_bipartite_near_transition_exits_3(capsys):
     # 1e-9 above q = 1 the hopping zero lies too close to the real axis for
     # any rung below the cap
@@ -270,8 +286,9 @@ def test_evolve_leakage_exits_3(capsys):
 
 
 @pytest.mark.parametrize("eta, T, code, says", [
-    # a slow cycle stops at the step guard, a fast one at the loop phase
-    ("0.3", "200", 3, "the fixed step cannot follow"),
+    # the loop phase is refused before any step, on a slow cycle as on a
+    # fast one
+    ("0.3", "200", 2, "hopping ratio 1"),
     ("0.0", "0.25", 2, "hopping ratio 1"),
 ])
 def test_evolve_at_unit_hopping_ratio_exits_with_a_typed_error(

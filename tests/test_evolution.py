@@ -11,7 +11,9 @@ import pytest
 from berryline.berry import (band_berry_phase, bipartite_phase_point,
                              two_level_phase_point)
 from berryline.elliptic import closed_form_gamma
-from berryline.errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
+from berryline import evolution
+from berryline.errors import (AmplitudeOutOfRange, BandLeakage, SingularLoop,
+                              StepTooLarge, UndefinedAtTransition)
 from berryline.evolution import (_CHUNK, Schedule, _BandEnergyIntegral,
                                  _step_matrices, adiabatic_decomposition,
                                  evolve)
@@ -304,6 +306,22 @@ def test_loop_phase_is_the_point_evaluators_band_phase(model, T, band):
     # the uniform refinement of the loop agrees within its settle slack
     loop = standard_loop(model.kind, 4096)
     assert abs(complex(*want) - band_berry_phase(loop, model, band)) <= 1e-9
+
+
+@pytest.mark.parametrize("model, error", [
+    # |d_y| = |h_y|, and hopping ratio 1
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 1.0, 0.0), 1.0)), SingularLoop),
+    (_chain(1.0, 0.3), UndefinedAtTransition),
+])
+def test_a_loop_without_a_phase_is_refused_before_any_step(
+        model, error, monkeypatch):
+    def propagate(*args, **kwargs):
+        raise AssertionError("the cycle was stepped")
+
+    monkeypatch.setattr(evolution, "_propagate", propagate)
+    with pytest.raises(error):
+        adiabatic_decomposition(
+            model, Schedule(period_T=1.0, steps=16777216), "plus")
 
 
 def test_decomposition_lossless_chain_recovers_the_loop_phase():
