@@ -103,8 +103,9 @@ class GaugeCheckResult:
     The residuals are the passing slacks of the three shift laws:
     samplewise connection shift (a), per-band phase shift against 2 pi n
     (b), and index shift against the winding sum (c). ``resolution`` is
-    the first rung from ``loop.n`` at which the frame, law (a) and the
-    transformed Wilson route all held.
+    the first rung, from twice the loop's strip rung or ``loop.n`` if that
+    is smaller, at which the frame, law (a) and the transformed Wilson
+    route all held.
     """
 
     gamma_plus: complex
@@ -639,6 +640,20 @@ def bipartite_phase_point(q, eta, n0=1024):
     return _raised(_chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)]))
 
 
+def _chain_rung(q, eta):
+    """The strip rung of a chain row on its uniform momenta, capped at 32768.
+
+    That is ``_strip_rung`` of the nearest distance of
+    ``_chain_singularities``. A row with no gap to measure, at q = 0 (no
+    hopping winding) or on or between the lines eta = |1 - q| and 1 + q,
+    gives the cap; the frame refuses such a row where it has no gap.
+    """
+    rpi, r0 = _radicand_extremes(q, eta)
+    gapped = q != 0.0 and not rpi <= 0.0 <= r0
+    width = min(_chain_singularities(q, eta))[0] if gapped else 0.0
+    return min(_strip_rung(width), _MAX_SAMPLES // 2)
+
+
 def apply_gauge(loop, model, f, band_windings):
     """Apply a per-band phase gauge and verify all three shift laws.
 
@@ -648,21 +663,31 @@ def apply_gauge(loop, model, f, band_windings):
     laws checked: (a) the diagonal connection shifts samplewise by the
     derivative of f within 1e-9, by Fourier derivatives of the kets and
     exp(-i f), (b) each band phase shifts by 2 pi n within 1e-8, (c) the
-    index shifts by the winding sum within 1e-6. The grid doubles from
-    ``loop.n`` while the frame is too coarse, law (a) misses, or the new
-    index's Wilson route misses its quadrature by over 1e-6, up to 65536
-    samples. A two-level loop samples the node map of ``_node_grid``
-    at uniform nodes t, so the gauge reads f(phi(t)), still periodic in t,
-    and law (a) holds per unit t; a chain loop samples its uniform grid.
-    A declared winding that is not an integer raises ValueError.
+    index shifts by the winding sum within 1e-6. The grid doubles while
+    the frame is too coarse, law (a) misses, or the new index's Wilson
+    route misses its quadrature by over 1e-6, up to 65536 samples. It
+    starts at twice the strip rung, or at ``loop.n`` if that is smaller:
+    the trapezoid error falls like exp(-a n), but law (a) compares Fourier
+    derivatives sample by sample, whose aliasing error falls only like
+    n exp(-a n / 2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). A
+    two-level loop samples the node map of ``_node_grid`` at uniform nodes
+    t, whose rung it starts from, so the gauge reads f(phi(t)), still
+    periodic in t, and law (a) holds per unit t; a chain loop samples its
+    uniform grid from ``_chain_rung``. Every rung is anchored at
+    ``loop.samples[0]``. A declared winding that is not an integer raises
+    ValueError.
     """
     bands = ("plus", "minus")
     windings = [_check_integer(band_windings.get(name, 0),
                                f"declared winding on the {name} band")
                 for name in bands]
-    _, beta, centre = (_node_grid(_two_level_singularities(model.params), 2)
-                       if model.kind == TWO_LEVEL else (0, 0.0, 0.0))
-    n = loop.n
+    if model.kind == TWO_LEVEL:
+        rung, beta, centre = _node_grid(
+            _two_level_singularities(model.params), 2)
+    else:
+        rung, beta, centre = (
+            _chain_rung(model.params.q, model.params.eta), 0.0, 0.0)
+    n = min(loop.n, 2 * rung)
     while True:
         alphas, _ = _node_map(loop_grid(loop, n), beta, centre, 2)
         f_vals = np.stack([np.asarray(f(alphas, name), dtype=float)

@@ -345,7 +345,8 @@ def build_parser():
     s.add_argument("--band", choices=("plus", "minus", "both"),
                    default="plus",
                    help="band(s) the gauge acts on (default plus)")
-    _add_samples_flag(s, "first rung of the gauge check")
+    _add_samples_flag(s, "finest first rung of the gauge check, which "
+                         "starts at twice its strip rung where that is lower")
     s.set_defaults(func=_cmd_gauge_check)
 
     return parser

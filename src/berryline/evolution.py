@@ -52,7 +52,7 @@ _GROUP_STEPS = 4096        # steps per pass of the propagator algebra
 _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # about 1.2 s of RK4 at 14M steps/s on a 2-core x86
+_MAX_STEPS = 2 ** 24       # 1.4-1.7 s of RK4 stepping on a shared 2-core x86
 _FINE = 256                # drive phasors per row of the coarse x fine table
 
 

@@ -2,17 +2,22 @@
 
 Usage, from the repository root::
 
-    python3 tests/reference_set.py [SRC]
+    python3 tests/reference_set.py [SRC] [--dump DIR]
 
 ``SRC`` is the directory holding the ``berryline`` package (default: the
 ``src`` next to this file), so two checkouts compare with one command
-each. Every command runs in-process through ``berryline.cli.main`` with
+each. ``--dump DIR`` also writes the 14 outputs into DIR (created if
+missing) under names fixed by their place in the set, such as
+``08-gauge-check.json`` for the eighth command, so the outputs of two
+checkouts compare with ``diff -r`` and a moved digest shows what moved.
+Every command runs in-process through ``berryline.cli.main`` with
 ``SOURCE_DATE_EPOCH=0`` and ``BERRYLINE_THREADS=1``; a refactor that is
 meant to keep the output bits must leave every line unchanged. The file
 name keeps pytest from collecting it; ``test_reference_set.py`` pins the
 digests in the Tier-1 suite.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -55,31 +60,45 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(main):
-    """(sha256, label) of every reference output, run through ``main``."""
-    pairs = [(_sha(_run(main, command.split())), command)
-             for command in COMMANDS]
+def outputs(main):
+    """(file name, label, bytes) of every reference output, run through
+    ``main``."""
+    got = [(f"{i:02d}-{command.split()[0]}.json", command,
+            _run(main, command.split()))
+           for i, command in enumerate(COMMANDS, 1)]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "diagram.csv")
         _run(main, DIAGRAM.split() + ["--out", out])
-        for path, label in ((out, "CSV"), (out + ".json", "JSON sidecar")):
-            pairs.append((_sha(pathlib.Path(path).read_bytes()),
-                          f"{DIAGRAM} {label}"))
-    return pairs
+        files = ((out, "csv", "CSV"), (out + ".json", "json", "JSON sidecar"))
+        for i, (path, ext, label) in enumerate(files, len(COMMANDS) + 1):
+            got.append((f"{i:02d}-phase-diagram.{ext}", f"{DIAGRAM} {label}",
+                        pathlib.Path(path).read_bytes()))
+    return got
+
+
+def digests(main):
+    """(sha256, label) of every reference output, run through ``main``."""
+    return [(_sha(data), label) for _, label, data in outputs(main)]
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    if argv:
-        src = pathlib.Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", type=pathlib.Path,
+                        default=pathlib.Path(__file__).resolve().parent.parent
+                        / "src")
+    parser.add_argument("--dump", type=pathlib.Path, metavar="DIR")
+    args = parser.parse_args(argv)
     os.environ["SOURCE_DATE_EPOCH"] = "0"
     os.environ["BERRYLINE_THREADS"] = "1"
-    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(args.src.resolve()))
     from berryline import cli
 
-    for digest, label in digests(cli.main):
-        print(digest, label)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for name, label, data in outputs(cli.main):
+        if args.dump:
+            (args.dump / name).write_bytes(data)
+        print(_sha(data), label)
 
 
 if __name__ == "__main__":

@@ -672,9 +672,23 @@ def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
     # one rung below the cap leaves room to settle
     below = standard_loop(model.kind, 32768)
     assert global_berry_phase(below, model).resolution == 65536
-    # the gauge check takes one grid, and the gapless chain phase none
-    check = apply_gauge(at_cap, model, lambda alphas, band: 0.0 * alphas, {})
-    assert check.resolution == 65536
+    # the gauge check needs no second rung: at the cap it starts, as from
+    # any n at or above it, at twice its strip rung and settles on that
+    # one grid; the gapless chain phase takes none
+    built = []
+
+    def grid(loop, n):
+        built.append(n)
+        return loop_grid(loop, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(berry, "loop_grid", grid)
+        check = apply_gauge(at_cap, model, lambda alphas, band: 0.0 * alphas,
+                            {})
+    start = 2 * (berry._node_grid(berry._two_level_singularities(
+        model.params), 2)[0] if model.kind == TWO_LEVEL
+        else berry._chain_rung(model.params.q, model.params.eta))
+    assert built == [start] and check.resolution == start < 65536
     gapless = standard_loop(BIPARTITE, 65536)
     assert band_berry_phase(gapless, _chain(1.5, 1.0), "plus") == (
         closed_form_gamma(1.5, 1.0, "plus"))
@@ -861,6 +875,45 @@ def test_gauge_reports_the_settled_band_phases():
         for band, gamma in (("plus", r.gamma_plus), ("minus", r.gamma_minus)):
             assert abs(gamma - band_berry_phase(loop, model, band)) <= 1e-8, (
                 model, band)
+
+
+def test_the_gauge_check_reads_the_phase_points_band_phases():
+    # a second route to the untransformed numbers: the point evaluators
+    # refine on their own grids (the node map, the chain's clustered
+    # momenta) and settle to 1e-9, from whatever first rung
+    rng = np.random.default_rng(34)
+    points = [TwoLevelModel(draw_two_level(rng, style))
+              for style in ("positive", "negative") * 6]
+    points += [_chain(*draw_bipartite(rng, region))
+               for region in ("TYPE_I", "TYPE_II") * 6]
+    for i, model in enumerate(points):
+        want = (two_level_phase_point(model.params)
+                if model.kind == TWO_LEVEL
+                else bipartite_phase_point(model.params.q, model.params.eta))
+        winding = int(rng.integers(-3, 4))
+        band = ("plus", "minus", "both")[i % 3]
+        windings = {name: winding if band in (name, "both") else 0
+                    for name in ("plus", "minus")}
+        loop = standard_loop(model.kind, 1024)
+        r = apply_gauge(loop, model,
+                        lambda alphas, name: windings[name] * alphas, windings)
+        assert abs(r.gamma_plus - complex(want.gamma_b_plus,
+                                          want.xi_b_plus)) <= 1e-9, model
+        assert abs(r.gamma_minus - complex(want.gamma_b_minus,
+                                           want.xi_b_minus)) <= 1e-9, model
+        assert abs(r.q_original - want.q_index) <= 1e-9, model
+        assert r.resolution <= loop.n
+
+
+def test_a_chain_without_a_strip_rung_gauges_from_loop_n():
+    # v' = 0 leaves no zero of v_k to measure a strip from; the library
+    # takes it, and the gauge check starts where it always did
+    model = BipartiteModel(BipartiteParams(v=1.0, v_prime=0.0, gamma=0.3))
+    r = apply_gauge(standard_loop(BIPARTITE, 1024), model,
+                    lambda alphas, band: alphas if band == "plus"
+                    else 0.0 * alphas, {"plus": 1})
+    assert r.resolution == 1024
+    assert abs(r.q_new - r.q_original - 1.0) <= 1e-6
 
 
 def test_first_order_trace_cancels():

@@ -220,13 +220,23 @@ def test_gauge_check_bipartite_example(capsys):
     assert payload["residual_Q"] < 1e-6
 
 
-def test_gauge_check_in_the_gapless_region_exits_2(capsys):
-    # the energies cross between samples: no frame to gauge, at any grid
+@pytest.mark.parametrize("q, eta, message", [
+    ("1.5", "1.0", "energies meet"),
+    ("2", "1", "energies meet"),
+    ("0.5", "0.5", "energies meet"),
+    ("2", "3", "energies meet"),
+    ("0.5", "1.5", "energies meet"),
+    ("1", "0.3", "energies meet"),
+    ("1", "0", "hoppings cancel"),
+])
+def test_gauge_check_in_the_gapless_region_exits_2(capsys, q, eta, message):
+    # the energies cross between samples, or at a line or at q = 1 on one:
+    # no frame to gauge, at any grid, and the frame says so itself
     code, out, err = run(capsys, "gauge-check", "--model", "bipartite",
-                         "--q", "1.5", "--eta", "1.0")
+                         "--q", q, "--eta", eta)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "energies meet" in err
+    assert err.startswith("error:") and message in err
 
 
 def test_gauge_check_two_level_model(capsys):
@@ -602,7 +612,9 @@ def test_samples_above_the_refinement_cap_are_refused(capsys, monkeypatch,
 
 def test_a_start_at_the_cap_settles_or_is_refused(capsys):
     # one rung at the cap could never settle: the chain starts lower, the
-    # two-level refinement is refused before it runs
+    # two-level refinement is refused before it runs, and the gauge check,
+    # which needs no second rung, starts at twice its strip rung (64 here)
+    # and settles one doubling on, as from the default 1024
     payload = run_json(capsys, "bipartite", "--q", "2", "--eta", "0.3",
                        "--samples", "65536")
     assert payload["converged"] is True
@@ -614,7 +626,7 @@ def test_a_start_at_the_cap_settles_or_is_refused(capsys):
                    "so that a second rung can settle it; got 65536\n")
     payload = run_json(capsys, "gauge-check", "--model", "bipartite", "--q",
                        "2", "--eta", "0.3", "--samples", "65536")
-    assert payload["resolution"] == 65536
+    assert payload["resolution"] == 128
 
 
 @pytest.mark.parametrize("threads", ["abc", "1.5"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from berryline import berry
 from berryline.berry import apply_gauge
 from berryline.errors import NotConverged, PathTooCoarse
 from berryline.models import (TWO_LEVEL, TwoLevelModel, TwoLevelParams,
@@ -97,7 +98,8 @@ def test_spectral_derivative_anti_periodic():
 def test_a_frame_closing_on_minus_itself_keeps_gauge_law_a():
     # the ket's mixing angle and phase turn by an odd multiple of pi along
     # this sweep, so the frame comes back as minus itself; its Fourier
-    # connection is the closed-form one, and law (a) holds at loop.n
+    # connection is the closed-form one, and law (a) holds on the gauge
+    # check's first rung, twice the strip rung of its node map
     p = TwoLevelParams(h_x=2.1289621798653426, h_y=2.308069923072421,
                        h_z=0.030332767262147398, d_x=1.6809384525208386,
                        d_y=1.1383944952666627, d_z=-0.37614756542581174,
@@ -113,7 +115,8 @@ def test_a_frame_closing_on_minus_itself_keeps_gauge_law_a():
     assert np.abs(connection - path.connection[:, :-1]).max() < 1e-9
     check = apply_gauge(loop, model, lambda a, band: 2.0 * a + 0.3 * np.sin(a),
                         {"plus": 2, "minus": 2})
-    assert check.resolution == loop.n
+    rung = berry._node_grid(berry._two_level_singularities(p), 2)[0]
+    assert check.resolution == 2 * rung < loop.n
     assert check.residual_a <= 1e-9
 
 

@@ -19,8 +19,8 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 62e41b06727c27e187aea95fa26e4afca4e72e9b0328ae51026a5d17ea74c8f6
 8a2edbfc9064cee99fa99765fab956d588ca3db54aa17b4fcb37fe0c7778c32a
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
-e964f1b2e67e07d8799cd3b90495f8cb3224be79f31173202ab33d664137197c
-ee622dc840da7489afbf8ffdfb80fee1a14f80c156de4ba6c78e1e50aeb086b0
+52a744aa2d03aced308fa1e24aa5d34a5a61d89d0b3075612ca7b5424adc9233
+d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
 e2847f22454cc87c82c096d00bd680352e281ab133007b333d3b00d4878bf394
 0d7aa57a9d6bbdd9a25d66adfc2a61ba46ee76401dbeb1df840d3939a74729e2
 5e8475fdca65d9bf1e24d47fd1c2ca823da06e7862430884f6d3815c1c3075d7
