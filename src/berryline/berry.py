@@ -11,9 +11,9 @@ Every quantity here is computed twice, by routes with different failure
 modes, and results are only accepted when the routes agree:
 
   * Q by trapezoid quadrature of the connection trace, and independently
-    by a discrete Wilson loop (accumulated argument of per-band overlaps
-    between neighbouring frames, with one Richardson step from the chain
-    over every second sample to the full one).
+    by a discrete Wilson loop (the accumulated argument of per-band
+    overlaps between neighbouring frames, taken both ways round, which is
+    the winding of the right frame's determinant and so an exact integer).
   * Per-band phases by dyadically refined quadrature, accepted only when
     doubling the grid no longer moves them. The point evaluators start at
     the rung the integrand's analytic strip asks for, on loop nodes
@@ -123,36 +123,32 @@ class GaugeCheckResult:
     resolution: int
 
 
-def _wilson_q(right, left, n, stride):
-    """Accumulated overlap argument over a strided closed chain, per 2 pi.
+def _wilson_q(right, left, n):
+    """Two-sided overlap argument over the closed chain of n steps, per 4 pi.
 
-    ``right`` and ``left`` are ket stacks shaped (2, 2, ..., M); the
-    result has one value per row. The chain visits every ``stride``-th of
-    the n loop samples and closes on the sample one period past the
-    anchor. A row is NaN when any single step turns by a quarter circle or
-    more, which signals aliasing rather than a usable phase.
+    ``right`` and ``left`` are ket stacks shaped (2, 2, ..., M) whose
+    sample n closes the loop one period past the anchor; the result has
+    one value per row, the sum over bands b and steps m of
+    arg<lambda_b,m+1|psi_b,m> - arg<lambda_b,m|psi_b,m+1>, over 4 pi.
+    For a biorthonormal 2x2 frame L_m^H R_m+1 is the inverse of L_m+1^H
+    R_m, so each step's four angles add, modulo 2 pi, to 2 arg(det R_m /
+    det R_m+1): the value is the winding of det R over the loop, an
+    integer without discretisation error (Fukui, Hatsugai & Suzuki, J.
+    Phys. Soc. Jpn. 74, 1674 (2005)). That holds only where the duals
+    are the frame's, so the route reads every overlap. A row is NaN when
+    any overlap angle, ahead or behind, reaches a quarter circle, which
+    signals aliasing rather than a usable phase.
     """
-    overlaps = np.einsum("cb...m,cb...m->b...m",
-                         np.conj(left[..., stride:n + 1:stride]),
-                         right[..., :n:stride])
-    angles = np.angle(overlaps)
-    sums = angles.sum(axis=-1)
-    aliased = (np.abs(angles) >= MAX_PHASE_STEP).any(axis=(0, -1))
+    ahead, behind = (
+        np.angle(np.einsum("cb...m,cb...m->b...m", np.conj(bra), ket))
+        for bra, ket in ((left[..., 1:n + 1], right[..., :n]),
+                         (left[..., :n], right[..., 1:n + 1])))
+    aliased = ((np.abs(ahead) >= MAX_PHASE_STEP)
+               | (np.abs(behind) >= MAX_PHASE_STEP)).any(axis=(0, -1))
+    sums = (ahead - behind).sum(axis=-1)
     # accumulated from 0.0, so a sum of zeros reads +0.0
-    return np.where(aliased, math.nan, (0.0 + sums[0] + sums[1]) / _TWO_PI)
-
-
-def _wilson_extrapolated(right, left, n):
-    """Wilson-loop Q per row, one Richardson step over strides 2 and 1.
-
-    The raw arg-sum error falls off like 1/N, so 2 Q(1) - Q(2) removes
-    its leading term (Sidi, Practical Extrapolation Methods, ch. 1);
-    coarser strides need not have reached that regime yet. A row whose
-    stride-2 chain aliases keeps its raw stride-1 value, and a row whose
-    stride-1 chain aliases is NaN.
-    """
-    coarse, fine = (_wilson_q(right, left, n, stride) for stride in (2, 1))
-    return np.where(np.isnan(coarse), fine, 2.0 * fine - coarse)
+    return np.where(aliased, math.nan,
+                    (0.0 + sums[0] + sums[1]) / (2.0 * _TWO_PI))
 
 
 def _phase_sums(loop, stack, n, stride=1):
@@ -299,7 +295,7 @@ def _settled_phases(loop, frames, starts):
         if not settling:
             return
         right, left = stack.kets([i for i, _, _ in settling])
-        q_wilson = _wilson_extrapolated(right, left, n).tolist()
+        q_wilson = _wilson_q(right, left, n).tolist()
         for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
             q_q = q_quad[i]
             if not abs(q_q - q_w) <= _ROUTE_TOL:    # NaN: aliased
@@ -720,7 +716,7 @@ def apply_gauge(loop, model, f, band_windings):
             float(trapezoid_periodic(a[0] + a[1], loop.period).real / _TWO_PI)
             for a in (a_orig, a_new))
         # an aliased Wilson route is NaN and agrees with nothing
-        q_wilson = (float(_wilson_extrapolated(right[1], left[1], n))
+        q_wilson = (float(_wilson_q(right[1], left[1], n))
                     if residual_a <= 1e-9 else math.nan)
         if abs(q_new - q_wilson) <= _ROUTE_TOL or n >= _MAX_SAMPLES:
             break

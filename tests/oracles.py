@@ -31,8 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
-                             _ROUTE_TOL, BerryPhaseResult,
-                             _wilson_extrapolated)
+                             _ROUTE_TOL, BerryPhaseResult, _wilson_q)
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
                               Disagreement, NotConverged, PathTooCoarse)
 from berryline.models import (_MAX_SAMPLES, _TWO_PI, _chain_radicand,
@@ -636,7 +635,7 @@ def settled_phases(loop, frames, starts):
             if not settling:
                 continue
             right, left = stack.kets([i for i, _, _ in settling])
-            q_wilson = _wilson_extrapolated(right, left, n).tolist()
+            q_wilson = _wilson_q(right, left, n).tolist()
             for (i, row, (plus, minus)), q_w in zip(settling, q_wilson):
                 q_q = q_quad[i]
                 if not abs(q_q - q_w) <= _ROUTE_TOL:

@@ -196,12 +196,12 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(berry, "_MAX_SAMPLES", 2048)
     clean = global_berry_phase(loop, model)
     assert clean.resolution == 2048
-    wilson = berry._wilson_extrapolated
+    wilson = berry._wilson_q
     # a gapped band phase is its band of the global phase, so it refuses
     # where the global phase does
     routes = (lambda: global_berry_phase(loop, model),
               lambda: band_berry_phase(loop, model, "plus"))
-    monkeypatch.setattr(berry, "_wilson_extrapolated",
+    monkeypatch.setattr(berry, "_wilson_q",
                         lambda right, left, n: wilson(right, left, n) + 0.5)
     for route in routes:
         with pytest.raises(Disagreement,
@@ -210,7 +210,7 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
         assert err.value.values == (clean.q_index, clean.q_wilson + 0.5)
     # an aliased Wilson route (NaN) on every settled rung leaves nothing to
     # compare
-    monkeypatch.setattr(berry, "_wilson_extrapolated",
+    monkeypatch.setattr(berry, "_wilson_q",
                         lambda right, left, n: wilson(right, left, n) * math.nan)
     for route in routes:
         with pytest.raises(NotConverged, match="still moving at 2048") as err:
@@ -278,8 +278,7 @@ def test_row_stacks_reduce_to_each_rows_bits(n):
     stack = _ChainRows(v, v_prime, gamma, t - b * np.sin(t),
                        1.0 - b * np.cos(t))
     right, left = stack.kets(list(range(len(rows))))
-    strides = [berry._wilson_q(right, left, n, s) for s in (2, 1)]
-    wilson = berry._wilson_extrapolated(right, left, n)
+    wilson = berry._wilson_q(right, left, n)
     for r, (v_r, vp_r, gamma_r, b_r) in enumerate(rows):
         # a row without a map is the plain frame on k = t
         grid = (t - b_r * np.sin(t), 1.0 - b_r * np.cos(t)) if b_r else (t,)
@@ -292,21 +291,89 @@ def test_row_stacks_reduce_to_each_rows_bits(n):
         right_r, left_r = one.kets([0])
         assert right_r[:, :, 0].tobytes() == right[:, :, r].tobytes()
         assert left_r[:, :, 0].tobytes() == left[:, :, r].tobytes()
-        for s, stride in zip(strides, (2, 1)):
-            alone = berry._wilson_q(right_r[:, :, 0], left_r[:, :, 0], n,
-                                    stride)
-            assert s[r].tobytes() == alone.tobytes(), (rows[r], stride)
-        alone = berry._wilson_extrapolated(right_r[:, :, 0],
-                                           left_r[:, :, 0], n)
+        alone = berry._wilson_q(right_r[:, :, 0], left_r[:, :, 0], n)
         assert wilson[r].tobytes() == alone.tobytes(), rows[r]
     if n == 16:
-        # a row aliased at stride 2 keeps its raw stride-1 value, and one
-        # aliased at stride 1 is NaN
-        assert np.isnan(strides[0][6]) and np.isfinite(wilson[6])
-        assert wilson[6].tobytes() == strides[1][6].tobytes()
-        assert np.isnan(strides[1][3]) and np.isnan(wilson[3])
+        # a row whose overlaps turn by a quarter circle is NaN; the row that
+        # aliased only on the chain over every second sample is finite
+        assert np.isnan(wilson[3]) and np.isfinite(wilson[6])
         # the map clustered at 0 leaves the hopping zero at pi aliased
         assert isinstance(stack.errors[10], PathTooCoarse)
+
+
+def _det_r_winding(right):
+    # -(turn of arg det R from the anchor to the closure sample) / 2 pi
+    det = right[0, 0] * right[1, 1] - right[0, 1] * right[1, 0]
+    turn = np.unwrap(np.angle(det))
+    return -(turn[-1] - turn[0]) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_the_wilson_route_is_the_winding_of_det_r(n):
+    # L_m^H R_m+1 inverts L_m+1^H R_m for a biorthonormal 2x2 frame, so the
+    # two-sided overlap sum is the winding of det R, an integer at any n;
+    # seeded rows of both families, on uniform and node-mapped grids
+    rng = np.random.default_rng(35 + n)
+    stacks = []
+    for style in ("positive", "negative") * 4:
+        p = draw_two_level(rng, style)
+        _, beta, centre = _two_level_grid(p)
+        t = loop_grid(standard_loop(TWO_LEVEL, n), n)
+        stacks += [TwoLevelModel(p)._rows(*berry._node_map(t, b, centre, 2))
+                   for b in (0.0, beta)]
+    for region in ("TYPE_I", "TYPE_II") * 4:
+        q, eta = draw_bipartite(rng, region)
+        _, beta, centre = _chain_grid(q, eta)
+        t = loop_grid(standard_loop(BIPARTITE, n), n)
+        stacks += [_ChainRows([1.0], [q], [eta],
+                              *berry._node_map(t, b, centre, 1))
+                   for b in (0.0, beta)]
+    finite = 0
+    for stack in stacks:
+        if stack.errors[0] is not None:
+            continue
+        right, left = stack.kets([0])
+        value = float(berry._wilson_q(right, left, n)[0])
+        if math.isnan(value):
+            continue
+        finite += 1
+        assert abs(value - _det_r_winding(right[:, :, 0])) <= 1e-12
+        assert abs(value - round(value)) <= 1e-12
+        # the route reads the duals: one band's dual turned at the anchor
+        # sample moves it (a turn at an inner sample enters the step ahead
+        # and the step behind alike, and cancels)
+        for band in (0, 1):
+            turned = left.copy()
+            turned[:, band, 0, 0] *= cmath.exp(0.3j)
+            moved = float(berry._wilson_q(right, turned, n)[0])
+            assert math.isnan(moved) or abs(moved - value) >= 1e-3
+    assert finite >= 3 * len(stacks) // 4
+
+
+@pytest.mark.parametrize("values, resolution", [
+    ((2.169933963714578, 2.161127330581359, -0.7813041333894652,
+      3.549725502686595, 3.5545730796666697, 0.15838242074274222,
+      2.949570833832275), 32),
+    ((0.6940513268525285, 0.6490620542373811, 0.6651238832643913,
+      2.7309423542622016, 2.413789918420177, 0.2338680082679383,
+      0.2798115437289287), 64),
+])
+def test_a_two_level_point_settles_with_its_phases(values, resolution):
+    # both points' band phases settle long before 512 samples, and the
+    # Wilson route, the winding of det R, lets them stop there
+    p = TwoLevelParams(*values)
+    r = two_level_phase_point(p)
+    assert r.resolution == resolution
+    assert abs(r.q_wilson - 1.0) <= 1e-12
+    _, beta, centre = _two_level_grid(p)
+    loop = standard_loop(TWO_LEVEL, 1024)
+    stack = TwoLevelModel(p)._rows(
+        *berry._node_map(loop_grid(loop, 512), beta, centre, 2))
+    fine = trapezoid_periodic(stack.connection[:, 0, :512], loop.period)
+    got = (complex(r.gamma_b_plus, r.xi_b_plus),
+           complex(r.gamma_b_minus, r.xi_b_minus))
+    for band in (0, 1):
+        assert abs(got[band] - fine[band]) <= 1e-12, band
 
 
 def test_global_phase_spec_points():
@@ -764,8 +831,8 @@ def test_an_aliased_gauge_wilson_route_is_refused(monkeypatch):
     model = _chain(2.0, 0.3)
     loop = standard_loop(BIPARTITE, 1024)
     zero = lambda alphas, band: np.zeros_like(alphas)
-    wilson = berry._wilson_extrapolated
-    monkeypatch.setattr(berry, "_wilson_extrapolated",
+    wilson = berry._wilson_q
+    monkeypatch.setattr(berry, "_wilson_q",
                         lambda right, left, n: wilson(right, left, n) * math.nan)
     with pytest.raises(Disagreement, match="transformed index") as err:
         apply_gauge(loop, model, zero, {})

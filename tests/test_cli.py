@@ -69,8 +69,8 @@ def test_two_level_q_settles_next_to_an_exceptional_point(capsys):
 
 
 def test_two_level_q_settles_where_the_coarse_wilson_strides_lag(capsys):
-    # the Wilson chains over every 8th and 4th sample have not reached their
-    # 1/N error here; one Richardson step over strides 2 and 1 settles
+    # Wilson chains over every 8th and 4th sample lag the quadrature here;
+    # the stride-1 two-sided route is the winding of det R, exact at any n
     values = (2.4861593476389867, 1.7291616806604981, -0.870617648948008,
               5.276805187410267, 0.47488934414198636, -0.8525002331389908,
               2.6471595184258714)
