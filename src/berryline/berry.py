@@ -134,10 +134,11 @@ def _wilson_q(right, left, n):
     R_m, so each step's four angles add, modulo 2 pi, to 2 arg(det R_m /
     det R_m+1): the value is the winding of det R over the loop, an
     integer without discretisation error (Fukui, Hatsugai & Suzuki, J.
-    Phys. Soc. Jpn. 74, 1674 (2005)). That holds only where the duals
-    are the frame's, so the route reads every overlap. A row is NaN when
-    any overlap angle, ahead or behind, reaches a quarter circle, which
-    signals aliasing rather than a usable phase.
+    Phys. Soc. Jpn. 74, 1674 (2005)). The duals count only up to a phase
+    per sample: turning one at an inner sample moves an angle ahead and
+    one behind alike, which cancel; a turn at the anchor or closure moves
+    the value. A row is NaN when any overlap angle, ahead or behind,
+    reaches a quarter circle, which signals aliasing, not a usable phase.
     """
     ahead, behind = (
         np.angle(np.einsum("cb...m,cb...m->b...m", np.conj(bra), ket))

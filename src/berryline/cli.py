@@ -238,6 +238,8 @@ def _cmd_evolve(args):
         "strong_regime": report.strong_regime,
         "leak_ratio": report.leak_ratio,
         "psi_final": list(report.psi_final),
+        "psi_unit": list(report.psi_unit),
+        "log_norm": report.log_norm,
     }
 
 

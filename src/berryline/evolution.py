@@ -8,22 +8,19 @@ lost. The report splits it into a dynamical part (minus the time integral
 of the band energy) plus the loop phase of the family's point evaluator,
 and states the leftover defect openly instead of hiding it.
 
-One kernel steps both ``evolve`` and the decomposition. Each RK4 step of
-the linear equation is a 2x2 matrix; per streamed chunk of m steps all of
-them are built at once and split into about 2 sqrt(m) blocks. The model's
-entry rows come once per chunk, at the drive phasors exp(i alpha) of the
-half-step grid of all its blocks. Each phasor is one product of a coarse
-and a fine table entry (``Schedule.phasors``), so a chunk takes about 256
-+ 2 m / 256 cosines and sines, not 2 (2 m + 1); the decomposition reads
-its band energies at the even points of the same phasors. The rows are
-scaled in place (and conjugated, for a dual run); the step matrices are
-then composed entry by entry on strided 1-D rows of them, a few thousand
-steps per pass. Running products within the blocks come vectorized
-across blocks, a walk over the block products gives each block's start,
-and then every per-step state at once feeds the growth guard, the
-records and the branch of c(t). Products are renormalized every 16 steps
-and states at each block start, the scale kept as a running log, so no
-cycle underflows or overflows in the kernel.
+One kernel steps both ``evolve`` and the decomposition. Each RK4 step is
+a 2x2 matrix; both families' entries are affine in the drive phasor u =
+exp(i alpha), so it is a Laurent polynomial in u, its coefficients
+composed once per cycle from the entries at u = 1, i and -1. Per chunk
+of m steps in about 2 sqrt(m) blocks, each matrix entry takes two Horner
+chains at its step's phasor, one product of a coarse and a fine table
+entry (``Schedule.phasors``), where the decomposition reads its band
+energies too. Running products within the blocks come vectorized across
+blocks, a walk over the block products gives each block's start, and
+then every per-step state at once feeds the growth guard, the records
+and the branch of c(t). Products are renormalized every 16 steps and
+states at each block start, the scale kept as a running log, so no cycle
+underflows or overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -47,12 +44,11 @@ from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
 from .models import _TWO_PI, TWO_LEVEL, _check_integer, band_index
 from .berry import bipartite_phase_point, two_level_phase_point
 
-_CHUNK = 1 << 15           # steps per streamed chunk of matrix entries
-_GROUP_STEPS = 4096        # steps per pass of the propagator algebra
+_CHUNK = 1 << 15           # steps per streamed chunk of step matrices
 _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # 1.4-1.7 s of RK4 stepping on a shared 2-core x86
+_MAX_STEPS = 2 ** 24       # 0.55-0.95 s of RK4 stepping on a shared 2-core x86
 _FINE = 256                # drive phasors per row of the coarse x fine table
 
 
@@ -87,19 +83,19 @@ class Schedule:
                 "per unit time")
 
     def phasors(self, start, count):
-        """Drive phasors exp(i alpha_j) at half steps start <= j < start + count.
+        """Drive phasors exp(i alpha_n) at steps start <= n < start + count.
 
-        alpha_j = pi j / steps is the drive at t = j h / 2. Each phasor is
-        one product coarse[J] fine[r] for j = J S + r and S = _FINE, so a
+        alpha_n = 2 pi n / steps is the drive at t = n h. Each phasor is
+        one product coarse[J] fine[r] for n = J S + r and S = _FINE, so a
         run of count phasors takes about S + count / S cosines and sines.
-        The product depends on j alone: any run is the same slice of the
+        The product depends on n alone: any run is the same slice of the
         whole-cycle grid, bit for bit.
         """
         n = self.steps
         top = np.arange(start // _FINE, (start + count - 1) // _FINE + 1)
-        # J S reduced into [-n, n) in integers, so its angle is within pi
-        coarse = np.exp(1j * (((top * _FINE + n) % (2 * n) - n) * (math.pi / n)))
-        fine = np.exp(1j * (np.arange(_FINE) * (math.pi / n)))
+        # 2 J S reduced into [-n, n) in integers, so its angle is within pi
+        coarse = np.exp(1j * (((2 * _FINE * top + n) % (2 * n) - n) * (math.pi / n)))
+        fine = np.exp(1j * (np.arange(0, 2 * _FINE, 2) * (math.pi / n)))
         first = start - int(top[0]) * _FINE
         return (coarse[:, None] * fine).ravel()[first:first + count]
 
@@ -113,10 +109,13 @@ class EvolutionReport:
     phase computed independently, ``defect`` the modulus of what is left
     over. ``strong_regime`` marks runs too lossy for the weak-coupling
     adiabatic picture and ``leak_ratio`` the final relative weight in the
-    other band.
+    other band. The final state is ``psi_unit`` exp(``log_norm``); as
+    floats, ``psi_final`` reads zero or non-finite outside the float range.
     """
 
     psi_final: np.ndarray
+    psi_unit: np.ndarray
+    log_norm: float
     total_phase: complex
     gamma_d: float
     xi_d: float
@@ -134,48 +133,63 @@ def _apply(a, x):
     return y
 
 
-def _product(a, x):
-    """Entries (00, 01, 10, 11) of the 2x2 product a x.
+def _times(a, b):
+    """Product of centred (k, 2, 2) Laurent stacks in u; ``a`` has degree one."""
+    out = np.zeros((len(b) + 2, 2, 2), dtype=complex)
+    np.add.at(out, np.arange(len(b)) + np.arange(3)[:, None],
+              np.einsum("irk,jkc->ijrc", a, b))
+    return out
 
-    Each is a_i0 x_0j + a_i1 x_1j, summed in that order.
+
+def _step_polynomial(model, schedule, dual):
+    """RK4 step matrix M(u) = sum_j C_j u^j in the drive phasor u: C_-4 .. C_4.
+
+    Entries affine in u give H(u) = H_- / u + H_0 + H_+ u, read at u = 1,
+    i, -1 (a dual run's adjoint swaps H_-+ for their conjugate transposes).
+    P, Q, R, the entries times -i h/2 at t_n, t_n + h/2, t_n + h, are P(u),
+    P(u w), P(u w^2) for w = exp(i pi / steps), so M = (P + 2 x2 + x3 + R
+    x3) / 3 with x2 = I + Q (I + P) and x3 = I + 2 Q x2.
     """
-    a00, a01, a10, a11 = a
-    x00, x01, x10, x11 = x
-    y = [a00 * x00, a00 * x01, a10 * x00, a10 * x01]
-    for e, z in zip(y, (a01 * x10, a01 * x11, a11 * x10, a11 * x11)):
-        e += z
-    return y
+    e1, ei, em = model.entry_rows(np.array([1.0, 1j, -1.0])).T.reshape(3, 2, 2)
+    h0, odd = 0.5 * (e1 + em), 0.5 * (e1 - em)   # odd = H_+ + H_-
+    even = -1j * (ei - h0)                       # H_+ - H_-
+    p = np.stack([0.5 * (odd - even), h0, 0.5 * (odd + even)])
+    p = np.conj(p.transpose(0, 2, 1))[::-1] if dual else p
+    p *= -0.5j * schedule.period_T / schedule.steps
+    w = np.exp((1j * math.pi / schedule.steps) * np.arange(-1, 2))[:, None, None]
+    q, eye = p * w, np.eye(2)
+    x2 = _times(q, p)
+    x2[1:4] += q
+    x2[2] += eye
+    x3 = 2.0 * _times(q, x2)
+    x3[3] += eye
+    m = _times(q * w, x3)
+    m[1:8] += x3
+    m[2:7] += 2.0 * x2
+    m[3:6] += p
+    return m * (1.0 / 3.0)
 
 
-def _step_matrices(seg, out):
-    """RK4 step matrices of a run of blocks, written into ``out``.
+def _laurent(c, u):
+    """Matrices sum_j c[d + j] u^j, |j| <= d, at phasors u (L, n): (L, 2, 2, n).
 
-    ``seg`` holds the rows (h11, h12, h21, h22), times -i h/2, on the
-    2 N + 1 half-step points of N steps; ``out`` has shape (length, 2, 2,
-    N / length) and takes the matrix of step n = b * length + k at [k, :,
-    :, b]. With P, Q, R the entries at t_n, t_n + h/2, t_n + h, M = (P +
-    2 x2 + x3 + R x3) / 3 for x2 = I + Q (I + P) and x3 = I + 2 Q x2,
-    composed entry by entry on strided 1-D rows, in the operation order of
-    the 2x2 matrix products.
+    Horner chains per entry in u and conj(u) = 1/u, from the top nonzero term.
     """
-    p = [e[:-1:2] for e in seg]
-    q = [e[1::2] for e in seg]
-    r = [e[2::2] for e in seg]
-    # I's zeros are added too: they turn -0 into +0, as a matrix sum does
-    eye = (1.0, 0.0, 0.0, 1.0)
-    x2 = _product(q, [e + one for e, one in zip(p, eye)])
-    for e, one in zip(x2, eye):
-        e += one
-    x3 = _product(q, x2)
-    for e, one in zip(x3, eye):
-        np.multiply(2.0, e, out=e)
-        e += one
-    for k, (e, e3, e2, ep) in enumerate(zip(_product(r, x3), x3, x2, p)):
-        e += e3
-        e += 2.0 * e2
-        e += ep
-        np.multiply(e.reshape(-1, out.shape[0]), 1.0 / 3.0,
-                    out=out[:, k >> 1, k & 1].T)
+    out = np.empty((len(u), 2, 2, u.shape[1]), dtype=complex)
+    d, ubar = len(c) // 2, np.conj(u)
+    for k, row in enumerate(c.reshape(-1, 4).T.tolist()):
+        entry = out[:, k >> 1, k & 1]
+        entry[...] = row[d]
+        for z, chain in ((u, row[:d:-1]), (ubar, row[:d])):
+            while chain and chain[0] == 0:
+                chain = chain[1:]
+            if chain:
+                t = chain[0] * z
+                for cj in chain[1:]:
+                    t += cj
+                    t *= z
+                entry += t
+    return out
 
 
 @np.errstate(all="ignore")
@@ -186,7 +200,7 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
     ``record_every`` steps. ``energies``, if given, takes each chunk's
-    drive phasors at its integer steps, the even half steps. Raises
+    drive phasors at its steps and at the step that ends it. Raises
     StepTooLarge at the first step that grows the squared norm a
     hundredfold, leaves it without a finite value, or turns c over 1.5 rad.
     """
@@ -194,27 +208,17 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     h = schedule.period_T / steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
     records = None if record_every is None else [(0.0, state.copy())]
+    poly = _step_polynomial(model, schedule, dual)
     for step0 in range(0, steps, _CHUNK):
         m = min(_CHUNK, steps - step0)
-        # M[k, :, :, b] steps n = b * length + k; the entries come on the
-        # half-step grid of all nblocks blocks, and padding steps get M = I
+        # M[k, :, :, b] steps n = b * length + k, read off the phasors of
+        # all nblocks blocks; padding steps get M = I
         length = math.isqrt(m // 4) + 1
         nblocks = -(-m // length)
-        u = schedule.phasors(2 * step0, 2 * length * nblocks + 1)
+        u = schedule.phasors(step0, length * nblocks + 1)
         if energies is not None:
-            energies(u[:2 * m + 1:2])
-        ent = model.entry_rows(u)
-        rows = list(ent)
-        if dual:
-            # adjoint: conjugate entries, swap the off-diagonal pair
-            np.conjugate(ent, out=ent)
-            rows[1], rows[2] = rows[2], rows[1]
-        np.multiply(ent, -0.5j * h, out=ent)
-        mats = np.empty((length, 2, 2, nblocks), dtype=complex)
-        group = max(1, _GROUP_STEPS // length)
-        for b0 in range(0, nblocks, group):
-            seg = slice(2 * b0 * length, 2 * (b0 + group) * length + 1)
-            _step_matrices([e[seg] for e in rows], mats[..., b0:b0 + group])
+            energies(u[:m + 1])
+        mats = _laurent(poly, u[:-1].reshape(nblocks, length).T.copy())
         mats[m - (nblocks - 1) * length:, :, :, -1] = np.eye(2)
         norms = []   # in place: mats[k] becomes M_k ... M_0 of its block
         for k in range(1, length):
@@ -370,8 +374,10 @@ def adiabatic_decomposition(model, schedule, band):
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):
         psi_final = state * np.exp(log_scale)
+    norm = float(np.linalg.norm(state))
     return EvolutionReport(
-        psi_final=psi_final, total_phase=total_phase,
+        psi_final=psi_final, psi_unit=state / norm,
+        log_norm=log_scale + math.log(norm), total_phase=total_phase,
         gamma_d=float(gamma_dyn.real), xi_d=float(gamma_dyn.imag),
         gamma_g=float(gamma_geo.real), xi_g=float(gamma_geo.imag),
         defect=float(defect), strong_regime=bool(strong_regime),

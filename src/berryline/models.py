@@ -517,8 +517,8 @@ class TwoLevelModel:
     def entry_rows(self, phasors):
         """Matrix entries (h11, h12, h21, h22) at phasors exp(i phi).
 
-        They come as a fresh (4, M) array, the caller's to overwrite: the
-        evolution kernel scales it in place.
+        A fresh (4, M) array, the caller's to overwrite, affine in cos phi and
+        sin phi: the evolution kernel reads its terms at phi = 0, pi/2, pi.
         """
         p = self.params
         u = np.asarray(phasors, dtype=complex)
@@ -563,8 +563,8 @@ class BipartiteModel:
     def entry_rows(self, phasors):
         """Bloch matrix entries (h11, h12, h21, h22) at phasors exp(ik).
 
-        They come as a fresh (4, M) array, the caller's to overwrite: the
-        evolution kernel scales it in place.
+        A fresh (4, M) array, the caller's to overwrite, affine in cos k and
+        sin k: the evolution kernel reads its terms at k = 0, pi/2 and pi.
         """
         p = self.params
         u = np.asarray(phasors, dtype=complex)

@@ -492,10 +492,10 @@ def _apply(a, x):
 def broadcast_step_matrices(seg):
     """RK4 step matrices M[:, :, n] of the (4, 2 N + 1) entry rows ``seg``.
 
-    The composition of ``evolution._step_matrices``, M = (P + 2 x2 + x3 +
-    R x3) / 3 with x2 = I + Q (I + P) and x3 = I + 2 Q x2, but on whole
-    (2, 2, N) stacks with I broadcast, so each product and sum is one
-    numpy call over all four entries.
+    The composition M = (P + 2 x2 + x3 + R x3) / 3 with x2 = I + Q (I +
+    P) and x3 = I + 2 Q x2 of the rows at t_n, t_n + h/2 and t_n + h, on
+    whole (2, 2, N) stacks with I broadcast: the reference for the step
+    polynomial of ``evolution._step_polynomial``.
     """
     p, q, r = (e.reshape(2, 2, -1)
                for e in (seg[:, :-1:2], seg[:, 1::2], seg[:, 2::2]))
@@ -511,9 +511,9 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
 
     Steps psi one classical 4th-order step at a time in plain Python
     complex arithmetic, with the same stability guards as the library's
-    blocked kernel. Its ``model.entry_rows`` come on the same half-step
-    grid, but by another route: cosines and sines of the drive angle
-    (t / T) 2 pi, not the kernel's table of phasors.
+    blocked kernel. Its ``model.entry_rows`` come on the half-step grid,
+    from cosines and sines of the drive angle (t / T) 2 pi, where the
+    kernel evaluates its step polynomial at a table of phasors.
     Without ``project`` the state is never rescaled; with ``project`` =
     (l0, l1) it also tracks the branch of c = l0 a + l1 b stepwise and
     renormalizes every 16 steps. Returns (psi, log_scale, turn, records)

@@ -279,6 +279,24 @@ def test_evolve_bipartite_cycle(capsys):
     assert payload["leak_ratio"] < 0.01
     assert payload["strong_regime"] is False
     assert len(payload["psi_final"]) == 2
+    # the printed state is the unit state times exp(log_norm)
+    final, unit = ([complex(z["re"], z["im"]) for z in payload[key]]
+                   for key in ("psi_final", "psi_unit"))
+    scale = math.exp(payload["log_norm"])
+    assert all(abs(f - u * scale) <= 1e-12 * abs(f) for f, u in zip(final, unit))
+
+
+@pytest.mark.parametrize("band", ["plus", "minus"])
+def test_evolve_prints_the_norm_of_an_underflowed_state(capsys, band):
+    # the state decays as about exp(-0.3 T): psi_final underflows to
+    # zeros, and the unit state and its log norm keep it
+    payload = run_json(capsys, "evolve", "--model", "bipartite", "--q", "2",
+                       "--eta", "0.3", "--T", "10000", "--band", band)
+    assert all(z == {"re": 0, "im": 0} for z in payload["psi_final"])
+    unit = [complex(z["re"], z["im"]) for z in payload["psi_unit"]]
+    assert all(math.isfinite(abs(z)) for z in unit)
+    assert abs(math.hypot(*map(abs, unit)) - 1.0) <= 1e-15
+    assert abs(payload["log_norm"] + 3000.0) < 3.0
 
 
 def test_evolve_rejects_thin_stepping(capsys):

@@ -15,8 +15,8 @@ from berryline import evolution
 from berryline.errors import (AmplitudeOutOfRange, BandLeakage, SingularLoop,
                               StepTooLarge, UndefinedAtTransition)
 from berryline.evolution import (_CHUNK, Schedule, _BandEnergyIntegral,
-                                 _step_matrices, adiabatic_decomposition,
-                                 evolve)
+                                 _laurent, _step_polynomial,
+                                 adiabatic_decomposition, evolve)
 from berryline.models import (
     BipartiteModel,
     BipartiteParams,
@@ -57,7 +57,7 @@ def test_schedule_rejects_bad_periods_and_paths():
 
 
 def test_schedule_refuses_unbounded_and_non_integer_step_counts():
-    # 2^24 steps is about 1.2 s of RK4; a count past it would run on
+    # 2^24 steps is under a second of RK4; a count past it would run on
     # without bound as T grows, and a fractional count used to truncate
     assert Schedule(period_T=1.0, steps=2 ** 24).steps == 2 ** 24
     assert Schedule(period_T=1.0, steps=np.int64(1000)).steps == 1000
@@ -73,32 +73,33 @@ def test_schedule_refuses_unbounded_and_non_integer_step_counts():
 
 
 def test_schedule_default_path_is_linear_over_one_turn():
-    # half step j is at t = j h / 2, so the drive reaches a quarter turn at
-    # j = steps / 2 and closes the turn at j = 2 steps
+    # step n is at t = n h, so the drive reaches a quarter turn at
+    # n = steps / 4 and closes the turn at n = steps
     sched = Schedule(period_T=8.0, steps=1000)
-    u = sched.phasors(0, 2001)
+    u = sched.phasors(0, 1001)
     assert u[0] == 1.0
     ulp = np.spacing(1.0)
-    for j, want in ((500, 1j), (2000, 1.0)):
+    for j, want in ((250, 1j), (1000, 1.0)):
         assert abs(u[j].real - want.real) <= 2 * ulp
         assert abs(u[j].imag - want.imag) <= 2 * ulp
 
 
 @pytest.mark.parametrize("steps, start, stop, stride", [
+    # two whole turns: the step index is reduced into one turn in integers
     (1000, 0, 2001, 1),
     (10240, 0, 20481, 1),
     # a stride prime to the table's 256 columns meets every fine phasor
     # and every coarse row
     (278000, 0, 556001, 13),
-    # the last chunk of the longest cycle: 65703 half steps, the last 167
-    # of them padding past the end of the cycle
+    # the last 65536 steps of the longest cycle's second turn and 167
+    # steps past its end
     (2 ** 24, 2 * (2 ** 24 - 2 ** 15), 2 ** 25 + 167, 5),
 ])
 def test_schedule_phasors_match_the_exact_drive(steps, start, stop, stride):
     u = Schedule(period_T=1.0, steps=steps).phasors(start, stop - start)
     j = np.arange(start, stop, stride)
     with mpmath.workprec(80):
-        want = np.array([complex(mpmath.expjpi(mpmath.mpf(i) / steps))
+        want = np.array([complex(mpmath.expjpi(mpmath.mpf(2 * i) / steps))
                          for i in j.tolist()])
     assert np.abs(u[j - start] - want).max() <= 1.5e-15
 
@@ -124,31 +125,41 @@ class _Recorder:
 @pytest.mark.parametrize("steps", [1000, 40000, 2 ** 17 + 3])
 def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     sched = Schedule(period_T=float(steps) / 10.0, steps=steps)
-    runs = []
+    runs, at_steps = [], []
     phasors = Schedule.phasors
 
     def counted(self, start, count):
         runs.append((start, count))
         return phasors(self, start, count)
 
+    def recorded(c, u):
+        at_steps.append(u.T.ravel())
+        return _laurent(c, u)
+
     monkeypatch.setattr(Schedule, "phasors", counted)
+    monkeypatch.setattr(evolution, "_laurent", recorded)
     recorder = _Recorder(_chain(2.0, 0.0))
     adiabatic_decomposition(recorder, sched, "plus")
     monkeypatch.undo()
+    # the entry rows are read once per cycle, at the phasors 1, i and -1
+    assert len(recorder.at_rows) == 1
+    assert recorder.at_rows[0].tolist() == [1.0, 1j, -1.0]
     starts = range(0, steps, _CHUNK)
-    # one run of phasors per chunk serves its rows and its energies
-    assert (len(runs) == len(recorder.at_rows) == len(recorder.at_energies)
+    # one run of phasors per chunk serves its matrices and its energies
+    assert (len(runs) == len(at_steps) == len(recorder.at_energies)
             == len(starts))
-    whole = sched.phasors(0, 2 * steps + 2 * _CHUNK)
-    for step0, u, e in zip(starts, recorder.at_rows, recorder.at_energies):
-        j = 2 * step0
-        assert u.tobytes() == whole[j:j + u.size].tobytes()
-        # the energies read the integer steps, the even half steps
-        assert e.size == min(_CHUNK, steps - step0) + 1
-        assert e.tobytes() == whole[j:j + 2 * e.size:2].tobytes()
+    whole = sched.phasors(0, steps + _CHUNK)
+    for step0, u, e in zip(starts, at_steps, recorder.at_energies):
+        m = min(_CHUNK, steps - step0)
+        # the matrices read every step of the chunk's blocks, padding too
+        assert m <= u.size < m + math.isqrt(m)
+        assert u.tobytes() == whole[step0:step0 + u.size].tobytes()
+        # the energies read its steps and the one that ends it
+        assert e.size == m + 1
+        assert e.tobytes() == whole[step0:step0 + e.size].tobytes()
     # and any run of the grid is its slice, wherever it starts
     rng = np.random.default_rng(5)
-    for start in rng.integers(0, 2 * steps, 20).tolist():
+    for start in rng.integers(0, steps, 20).tolist():
         count = int(rng.integers(1, 2000))
         assert (sched.phasors(start, count).tobytes()
                 == whole[start:start + count].tobytes())
@@ -160,7 +171,7 @@ def test_two_level_energies_take_the_unwrapped_branch(sign_region):
     # form: the same branch at every sample, to rounding
     rng = np.random.default_rng([7, sign_region == "positive"])
     sched = Schedule(period_T=409.6, steps=4096)
-    u = sched.phasors(0, 2 * sched.steps + 1)[::2]
+    u = sched.phasors(0, sched.steps + 1)
     left = []
     for _ in range(100):
         p = draw_two_level(rng, sign_region)
@@ -176,14 +187,14 @@ def test_two_level_energies_take_the_unwrapped_branch(sign_region):
     # a cycle of three chunks: each chunk takes the branch of its own
     # anchor, and the seams re-match it to the branch of the whole cycle
     sched = Schedule(period_T=7000.0, steps=2 * _CHUNK + 5000)
-    whole = sched.phasors(0, 2 * sched.steps + 1)[::2]
+    whole = sched.phasors(0, sched.steps + 1)
     h = sched.period_T / sched.steps
     for p in left[:4]:
         model = TwoLevelModel(p)
         integrals = [_BandEnergyIntegral(model, sched, b) for b in (0, 1)]
         for step0 in range(0, sched.steps, _CHUNK):
             m = min(_CHUNK, sched.steps - step0)
-            chunk = sched.phasors(2 * step0, 2 * m + 1)[::2]
+            chunk = sched.phasors(step0, m + 1)
             want = unwrapped_two_level_energies(p, chunk)
             got = model.energies(chunk)
             assert np.all((got * np.conj(want)).real > 0.0)
@@ -412,6 +423,26 @@ class _BurstDrive:
         return np.stack([diag, zero, zero, diag])
 
 
+def _half_step_kernel(monkeypatch, drive, schedule):
+    """Make the kernel step ``drive``, which is not affine in the phasor.
+
+    Its step matrices become the broadcast composition of its entry rows
+    on the half-step grid of each chunk's integer-step phasors u: u, u w
+    and the next step's u w^2, for the half-step turn w.
+    """
+    h = schedule.period_T / schedule.steps
+    w = np.exp(1j * math.pi / schedule.steps)
+
+    def step_matrices(c, u):
+        flat = u.T.ravel()
+        half = np.empty(2 * flat.size + 1, dtype=complex)
+        half[:-1:2], half[1::2], half[-1] = flat, flat * w, flat[-1] * w * w
+        mats = broadcast_step_matrices(drive.entry_rows(half) * (-0.5j * h))
+        return mats.reshape(2, 2, u.shape[1], len(u)).transpose(3, 0, 1, 2)
+
+    monkeypatch.setattr(evolution, "_laurent", step_matrices)
+
+
 @pytest.mark.parametrize("T, dual", [(1300.0, False), (2048.0, False),
                                      (2420.0, False), (1300.0, True),
                                      (2048.0, True)])
@@ -437,12 +468,14 @@ def test_evolve_refuses_states_outside_the_float_range(T, dual):
     assert abs(info.value.log_scale - rate * T) < 3.0
 
 
-def test_growth_guard_stays_live_after_the_state_leaves_the_float_range():
+def test_growth_guard_stays_live_after_the_state_leaves_the_float_range(
+        monkeypatch):
     # by t = 1500 psi is ~1e-326, below the float range: the unscaled
     # oracle sees a zero squared norm and lets the burst through
     sched = Schedule(period_T=2000.0, steps=20000)
     drive = _BurstDrive(2000.0, decay=0.5)
     assert not np.any(np.abs(scalar_rk4(drive, sched, (0.6, 0.8))[0]) > 1e-300)
+    _half_step_kernel(monkeypatch, drive, sched)
     with pytest.raises(StepTooLarge) as info:
         evolve(drive, sched, (0.6, 0.8))
     assert info.value.step == 15000
@@ -476,38 +509,33 @@ def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
             assert _close(state, ref_state)
 
 
-def _random_rows(rng, size, constant_diagonal, zero_offdiagonal):
-    rows = 0.05 * (rng.normal(size=(4, size)) + 1j * rng.normal(size=(4, size)))
-    if constant_diagonal:
-        rows[0], rows[3] = rows[0, 0], -rows[0, 0]
-    if zero_offdiagonal:
-        # theta = 0: both parts of h12 and h21 are zeros of either sign
-        rows.real[1:3] = rng.choice([0.0, -0.0], size=(2, size))
-        rows.imag[1:3] = rng.choice([0.0, -0.0], size=(2, size))
-    return rows
-
-
-@pytest.mark.parametrize("constant_diagonal", [False, True])
-@pytest.mark.parametrize("zero_offdiagonal", [False, True])
-def test_step_matrices_are_the_broadcast_composition_bit_for_bit(
-        constant_diagonal, zero_offdiagonal):
-    # blocks of 37 steps in groups of 8 blocks, the last group holding 6
-    length, nblocks, group = 37, 30, 8
-    rng = np.random.default_rng([constant_diagonal, zero_offdiagonal])
-    rows = _random_rows(rng, 2 * length * nblocks + 1, constant_diagonal,
-                        zero_offdiagonal)
-    mats = np.empty((length, 2, 2, nblocks), dtype=complex)
-    for b0 in range(0, nblocks, group):
-        _step_matrices(list(rows[:, 2 * b0 * length:
-                                 2 * (b0 + group) * length + 1]),
-                       mats[..., b0:b0 + group])
-    got = mats.transpose(1, 2, 3, 0).reshape(2, 2, -1)
-    want = broadcast_step_matrices(rows)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-    # zero off-diagonals give zero off-diagonal steps, whose signs are pinned
-    assert zero_offdiagonal == (not want[0, 1].any())
+@pytest.mark.parametrize("model, degree", [
+    # nilpotent H_+ and H_- stop the chain's steps at u^2 and u^-2
+    (_chain(2.0, 0.3), 2),
+    (TwoLevelModel(_tl((0.7, -1.3, 0.4), (0.3, 0.9, -0.2), 0.8)), 4),
+    # theta = 0: H is constant and diagonal
+    (TwoLevelModel(_tl((0.7, -1.3, 0.4), (0.3, 0.9, -0.2), 0.0)), 0),
+], ids=["chain", "two-level", "two-level-theta0"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_step_polynomial_matches_the_broadcast_composition(model, degree,
+                                                           dual):
+    # the oracle composes P, Q, R from entry rows at the exact half-step
+    # phasors; the polynomial reads the rows at three phasors per cycle
+    sched = Schedule(period_T=300.0, steps=3000)
+    n = sched.steps
+    rows = model.entry_rows(np.exp(1j * math.pi * np.arange(2 * n + 1) / n))
+    if dual:
+        rows = np.conj(rows[[0, 2, 1, 3]])
+    want = broadcast_step_matrices(rows * (-0.5j * sched.period_T / n))
+    c = _step_polynomial(model, sched, dual)
+    assert np.abs(np.flatnonzero(c.reshape(9, 4).any(axis=1)) - 4).max() == degree
+    u = sched.phasors(0, n).reshape(-1, 40).T.copy()
+    got = _laurent(c, u).transpose(1, 2, 3, 0).reshape(2, 2, n)
+    # four ulp of the unit entries
+    assert np.abs(got - want).max() <= 1e-15
+    # diagonal steps keep exact zeros off the diagonal
+    assert degree != 0 or not (got[0, 1].any() or got[1, 0].any()
+                               or want[0, 1].any() or want[1, 0].any())
 
 
 def _sha256(*arrays):
@@ -521,19 +549,19 @@ def _sha256(*arrays):
 # complex128 bytes: the CLI reference set pins no dual run and no records
 @pytest.mark.parametrize("model, T, steps, dual, psi_sha, records_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
-     "1669e54f41aed9dafe13fc067285bf243306d419e310bd8422f2d51cc92bc098",
-     "d0ad6f9fca977ba807753d69f645188d14727e32d5f2471d51a1c941c6a1c4a2"),
+     "3781ad2a17bc63574f11293845a9bac02d9fb882c4279c8848dd61d1e6477f9e",
+     "1a92768a523e520a143f21e038064052f59fa686cf49676a33508a4b1b205ccd"),
     (_chain(2.0, 0.3), 100.0, 40000, True,
-     "62cac6662af66747f6fad08709afa4f6ff37c667f945662b260920bfa9b12216",
-     "686d5584d860926fffcf9b1a87f1a6fa92bc9d9eb25c7da8241510379113b0fa"),
+     "23fac1cc4ef4b6a0ff24f11690f46d6c4a95f8cbcefc190d2e9c1b39fddf27b6",
+     "c1b86af4c35c4492c7a4f090fae1e27cf4c6d78bd51de0a50286ae5481b927ed"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      False,
-     "b2a9024c9cf9975cbb9b3070dd3d8209d929292508569732be599bdcedf36aad",
-     "548efdda464e859537f8cd1a9905a7bc530599bf9ca7d5e2051ddd6939de3bb4"),
+     "79262461788c0f39f22847a30eb697ce5be65f50dc97b149468fc61fa0780284",
+     "6a8334c22e1b0d828b88f826f3bf048d7c217ab83a5c8faed87ecf781f481a39"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      True,
-     "a3491cf2376ae6027df91663c4dfaf53c2c4c2fe19f065c45b6256b369c02f40",
-     "63d70fe2423c945751f3d1609040890d212332405749d9a10864bebd80a775af"),
+     "37c0a10c091b05203736b45adc771e38c23204d1fb933d226d0675fd7bdfa212",
+     "cff42c337b93fb237a04fd9e98651fc30da31a9bf6694f3d3c43aa1bf04e276d"),
 ], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
 def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
                                       records_sha):
@@ -567,7 +595,7 @@ def test_decomposition_matches_the_scalar_oracle(model, T, steps):
     assert _close(r.psi_final, psi * math.exp(log_scale))
 
 
-def test_guards_fire_at_the_oracle_steps():
+def test_guards_fire_at_the_oracle_steps(monkeypatch):
     cases = [
         # growth: |E| h = 4.5 at once, and a late gain burst
         (TwoLevelModel(_tl((0.7, 0.4, 45.0), (0.0, 0.0, 0.0), 0.0)),
@@ -576,8 +604,11 @@ def test_guards_fire_at_the_oracle_steps():
          (0.6, 0.8)),
     ]
     for model, sched, psi0 in cases:
-        with pytest.raises(StepTooLarge) as ours:
-            evolve(model, sched, psi0)
+        with monkeypatch.context() as patch:
+            if isinstance(model, _BurstDrive):
+                _half_step_kernel(patch, model, sched)
+            with pytest.raises(StepTooLarge) as ours:
+                evolve(model, sched, psi0)
         with pytest.raises(StepTooLarge) as ref:
             scalar_rk4(model, sched, psi0)
         assert ours.value.step == ref.value.step

@@ -202,6 +202,29 @@ def test_bipartite_hermitian_when_lossless():
         assert np.array_equal(m, m.conj().T)
 
 
+@pytest.mark.parametrize("kind", [TWO_LEVEL, BIPARTITE])
+def test_entry_rows_are_affine_in_the_drive_phasor(kind):
+    # H(phi) = H0 + cos(phi) (H(0) - H(pi)) / 2 + sin(phi) (H(pi/2) - H0),
+    # H0 = (H(0) + H(pi)) / 2: the form the evolution kernel reads
+    rng = np.random.default_rng([11, kind == TWO_LEVEL])
+    phi = rng.uniform(-math.pi, math.pi, 200)
+    for _ in range(50):
+        if kind == TWO_LEVEL:
+            model = TwoLevelModel(_tl(rng.uniform(-3, 3, 3), rng.uniform(-3, 3, 3),
+                                      rng.uniform(0, math.pi)))
+        else:
+            model = BipartiteModel(BipartiteParams.from_ratios(
+                rng.uniform(0.05, 3.0), rng.uniform(0.0, 3.0)))
+        one, up, minus = model.entry_rows(np.array([1.0, 1j, -1.0])).T
+        h0 = 0.5 * (one + minus)
+        want = (h0[:, None] + np.cos(phi) * (0.5 * (one - minus))[:, None]
+                + np.sin(phi) * (up - h0)[:, None])
+        got = model.entry_rows(np.exp(1j * phi))
+        assert got.shape == (4, phi.size)
+        scale = np.abs(np.stack([one, up, minus])).max()
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
+
+
 def test_bipartite_param_derivations():
     p = BipartiteParams(v=2.0, v_prime=3.0, gamma=1.0, eps_a=0.3)
     assert p.q == 1.5
@@ -483,7 +506,7 @@ def _stacked_rows(model, phasors):
     BipartiteModel(BipartiteParams.from_ratios(0.5, 0.0, eps_a=-0.25)),
 ])
 def test_entry_rows_are_a_fresh_array_the_caller_may_overwrite(model):
-    # the evolution kernel scales the rows in place
+    # a caller may scale the rows in place
     u = np.concatenate([[1.0, complex(1.0, -0.0), -1.0, complex(-1.0, -0.0)],
                         _PHASORS])
     rows = model.entry_rows(u)

@@ -21,9 +21,9 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 52a744aa2d03aced308fa1e24aa5d34a5a61d89d0b3075612ca7b5424adc9233
 d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
-e2847f22454cc87c82c096d00bd680352e281ab133007b333d3b00d4878bf394
-0d7aa57a9d6bbdd9a25d66adfc2a61ba46ee76401dbeb1df840d3939a74729e2
-5e8475fdca65d9bf1e24d47fd1c2ca823da06e7862430884f6d3815c1c3075d7
+6b18a9eaab852badecccb234f53294374d7de21caddb32f152ecbf86d6ae52a9
+ea5267807ccb0cc192c37554d76c8ebdbfb5062571bc990c70d4ce1e4a7be19a
+352589a8be6f759718726a75df387129f9dee7840df6645ade1d8364cb38a881
 a8cf0759ad9581fcbb1082c6907fc58ca6be8d7b7723d77bb19650e72f6c1741
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
