@@ -171,11 +171,11 @@ def _phase_sums(loop, stack, n, stride=1):
             (trapezoid_periodic(trace, loop.period).real / _TWO_PI).tolist())
 
 
-def _gapless_loop(model, transition_error):
+def _gapless_loop(model):
     """Refuse a loop on a singular set; whether it reads the closed form.
 
     A two-level loop on a singular line raises SingularLoop, a chain loop
-    at hopping ratio 1 raises ``transition_error``.
+    at hopping ratio 1 raises UndefinedAtTransition.
     """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
@@ -185,7 +185,7 @@ def _gapless_loop(model, transition_error):
     if not isinstance(p, BipartiteParams):
         return False
     if _at_transition(p.q):
-        raise transition_error(
+        raise UndefinedAtTransition(
             "at hopping ratio 1 the off-diagonal interferes to zero on the "
             "loop and the winding jumps between 0 and 1")
     return _reads_closed_form(p.q, p.eta, classify_region(p.q, p.eta).region)
@@ -225,7 +225,7 @@ def global_berry_phase(loop, model):
     further. A loop above 32768 samples leaves no second rung below the
     cap and raises BadResolution before any frame is built.
     """
-    if _gapless_loop(model, SingularLoop):
+    if _gapless_loop(model):
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
@@ -364,7 +364,7 @@ def band_berry_phase(loop, model, band):
     around the crossing momenta and is read from its elliptic closed form.
     """
     b = band_index(band)
-    if _gapless_loop(model, UndefinedAtTransition):
+    if _gapless_loop(model):
         return closed_form_gamma(model.params.q, model.params.eta, band)
     r = global_berry_phase(loop, model)
     return (complex(r.gamma_b_plus, r.xi_b_plus),
@@ -408,16 +408,21 @@ def _node_map(t, beta, centre, fold):
 
 
 def _chain_singularities(q, eta):
-    """Distances from real k and centres of a gapped chain row's singularities.
+    """Distances from real k and centres of a chain row's singularities.
 
-    Returns ((a, k0), (|ln q|, pi)): the exceptional points sit at Im k =
-    acosh|c|, where cos k = c = (eta^2 - 1 - q^2) / (2 q), with k0 = pi
-    below eta = |q - 1| and k0 = 0 above eta = q + 1, and the zero of v_k
-    at k = pi + i |ln q|. |c| - 1 is r(pi) / (2 q) or -r(0) / (2 q), from
-    the factorized radicand extremes, and acosh(1 + d) = log1p(d +
-    sqrt(d (d + 2))), so the distance keeps its digits next to the lines.
+    A gapped row returns ((a, k0), (|ln q|, pi)): the exceptional points
+    sit at Im k = acosh|c|, where cos k = c = (eta^2 - 1 - q^2) / (2 q),
+    with k0 = pi below eta = |q - 1| and k0 = 0 above eta = q + 1, and the
+    zero of v_k at k = pi + i |ln q|. |c| - 1 is r(pi) / (2 q) or -r(0) /
+    (2 q), from the factorized radicand extremes, and acosh(1 + d) =
+    log1p(d + sqrt(d (d + 2))), so the distance keeps its digits next to
+    the lines. A row without a gap, at q = 0 (no hopping winding) or on or
+    between the lines, where r(pi) <= 0 <= r(0), returns one singularity
+    on the loop, ((0.0, 0.0),), which has no strip rung.
     """
     rpi, r0 = _radicand_extremes(q, eta)
+    if q == 0.0 or rpi <= 0.0 <= r0:
+        return ((0.0, 0.0),)
     delta = (rpi if rpi > 0.0 else -r0) / (2.0 * q)
     return ((math.log1p(delta + math.sqrt(delta * (delta + 2.0))),
              math.pi if rpi > 0.0 else 0.0),
@@ -610,7 +615,7 @@ def two_level_phase_point(params, n0=1024):
     """
     model = TwoLevelModel(params)
     loop = standard_loop(TWO_LEVEL, n0)
-    _gapless_loop(model, SingularLoop)
+    _gapless_loop(model)
     start = _first_rung(loop)
     n, beta, centre = _node_grid(_two_level_singularities(params), 2)
     return _raised(_settled_phases(
@@ -637,20 +642,6 @@ def bipartite_phase_point(q, eta, n0=1024):
     return _raised(_chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)]))
 
 
-def _chain_rung(q, eta):
-    """The strip rung of a chain row on its uniform momenta, capped at 32768.
-
-    That is ``_strip_rung`` of the nearest distance of
-    ``_chain_singularities``. A row with no gap to measure, at q = 0 (no
-    hopping winding) or on or between the lines eta = |1 - q| and 1 + q,
-    gives the cap; the frame refuses such a row where it has no gap.
-    """
-    rpi, r0 = _radicand_extremes(q, eta)
-    gapped = q != 0.0 and not rpi <= 0.0 <= r0
-    width = min(_chain_singularities(q, eta))[0] if gapped else 0.0
-    return min(_strip_rung(width), _MAX_SAMPLES // 2)
-
-
 def apply_gauge(loop, model, f, band_windings):
     """Apply a per-band phase gauge and verify all three shift laws.
 
@@ -666,27 +657,26 @@ def apply_gauge(loop, model, f, band_windings):
     starts at twice the strip rung, or at ``loop.n`` if that is smaller:
     the trapezoid error falls like exp(-a n), but law (a) compares Fourier
     derivatives sample by sample, whose aliasing error falls only like
-    n exp(-a n / 2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). A
-    two-level loop samples the node map of ``_node_grid`` at uniform nodes
-    t, whose rung it starts from, so the gauge reads f(phi(t)), still
-    periodic in t, and law (a) holds per unit t; a chain loop samples its
-    uniform grid from ``_chain_rung``. Every rung is anchored at
-    ``loop.samples[0]``. A declared winding that is not an integer raises
-    ValueError.
+    n exp(-a n / 2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
+    Either family samples the node map of ``_node_grid`` (m = 2 for the
+    two-level loop, 1 for the chain) at uniform nodes t, whose rung it
+    starts from, so the gauge reads f(alpha(t)), still periodic in t, and
+    law (a) holds per unit t. A chain row without a gap has no strip rung
+    and starts at ``loop.n``, where its frame refuses it. Every rung is
+    anchored at ``loop.samples[0]``. A declared winding that is not an
+    integer raises ValueError.
     """
     bands = ("plus", "minus")
     windings = [_check_integer(band_windings.get(name, 0),
                                f"declared winding on the {name} band")
                 for name in bands]
-    if model.kind == TWO_LEVEL:
-        rung, beta, centre = _node_grid(
-            _two_level_singularities(model.params), 2)
-    else:
-        rung, beta, centre = (
-            _chain_rung(model.params.q, model.params.eta), 0.0, 0.0)
+    p = model.params
+    found, fold = ((_two_level_singularities(p), 2) if model.kind == TWO_LEVEL
+                   else (_chain_singularities(p.q, p.eta), 1))
+    rung, beta, centre = _node_grid(found, fold)
     n = min(loop.n, 2 * rung)
     while True:
-        alphas, _ = _node_map(loop_grid(loop, n), beta, centre, 2)
+        alphas, _ = _node_map(loop_grid(loop, n), beta, centre, fold)
         f_vals = np.stack([np.asarray(f(alphas, name), dtype=float)
                            for name in bands])
         for name, declared, turns in zip(

@@ -752,9 +752,8 @@ def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
         m.setattr(berry, "loop_grid", grid)
         check = apply_gauge(at_cap, model, lambda alphas, band: 0.0 * alphas,
                             {})
-    start = 2 * (berry._node_grid(berry._two_level_singularities(
-        model.params), 2)[0] if model.kind == TWO_LEVEL
-        else berry._chain_rung(model.params.q, model.params.eta))
+    start = 2 * (_two_level_grid(model.params) if model.kind == TWO_LEVEL
+                 else _chain_grid(model.params.q, model.params.eta))[0]
     assert built == [start] and check.resolution == start < 65536
     gapless = standard_loop(BIPARTITE, 65536)
     assert band_berry_phase(gapless, _chain(1.5, 1.0), "plus") == (
@@ -769,6 +768,14 @@ def test_global_phase_rejects_singular_sets():
     loop = standard_loop(BIPARTITE, 1024)
     with pytest.raises(SingularLoop):
         global_berry_phase(loop, _chain(1.5, 1.0))
+    # band_berry_phase is a band of global_berry_phase: at q = 1 both
+    # refuse as the point evaluator does, gapped (eta = 3) or not
+    for eta in (0.5, 3.0):
+        for evaluate in (global_berry_phase,
+                         lambda loop, model: band_berry_phase(loop, model,
+                                                              "plus")):
+            with pytest.raises(UndefinedAtTransition, match="hopping ratio 1"):
+                evaluate(loop, _chain(1.0, eta))
 
 
 def test_gapless_region_phases():
