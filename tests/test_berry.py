@@ -165,8 +165,9 @@ def test_band_phase_matches_elliptic_closed_form():
 
 def test_band_phase_rejects_transition_and_singular_loops():
     loop = standard_loop(BIPARTITE, 1024)
-    with pytest.raises(UndefinedAtTransition):
-        band_berry_phase(loop, _chain(1.0, 0.5), "plus")
+    for eta in (0.5, 3.0):
+        with pytest.raises(UndefinedAtTransition):
+            band_berry_phase(loop, _chain(1.0, eta), "plus")
     tl_loop = standard_loop(TWO_LEVEL, 1024)
     singular = TwoLevelModel(_tl((1.0, 2.0, 0.3), (1.0, 0.5, 0.0), 1.0))
     with pytest.raises(SingularLoop):
@@ -768,14 +769,11 @@ def test_global_phase_rejects_singular_sets():
     loop = standard_loop(BIPARTITE, 1024)
     with pytest.raises(SingularLoop):
         global_berry_phase(loop, _chain(1.5, 1.0))
-    # band_berry_phase is a band of global_berry_phase: at q = 1 both
-    # refuse as the point evaluator does, gapped (eta = 3) or not
+    # at q = 1 the loop refuses with the class band_berry_phase and the
+    # point evaluator raise, gapped (eta = 3) or not
     for eta in (0.5, 3.0):
-        for evaluate in (global_berry_phase,
-                         lambda loop, model: band_berry_phase(loop, model,
-                                                              "plus")):
-            with pytest.raises(UndefinedAtTransition, match="hopping ratio 1"):
-                evaluate(loop, _chain(1.0, eta))
+        with pytest.raises(UndefinedAtTransition, match="hopping ratio 1"):
+            global_berry_phase(loop, _chain(1.0, eta))
 
 
 def test_gapless_region_phases():

@@ -244,7 +244,10 @@ def test_chain_gauge_checks_next_to_a_divergence_line_exit_0(capsys):
     # gapped points 1e-6 to 1e-2 from a line, below eta = |1 - q| or above
     # eta = 1 + q, on both sides of q = 1: on uniform momenta law (a)
     # missed samplewise at some of them even at 65536 samples; the node map
-    # clustered at the exceptional points settles each one
+    # clustered at the exceptional points settles each one. These draws
+    # miss the narrow window 1.1e-6 to 2.5e-6 above eta = 1 + q with
+    # 0.83 < q < 1.21 where law (a) still meets a rounding floor (about
+    # 0.1 % of such points); the xfail below pins one point there
     rng = np.random.default_rng(2008)
     for i in range(48):
         q = rng.uniform(0.2, 0.9) if i % 2 else rng.uniform(1.1, 3.0)
