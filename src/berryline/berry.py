@@ -172,10 +172,11 @@ def _phase_sums(loop, stack, n, stride=1):
 
 
 def _gapless_loop(model):
-    """Refuse a loop on a singular set; whether it reads the closed form.
+    """Refuse a loop on a singular set; the region of a closed-form loop.
 
     A two-level loop on a singular line raises SingularLoop, a chain loop
-    at hopping ratio 1 raises UndefinedAtTransition.
+    at hopping ratio 1 raises UndefinedAtTransition. A chain loop that
+    ``_reads_closed_form`` returns its region, any other loop None.
     """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
@@ -183,12 +184,13 @@ def _gapless_loop(model):
             "an off-diagonal amplitude vanishes somewhere on every sweep at "
             "these parameters; the winding index is undefined")
     if not isinstance(p, BipartiteParams):
-        return False
+        return None
     if _at_transition(p.q):
         raise UndefinedAtTransition(
             "at hopping ratio 1 the off-diagonal interferes to zero on the "
             "loop and the winding jumps between 0 and 1")
-    return _reads_closed_form(p.q, p.eta, classify_region(p.q, p.eta).region)
+    region = classify_region(p.q, p.eta).region
+    return region if _reads_closed_form(p.q, p.eta, region) else None
 
 
 def _reads_closed_form(q, eta, region):
@@ -223,9 +225,10 @@ def global_berry_phase(loop, model):
     (below 1e-9 per doubling) and the two Q routes agree within 1e-6.
     Grids the frame flags as too coarse are discarded and refined
     further. A loop above 32768 samples leaves no second rung below the
-    cap and raises BadResolution before any frame is built.
+    cap and raises BadResolution before any frame is built. Only a chain
+    loop whose spectrum crosses raises SingularLoop.
     """
-    if _gapless_loop(model):
+    if _gapless_loop(model) == GAPLESS_TRUE_CROSSING:
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")

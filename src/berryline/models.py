@@ -261,24 +261,31 @@ def _two_level_offdiag(p, cphi, sphi):
     return a_p * cphi - 1j * b_p * sphi, a_m * cphi + 1j * b_m * sphi
 
 
-def _hopping(v, v_prime, k):
-    """Off-diagonal Bloch entry v_k = v + v' exp(-ik) of the chain."""
-    return v + v_prime * np.exp(-1j * k)
+def _radicand_extremes(v_prime, gamma, v=1.0):
+    """The radicand's extremes (r(pi), r(0)) at hoppings v, v', loss gamma.
 
-
-def _chain_radicand(v, v_prime, gamma, cos_k):
-    """|v_k|^2 - gamma^2: zero at the exceptional points, |v_k|^2 at gamma = 0."""
-    return v * v + v_prime * v_prime + 2.0 * v * v_prime * cos_k - gamma * gamma
-
-
-def _radicand_extremes(q, eta):
-    """The radicand's extremes (r(pi), r(0)) at ratios (q, eta), in factors.
-
-    r(pi) = (|1 - q| - eta)(|1 - q| + eta) and r(0) = (1 + q - eta)(1 + q
-    + eta) keep their digits next to the lines eta = |1 - q| and 1 + q.
+    r(pi) = (|v - v'| - gamma)(|v - v'| + gamma) and r(0) = (v + v' -
+    gamma)(v + v' + gamma), in factors that keep their digits next to the
+    lines; at v = 1 the arguments are the ratios (q, eta).
     """
-    d = abs(1.0 - q)
-    return (d - eta) * (d + eta), (1.0 + q - eta) * (1.0 + q + eta)
+    d, s = abs(v - v_prime), v + v_prime
+    return (d - gamma) * (d + gamma), (s - gamma) * (s + gamma)
+
+
+def _radicand(v, v_prime, gamma, u):
+    """The chain radicand r(k) = |v_k|^2 - gamma^2 at phasors u = exp(+-ik).
+
+    r(pi) + v v' |1 + u|^2 or r(0) - v v' |1 - u|^2, from the factored
+    extreme nearer zero, so r keeps the digits that the expanded form
+    cancels next to the lines and q = 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, SIAM 2002, ch. 1); the arguments broadcast.
+    """
+    rpi, r0 = _radicand_extremes(v_prime, gamma, v)
+    at_zero = abs(r0) < abs(rpi)
+    sign = 1.0 - 2.0 * at_zero
+    # one product is the anchor, the other exactly 0; |1 + sign u| = |u + sign|
+    return (at_zero * r0 + (1.0 - at_zero) * rpi
+            + sign * v * v_prime * ((u.real + sign) ** 2 + u.imag ** 2))
 
 
 def _mixing_angle(angle, u):
@@ -399,29 +406,28 @@ class _ChainRows:
     ``dk``, when given, holds dk/dt of each row's grid along the loop
     parameter t, and the connection and its trace are per unit t.
     ``errors[r]`` is None or the error row r's frame raises, checked in
-    the order of one frame: a TrueCrossing where the energies meet at a
-    sample or the radicand |v_k|^2 - gamma^2 changes sign between two,
-    then a TrueCrossing where the hoppings cancel, then the PathTooCoarse
-    of the hopping phase theta aliasing. A row without an error reads
-    ``connection[b, r, m]``, band b's diagonal connection, and
-    ``trace[r, m]``, their sum; ``kets(rows)`` builds the right and dual
-    kets of the given rows only, and ``halved()`` the rows' spacing
+    the order of one frame: a TrueCrossing where a lossy row's radicand
+    changes sign or meets zero within 1e-14 of its range 4 v v' (the
+    rounding of k, a few ulp of pi times its slope, at most 2 v v', and of
+    the form itself), then a TrueCrossing where the hoppings cancel, then
+    the PathTooCoarse of the hopping phase theta aliasing. A row without
+    an error reads ``connection[b, r, m]``, band b's diagonal connection,
+    and ``trace[r, m]``, their sum; ``kets(rows)`` builds the right and
+    dual kets of the given rows only, and ``halved()`` the rows' spacing
     verdicts on every second sample.
     """
 
     def __init__(self, v, v_prime, gamma, k, dk=None):
-        scales = [max(1.0, (a + b) ** 2, c ** 2)
-                  for a, b, c in zip(v, v_prime, gamma)]
         v, v_prime, g = np.array([v, v_prime, gamma], dtype=float)[..., None]
-        k = np.asarray(k, dtype=float)
-        vk = _hopping(v, v_prime, k)
+        u = np.exp(-1j * np.asarray(k, dtype=float))
+        vk = v + v_prime * u        # the Bloch entry v_k = v + v' exp(-ik)
         mod = np.abs(vk)
-        rad = mod * mod - g * g
-        # a lossless row's radicand |v_k|^2 stays at or above (v - v')^2, so
-        # its energies can meet only where the hoppings cancel (below)
-        crossing = (g[:, 0] != 0.0) & ((np.abs(rad).min(axis=-1) <= [
-            1e-12 * scale for scale in scales]) | (
-                (rad.min(axis=-1) < 0.0) & (rad.max(axis=-1) > 0.0)))
+        rad = _radicand(v, v_prime, g, u)
+        # energies meet where r changes sign or nears zero within tol, so
+        # where min r <= tol and max r >= -tol; a lossless row's r = |v_k|^2
+        # >= (v - v')^2 leaves only hoppings that cancel (below)
+        tol = 4e-14 * (v * v_prime)[:, 0]
+        crossing = (g[:, 0] != 0.0) & (rad.min(-1) <= tol) & (rad.max(-1) >= -tol)
         # hoppings interfering to zero merge the real parts of the two
         # energies, and leave the off-diagonal phase without a value
         cancel = mod.min(axis=-1) <= 1e-12 * np.maximum(1.0, v + v_prime)[:, 0]
@@ -441,7 +447,7 @@ class _ChainRows:
         if cancel.any():
             mod = np.where(cancel[:, None], 1.0, mod)
             rad = np.where(cancel[:, None], 1.0, rad)
-        d_theta = v_prime * (v_prime + v * np.cos(k)) / (mod * mod)
+        d_theta = v_prime * (v_prime + v * u.real) / (mod * mod)
         if dk is not None:
             d_theta = d_theta * dk
         self.trace = d_theta.astype(complex)
@@ -555,8 +561,7 @@ class BipartiteModel:
         """Both energy branches at phasors exp(ik) along a grid, shape (2, M)."""
         p = self.params
         u = np.asarray(phasors, dtype=complex)
-        rad = _chain_radicand(p.v, p.v_prime, p.gamma, u.real)
-        s = np.sqrt(rad.astype(complex))
+        s = np.sqrt(_radicand(p.v, p.v_prime, p.gamma, u).astype(complex))
         centroid = p.eps_a - 1j * p.gamma
         return np.stack([centroid + s, centroid - s])
 

@@ -1,9 +1,10 @@
 """Crossing structure of the lossy chain's complex spectrum.
 
 The two Bloch bands differ by twice the square root of a real radicand
-r(k) = 1 + q^2 + 2 q cos k - eta^2 (in units of the intra-cell hopping).
-Where r > 0 the gap is purely real, where r < 0 purely imaginary, and
-zeros of r are true crossings of the complex energies. Because r is
+r(k) = 1 + q^2 + 2 q cos k - eta^2 (in units of the intra-cell hopping),
+read off ``models._radicand`` from r(pi) or r(0), whichever is nearer
+zero. Where r > 0 the gap is purely real, where r < 0 purely imaginary,
+and zeros of r are true crossings of the complex energies. Because r is
 monotone in cos k the region structure in the (q, eta) quadrant is exact:
 
   GAPLESS_TRUE_CROSSING   |q - 1| <= eta <= q + 1   (zeros exist)
@@ -17,6 +18,7 @@ once; the gapless label wins there and the full tie is kept in
 changes of the radicand and raises if the two disagree.
 """
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadResolution, ClassificationMismatch
-from .models import (_MAX_SAMPLES, _check_ratios, _radicand_extremes,
-                     _zone_grid)
+from .models import (_MAX_SAMPLES, _check_ratios, _radicand,
+                     _radicand_extremes, _zone_grid)
 
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
@@ -51,27 +53,21 @@ class CrossingReport:
     all_labels: tuple
 
 
-def _boundary_ties(q, eta):
-    """Radicand extremes lo = r(pi), hi = r(0), and ties to the two lines.
-
-    A point ties eta = |1 - q| (tie_pi) or eta = 1 + q (tie_zero) within
-    1e-8 max(1, 1 + q, eta) in distance to the line, so an input rounded
-    onto a line keeps its tie; a tolerance in radicand units would cover
-    the whole TYPE_I strip next to q = 1.
-    """
-    tol = _WITNESS_TOL * max(1.0, 1.0 + q, eta)
-    return (*_radicand_extremes(q, eta), abs(abs(1.0 - q) - eta) <= tol,
-            abs(1.0 + q - eta) <= tol)
-
-
 def classify_region(q, eta):
     """Region of the (q, eta) plane from the closed inequalities alone.
 
-    Witnesses in the gapless region are the analytic zeros of the
-    radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
+    On the radicand extremes lo = r(pi) and hi = r(0), with a point tied
+    to eta = |1 - q| (tie_pi) or 1 + q (tie_zero) within 1e-8 max(1, 1 +
+    q, eta) in distance to the line, so an input rounded onto a line keeps
+    its tie; a tolerance in radicand units would cover the whole TYPE_I
+    strip next to q = 1. Witnesses in the gapless region are the analytic
+    zeros of the radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
     """
     _check_ratios(q, eta)
-    lo, hi, tie_pi, tie_zero = _boundary_ties(q, eta)
+    lo, hi = _radicand_extremes(q, eta)
+    tol = _WITNESS_TOL * max(1.0, 1.0 + q, eta)
+    tie_pi = abs(abs(1.0 - q) - eta) <= tol
+    tie_zero = abs(1.0 + q - eta) <= tol
     crossing = (lo <= 0.0 or tie_pi) and (hi >= 0.0 or tie_zero)
     labels = tuple(label for label, holds in (
         (GAPLESS_TRUE_CROSSING, crossing), (TYPE_I, lo >= 0.0 or tie_pi),
@@ -88,18 +84,18 @@ def classify_region(q, eta):
                           all_labels=labels)
 
 
-def _bisect_zero(f, a, b, fa, fb):
-    # one sign change in [a, b]; narrow it to width 1e-10
-    while b - a > 1e-10:
+def _bisect_zero(q, eta, a, b, fa):
+    # one sign change of the radicand in [a, b]; narrow it to width 1e-10,
+    # and return the midpoint with the radicand there
+    while True:
         m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
+        fm = _radicand(1.0, q, eta, cmath.exp(1j * m))
+        if fm == 0.0 or b - a <= 1e-10:
+            return m, fm
         if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def verify_region(q, eta, k_samples=1024):
@@ -126,28 +122,24 @@ def verify_region(q, eta, k_samples=1024):
         k_samples += 1  # keep 0 and pi on the grid
     analytic = classify_region(q, eta)
     scale = max(1.0, (1.0 + q) ** 2, eta * eta)
-    lo, _, tie_pi, tie_zero = _boundary_ties(q, eta)
 
-    # r(k) = r(pi) + 2 q (1 + cos k) is exact at pi, where the expanded
-    # radicand cancels to more than the TYPE_I strip next to q = 1
+    # the frame's radicand, anchored at its extreme nearer zero, keeps the
+    # digits of the TYPE_I strip next to q = 1 in the scan and the bisection
     grid = _zone_grid(k_samples)
-    values = lo + 2.0 * q * (1.0 + np.cos(grid))
-
-    def f(k):
-        return lo + 2.0 * q * (1.0 + math.cos(k))
-
+    values = _radicand(1.0, q, eta, np.exp(1j * grid))
     flips = np.sign(values[:-1]) * np.sign(values[1:]) < 0.0
-    bisected = [_bisect_zero(f, float(grid[i]), float(grid[i + 1]),
-                             float(values[i]), float(values[i + 1]))
-                for i in np.flatnonzero(flips)]
-    bad = [k for k in bisected if abs(f(k)) > _WITNESS_TOL * scale]
+    bisected = [_bisect_zero(q, eta, float(grid[i]), float(grid[i + 1]),
+                             float(values[i])) for i in np.flatnonzero(flips)]
+    bad = [k for k, r in bisected if abs(r) > _WITNESS_TOL * scale]
     if bad:
         raise ClassificationMismatch(
             f"witness candidates fail the crossing condition: {bad}")
-    # r touches zero without a sign change only at k = 0 and pi, on a line
-    witnesses = [k for k, tie in ((0.0, tie_zero), (math.pi, tie_pi)) if tie]
+    # r touches zero without a sign change only at k = 0 and pi, on a line,
+    # where the label ties to TYPE_II or TYPE_I
+    witnesses = [k for k, label in ((0.0, TYPE_II), (math.pi, TYPE_I))
+                 if label in analytic.all_labels[1:]]
     kept = []
-    for k in sorted(witnesses + bisected
+    for k in sorted(witnesses + [k for k, _ in bisected]
                     + [float(k) for k in grid[values == 0.0]]):
         if not kept or k - kept[-1] > 1e-6:
             kept.append(k)

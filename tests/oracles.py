@@ -34,9 +34,8 @@ from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
                              _ROUTE_TOL, BerryPhaseResult, _wilson_q)
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
                               Disagreement, NotConverged, PathTooCoarse)
-from berryline.models import (_MAX_SAMPLES, _TWO_PI, _chain_radicand,
-                              _radicand_extremes, _two_level_offdiag,
-                              band_index, loop_grid)
+from berryline.models import (_MAX_SAMPLES, _TWO_PI, _radicand_extremes,
+                              _two_level_offdiag, band_index, loop_grid)
 from berryline.quadrature import (spectral_derivative, tanh_sinh,
                                   trapezoid_periodic)
 
@@ -357,8 +356,10 @@ def assemble_two_level(p, phi):
 def winding_rate(params, alphas):
     """d theta / dk of the chain's off-diagonal phase, finite for all q != 1."""
     k = np.asarray(alphas, dtype=float)
-    mod2 = _chain_radicand(params.v, params.v_prime, 0.0, np.cos(k))
-    return params.v_prime * (params.v_prime + params.v * np.cos(k)) / mod2
+    # |v_k|^2 = (v - v')^2 + 4 v v' cos^2(k / 2), without cancellation at pi
+    v, v_prime = params.v, params.v_prime
+    mod2 = (v - v_prime) ** 2 + 4.0 * v * v_prime * np.cos(0.5 * k) ** 2
+    return v_prime * (v_prime + v * np.cos(k)) / mod2
 
 
 def dense_winding(values_fn, n=1 << 16):

@@ -776,6 +776,23 @@ def test_global_phase_rejects_singular_sets():
             global_berry_phase(loop, _chain(1.0, eta))
 
 
+@pytest.mark.parametrize("q", [1.000001, 0.999999])
+def test_a_gapped_loop_next_to_q_1_refines_its_frame(q):
+    # eta < |1 - q|: the loop crosses no degeneracy, so it refines, and on
+    # the uniform loop its phases still move at the cap; the band phase
+    # and the point evaluator read the elliptic closed form there
+    loop, model = standard_loop(BIPARTITE, 1024), _chain(q, 5e-7)
+    with pytest.raises(NotConverged, match="still moving"):
+        global_berry_phase(loop, model)
+    point = bipartite_phase_point(q, 5e-7)
+    for band, got in (("plus", complex(point.gamma_b_plus, point.xi_b_plus)),
+                      ("minus", complex(point.gamma_b_minus,
+                                        point.xi_b_minus))):
+        want = _bits(closed_form_gamma(q, 5e-7, band))
+        assert _bits(band_berry_phase(loop, model, band)) == want
+        assert _bits(got) == want
+
+
 def test_gapless_region_phases():
     # Interior of the gapless region: the index still quantizes through
     # the lossless row's two routes, and the band phases pair up.
@@ -1304,7 +1321,7 @@ def test_the_one_row_stack_and_eigen_path_are_one_frame():
     assert refused == {SingularParameters, PathTooCoarse, DegenerateSpectrum,
                        TrueCrossing}
     assert digest.hexdigest() == (
-        "41dddb7b7fe5e73a42ee8512f6b8846a06e4b2ef454ba58319669c62fa92f5df")
+        "7f8b88833581d1c5acb895e4b3017ae7c7e8f806417127038e2794343ce46d3a")
 
 
 def _frame_sizes(monkeypatch):

@@ -241,17 +241,14 @@ def test_gauge_check_in_the_gapless_region_exits_2(capsys, q, eta, message):
 
 
 def test_chain_gauge_checks_next_to_a_divergence_line_exit_0(capsys):
-    # gapped points 1e-6 to 1e-2 from a line, below eta = |1 - q| or above
+    # gapped points 1e-8 to 1e-2 from a line, below eta = |1 - q| or above
     # eta = 1 + q, on both sides of q = 1: on uniform momenta law (a)
     # missed samplewise at some of them even at 65536 samples; the node map
-    # clustered at the exceptional points settles each one. These draws
-    # miss the narrow window 1.1e-6 to 2.5e-6 above eta = 1 + q with
-    # 0.83 < q < 1.21 where law (a) still meets a rounding floor (about
-    # 0.1 % of such points); the xfail below pins one point there
+    # clustered at the exceptional points settles each one
     rng = np.random.default_rng(2008)
     for i in range(48):
         q = rng.uniform(0.2, 0.9) if i % 2 else rng.uniform(1.1, 3.0)
-        gap = 10.0 ** rng.uniform(-6.0, -2.0)
+        gap = 10.0 ** rng.uniform(-8.0, -2.0)
         eta = abs(1.0 - q) - gap if i // 2 % 2 else 1.0 + q + gap
         winding = int(rng.choice([-3, -2, -1, 1, 2, 3]))
         payload = run_json(capsys, "gauge-check", "--model", "bipartite",
@@ -261,16 +258,33 @@ def test_chain_gauge_checks_next_to_a_divergence_line_exit_0(capsys):
         assert payload["residual_connection"] <= 1e-9, (q, eta)
 
 
-@pytest.mark.xfail(strict=True, reason="law (a) meets a rounding floor of "
-                   "the chain kets within about 2.5e-6 above eta = 1 + q "
-                   "near q = 1 (5 of 5000 seeded points)")
 def test_a_chain_gauge_check_just_above_the_outer_line_exits_0(capsys):
-    # 1.1e-6 above eta = 1 + q: the residual grows with the grid, 2.1e-9
-    # at 1024 samples and 1.3e-8 at 65536, as rounding noise in the kets
-    # is differentiated; the uniform grid missed by 5.5e-9 at 65536 too
-    run_json(capsys, "gauge-check", "--model", "bipartite",
-             "--q", "0.8954770461372799", "--eta", "1.8954781477497917",
-             "--winding", "-2", "--band", "minus")
+    # 1.1e-6 above eta = 1 + q: with the radicand expanded, rounding noise
+    # in the kets grew law (a)'s residual with the grid, to 1.3e-8 at 65536
+    payload = run_json(capsys, "gauge-check", "--model", "bipartite",
+                       "--q", "0.8954770461372799",
+                       "--eta", "1.8954781477497917",
+                       "--winding", "-2", "--band", "minus")
+    assert payload["residual_connection"] <= 1e-9
+
+
+@pytest.mark.parametrize("q, eta", [("1.000001", "5e-7"),
+                                    ("0.999999", "5e-7")])
+def test_a_chain_gauge_check_on_the_strip_next_to_q_1_exits_0(capsys, q, eta):
+    # r(pi) = 7.5e-13 there, below the absolute crossing tolerance the
+    # expanded radicand needed, so the frame reported the energies meeting
+    # though they stay 1.7e-6 apart
+    payload = run_json(capsys, "gauge-check", "--model", "bipartite",
+                       "--q", q, "--eta", eta)
+    assert payload["residual_connection"] <= 1e-9
+
+
+@pytest.mark.parametrize("eta", ["3.0000001", "0.9999999"])
+def test_a_chain_gauge_check_1e_7_from_a_line_exits_0(capsys, eta):
+    # law (a) missed by 4.4e-7 and 2.0e-7 here with the radicand expanded
+    payload = run_json(capsys, "gauge-check", "--model", "bipartite",
+                       "--q", "2", "--eta", eta)
+    assert payload["residual_connection"] <= 1e-9
 
 
 def test_gauge_check_two_level_model(capsys):

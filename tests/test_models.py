@@ -3,12 +3,15 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from berryline import berry, models, spectrum
 from berryline.errors import (BadResolution, DegenerateSpectrum, PathTooCoarse,
                               SingularParameters, TrueCrossing)
 from berryline.models import (
@@ -20,9 +23,11 @@ from berryline.models import (
     TwoLevelModel,
     TwoLevelParams,
     _two_level_axes,
+    _zone_grid,
     loop_grid,
     standard_loop,
 )
+from berryline.spectrum import classify_region
 
 from oracles import (assemble_two_level, bloch_matrix, char_poly_eigs,
                      dense_winding, eig2, matrix_at, point_system,
@@ -298,6 +303,90 @@ def test_bipartite_radicand_zero_is_a_crossing():
         BipartiteModel(p).eigen_path(np.array([k0]))
 
 
+def _radicand_cases():
+    """Seeded (q, eta) 1e-12 to 1e-2 to either side of eta = |1 - q|, of
+    eta = 1 + q and of q = 1, each with momenta at float pi, at 0, on the
+    node map of its refinement and at its crossing momenta."""
+    rng = np.random.default_rng(38)
+    t = _zone_grid(64)
+    for i in range(150):
+        gap = 10.0 ** rng.uniform(-12.0, -2.0) * (-1.0, 1.0)[i % 2]
+        q = rng.uniform(0.2, 0.9) if i // 2 % 2 else rng.uniform(1.1, 3.0)
+        line = i // 4 % 3
+        if line == 0:
+            eta = abs(1.0 - q) + gap
+        elif line == 1:
+            eta = 1.0 + q + gap
+        else:
+            q = 1.0 + gap
+            eta = rng.uniform(0.0, 2.0) * abs(gap)
+        _, beta, centre = berry._node_grid(
+            berry._chain_singularities(q, eta), 1)
+        mapped = berry._node_map(t, beta, centre, 1)[0]
+        crossings = list(classify_region(q, eta).witnesses)
+        yield q, eta, np.array([math.pi, 0.0, -math.pi / 2,
+                                *np.asarray(mapped).tolist(), *crossings])
+
+
+def _slip(one_and_q, eta):
+    """What rounding the sum 1 +- q, as given, moves (|1 +- q| - eta)(|1 +- q|
+    + eta) by, to first order: the one rounding before the factored
+    extreme subtracts eta."""
+    total = one_and_q[0] + one_and_q[1]
+    exact = Fraction(one_and_q[0]) + Fraction(one_and_q[1])
+    size = abs(total)
+    return float(abs(Fraction(total) - exact)) * (size + eta + abs(size - eta))
+
+
+def test_the_one_radicand_keeps_its_digits_next_to_every_line():
+    # r(k) = |1 + q exp(-ik)|^2 - eta^2 at the same float k, to 50 digits:
+    # within a few ulp of the largest size it is made of, and within a few
+    # ulp of the nearer extreme and the term added to it, besides what
+    # rounding 1 - q or 1 + q moves that extreme by; the frame and the
+    # energies read those same bits
+    mpmath.mp.dps = 50
+    eps = np.finfo(float).eps
+    for q, eta, ks in _radicand_cases():
+        u = np.exp(1j * ks)
+        got = models._radicand(1.0, q, eta, u)
+        mq, meta = mpmath.mpf(q), mpmath.mpf(eta)
+        want = np.array([float(1 + mq * mq + 2 * mq * mpmath.cos(mpmath.mpf(k))
+                               - meta * meta) for k in ks.tolist()])
+        rpi, r0 = models._radicand_extremes(q, eta)
+        to_pi, to_zero = q * np.abs(1.0 + u) ** 2, q * np.abs(1.0 - u) ** 2
+        size = np.maximum(max(abs(rpi), abs(r0)), np.minimum(to_pi, to_zero))
+        assert (np.abs(got - want) <= 4.0 * eps * size).all(), (q, eta)
+        near, term, slip = ((abs(rpi), to_pi, _slip((1.0, -q), eta))
+                            if abs(rpi) <= abs(r0)
+                            else (abs(r0), to_zero, _slip((1.0, q), eta)))
+        assert (np.abs(got - want) <= 4.0 * eps * np.maximum(near, term)
+                + slip).all(), (q, eta)
+        # one sample per row: only a row at a zero of r refuses its frame
+        rows = models._ChainRows([1.0] * ks.size, [q] * ks.size,
+                                 [eta] * ks.size, ks[:, None])
+        framed = [r for r, error in enumerate(rows.errors) if error is None]
+        assert rows.s[framed, 0].tobytes() == np.sqrt(
+            got[framed].astype(complex)).tobytes()
+        model = BipartiteModel(BipartiteParams.from_ratios(q, eta))
+        energies = model.energies(u)
+        assert energies[0].tobytes() == (
+            -1j * eta + np.sqrt(got.astype(complex))).tobytes()
+
+
+def test_the_scan_reads_the_one_radicand(monkeypatch):
+    read = []
+
+    def radicand(v, v_prime, gamma, u):
+        read.append(np.size(u))
+        return models._radicand(v, v_prime, gamma, u)
+
+    monkeypatch.setattr(spectrum, "_radicand", radicand)
+    report = spectrum.verify_region(2.0, 1.5)
+    assert report.region == spectrum.GAPLESS_TRUE_CROSSING
+    # the 1024-point scan, then the bisection of each of its two zeros
+    assert read[0] == 1024 and len(read) > 2 and set(read[1:]) == {1}
+
+
 def test_bipartite_gapless_loop_is_a_crossing():
     # no sample hits the crossing momenta, but the radicand changes sign
     # between samples: no frame continues around the loop, however fine
@@ -311,9 +400,9 @@ def test_bipartite_gapless_loop_is_a_crossing():
 def test_chain_frames_off_unit_hopping_keep_their_bits():
     # the chain frame is the one-row case of a stack whose rows carry their
     # own hoppings and grids; at v != 1 its arrays keep the bits pinned
-    # from the frame that shared one hopping set across its rows, on the
-    # 68 momenta they were pinned on: two steps before the anchor of a
-    # 64-sample loop to two steps past its closure
+    # from the frame with the anchored radicand r(pi) + v v' |1 + u|^2 or
+    # r(0) - v v' |1 - u|^2, on 68 momenta: two steps before the anchor of
+    # a 64-sample loop to two steps past its closure
     loop = standard_loop(BIPARTITE, 64)
     alphas = loop.samples[0] + np.arange(-2, 66) * (loop.period / 64)
     digest = hashlib.sha256()
@@ -324,7 +413,7 @@ def test_chain_frames_off_unit_hopping_keep_their_bits():
                      "trace_connection", "winding_phase", "chi"):
             digest.update(np.ascontiguousarray(getattr(path, name)).tobytes())
     assert digest.hexdigest() == (
-        "164dbcc62a2d79522ae63c4d2780ae6e3c6029a5bab17bcd638285611a6e86f2")
+        "5eb21e7be8224f04e26a5f6411dbf210e2ef3394c07d493bc6365c7ad45c0083")
 
 
 def test_standard_loops():
