@@ -16,11 +16,13 @@ of m steps in about 2 sqrt(m) blocks, each matrix entry takes two Horner
 chains at its step's phasor, one product of a coarse and a fine table
 entry (``Schedule.phasors``), where the decomposition reads its band
 energies too. Running products within the blocks come vectorized across
-blocks, a walk over the block products gives each block's start, and
-then every per-step state at once feeds the growth guard, the records
-and the branch of c(t). Products are renormalized every 16 steps and
-states at each block start, the scale kept as a running log, so no cycle
-underflows or overflows in the kernel.
+blocks, in place in one workspace per cycle, and a walk over the block
+products gives each block's start. Per-step states are formed only where
+read: by the branch of c(t), the records and the growth guard, which a
+chunk skips when its matrix entries bound every step's growth below the
+guard's, so plain ``evolve`` reads one state per chunk. Products are
+renormalized every 16 steps and states at each block start, the scale
+kept as a running log, so no cycle underflows or overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -48,7 +50,7 @@ _CHUNK = 1 << 15           # steps per streamed chunk of step matrices
 _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # 0.55-0.95 s of RK4 stepping on a shared 2-core x86
+_MAX_STEPS = 2 ** 24       # 0.40-0.70 s of RK4 stepping on a shared 2-core x86
 _FINE = 256                # drive phasors per row of the coarse x fine table
 
 
@@ -126,13 +128,6 @@ class EvolutionReport:
     leak_ratio: float
 
 
-def _apply(a, x):
-    """Matrices a[row, col, ...] times the column vectors x[row, ...]."""
-    y = a[:, 0, None] * x[0]
-    y += a[:, 1, None] * x[1]
-    return y
-
-
 def _times(a, b):
     """Product of centred (k, 2, 2) Laurent stacks in u; ``a`` has degree one."""
     out = np.zeros((len(b) + 2, 2, 2), dtype=complex)
@@ -170,13 +165,15 @@ def _step_polynomial(model, schedule, dual):
     return m * (1.0 / 3.0)
 
 
-def _laurent(c, u):
+def _laurent(c, u, work):
     """Matrices sum_j c[d + j] u^j, |j| <= d, at phasors u (L, n): (L, 2, 2, n).
 
-    Horner chains per entry in u and conj(u) = 1/u, from the top nonzero term.
+    Horner chains per entry in u and conj(u) = 1/u, from the top nonzero
+    term, in the first 6 u.size entries of the complex workspace ``work``.
     """
-    out = np.empty((len(u), 2, 2, u.shape[1]), dtype=complex)
-    d, ubar = len(c) // 2, np.conj(u)
+    out = work[:4 * u.size].reshape(len(u), 2, 2, -1)
+    ubar, t = work[4 * u.size:6 * u.size].reshape((2,) + u.shape)
+    d, ubar = len(c) // 2, np.conj(u, out=ubar)
     for k, row in enumerate(c.reshape(-1, 4).T.tolist()):
         entry = out[:, k >> 1, k & 1]
         entry[...] = row[d]
@@ -184,7 +181,8 @@ def _laurent(c, u):
             while chain and chain[0] == 0:
                 chain = chain[1:]
             if chain:
-                t = chain[0] * z
+                # c * z: numpy's complex multiply is not symmetric in rounding
+                np.multiply(chain[0], z, out=t)
                 for cj in chain[1:]:
                     t += cj
                     t *= z
@@ -203,6 +201,12 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     drive phasors at its steps and at the step that ends it. Raises
     StepTooLarge at the first step that grows the squared norm a
     hundredfold, leaves it without a finite value, or turns c over 1.5 rad.
+
+    A chunk whose step matrices all have |Re M_ij|, |Im M_ij| < sqrt(12.5)
+    is certified: |M x|^2 <= |M|_F^2 |x|^2 < 100 |x|^2, so no step of it
+    can grow that much. If its last state is finite too, it forms states
+    only where they are read (by the projection and the records; plain
+    ``evolve`` reads the last). Any other chunk runs every guard.
     """
     steps = schedule.steps
     h = schedule.period_T / steps
@@ -215,20 +219,31 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         # all nblocks blocks; padding steps get M = I
         length = math.isqrt(m // 4) + 1
         nblocks = -(-m // length)
+        if not step0:
+            # one workspace per cycle, sized to the first chunk: no later
+            # chunk has more blocks or a larger padded grid
+            work = np.empty(6 * length * nblocks + 8 * nblocks, dtype=complex)
+            terms = work[6 * length * nblocks:]
         u = schedule.phasors(step0, length * nblocks + 1)
         if energies is not None:
             energies(u[:m + 1])
-        mats = _laurent(poly, u[:-1].reshape(nblocks, length).T.copy())
+        mats = _laurent(poly, u[:-1].reshape(nblocks, length).T.copy(), work)
         mats[m - (nblocks - 1) * length:, :, :, -1] = np.eye(2)
+        parts = mats.ravel().view(float)   # the certificate, before the products
+        peak = np.abs([parts.min(), parts.max()]).max()
+        certified = 8.0 * peak * peak < _GROWTH_LIMIT_SQ
+        x0, x1 = terms[:8 * nblocks].reshape(2, 2, 2, nblocks)
         norms = []   # in place: mats[k] becomes M_k ... M_0 of its block
         for k in range(1, length):
-            mats[k] = _apply(mats[k], mats[k - 1])
+            np.multiply(mats[k, :, 0, None], mats[k - 1, 0], out=x0)
+            np.multiply(mats[k, :, 1, None], mats[k - 1, 1], out=x1)
+            np.add(x0, x1, out=mats[k])
             if k & _RENORM_MASK == _RENORM_MASK:
                 norms.append(np.linalg.norm(mats[k].reshape(4, -1), axis=0))
                 mats[k] /= norms[-1]
         norms = np.array(norms).reshape(-1, nblocks)
+        # logs[r, b]: the log scale of block b's product renormalized r times
         logs = np.cumsum(np.vstack([np.zeros(nblocks), np.log(norms)]), axis=0)
-        logs = logs[(np.arange(length) + 1) // (_RENORM_MASK + 1)]
         (u, v), starts, start_log = state.tolist(), [], []
         for plog, (p11, p12, p21, p22) in zip(
                 logs[-1].tolist(), zip(*mats[-1].reshape(4, -1).tolist())):
@@ -238,14 +253,21 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             starts.append((u, v))
             start_log.append(log_scale)
             u, v, log_scale = p11 * u + p12 * v, p21 * u + p22 * v, log_scale + plog
-        starts = np.array(starts).T
+        starts, start_log = np.array(starts).T, np.array(start_log)
+        k, b = (m - 1) % length, (m - 1) // length
+        state = mats[k, :, 0, b] * starts[0, b] + mats[k, :, 1, b] * starts[1, b]
+        log_scale = float(logs[(k + 1) // (_RENORM_MASK + 1), b] + start_log[b])
+        certified = certified and np.isfinite(state).all()
+        if certified and project is None and records is None:
+            continue
         states = mats[:, :, 0] * starts[0] + mats[:, :, 1] * starts[1]
-        logs += start_log
-        n2 = np.linalg.norm(states, axis=1) ** 2
-        before = np.concatenate([np.linalg.norm(starts, axis=0)[None] ** 2, n2[:-1]])
-        before[_RENORM_MASK::_RENORM_MASK + 1] /= norms * norms
-        # written so that a norm that is not finite fails it too
-        bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
+        bad = grown = np.zeros((length, nblocks), dtype=bool)
+        if not certified:
+            n2 = np.linalg.norm(states, axis=1) ** 2
+            before = np.vstack([np.linalg.norm(starts, axis=0) ** 2, n2[:-1]])
+            before[_RENORM_MASK::_RENORM_MASK + 1] /= norms * norms
+            # written so that a norm that is not finite fails it too
+            bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
         if project is not None:
             c = project @ states
             turns = np.angle(c / np.concatenate([(project @ starts)[None], c[:-1]]))
@@ -264,10 +286,9 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         if records is not None:
             n = np.arange(record_every - 1 - step0 % record_every, m, record_every)
             k, b = n % length, n // length
+            scale = np.exp(logs[(k + 1) // (_RENORM_MASK + 1), b] + start_log[b])
             records += zip(((step0 + n + 1) * h).tolist(),
-                           states[k, :, b] * np.exp(logs[k, b])[:, None])
-        k, b = (m - 1) % length, (m - 1) // length
-        state, log_scale = states[k, :, b].copy(), float(logs[k, b])
+                           states[k, :, b] * scale[:, None])
     return state, log_scale, turn, records
 
 

@@ -7,6 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berryline.berry import (band_berry_phase, bipartite_phase_point,
                              two_level_phase_point)
@@ -132,9 +134,9 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
         runs.append((start, count))
         return phasors(self, start, count)
 
-    def recorded(c, u):
+    def recorded(c, u, work):
         at_steps.append(u.T.ravel())
-        return _laurent(c, u)
+        return _laurent(c, u, work)
 
     monkeypatch.setattr(Schedule, "phasors", counted)
     monkeypatch.setattr(evolution, "_laurent", recorded)
@@ -428,12 +430,13 @@ def _half_step_kernel(monkeypatch, drive, schedule):
 
     Its step matrices become the broadcast composition of its entry rows
     on the half-step grid of each chunk's integer-step phasors u: u, u w
-    and the next step's u w^2, for the half-step turn w.
+    and the next step's u w^2, for the half-step turn w. They come in a
+    fresh array; the kernel's workspace goes unused.
     """
     h = schedule.period_T / schedule.steps
     w = np.exp(1j * math.pi / schedule.steps)
 
-    def step_matrices(c, u):
+    def step_matrices(c, u, work):
         flat = u.T.ravel()
         half = np.empty(2 * flat.size + 1, dtype=complex)
         half[:-1:2], half[1::2], half[-1] = flat, flat * w, flat[-1] * w * w
@@ -530,7 +533,8 @@ def test_step_polynomial_matches_the_broadcast_composition(model, degree,
     c = _step_polynomial(model, sched, dual)
     assert np.abs(np.flatnonzero(c.reshape(9, 4).any(axis=1)) - 4).max() == degree
     u = sched.phasors(0, n).reshape(-1, 40).T.copy()
-    got = _laurent(c, u).transpose(1, 2, 3, 0).reshape(2, 2, n)
+    got = _laurent(c, u, np.empty(6 * n, dtype=complex))
+    got = got.transpose(1, 2, 3, 0).reshape(2, 2, n)
     # four ulp of the unit entries
     assert np.abs(got - want).max() <= 1e-15
     # diagonal steps keep exact zeros off the diagonal
@@ -547,7 +551,8 @@ def _sha256(*arrays):
 
 # sha256 of psi(T) and of the records, (t, psi(t)) pairs as float64 and
 # complex128 bytes: the CLI reference set pins no dual run and no records
-@pytest.mark.parametrize("model, T, steps, dual, psi_sha, records_sha", [
+_pinned_runs = pytest.mark.parametrize(
+    "model, T, steps, dual, psi_sha, records_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
      "3781ad2a17bc63574f11293845a9bac02d9fb882c4279c8848dd61d1e6477f9e",
      "1a92768a523e520a143f21e038064052f59fa686cf49676a33508a4b1b205ccd"),
@@ -563,6 +568,9 @@ def _sha256(*arrays):
      "37c0a10c091b05203736b45adc771e38c23204d1fb933d226d0675fd7bdfa212",
      "cff42c337b93fb237a04fd9e98651fc30da31a9bf6694f3d3c43aa1bf04e276d"),
 ], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
+
+
+@_pinned_runs
 def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
                                       records_sha):
     # the chain's 40000 steps span two chunks, the second with a ragged
@@ -574,6 +582,57 @@ def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
     assert _sha256(psi) == psi_sha
     assert _sha256(*(a for t, state in records
                      for a in (np.float64(t), state))) == records_sha
+
+
+@_pinned_runs
+def test_plain_evolve_returns_the_bits_of_a_recorded_run(model, T, steps, dual,
+                                                         psi_sha, records_sha):
+    # a certified chunk without records forms only its last state
+    sched = Schedule(period_T=T, steps=steps)
+    psi0 = np.array([0.6, 0.8j])
+    psi = evolve(model, sched, psi0, dual=dual)
+    recorded, _ = evolve(model, sched, psi0, dual=dual, record_every=3000)
+    assert psi.tobytes() == recorded.tobytes()
+    assert _sha256(psi) == psi_sha
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-1000, 1000), min_size=12, max_size=12))
+def test_the_entry_peak_bounds_the_growth_of_a_step(values):
+    # |M x|^2 <= |M|_F^2 |x|^2 <= 8 max(|Re M_ij|, |Im M_ij|)^2 |x|^2, the
+    # kernel's certificate, tight for M = (1 + i) [[1, 1], [1, 1]], x = (1, 1);
+    # whole-number parts, so no square leaves the normal range
+    m = np.array(values[:8], dtype=float).view(complex).reshape(2, 2)
+    x = np.array(values[8:], dtype=float).view(complex)
+    peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    growth = np.linalg.norm(m @ x) ** 2
+    assert growth <= 8.0 * peak ** 2 * np.linalg.norm(x) ** 2 * (1.0 + 1e-15)
+
+
+# H = [[0, c1], [0, 0]] along the whole loop, so each RK4 step is I + M_12:
+# at h = 0.1 |M_12| reaches 6, yet no step grows the squared norm more
+# than 29.8-fold (8.2-fold in the dual run)
+_NILPOTENT = TwoLevelModel(_tl((30.0, 30.0, 0.0), (30.0, 30.0, 0.0),
+                               math.pi / 2))
+
+
+@pytest.mark.parametrize("dual, psi_sha", [
+    (False, "c573ce8f2d3e52c828b74ade6016134c744bd6fb2af3ca38522f9adeddc3dd12"),
+    (True, "8eaed07fd5e18ab6f04499f2f8399b38e8154f2de254ea9fc220af4d3c8cee8f"),
+])
+def test_an_uncertified_chunk_that_passes_the_guard_keeps_its_bits(dual,
+                                                                  psi_sha):
+    sched = Schedule(period_T=4000.0, steps=40000)
+    c = _step_polynomial(_NILPOTENT, sched, dual)
+    for step0 in range(0, sched.steps, _CHUNK):
+        n = min(_CHUNK, sched.steps - step0)
+        mats = _laurent(c, sched.phasors(step0, n)[None],
+                        np.empty(6 * n, dtype=complex))
+        peak = max(np.abs(mats.real).max(), np.abs(mats.imag).max())
+        assert 8.0 * peak ** 2 > 100.0
+    # every state formed and guarded, psi(T) keeps its pinned bits
+    psi = evolve(_NILPOTENT, sched, np.array([0.6, 0.8j]), dual=dual)
+    assert _sha256(psi) == psi_sha
 
 
 @pytest.mark.parametrize("model, T, steps", [
