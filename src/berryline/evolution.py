@@ -11,18 +11,20 @@ and states the leftover defect openly instead of hiding it.
 One kernel steps both ``evolve`` and the decomposition. Each RK4 step is
 a 2x2 matrix; both families' entries are affine in the drive phasor u =
 exp(i alpha), so it is a Laurent polynomial in u, its coefficients
-composed once per cycle from the entries at u = 1, i and -1. Per chunk
-of m steps in about 2 sqrt(m) blocks, each matrix entry takes two Horner
-chains at its step's phasor, one product of a coarse and a fine table
-entry (``Schedule.phasors``), where the decomposition reads its band
-energies too. Running products within the blocks come vectorized across
-blocks, in place in one workspace per cycle, and a walk over the block
-products gives each block's start. Per-step states are formed only where
-read: by the branch of c(t), the records and the growth guard, which a
-chunk skips when its matrix entries bound every step's growth below the
-guard's, so plain ``evolve`` reads one state per chunk. Products are
-renormalized every 16 steps and states at each block start, the scale
-kept as a running log, so no cycle underflows or overflows in the kernel.
+composed once per cycle from the entries at u = 1, i and -1. Each matrix
+entry takes two Horner chains at its step's phasor, one product of a
+coarse and a fine table entry (``Schedule.phasors``), where the
+decomposition reads its band energies too. A chunk of m steps scans its
+running products in two levels (Blelloch, CMU-CS-90-190): in blocks of
+about 0.75 m^(1/3) steps, vectorized across blocks, then in superblocks
+of as many blocks, vectorized across the superblocks that a walk visits.
+Each array a chunk touches is a view of one workspace per cycle.
+Per-step states are formed only where read: by the branch of c(t), the
+records and the growth guard, which a chunk skips when its matrix
+entries bound every step's growth below the guard's, so plain ``evolve``
+reads one state per chunk. Products are renormalized every 16 rows and
+states at each block start, the scale kept as a running log, so no cycle
+underflows or overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -50,7 +52,7 @@ _CHUNK = 1 << 15           # steps per streamed chunk of step matrices
 _RENORM_MASK = 15          # renormalize at least every 16 steps
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # 0.40-0.70 s of RK4 stepping on a shared 2-core x86
+_MAX_STEPS = 2 ** 24       # 0.31-0.51 s of RK4 stepping on a shared 2-core x86
 _FINE = 256                # drive phasors per row of the coarse x fine table
 
 
@@ -84,14 +86,15 @@ class Schedule:
                 f"{self.steps} steps over T={self.period_T} is fewer than 10 "
                 "per unit time")
 
-    def phasors(self, start, count):
+    def phasors(self, start, count, out=None):
         """Drive phasors exp(i alpha_n) at steps start <= n < start + count.
 
         alpha_n = 2 pi n / steps is the drive at t = n h. Each phasor is
         one product coarse[J] fine[r] for n = J S + r and S = _FINE, so a
         run of count phasors takes about S + count / S cosines and sines.
         The product depends on n alone: any run is the same slice of the
-        whole-cycle grid, bit for bit.
+        whole-cycle grid, bit for bit. Given ``out`` (count + 2 S - 2
+        entries hold any run), the rows fill it and the run is its slice.
         """
         n = self.steps
         top = np.arange(start // _FINE, (start + count - 1) // _FINE + 1)
@@ -99,7 +102,8 @@ class Schedule:
         coarse = np.exp(1j * (((2 * _FINE * top + n) % (2 * n) - n) * (math.pi / n)))
         fine = np.exp(1j * (np.arange(0, 2 * _FINE, 2) * (math.pi / n)))
         first = start - int(top[0]) * _FINE
-        return (coarse[:, None] * fine).ravel()[first:first + count]
+        rows = None if out is None else out[:len(top) * _FINE].reshape(-1, _FINE)
+        return np.multiply(coarse[:, None], fine, out=rows).ravel()[first:first + count]
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,25 @@ def _laurent(c, u, work):
     return out
 
 
+def _running(mats, x0, x1):
+    """In place, row k of (L, 2, 2, n) ``mats`` becomes M_k ... M_0: (norms, logs).
+
+    Row k = 16 r + 15 is divided by norms[r], and row k carries the scale
+    exp(logs[(k + 1) // 16]) per column; x0, x1 are (2, 2, n) operand rows.
+    """
+    norms = []
+    for k in range(1, len(mats)):
+        np.multiply(mats[k, :, 0, None], mats[k - 1, 0], out=x0)
+        np.multiply(mats[k, :, 1, None], mats[k - 1, 1], out=x1)
+        np.add(x0, x1, out=mats[k])
+        if k & _RENORM_MASK == _RENORM_MASK:
+            norms.append(np.linalg.norm(mats[k].reshape(4, -1), axis=0))
+            mats[k] /= norms[-1]
+    norms = np.array(norms).reshape(-1, mats.shape[-1])
+    logs = np.vstack([np.zeros((1, norms.shape[1])), np.log(norms)])
+    return norms, np.cumsum(logs, axis=0)
+
+
 @np.errstate(all="ignore")
 def _propagate(model, schedule, psi, dual=False, project=None,
                record_every=None, energies=None):
@@ -198,9 +221,14 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
     ``record_every`` steps. ``energies``, if given, takes each chunk's
-    drive phasors at its steps and at the step that ends it. Raises
-    StepTooLarge at the first step that grows the squared norm a
-    hundredfold, leaves it without a finite value, or turns c over 1.5 rad.
+    drive phasors at its steps and the step that ends it, and a (2, m + 1)
+    buffer. Raises StepTooLarge at the first step that grows the squared
+    norm a hundredfold, leaves it without a finite value, or turns c over
+    1.5 rad.
+
+    ``_running`` scans the blocks, then the superblocks of a chunk; a walk
+    over the superblocks gives each block a unit start. One workspace per
+    cycle, sized to the first chunk, holds every array a chunk touches.
 
     A chunk whose step matrices all have |Re M_ij|, |Im M_ij| < sqrt(12.5)
     is certified: |M x|^2 <= |M|_F^2 |x|^2 < 100 |x|^2, so no step of it
@@ -215,52 +243,66 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     poly = _step_polynomial(model, schedule, dual)
     for step0 in range(0, steps, _CHUNK):
         m = min(_CHUNK, steps - step0)
-        # M[k, :, :, b] steps n = b * length + k, read off the phasors of
-        # all nblocks blocks; padding steps get M = I
-        length = math.isqrt(m // 4) + 1
-        nblocks = -(-m // length)
+        # M[k, :, :, b] steps n = b * length + k, for block b = s * group + j
+        # of superblock s; padding steps, whole blocks too, get M = I
+        length = group = max(2, round(0.75 * m ** (1 / 3)))
+        nsuper = -(-m // (length * group))
+        nblocks = nsuper * group
+        npad = length * nblocks
         if not step0:
-            # one workspace per cycle, sized to the first chunk: no later
-            # chunk has more blocks or a larger padded grid
-            work = np.empty(6 * length * nblocks + 8 * nblocks, dtype=complex)
-            terms = work[6 * length * nblocks:]
-        u = schedule.phasors(step0, length * nblocks + 1)
+            work = np.empty(7 * npad + 12 * nblocks, dtype=complex)
+        assert 7 * npad + 12 * nblocks <= work.size
+        # work: phasors and energies, step matrices, then c, its shift, turns
+        # and flags; Horner rows, then states; the grid; the products' rows
+        u = schedule.phasors(step0, npad + 1, out=work)
         if energies is not None:
-            energies(u[:m + 1])
-        mats = _laurent(poly, u[:-1].reshape(nblocks, length).T.copy(), work)
-        mats[m - (nblocks - 1) * length:, :, :, -1] = np.eye(2)
+            energies(u[:m + 1], work[npad + 1:npad + 2 * m + 3].reshape(2, -1))
+        grid = work[6 * npad:7 * npad].reshape(length, nblocks)
+        grid[...] = u[:-1].reshape(nblocks, length).T
+        mats = _laurent(poly, grid, work)
+        b = (m - 1) // length
+        mats[m - b * length:, :, :, b] = np.eye(2)
+        mats[..., b + 1:] = np.eye(2)[..., None]
         parts = mats.ravel().view(float)   # the certificate, before the products
         peak = np.abs([parts.min(), parts.max()]).max()
         certified = 8.0 * peak * peak < _GROWTH_LIMIT_SQ
-        x0, x1 = terms[:8 * nblocks].reshape(2, 2, 2, nblocks)
-        norms = []   # in place: mats[k] becomes M_k ... M_0 of its block
-        for k in range(1, length):
-            np.multiply(mats[k, :, 0, None], mats[k - 1, 0], out=x0)
-            np.multiply(mats[k, :, 1, None], mats[k - 1, 1], out=x1)
-            np.add(x0, x1, out=mats[k])
-            if k & _RENORM_MASK == _RENORM_MASK:
-                norms.append(np.linalg.norm(mats[k].reshape(4, -1), axis=0))
-                mats[k] /= norms[-1]
-        norms = np.array(norms).reshape(-1, nblocks)
-        # logs[r, b]: the log scale of block b's product renormalized r times
-        logs = np.cumsum(np.vstack([np.zeros(nblocks), np.log(norms)]), axis=0)
-        (u, v), starts, start_log = state.tolist(), [], []
+        rows, tops = np.split(work[7 * npad:7 * npad + 12 * nblocks], [8 * nblocks])
+        norms, logs = _running(mats, *rows.reshape(2, 2, 2, nblocks))
+        tops = tops.reshape(group, 2, 2, nsuper)
+        tops[...] = mats[-1].reshape(2, 2, nsuper, group).transpose(3, 0, 1, 2)
+        _, top_logs = _running(tops, *rows[:8 * nsuper].reshape(2, 2, 2, nsuper))
+        # rlog[s, j]: the log scale of the first j blocks of superblock s
+        rlog = np.hstack([np.zeros((nsuper, 1)), logs[-1].reshape(nsuper, group)])
+        rlog = np.cumsum(rlog, axis=1) + top_logs[
+            np.arange(group + 1) // (_RENORM_MASK + 1)].T
+        (x, y), first, first_log = state.tolist(), [], []
         for plog, (p11, p12, p21, p22) in zip(
-                logs[-1].tolist(), zip(*mats[-1].reshape(4, -1).tolist())):
-            norm = math.hypot(u.real, u.imag, v.real, v.imag)
+                rlog[:, -1].tolist(), zip(*tops[-1].reshape(4, -1).tolist())):
+            norm = math.hypot(x.real, x.imag, y.real, y.imag)
             if 0.0 < norm < math.inf:
-                u, v, log_scale = u / norm, v / norm, log_scale + math.log(norm)
-            starts.append((u, v))
-            start_log.append(log_scale)
-            u, v, log_scale = p11 * u + p12 * v, p21 * u + p22 * v, log_scale + plog
-        starts, start_log = np.array(starts).T, np.array(start_log)
-        k, b = (m - 1) % length, (m - 1) // length
+                x, y, log_scale = x / norm, y / norm, log_scale + math.log(norm)
+            first.append((x, y))
+            first_log.append(log_scale)
+            x, y, log_scale = p11 * x + p12 * y, p21 * x + p22 * y, log_scale + plog
+        # block j > 0 of superblock s starts at R_(j-1) times its start
+        first = np.array(first).T
+        starts = [first[None], tops[:-1, :, 0] * first[0] + tops[:-1, :, 1] * first[1]]
+        starts = np.concatenate(starts).transpose(1, 2, 0).reshape(2, nblocks)
+        start_log = (np.array(first_log)[:, None] + rlog[:, :-1]).ravel()
+        norm = np.hypot(np.abs(starts[0]), np.abs(starts[1]))
+        norm[~((0.0 < norm) & (norm < math.inf))] = 1.0
+        starts /= norm
+        start_log += np.log(norm)
+        k = (m - 1) % length   # the last step, in block b
         state = mats[k, :, 0, b] * starts[0, b] + mats[k, :, 1, b] * starts[1, b]
         log_scale = float(logs[(k + 1) // (_RENORM_MASK + 1), b] + start_log[b])
         certified = certified and np.isfinite(state).all()
         if certified and project is None and records is None:
             continue
-        states = mats[:, :, 0] * starts[0] + mats[:, :, 1] * starts[1]
+        states = work[4 * npad:6 * npad].reshape(length, 2, nblocks)
+        for i in range(2):
+            np.multiply(mats[:, i, 0], starts[0], out=states[:, i])
+            states[:, i] += np.multiply(mats[:, i, 1], starts[1], out=grid)
         bad = grown = np.zeros((length, nblocks), dtype=bool)
         if not certified:
             n2 = np.linalg.norm(states, axis=1) ** 2
@@ -269,10 +311,17 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             # written so that a norm that is not finite fails it too
             bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
         if project is not None:
-            c = project @ states
-            turns = np.angle(c / np.concatenate([(project @ starts)[None], c[:-1]]))
-            bad = grown | (np.abs(turns) > _MAX_TURN)
+            c, shifted = work[:2 * npad].reshape(2, length, nblocks)
+            turns = work[2 * npad:3 * npad].view(float)[:npad].reshape(length, -1)
+            flags = work[3 * npad:4 * npad].view(bool)[:npad].reshape(length, -1)
+            np.matmul(project, states, out=c)
+            np.matmul(project, starts, out=shifted[0])
+            shifted[1:] = c[:-1]
+            np.divide(c, shifted, out=shifted)
+            np.arctan2(shifted.imag, shifted.real, out=turns)
             turn += float(turns.sum())
+            np.greater(np.abs(turns, out=turns), _MAX_TURN, out=flags)
+            bad = np.logical_or(grown, flags, out=flags)
         k, b = np.nonzero(bad)
         if k.size:
             step = step0 + int((b * length + k).min())
@@ -331,9 +380,9 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
 class _BandEnergyIntegral:
     """Trapezoid of the tracked band energy over the cycle, plus extremes.
 
-    Fed each chunk as ``_propagate``'s ``energies``, each with its own
-    branch anchor. The root's sign is re-matched at each seam against the
-    previous chunk's last value, exactly: the ambiguity flips both bands.
+    Fed each chunk and its buffer as ``_propagate``'s ``energies``, each
+    with its own branch anchor. The root's sign is re-matched at each seam
+    against the previous chunk's last value: the ambiguity flips both bands.
     """
 
     def __init__(self, model, schedule, band):
@@ -341,8 +390,8 @@ class _BandEnergyIntegral:
         self.h = schedule.period_T / schedule.steps
         self.total, self.max_im_half_gap = 0.0 + 0.0j, 0.0
 
-    def __call__(self, phasors):
-        e, last = self.model.energies(phasors), self.last
+    def __call__(self, phasors, out=None):
+        e, last = self.model.energies(phasors, out), self.last
         if last is not None and abs(e[0, 0] + last) < abs(e[0, 0] - last):
             e = e[::-1]
         sel = e[self.band]

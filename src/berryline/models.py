@@ -288,6 +288,12 @@ def _radicand(v, v_prime, gamma, u):
             + sign * v * v_prime * ((u.real + sign) ** 2 + u.imag ** 2))
 
 
+def _real_root(r, out):
+    """np.sqrt(r + 0j) of real r into ``out``, bit for bit: np.maximum(-0., 0.) is +0."""
+    np.sqrt(np.maximum(r, 0.0), out=out.real)
+    np.sqrt(np.maximum(-r, 0.0), out=out.imag)
+
+
 def _mixing_angle(angle, u):
     """The complex mixing angle chi from u = exp(i chi) and a continuous arg u."""
     return angle - 1j * np.log(np.abs(u))
@@ -503,8 +509,8 @@ class TwoLevelModel:
         """The frame on a grid of loop parameters, as a one-row stack."""
         return _TwoLevelRows(self.params, alphas, dalpha)
 
-    def energies(self, phasors):
-        """Both energy branches at phasors exp(i phi), continuous along them, (2, M).
+    def energies(self, phasors, out=None):
+        """Both energy branches, continuous along phasors exp(i phi), in ``out``: (2, M).
 
         The principal root of the squared energy w, its sign flipped after
         each pair of roots that point apart, as np.unwrap does on arg w.
@@ -515,10 +521,12 @@ class TwoLevelModel:
         ct = math.cos(p.theta)
         a = complex(p.h_z, p.d_z) * ct
         c1, c2 = _two_level_offdiag(p, u.real, u.imag)
-        e = np.sqrt(a * a + c1 * c2 * (st * st))
-        apart = e.real[1:] * e.real[:-1] + e.imag[1:] * e.imag[:-1] < 0.0
-        np.negative(e[1:], out=e[1:], where=np.logical_xor.accumulate(apart))
-        return np.stack([e, -e])
+        e = np.empty((2,) + u.shape, dtype=complex) if out is None else out
+        np.sqrt(a * a + c1 * c2 * (st * st), out=e[0])
+        apart = e.real[0, 1:] * e.real[0, :-1] + e.imag[0, 1:] * e.imag[0, :-1] < 0.0
+        np.negative(e[0, 1:], out=e[0, 1:], where=np.logical_xor.accumulate(apart))
+        np.negative(e[0], out=e[1])
+        return e
 
     def entry_rows(self, phasors):
         """Matrix entries (h11, h12, h21, h22) at phasors exp(i phi).
@@ -557,13 +565,16 @@ class BipartiteModel:
         p = self.params
         return _ChainRows([p.v], [p.v_prime], [p.gamma], alphas, dalpha)
 
-    def energies(self, phasors):
-        """Both energy branches at phasors exp(ik) along a grid, shape (2, M)."""
+    def energies(self, phasors, out=None):
+        """Both energy branches at phasors exp(ik) along a grid, in ``out``: (2, M)."""
         p = self.params
         u = np.asarray(phasors, dtype=complex)
-        s = np.sqrt(_radicand(p.v, p.v_prime, p.gamma, u).astype(complex))
+        e = np.empty((2,) + u.shape, dtype=complex) if out is None else out
+        _real_root(_radicand(p.v, p.v_prime, p.gamma, u), e[1])
         centroid = p.eps_a - 1j * p.gamma
-        return np.stack([centroid + s, centroid - s])
+        np.add(centroid, e[1], out=e[0])
+        np.subtract(centroid, e[1], out=e[1])
+        return e
 
     def entry_rows(self, phasors):
         """Bloch matrix entries (h11, h12, h21, h22) at phasors exp(ik).

@@ -119,9 +119,14 @@ class _Recorder:
         self.at_rows.append(np.array(phasors))
         return self.model.entry_rows(phasors)
 
-    def energies(self, phasors):
+    def energies(self, phasors, out=None):
         self.at_energies.append(np.array(phasors))
-        return self.model.energies(phasors)
+        return self.model.energies(phasors, out)
+
+
+# padded steps of a chunk of m steps: superblocks of length x length
+# steps, length = max(2, round(0.75 m^(1/3))), enough to hold m
+_PADDED = {1000: 7 * 7 * 21, 32768: 24 * 24 * 57, 7232: 15 * 15 * 33, 3: 2 * 2}
 
 
 @pytest.mark.parametrize("steps", [1000, 40000, 2 ** 17 + 3])
@@ -130,9 +135,9 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     runs, at_steps = [], []
     phasors = Schedule.phasors
 
-    def counted(self, start, count):
+    def counted(self, start, count, out=None):
         runs.append((start, count))
-        return phasors(self, start, count)
+        return phasors(self, start, count, out)
 
     def recorded(c, u, work):
         at_steps.append(u.T.ravel())
@@ -154,7 +159,7 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     for step0, u, e in zip(starts, at_steps, recorder.at_energies):
         m = min(_CHUNK, steps - step0)
         # the matrices read every step of the chunk's blocks, padding too
-        assert m <= u.size < m + math.isqrt(m)
+        assert u.size == _PADDED[m]
         assert u.tobytes() == whole[step0:step0 + u.size].tobytes()
         # the energies read its steps and the one that ends it
         assert e.size == m + 1
@@ -405,22 +410,24 @@ def test_hermitian_defect_falls_inversely_with_cycle_time():
 
 
 class _BurstDrive:
-    """Uniform loss at ``decay`` with a 50-fold gain burst for t in (1500.02, 1500.27).
+    """Uniform loss at ``decay`` with a 50-fold gain burst for t in (at + 0.02, at + 0.27).
 
-    On a 0.1 grid the burst covers both late stages of step 15000 and
-    grows the norm about 24-fold there, well past the stability guard.
+    On a 0.1 grid the burst covers both late stages of the step at t = at
+    and grows the norm about 24-fold there, well past the stability guard.
     """
 
     period = 2.0 * math.pi
 
-    def __init__(self, T, decay):
+    def __init__(self, T, decay, at=1500.0):
         self.T = T
         self.decay = decay
+        self.at = at
 
     def entry_rows(self, phasors):
         # the time read off the drive angle, in [0, T)
         t = np.mod(np.angle(phasors), self.period) * (self.T / self.period)
-        diag = np.where((t > 1500.02) & (t < 1500.27), 50j, -1j * self.decay)
+        burst = (t > self.at + 0.02) & (t < self.at + 0.27)
+        diag = np.where(burst, 50j, -1j * self.decay)
         zero = np.zeros_like(diag)
         return np.stack([diag, zero, zero, diag])
 
@@ -512,6 +519,25 @@ def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
             assert _close(state, ref_state)
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_every_recorded_state_matches_the_oracle_across_the_seams(dual):
+    # 32769 steps: a 32768-step chunk whose last superblock ends in 16
+    # padding steps and two whole identity blocks, then a one-step chunk
+    model = _chain(2.0, 0.3)
+    sched = Schedule(period_T=100.0, steps=_CHUNK + 1)
+    psi0 = np.array([0.6, 0.8j])
+    psi, records = evolve(model, sched, psi0, dual=dual, record_every=1)
+    ref, _, _, ref_records = scalar_rk4(model, sched, psi0, dual=dual,
+                                        record_every=1)
+    assert _close(psi, ref)
+    assert len(records) == len(ref_records) + 1 == sched.steps + 1
+    assert [t for t, _ in records[1:]] == [t for t, _ in ref_records]
+    got = np.array([state for _, state in records[1:]])
+    want = np.array([state for _, state in ref_records])
+    assert np.all(np.abs(got - want).max(axis=1)
+                  <= 1e-11 * np.abs(want).max(axis=1))
+
+
 @pytest.mark.parametrize("model, degree", [
     # nilpotent H_+ and H_- stop the chain's steps at u^2 and u^-2
     (_chain(2.0, 0.3), 2),
@@ -554,19 +580,19 @@ def _sha256(*arrays):
 _pinned_runs = pytest.mark.parametrize(
     "model, T, steps, dual, psi_sha, records_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
-     "3781ad2a17bc63574f11293845a9bac02d9fb882c4279c8848dd61d1e6477f9e",
-     "1a92768a523e520a143f21e038064052f59fa686cf49676a33508a4b1b205ccd"),
+     "96c5094b8c9c33efbe9dee8d34348111fb4d086ad0c5d033da3d66ef9af5c79a",
+     "a5192576dda83ad46728ee9b0b950c2515dcd56849ff29a43fa40310a86532a4"),
     (_chain(2.0, 0.3), 100.0, 40000, True,
-     "23fac1cc4ef4b6a0ff24f11690f46d6c4a95f8cbcefc190d2e9c1b39fddf27b6",
-     "c1b86af4c35c4492c7a4f090fae1e27cf4c6d78bd51de0a50286ae5481b927ed"),
+     "e2320390f1ba354be560de653494c356f7648b20c4e5bd17d1a8013316071ddf",
+     "241c185f180fa99e1568f19b490911ce5f8a5b932bafdc146d9ed8b158cb6f80"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      False,
-     "79262461788c0f39f22847a30eb697ce5be65f50dc97b149468fc61fa0780284",
-     "6a8334c22e1b0d828b88f826f3bf048d7c217ab83a5c8faed87ecf781f481a39"),
+     "7d321a0d9b658b0fbd2cb0690ee4707d17d34e81a6e2c91d767e0caafc50ae93",
+     "cb464bb06cac38dba4f2d2993148f5578ad7bfa5aea2d1c3d239f16f1fca2fe7"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      True,
-     "37c0a10c091b05203736b45adc771e38c23204d1fb933d226d0675fd7bdfa212",
-     "cff42c337b93fb237a04fd9e98651fc30da31a9bf6694f3d3c43aa1bf04e276d"),
+     "7550bd02f8a6fa359c274e484e46f47b775406e22657d9f4ce67702096c3ca47",
+     "fbbaed2e3baa84e5b5122fd995f373c1c8727a151da82588b958e546110ed391"),
 ], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
 
 
@@ -617,8 +643,8 @@ _NILPOTENT = TwoLevelModel(_tl((30.0, 30.0, 0.0), (30.0, 30.0, 0.0),
 
 
 @pytest.mark.parametrize("dual, psi_sha", [
-    (False, "c573ce8f2d3e52c828b74ade6016134c744bd6fb2af3ca38522f9adeddc3dd12"),
-    (True, "8eaed07fd5e18ab6f04499f2f8399b38e8154f2de254ea9fc220af4d3c8cee8f"),
+    (False, "04b3326b3fe3d02499369adf80972869146e41d79850a29a383e4f52eee62d3a"),
+    (True, "f7cd62e07eea96f49a1f9732069251e118ebcae264bb20f0a6386211fa919557"),
 ])
 def test_an_uncertified_chunk_that_passes_the_guard_keeps_its_bits(dual,
                                                                   psi_sha):
@@ -639,6 +665,10 @@ def test_an_uncertified_chunk_that_passes_the_guard_keeps_its_bits(dual,
     (_chain(2.0, 0.3), 200.0, 40000),
     (_chain(2.0, 0.0), 200.0, 5657),
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 100.0, 2000),
+    # whole identity blocks in the last superblock, then a one-step chunk
+    (_chain(2.0, 0.3), 200.0, _CHUNK + 1),
+    (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 300.0,
+     _CHUNK + 1),
 ])
 def test_decomposition_matches_the_scalar_oracle(model, T, steps):
     sched = Schedule(period_T=T, steps=steps)
@@ -658,11 +688,18 @@ def test_guards_fire_at_the_oracle_steps(monkeypatch):
     cases = [
         # growth: |E| h = 4.5 at once, and a late gain burst
         (TwoLevelModel(_tl((0.7, 0.4, 45.0), (0.0, 0.0, 0.0), 0.0)),
-         Schedule(period_T=100.0, steps=1000), (1.0, 1.0)),
+         Schedule(period_T=100.0, steps=1000), (1.0, 1.0), 0),
         (_BurstDrive(2000.0, decay=0.001), Schedule(period_T=2000.0, steps=20000),
-         (0.6, 0.8)),
+         (0.6, 0.8), 15000),
+        # a 32768-step chunk has superblocks of 24 x 24 steps and 64 padding
+        # steps: a burst at the first step of superblock 37, and one in the
+        # chunk's last real step
+        (_BurstDrive(4000.0, decay=0.001, at=2131.2),
+         Schedule(period_T=4000.0, steps=40000), (0.6, 0.8), 37 * 24 * 24),
+        (_BurstDrive(4000.0, decay=0.001, at=3276.7),
+         Schedule(period_T=4000.0, steps=40000), (0.6, 0.8), _CHUNK - 1),
     ]
-    for model, sched, psi0 in cases:
+    for model, sched, psi0, step in cases:
         with monkeypatch.context() as patch:
             if isinstance(model, _BurstDrive):
                 _half_step_kernel(patch, model, sched)
@@ -670,7 +707,7 @@ def test_guards_fire_at_the_oracle_steps(monkeypatch):
                 evolve(model, sched, psi0)
         with pytest.raises(StepTooLarge) as ref:
             scalar_rk4(model, sched, psi0)
-        assert ours.value.step == ref.value.step
+        assert ours.value.step == ref.value.step == step
         assert abs(ours.value.growth - ref.value.growth) < 1e-9 * ref.value.growth
     # turn: |E| h reaches 2.5 rad per step a quarter into the cycle
     model = TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2))

@@ -703,6 +703,40 @@ def test_chain_rows_transpose_and_energies_are_even_under_k_to_minus_k(model):
     assert np.array_equal(model.energies(flipped), model.energies(_PHASORS))
 
 
+@_PROPERTY
+@given(_models)
+def test_energies_fill_an_output_buffer_with_their_own_bits(model):
+    buf = np.full((2, _PHASORS.size), complex(math.nan, math.nan))
+    assert model.energies(_PHASORS, out=buf) is buf
+    assert buf.tobytes() == model.energies(_PHASORS).tobytes()
+
+
+def test_the_chain_root_is_the_complex_square_root_bit_for_bit():
+    # two real roots in place of csqrt on a real radicand, on seeded TYPE_I
+    # (r > 0), gapless (both signs) and TYPE_II (r < 0) rows
+    rng = np.random.default_rng(17)
+    signs = set()
+    for _ in range(40):
+        q = rng.uniform(0.05, 3.0)
+        for eta in (rng.uniform(0.0, abs(1.0 - q)), rng.uniform(abs(1.0 - q), 1.0 + q),
+                    rng.uniform(1.0 + q, 4.0 + q)):
+            r = models._radicand(1.0, q, eta, _PHASORS)
+            signs.add((bool((r > 0.0).any()), bool((r < 0.0).any())))
+            root = np.empty_like(_PHASORS)
+            models._real_root(r, root)
+            assert root.tobytes() == np.sqrt(r.astype(complex)).tobytes()
+    assert signs == {(True, False), (True, True), (False, True)}
+    # an exact zero of either sign, and the radicand's own zero on the line
+    # eta = 1 + q at k = 0: csqrt gives +0 + 0i, with no negative zero
+    r = np.concatenate([[0.0, -0.0, 2.25, -2.25],
+                        models._radicand(1.0, 0.5, 1.5, np.array([1.0 + 0j]))])
+    assert r[-1] == 0.0
+    root = np.empty(r.size, dtype=complex)
+    models._real_root(r, root)
+    assert root.tobytes() == np.sqrt(r.astype(complex)).tobytes()
+    assert not np.signbit(root[[0, 1, 4]].view(float)).any()
+
+
 def _assert_hermitian(rows):
     h11, h12, h21, h22 = rows
     assert np.array_equal(h11.imag, np.zeros_like(h11.imag))

@@ -21,9 +21,9 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 65c922557099e156aa93e812f1db36cc0c0b93d3367e6bc07a66bd1aa192453f
 d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
-6b18a9eaab852badecccb234f53294374d7de21caddb32f152ecbf86d6ae52a9
-ea5267807ccb0cc192c37554d76c8ebdbfb5062571bc990c70d4ce1e4a7be19a
-fd2389288a4eba091c806b2ddba40c44ca4a1f86433c5b45d61cb7fdffef6fc3
+c4a8281ade6d0187576ea7a390204894ea9ce2d5701edfbae8ad05953e12ed31
+6690dc782617b26861ae9abffe70c58334d34bd488ebb8408bf7ef0485edf202
+ea1ec360e66cb84aba1f377dbd545e4808b86e650c524964d5c80376e2eb6114
 4b0d118a4d3e57f2c5a59e736b0a9238a330d6cbbfbd7a8ff11b05c064e2a134
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
