@@ -11,20 +11,22 @@ and states the leftover defect openly instead of hiding it.
 One kernel steps both ``evolve`` and the decomposition. Each RK4 step is
 a 2x2 matrix; both families' entries are affine in the drive phasor u =
 exp(i alpha), so it is a Laurent polynomial in u, its coefficients
-composed once per cycle from the entries at u = 1, i and -1. Each matrix
-entry takes two Horner chains at its step's phasor, one product of a
+composed once per cycle from the entries at u = 1, i and -1. The drive
+advances at a constant rate, so the product of L consecutive steps is
+one function of its first phasor, analytic on the unit circle. Once per
+cycle, samples at K roots of unity and one FFT give its Fourier series;
+per chunk, one matmul of fixed shape reads every block's product off it.
+A pairwise tree multiplies the blocks into superblocks and a walk over
+the superblocks carries the state, so plain ``evolve`` does no per-step
+work. States are formed only where read, from a block's start through
+its step matrices: by the branch of c(t), the records, and the growth
+guard of a cycle whose coefficients do not bound every step's growth
+below the guard's, which takes blocks of one step. A step matrix takes
+two Horner chains per entry at its step's phasor, one product of a
 coarse and a fine table entry (``Schedule.phasors``), where the
-decomposition reads its band energies too. A chunk of m steps scans its
-running products in two levels (Blelloch, CMU-CS-90-190): in blocks of
-about 0.75 m^(1/3) steps, vectorized across blocks, then in superblocks
-of as many blocks, vectorized across the superblocks that a walk visits.
-Each array a chunk touches is a view of one workspace per cycle.
-Per-step states are formed only where read: by the branch of c(t), the
-records and the growth guard, which a chunk skips when its matrix
-entries bound every step's growth below the guard's, so plain ``evolve``
-reads one state per chunk. Products are renormalized every 16 rows and
-states at each block start, the scale kept as a running log, so no cycle
-underflows or overflows in the kernel.
+decomposition reads its band energies too. The state is renormalized at
+each superblock and block start, the scale kept as a running log, so no
+cycle underflows or overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -48,12 +50,15 @@ from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
 from .models import _TWO_PI, TWO_LEVEL, _check_integer, band_index
 from .berry import bipartite_phase_point, two_level_phase_point
 
-_CHUNK = 1 << 15           # steps per streamed chunk of step matrices
-_RENORM_MASK = 15          # renormalize at least every 16 steps
+_CHUNK = 1 << 15           # steps per chunk: bounds the per-step workspace
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # 0.31-0.51 s of RK4 stepping on a shared 2-core x86
+_MAX_STEPS = 2 ** 24       # evolve 0.07-0.11 s, decomposition 1.7-2.1 s (shared 2-core x86)
 _FINE = 256                # drive phasors per row of the coarse x fine table
+_BLOCK = 64                # longest block of a series: its product stays below 10^64
+_SPREAD = 16.0             # widest ratio of sampled block norms a series may span
+_ROUNDING = 2.0 ** -45     # coefficients this far below the largest are rounding
+_GROUP = 16                # blocks per superblock
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,21 @@ class Schedule:
         whole-cycle grid, bit for bit. Given ``out`` (count + 2 S - 2
         entries hold any run), the rows fill it and the run is its slice.
         """
-        n = self.steps
         top = np.arange(start // _FINE, (start + count - 1) // _FINE + 1)
-        # 2 J S reduced into [-n, n) in integers, so its angle is within pi
-        coarse = np.exp(1j * (((2 * _FINE * top + n) % (2 * n) - n) * (math.pi / n)))
-        fine = np.exp(1j * (np.arange(0, 2 * _FINE, 2) * (math.pi / n)))
+        coarse, fine = self._table(top)
         first = start - int(top[0]) * _FINE
         rows = None if out is None else out[:len(top) * _FINE].reshape(-1, _FINE)
         return np.multiply(coarse[:, None], fine, out=rows).ravel()[first:first + count]
+
+    def _table(self, top):
+        """(coarse, fine): the phasor of step n = J S + r is coarse[J] fine[r].
+
+        ``top`` lists the rows J the coarse table holds.
+        """
+        n = self.steps
+        # 2 J S reduced into [-n, n) in integers, so its angle is within pi
+        coarse = np.exp(1j * (((2 * _FINE * top + n) % (2 * n) - n) * (math.pi / n)))
+        return coarse, np.exp(1j * (np.arange(0, 2 * _FINE, 2) * (math.pi / n)))
 
 
 @dataclass(frozen=True)
@@ -194,23 +206,92 @@ def _laurent(c, u, work):
     return out
 
 
-def _running(mats, x0, x1):
-    """In place, row k of (L, 2, 2, n) ``mats`` becomes M_k ... M_0: (norms, logs).
+def _product(mats):
+    """M_(L-1) ... M_0 of the (L, 2, 2, n) stack ``mats``, L a power of two: (2, 2, n).
 
-    Row k = 16 r + 15 is divided by norms[r], and row k carries the scale
-    exp(logs[(k + 1) // 16]) per column; x0, x1 are (2, 2, n) operand rows.
+    Pairwise, later step on the left, in log2 L vectorized levels.
     """
-    norms = []
-    for k in range(1, len(mats)):
-        np.multiply(mats[k, :, 0, None], mats[k - 1, 0], out=x0)
-        np.multiply(mats[k, :, 1, None], mats[k - 1, 1], out=x1)
-        np.add(x0, x1, out=mats[k])
-        if k & _RENORM_MASK == _RENORM_MASK:
-            norms.append(np.linalg.norm(mats[k].reshape(4, -1), axis=0))
-            mats[k] /= norms[-1]
-    norms = np.array(norms).reshape(-1, mats.shape[-1])
-    logs = np.vstack([np.zeros((1, norms.shape[1])), np.log(norms)])
-    return norms, np.cumsum(logs, axis=0)
+    while len(mats) > 1:
+        a, b = mats[1::2], mats[::2]
+        mats = a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+    return mats[0]
+
+
+def _sweep(mats, x, out, spare):
+    """Row k of ``out`` becomes M_k ... M_0 x, for (k, 2, 2, n) ``mats``.
+
+    x (2, n) advances one row at a time, vectorized across the n columns;
+    ``spare`` is a (2, n) operand row.
+    """
+    for k in range(len(out)):
+        np.multiply(mats[k, :, 0], x[0], out=out[k])
+        out[k] += np.multiply(mats[k, :, 1], x[1], out=spare)
+        x = out[k]
+
+
+class _BlockSeries:
+    """The RK4 product of each block of L steps, read off one series per cycle.
+
+    The drive advances at a constant rate, so the product of the L steps
+    from step n is one 2x2 function P(U) = M(U w^(2L-2)) ... M(U w^2) M(U)
+    of U = u_n, a Laurent polynomial in U. Analytic on |U| = 1, its
+    Fourier coefficients fall to rounding within a few dozen terms
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). P is sampled at K
+    roots of unity from the step polynomial ``poly``, and one FFT gives
+    its coefficients Q_J. K doubles up to 2 L, then L and K halve, until
+    the top quarter of the coefficients sits at rounding and the sampled
+    norms span at most _SPREAD, so each block's product is good to
+    rounding of its own size. From L = ``longest`` = 64 down, a certified
+    block's product stays in the float range. ``length`` is L, and
+    exp(``log_scale``) the scale ``products`` leaves out. Without a
+    series (``rows`` None), L = 1: a block is one step, read directly.
+    """
+
+    def __init__(self, poly, schedule, longest):
+        self.length, self.log_scale, self.rows = 1, 0.0, None
+        length, size, p = longest, 16, None
+        while length > 1:
+            # a doubled series keeps the points it has, as its even points
+            at = np.arange(size) if p is None else np.arange(1, size, 2)
+            grid = (np.exp((2j * math.pi / schedule.steps) * np.arange(length))[:, None]
+                    * np.exp((2j * math.pi / size) * at))
+            new = _product(_laurent(poly, grid, np.empty(6 * grid.size, dtype=complex)))
+            p = new if p is None else np.stack([p, new], axis=-1).reshape(2, 2, size)
+            norms = np.linalg.norm(p.reshape(4, size), axis=0)
+            # written so that a zero or non-finite norm fails it too
+            if norms.min() * _SPREAD >= norms.max():
+                q = np.fft.fft(p.reshape(4, size), axis=1) / (size * norms.max())
+                if (np.abs(q[:, 3 * size // 8:5 * size // 8 + 1]).max()
+                        <= _ROUNDING * np.abs(q).max()):
+                    break
+                if size < 2 * length:
+                    size *= 2
+                    continue
+            length, size, p = length // 2, max(16, size // 2), None
+        else:
+            return
+        self.length, self.log_scale = length, math.log(norms.max())
+        self.steps = schedule.steps
+        self.coarse, self.fine = schedule._table(np.arange(self.steps // _FINE + 1))
+        self.power = np.r_[0:size // 2, -(size // 2):0]
+        # block j of a superblock: the series times (u_(j L))^J
+        self.rows = q.T * self._phasors(
+            length * np.arange(_GROUP)[:, None] * self.power)[..., None]
+
+    def _phasors(self, n):
+        """The table phasors of steps n mod steps, as ``Schedule.phasors`` has them."""
+        n = n % self.steps
+        return self.coarse[n // _FINE] * self.fine[n % _FINE]
+
+    def products(self, step0, out):
+        """Block j of superblock s from step0 into out[j, s] (_GROUP, nsuper, 4).
+
+        One matmul multiplies the powers U^J of each superblock's first
+        phasor, exact table phasors, by ``rows``. Its shape is fixed by
+        ``out``, so a block's product depends on its index alone.
+        """
+        heads = step0 + self.length * _GROUP * np.arange(out.shape[1])
+        return np.matmul(self._phasors(heads[:, None] * self.power), self.rows, out=out)
 
 
 @np.errstate(all="ignore")
@@ -226,88 +307,103 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     norm a hundredfold, leaves it without a finite value, or turns c over
     1.5 rad.
 
-    ``_running`` scans the blocks, then the superblocks of a chunk; a walk
-    over the superblocks gives each block a unit start. One workspace per
-    cycle, sized to the first chunk, holds every array a chunk touches.
+    The step matrix M(u) = sum_j C_j u^j has |M_ij| <= sum_j |C_j,ij| on
+    |u| = 1, and |M x|^2 <= |M|_F^2 |x|^2. A cycle whose sums give |M|_F^2
+    < 100 is certified: no step of it can grow the norm that much. Its
+    blocks of L steps read their products off one ``_BlockSeries``, a
+    matmul of fixed shape per chunk. A cycle the certificate does not
+    cover takes blocks of one step, read directly, and runs every guard
+    on every step. The cycle's last block, which may be short, takes the
+    product of its own step matrices.
 
-    A chunk whose step matrices all have |Re M_ij|, |Im M_ij| < sqrt(12.5)
-    is certified: |M x|^2 <= |M|_F^2 |x|^2 < 100 |x|^2, so no step of it
-    can grow that much. If its last state is finite too, it forms states
-    only where they are read (by the projection and the records; plain
-    ``evolve`` reads the last). Any other chunk runs every guard.
+    A pairwise tree gives each superblock's product and a walk over the
+    superblocks their unit starts, the scale kept as a running log, so
+    no cycle underflows or overflows in the kernel. States are formed
+    only where read (by the projection, the records and the guards of an
+    uncertified cycle) by ``_sweep``: within superblocks to each block's
+    start, then within blocks to each step, vectorized across blocks.
     """
     steps = schedule.steps
     h = schedule.period_T / steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
     records = None if record_every is None else [(0.0, state.copy())]
     poly = _step_polynomial(model, schedule, dual)
+    certified = (np.abs(poly).sum(axis=0) ** 2).sum() < _GROWTH_LIMIT_SQ
+    series = _BlockSeries(poly, schedule, _BLOCK if certified else 1)
+    length = series.length
+    dense = not certified or project is not None or records is not None
+    # the matrices of every step: where states are read, or the blocks are steps
+    every = dense or series.rows is None
+    # block b = s * _GROUP + j of superblock s holds steps b * length + k
+    # of its chunk; padding steps, whole blocks too, get M = I
+    nsuper = -(-min(steps, _CHUNK) // (length * _GROUP))
+    nblocks = nsuper * _GROUP
+    npad = length * nblocks
+    # work: phasors and energies, step matrices, then c, its shift, turns
+    # and flags; Horner rows, then states; the grid
+    work = np.empty(7 * (npad if every else length), dtype=complex)
+    tops = np.empty((_GROUP, 2, 2, nsuper), dtype=complex)
+    starts = np.empty((_GROUP, 2, nsuper), dtype=complex)
+    spare = np.empty((2, nblocks), dtype=complex)
+    products = np.empty((_GROUP, nsuper, 4), dtype=complex)
     for step0 in range(0, steps, _CHUNK):
         m = min(_CHUNK, steps - step0)
-        # M[k, :, :, b] steps n = b * length + k, for block b = s * group + j
-        # of superblock s; padding steps, whole blocks too, get M = I
-        length = group = max(2, round(0.75 * m ** (1 / 3)))
-        nsuper = -(-m // (length * group))
-        nblocks = nsuper * group
-        npad = length * nblocks
-        if not step0:
-            work = np.empty(7 * npad + 12 * nblocks, dtype=complex)
-        assert 7 * npad + 12 * nblocks <= work.size
-        # work: phasors and energies, step matrices, then c, its shift, turns
-        # and flags; Horner rows, then states; the grid; the products' rows
-        u = schedule.phasors(step0, npad + 1, out=work)
-        if energies is not None:
-            energies(u[:m + 1], work[npad + 1:npad + 2 * m + 3].reshape(2, -1))
-        grid = work[6 * npad:7 * npad].reshape(length, nblocks)
-        grid[...] = u[:-1].reshape(nblocks, length).T
-        mats = _laurent(poly, grid, work)
-        b = (m - 1) // length
-        mats[m - b * length:, :, :, b] = np.eye(2)
-        mats[..., b + 1:] = np.eye(2)[..., None]
-        parts = mats.ravel().view(float)   # the certificate, before the products
-        peak = np.abs([parts.min(), parts.max()]).max()
-        certified = 8.0 * peak * peak < _GROWTH_LIMIT_SQ
-        rows, tops = np.split(work[7 * npad:7 * npad + 12 * nblocks], [8 * nblocks])
-        norms, logs = _running(mats, *rows.reshape(2, 2, 2, nblocks))
-        tops = tops.reshape(group, 2, 2, nsuper)
-        tops[...] = mats[-1].reshape(2, 2, nsuper, group).transpose(3, 0, 1, 2)
-        _, top_logs = _running(tops, *rows[:8 * nsuper].reshape(2, 2, 2, nsuper))
-        # rlog[s, j]: the log scale of the first j blocks of superblock s
-        rlog = np.hstack([np.zeros((nsuper, 1)), logs[-1].reshape(nsuper, group)])
-        rlog = np.cumsum(rlog, axis=1) + top_logs[
-            np.arange(group + 1) // (_RENORM_MASK + 1)].T
-        (x, y), first, first_log = state.tolist(), [], []
+        last = step0 + m == steps
+        b = (m - 1) // length   # the block of the chunk's last step
+        # the blocks that read the series: all, or all but the cycle's last
+        serial = b if last else b + 1
+        if every or last:
+            # every block's step matrices, or the last block's alone
+            u = (schedule.phasors(step0, npad + 1, out=work) if every
+                 else schedule.phasors(step0 + b * length, length + 1))
+            if energies is not None:
+                energies(u[:m + 1], work[npad + 1:npad + 2 * m + 3].reshape(2, -1))
+            count = npad if every else length
+            grid = work[6 * count:7 * count].reshape(length, -1)
+            grid[...] = u[:-1].reshape(-1, length).T
+            mats = _laurent(poly, grid, work)
+            mats[m - b * length:, :, :, b if every else 0] = np.eye(2)
+            mats[..., b + 1:] = np.eye(2)[..., None]
+        if series.rows is None:
+            tops[...] = mats[0].reshape(2, 2, nsuper, _GROUP).transpose(3, 0, 1, 2)
+        else:
+            tops[...] = series.products(step0, products).transpose(0, 2, 1).reshape(
+                _GROUP, 2, 2, nsuper)
+            s, j = divmod(np.arange(serial, nblocks), _GROUP)
+            tops[j, :, :, s] = np.eye(2)
+            if last:
+                tops[b % _GROUP, :, :, b // _GROUP] = _product(
+                    mats[..., b if every else 0])
+        # blog[s, j]: the log scale of block j of superblock s
+        blog = np.where(np.arange(nblocks) < serial, series.log_scale, 0.0)
+        blog = blog.reshape(nsuper, _GROUP)
+        (x, y), heads, head_log = state.tolist(), [], []
         for plog, (p11, p12, p21, p22) in zip(
-                rlog[:, -1].tolist(), zip(*tops[-1].reshape(4, -1).tolist())):
+                blog.sum(axis=1).tolist(), zip(*_product(tops).reshape(4, -1).tolist())):
             norm = math.hypot(x.real, x.imag, y.real, y.imag)
             if 0.0 < norm < math.inf:
                 x, y, log_scale = x / norm, y / norm, log_scale + math.log(norm)
-            first.append((x, y))
-            first_log.append(log_scale)
+            heads.append((x, y))
+            head_log.append(log_scale)
             x, y, log_scale = p11 * x + p12 * y, p21 * x + p22 * y, log_scale + plog
-        # block j > 0 of superblock s starts at R_(j-1) times its start
-        first = np.array(first).T
-        starts = [first[None], tops[:-1, :, 0] * first[0] + tops[:-1, :, 1] * first[1]]
-        starts = np.concatenate(starts).transpose(1, 2, 0).reshape(2, nblocks)
-        start_log = (np.array(first_log)[:, None] + rlog[:, :-1]).ravel()
-        norm = np.hypot(np.abs(starts[0]), np.abs(starts[1]))
-        norm[~((0.0 < norm) & (norm < math.inf))] = 1.0
-        starts /= norm
-        start_log += np.log(norm)
-        k = (m - 1) % length   # the last step, in block b
-        state = mats[k, :, 0, b] * starts[0, b] + mats[k, :, 1, b] * starts[1, b]
-        log_scale = float(logs[(k + 1) // (_RENORM_MASK + 1), b] + start_log[b])
-        certified = certified and np.isfinite(state).all()
-        if certified and project is None and records is None:
+        state = np.array([x, y])
+        if not dense:
             continue
+        # block j of superblock s starts at its first j blocks times its head
+        starts[0] = np.array(heads).T
+        _sweep(tops, starts[0], starts[1:], spare[:, :nsuper])
+        starts_b = starts.transpose(1, 2, 0).reshape(2, nblocks)
+        start_log = (np.array(head_log)[:, None] + np.cumsum(blog, axis=1) - blog).ravel()
+        norm = np.hypot(np.abs(starts_b[0]), np.abs(starts_b[1]))
+        norm[~((0.0 < norm) & (norm < math.inf))] = 1.0
+        starts_b /= norm
+        start_log += np.log(norm)
         states = work[4 * npad:6 * npad].reshape(length, 2, nblocks)
-        for i in range(2):
-            np.multiply(mats[:, i, 0], starts[0], out=states[:, i])
-            states[:, i] += np.multiply(mats[:, i, 1], starts[1], out=grid)
+        _sweep(mats, starts_b, states, spare)
         bad = grown = np.zeros((length, nblocks), dtype=bool)
         if not certified:
             n2 = np.linalg.norm(states, axis=1) ** 2
-            before = np.vstack([np.linalg.norm(starts, axis=0) ** 2, n2[:-1]])
-            before[_RENORM_MASK::_RENORM_MASK + 1] /= norms * norms
+            before = np.vstack([np.linalg.norm(starts_b, axis=0) ** 2, n2[:-1]])
             # written so that a norm that is not finite fails it too
             bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
         if project is not None:
@@ -315,9 +411,11 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             turns = work[2 * npad:3 * npad].view(float)[:npad].reshape(length, -1)
             flags = work[3 * npad:4 * npad].view(bool)[:npad].reshape(length, -1)
             np.matmul(project, states, out=c)
-            np.matmul(project, starts, out=shifted[0])
-            shifted[1:] = c[:-1]
-            np.divide(c, shifted, out=shifted)
+            np.matmul(project, starts_b, out=shifted[0])
+            np.conjugate(c[:-1], out=shifted[1:])
+            np.conjugate(shifted[0], out=shifted[0])
+            # the angle of c over the previous c
+            np.multiply(c, shifted, out=shifted)
             np.arctan2(shifted.imag, shifted.real, out=turns)
             turn += float(turns.sum())
             np.greater(np.abs(turns, out=turns), _MAX_TURN, out=flags)
@@ -335,9 +433,12 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         if records is not None:
             n = np.arange(record_every - 1 - step0 % record_every, m, record_every)
             k, b = n % length, n // length
-            scale = np.exp(logs[(k + 1) // (_RENORM_MASK + 1), b] + start_log[b])
+            scale = np.exp(start_log[b])
             records += zip(((step0 + n + 1) * h).tolist(),
                            states[k, :, b] * scale[:, None])
+    if records is not None and steps % record_every == 0:
+        # the record of the last step is the state the cycle returns
+        records[-1] = (records[-1][0], state * np.exp(log_scale))
     return state, log_scale, turn, records
 
 
@@ -364,12 +465,13 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
 
     state, log_scale, _, records = _propagate(
         model, schedule, psi0, dual=dual, record_every=record_every)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_final = state * np.exp(log_scale)
+        log_norm = log_scale + float(np.log(np.linalg.norm(state)))
     if not (np.all(np.isfinite(psi_final)) and np.any(psi_final != 0.0)):
         raise AmplitudeOutOfRange(
-            f"the final state has norm exp({log_scale:.6g}), outside the "
-            "floating-point range", log_scale=log_scale)
+            f"the final state has norm exp({log_norm:.6g}), outside the "
+            "floating-point range", log_scale=log_norm)
     if records is None:
         return psi_final
     if records[-1][0] != schedule.period_T:

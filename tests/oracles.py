@@ -14,8 +14,10 @@ connection trace, the closed-form rate of the chain's
 hopping phase, dense unwrapped sampling for windings, the
 chain-only rule for a gapped chain row's start rung and node map, the
 rung-by-rung refinement that builds one frame per rung, the RK4 step
-matrices composed on whole (2, 2, N) stacks by broadcasting, and the
-two-level energies on the branch of ``np.unwrap``.
+matrices composed on whole (2, 2, N) stacks by broadcasting, the
+two-level energies on the branch of ``np.unwrap``, and the exact cycle of
+a rotation-covariant two-level loop in the frame that rotates with its
+drive.
 Agreement between these and the library is evidence, not tautology.
 ``matrix_at`` and ``point_system`` are the plain helpers: they read the
 library's own matrix and eigen frame at a point, for the checks against
@@ -353,6 +355,68 @@ def assemble_two_level(p, phi):
     return herm + loss
 
 
+def _expm_i(k, t):
+    """exp(-i K t) of a 2x2 matrix K at the times t, in closed form: (2, 2, n).
+
+    K = k0 I + K' with K' traceless, so K'^2 = d^2 I and exp(-i K t) =
+    exp(-i k0 t) (cos(d t) I - i sin(d t) / d K'), even in the root d.
+    """
+    t = np.asarray(t, dtype=float)
+    k0 = 0.5 * (k[0, 0] + k[1, 1])
+    kp = k - k0 * np.eye(2)
+    d = np.sqrt(complex(kp[0, 0] ** 2 + kp[0, 1] * kp[1, 0]))
+    cos = np.cos(d * t)
+    sinc = t * np.sinc(d * t / np.pi) if d != 0 else t.astype(complex)
+    out = cos * np.eye(2)[..., None] - 1j * sinc * kp[..., None]
+    return out * np.exp(-1j * k0 * t)
+
+
+def _rotating_generator(params, T, dual):
+    """K = H(0) - (pi / T) sigma_z: a rotation-covariant loop, frozen.
+
+    With h_x = h_y and d_x = d_y, H(phi) = U H(0) U^dagger for U =
+    diag(exp(-i phi / 2), exp(i phi / 2)), so in the frame that rotates
+    with the drive phi = 2 pi t / T the matrix is constant (Rabi, Phys.
+    Rev. 51, 652 (1937)). A dual run follows H^dagger, covariant alike.
+    """
+    if params.h_x != params.h_y or params.d_x != params.d_y:
+        raise ValueError("the loop is not rotation-covariant")
+    h = assemble_two_level(params, 0.0)
+    return (np.conj(h.T) if dual else h) - (math.pi / T) * SIGMA_Z
+
+
+def exact_cycle(params, T, psi0, dual=False):
+    """psi(T) of one cycle of a rotation-covariant two-level loop, exactly.
+
+    psi(t) = U(phi(t)) exp(-i K t) psi0, and U(2 pi) = -I, so psi(T) =
+    -exp(-i K T) psi0 with K of ``_rotating_generator``.
+    """
+    k = _rotating_generator(params, T, dual)
+    return -_expm_i(k, [T])[..., 0] @ np.asarray(psi0, dtype=complex)
+
+
+def exact_total_phase(params, T, band, samples):
+    """-i log c(T) / c(0) on the continuous branch of c = lambda . psi(t).
+
+    psi starts in the band's right eigenvector at phi = 0 and lambda is
+    its left one there. c(t) is exact at every t, so its argument is
+    unwrapped over ``samples`` equal steps, which must each turn it by
+    less than pi.
+    """
+    from berryline.models import TwoLevelModel
+    system = point_system(TwoLevelModel(params), 0.0)
+    right, left = system.right(band), system.left(band)
+    t = np.linspace(0.0, T, samples + 1)
+    phi = (2.0 * math.pi / T) * t
+    psi = np.einsum("ijn,j->in", _expm_i(_rotating_generator(params, T, False), t),
+                    right)
+    psi *= np.exp(np.array([-0.5j, 0.5j])[:, None] * phi)
+    c = np.conj(left) @ psi / (np.conj(left) @ right)
+    turns = np.angle(c[1:] / c[:-1])
+    assert np.abs(turns).max() < 0.5 * math.pi
+    return complex(turns.sum(), -math.log(abs(c[-1])))
+
+
 def winding_rate(params, alphas):
     """d theta / dk of the chain's off-diagonal phase, finite for all q != 1."""
     k = np.asarray(alphas, dtype=float)
@@ -507,7 +571,7 @@ def broadcast_step_matrices(seg):
 
 
 def scalar_rk4(model, schedule, psi0, dual=False, project=None,
-               record_every=None):
+               record_every=None, rescale=False):
     """Reference RK4 cycle: one scalar step at a time, no blocking.
 
     Steps psi one classical 4th-order step at a time in plain Python
@@ -515,9 +579,9 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     blocked kernel. Its ``model.entry_rows`` come on the half-step grid,
     from cosines and sines of the drive angle (t / T) 2 pi, where the
     kernel evaluates its step polynomial at a table of phasors.
-    Without ``project`` the state is never rescaled; with ``project`` =
-    (l0, l1) it also tracks the branch of c = l0 a + l1 b stepwise and
-    renormalizes every 16 steps. Returns (psi, log_scale, turn, records)
+    With ``project`` = (l0, l1) it tracks the branch of c = l0 a + l1 b
+    stepwise. With ``project`` or ``rescale`` it renormalizes every 16
+    steps; otherwise the state is never rescaled. Returns (psi, log_scale, turn, records)
     with psi(T) = psi * exp(log_scale); ``records`` lists (t, psi) every
     ``record_every`` steps, unscaled.
     """
@@ -536,6 +600,7 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     log_scale = 0.0
     turn = 0.0
     records = []
+    c_prev = 0.0
     if project is not None:
         l0, l1 = complex(project[0]), complex(project[1])
         c_prev = l0 * a + l1 * b
@@ -570,17 +635,16 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
         a, b, n2 = na, nb, m2
         if record_every is not None and (i + 1) % record_every == 0:
             records.append(((i + 1) * h, np.array([a, b])))
-        if project is None:
-            continue
-        c_new = l0 * a + l1 * b
-        ratio = c_new / c_prev
-        step_turn = math.atan2(ratio.imag, ratio.real)
-        if abs(step_turn) > 1.5:
-            raise StepTooLarge(f"turn too fast at step {i}", step=i,
-                               growth=None)
-        turn += step_turn
-        c_prev = c_new
-        if i & 15 == 15 and n2 > 0.0:
+        if project is not None:
+            c_new = l0 * a + l1 * b
+            ratio = c_new / c_prev
+            step_turn = math.atan2(ratio.imag, ratio.real)
+            if abs(step_turn) > 1.5:
+                raise StepTooLarge(f"turn too fast at step {i}", step=i,
+                                   growth=None)
+            turn += step_turn
+            c_prev = c_new
+        if (project is not None or rescale) and i & 15 == 15 and n2 > 0.0:
             log_scale += 0.5 * math.log(n2)
             inv = 1.0 / math.sqrt(n2)
             a *= inv

@@ -16,9 +16,10 @@ from berryline.elliptic import closed_form_gamma
 from berryline import evolution
 from berryline.errors import (AmplitudeOutOfRange, BandLeakage, SingularLoop,
                               StepTooLarge, UndefinedAtTransition)
-from berryline.evolution import (_CHUNK, Schedule, _BandEnergyIntegral,
-                                 _laurent, _step_polynomial,
-                                 adiabatic_decomposition, evolve)
+from berryline.evolution import (_BLOCK, _CHUNK, _GROUP, Schedule,
+                                 _BandEnergyIntegral, _laurent, _product,
+                                 _step_polynomial, adiabatic_decomposition,
+                                 evolve)
 from berryline.models import (
     BipartiteModel,
     BipartiteParams,
@@ -27,8 +28,9 @@ from berryline.models import (
     standard_loop,
 )
 from berryline.quadrature import pearson_line
-from oracles import (broadcast_step_matrices, draw_two_level, point_system,
-                     scalar_rk4, unwrapped_two_level_energies)
+from oracles import (assemble_two_level, broadcast_step_matrices,
+                     draw_two_level, exact_cycle, exact_total_phase,
+                     point_system, scalar_rk4, unwrapped_two_level_energies)
 
 
 def _tl(h, d, theta):
@@ -124,16 +126,11 @@ class _Recorder:
         return self.model.energies(phasors, out)
 
 
-# padded steps of a chunk of m steps: superblocks of length x length
-# steps, length = max(2, round(0.75 m^(1/3))), enough to hold m
-_PADDED = {1000: 7 * 7 * 21, 32768: 24 * 24 * 57, 7232: 15 * 15 * 33, 3: 2 * 2}
-
-
 @pytest.mark.parametrize("steps", [1000, 40000, 2 ** 17 + 3])
 def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     sched = Schedule(period_T=float(steps) / 10.0, steps=steps)
-    runs, at_steps = [], []
-    phasors = Schedule.phasors
+    runs, at_steps, fitted = [], [], []
+    phasors, block_series = Schedule.phasors, evolution._BlockSeries
 
     def counted(self, start, count, out=None):
         runs.append((start, count))
@@ -143,8 +140,16 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
         at_steps.append(u.T.ravel())
         return _laurent(c, u, work)
 
+    def fit(*args):
+        # the series samples off the cycle grid, once per cycle
+        with monkeypatch.context() as unrecorded:
+            unrecorded.setattr(evolution, "_laurent", _laurent)
+            fitted.append(block_series(*args))
+        return fitted[-1]
+
     monkeypatch.setattr(Schedule, "phasors", counted)
     monkeypatch.setattr(evolution, "_laurent", recorded)
+    monkeypatch.setattr(evolution, "_BlockSeries", fit)
     recorder = _Recorder(_chain(2.0, 0.0))
     adiabatic_decomposition(recorder, sched, "plus")
     monkeypatch.undo()
@@ -155,11 +160,16 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
     # one run of phasors per chunk serves its matrices and its energies
     assert (len(runs) == len(at_steps) == len(recorder.at_energies)
             == len(starts))
+    (series,) = fitted
+    length = series.length
+    padded = -(-min(steps, _CHUNK) // (length * _GROUP)) * length * _GROUP
+    assert length == 64
     whole = sched.phasors(0, steps + _CHUNK)
     for step0, u, e in zip(starts, at_steps, recorder.at_energies):
         m = min(_CHUNK, steps - step0)
-        # the matrices read every step of the chunk's blocks, padding too
-        assert u.size == _PADDED[m]
+        # the matrices read every step of the chunk's superblocks, padding
+        # too, in superblocks of _GROUP blocks of 64 steps
+        assert u.size == padded
         assert u.tobytes() == whole[step0:step0 + u.size].tobytes()
         # the energies read its steps and the one that ends it
         assert e.size == m + 1
@@ -170,6 +180,17 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
         count = int(rng.integers(1, 2000))
         assert (sched.phasors(start, count).tobytes()
                 == whole[start:start + count].tobytes())
+    # the powers of the series are table phasors of the grid, and a
+    # block's product depends on its index alone: superblocks that one
+    # product shape places at other rows give the same bits
+    n = np.arange(0, steps, 7)
+    assert series._phasors(n).tobytes() == whole[n].tobytes()
+    nsuper = padded // (length * _GROUP)
+    out = np.empty((_GROUP, nsuper, 4), dtype=complex)
+    first = series.products(0, out).copy()
+    for shift in range(1, nsuper):
+        moved = series.products(shift * length * _GROUP, out)
+        assert moved[:, :-shift].tobytes() == first[:, shift:].tobytes()
 
 
 @pytest.mark.parametrize("sign_region", ["positive", "negative"])
@@ -438,7 +459,9 @@ def _half_step_kernel(monkeypatch, drive, schedule):
     Its step matrices become the broadcast composition of its entry rows
     on the half-step grid of each chunk's integer-step phasors u: u, u w
     and the next step's u w^2, for the half-step turn w. They come in a
-    fresh array; the kernel's workspace goes unused.
+    fresh array; the kernel's workspace goes unused. The drive has no
+    step polynomial, so the kernel gets one of NaN coefficients, which no
+    certificate covers: every step is read from the substitute.
     """
     h = schedule.period_T / schedule.steps
     w = np.exp(1j * math.pi / schedule.steps)
@@ -450,6 +473,8 @@ def _half_step_kernel(monkeypatch, drive, schedule):
         mats = broadcast_step_matrices(drive.entry_rows(half) * (-0.5j * h))
         return mats.reshape(2, 2, u.shape[1], len(u)).transpose(3, 0, 1, 2)
 
+    monkeypatch.setattr(evolution, "_step_polynomial",
+                        lambda model, schedule, dual: np.full((9, 2, 2), np.nan))
     monkeypatch.setattr(evolution, "_laurent", step_matrices)
 
 
@@ -476,6 +501,12 @@ def test_evolve_refuses_states_outside_the_float_range(T, dual):
         evolve(model, sched, (0.6, 0.8j), dual=dual)
     rate = 0.3 if dual else -0.3
     assert abs(info.value.log_scale - rate * T) < 3.0
+    # the log of the final norm, as the rescaled scalar oracle has it
+    psi, log_scale, _, _ = scalar_rk4(model, sched, (0.6, 0.8j), dual=dual,
+                                      rescale=True)
+    log_norm = log_scale + math.log(np.linalg.norm(psi))
+    assert abs(info.value.log_scale - log_norm) <= 1e-9
+    assert f"exp({info.value.log_scale:.6g})" in str(info.value)
 
 
 def test_growth_guard_stays_live_after_the_state_leaves_the_float_range(
@@ -501,12 +532,18 @@ def _close(value, reference, tol=1e-11):
     (_chain(2.0, 0.3), 100.0, 40000, (5000, 3000)),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      (1000, 700)),
+    # |E| h reaches 0.67: certified, but no block product has a short
+    # series, so every block is one step
+    (TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2)),
+     1000.0, 40000, (5000,)),
 ])
 @pytest.mark.parametrize("dual", [False, True])
 def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
-    # 40000 steps span two streamed chunks
+    # 40000 steps span two chunks
     sched = Schedule(period_T=T, steps=steps)
     psi0 = np.array([0.6, 0.8j])
+    ref = scalar_rk4(model, sched, psi0, dual=dual)[0]
+    assert _close(evolve(model, sched, psi0, dual=dual), ref)
     for stride in strides:
         psi, records = evolve(model, sched, psi0, dual=dual,
                               record_every=stride)
@@ -568,6 +605,53 @@ def test_step_polynomial_matches_the_broadcast_composition(model, degree,
                                or want[0, 1].any() or want[1, 0].any())
 
 
+@pytest.mark.parametrize("model, T", [
+    (_chain(2.0, 0.3), 3600.0),
+    # generic and not circular: no rotation makes its loop constant
+    (TwoLevelModel(_tl((0.7, -1.3, 0.4), (0.3, 0.9, -0.2), 0.8)), 900.0),
+], ids=["chain", "two-level"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_every_block_product_matches_the_direct_product(model, T, dual):
+    # a chunk seam, then a short last chunk whose last block is short
+    sched = Schedule(period_T=T, steps=_CHUNK + 4133)
+    n = sched.steps
+    rows = model.entry_rows(np.exp(1j * math.pi * np.arange(2 * n + 1) / n))
+    if dual:
+        rows = np.conj(rows[[0, 2, 1, 3]])
+    mats = broadcast_step_matrices(rows * (-0.5j * T / n))
+    c = _step_polynomial(model, sched, dual)
+    series = evolution._BlockSeries(c, sched, _BLOCK)
+    length = series.length
+    assert length > 1
+    # direct: the product of each block's step matrices, one step at a time
+    nfull, short = divmod(n, length)
+    assert short
+    steps = np.zeros((2, 2, (nfull + 1) * length), dtype=complex)
+    steps[0, 0] = steps[1, 1] = 1.0
+    steps[..., :n] = mats
+    steps = steps.reshape(2, 2, -1, length)
+    direct = np.zeros((2, 2, nfull + 1), dtype=complex)
+    direct[0, 0] = direct[1, 1] = 1.0
+    for k in range(length):
+        direct = np.einsum("ijb,jkb->ikb", steps[..., k], direct)
+    # the series: every block of every chunk, at the kernel's product shape
+    nsuper = _CHUNK // (length * _GROUP)
+    out = np.empty((_GROUP, nsuper, 4), dtype=complex)
+    got = np.concatenate([
+        series.products(step0, out).transpose(1, 0, 2).reshape(-1, 4)
+        for step0 in range(0, n, _CHUNK)])[:nfull]
+    got = got.T.reshape(2, 2, -1) * math.exp(series.log_scale)
+    want = direct[..., :nfull]
+    size = np.linalg.norm(want.reshape(4, -1), axis=0)
+    assert (np.linalg.norm((got - want).reshape(4, -1), axis=0) <= 1e-13 * size).all()
+    # the short last block: the product of its own step matrices
+    u = sched.phasors(nfull * length, length)[:, None]
+    last = _laurent(c, u, np.empty(6 * length, dtype=complex))
+    last[short:] = np.eye(2)[..., None]
+    want = direct[..., -1]
+    assert np.linalg.norm(_product(last)[..., 0] - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def _sha256(*arrays):
     digest = hashlib.sha256()
     for a in arrays:
@@ -580,19 +664,19 @@ def _sha256(*arrays):
 _pinned_runs = pytest.mark.parametrize(
     "model, T, steps, dual, psi_sha, records_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
-     "96c5094b8c9c33efbe9dee8d34348111fb4d086ad0c5d033da3d66ef9af5c79a",
-     "a5192576dda83ad46728ee9b0b950c2515dcd56849ff29a43fa40310a86532a4"),
+     "573cdbb5979ce247c67ad31778c4dd45a318604643a1a5bc5afebe96c0fe6017",
+     "a8e47e217190d4c297121c2354b96d8ad710b55575ea3206e9a694310fc32031"),
     (_chain(2.0, 0.3), 100.0, 40000, True,
-     "e2320390f1ba354be560de653494c356f7648b20c4e5bd17d1a8013316071ddf",
-     "241c185f180fa99e1568f19b490911ce5f8a5b932bafdc146d9ed8b158cb6f80"),
+     "9a897d3dcb347f01a562385394963c6519494ac681dd8592699ce07ae7caa114",
+     "bbec47e644e905253da0c09185f066dd8e184b5cd3c3b4b007031e9b2def6c81"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      False,
-     "7d321a0d9b658b0fbd2cb0690ee4707d17d34e81a6e2c91d767e0caafc50ae93",
-     "cb464bb06cac38dba4f2d2993148f5578ad7bfa5aea2d1c3d239f16f1fca2fe7"),
+     "70bc212b391617adcaa2ea1a6910cef38d8c91231b310e686254659a65ed5139",
+     "9995c3dca0880c92ffe51bbed1987344e5d2e1ed0047a796b83cf49e7ec3083a"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      True,
-     "7550bd02f8a6fa359c274e484e46f47b775406e22657d9f4ce67702096c3ca47",
-     "fbbaed2e3baa84e5b5122fd995f373c1c8727a151da82588b958e546110ed391"),
+     "840a06f9cb10c7f666133ebf8f0ef59a7260de5924742236c3618c21718f6a47",
+     "5c1dc3bfaad2958e7afa7fa98c571ad9be39d7ab624ec7075bcf6fbf3891ccda"),
 ], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
 
 
@@ -623,41 +707,43 @@ def test_plain_evolve_returns_the_bits_of_a_recorded_run(model, T, steps, dual,
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.integers(-1000, 1000), min_size=12, max_size=12))
-def test_the_entry_peak_bounds_the_growth_of_a_step(values):
-    # |M x|^2 <= |M|_F^2 |x|^2 <= 8 max(|Re M_ij|, |Im M_ij|)^2 |x|^2, the
-    # kernel's certificate, tight for M = (1 + i) [[1, 1], [1, 1]], x = (1, 1);
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4095))
+def test_the_coefficient_sums_bound_the_growth_of_a_step(seed, turn):
+    # |M_ij(u)| <= sum_j |C_j,ij| on |u| = 1 and |M x|^2 <= |M|_F^2 |x|^2,
+    # the kernel's certificate, tight for M = [[1, 1], [1, 1]], x = (1, 1);
     # whole-number parts, so no square leaves the normal range
-    m = np.array(values[:8], dtype=float).view(complex).reshape(2, 2)
-    x = np.array(values[8:], dtype=float).view(complex)
-    peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    values = np.random.default_rng(seed).integers(-1000, 1001, 76)
+    c = values[:72].astype(float).view(complex).reshape(9, 2, 2)
+    x = values[72:].astype(float).view(complex)
+    u = np.exp(2j * math.pi * turn / 4096)
+    m = (c * u ** np.arange(-4, 5)[:, None, None]).sum(axis=0)
+    bound = (np.abs(c).sum(axis=0) ** 2).sum()
     growth = np.linalg.norm(m @ x) ** 2
-    assert growth <= 8.0 * peak ** 2 * np.linalg.norm(x) ** 2 * (1.0 + 1e-15)
+    assert growth <= bound * np.linalg.norm(x) ** 2 * (1.0 + 1e-14)
 
 
 # H = [[0, c1], [0, 0]] along the whole loop, so each RK4 step is I + M_12:
-# at h = 0.1 |M_12| reaches 6, yet no step grows the squared norm more
-# than 29.8-fold (8.2-fold in the dual run)
-_NILPOTENT = TwoLevelModel(_tl((30.0, 30.0, 0.0), (30.0, 30.0, 0.0),
+# at h = 0.1 |M_12| reaches 10 and the coefficient sums bound the squared
+# growth by 102, yet no step grows the squared norm more than 74.6-fold
+# (27.4-fold in the dual run)
+_NILPOTENT = TwoLevelModel(_tl((50.0, 50.0, 0.0), (50.0, 50.0, 0.0),
                                math.pi / 2))
 
 
 @pytest.mark.parametrize("dual, psi_sha", [
-    (False, "04b3326b3fe3d02499369adf80972869146e41d79850a29a383e4f52eee62d3a"),
-    (True, "f7cd62e07eea96f49a1f9732069251e118ebcae264bb20f0a6386211fa919557"),
-])
-def test_an_uncertified_chunk_that_passes_the_guard_keeps_its_bits(dual,
+    (False, "bec4a88e6250583d2b4335f5fda483021e00386b10195f1133781602e4d1a424"),
+    (True, "df9c8be6ea03082319d11cdd1b3e2462b2fb713f2481557b13ff122c89b23924"),
+], ids=["forward", "dual"])
+def test_an_uncertified_cycle_that_passes_the_guard_keeps_its_bits(dual,
                                                                   psi_sha):
     sched = Schedule(period_T=4000.0, steps=40000)
     c = _step_polynomial(_NILPOTENT, sched, dual)
-    for step0 in range(0, sched.steps, _CHUNK):
-        n = min(_CHUNK, sched.steps - step0)
-        mats = _laurent(c, sched.phasors(step0, n)[None],
-                        np.empty(6 * n, dtype=complex))
-        peak = max(np.abs(mats.real).max(), np.abs(mats.imag).max())
-        assert 8.0 * peak ** 2 > 100.0
-    # every state formed and guarded, psi(T) keeps its pinned bits
-    psi = evolve(_NILPOTENT, sched, np.array([0.6, 0.8j]), dual=dual)
+    assert (np.abs(c).sum(axis=0) ** 2).sum() >= 100.0
+    # every state formed and guarded, psi(T) keeps its pinned bits; the
+    # upper entry swings to 1.0e5 and back, so the oracle agrees to 1e-9
+    psi0 = np.array([0.6, 0.8j])
+    psi = evolve(_NILPOTENT, sched, psi0, dual=dual)
+    assert _close(psi, scalar_rk4(_NILPOTENT, sched, psi0, dual=dual)[0], 1e-9)
     assert _sha256(psi) == psi_sha
 
 
@@ -684,6 +770,39 @@ def test_decomposition_matches_the_scalar_oracle(model, T, steps):
     assert _close(r.psi_final, psi * math.exp(log_scale))
 
 
+# the bench's rotation-covariant loops: h_x = h_y and d_x = d_y
+_COVARIANT = {
+    "hermitian": _tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0),
+    "gain-loss": _tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_COVARIANT))
+@pytest.mark.parametrize("T", [256.0, 1024.0])
+def test_evolve_meets_the_exact_cycle_of_a_covariant_loop(loop, T):
+    # c09's step rule; RK4's error leads with T h^4 |H|^5 / 120, which the
+    # Hermitian loop meets to 4e-4 of itself
+    p = _COVARIANT[loop]
+    sched = Schedule(period_T=T, steps=math.ceil(3.0 * T ** 1.5))
+    h = T / sched.steps
+    bound = 1.01 * T * h ** 4 * np.linalg.norm(assemble_two_level(p, 0.0), 2) ** 5 / 120
+    psi0 = np.array([0.6, 0.8j])
+    for dual in (False, True):
+        want = exact_cycle(p, T, psi0, dual=dual)
+        got = evolve(TwoLevelModel(p), sched, psi0, dual=dual)
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("loop", sorted(_COVARIANT))
+@pytest.mark.parametrize("band", ["plus", "minus"])
+def test_decomposition_meets_the_exact_total_phase(loop, band):
+    p, T = _COVARIANT[loop], 256.0
+    r = adiabatic_decomposition(
+        TwoLevelModel(p), Schedule(period_T=T, steps=math.ceil(3.0 * T ** 1.5)),
+        band)
+    assert abs(r.total_phase - exact_total_phase(p, T, band, 16384)) <= 1e-6
+
+
 def test_guards_fire_at_the_oracle_steps(monkeypatch):
     cases = [
         # growth: |E| h = 4.5 at once, and a late gain burst
@@ -691,9 +810,9 @@ def test_guards_fire_at_the_oracle_steps(monkeypatch):
          Schedule(period_T=100.0, steps=1000), (1.0, 1.0), 0),
         (_BurstDrive(2000.0, decay=0.001), Schedule(period_T=2000.0, steps=20000),
          (0.6, 0.8), 15000),
-        # a 32768-step chunk has superblocks of 24 x 24 steps and 64 padding
-        # steps: a burst at the first step of superblock 37, and one in the
-        # chunk's last real step
+        # an uncertified 32768-step chunk has superblocks of 16 one-step
+        # blocks: a burst at the first step of superblock 1332, and one in
+        # the chunk's last step
         (_BurstDrive(4000.0, decay=0.001, at=2131.2),
          Schedule(period_T=4000.0, steps=40000), (0.6, 0.8), 37 * 24 * 24),
         (_BurstDrive(4000.0, decay=0.001, at=3276.7),

@@ -3,7 +3,14 @@
 Runs every output of ``reference_set.py`` in-process with
 ``SOURCE_DATE_EPOCH=0`` and ``BERRYLINE_THREADS=1``. A change that moves an
 output bit on purpose updates its digest here and says which output moved.
+The ``evolve`` outputs also run in two subprocesses, on one and on two
+OpenBLAS threads, which must print the same bytes.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 from berryline import cli
 
@@ -21,9 +28,9 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 65c922557099e156aa93e812f1db36cc0c0b93d3367e6bc07a66bd1aa192453f
 d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
-c4a8281ade6d0187576ea7a390204894ea9ce2d5701edfbae8ad05953e12ed31
-6690dc782617b26861ae9abffe70c58334d34bd488ebb8408bf7ef0485edf202
-ea1ec360e66cb84aba1f377dbd545e4808b86e650c524964d5c80376e2eb6114
+88ae3ca14971c0d91b491665fc655e29ad92fc9a3472b10b7f69c9b0e945eb51
+0ee8d9c70338450559610bf42946aa3fcbd9a7cca10dcbd4670df236bf49a952
+34c2c8bc9c11c33d20acf629969214b23165a449c536ae4d776d1158dd3e39e4
 4b0d118a4d3e57f2c5a59e736b0a9238a330d6cbbfbd7a8ff11b05c064e2a134
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
@@ -36,3 +43,23 @@ def test_reference_outputs_are_byte_identical(monkeypatch):
     assert len(got) == len(_EXPECTED) == 14
     for (digest, label), want in zip(got, _EXPECTED):
         assert digest == want, label
+
+
+def test_evolve_outputs_do_not_depend_on_the_blas_thread_count():
+    # the evolve kernel evaluates its block series with np.matmul
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = ("from berryline import cli\n"
+            "import reference_set\n"
+            "for command in reference_set.COMMANDS:\n"
+            "    if command.startswith('evolve'):\n"
+            "        assert cli.main(command.split()) == 0\n")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path,
+                   SOURCE_DATE_EPOCH="0", BERRYLINE_THREADS="1")
+        printed.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            check=True, timeout=300).stdout)
+    assert printed[0] == printed[1]
+    assert printed[0].count(b'"total_phase') == 3
