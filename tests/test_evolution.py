@@ -605,13 +605,16 @@ def test_step_polynomial_matches_the_broadcast_composition(model, degree,
                                or want[0, 1].any() or want[1, 0].any())
 
 
-@pytest.mark.parametrize("model, T", [
-    (_chain(2.0, 0.3), 3600.0),
+@pytest.mark.parametrize("model, T, fits", [
+    (_chain(2.0, 0.3), 3600.0, True),
     # generic and not circular: no rotation makes its loop constant
-    (TwoLevelModel(_tl((0.7, -1.3, 0.4), (0.3, 0.9, -0.2), 0.8)), 900.0),
-], ids=["chain", "two-level"])
+    (TwoLevelModel(_tl((0.7, -1.3, 0.4), (0.3, 0.9, -0.2), 0.8)), 900.0, True),
+    # its gain swings with the drive, so much at h = 0.1 that no series
+    # keeps the rounding of its smaller products: each step is read
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (2.0, 0.0, 0.0), 1.0)), 3600.0, False),
+], ids=["chain", "two-level", "swinging-gain"])
 @pytest.mark.parametrize("dual", [False, True])
-def test_every_block_product_matches_the_direct_product(model, T, dual):
+def test_every_block_product_matches_the_direct_product(model, T, fits, dual):
     # a chunk seam, then a short last chunk whose last block is short
     sched = Schedule(period_T=T, steps=_CHUNK + 4133)
     n = sched.steps
@@ -621,8 +624,10 @@ def test_every_block_product_matches_the_direct_product(model, T, dual):
     mats = broadcast_step_matrices(rows * (-0.5j * T / n))
     c = _step_polynomial(model, sched, dual)
     series = evolution._BlockSeries(c, sched, _BLOCK)
+    if series.rows is None:
+        assert not fits
+        return
     length = series.length
-    assert length > 1
     # direct: the product of each block's step matrices, one step at a time
     nfull, short = divmod(n, length)
     assert short
