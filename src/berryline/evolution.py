@@ -18,15 +18,16 @@ cycle, samples at K roots of unity and one FFT give its Fourier series;
 per chunk, one matmul of fixed shape reads every block's product off it.
 A pairwise tree multiplies the blocks into superblocks and a walk over
 the superblocks carries the state, so plain ``evolve`` does no per-step
-work. States are formed only where read, from a block's start through
-its step matrices: by the branch of c(t), the records, and the growth
-guard of a cycle whose coefficients do not bound every step's growth
-below the guard's, which takes blocks of one step. A step matrix takes
-two Horner chains per entry at its step's phasor, one product of a
-coarse and a fine table entry (``Schedule.phasors``), where the
-decomposition reads its band energies too. The state is renormalized at
-each superblock and block start, the scale kept as a running log, so no
-cycle underflows or overflows in the kernel.
+work outside its last block. States are formed only where read, from a
+block's start through its step matrices: by the branch of c(t), the
+records, and the growth guard of a cycle whose coefficients do not
+bound every step's growth below the guard's, which takes blocks of one
+step. A step matrix takes two Horner chains per entry at its step's
+phasor, one product of a coarse and a fine table entry
+(``Schedule.phasors``), where the decomposition reads its band energies
+too. The state is renormalized at each superblock and block start, the
+scale kept as a running log, so no cycle underflows or overflows in the
+kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
