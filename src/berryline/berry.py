@@ -22,6 +22,10 @@ modes, and results are only accepted when the routes agree:
     second's, and the frame of the second gives the first its phases and
     its spacing verdict.
 
+The loop evaluators ``global_berry_phase`` and ``band_berry_phase`` are
+the point evaluator of their family at the loop's sample count, so every
+gapped phase settles on the node map in one refinement loop.
+
 Loops crossing a true spectral degeneracy of the lossy chain (its
 gapless parameter region) have no frame continuation. The per-band
 phases there are the split integrals around the crossing momenta, read
@@ -38,7 +42,6 @@ import numpy as np
 
 from .elliptic import _closed_form_pair, closed_form_gamma
 from .errors import (
-    BadResolution,
     BerrylineError,
     Disagreement,
     GaugeMismatch,
@@ -209,31 +212,24 @@ def _reads_closed_form(q, eta, region):
     return region == GAPLESS_TRUE_CROSSING and hi >= 0.0
 
 
-def _first_rung(loop):
-    """``loop.n`` as the first rung; a loop at the cap leaves no second one."""
-    if loop.n > _MAX_SAMPLES // 2:
-        raise BadResolution(
-            f"the refinement starts at most at {_MAX_SAMPLES // 2} samples, "
-            f"so that a second rung can settle it; got {loop.n}")
-    return loop.n
-
-
 def global_berry_phase(loop, model):
     """Both per-band phases and the dual-route global index on one loop.
 
-    Doubles the grid from ``loop.n`` until per-band phases stop moving
-    (below 1e-9 per doubling) and the two Q routes agree within 1e-6.
-    Grids the frame flags as too coarse are discarded and refined
-    further. A loop above 32768 samples leaves no second rung below the
-    cap and raises BadResolution before any frame is built. Only a chain
-    loop whose spectrum crosses raises SingularLoop.
+    The point evaluator of the loop's family at ``n0 = loop.n``:
+    ``two_level_phase_point(model.params, loop.n)``, or
+    ``bipartite_phase_point(q, eta, loop.n)`` at the chain's ratios: its
+    result bit for bit, or its refusal. A chain loop whose spectrum
+    crosses raises SingularLoop instead of reading the closed form, and
+    one at hopping ratio 1 UndefinedAtTransition.
     """
+    p = model.params
+    if model.kind == TWO_LEVEL:
+        return two_level_phase_point(p, loop.n)
     if _gapless_loop(model) == GAPLESS_TRUE_CROSSING:
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
-    return _raised(_settled_phases(
-        loop, lambda alphas, rows: model._rows(alphas), [_first_rung(loop)]))
+    return bipartite_phase_point(p.q, p.eta, loop.n)
 
 
 def _raised(outcomes):
@@ -360,11 +356,13 @@ def band_berry_phase(loop, model, band):
 
     A gapped loop returns this band of ``global_berry_phase``, bit for
     bit, so the two Q routes must agree too. It raises Disagreement where
-    they do not, NotConverged "per-band phases still moving at 65536
-    samples" where the phases do not settle, and BadResolution above
-    32768 samples, before any frame is built. For the lossy chain inside
+    they do not, and NotConverged "per-band phases still moving at 65536
+    samples" where the phases do not settle. For the lossy chain inside
     its gapless region the integral exists only as a principal value
-    around the crossing momenta and is read from its elliptic closed form.
+    around the crossing momenta, and on the gapped strip next to q = 1
+    the frame's exceptional points nearly touch the loop; both read the
+    elliptic closed form, which exists even where, within about 5e-9 of
+    q = 1, the point evaluator's lossless index row does not settle.
     """
     b = band_index(band)
     if _gapless_loop(model):
@@ -619,11 +617,10 @@ def two_level_phase_point(params, n0=1024):
     model = TwoLevelModel(params)
     loop = standard_loop(TWO_LEVEL, n0)
     _gapless_loop(model)
-    start = _first_rung(loop)
     n, beta, centre = _node_grid(_two_level_singularities(params), 2)
     return _raised(_settled_phases(
         loop, lambda t, rows: model._rows(*_node_map(t, beta, centre, 2)),
-        [min(start, n)]))
+        [min(loop.n, n)]))
 
 
 def bipartite_phase_point(q, eta, n0=1024):

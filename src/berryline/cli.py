@@ -134,10 +134,10 @@ def _add_bipartite_flags(sub, required):
                      help="loss ratio Gamma/v (dimensionless, nonnegative)")
 
 
-def _add_samples_flag(sub, meaning, largest=_MAX_SAMPLES):
+def _add_samples_flag(sub, meaning):
     sub.add_argument("--samples", type=int, default=1024,
-                     help=f"{meaning} (power of two from 16 to {largest}, "
-                          "default 1024)")
+                     help=f"{meaning} (power of two from 16 to "
+                          f"{_MAX_SAMPLES}, default 1024)")
 
 
 def _model_from_args(args):
@@ -281,7 +281,7 @@ def build_parser():
                     "two non-Hermitian two-band models.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    chain_samples = ("loop anchor and the finest rung a gapped point's "
+    point_samples = ("loop anchor and the finest rung a gapped point's "
                      "refinement starts from; it starts lower where the "
                      "strip width of the integrand allows")
 
@@ -289,14 +289,14 @@ def build_parser():
         "two-level-q",
         help="per-band phases and the global index of the two-level loop")
     _add_two_level_flags(s, required=True)
-    _add_samples_flag(s, "first rung of the refinement", _MAX_SAMPLES // 2)
+    _add_samples_flag(s, point_samples)
     s.set_defaults(func=_cmd_two_level_q, model=TWO_LEVEL)
 
     s = sub.add_parser(
         "bipartite",
         help="per-band phases, index, and region of the lossy chain")
     _add_bipartite_flags(s, required=True)
-    _add_samples_flag(s, chain_samples)
+    _add_samples_flag(s, point_samples)
     s.set_defaults(func=_cmd_bipartite)
 
     s = sub.add_parser(
@@ -308,7 +308,7 @@ def build_parser():
                    help="loss-ratio axis as min:max:count")
     s.add_argument("--out", required=True,
                    help="CSV output path; the sidecar lands at <out>.json")
-    _add_samples_flag(s, chain_samples)
+    _add_samples_flag(s, point_samples)
     s.set_defaults(func=_cmd_phase_diagram)
 
     s = sub.add_parser(

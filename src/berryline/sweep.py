@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .berry import (_chain_cells, _first_rung, analytic_q,
-                    two_level_phase_point)
+from .berry import _chain_cells, analytic_q, two_level_phase_point
 from .elliptic import closed_form_gamma
 from .errors import BadResolution, BerrylineError
-from .models import (_MAX_SAMPLES, BIPARTITE, TWO_LEVEL, TwoLevelParams,
+from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams,
                      _at_transition, _check_integer, _check_ratios,
                      _check_resolution, standard_loop)
 from .quadrature import pearson_line
@@ -301,11 +300,10 @@ def two_level_q_map(h, d_x_range, d_y_range, n, h_z=0.2, d_z=0.0, theta=1.0,
     marked undefined and skipped, never computed. Everything else runs
     the full numeric evaluator and is compared against the sign
     condition; failures of either kind land in ``mismatch_cells``. A
-    resolution the point evaluator refuses (not a power of two from 16,
-    or above 32768, which leaves no second rung) raises BadResolution
-    before any cell runs.
+    resolution the point evaluator refuses (not a power of two from 16
+    to 65536) raises BadResolution before any cell runs.
     """
-    _first_rung(standard_loop(TWO_LEVEL, samples_per_loop))
+    _check_resolution(samples_per_loop)
     h_x, h_y = float(h[0]), float(h[1])
     dx_axis = _axis(d_x_range, n, "d_x")
     dy_axis = _axis(d_y_range, n, "d_y")

@@ -32,14 +32,17 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from berryline import berry
 from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
                              _ROUTE_TOL, BerryPhaseResult, _wilson_q)
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
-                              Disagreement, NotConverged, PathTooCoarse)
+                              Disagreement, NotConverged, PathTooCoarse,
+                              SingularLoop)
 from berryline.models import (_MAX_SAMPLES, _TWO_PI, _radicand_extremes,
                               _two_level_offdiag, band_index, loop_grid)
 from berryline.quadrature import (spectral_derivative, tanh_sinh,
                                   trapezoid_periodic)
+from berryline.spectrum import GAPLESS_TRUE_CROSSING
 
 
 class DefectiveMatrix(BerrylineError):
@@ -727,3 +730,21 @@ def settled_phases(loop, frames, starts):
                 f"per-band phases still moving at {_MAX_SAMPLES} samples",
                 history=history[row])
     return outcomes
+
+
+def uniform_route(loop, model):
+    """The dual-route refinement on the loop's uniform grid, from ``loop.n``.
+
+    The reference for the node-mapped point evaluators: the model's own
+    frame at the loop's parameters, no node map, every rung anchored at
+    ``loop.samples[0]`` and the first at ``loop.n`` itself, which at
+    65536 leaves no second rung. It calls ``berry._settled_phases``
+    through the module, so a test that replaces that refinement replaces
+    it here too. Refuses a chain loop whose spectrum crosses, as
+    ``berry.global_berry_phase`` does, with SingularLoop.
+    """
+    if berry._gapless_loop(model) == GAPLESS_TRUE_CROSSING:
+        raise SingularLoop(
+            "the loop crosses a true degeneracy of the complex spectrum")
+    return berry._raised(berry._settled_phases(
+        loop, lambda alphas, rows: model._rows(alphas), [loop.n]))

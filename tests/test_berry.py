@@ -20,11 +20,10 @@ from berryline.berry import (
     two_level_phase_point,
 )
 from berryline.elliptic import closed_form_gamma
-from berryline.errors import (BadResolution, BerrylineError,
-                              DegenerateSpectrum, Disagreement, GaugeMismatch,
-                              NotConverged, PathTooCoarse, SingularLoop,
-                              SingularParameters, TrueCrossing,
-                              UndefinedAtTransition)
+from berryline.errors import (BerrylineError, DegenerateSpectrum,
+                              Disagreement, GaugeMismatch, NotConverged,
+                              PathTooCoarse, SingularLoop, SingularParameters,
+                              TrueCrossing, UndefinedAtTransition)
 from berryline.models import (
     BIPARTITE,
     TWO_LEVEL,
@@ -42,7 +41,7 @@ from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 from oracles import (chain_grid, draw_bipartite, draw_two_level,
                      fd_connection, first_order_correction_trace,
-                     settled_phases, winding_rate)
+                     settled_phases, uniform_route, winding_rate)
 
 
 def _tl(h, d, theta):
@@ -194,9 +193,11 @@ def test_gapless_band_phase_is_the_point_phase(q, eta):
 def test_route_conflicts_raise_typed_errors(monkeypatch):
     loop = standard_loop(BIPARTITE, 1024)
     model = _chain(2.0, 0.3)
-    monkeypatch.setattr(berry, "_MAX_SAMPLES", 2048)
     clean = global_berry_phase(loop, model)
-    assert clean.resolution == 2048
+    # with the cap at the settling rung, a refused settle leaves no rung
+    monkeypatch.setattr(berry, "_MAX_SAMPLES", clean.resolution)
+    assert _outcome_bits(global_berry_phase(loop, model)) == (
+        _outcome_bits(clean))
     wilson = berry._wilson_q
     # a gapped band phase is its band of the global phase, so it refuses
     # where the global phase does
@@ -214,7 +215,8 @@ def test_route_conflicts_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(berry, "_wilson_q",
                         lambda right, left, n: wilson(right, left, n) * math.nan)
     for route in routes:
-        with pytest.raises(NotConverged, match="still moving at 2048") as err:
+        with pytest.raises(NotConverged, match=(
+                f"still moving at {clean.resolution} samples")) as err:
             route()
         assert err.value.history == clean.refinement_history
 
@@ -244,13 +246,17 @@ def test_gapped_band_phase_is_its_band_of_the_global_phase():
         for n in (1024, 4096):
             loop = standard_loop(model.kind, n)
             r = global_berry_phase(loop, model)
-            for band, value in (("plus", complex(r.gamma_b_plus, r.xi_b_plus)),
-                                ("minus",
-                                 complex(r.gamma_b_minus, r.xi_b_minus))):
+            uniform = uniform_route(loop, model)
+            for band, value, reference in (
+                    ("plus", complex(r.gamma_b_plus, r.xi_b_plus),
+                     complex(uniform.gamma_b_plus, uniform.xi_b_plus)),
+                    ("minus", complex(r.gamma_b_minus, r.xi_b_minus),
+                     complex(uniform.gamma_b_minus, uniform.xi_b_minus))):
                 got = band_berry_phase(loop, model, band)
                 assert _bits(got) == _bits(value), (model, n, band)
-                assert abs(got - _dyadic_band_phase(loop, model, band)) <= (
-                    1e-15), (model, n, band)
+                assert abs(reference - _dyadic_band_phase(
+                    loop, model, band)) <= 1e-15, (model, n, band)
+                assert abs(got - reference) <= 1e-12, (model, n, band)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024, 65536])
@@ -540,7 +546,7 @@ def test_strip_start_agrees_with_the_loop_start():
         else:
             continue
         strip = bipartite_phase_point(q, eta)
-        full = global_berry_phase(loop, _chain(q, eta))
+        full = uniform_route(loop, _chain(q, eta))
         assert strip.refinement_history[0][0] <= 1024
         for name in ("gamma_b_plus", "xi_b_plus", "gamma_b_minus",
                      "xi_b_minus"):
@@ -552,7 +558,7 @@ def test_strip_start_agrees_with_the_loop_start():
 
 def _uniform_route(q, eta):
     try:
-        return global_berry_phase(standard_loop(BIPARTITE, 1024), _chain(q, eta))
+        return uniform_route(standard_loop(BIPARTITE, 1024), _chain(q, eta))
     except (NotConverged, SingularLoop):
         # within 1e-4 of q = 1 a lossless loop counts as gapless
         return None
@@ -657,8 +663,7 @@ def test_two_level_singularities_on_degenerate_coefficients():
 
 
 def _uniform_two_level(params):
-    return global_berry_phase(standard_loop(TWO_LEVEL, 1024),
-                              TwoLevelModel(params))
+    return uniform_route(standard_loop(TWO_LEVEL, 1024), TwoLevelModel(params))
 
 
 def test_two_level_refinement_starts_at_its_strip_rung():
@@ -726,20 +731,32 @@ def test_two_level_band_labels_do_not_depend_on_the_sample_count():
 ], ids=["bipartite", "two-level"])
 def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
     at_cap = standard_loop(model.kind, 65536)
+    p = model.params
+    start, _, _ = (_two_level_grid(p) if model.kind == TWO_LEVEL
+                   else _chain_grid(p.q, p.eta))
+    built = []
 
-    def no_rung(loop, n):
-        raise AssertionError(f"a {n}-sample rung was built")
+    def grid(loop, n):
+        built.append(n)
+        return loop_grid(loop, n)
 
+    # the loop evaluators settle from the node rung, which is at most
+    # 32768, and build no 65536-sample first rung; the frame of the second
+    # rung gives the first its phases, so every frame is a later rung
     with monkeypatch.context() as m:
-        m.setattr(berry, "loop_grid", no_rung)
-        for evaluate in (lambda: global_berry_phase(at_cap, model),
-                         lambda: band_berry_phase(at_cap, model, "plus")):
-            with pytest.raises(BadResolution,
-                               match="at most at 32768 samples.*got 65536"):
-                evaluate()
-    # one rung below the cap leaves room to settle
-    below = standard_loop(model.kind, 32768)
-    assert global_berry_phase(below, model).resolution == 65536
+        m.setattr(berry, "loop_grid", grid)
+        r = global_berry_phase(at_cap, model)
+        plus = band_berry_phase(at_cap, model, "plus")
+    assert r.refinement_history[0][0] == start < 65536
+    assert sorted(set(built)) == [n for n, _ in r.refinement_history[1:]]
+    assert _bits(plus) == _bits(complex(r.gamma_b_plus, r.xi_b_plus))
+    # a loop one rung below the cap settles on the same rungs; the
+    # two-level loop is anchored at phi = 0 for every n, so bit for bit
+    below = global_berry_phase(standard_loop(model.kind, 32768), model)
+    assert [n for n, _ in below.refinement_history] == [
+        n for n, _ in r.refinement_history]
+    if model.kind == TWO_LEVEL:
+        assert _outcome_bits(below) == _outcome_bits(r)
     # the gauge check needs no second rung: at the cap it starts, as from
     # any n at or above it, at twice its strip rung and settles on that
     # one grid; the gapless chain phase takes none
@@ -761,6 +778,42 @@ def test_a_loop_at_the_cap_leaves_no_second_rung(monkeypatch, model):
         closed_form_gamma(1.5, 1.0, "plus"))
 
 
+@pytest.mark.parametrize("n", [16, 1024, 65536])
+def test_the_loop_evaluators_are_the_point_evaluators(n):
+    # a loop's phases are its family's point evaluator at n0 = loop.n,
+    # its result or its refusal bit for bit, at any v and eps_a of the
+    # chain; the last four chain points lie next to a divergence line,
+    # where the uniform nodes from loop.n still move at the cap
+    rng = np.random.default_rng(43)
+    models = [(TwoLevelModel(draw_two_level(rng, style)), False)
+              for style in ("positive", "negative") * 4]
+    cells = [draw_bipartite(rng, region) for region in ("TYPE_I", "TYPE_II") * 3]
+    moving = [(2.0, 1.0 - 1e-7), (0.5, 0.5 - 1e-7), (0.5, 1.5 + 1e-8),
+              (2.0, 3.0 + 1e-9)]
+    models += [(BipartiteModel(BipartiteParams.from_ratios(
+        q, eta, v=rng.uniform(0.5, 2.0), eps_a=rng.uniform(-1.0, 1.0))),
+        (q, eta) in moving) for q, eta in cells + moving]
+    checked = 0
+    for model, moves in models:
+        loop = standard_loop(model.kind, n)
+        p = model.params
+        point = (two_level_phase_point(p, n) if model.kind == TWO_LEVEL
+                 else bipartite_phase_point(p.q, p.eta, n))
+        assert _outcome_bits(global_berry_phase(loop, model)) == (
+            _outcome_bits(point)), model
+        for band, want in (("plus", complex(point.gamma_b_plus,
+                                            point.xi_b_plus)),
+                           ("minus", complex(point.gamma_b_minus,
+                                             point.xi_b_minus))):
+            assert _bits(band_berry_phase(loop, model, band)) == _bits(want), (
+                model, band)
+        if moves:
+            with pytest.raises(NotConverged, match="still moving"):
+                uniform_route(loop, model)
+            checked += 1
+    assert checked == len(moving)
+
+
 def test_global_phase_rejects_singular_sets():
     with pytest.raises(SingularLoop):
         two_level_phase_point(_tl((1.0, 2.0, 0.3), (1.0, 0.5, 0.0), 1.0))
@@ -778,16 +831,18 @@ def test_global_phase_rejects_singular_sets():
 
 @pytest.mark.parametrize("q", [1.000001, 0.999999])
 def test_a_gapped_loop_next_to_q_1_refines_its_frame(q):
-    # eta < |1 - q|: the loop crosses no degeneracy, so it refines, and on
-    # the uniform loop its phases still move at the cap; the band phase
-    # and the point evaluator read the elliptic closed form there
+    # eta < |1 - q|: the loop crosses no degeneracy, but its exceptional
+    # points nearly touch it, and on the uniform loop its phases still
+    # move at the cap; the loop evaluators, the band phase and the point
+    # evaluator read the elliptic closed form there
     loop, model = standard_loop(BIPARTITE, 1024), _chain(q, 5e-7)
     with pytest.raises(NotConverged, match="still moving"):
-        global_berry_phase(loop, model)
+        uniform_route(loop, model)
     point = bipartite_phase_point(q, 5e-7)
-    for band, got in (("plus", complex(point.gamma_b_plus, point.xi_b_plus)),
-                      ("minus", complex(point.gamma_b_minus,
-                                        point.xi_b_minus))):
+    r = global_berry_phase(loop, model)
+    assert _outcome_bits(r) == _outcome_bits(point)
+    for band, got in (("plus", complex(r.gamma_b_plus, r.xi_b_plus)),
+                      ("minus", complex(r.gamma_b_minus, r.xi_b_minus))):
         want = _bits(closed_form_gamma(q, 5e-7, band))
         assert _bits(band_berry_phase(loop, model, band)) == want
         assert _bits(got) == want
@@ -1185,14 +1240,14 @@ def test_the_nested_first_rung_matches_the_rung_by_rung_oracle(monkeypatch):
         check(lambda: two_level_phase_point(params, n0), (params, n0))
         if i % 3 == 1:
             loop = standard_loop(TWO_LEVEL, n0)
-            check(lambda: global_berry_phase(loop, TwoLevelModel(params)),
+            check(lambda: uniform_route(loop, TwoLevelModel(params)),
                   (params, n0))
     # a vanishing amplitude at phi = 0, and touching branches on the even
     # and on the odd samples of the 32-sample grid
     for params in (_tl((1.0, 1.3, 0.2), (-1.0 + 1.5e-12, 0.2, 0.1), 1.0),
                    _degenerate_at(math.pi / 16), _degenerate_at(math.pi / 8)):
         loop = standard_loop(TWO_LEVEL, 16)
-        check(lambda: global_berry_phase(loop, TwoLevelModel(params)), params)
+        check(lambda: uniform_route(loop, TwoLevelModel(params)), params)
     cells = []
     for i in range(300):
         kind = i % 4
@@ -1370,8 +1425,7 @@ def test_a_too_coarse_second_rung_builds_the_first_on_its_own(monkeypatch):
     with pytest.raises(PathTooCoarse):
         model.eigen_path(loop_grid(loop, 32))
     sizes = _frame_sizes(monkeypatch)
-    ours, ref = _both_routes(monkeypatch,
-                             lambda: global_berry_phase(loop, model))
+    ours, ref = _both_routes(monkeypatch, lambda: uniform_route(loop, model))
     assert sizes[:2] == [33, 17]
     assert isinstance(ours, berry.BerryPhaseResult)
     assert _outcome_bits(ours) == _outcome_bits(ref)

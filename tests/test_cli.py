@@ -474,6 +474,18 @@ def test_help_exits_zero_for_every_command(capsys):
         assert "usage" in out.lower()
 
 
+def test_both_point_commands_share_one_samples_help(capsys):
+    # --samples means the same on both: the loop anchor and the finest
+    # start rung, from 16 to the 65536 cap
+    helps = []
+    for command in ("two-level-q", "bipartite"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        helps.append(" ".join(out.split("--samples SAMPLES")[-1].split()))
+    assert helps[0] == helps[1]
+    assert "power of two from 16 to 65536, default 1024" in helps[0]
+
+
 def test_the_reused_parser_answers_like_a_first_call(capsys):
     # main builds its parser once per process; a usage error, a query and
     # the help text each read exactly as they do from a fresh parser
@@ -677,19 +689,21 @@ def test_samples_above_the_refinement_cap_are_refused(capsys, monkeypatch,
 
 
 def test_a_start_at_the_cap_settles_or_is_refused(capsys):
-    # one rung at the cap could never settle: the chain starts lower, the
-    # two-level refinement is refused before it runs, and the gauge check,
-    # which needs no second rung, starts at twice its strip rung (64 here)
-    # and settles one doubling on, as from the default 1024
+    # one rung at the cap could never settle, and none starts there: both
+    # point commands start at their node rung, at most 32768, and the
+    # two-level loop, anchored at phi = 0 for every --samples, prints the
+    # bits of --samples 32768; the gauge check, which needs no second
+    # rung, starts at twice its strip rung (64 here) and settles one
+    # doubling on, as from the default 1024
     payload = run_json(capsys, "bipartite", "--q", "2", "--eta", "0.3",
                        "--samples", "65536")
     assert payload["converged"] is True
     assert payload["resolution"] < 65536
-    code, out, err = run(capsys, "two-level-q", *_TWO_LEVEL_FLAGS,
-                         "--samples", "65536")
-    assert (code, out) == (1, "")
-    assert err == ("error: the refinement starts at most at 32768 samples, "
-                   "so that a second rung can settle it; got 65536\n")
+    at_cap = run(capsys, "two-level-q", *_TWO_LEVEL_FLAGS,
+                 "--samples", "65536")
+    assert at_cap[0] == 0 and json.loads(at_cap[1])["resolution"] < 65536
+    assert at_cap == run(capsys, "two-level-q", *_TWO_LEVEL_FLAGS,
+                         "--samples", "32768")
     payload = run_json(capsys, "gauge-check", "--model", "bipartite", "--q",
                        "2", "--eta", "0.3", "--samples", "65536")
     assert payload["resolution"] == 128

@@ -160,3 +160,16 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-I", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_point_evaluators_name_the_refinement_loop():
+    # one route per point: the loop evaluators read the point evaluators,
+    # so only the two-level point and the chain's cells name the refinement
+    callers = sorted({
+        f"{module}: {func.name}" for module, tree in _trees().items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if "_settled_phases" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None))})
+    assert callers == ["berry.py: _chain_cells",
+                       "berry.py: two_level_phase_point"], callers

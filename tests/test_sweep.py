@@ -429,7 +429,7 @@ def test_amplitude_map_matches_the_sign_condition():
 
 @pytest.mark.parametrize("samples, message", [
     (24, "power-of-two sample count of at least 16, got 24"),
-    (65536, "at most at 32768 samples.*got 65536"),
+    (131072, "exceeds the refinement cap 65536"),
 ])
 def test_amplitude_map_refuses_a_resolution_before_any_cell(
         monkeypatch, samples, message):
@@ -440,6 +440,16 @@ def test_amplitude_map_refuses_a_resolution_before_any_cell(
     with pytest.raises(BadResolution, match=message):
         two_level_q_map((1.0, 1.0), (0.3, 1.7), (0.3, 1.7), 2,
                         samples_per_loop=samples)
+
+
+def test_amplitude_map_takes_a_loop_at_the_cap():
+    # every cell starts at its node rung, at most 32768, and the two-level
+    # loop is anchored at phi = 0 for every sample count, so a map at the
+    # cap is the map one rung below it
+    maps = [two_level_q_map((1.0, 1.0), (0.3, 1.7), (0.3, 1.7), 2,
+                            samples_per_loop=n) for n in (32768, 65536)]
+    assert maps[0].mismatch_cells == maps[1].mismatch_cells == ()
+    assert maps[0].numeric.tobytes() == maps[1].numeric.tobytes()
 
 
 def test_amplitude_map_marks_singular_cells_undefined():
