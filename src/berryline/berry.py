@@ -518,29 +518,27 @@ def _node_grid(found, fold):
     return min(n, _MAX_SAMPLES // 2), beta, _kepler(fold * c, beta) / fold
 
 
-def _chain_cells(loop, cells, reports=None):
+def _chain_cells(loop, cells):
     """The lossy chain's global phase results at (q, eta) cells on one loop.
 
     Returns per cell a BerryPhaseResult or the BerrylineError that cell
-    raises; ``reports`` are the crossing reports of the cells when the
-    caller has them already. Gapped cells run the dual-route refinement
-    together, each on the node map ``_node_grid`` gives it and starting
-    at its rung or at ``loop.n``, whichever is smaller; every rung is
-    anchored at the loop's first sample, in the loop parameter t. Q
-    depends on the hopping winding alone, so each hopping ratio with a
-    cell that ``_reads_closed_form`` adds one lossless row (eta = 0) to
-    the refinement, and each such cell is that row's result with the band
+    raises. Gapped cells run the dual-route refinement together, each on
+    the node map ``_node_grid`` gives it and starting at its rung or at
+    ``loop.n``, whichever is smaller; every rung is anchored at the
+    loop's first sample, in the loop parameter t. Q depends on the
+    hopping winding alone, so each hopping ratio with a cell that
+    ``_reads_closed_form`` adds one lossless row (eta = 0) to the
+    refinement, and each such cell is that row's result with the band
     phases of the elliptic closed form. A row computes from its own
     (q, eta) alone, so every cell has the bits of its one-cell call.
     """
     reads = []         # per cell: (row, gapless), or None at q = 1
     rows = {}          # (q, eta) of a refined row -> its index
-    for i, (q, eta) in enumerate(cells):
+    for q, eta in cells:
         if _at_transition(q):
             reads.append(None)
             continue
-        report = reports[i] if reports is not None else classify_region(q, eta)
-        gapless = _reads_closed_form(q, eta, report.region)
+        gapless = _reads_closed_form(q, eta, classify_region(q, eta).region)
         row = rows.setdefault((q, 0.0) if gapless else (q, eta), len(rows))
         reads.append((row, gapless))
     ratios = list(rows)

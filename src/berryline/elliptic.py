@@ -1,19 +1,20 @@
-"""Closed-form global phase of the lossy chain below the outer divergence line.
+"""Closed-form global phase of the lossy chain off its divergence lines.
 
-For every eta < q + 1 off the line eta = |q - 1| the momentum integral of
-the diagonal connection reduces to complete elliptic integrals (Byrd &
-Friedman, sections 233 and 236). Below eta = |q - 1| the real part is
-exactly 0 or pi and the imaginary part carries all of the loss
-dependence; between the lines the crossing momenta split the zone into
-an imaginary-gap and a real-gap part, each diverging logarithmically
-toward the line that closes it.
+For every eta off the lines eta = |q - 1| and eta = q + 1 the momentum
+integral of the diagonal connection reduces to complete elliptic
+integrals (Byrd & Friedman, sections 233 and 236). Below eta = |q - 1|
+the real part is exactly 0 or pi and the imaginary part carries all of
+the loss dependence; beyond eta = q + 1 the same reduction, at an
+imaginary modulus, gives a real phase. Between the lines the crossing
+momenta split the zone into an imaginary-gap and a real-gap part, each
+diverging logarithmically toward the line that closes it.
 
 Each part is one combination K + c Pi(n | m), which is Bulirsch's
 complete integral cel(kc, p, 1 + c, p + c) with kc^2 = 1 - m and
 p = 1 - n, computed in plain float arithmetic. Both are written out in
 q and eta: kc^2 as a ratio of the factorized radicand extremes
 r(0) = (1+q-eta)(1+q+eta) and r(pi) = (|1-q|-eta)(|1-q|+eta), p as
-the square ((q-1)/(q+1))^2 below the lines and (eta/(1+q))^2 or
+the square ((q-1)/(q+1))^2 outside the lines and (eta/(1+q))^2 or
 (eta/|1-q|)^2 between them. Next to q = 1 the characteristic n lies
 within |q - 1|^2 of 1 or is of order -(eta/|q - 1|)^2, so 1 - n formed
 in floating point loses the digits that cancel, and the coefficient c,
@@ -85,11 +86,11 @@ def closed_form_gamma(q, eta, band):
     """Global Berry phase of one band from the elliptic reduction.
 
     Below eta = |q - 1| the real part is exactly pi for q > 1 and 0 for
-    q < 1. Between the lines the bands get pi [q > 1] +- eta (outer +
-    i inner), the split integrals over the real-gap and imaginary-gap
-    parts of the zone. On either line and beyond eta = q + 1 there is no
-    value. The band argument accepts the same labels as the numeric code
-    ("plus"/"minus", "+"/"-", +1/-1).
+    q < 1, and beyond eta = q + 1 the imaginary part is 0. Between the
+    lines the bands get pi [q > 1] +- eta (outer + i inner), the split
+    integrals over the real-gap and imaginary-gap parts of the zone. On
+    either line and at q = 1 there is no value. The band argument accepts
+    the same labels as the numeric code ("plus"/"minus", "+"/"-", +1/-1).
     """
     b = band_index(band)
     return _closed_form_pair(q, eta)[b]
@@ -109,18 +110,21 @@ def _closed_form_pair(q, eta):
     rpi, r0 = _radicand_extremes(q, eta)
     step = math.pi if q > 1.0 else 0.0
     t = (q - 1.0) / (q + 1.0)
-    if rpi > 0.0:
-        y = 4.0 * q / ((q + 1.0) ** 2 - eta * eta)
-        # K + t Pi(x | y) at x = 4q / (q+1)^2, so 1 - x = t^2, and
-        # 1 - y = r(pi) / r(0)
+    if rpi == 0.0 or r0 == 0.0:
+        raise OutsideValidityDomain(
+            "the elliptic reduction has no value on the lines eta = |q - 1| "
+            f"and eta = q + 1, got eta = {eta} at q = {q}")
+    if rpi > 0.0 or r0 < 0.0:
+        # K + t Pi(x | y) at x = 4q / (q+1)^2, so 1 - x = t^2, and 1 - y =
+        # r(pi) / r(0), above 1 (an imaginary modulus) beyond eta = q + 1
         p = t * t
         kernel = cel(math.sqrt(rpi / r0), p, 1.0 + t, p + t)
+        if r0 < 0.0:
+            x = eta / math.sqrt(-r0) * kernel
+            return complex(step + x, 0.0), complex(step - x, -0.0)
+        y = 4.0 * q / ((q + 1.0) ** 2 - eta * eta)
         half = 0.5 * eta * math.sqrt(y / q) * kernel
         return complex(step, half), complex(step, -half)
-    if rpi == 0.0 or r0 <= 0.0:
-        raise OutsideValidityDomain(
-            "the elliptic reduction holds only for eta below q + 1 and off "
-            f"the line eta = |q - 1|, got eta = {eta} at q = {q}")
     # u = cos k splits the winding rate into 1/2 + c1 / (u - u_p), with
     # u_p = -(1 + q^2) / (2q) and c1 = (q + u_p) / 2; the crossing u_0 has
     # 1 + u_0 = -r(pi) / 2q and 1 - u_0 = r(0) / 2q. The inner part is

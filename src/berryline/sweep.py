@@ -4,12 +4,11 @@ Three sweep shapes: a (q, eta) phase diagram of the lossy chain with
 per-cell convergence flags, logarithmic approach scans to the two
 divergence lines on the elliptic closed form with a straight-line fit as
 the summary, and a (d_x, d_y) map of the two-level index against its
-sign-condition prediction. Every grid cell runs the code of the
-corresponding point evaluator: a phase diagram refines its gapped cells,
-and one lossless row per hopping ratio for the index of its gapless
-cells, as one stack whose rows compute from their own (q, eta) alone, so
-a cell never differs from what a user would get by asking for that point
-directly.
+sign-condition prediction. A phase diagram reads every cell's band
+phases off the elliptic closed form and its index off one lossless row
+per hopping ratio, refined as one stack whose rows compute from their
+own q alone, so a cell's index is bit for bit what a user gets by asking
+for the point (q, 0) directly.
 
 The CSV is written atomically straight from the grid's arrays, one row
 per cell with eta outer and q inner, in 17-significant-digit floats so
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .berry import _chain_cells, analytic_q, two_level_phase_point
-from .elliptic import closed_form_gamma
+from .elliptic import _closed_form_pair, closed_form_gamma
 from .errors import BadResolution, BerrylineError
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams,
                      _at_transition, _check_integer, _check_ratios,
@@ -41,6 +40,8 @@ _NEAR_LINE = 1e-3       # cells this close to a critical line are flagged
 
 _CSV_HEADER = ("q,eta,gamma_g_plus,xi_g_plus,gamma_g_minus,xi_g_minus,"
                "Q,region,converged")
+# %.17g formats a float as format(x, ".17g") does, so the 17 digits round-trip
+_CSV_ROW = "%.17g," * 7 + "%s,%s"
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class PhaseDiagramGrid:
     within 1e-6 of an integer index, and sit at least 1e-3 away from the
     transition q = 1 and from both divergence lines.
     ``samples_per_loop`` is the loop sample count the grid was asked for:
-    the anchor of every cell's rungs in the loop parameter t and the
-    finest start of a gapped cell's refinement, not the rung any cell
-    settled at.
+    the anchor of the lossless rows' rungs in the loop parameter t, which
+    give every cell its index, and the finest start of their refinement,
+    not the rung any row settled at.
     """
 
     q_axis: np.ndarray
@@ -75,21 +76,25 @@ def _near_critical(q, eta):
 
 
 def _diagram_cells(args):
-    # a block of q columns, refined as one stack; cells in column order
+    # q columns, cells in column order; their lossless rows refine as one stack
     q_values, eta_values, samples = args
-    cells = [(q, eta) for q in q_values for eta in eta_values]
-    reports = [classify_region(q, eta) for q, eta in cells]
-    outcomes = _chain_cells(standard_loop(BIPARTITE, samples), cells, reports)
-    rows = []
-    for (q, eta), report, r in zip(cells, reports, outcomes):
-        if isinstance(r, BerrylineError):
-            rows.append((math.nan, math.nan, math.nan, math.nan, math.nan,
-                         report.region, False))
-            continue
-        converged = r.q_rounded is not None and not _near_critical(q, eta)
-        rows.append((r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
-                     r.xi_b_minus, r.q_index, report.region, converged))
-    return rows
+    lossless = _chain_cells(standard_loop(BIPARTITE, samples),
+                            [(q, 0.0) for q in q_values])
+    cells = []
+    for q, row in zip(q_values, lossless):
+        for eta in eta_values:
+            region = classify_region(q, eta).region
+            try:
+                if isinstance(row, BerrylineError):
+                    raise row
+                plus, minus = _closed_form_pair(q, eta)
+            except BerrylineError:
+                cells.append((math.nan,) * 5 + (region, False))
+                continue
+            converged = row.q_rounded is not None and not _near_critical(q, eta)
+            cells.append((plus.real, plus.imag, minus.real, minus.imag,
+                          row.q_index, region, converged))
+    return cells
 
 
 def _axis(bounds, count, name):
@@ -116,17 +121,17 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     Grid points landing exactly on q = 1 are shifted by half a cell; the
     phases are genuinely two-valued there and no cell may sit on the
     transition. Per-cell failures are recorded as NaN rows with
-    converged=False, never aborting the rest of the grid. The whole grid
-    is one task: its gapped cells refine together, each on its own
-    node-clustered momentum grid, one array pass per rung size over the
-    cells at that rung, with kets built only for the cells that settle
-    there; the gapless cells of each q share the index of one lossless row
-    refined with them. Every cell equals the direct
-    ``bipartite_phase_point(q, eta, n0=samples_per_loop)`` call, the same
-    refinement with one row, bit for bit. ``samples_per_loop`` is the
-    loop's anchor and the finest rung a gapped cell's refinement starts
-    from; a cell starts lower where the analytic strip width of its
-    mapped integrand allows. With BERRYLINE_THREADS above 1 the grid goes
+    converged=False, never aborting the rest of the grid. A cell takes its
+    band phases from the elliptic closed form, and its index and
+    convergence from its column's lossless row: the rows refine together,
+    each on its own node map, so a cell's Q has the bits of
+    ``bipartite_phase_point(q, 0.0, n0=samples_per_loop)``. Where that
+    call at (q, eta) reads the closed form too (the gapless region and the
+    TYPE_I strip next to q = 1) the cell has all its bits; elsewhere the
+    refined phases agree with the cell's within 1e-12 at 1e-3 or more from
+    the lines. A cell is NaN wherever its row or the closed form refuses.
+    ``samples_per_loop`` is the rows' anchor and the finest rung their
+    refinement starts from. With BERRYLINE_THREADS above 1 the grid goes
     to that many worker processes instead, capped at the cores and q
     columns, one contiguous block of columns each; a value of 1 or less
     (or none set) runs serially, and one that is not an integer raises
@@ -176,10 +181,6 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
         samples_per_loop=samples)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -189,15 +190,12 @@ def _write_atomic(path, text):
 
 def save_phase_diagram(grid, path):
     """Write the grid as CSV plus a JSON sidecar at path + ".json"."""
-    values = (grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
-              grid.xi_g_minus, grid.q_index)
-    lines = [_CSV_HEADER]
-    for i, eta in enumerate(grid.eta_axis):
-        for j, q in enumerate(grid.q_axis):
-            lines.append(",".join([
-                _fmt(q), _fmt(eta), *(_fmt(v[i, j]) for v in values),
-                str(grid.region[i, j]),
-                "true" if grid.converged[i, j] else "false"]))
+    eta, q = np.meshgrid(grid.eta_axis, grid.q_axis, indexing="ij")
+    columns = [v.ravel().tolist() for v in (
+        q, eta, grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
+        grid.xi_g_minus, grid.q_index, grid.region)]
+    flags = ["true" if c else "false" for c in grid.converged.ravel().tolist()]
+    lines = [_CSV_HEADER] + [_CSV_ROW % row for row in zip(*columns, flags)]
     _write_atomic(path, "\n".join(lines) + "\n")
 
     epoch = os.environ.get("SOURCE_DATE_EPOCH")

@@ -112,7 +112,9 @@ def closed_form_mp(q, eta):
     The same Byrd & Friedman reduction as ``elliptic``, K + c Pi(n | m),
     evaluated by mpmath from the exact float inputs: every difference
     that loses digits in floating point next to q = 1 (1 - n above all)
-    is exact here. Below eta = |q - 1| the real part x is 0.
+    is exact here. Below eta = |q - 1| the real part x is 0; beyond
+    eta = q + 1 the imaginary part y is 0, and the same reduction runs at
+    a negative parameter m = 1 - r(pi) / r(0).
     """
     with mpmath.workdps(60):
         q, eta = mpmath.mpf(q), mpmath.mpf(eta)
@@ -122,10 +124,10 @@ def closed_form_mp(q, eta):
         def part(c, n, m):
             return mpmath.ellipk(m) + c * mpmath.ellippi(n, m)
 
-        if rpi > 0:
-            half = eta / mpmath.sqrt(r0) * part(
+        if rpi > 0 or r0 < 0:
+            value = eta / mpmath.sqrt(abs(r0)) * part(
                 (q - 1) / (q + 1), 4 * q / (q + 1) ** 2, 1 - rpi / r0)
-            return 0.0, float(half)
+            return (float(value), 0.0) if r0 < 0 else (0.0, float(value))
         scale = eta / (2 * mpmath.sqrt(q))
         inner = part((q - 1) / (q + 1), r0 / (q + 1) ** 2, 1 + rpi / (4 * q))
         outer = part((q + 1) / (q - 1), rpi / (q - 1) ** 2, 1 - r0 / (4 * q))

@@ -129,6 +129,15 @@ def test_closed_form_block_absent_in_gapless_region(capsys):
     assert abs(payload["Q"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("q, eta", [("0.5", "2.0"), ("2", "4")])
+def test_closed_form_block_absent_in_type_ii(capsys, q, eta):
+    # the closed form has a value beyond eta = q + 1 too, but a point
+    # query prints its block only below eta = |q - 1|
+    payload = run_json(capsys, "bipartite", "--q", q, "--eta", eta)
+    assert payload["region"] == "TYPE_II"
+    assert "closed_form" not in payload
+
+
 def test_bipartite_transition_exits_2(capsys):
     code, out, err = run(capsys, "bipartite", "--q", "1", "--eta", "0.5")
     assert code == 2
@@ -175,8 +184,8 @@ def test_the_type_i_strip_next_to_the_transition_is_type_i(capsys):
 
 def test_a_point_tied_to_the_outer_line_from_above_refines_as_type_ii(capsys):
     # 1e-8 above eta = q + 1 the region keeps its tie to the line, but the
-    # loop is TYPE_II and its frame refines, where the closed form, which
-    # holds only below q + 1, once refused it
+    # loop is TYPE_II and its frame refines, where the closed form once
+    # refused it
     tied = run_json(capsys, "bipartite", "--q", "2", "--eta", "3.00000001")
     assert tied["region"] == "GAPLESS_TRUE_CROSSING"
     assert tied["converged"] is True and abs(tied["Q"] - 1.0) < 1e-9

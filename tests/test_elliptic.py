@@ -125,8 +125,10 @@ def test_closed_form_domain_errors():
     # mpmath quadrature of the split integrals
     gapless = closed_form_gamma(1.5, 1.0, "plus")
     assert abs(gapless - complex(5.443316256331932, 1.6414759256536529)) < 1e-12
-    with pytest.raises(OutsideValidityDomain):
-        closed_form_gamma(2.0, 3.5, "plus")      # TYPE_II, beyond eta = q + 1
+    # beyond eta = q + 1 too; only the lines and q = 1 have none
+    beyond = closed_form_gamma(2.0, 3.5, "plus")
+    want_x, want_y = closed_form_mp(2.0, 3.5)
+    assert abs(beyond - complex(math.pi + want_x, want_y)) <= 1e-13
     with pytest.raises(UndefinedAtTransition):
         closed_form_gamma(1.0, 0.0, "plus")
     with pytest.raises(OutsideValidityDomain):
@@ -215,6 +217,59 @@ def test_closed_form_matches_60_digit_arithmetic_away_from_the_transition():
         step = math.pi if q > 1.0 else 0.0
         assert abs(plus.real - step - want_x) <= 1e-13, (q, eta)
         assert abs(plus.imag - want_y) <= 1e-13, (q, eta)
+
+
+@pytest.mark.parametrize("q, eta", [
+    (2.0, 3.0000001), (2.0, 3.000001), (0.5, 1.5000001), (1.000001, 2.1),
+    (2.0, 4.0)])
+def test_closed_form_beyond_the_outer_line_matches_60_digit_arithmetic(q, eta):
+    # r(0) < 0: a real phase pi [q > 1] +- x, with imaginary parts +0 and -0
+    want_x, want_y = closed_form_mp(q, eta)
+    plus, minus = _closed_form_pair(q, eta)
+    step = math.pi if q > 1.0 else 0.0
+    assert want_y == 0.0
+    assert abs(plus.real - step - want_x) <= 1e-13
+    assert abs(minus.real - step + want_x) <= 1e-13
+    assert plus.imag == minus.imag == 0.0
+    assert (math.copysign(1.0, plus.imag), math.copysign(1.0, minus.imag)) == (
+        1.0, -1.0)
+
+
+def test_closed_form_beyond_the_outer_line_matches_on_seeded_draws():
+    # 1e-3 to 3 above the line. The radicand extremes round 1 + q before
+    # they subtract eta, which moves the line by up to an ulp of 1 + q, and
+    # x, about (sqrt(q) / 2) ln(1 / distance), by up to sqrt(q) ulp(1 + q)
+    # / distance: 2.4e-13 at 1.7e-3 from the line, and 6e-11 at 1e-6. The
+    # refinement shares that rounding, so the bound names it
+    rng = np.random.default_rng(1019)
+    for _ in range(60):
+        q = float(rng.uniform(0.05, 4.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        distance = float(10.0 ** rng.uniform(-3.0, math.log10(3.0)))
+        eta = q + 1.0 + distance
+        want_x, _ = closed_form_mp(q, eta)
+        plus, minus = _closed_form_pair(q, eta)
+        step = math.pi if q > 1.0 else 0.0
+        bound = 1e-13 + math.sqrt(q) * math.ulp(1.0 + q) / distance
+        assert abs(plus.real - step - want_x) <= bound, (q, eta)
+        assert abs(minus.real - step + want_x) <= bound, (q, eta)
+
+
+def test_closed_form_beyond_the_outer_line_matches_the_refinement():
+    from berryline.berry import bipartite_phase_point
+
+    rng = np.random.default_rng(1021)
+    for _ in range(40):
+        q = float(rng.uniform(0.05, 4.0))
+        if abs(q - 1.0) < 1e-3:
+            continue
+        eta = q + 1.0 + float(10.0 ** rng.uniform(-6.0, math.log10(3.0)))
+        plus, minus = _closed_form_pair(q, eta)
+        r = bipartite_phase_point(q, eta)
+        got = (r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus, r.xi_b_minus)
+        want = (plus.real, plus.imag, minus.real, minus.imag)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (q, eta)
 
 
 @pytest.mark.parametrize("q, eta", [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from berryline import berry, sweep
 from berryline.berry import bipartite_phase_point
+from berryline.elliptic import _closed_form_pair
 from berryline.errors import BadResolution, BerrylineError
 from berryline.models import BIPARTITE, standard_loop
 from berryline.spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II,
@@ -58,9 +59,14 @@ def test_strong_hopping_patch_is_wound(strong_grid):
     assert np.abs(strong_grid.gamma_g_plus - math.pi).max() < 1e-6
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 def test_cells_match_the_direct_point_evaluator(mixed_grid):
-    # a column shares only what depends on q, so every cell is bit for bit
-    # the direct evaluator's value, or NaN exactly where it refuses
+    # a cell's band phases are the closed form's bits and its Q those of
+    # the lossless point (q, 0), NaN exactly where either refuses; off the
+    # 1e-3 margin its phases are the direct evaluator's within 1e-12
     grid = mixed_grid
     assert set(grid.region.ravel()) == {TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING}
     gapless = (grid.region == GAPLESS_TRUE_CROSSING) & np.isfinite(grid.q_index)
@@ -72,17 +78,47 @@ def test_cells_match_the_direct_point_evaluator(mixed_grid):
         cell = [float(v[i, j]) for v in (
             grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
             grid.xi_g_minus, grid.q_index)]
+        assert grid.region[i, j] == classify_region(q, eta).region
         try:
-            direct = bipartite_phase_point(q, eta, n0=grid.samples_per_loop)
+            row = bipartite_phase_point(q, 0.0, n0=grid.samples_per_loop)
+            plus, minus = _closed_form_pair(q, eta)
         except BerrylineError:
             assert all(math.isnan(v) for v in cell), (q, eta)
             assert not grid.converged[i, j]
             continue
         finite += 1
-        assert cell == [direct.gamma_b_plus, direct.xi_b_plus,
-                        direct.gamma_b_minus, direct.xi_b_minus,
-                        direct.q_index], (q, eta)
+        assert _bits(cell) == _bits([plus.real, plus.imag, minus.real,
+                                     minus.imag, row.q_index]), (q, eta)
+        assert grid.converged[i, j] == (row.q_rounded is not None
+                                        and not sweep._near_critical(q, eta))
+        assert not sweep._near_critical(q, eta)
+        direct = bipartite_phase_point(q, eta, n0=grid.samples_per_loop)
+        assert max(abs(a - b) for a, b in zip(cell, [
+            direct.gamma_b_plus, direct.xi_b_plus, direct.gamma_b_minus,
+            direct.xi_b_minus])) <= 1e-12, (q, eta)
     assert finite == 10
+
+
+def test_a_sweep_refines_only_the_lossless_rows_of_its_q_axis(monkeypatch):
+    # all three regions are on the grid, yet the sweep's one refinement
+    # sees one row (q, 0) per q and no other
+    calls, rows = [], []
+    settled, chain_rows = berry._settled_phases, berry._ChainRows
+
+    def counted(loop, frames, starts):
+        calls.append(len(starts))
+        return settled(loop, frames, starts)
+
+    def recorded(v, v_prime, gamma, k, dk=None):
+        rows.extend(zip(v_prime, gamma))
+        return chain_rows(v, v_prime, gamma, k, dk)
+
+    monkeypatch.setattr(berry, "_settled_phases", counted)
+    monkeypatch.setattr(berry, "_ChainRows", recorded)
+    grid = phase_diagram((0.3, 2.7), (0.0, 4.5), 4, 6)
+    assert set(grid.region.ravel()) == {TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING}
+    assert calls == [4]
+    assert set(rows) == {(float(q), 0.0) for q in grid.q_axis}
 
 
 @st.composite
@@ -127,24 +163,34 @@ def test_a_column_gives_every_cell_its_point_bits(stack):
         # the same result object, rungs and routes included
         assert outcome == direct, (q, eta)
     # the sweep's rows over the grid of these ratios: every cell has the
-    # bits of its result in the stack above, where other rows kept it company
+    # closed form's band phases and the index of its lossless point (q, 0),
+    # bit for bit, and off the 1e-3 margin the phases of its result in the
+    # stack above within 1e-12
     q_values = sorted({q for q, _ in cells})
     eta_values = sorted({eta for _, eta in cells})
     grid = sweep._diagram_cells((q_values, eta_values, n0))
     results = dict(zip(cells, outcomes))
     for (q, eta), cell in zip(
             [(q, eta) for q in q_values for eta in eta_values], grid):
-        if (q, eta) not in results:
-            continue
-        r = results[q, eta]
-        if isinstance(r, BerrylineError):
+        assert cell[5] == classify_region(q, eta).region
+        try:
+            row = bipartite_phase_point(q, 0.0, n0=n0)
+            plus, minus = _closed_form_pair(q, eta)
+        except BerrylineError:
             assert all(math.isnan(v) for v in cell[:5]), (q, eta)
             assert cell[6] is False
             continue
-        assert list(cell[:5]) == [r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
-                                  r.xi_b_minus, r.q_index], (q, eta)
-        assert cell[6] == (r.q_rounded is not None
+        assert _bits(cell[:5]) == _bits([plus.real, plus.imag, minus.real,
+                                         minus.imag, row.q_index]), (q, eta)
+        assert cell[6] == (row.q_rounded is not None
                            and not sweep._near_critical(q, eta))
+        r = results.get((q, eta))
+        if (r is None or isinstance(r, BerrylineError)
+                or sweep._near_critical(q, eta)):
+            continue
+        assert max(abs(a - b) for a, b in zip(cell[:4], [
+            r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
+            r.xi_b_minus])) <= 1e-12, (q, eta)
 
 
 def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
@@ -339,6 +385,40 @@ def test_csv_layout_and_roundtrip(strong_grid, mixed_grid, tmp_path):
         assert [f[8] for f in rows] == ["true" if c else "false"
                                         for c in grid.converged.ravel()]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_csv_rows_are_the_per_value_format_of_every_float(tmp_path):
+    # the writer formats each row with one %-format; the reference joins
+    # format(x, ".17g") value by value, over NaN rows, signed zeros,
+    # infinities and subnormals
+    specials = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310,
+                2.2250738585072014e-308, math.pi, -1.0 / 3.0, 1e300, 2.0 ** 60]
+    rng = np.random.default_rng(5)
+    shape = (4, 3)
+    values = [rng.choice(specials, size=shape) for _ in range(5)]
+    for v in values:
+        v[1] = math.nan
+    grid = sweep.PhaseDiagramGrid(
+        q_axis=np.array([5e-324, 0.1, 1.0000000000000002]),
+        eta_axis=np.array([-0.0, 0.0, 1e-310, 2.55]),
+        gamma_g_plus=values[0], xi_g_plus=values[1], gamma_g_minus=values[2],
+        xi_g_minus=values[3], q_index=values[4],
+        region=rng.choice([TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING],
+                          size=shape).astype(object),
+        converged=rng.integers(2, size=shape).astype(bool),
+        samples_per_loop=1024)
+    lines = [CSV_HEADER]
+    for i, eta in enumerate(grid.eta_axis):
+        for j, q in enumerate(grid.q_axis):
+            lines.append(",".join(
+                [format(float(x), ".17g") for x in (q, eta, *(
+                    v[i, j] for v in values))]
+                + [str(grid.region[i, j]),
+                   "true" if grid.converged[i, j] else "false"]))
+    path = str(tmp_path / "specials.csv")
+    save_phase_diagram(grid, path)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "\n".join(lines) + "\n"
 
 
 def test_sidecar_records_axes_and_run_parameters(strong_grid, tmp_path):
