@@ -177,9 +177,8 @@ def _phase_sums(loop, stack, n, stride=1):
 def _gapless_loop(model):
     """Refuse a loop on a singular set; the region of a closed-form loop.
 
-    A two-level loop on a singular line raises SingularLoop, a chain loop
-    at hopping ratio 1 raises UndefinedAtTransition. A chain loop that
-    ``_reads_closed_form`` returns its region, any other loop None.
+    A two-level loop on a singular line raises SingularLoop. A chain loop
+    returns ``_closed_form_region`` at its ratios, any other loop None.
     """
     p = getattr(model, "params", None)
     if isinstance(p, TwoLevelParams) and p.is_singular():
@@ -188,28 +187,31 @@ def _gapless_loop(model):
             "these parameters; the winding index is undefined")
     if not isinstance(p, BipartiteParams):
         return None
-    if _at_transition(p.q):
-        raise UndefinedAtTransition(
-            "at hopping ratio 1 the off-diagonal interferes to zero on the "
-            "loop and the winding jumps between 0 and 1")
-    region = classify_region(p.q, p.eta).region
-    return region if _reads_closed_form(p.q, p.eta, region) else None
+    return _closed_form_region(p.q, p.eta)
 
 
-def _reads_closed_form(q, eta, region):
-    """Whether a chain loop's band phases come from the elliptic closed form.
+def _closed_form_region(q, eta):
+    """The region of a chain point that reads the closed form, else None.
 
-    A gapless loop has no frame to refine, but one that is gapless only
-    by its tie to eta = q + 1 from above, where r(0) < 0, is TYPE_II and
-    refines its frame. A TYPE_I loop whose radicand minimum lies within
-    1e-8 max(1, (1 + q)^2, eta^2) of zero, as the whole strip does next
-    to q = 1, has exceptional points so near the real zone that only the
-    closed form keeps its digits there.
+    Hopping ratio 1 raises UndefinedAtTransition. A gapless point has no
+    frame to refine, but one that is gapless only by its tie to eta = q +
+    1 from above, where r(0) < 0, is TYPE_II and refines its frame. A
+    TYPE_I point whose radicand minimum lies within 1e-8 max(1, (1 +
+    q)^2, eta^2) of zero, as the whole strip does next to q = 1, has
+    exceptional points so near the real zone that only the closed form
+    keeps its digits there.
     """
+    if _at_transition(q):
+        raise UndefinedAtTransition(
+            "the topological index jumps at hopping ratio 1; no phase is "
+            "defined on the transition itself")
+    region = classify_region(q, eta).region
     lo, hi = _radicand_extremes(q, eta)
     if region == TYPE_I:
-        return lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
-    return region == GAPLESS_TRUE_CROSSING and hi >= 0.0
+        reads = lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
+    else:
+        reads = region == GAPLESS_TRUE_CROSSING and hi >= 0.0
+    return region if reads else None
 
 
 def global_berry_phase(loop, model):
@@ -518,30 +520,16 @@ def _node_grid(found, fold):
     return min(n, _MAX_SAMPLES // 2), beta, _kepler(fold * c, beta) / fold
 
 
-def _chain_cells(loop, cells):
-    """The lossy chain's global phase results at (q, eta) cells on one loop.
+def _chain_rows(loop, ratios):
+    """The lossy chain's global phase results at gapped rows (q, eta).
 
-    Returns per cell a BerryPhaseResult or the BerrylineError that cell
-    raises. Gapped cells run the dual-route refinement together, each on
-    the node map ``_node_grid`` gives it and starting at its rung or at
+    Returns per row a BerryPhaseResult or the BerrylineError it ended
+    with. The rows run the dual-route refinement together, each on the
+    node map ``_node_grid`` gives it and starting at its rung or at
     ``loop.n``, whichever is smaller; every rung is anchored at the
-    loop's first sample, in the loop parameter t. Q depends on the
-    hopping winding alone, so each hopping ratio with a cell that
-    ``_reads_closed_form`` adds one lossless row (eta = 0) to the
-    refinement, and each such cell is that row's result with the band
-    phases of the elliptic closed form. A row computes from its own
-    (q, eta) alone, so every cell has the bits of its one-cell call.
+    loop's first sample, in the loop parameter t. A row computes from its
+    own (q, eta) alone, so every row has the bits of its one-row call.
     """
-    reads = []         # per cell: (row, gapless), or None at q = 1
-    rows = {}          # (q, eta) of a refined row -> its index
-    for q, eta in cells:
-        if _at_transition(q):
-            reads.append(None)
-            continue
-        gapless = _reads_closed_form(q, eta, classify_region(q, eta).region)
-        row = rows.setdefault((q, 0.0) if gapless else (q, eta), len(rows))
-        reads.append((row, gapless))
-    ratios = list(rows)
     grids = [_node_grid(_chain_singularities(q, eta), 1) for q, eta in ratios]
 
     def frames(t, idx):
@@ -550,29 +538,8 @@ def _chain_cells(loop, cells):
         return _ChainRows([1.0] * len(idx), [ratios[r][0] for r in idx],
                           [ratios[r][1] for r in idx], k, dk)
 
-    settled = _settled_phases(loop, frames,
-                              [min(loop.n, grid[0]) for grid in grids])
-    outcomes = []
-    for (q, eta), read in zip(cells, reads):
-        if read is None:
-            outcomes.append(UndefinedAtTransition(
-                "the topological index jumps at hopping ratio 1; no phase is "
-                "defined on the transition itself"))
-            continue
-        outcome = settled[read[0]]
-        if not read[1] or isinstance(outcome, BerrylineError):
-            outcomes.append(outcome)
-            continue
-        try:
-            plus, minus = _closed_form_pair(q, eta)
-        except BerrylineError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(replace(
-            outcome, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
-            gamma_b_minus=minus.real, xi_b_minus=minus.imag,
-            refinement_history=list(outcome.refinement_history)))
-    return outcomes
+    return _settled_phases(loop, frames,
+                           [min(loop.n, grid[0]) for grid in grids])
 
 
 def analytic_q(params):
@@ -631,13 +598,21 @@ def bipartite_phase_point(q, eta, n0=1024):
     if that is smaller (see ``_node_grid``, m = 1; where the map would not
     lower the start, k = t). Every rung is anchored in t at the first
     sample of the ``n0`` loop, so ``resolution``, a count of samples in
-    t, may lie below ``n0``. The gapless region reads the elliptic closed
-    form of the split integrals, and its index, resolution and history
-    are those of the lossless point (q, 0) with the same ``n0``. Exactly
-    at q = 1 no value exists on either side of the transition. The
-    resolution ``n0`` is checked before either route runs.
+    t, may lie below ``n0``. The gapless region and the TYPE_I strip next
+    to q = 1 (see ``_closed_form_region``) read their band phases off the
+    elliptic closed form, and their index, resolution and history off the
+    refined lossless point (q, 0) with the same ``n0``. Exactly at q = 1
+    no value exists on either side of the transition. The resolution
+    ``n0`` is checked before either route runs.
     """
-    return _raised(_chain_cells(standard_loop(BIPARTITE, n0), [(q, eta)]))
+    loop = standard_loop(BIPARTITE, n0)
+    gapless = _closed_form_region(q, eta)
+    r = _raised(_chain_rows(loop, [(q, 0.0) if gapless else (q, eta)]))
+    if not gapless:
+        return r
+    plus, minus = _closed_form_pair(q, eta)
+    return replace(r, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+                   gamma_b_minus=minus.real, xi_b_minus=minus.imag)
 
 
 def apply_gauge(loop, model, f, band_windings):

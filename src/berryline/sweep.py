@@ -8,7 +8,7 @@ sign-condition prediction. A phase diagram reads every cell's band
 phases off the elliptic closed form and its index off one lossless row
 per hopping ratio, refined as one stack whose rows compute from their
 own q alone, so a cell's index is bit for bit what a user gets by asking
-for the point (q, 0) directly.
+for the point (q, 0) directly. A sweep runs serially, in one process.
 
 The CSV is written atomically straight from the grid's arrays, one row
 per cell with eta outer and q inner, in 17-significant-digit floats so
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .berry import _chain_cells, analytic_q, two_level_phase_point
+from .berry import _chain_rows, analytic_q, two_level_phase_point
 from .elliptic import _closed_form_pair, closed_form_gamma
 from .errors import BadResolution, BerrylineError
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams,
@@ -75,28 +75,6 @@ def _near_critical(q, eta):
             or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
 
 
-def _diagram_cells(args):
-    # q columns, cells in column order; their lossless rows refine as one stack
-    q_values, eta_values, samples = args
-    lossless = _chain_cells(standard_loop(BIPARTITE, samples),
-                            [(q, 0.0) for q in q_values])
-    cells = []
-    for q, row in zip(q_values, lossless):
-        for eta in eta_values:
-            region = classify_region(q, eta).region
-            try:
-                if isinstance(row, BerrylineError):
-                    raise row
-                plus, minus = _closed_form_pair(q, eta)
-            except BerrylineError:
-                cells.append((math.nan,) * 5 + (region, False))
-                continue
-            converged = row.q_rounded is not None and not _near_critical(q, eta)
-            cells.append((plus.real, plus.imag, minus.real, minus.imag,
-                          row.q_index, region, converged))
-    return cells
-
-
 def _axis(bounds, count, name):
     lo, hi = float(bounds[0]), float(bounds[1])
     if not isinstance(count, numbers.Integral):
@@ -129,15 +107,12 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     call at (q, eta) reads the closed form too (the gapless region and the
     TYPE_I strip next to q = 1) the cell has all its bits; elsewhere the
     refined phases agree with the cell's within 1e-12 at 1e-3 or more from
-    the lines. A cell is NaN wherever its row or the closed form refuses.
-    ``samples_per_loop`` is the rows' anchor and the finest rung their
-    refinement starts from. With BERRYLINE_THREADS above 1 the grid goes
-    to that many worker processes instead, capped at the cores and q
-    columns, one contiguous block of columns each; a value of 1 or less
-    (or none set) runs serially, and one that is not an integer raises
-    ValueError. Results are assembled in order, so output never depends
-    on scheduling. The resolution and the axis counts (at most 65536
-    each) are checked before any axis is built.
+    the lines. A cell is NaN wherever its row or the closed form refuses,
+    and a column within 1e-12 of q = 1, which an axis that fine keeps
+    after the shift, has no row. ``samples_per_loop`` is the rows' anchor
+    and the finest rung their refinement starts from. The resolution and
+    the axis counts (at most 65536 each) are checked before any axis is
+    built.
     """
     _check_resolution(samples_per_loop)
     samples = int(samples_per_loop)
@@ -149,36 +124,33 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    q_values = [float(q) for q in q_axis]
-    eta_values = [float(eta) for eta in eta_axis]
-    threads = os.environ.get("BERRYLINE_THREADS", "1") or "1"
-    try:
-        requested = int(threads)
-    except ValueError:
-        raise ValueError("BERRYLINE_THREADS must be an integer, got "
-                         f"{threads!r}") from None
-    workers = min(requested, os.cpu_count() or 1, nq)
-    if workers > 1:
-        # imported here, where the pool is used: it costs an import 10 ms
-        from concurrent.futures import ProcessPoolExecutor
-        ends = [len(q_values) * w // workers for w in range(workers + 1)]
-        blocks = [(q_values[lo:hi], eta_values, samples)
-                  for lo, hi in zip(ends, ends[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = [c for block in pool.map(_diagram_cells, blocks)
-                     for c in block]
-    else:
-        cells = _diagram_cells((q_values, eta_values, samples))
-
-    # the cells' 7-tuples, indexed [eta, q, field]
-    table = np.array(cells, dtype=object).reshape(
-        q_axis.size, eta_axis.size, 7).transpose(1, 0, 2)
-    gp, xp, gm, xm, qi = (table[..., k].astype(float) for k in range(5))
+    q_values, eta_values = q_axis.tolist(), eta_axis.tolist()
+    rows = [q for q in q_values if not _at_transition(q)]
+    lossless = dict(zip(rows, _chain_rows(standard_loop(BIPARTITE, samples),
+                                          [(q, 0.0) for q in rows])))
+    shape = (eta_axis.size, q_axis.size)
+    gp, xp, gm, xm, qi = np.full((5,) + shape, math.nan)
+    region = np.empty(shape, dtype=object)
+    converged = np.zeros(shape, dtype=bool)
+    for j, q in enumerate(q_values):
+        region[:, j] = [classify_region(q, eta).region for eta in eta_values]
+        row = lossless.get(q)
+        if row is None or isinstance(row, BerrylineError):
+            continue
+        for i, eta in enumerate(eta_values):
+            try:
+                plus, minus = _closed_form_pair(q, eta)
+            except BerrylineError:
+                continue
+            gp[i, j], xp[i, j] = plus.real, plus.imag
+            gm[i, j], xm[i, j] = minus.real, minus.imag
+            qi[i, j] = row.q_index
+            converged[i, j] = (row.q_rounded is not None
+                               and not _near_critical(q, eta))
     return PhaseDiagramGrid(
         q_axis=q_axis, eta_axis=eta_axis, gamma_g_plus=gp, xi_g_plus=xp,
-        gamma_g_minus=gm, xi_g_minus=xm, q_index=qi,
-        region=table[..., 5].copy(), converged=table[..., 6].astype(bool),
-        samples_per_loop=samples)
+        gamma_g_minus=gm, xi_g_minus=xm, q_index=qi, region=region,
+        converged=converged, samples_per_loop=samples)
 
 
 def _write_atomic(path, text):

@@ -19,8 +19,9 @@ two-level energies on the branch of ``np.unwrap``, and the exact cycle of
 a rotation-covariant two-level loop in the frame that rotates with its
 drive.
 Agreement between these and the library is evidence, not tautology.
-``matrix_at`` and ``point_system`` are the plain helpers: they read the
-library's own matrix and eigen frame at a point, for the checks against
+``matrix_at``, ``point_system`` and ``refined_chain_rows`` are the plain
+helpers: they read the library's own matrix and eigen frame at a point,
+and the chain rows its point evaluator refines, for the checks against
 these routes.
 """
 
@@ -37,7 +38,7 @@ from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
                              _ROUTE_TOL, BerryPhaseResult, _wilson_q)
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
                               Disagreement, NotConverged, PathTooCoarse,
-                              SingularLoop)
+                              SingularLoop, UndefinedAtTransition)
 from berryline.models import (_MAX_SAMPLES, _TWO_PI, _radicand_extremes,
                               _two_level_offdiag, band_index, loop_grid)
 from berryline.quadrature import (spectral_derivative, tanh_sinh,
@@ -147,6 +148,20 @@ def matrix_at(model, alpha):
     """The library's 2x2 matrix of a model at one loop parameter."""
     u = np.exp(1j * np.array([float(alpha)]))
     return model.entry_rows(u)[:, 0].reshape(2, 2)
+
+
+def refined_chain_rows(cells):
+    """The rows ``bipartite_phase_point`` refines for these cells, sorted: a
+    gapped cell's own (q, eta), or the lossless row (q, 0) of a closed-form
+    cell; a cell at q = 1 has none."""
+    rows = set()
+    for q, eta in cells:
+        try:
+            gapless = berry._closed_form_region(q, eta)
+        except UndefinedAtTransition:
+            continue
+        rows.add((q, 0.0) if gapless else (q, eta))
+    return sorted(rows)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ missing) under names fixed by their place in the set, such as
 ``08-gauge-check.json`` for the eighth command, so the outputs of two
 checkouts compare with ``diff -r`` and a moved digest shows what moved.
 Every command runs in-process through ``berryline.cli.main`` with
-``SOURCE_DATE_EPOCH=0`` and ``BERRYLINE_THREADS=1``; a refactor that is
-meant to keep the output bits must leave every line unchanged. The file
+``SOURCE_DATE_EPOCH=0``; a refactor that is meant to keep the output
+bits must leave every line unchanged. The file
 name keeps pytest from collecting it; ``test_reference_set.py`` pins the
 digests in the Tier-1 suite.
 """
@@ -89,7 +89,6 @@ def main(argv=None):
     parser.add_argument("--dump", type=pathlib.Path, metavar="DIR")
     args = parser.parse_args(argv)
     os.environ["SOURCE_DATE_EPOCH"] = "0"
-    os.environ["BERRYLINE_THREADS"] = "1"
     sys.path.insert(0, str(args.src.resolve()))
     from berryline import cli
 

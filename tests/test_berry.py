@@ -41,7 +41,8 @@ from berryline.spectrum import GAPLESS_TRUE_CROSSING, classify_region
 
 from oracles import (chain_grid, draw_bipartite, draw_two_level,
                      fd_connection, first_order_correction_trace,
-                     settled_phases, uniform_route, winding_rate)
+                     refined_chain_rows, settled_phases, uniform_route,
+                     winding_rate)
 
 
 def _tl(h, d, theta):
@@ -469,19 +470,6 @@ def test_strip_rung_grows_toward_every_line_and_stays_below_the_cap():
     assert berry._node_grid([(0.0, 0.0)], 1) == (32768, 0.0, 0.0)
 
 
-def _refined_chain_rows(cells):
-    """The rows ``_chain_cells`` refines for these cells: a gapped cell's own
-    (q, eta), or the lossless row (q, 0) of a closed-form cell."""
-    rows = set()
-    for q, eta in cells:
-        if abs(q - 1.0) <= 1e-12:
-            continue
-        gapless = berry._reads_closed_form(q, eta,
-                                           classify_region(q, eta).region)
-        rows.add((q, 0.0) if gapless else (q, eta))
-    return sorted(rows)
-
-
 def test_node_grid_matches_the_chain_only_rule():
     # the 50 x 50 reference diagram, seeded draws, and approaches to every
     # line from 1e-1 to 1e-15 (1e-11 for q = 1, whose own 1e-12 is refused)
@@ -497,7 +485,7 @@ def test_node_grid_matches_the_chain_only_rule():
         if j <= 11:
             cells += [(1.0 + d, 0.0), (1.0 - d, 0.0), (1.0 + d, 0.5 * d)]
     compared, centres = 0, set()
-    for q, eta in _refined_chain_rows(cells):
+    for q, eta in refined_chain_rows(cells):
         found = berry._chain_singularities(q, eta)
         n, beta, t0 = berry._node_grid(found, 1)
         assert berry._node_map(np.zeros(1), beta, t0, 1)[0][0] == 0.0
@@ -1263,14 +1251,14 @@ def test_the_nested_first_rung_matches_the_rung_by_rung_oracle(monkeypatch):
             # next to q = 1
             q = 1.0 + 10.0 ** rng.uniform(-11.0, -2.0) * rng.choice((-1.0, 1.0))
             cells.append((q, rng.uniform(0.0, 2.0) * abs(q - 1.0)))
-    cells = [(float(q), float(eta)) for q, eta in cells]
+    rows = refined_chain_rows([(float(q), float(eta)) for q, eta in cells])
     for n0 in (16, 1024):
         loop = standard_loop(BIPARTITE, n0)
         ours, ref = _both_routes(monkeypatch,
-                                 lambda: berry._chain_cells(loop, cells))
-        for cell, a, b in zip(cells, ours, ref):
+                                 lambda: berry._chain_rows(loop, rows))
+        for row, a, b in zip(rows, ours, ref):
             seen.add(type(b))
-            assert _outcome_bits(a) == _outcome_bits(b), (cell, n0)
+            assert _outcome_bits(a) == _outcome_bits(b), (row, n0)
     assert {berry.BerryPhaseResult, NotConverged, SingularParameters,
             DegenerateSpectrum} <= seen
 

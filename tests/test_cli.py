@@ -8,7 +8,6 @@ import math
 import os
 import pathlib
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -718,17 +717,25 @@ def test_a_start_at_the_cap_settles_or_is_refused(capsys):
     assert payload["resolution"] == 128
 
 
-@pytest.mark.parametrize("threads", ["abc", "1.5"])
-def test_unreadable_thread_counts_exit_1_naming_the_variable(
-        capsys, monkeypatch, tmp_path, threads):
+def test_the_sweep_ignores_the_old_thread_variable(capsys, monkeypatch,
+                                                   tmp_path):
+    # BERRYLINE_THREADS once chose a worker pool; the sweep now runs in one
+    # process, so no value of it changes a byte or an exit code. Three of
+    # the six cells are gapless, two of them in one q column
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("BERRYLINE_THREADS", threads)
-    code, out, err = run(capsys, "phase-diagram", "--q", "1.5:2.5:2",
-                         "--eta", "0:0.1:2", "--out", "x.csv")
-    assert (code, out) == (1, "")
-    assert err == (f"error: BERRYLINE_THREADS must be an integer, got "
-                   f"'{threads}'\n")
-    assert not any(tmp_path.iterdir())
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.delenv("BERRYLINE_THREADS", raising=False)
+    argv = ("phase-diagram", "--q", "1.6:2.4:2", "--eta", "0.05:1.5:3",
+            "--out", "d.csv")
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    want = (tmp_path / "d.csv").read_bytes()
+    assert want.count(b"GAPLESS_TRUE_CROSSING") == 3
+    for threads in ("abc", "1.5", "2"):
+        (tmp_path / "d.csv").unlink()
+        monkeypatch.setenv("BERRYLINE_THREADS", threads)
+        assert run(capsys, *argv) == unset, threads
+        assert (tmp_path / "d.csv").read_bytes() == want, threads
 
 
 @pytest.mark.parametrize("k_samples", ["65537", "1099511627776"])
@@ -894,8 +901,7 @@ def _argvs(draw, out_path):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_every_argv_exits_with_a_documented_code_and_no_partial_file(data):
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.dict(os.environ, {"BERRYLINE_THREADS": "1"}):
+    with tempfile.TemporaryDirectory() as tmp:
         argv = data.draw(_argvs(os.path.join(tmp, "d.csv")), label="argv")
         code, out, err = _captured(argv)
         written = sorted(os.listdir(tmp))

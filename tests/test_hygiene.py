@@ -149,9 +149,9 @@ def test_one_refinement_loop_serves_the_package():
 
 
 def test_importing_the_package_and_its_cli_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy serves the test oracles,
-    # and the process pool loads only when a sweep starts one. -I keeps
-    # the environment and the user's site out of the child
+    # numpy is the one runtime dependency and scipy serves the test
+    # oracles; no process pool loads either. -I keeps the environment and
+    # the user's site out of the child
     code = (f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); "
             "import berryline, berryline.cli; "
             "print(sorted(m for m in sys.modules "
@@ -164,12 +164,57 @@ def test_importing_the_package_and_its_cli_loads_no_scipy():
 
 def test_only_the_point_evaluators_name_the_refinement_loop():
     # one route per point: the loop evaluators read the point evaluators,
-    # so only the two-level point and the chain's cells name the refinement
+    # so only the two-level point and the chain's rows name the refinement
     callers = sorted({
         f"{module}: {func.name}" for module, tree in _trees().items()
         for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
         if "_settled_phases" in (getattr(node, "id", None),
                                  getattr(node, "attr", None))})
-    assert callers == ["berry.py: _chain_cells",
+    assert callers == ["berry.py: _chain_rows",
                        "berry.py: two_level_phase_point"], callers
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_keys(tree):
+    """The key of every environment read in a tree, None where it is not
+    a constant: os.environ[key], os.environ.get(key) and os.getenv(key)
+    name theirs, and any other use of the environment names none."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    keys = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name not in _ENVIRONMENT:
+            continue
+        use, key = parents[node], None
+        if isinstance(use, ast.Attribute) and use.attr == "get":
+            node, use = use, parents[use]
+        if isinstance(use, ast.Call) and use.func is node and use.args:
+            key = use.args[0]
+        elif isinstance(use, ast.Subscript) and use.value is node:
+            key = use.slice
+        keys.append(key.value if isinstance(key, ast.Constant) else None)
+    return keys
+
+
+def test_the_package_reads_one_variable_and_starts_no_process():
+    # the sweep runs in one process: src/ reads SOURCE_DATE_EPOCH alone,
+    # and nothing imports a process or thread pool
+    trees = _trees()
+    keys = [key for tree in trees.values() for key in _environment_keys(tree)]
+    assert keys and set(keys) == {"SOURCE_DATE_EPOCH"}, keys
+    pools = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            pools += [f"{module}: {name}" for name in names if name.split(
+                ".")[0] in ("concurrent", "multiprocessing")]
+    assert not pools, pools

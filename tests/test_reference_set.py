@@ -1,8 +1,8 @@
 """The CLI reference set gives the same bytes as the recorded digests.
 
 Runs every output of ``reference_set.py`` in-process with
-``SOURCE_DATE_EPOCH=0`` and ``BERRYLINE_THREADS=1``. A change that moves an
-output bit on purpose updates its digest here and says which output moved.
+``SOURCE_DATE_EPOCH=0``. A change that moves an output bit on purpose
+updates its digest here and says which output moved.
 The ``evolve`` outputs also run in two subprocesses, on one and on two
 OpenBLAS threads, which must print the same bytes.
 """
@@ -38,7 +38,6 @@ d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
 
 def test_reference_outputs_are_byte_identical(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    monkeypatch.setenv("BERRYLINE_THREADS", "1")
     got = reference_set.digests(cli.main)
     assert len(got) == len(_EXPECTED) == 14
     for (digest, label), want in zip(got, _EXPECTED):
@@ -57,7 +56,7 @@ def test_evolve_outputs_do_not_depend_on_the_blas_thread_count():
     printed = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path,
-                   SOURCE_DATE_EPOCH="0", BERRYLINE_THREADS="1")
+                   SOURCE_DATE_EPOCH="0")
         printed.append(subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             check=True, timeout=300).stdout)

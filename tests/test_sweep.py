@@ -1,6 +1,7 @@
 """Phase-diagram grids, divergence-line scans, and file persistence."""
 
-import concurrent.futures
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -23,6 +24,8 @@ from berryline.sweep import (
     save_phase_diagram,
     two_level_q_map,
 )
+
+from oracles import refined_chain_rows
 
 CSV_HEADER = ("q,eta,gamma_g_plus,xi_g_plus,gamma_g_minus,xi_g_minus,"
               "Q,region,converged")
@@ -63,40 +66,55 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _check_cells(grid):
+    """Hold every cell to its points; return the (q, eta) of finite cells.
+
+    A cell's band phases are the closed form's bits and its Q those of
+    the lossless point (q, 0), NaN exactly where either refuses; off the
+    1e-3 margin its phases are the direct evaluator's within 1e-12.
+    """
+    finite = []
+    for j, q in enumerate(grid.q_axis.tolist()):
+        try:
+            row = bipartite_phase_point(q, 0.0, n0=grid.samples_per_loop)
+        except BerrylineError:
+            row = None
+        for i, eta in enumerate(grid.eta_axis.tolist()):
+            cell = [float(v[i, j]) for v in (
+                grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
+                grid.xi_g_minus, grid.q_index)]
+            assert grid.region[i, j] == classify_region(q, eta).region
+            try:
+                plus, minus = _closed_form_pair(q, eta)
+            except BerrylineError:
+                plus = minus = None
+            if row is None or plus is None:
+                assert all(math.isnan(v) for v in cell), (q, eta)
+                assert not grid.converged[i, j]
+                continue
+            finite.append((q, eta))
+            assert _bits(cell) == _bits([plus.real, plus.imag, minus.real,
+                                         minus.imag, row.q_index]), (q, eta)
+            assert grid.converged[i, j] == (
+                row.q_rounded is not None and not sweep._near_critical(q, eta))
+            if sweep._near_critical(q, eta):
+                continue
+            direct = bipartite_phase_point(q, eta, n0=grid.samples_per_loop)
+            assert max(abs(a - b) for a, b in zip(cell, [
+                direct.gamma_b_plus, direct.xi_b_plus, direct.gamma_b_minus,
+                direct.xi_b_minus])) <= 1e-12, (q, eta)
+    return finite
+
+
 def test_cells_match_the_direct_point_evaluator(mixed_grid):
-    # a cell's band phases are the closed form's bits and its Q those of
-    # the lossless point (q, 0), NaN exactly where either refuses; off the
-    # 1e-3 margin its phases are the direct evaluator's within 1e-12
     grid = mixed_grid
     assert set(grid.region.ravel()) == {TYPE_I, TYPE_II, GAPLESS_TRUE_CROSSING}
     gapless = (grid.region == GAPLESS_TRUE_CROSSING) & np.isfinite(grid.q_index)
     assert gapless.sum(axis=0).max() >= 3
     assert np.isnan(grid.q_index[:, 0]).all()
-    finite = 0
-    for i, j in np.ndindex(grid.q_index.shape):
-        q, eta = float(grid.q_axis[j]), float(grid.eta_axis[i])
-        cell = [float(v[i, j]) for v in (
-            grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
-            grid.xi_g_minus, grid.q_index)]
-        assert grid.region[i, j] == classify_region(q, eta).region
-        try:
-            row = bipartite_phase_point(q, 0.0, n0=grid.samples_per_loop)
-            plus, minus = _closed_form_pair(q, eta)
-        except BerrylineError:
-            assert all(math.isnan(v) for v in cell), (q, eta)
-            assert not grid.converged[i, j]
-            continue
-        finite += 1
-        assert _bits(cell) == _bits([plus.real, plus.imag, minus.real,
-                                     minus.imag, row.q_index]), (q, eta)
-        assert grid.converged[i, j] == (row.q_rounded is not None
-                                        and not sweep._near_critical(q, eta))
-        assert not sweep._near_critical(q, eta)
-        direct = bipartite_phase_point(q, eta, n0=grid.samples_per_loop)
-        assert max(abs(a - b) for a, b in zip(cell, [
-            direct.gamma_b_plus, direct.xi_b_plus, direct.gamma_b_minus,
-            direct.xi_b_minus])) <= 1e-12, (q, eta)
-    assert finite == 10
+    finite = _check_cells(grid)
+    assert len(finite) == 10
+    assert not any(sweep._near_critical(q, eta) for q, eta in finite)
 
 
 def test_a_sweep_refines_only_the_lossless_rows_of_its_q_axis(monkeypatch):
@@ -153,51 +171,51 @@ def _stacks(draw):
 def test_a_column_gives_every_cell_its_point_bits(stack):
     cells, n0 = stack
     loop = standard_loop(BIPARTITE, n0)
-    outcomes = berry._chain_cells(loop, cells)
-    for (q, eta), outcome in zip(cells, outcomes):
-        try:
-            direct = bipartite_phase_point(q, eta, n0=n0)
-        except BerrylineError as exc:
-            assert (type(outcome), str(outcome)) == (type(exc), str(exc))
-            continue
-        # the same result object, rungs and routes included
-        assert outcome == direct, (q, eta)
-    # the sweep's rows over the grid of these ratios: every cell has the
-    # closed form's band phases and the index of its lossless point (q, 0),
-    # bit for bit, and off the 1e-3 margin the phases of its result in the
-    # stack above within 1e-12
-    q_values = sorted({q for q, _ in cells})
-    eta_values = sorted({eta for _, eta in cells})
-    grid = sweep._diagram_cells((q_values, eta_values, n0))
-    results = dict(zip(cells, outcomes))
-    for (q, eta), cell in zip(
-            [(q, eta) for q in q_values for eta in eta_values], grid):
-        assert cell[5] == classify_region(q, eta).region
-        try:
-            row = bipartite_phase_point(q, 0.0, n0=n0)
-            plus, minus = _closed_form_pair(q, eta)
-        except BerrylineError:
-            assert all(math.isnan(v) for v in cell[:5]), (q, eta)
-            assert cell[6] is False
-            continue
-        assert _bits(cell[:5]) == _bits([plus.real, plus.imag, minus.real,
-                                         minus.imag, row.q_index]), (q, eta)
-        assert cell[6] == (row.q_rounded is not None
-                           and not sweep._near_critical(q, eta))
-        r = results.get((q, eta))
-        if (r is None or isinstance(r, BerrylineError)
-                or sweep._near_critical(q, eta)):
-            continue
-        assert max(abs(a - b) for a, b in zip(cell[:4], [
-            r.gamma_b_plus, r.xi_b_plus, r.gamma_b_minus,
-            r.xi_b_minus])) <= 1e-12, (q, eta)
+    # the rows these cells refine, as one stack
+    rows = refined_chain_rows(cells)
+    results = dict(zip(rows, berry._chain_rows(loop, rows)))
+
+    def from_rows(q, eta):
+        # the point's row, with the closed form's band phases where the
+        # point reads the closed form
+        gapless = berry._closed_form_region(q, eta)
+        row = results[(q, 0.0) if gapless else (q, eta)]
+        if not gapless or isinstance(row, BerrylineError):
+            return row
+        plus, minus = _closed_form_pair(q, eta)
+        return dataclasses.replace(
+            row, gamma_b_plus=plus.real, xi_b_plus=plus.imag,
+            gamma_b_minus=minus.real, xi_b_minus=minus.imag)
+
+    # every row and every cell is its point call, rungs and routes included
+    for q, eta in sorted(set(cells) | set(rows)):
+        outcomes = []
+        for route in (from_rows, functools.partial(bipartite_phase_point,
+                                                   n0=n0)):
+            try:
+                outcomes.append(route(q, eta))
+            except BerrylineError as exc:
+                outcomes.append(exc)
+        ours, direct = outcomes
+        if isinstance(direct, BerrylineError):
+            assert (type(ours), str(ours)) == (type(direct), str(direct))
+        else:
+            assert ours == direct, (q, eta)
+    # the sweep over the hull of these ratios: every cell has the closed
+    # form's band phases and the index of its lossless point (q, 0), bit
+    # for bit, and off the 1e-3 margin its point's phases within 1e-12
+    qs = sorted({q for q, _ in cells})
+    etas = sorted({eta for _, eta in cells})
+    _check_cells(phase_diagram((qs[0], qs[-1]), (etas[0], etas[-1]), len(qs),
+                               len(etas), samples_per_loop=n0))
 
 
 def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
     loop = standard_loop(BIPARTITE, 1024)
     cells = [(q, 0.1 * k + 0.05) for q in (2.0, 0.5, 1.05) for k in range(10)]
     cells += [(2.0, 0.999999), (1.5, 1.0)]
-    whole = berry._chain_cells(loop, cells)
+    rows = refined_chain_rows(cells)
+    whole = berry._chain_rows(loop, rows)
     passes = []
     chain_rows = berry._ChainRows
 
@@ -208,7 +226,7 @@ def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
 
     monkeypatch.setattr(berry, "_ChainRows", recorded)
     monkeypatch.setattr(berry, "_PASS_SAMPLES", 256)
-    assert berry._chain_cells(loop, cells) == whole
+    assert berry._chain_rows(loop, rows) == whole
     # a pass holds at most 256 samples, or one row when a rung is longer
     assert all(rows * n <= 256 or rows == 1 for rows, n, _, _ in passes)
     assert max(rows for rows, _, _, _ in passes) > 1
@@ -220,7 +238,7 @@ def test_a_column_splits_large_passes_without_moving_a_bit(monkeypatch):
 
 def test_cells_hugging_the_lines_settle_within_a_thousand_samples():
     # a guard on the sample count of a sweep, not on its time: gapped
-    # cells 1e-6 to 1e-3 from both divergence lines settle at 1024 samples
+    # rows 1e-6 to 1e-3 from both divergence lines settle at 1024 samples
     # or fewer, and lossless rows 1e-5 or more from q = 1 at 2048 or fewer
     loop = standard_loop(BIPARTITE, 1024)
     gapped = [(q, eta) for q in (0.3, 0.5, 2.0, 3.0)
@@ -228,11 +246,11 @@ def test_cells_hugging_the_lines_settle_within_a_thousand_samples():
               for eta in (abs(q - 1.0) - distance, q + 1.0 + distance)]
     lossless = [(1.0 + s * distance, 0.0) for s in (1.0, -1.0)
                 for distance in (1e-5, 1e-4, 1e-3, 1e-2)]
-    outcomes = berry._chain_cells(loop, gapped + lossless)
+    outcomes = berry._chain_rows(loop, gapped + lossless)
     for (q, eta), r in zip(gapped + lossless, outcomes):
         assert not isinstance(r, BerrylineError), (q, eta, r)
         assert r.resolution <= (1024 if eta else 2048), (q, eta)
-    # the first cells lie on the gapped sides of both lines
+    # the first rows lie on the gapped sides of both lines
     assert {classify_region(q, eta).region for q, eta in gapped} == {
         TYPE_I, TYPE_II}
 
@@ -241,12 +259,9 @@ def test_cells_hugging_the_lines_settle_within_a_thousand_samples():
 def test_gapless_cells_next_to_the_transition_keep_an_integer_index(q):
     # the lossless row's trace quadrature keeps Q on its integer where the
     # hopping winding rate peaks like q / |q - 1|
-    etas = list(np.linspace(1.01 * abs(q - 1.0), 0.99 * (q + 1.0), 7))
-    cells = sweep._diagram_cells(([q], etas, 1024))
-    gapless = [cell for cell in cells if cell[5] == GAPLESS_TRUE_CROSSING]
-    assert len(gapless) == len(etas)
-    for cell in gapless:
-        assert abs(cell[4] - round(cell[4])) <= 1e-14, (q, cell)
+    grid = phase_diagram((q, q), (1.01 * abs(q - 1.0), 0.99 * (q + 1.0)), 1, 7)
+    assert (grid.region == GAPLESS_TRUE_CROSSING).all()
+    assert np.abs(grid.q_index - np.round(grid.q_index)).max() <= 1e-14, q
 
 
 def test_the_discarded_rung_example_discards_a_rung():
@@ -260,6 +275,18 @@ def test_exact_transition_gridpoints_are_nudged():
     single = phase_diagram((1.0, 1.0), (0.2, 0.2), 1, 1)
     assert np.array_equal(single.q_axis, [1.001])
     assert not single.converged[0, 0]
+
+
+def test_a_q_axis_finer_than_the_transition_tolerance_has_no_rows():
+    # the half-cell shift leaves every column within 1e-12 of q = 1, where
+    # no lossless row exists
+    grid = phase_diagram((1.0 - 1e-13, 1.0 + 1e-13), (0.2, 0.3), 3, 2)
+    assert np.abs(grid.q_axis - 1.0).max() <= 1e-12
+    for values in (grid.gamma_g_plus, grid.xi_g_plus, grid.gamma_g_minus,
+                   grid.xi_g_minus, grid.q_index):
+        assert np.isnan(values).all()
+    assert not grid.converged.any()
+    assert (grid.region == GAPLESS_TRUE_CROSSING).all()
 
 
 def test_cells_near_critical_lines_are_flagged_unconverged():
@@ -309,56 +336,6 @@ def test_axis_counts_above_the_cap_are_refused_before_allocation(
     with pytest.raises(BadResolution,
                        match="^q axis count must be an integer, got 2.7$"):
         phase_diagram((1.5, 2.5), (0.1, 0.2), 2.7, 1)
-
-
-def test_worker_rows_match_serial_rows(monkeypatch, tmp_path):
-    # three of the six cells are gapless, two of them in one q column
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    saved = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BERRYLINE_THREADS", threads)
-        grid = phase_diagram((1.6, 2.4), (0.05, 1.5), 2, 3)
-        assert np.count_nonzero(grid.region == GAPLESS_TRUE_CROSSING) == 3
-        path = str(tmp_path / f"threads{threads}.csv")
-        save_phase_diagram(grid, path)
-        with open(path, "rb") as fh:
-            saved.append(fh.read())
-    assert saved[0] == saved[1]
-
-
-def test_worker_count_is_clamped_to_cores_and_rows(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        # stands in for the process pool: records its size, maps serially
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # the sweep imports the pool class when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("BERRYLINE_THREADS", "100000")
-    # one task per q column: 3 columns cap the pool at 3, 6 at the 4 cores
-    pooled = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
-    phase_diagram((1.6, 2.4), (0.05, 0.1), 6, 2)
-    phase_diagram((1.6, 2.4), (0.05, 0.1), 1, 6)
-    assert started == [3, 4]
-    # a value of 1 or less means serial
-    for threads in ("1", "0", "-3"):
-        monkeypatch.setenv("BERRYLINE_THREADS", threads)
-        serial = phase_diagram((1.6, 2.4), (0.05, 0.1), 3, 2)
-        assert started == [3, 4]
-        assert np.array_equal(serial.q_index, pooled.q_index)
 
 
 def test_csv_layout_and_roundtrip(strong_grid, mixed_grid, tmp_path):
