@@ -717,8 +717,9 @@ def test_a_start_at_the_cap_settles_or_is_refused(capsys):
     assert payload["resolution"] == 128
 
 
+@pytest.mark.parametrize("threads", ["abc", "1.5", "2"])
 def test_the_sweep_ignores_the_old_thread_variable(capsys, monkeypatch,
-                                                   tmp_path):
+                                                   tmp_path, threads):
     # BERRYLINE_THREADS once chose a worker pool; the sweep now runs in one
     # process, so no value of it changes a byte or an exit code. Three of
     # the six cells are gapless, two of them in one q column
@@ -731,11 +732,10 @@ def test_the_sweep_ignores_the_old_thread_variable(capsys, monkeypatch,
     assert unset[0] == 0
     want = (tmp_path / "d.csv").read_bytes()
     assert want.count(b"GAPLESS_TRUE_CROSSING") == 3
-    for threads in ("abc", "1.5", "2"):
-        (tmp_path / "d.csv").unlink()
-        monkeypatch.setenv("BERRYLINE_THREADS", threads)
-        assert run(capsys, *argv) == unset, threads
-        assert (tmp_path / "d.csv").read_bytes() == want, threads
+    (tmp_path / "d.csv").unlink()
+    monkeypatch.setenv("BERRYLINE_THREADS", threads)
+    assert run(capsys, *argv) == unset
+    assert (tmp_path / "d.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("k_samples", ["65537", "1099511627776"])
