@@ -174,22 +174,6 @@ def _phase_sums(loop, stack, n, stride=1):
             (trapezoid_periodic(trace, loop.period).real / _TWO_PI).tolist())
 
 
-def _gapless_loop(model):
-    """Refuse a loop on a singular set; the region of a closed-form loop.
-
-    A two-level loop on a singular line raises SingularLoop. A chain loop
-    returns ``_closed_form_region`` at its ratios, any other loop None.
-    """
-    p = getattr(model, "params", None)
-    if isinstance(p, TwoLevelParams) and p.is_singular():
-        raise SingularLoop(
-            "an off-diagonal amplitude vanishes somewhere on every sweep at "
-            "these parameters; the winding index is undefined")
-    if not isinstance(p, BipartiteParams):
-        return None
-    return _closed_form_region(p.q, p.eta)
-
-
 def _closed_form_region(q, eta):
     """The region of a chain point that reads the closed form, else None.
 
@@ -227,7 +211,7 @@ def global_berry_phase(loop, model):
     p = model.params
     if model.kind == TWO_LEVEL:
         return two_level_phase_point(p, loop.n)
-    if _gapless_loop(model) == GAPLESS_TRUE_CROSSING:
+    if _closed_form_region(p.q, p.eta) == GAPLESS_TRUE_CROSSING:
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum; "
             "use the per-band principal-value phases instead")
@@ -367,8 +351,9 @@ def band_berry_phase(loop, model, band):
     q = 1, the point evaluator's lossless index row does not settle.
     """
     b = band_index(band)
-    if _gapless_loop(model):
-        return closed_form_gamma(model.params.q, model.params.eta, band)
+    p = model.params
+    if model.kind == BIPARTITE and _closed_form_region(p.q, p.eta):
+        return closed_form_gamma(p.q, p.eta, band)
     r = global_berry_phase(loop, model)
     return (complex(r.gamma_b_plus, r.xi_b_plus),
             complex(r.gamma_b_minus, r.xi_b_minus))[b]
@@ -581,7 +566,10 @@ def two_level_phase_point(params, n0=1024):
     """
     model = TwoLevelModel(params)
     loop = standard_loop(TWO_LEVEL, n0)
-    _gapless_loop(model)
+    if params.is_singular():
+        raise SingularLoop(
+            "an off-diagonal amplitude vanishes somewhere on every sweep at "
+            "these parameters; the winding index is undefined")
     n, beta, centre = _node_grid(_two_level_singularities(params), 2)
     return _raised(_settled_phases(
         loop, lambda t, rows: model._rows(*_node_map(t, beta, centre, 2)),

@@ -5,8 +5,8 @@ equation) under classical fixed-step 4th-order integration. After one
 cycle the band amplitude c(T) = <lambda_band(0)|psi(T)> gives the total
 complex phase -i log c(T), its log branch tracked stepwise so no 2 pi is
 lost. The report splits it into a dynamical part (minus the time integral
-of the band energy) plus the loop phase of the family's point evaluator,
-and states the leftover defect openly instead of hiding it.
+of the band energy) plus the loop phase of ``global_berry_phase``, and
+states the leftover defect openly instead of hiding it.
 
 One kernel steps both ``evolve`` and the decomposition. Each RK4 step is
 a 2x2 matrix; both families' entries are affine in the drive phasor u =
@@ -31,15 +31,14 @@ kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
-there. And the projection reference stays pinned at alpha(0), so when
-the instantaneous eigenframe winds around that fixed direction during
-the cycle the accumulated argument gains an extra 2 pi per turn (or pi
-for frames returning to minus themselves), which the loop integral does
-not contain; the reported defect then saturates at that multiple of pi
-no matter how slow the drive, and the decomposition is meaningful only
-modulo whole turns. Cycles whose frame keeps a fixed overlap sign with
-the start, like the lossy-chain sweeps checked in the tests, are free of
-this and their defect genuinely vanishes as 1/T.
+there. And the projection reference stays pinned at alpha(0), so the
+accumulated argument can gain a whole turn, 2 pi, which the loop
+integral does not contain; the reported defect then saturates at that
+turn no matter how slow the drive, and the decomposition is meaningful
+only modulo whole turns. The lossy chain is not free of this: at
+(q, eta) = (2, 0.3) and 3 T^1.5 steps the minus band's defect reads
+6.21 at T = 64 and 6.27 at T = 256, while the plus band's falls as 1/T,
+0.071 and 0.018.
 """
 
 import math
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import _TWO_PI, TWO_LEVEL, _check_integer, band_index
-from .berry import bipartite_phase_point, two_level_phase_point
+from .models import _TWO_PI, _check_integer, band_index, standard_loop
+from .berry import global_berry_phase
 
 _CHUNK = 1 << 15           # steps per chunk: bounds the per-step workspace
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
@@ -302,11 +301,11 @@ def _propagate(model, schedule, psi, dual=False, project=None,
 
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
     c = project . psi and ``records`` lists (t, psi(t)) every
-    ``record_every`` steps. ``energies``, if given, takes each chunk's
-    drive phasors at its steps and the step that ends it, and a (2, m + 1)
-    buffer. Raises StepTooLarge at the first step that grows the squared
-    norm a hundredfold, leaves it without a finite value, or turns c over
-    1.5 rad.
+    ``record_every`` steps before the last. ``energies``, if given, takes
+    each chunk's drive phasors at its steps and the step that ends it, and
+    a (2, m + 1) buffer. Raises StepTooLarge at the first step that grows
+    the squared norm a hundredfold, leaves it without a finite value, or
+    turns c over 1.5 rad.
 
     The step matrix M(u) = sum_j C_j u^j has |M_ij| <= sum_j |C_j,ij| on
     |u| = 1, and |M x|^2 <= |M|_F^2 |x|^2. A cycle whose sums give |M|_F^2
@@ -432,14 +431,13 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             raise StepTooLarge(f"{what} in step {step}; the fixed step cannot "
                                "follow this spectrum", step=step, growth=growth)
         if records is not None:
-            n = np.arange(record_every - 1 - step0 % record_every, m, record_every)
+            # not the cycle's last step: evolve records psi(T) at t = T
+            n = np.arange(record_every - 1 - step0 % record_every, m - last,
+                          record_every)
             k, b = n % length, n // length
             scale = np.exp(start_log[b])
             records += zip(((step0 + n + 1) * h).tolist(),
                            states[k, :, b] * scale[:, None])
-    if records is not None and steps % record_every == 0:
-        # the record of the last step is the state the cycle returns
-        records[-1] = (records[-1][0], state * np.exp(log_scale))
     return state, log_scale, turn, records
 
 
@@ -452,7 +450,8 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
     local spectrum, and no later result would mean anything. A final
     state outside the floating-point range raises AmplitudeOutOfRange.
     ``record_every``, the recording stride in steps, must be a positive
-    integer.
+    integer; the records are (t, psi(t)) from t = 0 at that stride, the
+    cycle's last step read once, as (T, psi(T)).
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     if not np.all(np.isfinite(psi0)):
@@ -475,8 +474,7 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
             "floating-point range", log_scale=log_norm)
     if records is None:
         return psi_final
-    if records[-1][0] != schedule.period_T:
-        records.append((schedule.period_T, psi_final.copy()))
+    records.append((schedule.period_T, psi_final.copy()))
     return psi_final, records
 
 
@@ -510,14 +508,14 @@ def adiabatic_decomposition(model, schedule, band):
     The initial state is the closed-form band eigenvector at alpha(0);
     c(t) = <lambda_band(0)|psi(t)> is projected every step and its
     argument accumulated continuously. The loop phase is this band's of
-    ``two_level_phase_point`` or ``bipartite_phase_point``, bit for bit,
-    taken before any step, so a loop without one is refused before the
-    cycle runs.
+    ``global_berry_phase`` on the standard loop of 1024 samples, bit for
+    bit, taken before any step: a loop without one, on a two-level
+    singular line, at hopping ratio 1 or in the chain's gapless region,
+    where exceptional points sit on the loop and no band can be followed
+    around it, is refused before the cycle runs.
     """
     b = band_index(band)
-    p = model.params
-    r = (two_level_phase_point(p) if model.kind == TWO_LEVEL
-         else bipartite_phase_point(p.q, p.eta))
+    r = global_berry_phase(standard_loop(model.kind, 1024), model)
     gamma_geo = (complex(r.gamma_b_plus, r.xi_b_plus),
                  complex(r.gamma_b_minus, r.xi_b_minus))[b]
     frame = model.eigen_path(np.array([0.0]))

@@ -39,8 +39,9 @@ from berryline.berry import (_GAMMA_TOL, _PASS_SAMPLES, _ROUND_TOL,
 from berryline.errors import (BerrylineError, DegenerateSpectrum,
                               Disagreement, NotConverged, PathTooCoarse,
                               SingularLoop, UndefinedAtTransition)
-from berryline.models import (_MAX_SAMPLES, _TWO_PI, _radicand_extremes,
-                              _two_level_offdiag, band_index, loop_grid)
+from berryline.models import (_MAX_SAMPLES, _TWO_PI, TWO_LEVEL,
+                              _radicand_extremes, _two_level_offdiag,
+                              band_index, loop_grid)
 from berryline.quadrature import (spectral_derivative, tanh_sinh,
                                   trapezoid_periodic)
 from berryline.spectrum import GAPLESS_TRUE_CROSSING
@@ -757,10 +758,17 @@ def uniform_route(loop, model):
     ``loop.samples[0]`` and the first at ``loop.n`` itself, which at
     65536 leaves no second rung. It calls ``berry._settled_phases``
     through the module, so a test that replaces that refinement replaces
-    it here too. Refuses a chain loop whose spectrum crosses, as
-    ``berry.global_berry_phase`` does, with SingularLoop.
+    it here too. Refuses what ``berry.global_berry_phase`` refuses before
+    any frame: a two-level loop on a singular line and a chain loop whose
+    spectrum crosses with SingularLoop, a chain at hopping ratio 1 with
+    UndefinedAtTransition.
     """
-    if berry._gapless_loop(model) == GAPLESS_TRUE_CROSSING:
+    p = model.params
+    if model.kind == TWO_LEVEL:
+        if p.is_singular():
+            raise SingularLoop(
+                "an off-diagonal amplitude vanishes somewhere on every sweep")
+    elif berry._closed_form_region(p.q, p.eta) == GAPLESS_TRUE_CROSSING:
         raise SingularLoop(
             "the loop crosses a true degeneracy of the complex spectrum")
     return berry._raised(berry._settled_phases(

@@ -383,6 +383,24 @@ def test_evolve_at_unit_hopping_ratio_exits_with_a_typed_error(
     assert err.startswith("error:") and says in err
 
 
+def test_evolve_on_a_gapless_chain_exits_2_before_any_step(capsys,
+                                                          monkeypatch):
+    # 7e-5 above eta = |q - 1|: exceptional points at k = +-3.13 sit on
+    # the loop, so no band can be followed around it
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("the cycle started")
+
+    monkeypatch.setattr(evolution, "_propagate", no_cycle)
+    code, out, err = run(capsys, "evolve", "--model", "bipartite",
+                         "--q", "45.22586443909728",
+                         "--eta", "44.225934078386665",
+                         "--T", "231.10581413099905", "--band", "minus")
+    assert (code, out) == (2, "")
+    assert err == ("error: the loop crosses a true degeneracy of the complex "
+                   "spectrum; use the per-band principal-value phases "
+                   "instead\n")
+
+
 def test_evolve_state_out_of_float_range_exits_3(capsys, monkeypatch):
     def out_of_range(*args, **kwargs):
         raise AmplitudeOutOfRange("norm exp(800)", log_scale=800.0)

@@ -258,6 +258,14 @@ def test_evolve_records_follow_the_decay_law():
     # a stride that does not divide the step count still closes at T
     _, tail = evolve(model, sched, (1.0, 0.0), record_every=300)
     assert [t for t, _ in tail] == [0.0, 1.171875, 2.34375, 3.515625, 4.0]
+    # where steps * (T / steps) rounds away from T, the last step is
+    # recorded once, at T
+    psi, tail = evolve(_chain(2.0, 0.3), Schedule(period_T=3.3, steps=1500),
+                       (1.0, 0.0), record_every=375)
+    assert 1500 * (3.3 / 1500) != 3.3
+    assert [t for t, _ in tail] == [0.0, 0.8249999999999998, 1.6499999999999997,
+                                    2.4749999999999996, 3.3]
+    assert np.array_equal(tail[-1][1], psi)
 
 
 def test_evolve_input_guards():
@@ -326,9 +334,8 @@ def test_evolve_is_self_convergent_under_step_refinement():
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 64.0),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 64.0),
     (_chain(0.5, 0.2), 64.0),
-    # a gapless loop and a TYPE_I loop next to q = 1 read the closed form;
-    # only a cycle this fast keeps their state in its band
-    (_chain(1.2, 0.25), 0.25),
+    # a TYPE_I loop next to q = 1 reads the closed form; only a cycle this
+    # fast keeps its state in its band
     (_chain(1.000001, 5e-7), 0.25),
 ])
 def test_loop_phase_is_the_point_evaluators_band_phase(model, T, band):
@@ -348,9 +355,11 @@ def test_loop_phase_is_the_point_evaluators_band_phase(model, T, band):
 
 
 @pytest.mark.parametrize("model, error", [
-    # |d_y| = |h_y|, and hopping ratio 1
+    # |d_y| = |h_y|, hopping ratio 1, and a gapless chain, whose
+    # exceptional points sit on the loop
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 1.0, 0.0), 1.0)), SingularLoop),
     (_chain(1.0, 0.3), UndefinedAtTransition),
+    (_chain(1.2, 0.25), SingularLoop),
 ])
 def test_a_loop_without_a_phase_is_refused_before_any_step(
         model, error, monkeypatch):
@@ -823,6 +832,23 @@ def test_dynamical_and_geometric_add_up_to_the_exact_total_phase(band):
         band)
     split = complex(r.gamma_d + r.gamma_g, r.xi_d + r.xi_g)
     assert abs(exact_total_phase(p, T, band, 16384) - split) <= 1e-2
+
+
+@pytest.mark.parametrize("band", [
+    "plus",
+    pytest.param("minus", marks=pytest.mark.xfail(
+        strict=True, reason="the adiabatic decomposition's 2 pi defect on "
+        "this band, ROADMAP.md item 1")),
+])
+def test_the_lossy_chain_defect_falls_like_one_over_the_cycle_time(band):
+    # at c09's step rule the plus band's defect is 0.071 at T = 64 and
+    # 0.018 at T = 256, while the minus band's stays a whole turn, 6.21
+    # and 6.27
+    for T in (64.0, 256.0):
+        r = adiabatic_decomposition(
+            _chain(2.0, 0.3),
+            Schedule(period_T=T, steps=math.ceil(3.0 * T ** 1.5)), band)
+        assert r.defect <= 10.0 / T
 
 
 def test_guards_fire_at_the_oracle_steps(monkeypatch):
