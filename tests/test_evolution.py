@@ -334,8 +334,9 @@ def test_evolve_is_self_convergent_under_step_refinement():
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 64.0),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 64.0),
     (_chain(0.5, 0.2), 64.0),
-    # a TYPE_I loop next to q = 1 reads the closed form; only a cycle this
-    # fast keeps its state in its band
+    # TYPE_I loops on either side of q = 1 read the closed form; only a
+    # cycle this fast keeps their state in its band
+    (_chain(0.999999, 5e-7), 0.25),
     (_chain(1.000001, 5e-7), 0.25),
 ])
 def test_loop_phase_is_the_point_evaluators_band_phase(model, T, band):
