@@ -205,16 +205,17 @@ def global_berry_phase(loop, model):
     ``two_level_phase_point(model.params, loop.n)``, or
     ``bipartite_phase_point(q, eta, loop.n)`` at the chain's ratios: its
     result bit for bit, or its refusal. A chain loop whose spectrum
-    crosses raises SingularLoop instead of reading the closed form, and
-    one at hopping ratio 1 UndefinedAtTransition.
+    crosses raises SingularLoop, naming the crossing momenta, instead of
+    reading the closed form, and one at hopping ratio 1
+    UndefinedAtTransition.
     """
     p = model.params
     if model.kind == TWO_LEVEL:
         return two_level_phase_point(p, loop.n)
     if _closed_form_region(p.q, p.eta) == GAPLESS_TRUE_CROSSING:
+        at = " and ".join(f"{k:.5g}" for k in classify_region(p.q, p.eta).witnesses)
         raise SingularLoop(
-            "the loop crosses a true degeneracy of the complex spectrum; "
-            "use the per-band principal-value phases instead")
+            f"the loop crosses a true degeneracy of the complex spectrum at k = {at}")
     return bipartite_phase_point(p.q, p.eta, loop.n)
 
 

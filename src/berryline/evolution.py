@@ -18,16 +18,16 @@ cycle, samples at K roots of unity and one FFT give its Fourier series;
 per chunk, one matmul of fixed shape reads every block's product off it.
 A pairwise tree multiplies the blocks into superblocks and a walk over
 the superblocks carries the state, so plain ``evolve`` does no per-step
-work outside its last block. States are formed only where read, from a
-block's start through its step matrices: by the branch of c(t), the
-records, and the growth guard of a cycle whose coefficients do not
-bound every step's growth below the guard's, which takes blocks of one
-step. A step matrix takes two Horner chains per entry at its step's
-phasor, one product of a coarse and a fine table entry
-(``Schedule.phasors``), where the decomposition reads its band energies
-too. The state is renormalized at each superblock and block start, the
-scale kept as a running log, so no cycle underflows or overflows in the
-kernel.
+work outside its last block. States are formed, from a block's start
+through its step matrices, only for the decomposition's projection,
+which tracks the branch of c(t), and for the growth guard of a cycle
+whose coefficients do not bound every step's growth below the guard's,
+which takes blocks of one step. A step matrix takes two Horner chains
+per entry at its step's phasor, one product of a coarse and a fine
+table entry (``Schedule.phasors``), where the decomposition reads its
+band energies too. The state is renormalized at each superblock and
+block start, the scale kept as a running log, so no cycle underflows or
+overflows in the kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -295,17 +295,15 @@ class _BlockSeries:
 
 
 @np.errstate(all="ignore")
-def _propagate(model, schedule, psi, dual=False, project=None,
-               record_every=None, energies=None):
-    """One cycle of ``schedule`` from psi: (state, log_scale, turn, records).
+def _propagate(model, schedule, psi, dual=False, project=None, energies=None):
+    """One cycle of ``schedule`` from psi: (state, log_scale, turn).
 
     psi(T) = state * exp(log_scale); ``turn`` sums the per-step angles of
-    c = project . psi and ``records`` lists (t, psi(t)) every
-    ``record_every`` steps before the last. ``energies``, if given, takes
-    each chunk's drive phasors at its steps and the step that ends it, and
-    a (2, m + 1) buffer. Raises StepTooLarge at the first step that grows
-    the squared norm a hundredfold, leaves it without a finite value, or
-    turns c over 1.5 rad.
+    c = project . psi. ``energies``, if given, takes each chunk's drive
+    phasors at its steps and the step that ends it, and a (2, m + 1)
+    buffer. Raises StepTooLarge at the first step that grows the squared
+    norm a hundredfold, leaves it without a finite value, or turns c over
+    1.5 rad.
 
     The step matrix M(u) = sum_j C_j u^j has |M_ij| <= sum_j |C_j,ij| on
     |u| = 1, and |M x|^2 <= |M|_F^2 |x|^2. A cycle whose sums give |M|_F^2
@@ -319,19 +317,17 @@ def _propagate(model, schedule, psi, dual=False, project=None,
     A pairwise tree gives each superblock's product and a walk over the
     superblocks their unit starts, the scale kept as a running log, so
     no cycle underflows or overflows in the kernel. States are formed
-    only where read (by the projection, the records and the guards of an
-    uncertified cycle) by ``_sweep``: within superblocks to each block's
-    start, then within blocks to each step, vectorized across blocks.
+    only for the projection and for the guards of an uncertified cycle,
+    by ``_sweep``: within superblocks to each block's start, then within
+    blocks to each step, vectorized across blocks.
     """
     steps = schedule.steps
-    h = schedule.period_T / steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
-    records = None if record_every is None else [(0.0, state.copy())]
     poly = _step_polynomial(model, schedule, dual)
     certified = (np.abs(poly).sum(axis=0) ** 2).sum() < _GROWTH_LIMIT_SQ
     series = _BlockSeries(poly, schedule, _BLOCK if certified else 1)
     length = series.length
-    dense = not certified or project is not None or records is not None
+    dense = not certified or project is not None
     # the matrices of every step: where states are read, or the blocks are steps
     every = dense or series.rows is None
     # block b = s * _GROUP + j of superblock s holds steps b * length + k
@@ -374,17 +370,16 @@ def _propagate(model, schedule, psi, dual=False, project=None,
             if last:
                 tops[b % _GROUP, :, :, b // _GROUP] = _product(
                     mats[..., b if every else 0])
-        # blog[s, j]: the log scale of block j of superblock s
-        blog = np.where(np.arange(nblocks) < serial, series.log_scale, 0.0)
-        blog = blog.reshape(nsuper, _GROUP)
-        (x, y), heads, head_log = state.tolist(), [], []
+        # the log scale of each superblock: its blocks that read the series
+        plogs = np.where(np.arange(nblocks) < serial, series.log_scale, 0.0)
+        (x, y), heads = state.tolist(), []
         for plog, (p11, p12, p21, p22) in zip(
-                blog.sum(axis=1).tolist(), zip(*_product(tops).reshape(4, -1).tolist())):
+                plogs.reshape(nsuper, _GROUP).sum(axis=1).tolist(),
+                zip(*_product(tops).reshape(4, -1).tolist())):
             norm = math.hypot(x.real, x.imag, y.real, y.imag)
             if 0.0 < norm < math.inf:
                 x, y, log_scale = x / norm, y / norm, log_scale + math.log(norm)
             heads.append((x, y))
-            head_log.append(log_scale)
             x, y, log_scale = p11 * x + p12 * y, p21 * x + p22 * y, log_scale + plog
         state = np.array([x, y])
         if not dense:
@@ -393,11 +388,9 @@ def _propagate(model, schedule, psi, dual=False, project=None,
         starts[0] = np.array(heads).T
         _sweep(tops, starts[0], starts[1:], spare[:, :nsuper])
         starts_b = starts.transpose(1, 2, 0).reshape(2, nblocks)
-        start_log = (np.array(head_log)[:, None] + np.cumsum(blog, axis=1) - blog).ravel()
         norm = np.hypot(np.abs(starts_b[0]), np.abs(starts_b[1]))
         norm[~((0.0 < norm) & (norm < math.inf))] = 1.0
         starts_b /= norm
-        start_log += np.log(norm)
         states = work[4 * npad:6 * npad].reshape(length, 2, nblocks)
         _sweep(mats, starts_b, states, spare)
         bad = grown = np.zeros((length, nblocks), dtype=bool)
@@ -430,41 +423,25 @@ def _propagate(model, schedule, psi, dual=False, project=None,
                     else "the state is no longer finite")
             raise StepTooLarge(f"{what} in step {step}; the fixed step cannot "
                                "follow this spectrum", step=step, growth=growth)
-        if records is not None:
-            # not the cycle's last step: evolve records psi(T) at t = T
-            n = np.arange(record_every - 1 - step0 % record_every, m - last,
-                          record_every)
-            k, b = n % length, n // length
-            scale = np.exp(start_log[b])
-            records += zip(((step0 + n + 1) * h).tolist(),
-                           states[k, :, b] * scale[:, None])
-    return state, log_scale, turn, records
+    return state, log_scale, turn
 
 
-def evolve(model, schedule, psi0, dual=False, record_every=None):
-    """Integrate one cycle; returns psi(T), or (psi(T), records) if recording.
+def evolve(model, schedule, psi0, dual=False):
+    """Integrate one cycle from psi0; returns psi(T), one state of shape (2,).
 
     Classical 4th-order stepping at fixed step T/steps, with matrix
     entries streamed in chunks. A single step growing the squared norm a
     hundredfold aborts the run: the step size is unstable against the
     local spectrum, and no later result would mean anything. A final
     state outside the floating-point range raises AmplitudeOutOfRange.
-    ``record_every``, the recording stride in steps, must be a positive
-    integer; the records are (t, psi(t)) from t = 0 at that stride, the
-    cycle's last step read once, as (T, psi(T)).
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     if not np.all(np.isfinite(psi0)):
         raise ValueError("initial state must be finite")
     if not np.any(psi0 != 0.0):
         raise ValueError("initial state must be nonzero")
-    if record_every is not None:
-        record_every = _check_integer(record_every, "record_every")
-        if record_every <= 0:
-            raise ValueError("record_every must be a positive stride")
 
-    state, log_scale, _, records = _propagate(
-        model, schedule, psi0, dual=dual, record_every=record_every)
+    state, log_scale, _ = _propagate(model, schedule, psi0, dual=dual)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_final = state * np.exp(log_scale)
         log_norm = log_scale + float(np.log(np.linalg.norm(state)))
@@ -472,10 +449,7 @@ def evolve(model, schedule, psi0, dual=False, record_every=None):
         raise AmplitudeOutOfRange(
             f"the final state has norm exp({log_norm:.6g}), outside the "
             "floating-point range", log_scale=log_norm)
-    if records is None:
-        return psi_final
-    records.append((schedule.period_T, psi_final.copy()))
-    return psi_final, records
+    return psi_final
 
 
 class _BandEnergyIntegral:
@@ -526,8 +500,8 @@ def adiabatic_decomposition(model, schedule, band):
     lam_sel = np.conj(frame.left[:, b, 0])
     lam_oth = np.conj(frame.left[:, 1 - b, 0])
     energy = _BandEnergyIntegral(model, schedule, b)
-    state, log_scale, accum, _ = _propagate(model, schedule, psi,
-                                            project=lam_sel, energies=energy)
+    state, log_scale, accum = _propagate(model, schedule, psi,
+                                         project=lam_sel, energies=energy)
 
     c_mag = abs(lam_sel @ state)
     if c_mag == 0.0:

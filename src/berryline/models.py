@@ -89,15 +89,15 @@ class TwoLevelParams:
                 raise ValueError(f"{name} must be at most {_MAX_RATIO:g} in "
                                  f"magnitude, got {value}")
 
-    def is_singular(self, tol=1e-12):
+    def is_singular(self):
         """True when an amplitude magnitude matches its field magnitude.
 
-        On those lines one off-diagonal entry of the matrix vanishes at
+        On those lines, to within 1e-12, one off-diagonal entry of the matrix vanishes at
         some point of every azimuthal loop, and the winding index loses
         its meaning.
         """
-        return (abs(abs(self.d_x) - abs(self.h_x)) <= tol
-                or abs(abs(self.d_y) - abs(self.h_y)) <= tol)
+        return (abs(abs(self.d_x) - abs(self.h_x)) <= 1e-12
+                or abs(abs(self.d_y) - abs(self.h_y)) <= 1e-12)
 
 
 def _at_transition(q):

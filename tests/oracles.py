@@ -591,8 +591,7 @@ def broadcast_step_matrices(seg):
     return acc * (1.0 / 3.0)
 
 
-def scalar_rk4(model, schedule, psi0, dual=False, project=None,
-               record_every=None, rescale=False):
+def scalar_rk4(model, schedule, psi0, dual=False, project=None, rescale=False):
     """Reference RK4 cycle: one scalar step at a time, no blocking.
 
     Steps psi one classical 4th-order step at a time in plain Python
@@ -602,9 +601,8 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     kernel evaluates its step polynomial at a table of phasors.
     With ``project`` = (l0, l1) it tracks the branch of c = l0 a + l1 b
     stepwise. With ``project`` or ``rescale`` it renormalizes every 16
-    steps; otherwise the state is never rescaled. Returns (psi, log_scale, turn, records)
-    with psi(T) = psi * exp(log_scale); ``records`` lists (t, psi) every
-    ``record_every`` steps, unscaled.
+    steps; otherwise the state is never rescaled. Returns (psi, log_scale,
+    turn) with psi(T) = psi * exp(log_scale).
     """
     from berryline.errors import StepTooLarge
     T = schedule.period_T
@@ -620,7 +618,6 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
     n2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
     log_scale = 0.0
     turn = 0.0
-    records = []
     c_prev = 0.0
     if project is not None:
         l0, l1 = complex(project[0]), complex(project[1])
@@ -654,8 +651,6 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
             raise StepTooLarge(f"norm grew in step {i}", step=i,
                                growth=math.sqrt(m2 / n2))
         a, b, n2 = na, nb, m2
-        if record_every is not None and (i + 1) % record_every == 0:
-            records.append(((i + 1) * h, np.array([a, b])))
         if project is not None:
             c_new = l0 * a + l1 * b
             ratio = c_new / c_prev
@@ -672,7 +667,7 @@ def scalar_rk4(model, schedule, psi0, dual=False, project=None,
             b *= inv
             c_prev *= inv
             n2 = 1.0
-    return np.array([a, b]), log_scale, turn, records
+    return np.array([a, b]), log_scale, turn
 
 
 def settled_phases(loop, frames, starts):

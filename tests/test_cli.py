@@ -397,8 +397,7 @@ def test_evolve_on_a_gapless_chain_exits_2_before_any_step(capsys,
                          "--T", "231.10581413099905", "--band", "minus")
     assert (code, out) == (2, "")
     assert err == ("error: the loop crosses a true degeneracy of the complex "
-                   "spectrum; use the per-band principal-value phases "
-                   "instead\n")
+                   "spectrum at k = -3.1299 and 3.1299\n")
 
 
 def test_evolve_state_out_of_float_range_exits_3(capsys, monkeypatch):

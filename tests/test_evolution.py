@@ -247,25 +247,8 @@ def test_evolve_constant_diagonal_matches_the_exact_exponential():
 def test_evolve_records_follow_the_decay_law():
     # theta = 0 with d_z < 0: the upper amplitude decays as exp(-0.3 t)
     model = TwoLevelModel(_tl((0.7, 0.4, 0.0), (0.0, 0.0, -0.3), 0.0))
-    sched = Schedule(period_T=4.0, steps=1024)
-    psi, records = evolve(model, sched, (1.0, 0.0), record_every=128)
-    assert len(records) == 9
-    assert records[0][0] == 0.0
-    assert records[-1][0] == 4.0
-    assert np.array_equal(records[-1][1], psi)
-    for t, state in records:
-        assert abs(np.linalg.norm(state) - math.exp(-0.3 * t)) < 1e-10
-    # a stride that does not divide the step count still closes at T
-    _, tail = evolve(model, sched, (1.0, 0.0), record_every=300)
-    assert [t for t, _ in tail] == [0.0, 1.171875, 2.34375, 3.515625, 4.0]
-    # where steps * (T / steps) rounds away from T, the last step is
-    # recorded once, at T
-    psi, tail = evolve(_chain(2.0, 0.3), Schedule(period_T=3.3, steps=1500),
-                       (1.0, 0.0), record_every=375)
-    assert 1500 * (3.3 / 1500) != 3.3
-    assert [t for t, _ in tail] == [0.0, 0.8249999999999998, 1.6499999999999997,
-                                    2.4749999999999996, 3.3]
-    assert np.array_equal(tail[-1][1], psi)
+    psi = evolve(model, Schedule(period_T=4.0, steps=1024), (1.0, 0.0))
+    assert abs(np.linalg.norm(psi) - math.exp(-0.3 * 4.0)) < 1e-10
 
 
 def test_evolve_input_guards():
@@ -275,13 +258,6 @@ def test_evolve_input_guards():
         evolve(model, sched, (0.0, 0.0))
     with pytest.raises(ValueError):
         evolve(model, sched, (math.nan, 1.0))
-    with pytest.raises(ValueError):
-        evolve(model, sched, (1.0, 0.0), record_every=0)
-    for stride in (128.9, "128", 128.0):
-        with pytest.raises(ValueError, match="must be an integer"):
-            evolve(model, sched, (1.0, 0.0), record_every=stride)
-    _, records = evolve(model, sched, (1.0, 0.0), record_every=np.int64(500))
-    assert len(records) == 3
 
 
 def test_dual_evolution_matches_forward_for_hermitian_matrices():
@@ -512,8 +488,8 @@ def test_evolve_refuses_states_outside_the_float_range(T, dual):
     rate = 0.3 if dual else -0.3
     assert abs(info.value.log_scale - rate * T) < 3.0
     # the log of the final norm, as the rescaled scalar oracle has it
-    psi, log_scale, _, _ = scalar_rk4(model, sched, (0.6, 0.8j), dual=dual,
-                                      rescale=True)
+    psi, log_scale, _ = scalar_rk4(model, sched, (0.6, 0.8j), dual=dual,
+                                   rescale=True)
     log_norm = log_scale + math.log(np.linalg.norm(psi))
     assert abs(info.value.log_scale - log_norm) <= 1e-9
     assert f"exp({info.value.log_scale:.6g})" in str(info.value)
@@ -538,32 +514,23 @@ def _close(value, reference, tol=1e-11):
                   <= tol * np.max(np.abs(reference)))
 
 
-@pytest.mark.parametrize("model, T, steps, strides", [
-    (_chain(2.0, 0.3), 100.0, 40000, (5000, 3000)),
-    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
-     (1000, 700)),
+# fixed ids, so each case keeps the name the suite has tracked it by
+@pytest.mark.parametrize("model, T, steps", [
+    (_chain(2.0, 0.3), 100.0, 40000),
+    (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000),
     # |E| h reaches 0.67: certified, but no block product has a short
     # series, so every block is one step
     (TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2)),
-     1000.0, 40000, (5000,)),
-])
+     1000.0, 40000),
+], ids=["model0-100.0-40000-strides0", "model1-50.0-6000-strides1",
+        "model2-1000.0-40000-strides2"])
 @pytest.mark.parametrize("dual", [False, True])
-def test_evolve_matches_the_scalar_oracle(model, T, steps, strides, dual):
+def test_evolve_matches_the_scalar_oracle(model, T, steps, dual):
     # 40000 steps span two chunks
     sched = Schedule(period_T=T, steps=steps)
     psi0 = np.array([0.6, 0.8j])
     ref = scalar_rk4(model, sched, psi0, dual=dual)[0]
     assert _close(evolve(model, sched, psi0, dual=dual), ref)
-    for stride in strides:
-        psi, records = evolve(model, sched, psi0, dual=dual,
-                              record_every=stride)
-        ref, _, _, ref_records = scalar_rk4(model, sched, psi0, dual=dual,
-                                            record_every=stride)
-        assert _close(psi, ref)
-        assert [t for t, _ in records[1:len(ref_records) + 1]] == [
-            t for t, _ in ref_records]
-        for (_, state), (_, ref_state) in zip(records[1:], ref_records):
-            assert _close(state, ref_state)
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -573,16 +540,8 @@ def test_every_recorded_state_matches_the_oracle_across_the_seams(dual):
     model = _chain(2.0, 0.3)
     sched = Schedule(period_T=100.0, steps=_CHUNK + 1)
     psi0 = np.array([0.6, 0.8j])
-    psi, records = evolve(model, sched, psi0, dual=dual, record_every=1)
-    ref, _, _, ref_records = scalar_rk4(model, sched, psi0, dual=dual,
-                                        record_every=1)
-    assert _close(psi, ref)
-    assert len(records) == len(ref_records) + 1 == sched.steps + 1
-    assert [t for t, _ in records[1:]] == [t for t, _ in ref_records]
-    got = np.array([state for _, state in records[1:]])
-    want = np.array([state for _, state in ref_records])
-    assert np.all(np.abs(got - want).max(axis=1)
-                  <= 1e-11 * np.abs(want).max(axis=1))
+    ref = scalar_rk4(model, sched, psi0, dual=dual)[0]
+    assert _close(evolve(model, sched, psi0, dual=dual), ref)
 
 
 @pytest.mark.parametrize("model, degree", [
@@ -674,50 +633,42 @@ def _sha256(*arrays):
     return digest.hexdigest()
 
 
-# sha256 of psi(T) and of the records, (t, psi(t)) pairs as float64 and
-# complex128 bytes: the CLI reference set pins no dual run and no records
-_pinned_runs = pytest.mark.parametrize(
-    "model, T, steps, dual, psi_sha, records_sha", [
+# sha256 of psi(T) as complex128 bytes: the CLI reference set pins no
+# dual run
+_pinned_runs = pytest.mark.parametrize("model, T, steps, dual, psi_sha", [
     (_chain(2.0, 0.3), 100.0, 40000, False,
-     "573cdbb5979ce247c67ad31778c4dd45a318604643a1a5bc5afebe96c0fe6017",
-     "a8e47e217190d4c297121c2354b96d8ad710b55575ea3206e9a694310fc32031"),
+     "573cdbb5979ce247c67ad31778c4dd45a318604643a1a5bc5afebe96c0fe6017"),
     (_chain(2.0, 0.3), 100.0, 40000, True,
-     "9a897d3dcb347f01a562385394963c6519494ac681dd8592699ce07ae7caa114",
-     "bbec47e644e905253da0c09185f066dd8e184b5cd3c3b4b007031e9b2def6c81"),
+     "9a897d3dcb347f01a562385394963c6519494ac681dd8592699ce07ae7caa114"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      False,
-     "70bc212b391617adcaa2ea1a6910cef38d8c91231b310e686254659a65ed5139",
-     "9995c3dca0880c92ffe51bbed1987344e5d2e1ed0047a796b83cf49e7ec3083a"),
+     "70bc212b391617adcaa2ea1a6910cef38d8c91231b310e686254659a65ed5139"),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000,
      True,
-     "840a06f9cb10c7f666133ebf8f0ef59a7260de5924742236c3618c21718f6a47",
-     "5c1dc3bfaad2958e7afa7fa98c571ad9be39d7ab624ec7075bcf6fbf3891ccda"),
+     "840a06f9cb10c7f666133ebf8f0ef59a7260de5924742236c3618c21718f6a47"),
 ], ids=["chain", "chain-dual", "two-level", "two-level-dual"])
 
 
 @_pinned_runs
-def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha,
-                                      records_sha):
+def test_public_evolve_keeps_its_bits(model, T, steps, dual, psi_sha):
     # the chain's 40000 steps span two chunks, the second with a ragged
     # last block
-    psi, records = evolve(model, Schedule(period_T=T, steps=steps),
-                          np.array([0.6, 0.8j]), dual=dual,
-                          record_every=3000)
-    assert len(records) == (15 if steps == 40000 else 3)
+    psi = evolve(model, Schedule(period_T=T, steps=steps),
+                 np.array([0.6, 0.8j]), dual=dual)
     assert _sha256(psi) == psi_sha
-    assert _sha256(*(a for t, state in records
-                     for a in (np.float64(t), state))) == records_sha
 
 
 @_pinned_runs
-def test_plain_evolve_returns_the_bits_of_a_recorded_run(model, T, steps, dual,
-                                                         psi_sha, records_sha):
-    # a certified chunk without records forms only its last state
-    sched = Schedule(period_T=T, steps=steps)
-    psi0 = np.array([0.6, 0.8j])
-    psi = evolve(model, sched, psi0, dual=dual)
-    recorded, _ = evolve(model, sched, psi0, dual=dual, record_every=3000)
-    assert psi.tobytes() == recorded.tobytes()
+def test_plain_evolve_forms_no_per_step_state(model, T, steps, dual, psi_sha,
+                                              monkeypatch):
+    # a certified cycle without a projection forms only its last state;
+    # the per-step sweep is for the projection and the uncertified guards
+    def no_sweep(*args):
+        raise AssertionError("a per-step state was formed")
+
+    monkeypatch.setattr(evolution, "_sweep", no_sweep)
+    psi = evolve(model, Schedule(period_T=T, steps=steps),
+                 np.array([0.6, 0.8j]), dual=dual)
     assert _sha256(psi) == psi_sha
 
 
@@ -776,8 +727,8 @@ def test_decomposition_matches_the_scalar_oracle(model, T, steps):
     r = adiabatic_decomposition(model, sched, "plus")
     system = point_system(model, 0.0)
     lam = np.conj(system.left("plus"))
-    psi, log_scale, turn, _ = scalar_rk4(model, sched, system.right("plus"),
-                                         project=lam)
+    psi, log_scale, turn = scalar_rk4(model, sched, system.right("plus"),
+                                      project=lam)
     total = complex(turn, -(log_scale + math.log(abs(lam @ psi))))
     defect = abs(total - complex(r.gamma_d + r.gamma_g, r.xi_d + r.xi_g))
     assert abs(r.total_phase - total) <= 1e-11 * abs(total)
@@ -894,8 +845,8 @@ def test_band_leakage_matches_the_oracle():
     model = _chain(2.0, 0.3)
     sched = Schedule(period_T=1.0, steps=1000)
     system = point_system(model, 0.0)
-    psi, _, _, _ = scalar_rk4(model, sched, system.right("plus"),
-                              project=np.conj(system.left("plus")))
+    psi, _, _ = scalar_rk4(model, sched, system.right("plus"),
+                           project=np.conj(system.left("plus")))
     leak = abs(np.conj(system.left("minus")) @ psi) / abs(
         np.conj(system.left("plus")) @ psi)
     with pytest.raises(BandLeakage) as info:
