@@ -32,6 +32,7 @@ from .models import (_MAX_SAMPLES, _check_ratios, _radicand,
 GAPLESS_TRUE_CROSSING = "GAPLESS_TRUE_CROSSING"
 TYPE_I = "TYPE_I"
 TYPE_II = "TYPE_II"
+_REGIONS = (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II)
 
 _WITNESS_TOL = 1e-8
 
@@ -56,22 +57,14 @@ class CrossingReport:
 def classify_region(q, eta):
     """Region of the (q, eta) plane from the closed inequalities alone.
 
-    On the radicand extremes lo = r(pi) and hi = r(0), with a point tied
-    to eta = |1 - q| (tie_pi) or 1 + q (tie_zero) within 1e-8 max(1, 1 +
-    q, eta) in distance to the line, so an input rounded onto a line keeps
-    its tie; a tolerance in radicand units would cover the whole TYPE_I
-    strip next to q = 1. Witnesses in the gapless region are the analytic
-    zeros of the radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
+    A point within 1e-8 max(1 + q, eta) of a line keeps its tie to it
+    (see ``_inequalities``). Witnesses in the gapless region are the
+    analytic zeros of the radicand at cos k = (eta^2 - 1 - q^2) / (2 q).
     """
     _check_ratios(q, eta)
     lo, hi = _radicand_extremes(q, eta)
-    tol = _WITNESS_TOL * max(1.0, 1.0 + q, eta)
-    tie_pi = abs(abs(1.0 - q) - eta) <= tol
-    tie_zero = abs(1.0 + q - eta) <= tol
-    crossing = (lo <= 0.0 or tie_pi) and (hi >= 0.0 or tie_zero)
-    labels = tuple(label for label, holds in (
-        (GAPLESS_TRUE_CROSSING, crossing), (TYPE_I, lo >= 0.0 or tie_pi),
-        (TYPE_II, hi <= 0.0 or tie_zero)) if holds)
+    labels = tuple(label for label, holds in zip(
+        _REGIONS, _inequalities(q, eta, lo, hi)) if holds)
     region = labels[0]
     witnesses = ()
     if region == GAPLESS_TRUE_CROSSING:
@@ -82,6 +75,34 @@ def classify_region(q, eta):
                           gap_min_re=2.0 * math.sqrt(lo) if lo > 0.0 else 0.0,
                           gap_min_im=2.0 * math.sqrt(-hi) if hi < 0.0 else 0.0,
                           all_labels=labels)
+
+
+def _inequalities(q, eta, lo, hi):
+    """Whether each region of ``_REGIONS`` holds, on floats or arrays alike.
+
+    On the radicand extremes lo = r(pi) and hi = r(0), with a point tied
+    to eta = |1 - q| (tie_pi) or 1 + q (tie_zero) within 1e-8 max(1 + q,
+    eta) in distance to the line, so an input rounded onto a line keeps
+    its tie; a tolerance in radicand units would cover the whole TYPE_I
+    strip next to q = 1. The first region that holds is the label.
+    """
+    tie_pi = _tied(abs(abs(1.0 - q) - eta), q, eta)
+    tie_zero = _tied(abs(1.0 + q - eta), q, eta)
+    return (((lo <= 0.0) | tie_pi) & ((hi >= 0.0) | tie_zero),
+            (lo >= 0.0) | tie_pi, (hi <= 0.0) | tie_zero)
+
+
+def _tied(distance, q, eta):
+    # distance <= 1e-8 max(1 + q, eta), with no max, which floats lack
+    return ((distance <= _WITNESS_TOL * (1.0 + q))
+            | (distance <= _WITNESS_TOL * eta))
+
+
+def _region_grid(q, eta):
+    """``classify_region(q, eta).region`` over arrays of checked ratios."""
+    lo, hi = _radicand_extremes(q, eta)
+    first = np.argmax(_inequalities(q, eta, lo, hi), axis=0)
+    return np.array(_REGIONS, dtype=object)[first]
 
 
 def _bisect_zero(q, eta, a, b, fa):

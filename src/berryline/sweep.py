@@ -8,7 +8,10 @@ sign-condition prediction. A phase diagram reads every cell's band
 phases off the elliptic closed form and its index off one lossless row
 per hopping ratio, refined as one stack whose rows compute from their
 own q alone, so a cell's index is bit for bit what a user gets by asking
-for the point (q, 0) directly. A sweep runs serially, in one process.
+for the point (q, 0) directly. The closed form, the regions and the
+near-line margins are evaluated in one array pass over the whole grid,
+each cell keeping the bits of its point calls. A sweep runs serially, in
+one process.
 
 The CSV is written atomically straight from the grid's arrays, one row
 per cell with eta outer and q inner, in 17-significant-digit floats so
@@ -28,13 +31,13 @@ import numpy as np
 
 from . import __version__
 from .berry import _chain_rows, analytic_q, two_level_phase_point
-from .elliptic import _closed_form_pair, closed_form_gamma
+from .elliptic import _closed_form_grid, closed_form_gamma
 from .errors import BadResolution, BerrylineError
 from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams,
                      _at_transition, _check_integer, _check_ratios,
                      _check_resolution, standard_loop)
 from .quadrature import pearson_line
-from .spectrum import classify_region
+from .spectrum import _region_grid
 
 _NEAR_LINE = 1e-3       # cells this close to a critical line are flagged
 
@@ -70,9 +73,9 @@ class PhaseDiagramGrid:
 
 
 def _near_critical(q, eta):
-    return (abs(q - 1.0) <= _NEAR_LINE
-            or abs(eta - (q + 1.0)) <= _NEAR_LINE
-            or abs(eta - abs(q - 1.0)) <= _NEAR_LINE)
+    # floats or arrays, elementwise
+    return ((abs(q - 1.0) <= _NEAR_LINE) | (abs(eta - (q + 1.0)) <= _NEAR_LINE)
+            | (abs(eta - abs(q - 1.0)) <= _NEAR_LINE))
 
 
 def _axis(bounds, count, name):
@@ -107,7 +110,9 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     call at (q, eta) reads the closed form too (the gapless region and the
     TYPE_I strip next to q = 1) the cell has all its bits; elsewhere the
     refined phases agree with the cell's within 1e-12 at 1e-3 or more from
-    the lines. A cell is NaN wherever its row or the closed form refuses,
+    the lines. The closed form, the regions and the 1e-3 margins are each
+    one array pass over the grid, with every cell bit-equal to the point
+    calls. A cell is NaN wherever its row or the closed form refuses,
     and a column within 1e-12 of q = 1, which an axis that fine keeps
     after the shift, has no row. ``samples_per_loop`` is the rows' anchor
     and the finest rung their refinement starts from. The resolution and
@@ -124,29 +129,21 @@ def phase_diagram(q_range, eta_range, nq, neta, samples_per_loop=1024):
     shift = 0.5 * spacing if spacing > 0.0 else 1e-3
     q_axis = np.where(np.abs(q_axis - 1.0) < 1e-9, q_axis + shift, q_axis)
 
-    q_values, eta_values = q_axis.tolist(), eta_axis.tolist()
-    rows = [q for q in q_values if not _at_transition(q)]
+    rows = [q for q in q_axis.tolist() if not _at_transition(q)]
     lossless = dict(zip(rows, _chain_rows(standard_loop(BIPARTITE, samples),
                                           [(q, 0.0) for q in rows])))
-    shape = (eta_axis.size, q_axis.size)
-    gp, xp, gm, xm, qi = np.full((5,) + shape, math.nan)
-    region = np.empty(shape, dtype=object)
-    converged = np.zeros(shape, dtype=bool)
-    for j, q in enumerate(q_values):
-        region[:, j] = [classify_region(q, eta).region for eta in eta_values]
-        row = lossless.get(q)
-        if row is None or isinstance(row, BerrylineError):
-            continue
-        for i, eta in enumerate(eta_values):
-            try:
-                plus, minus = _closed_form_pair(q, eta)
-            except BerrylineError:
-                continue
-            gp[i, j], xp[i, j] = plus.real, plus.imag
-            gm[i, j], xm[i, j] = minus.real, minus.imag
-            qi[i, j] = row.q_index
-            converged[i, j] = (row.q_rounded is not None
-                               and not _near_critical(q, eta))
+    found = [None if isinstance(r, BerrylineError) else r
+             for r in map(lossless.get, q_axis.tolist())]
+    index = np.array([math.nan if r is None else r.q_index for r in found])
+    settled = np.array([r is not None and r.q_rounded is not None
+                        for r in found])
+    q, eta = np.meshgrid(q_axis, eta_axis)
+    phases = np.array(_closed_form_grid(q, eta))
+    cells = ~np.isnan(phases[0]) & np.array([r is not None for r in found])
+    gp, xp, gm, xm = np.where(cells, phases, math.nan)
+    qi = np.where(cells, index, math.nan)
+    region = _region_grid(q, eta)
+    converged = cells & settled & ~_near_critical(q, eta)
     return PhaseDiagramGrid(
         q_axis=q_axis, eta_axis=eta_axis, gamma_g_plus=gp, xi_g_plus=xp,
         gamma_g_minus=gm, xi_g_minus=xm, q_index=qi, region=region,

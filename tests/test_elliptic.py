@@ -72,6 +72,34 @@ def test_cel_refuses_a_modulus_that_never_settles(kc):
     # from kc = 0 or a non-finite kc; a bounded loop raises instead
     with pytest.raises(DomainError):
         cel(kc, 0.5, 1.0, 1.0)
+    # an array call returns NaN in that lane, and its neighbours keep the
+    # bits of their float calls
+    lanes = cel(np.array([0.3, kc, 2.0]), 0.5, 1.0, 1.0)
+    assert math.isnan(lanes[1])
+    assert [lanes[0].hex(), lanes[2].hex()] == [
+        cel(0.3, 0.5, 1.0, 1.0).hex(), cel(2.0, 0.5, 1.0, 1.0).hex()]
+
+
+def test_array_cel_is_the_float_cel_bit_for_bit():
+    # kc over the whole range the step bound covers, from the smallest
+    # subnormal to 1e150, and p, a, b of either sign where p allows it
+    rng = np.random.default_rng(1031)
+    kc = np.concatenate([[5e-324, 1e150],
+                         10.0 ** rng.uniform(-323.0, 150.0, 400),
+                         rng.uniform(-3.0, 3.0, 200)])
+    p = np.concatenate([10.0 ** rng.uniform(-20.0, 20.0, 500),
+                        rng.uniform(-1.0, 0.0, 102)])
+    a, b = rng.uniform(-5.0, 5.0, (2, kc.size))
+    lanes = cel(kc, p, a, b)
+    assert np.isfinite(lanes[:500]).all() and np.isnan(lanes[500:]).all()
+    for k, *rest in zip(kc.tolist(), p.tolist(), a.tolist(), b.tolist(),
+                        lanes.tolist()):
+        got = rest.pop()
+        try:
+            want = cel(k, *rest).hex()
+        except DomainError:
+            want = math.nan.hex()
+        assert got.hex() == want, (k, *rest)
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, math.nan])

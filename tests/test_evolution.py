@@ -244,7 +244,7 @@ def test_evolve_constant_diagonal_matches_the_exact_exponential():
     assert psi[1] == 0.0
 
 
-def test_evolve_records_follow_the_decay_law():
+def test_evolve_final_norm_follows_the_decay_law():
     # theta = 0 with d_z < 0: the upper amplitude decays as exp(-0.3 t)
     model = TwoLevelModel(_tl((0.7, 0.4, 0.0), (0.0, 0.0, -0.3), 0.0))
     psi = evolve(model, Schedule(period_T=4.0, steps=1024), (1.0, 0.0))
@@ -534,7 +534,7 @@ def test_evolve_matches_the_scalar_oracle(model, T, steps, dual):
 
 
 @pytest.mark.parametrize("dual", [False, True])
-def test_every_recorded_state_matches_the_oracle_across_the_seams(dual):
+def test_the_final_state_matches_the_oracle_across_the_seams(dual):
     # 32769 steps: a 32768-step chunk whose last superblock ends in 16
     # padding steps and two whole identity blocks, then a one-step chunk
     model = _chain(2.0, 0.3)

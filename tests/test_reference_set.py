@@ -31,7 +31,7 @@ d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
 88ae3ca14971c0d91b491665fc655e29ad92fc9a3472b10b7f69c9b0e945eb51
 0ee8d9c70338450559610bf42946aa3fcbd9a7cca10dcbd4670df236bf49a952
 34c2c8bc9c11c33d20acf629969214b23165a449c536ae4d776d1158dd3e39e4
-89b5465c763e964a9ef016478ce2971ef65c2dfde39184edce910158108079ce
+f354c1ea770b23d5c6f02a9a0361f1d9a2de3e5e5c7d57cb317bd36f64b28cc5
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
 

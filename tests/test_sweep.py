@@ -117,6 +117,41 @@ def test_cells_match_the_direct_point_evaluator(mixed_grid):
     assert not any(sweep._near_critical(q, eta) for q, eta in finite)
 
 
+def _seeded_grid(kind):
+    rng = np.random.default_rng(1051)
+    if kind == "tie":
+        # the corner cell lies an ulp past eta = q + 1 and ties to it, and
+        # the grid runs on past that line on the weak-hopping side
+        return phase_diagram((0.58061224489795926, 0.9),
+                             (1.5806122448979594, 3.5), 3, 4)
+    if kind == "beyond":
+        # every column has a cell exactly on eta = q + 1, NaN, and cells
+        # past it, whose minus band has imaginary part -0.0
+        return phase_diagram((4.0, 44.0), (0.0, 45.0), 5, 10)
+    # q within the distance of 1 on both sides, eta across both lines
+    distance = float(kind)
+    low, high = 1.0 - distance * rng.uniform(0.2, 1.0, 2) * [1.0, -1.0]
+    return phase_diagram((low, high), (0.0, 2.5), 4, 6)
+
+
+@pytest.mark.parametrize("kind", ["1e-3", "1e-7", "1e-13", "tie", "beyond"])
+def test_seeded_grids_give_every_cell_its_point_bits(kind):
+    # together these take every branch of the grid closed form and of the
+    # region inequalities, and the NaN cells on the lines and next to q = 1
+    grid = _seeded_grid(kind)
+    # a column within 1e-12 of q = 1 has no row
+    assert bool(_check_cells(grid)) == (kind != "1e-13")
+    if kind == "beyond":
+        beyond = grid.eta_axis[:, None] > grid.q_axis[None, :] + 1.0
+        assert np.isnan(grid.q_index[~beyond]).any()
+        assert (np.signbit(grid.xi_g_minus[beyond])).all()
+        assert (grid.xi_g_minus[beyond] == 0.0).all()
+    if kind == "tie":
+        # gapless by its tie, while r(0) < 0 puts its phases past the line
+        assert grid.region[0, 0] == GAPLESS_TRUE_CROSSING
+        assert grid.xi_g_plus[0, 0] == 0.0
+
+
 def test_a_sweep_refines_only_the_lossless_rows_of_its_q_axis(monkeypatch):
     # all three regions are on the grid, yet the sweep's one refinement
     # sees one row (q, 0) per q and no other
