@@ -28,8 +28,8 @@ from .models import (BIPARTITE, TWO_LEVEL, BipartiteModel, BipartiteParams,
                      band_index, standard_loop)
 from .spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II, CrossingReport,
                        classify_region, verify_region)
-from .sweep import (DivergenceFit, PhaseDiagramGrid, QMap, divergence_scan,
-                    phase_diagram, save_phase_diagram, two_level_q_map)
+from .sweep import (DivergenceFit, PhaseDiagramGrid, divergence_scan,
+                    phase_diagram, save_phase_diagram)
 
 __all__ = [
     "BIPARTITE", "TWO_LEVEL",
@@ -40,7 +40,7 @@ __all__ = [
     "DomainError", "EigenPath", "EvolutionReport",
     "GAPLESS_TRUE_CROSSING", "GaugeCheckResult", "GaugeMismatch",
     "NotConverged", "OutsideValidityDomain", "ParameterLoop", "PathTooCoarse",
-    "PhaseDiagramGrid", "QMap", "Schedule",
+    "PhaseDiagramGrid", "Schedule",
     "SingularLoop", "SingularParameters", "StepTooLarge", "TrueCrossing",
     "TwoLevelModel", "TwoLevelParams", "TYPE_I", "TYPE_II",
     "UndefinedAtTransition",
@@ -49,5 +49,5 @@ __all__ = [
     "classify_region", "closed_form_gamma", "divergence_scan", "ellip_k",
     "ellip_pi", "evolve", "global_berry_phase", "phase_diagram",
     "save_phase_diagram", "standard_loop", "two_level_phase_point",
-    "two_level_q_map", "verify_region",
+    "verify_region",
 ]

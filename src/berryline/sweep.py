@@ -1,14 +1,13 @@
 """Parameter sweeps built on the point evaluators, plus file persistence.
 
-Three sweep shapes: a (q, eta) phase diagram of the lossy chain with
-per-cell convergence flags, logarithmic approach scans to the two
+Two sweep shapes: a (q, eta) phase diagram of the lossy chain with
+per-cell convergence flags, and logarithmic approach scans to the two
 divergence lines on the elliptic closed form with a straight-line fit as
-the summary, and a (d_x, d_y) map of the two-level index against its
-sign-condition prediction. A phase diagram reads every cell's band
-phases off the elliptic closed form and its index off one lossless row
-per hopping ratio, refined as one stack whose rows compute from their
-own q alone, so a cell's index is bit for bit what a user gets by asking
-for the point (q, 0) directly. The closed form, the regions and the
+the summary. A phase diagram reads every cell's band phases off the
+elliptic closed form and its index off one lossless row per hopping
+ratio, refined as one stack whose rows compute from their own q alone,
+so a cell's index is bit for bit what a user gets by asking for the
+point (q, 0) directly. The closed form, the regions and the
 near-line margins are evaluated in one array pass over the whole grid,
 each cell keeping the bits of its point calls. A sweep runs serially, in
 one process.
@@ -30,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .berry import _chain_rows, analytic_q, two_level_phase_point
+from .berry import _chain_rows
 from .elliptic import _closed_form_grid, closed_form_gamma
 from .errors import BadResolution, BerrylineError
-from .models import (_MAX_SAMPLES, BIPARTITE, TwoLevelParams,
-                     _at_transition, _check_integer, _check_ratios,
-                     _check_resolution, standard_loop)
+from .models import (_MAX_SAMPLES, BIPARTITE, _at_transition, _check_integer,
+                     _check_ratios, _check_resolution, standard_loop)
 from .quadrature import pearson_line
 from .spectrum import _region_grid
 
@@ -239,63 +237,3 @@ def divergence_scan(q_fixed, line, decades=8):
         slope=float(slope), intercept=float(intercept),
         correlation=float(correlation), line=line, q_fixed=q_fixed,
         etas=tuple(etas), values=tuple(values), gammas=tuple(gammas))
-
-
-@dataclass(frozen=True)
-class QMap:
-    """Two-level index over a (d_x, d_y) grid, numeric next to analytic.
-
-    Arrays are indexed [i, j] = (dx_axis[i], dy_axis[j]). Cells on the
-    singular lines are NaN in both arrays and counted in
-    ``undefined_count``; ``mismatch_cells`` lists any computed cell whose
-    rounded numeric index differs from the sign-condition value.
-    """
-
-    dx_axis: np.ndarray
-    dy_axis: np.ndarray
-    numeric: np.ndarray
-    analytic: np.ndarray
-    mismatch_cells: tuple
-    undefined_count: int
-
-
-def two_level_q_map(h, d_x_range, d_y_range, n, h_z=0.2, d_z=0.0, theta=1.0,
-                    samples_per_loop=512):
-    """Map the two-level index over amplitude space at fixed fields.
-
-    Singular grid points (an amplitude magnitude matching its field) are
-    marked undefined and skipped, never computed. Everything else runs
-    the full numeric evaluator and is compared against the sign
-    condition; failures of either kind land in ``mismatch_cells``. A
-    resolution the point evaluator refuses (not a power of two from 16
-    to 65536) raises BadResolution before any cell runs.
-    """
-    _check_resolution(samples_per_loop)
-    h_x, h_y = float(h[0]), float(h[1])
-    dx_axis = _axis(d_x_range, n, "d_x")
-    dy_axis = _axis(d_y_range, n, "d_y")
-    numeric = np.full((len(dx_axis), len(dy_axis)), np.nan)
-    analytic = np.full_like(numeric, np.nan)
-    mismatches = []
-    undefined = 0
-    for i, dx in enumerate(dx_axis):
-        for j, dy in enumerate(dy_axis):
-            params = TwoLevelParams(h_x=h_x, h_y=h_y, h_z=h_z,
-                                    d_x=float(dx), d_y=float(dy), d_z=d_z,
-                                    theta=theta)
-            expected = analytic_q(params)
-            if expected is None:
-                undefined += 1
-                continue
-            analytic[i, j] = expected
-            try:
-                r = two_level_phase_point(params, n0=samples_per_loop)
-            except BerrylineError:
-                mismatches.append((i, j))
-                continue
-            numeric[i, j] = r.q_index
-            if r.q_rounded is None or abs(r.q_rounded) != expected:
-                mismatches.append((i, j))
-    return QMap(dx_axis=dx_axis, dy_axis=dy_axis, numeric=numeric,
-                analytic=analytic, mismatch_cells=tuple(mismatches),
-                undefined_count=undefined)

@@ -10,6 +10,13 @@ each. ``--dump DIR`` also writes the 14 outputs into DIR (created if
 missing) under names fixed by their place in the set, such as
 ``08-gauge-check.json`` for the eighth command, so the outputs of two
 checkouts compare with ``diff -r`` and a moved digest shows what moved.
+
+The set's second part, ``EDGES``, holds refusals and outputs at the edges
+of the contract: for each, the exit code and the sha256 of stdout then
+stderr are printed, and ``--dump`` writes that text as
+``edge-01-bipartite.txt`` and so on. They record what the program prints
+today, known defects included, not a claim that those outputs are right.
+
 Every command runs in-process through ``berryline.cli.main`` with
 ``SOURCE_DATE_EPOCH=0``; a refactor that is meant to keep the output
 bits must leave every line unchanged. The file
@@ -46,14 +53,37 @@ COMMANDS = (
 )
 DIAGRAM = "phase-diagram --q 0.55:2.05:50 --eta 0.05:2.55:50"
 
+EDGES = (
+    # refusals: exit 2 for a singular loop, 3 for a failed numeric check
+    "bipartite --q 1 --eta 0.3",
+    "evolve --model bipartite --q 45.22586443909728 "
+    "--eta 44.225934078386665 --T 231.10581413099905 --band minus",
+    "gauge-check --model bipartite --q 2 --eta 3.000000001 --band both",
+    "two-level-q --hx 0.00155 --hy 0.2602 --hz -0.2784 --dx 0.0343 "
+    "--dy 7.327 --dz 0 --theta 2.825",
+    "bipartite --q 1.000000001 --eta 0.3",
+    # exits 0 next to a line, out of the float range, and at a tie
+    "bipartite --q 0.5556 --eta 1.5556000000002492",
+    "evolve --model bipartite --q 2 --eta 0.3 --T 2713",
+    "evolve --model two-level --hx 1 --hy 1 --hz 0.2 --dx 0.2 --dy 0.2 "
+    "--dz 0.5 --theta 1 --T 30000",
+    "ep-classify --q 0.58061224489795926 --eta 1.5806122448979594",
+)
+
+
+def _capture(main, argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
 
 def _run(main, argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    code, out, _ = _capture(main, argv)
     if code != 0:
         raise SystemExit(f"exit {code} from {' '.join(argv)}")
-    return out.getvalue().encode()
+    return out
 
 
 def _sha(data):
@@ -81,6 +111,23 @@ def digests(main):
     return [(_sha(data), label) for _, label, data in outputs(main)]
 
 
+def edges(main):
+    """(file name, label, exit code, stdout then stderr) of every edge
+    command, run through ``main``."""
+    got = []
+    for i, command in enumerate(EDGES, 1):
+        code, out, err = _capture(main, command.split())
+        got.append((f"edge-{i:02d}-{command.split()[0]}.txt", command, code,
+                    out + err))
+    return got
+
+
+def edge_digests(main):
+    """(exit code, sha256, label) of every edge command, run through
+    ``main``."""
+    return [(code, _sha(data), label) for _, label, code, data in edges(main)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", type=pathlib.Path,
@@ -98,6 +145,10 @@ def main(argv=None):
         if args.dump:
             (args.dump / name).write_bytes(data)
         print(_sha(data), label)
+    for name, label, code, data in edges(cli.main):
+        if args.dump:
+            (args.dump / name).write_bytes(data)
+        print(_sha(data), f"exit {code}", label)
 
 
 if __name__ == "__main__":

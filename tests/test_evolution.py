@@ -514,7 +514,6 @@ def _close(value, reference, tol=1e-11):
                   <= tol * np.max(np.abs(reference)))
 
 
-# fixed ids, so each case keeps the name the suite has tracked it by
 @pytest.mark.parametrize("model, T, steps", [
     (_chain(2.0, 0.3), 100.0, 40000),
     (TwoLevelModel(_tl((1.0, 1.0, 0.2), (0.5, 0.5, 0.0), 1.0)), 50.0, 6000),
@@ -522,8 +521,7 @@ def _close(value, reference, tol=1e-11):
     # series, so every block is one step
     (TwoLevelModel(_tl((10.0, 25.0, 0.0), (0.0, 0.0, 0.0), math.pi / 2)),
      1000.0, 40000),
-], ids=["model0-100.0-40000-strides0", "model1-50.0-6000-strides1",
-        "model2-1000.0-40000-strides2"])
+])
 @pytest.mark.parametrize("dual", [False, True])
 def test_evolve_matches_the_scalar_oracle(model, T, steps, dual):
     # 40000 steps span two chunks

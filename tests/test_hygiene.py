@@ -7,6 +7,7 @@ those bindings must resolve too.
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import sys
 import berryline
 
 _PACKAGE = pathlib.Path(berryline.__file__).parent
+_TESTS = pathlib.Path(__file__).resolve().parent
+_BENCH = _TESTS.parent / "bench"
 
 
 def _unused_imports(path):
@@ -64,9 +67,8 @@ def _referenced(trees):
 
 
 def _tracer_constants():
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     constants = {}
-    for node in ast.parse(path.read_text()).body:
+    for node in ast.parse((_BENCH / "tracer.py").read_text()).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             name = getattr(node.targets[0], "id", None)
             if name in ("FUNCTIONS", "MODEL_CLASSES", "MODEL_METHODS"):
@@ -134,6 +136,34 @@ def test_every_binding_of_the_bench_tracer_resolves():
                     for method in constants["MODEL_METHODS"]
                     if method not in vars(cls)]
     assert not missing, missing
+
+
+# exported functions that no package path or benchmark calls, each with
+# the acceptance check that reproduces the paper through it
+_ACCEPTANCE_ONLY = {"divergence_scan": "c05", "ellip_k": "c11",
+                    "ellip_pi": "c11"}
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # code that only tests call lives in tests/, not in the contract
+    trees = _trees()
+    del trees["__init__.py"]
+    trees["workloads.py"] = ast.parse((_BENCH / "workloads.py").read_text())
+    referenced = _referenced(trees)
+    referenced |= {func for _, func in _tracer_constants()["FUNCTIONS"]}
+    functions = [name for name in berryline.__all__
+                 if inspect.isfunction(getattr(berryline, name))]
+    assert "two_level_phase_point" in functions
+    uncalled = sorted(name for name in functions if name not in referenced)
+    assert uncalled == sorted(_ACCEPTANCE_ONLY), uncalled
+    checks = {}
+    acceptance = ast.parse((_TESTS / "test_acceptance.py").read_text())
+    for node in acceptance.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_c"):
+            checks.setdefault(node.name.split("_")[1], set()).update(
+                _referenced({node.name: node}))
+    assert not [name for name, check in _ACCEPTANCE_ONLY.items()
+                if name not in checks.get(check, ())]
 
 
 def test_one_refinement_loop_serves_the_package():

@@ -2,7 +2,9 @@
 
 Runs every output of ``reference_set.py`` in-process with
 ``SOURCE_DATE_EPOCH=0``. A change that moves an output bit on purpose
-updates its digest here and says which output moved.
+updates its digest here and says which output moved. The edge commands
+pin their exit code and the digest of stdout then stderr as printed
+today, known defects included.
 The ``evolve`` outputs also run in two subprocesses, on one and on two
 OpenBLAS threads, which must print the same bytes.
 """
@@ -35,6 +37,20 @@ f354c1ea770b23d5c6f02a9a0361f1d9a2de3e5e5c7d57cb317bd36f64b28cc5
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
 
+# (exit code, sha256 of stdout then stderr), in the order of
+# reference_set.EDGES
+_EXPECTED_EDGES = [
+    (2, "6378c93cbe8d3ede32b9b810af566b14ab1bd690de401acde0c6c6c4bc85b045"),
+    (2, "ce115535cfbd69211d0a30b53dd00f60e0b7e56c979ad2ad871b1fcedb7a8ac6"),
+    (3, "57ac8a3b93fda672ae3f26611ada478d66ec3ad2943f46941f97c25935dcfb5c"),
+    (3, "5111e1decede2a4eb8c478becb458e000524a104a86e073db69c81bdb9a8ea51"),
+    (3, "5111e1decede2a4eb8c478becb458e000524a104a86e073db69c81bdb9a8ea51"),
+    (0, "aa4dc9dadebbe53b6f35967b5024053229ca006c586ebd55264e2e05629f61a8"),
+    (0, "e8266197cd7e12144c250dfcd4c4851142e4e4a7d95200d3ec0beeafda89c940"),
+    (0, "cbaf64a7b0ec7f7306d6c762b81e0f9a0f50eff3b5649c11e478827aab27bf64"),
+    (0, "765681e104bd0c02792273ce94a15c418c32487aa390c6777e337e3458f8969f"),
+]
+
 
 def test_reference_outputs_are_byte_identical(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -42,6 +58,14 @@ def test_reference_outputs_are_byte_identical(monkeypatch):
     assert len(got) == len(_EXPECTED) == 14
     for (digest, label), want in zip(got, _EXPECTED):
         assert digest == want, label
+
+
+def test_edge_outputs_keep_their_exit_codes_and_bytes(monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    got = reference_set.edge_digests(cli.main)
+    assert len(got) == len(_EXPECTED_EDGES) == 9
+    for (code, digest, label), want in zip(got, _EXPECTED_EDGES):
+        assert (code, digest) == want, label
 
 
 def test_evolve_outputs_do_not_depend_on_the_blas_thread_count():

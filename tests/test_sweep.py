@@ -1,4 +1,5 @@
-"""Phase-diagram grids, divergence-line scans, and file persistence."""
+"""Phase-diagram grids, divergence-line scans, file persistence, and the
+two-level index over a window of amplitudes."""
 
 import dataclasses
 import functools
@@ -12,17 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berryline import berry, sweep
-from berryline.berry import bipartite_phase_point
+from berryline.berry import (analytic_q, bipartite_phase_point,
+                             two_level_phase_point)
 from berryline.elliptic import _closed_form_pair
-from berryline.errors import BadResolution, BerrylineError
-from berryline.models import BIPARTITE, standard_loop
+from berryline.errors import BadResolution, BerrylineError, SingularLoop
+from berryline.models import BIPARTITE, TwoLevelParams, standard_loop
 from berryline.spectrum import (GAPLESS_TRUE_CROSSING, TYPE_I, TYPE_II,
                                 classify_region)
 from berryline.sweep import (
     divergence_scan,
     phase_diagram,
     save_phase_diagram,
-    two_level_q_map,
 )
 
 from oracles import refined_chain_rows
@@ -365,9 +366,6 @@ def test_axis_counts_above_the_cap_are_refused_before_allocation(
     with pytest.raises(BadResolution, match="^eta axis needs at most 65536 "
                                             "points, got 1099511627776$"):
         phase_diagram((0.5, 2.0), (0.1, 0.2), 2, 2 ** 40)
-    with pytest.raises(BadResolution, match="^d_x axis needs at most 65536 "
-                                            "points, got 1099511627776$"):
-        two_level_q_map((1.0, 1.0), (0.1, 2.9), (0.1, 2.9), 2 ** 40)
     with pytest.raises(BadResolution,
                        match="^q axis count must be an integer, got 2.7$"):
         phase_diagram((1.5, 2.5), (0.1, 0.2), 2.7, 1)
@@ -507,54 +505,59 @@ def test_inner_line_scan_matches_the_frame_route():
         assert abs(complex(r.gamma_b_plus, r.xi_b_plus) - gamma) <= 1e-9, eta
 
 
+def _amplitude_window(lo, hi, n):
+    # the two-level fields h = (1, 1, 0.2), d_z = 0, theta = 1, over an
+    # n x n window of amplitudes (d_x, d_y), d_x outer
+    axis = np.linspace(lo, hi, n)
+    return [TwoLevelParams(h_x=1.0, h_y=1.0, h_z=0.2, d_x=float(dx),
+                           d_y=float(dy), d_z=0.0, theta=1.0)
+            for dx in axis for dy in axis]
+
+
 def test_amplitude_map_matches_the_sign_condition():
-    qmap = two_level_q_map((1.0, 1.0), (0.1, 2.9), (0.1, 2.9), 21)
-    assert qmap.undefined_count == 0
-    assert qmap.mismatch_cells == ()
-    assert np.all(np.isfinite(qmap.numeric))
-    assert np.max(np.abs(qmap.numeric - np.round(qmap.numeric))) < 1e-6
-    assert np.array_equal(np.abs(np.round(qmap.numeric)), qmap.analytic)
+    window = _amplitude_window(0.1, 2.9, 21)
+    analytic = [analytic_q(params) for params in window]
+    assert None not in analytic
+    numeric = np.array([two_level_phase_point(params, 512).q_index
+                        for params in window])
+    assert np.all(np.isfinite(numeric))
+    assert np.max(np.abs(numeric - np.round(numeric))) < 1e-6
+    assert np.array_equal(np.abs(np.round(numeric)), analytic)
     # both the trivial and the wound phase show up on this window
-    assert qmap.analytic.min() == 0.0
-    assert qmap.analytic.max() == 1.0
-
-
-@pytest.mark.parametrize("samples, message", [
-    (24, "power-of-two sample count of at least 16, got 24"),
-    (131072, "exceeds the refinement cap 65536"),
-])
-def test_amplitude_map_refuses_a_resolution_before_any_cell(
-        monkeypatch, samples, message):
-    def no_cell(params, n0):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr(sweep, "two_level_phase_point", no_cell)
-    with pytest.raises(BadResolution, match=message):
-        two_level_q_map((1.0, 1.0), (0.3, 1.7), (0.3, 1.7), 2,
-                        samples_per_loop=samples)
+    assert min(analytic) == 0
+    assert max(analytic) == 1
 
 
 def test_amplitude_map_takes_a_loop_at_the_cap():
-    # every cell starts at its node rung, at most 32768, and the two-level
-    # loop is anchored at phi = 0 for every sample count, so a map at the
-    # cap is the map one rung below it
-    maps = [two_level_q_map((1.0, 1.0), (0.3, 1.7), (0.3, 1.7), 2,
-                            samples_per_loop=n) for n in (32768, 65536)]
-    assert maps[0].mismatch_cells == maps[1].mismatch_cells == ()
-    assert maps[0].numeric.tobytes() == maps[1].numeric.tobytes()
+    # every point starts at its node rung, at most 32768, and the two-level
+    # loop is anchored at phi = 0 for every sample count, so a point at the
+    # cap is the point one rung below it
+    for params in _amplitude_window(0.3, 1.7, 2):
+        below, at_cap = (two_level_phase_point(params, n)
+                         for n in (32768, 65536))
+        assert abs(below.q_rounded) == analytic_q(params), params
+        assert below.q_index.hex() == at_cap.q_index.hex(), params
 
 
 def test_amplitude_map_marks_singular_cells_undefined():
-    qmap = two_level_q_map((1.0, 1.0), (0.5, 1.5), (0.5, 1.5), 3)
-    assert qmap.undefined_count == 5
-    assert qmap.mismatch_cells == ()
+    window = _amplitude_window(0.5, 1.5, 3)
+    analytic = np.array([analytic_q(params) for params in window],
+                        dtype=float).reshape(3, 3)
     mask = np.array([[False, True, False],
                      [True, True, True],
                      [False, True, False]])
-    assert np.array_equal(np.isnan(qmap.numeric), mask)
-    assert np.array_equal(np.isnan(qmap.analytic), mask)
+    assert np.array_equal(np.isnan(analytic), mask)
+    # the evaluator refuses a singular loop and settles every other cell
+    # on the sign-condition value
+    for params, expected in zip(window, analytic.ravel()):
+        if math.isnan(expected):
+            with pytest.raises(SingularLoop):
+                two_level_phase_point(params, 512)
+        else:
+            assert abs(two_level_phase_point(params, 512).q_rounded) == \
+                expected, params
     # the index is 1 when both amplitudes clear their fields or neither does
-    assert qmap.analytic[0, 0] == 1.0
-    assert qmap.analytic[0, 2] == 0.0
-    assert qmap.analytic[2, 0] == 0.0
-    assert qmap.analytic[2, 2] == 1.0
+    assert analytic[0, 0] == 1.0
+    assert analytic[0, 2] == 0.0
+    assert analytic[2, 0] == 0.0
+    assert analytic[2, 2] == 1.0
