@@ -30,9 +30,9 @@ e11db8f4855f167da9bf693e9bd8bf16987d9932a749bfe0469e977d05b50958
 d60661b707271da40f63a1c34fbc874bfb59024cb71f26f073b04620f2712091
 65c922557099e156aa93e812f1db36cc0c0b93d3367e6bc07a66bd1aa192453f
 d9b7436b6323bf89b95080a066b22757aa8b253e83e57bc526c2973a651b9785
-88ae3ca14971c0d91b491665fc655e29ad92fc9a3472b10b7f69c9b0e945eb51
-0ee8d9c70338450559610bf42946aa3fcbd9a7cca10dcbd4670df236bf49a952
-34c2c8bc9c11c33d20acf629969214b23165a449c536ae4d776d1158dd3e39e4
+4e34f90f7687b48fbbe8760702cd9155f5ba10c01c72c3439803afb6075c68c3
+eb5341adaaa16c10266936352ea2e3f2b6a1f55c0cd173e18d3d3ca36cd6da4e
+95f2f4a3ea8bd3b0b2381702c0a5ce4137a8bac6f2e523a746cf7897b5ee819d
 f354c1ea770b23d5c6f02a9a0361f1d9a2de3e5e5c7d57cb317bd36f64b28cc5
 335e412ac5b0b4d71e684d3cf844d9578ff780733bee83aafa749c0d3f3db3fd
 """.split()
@@ -46,8 +46,8 @@ _EXPECTED_EDGES = [
     (3, "5111e1decede2a4eb8c478becb458e000524a104a86e073db69c81bdb9a8ea51"),
     (3, "5111e1decede2a4eb8c478becb458e000524a104a86e073db69c81bdb9a8ea51"),
     (0, "aa4dc9dadebbe53b6f35967b5024053229ca006c586ebd55264e2e05629f61a8"),
-    (0, "e8266197cd7e12144c250dfcd4c4851142e4e4a7d95200d3ec0beeafda89c940"),
-    (0, "cbaf64a7b0ec7f7306d6c762b81e0f9a0f50eff3b5649c11e478827aab27bf64"),
+    (0, "9fb57af796f684003af03b6c92f10cbf4d870fa7332756a38275d553c98629c3"),
+    (0, "647f89580b79c2c1a62c214d45cdc1cb022a8af187a7fa6de6fd61ab35832380"),
     (0, "765681e104bd0c02792273ce94a15c418c32487aa390c6777e337e3458f8969f"),
 ]
 
