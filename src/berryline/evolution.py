@@ -32,11 +32,11 @@ guarded, where its coefficients do not bound every step's growth below
 the guard's (it takes blocks of one step), or where its band energy
 series does not settle or does not bound every step's turn of c below
 the guard's; it then takes its band energies at every step as well. A
-step matrix takes two Horner chains
-per entry at its step's phasor, one product of a coarse and a fine
-table entry (``Schedule.phasors``). The state is renormalized at each
-superblock and block start, the scale kept as a running log, so no
-cycle underflows or overflows in the kernel.
+step matrix takes two Horner chains per entry at its step's phasor,
+one product of a coarse and a fine table entry (``Schedule.phasors``).
+The state is renormalized at each superblock and block start, the scale
+kept as a running log, so no cycle underflows or overflows in the
+kernel.
 
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
@@ -62,7 +62,7 @@ from .berry import global_berry_phase
 _CHUNK = 1 << 15           # steps per chunk: bounds the per-step workspace
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # evolve 0.05-0.06 s, decomposition 0.18-0.25 s (shared 2-core x86)
+_MAX_STEPS = 2 ** 24       # evolve 0.05-0.09 s, decomposition 0.18-0.40 s (shared 2-core x86)
 _FINE = 256                # drive phasors per row of the coarse x fine table
 _BLOCK = 64                # longest block of a series: its product stays below 10^64
 _SPREAD = 16.0             # widest ratio of sampled block norms a series may span
@@ -676,12 +676,13 @@ def adiabatic_decomposition(model, schedule, band):
     at every step of the blocks whose heads cannot vouch for its turn,
     and its argument accumulated continuously. The dynamical part is T
     times the mean of the band energy series, or the trapezoid of the
-    band energies at every step where the cycle is stepped whole. The loop phase is this band's of
-    ``global_berry_phase`` on the standard loop of 1024 samples, bit for
-    bit, taken before any step: a loop without one, on a two-level
-    singular line, at hopping ratio 1 or in the chain's gapless region,
-    where exceptional points sit on the loop and no band can be followed
-    around it, is refused before the cycle runs.
+    band energies at every step where the cycle is stepped whole. The
+    loop phase is this band's of ``global_berry_phase`` on the standard
+    loop of 1024 samples, bit for bit, taken before any step: a loop
+    without one, on a two-level singular line, at hopping ratio 1 or in
+    the chain's gapless region, where exceptional points sit on the loop
+    and no band can be followed around it, is refused before the cycle
+    runs.
     """
     b = band_index(band)
     r = global_berry_phase(standard_loop(model.kind, 1024), model)

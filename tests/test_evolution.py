@@ -760,41 +760,55 @@ _LEAVES_BAND = [
 ]
 
 
-@pytest.mark.parametrize("model, T, steps, band, tol", [
-    (_chain(2.0, 0.3), 200.0, 40000, "plus", 1e-11),
-    (_chain(2.0, 0.0), 200.0, 5657, "plus", 1e-11),
+@pytest.mark.parametrize("model, T, steps, band, tol, psi_tol", [
+    (_chain(2.0, 0.3), 200.0, 40000, "plus", 1e-11, 1e-11),
+    (_chain(2.0, 0.0), 200.0, 5657, "plus", 1e-11, 1e-11),
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 100.0, 2000,
-     "plus", 1e-11),
+     "plus", 1e-11, 1e-11),
     # whole identity blocks in the last superblock, then a one-step chunk
-    (_chain(2.0, 0.3), 200.0, _CHUNK + 1, "plus", 1e-11),
+    (_chain(2.0, 0.3), 200.0, _CHUNK + 1, "plus", 1e-11, 1e-11),
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 300.0,
-     _CHUNK + 1, "plus", 1e-11),
+     _CHUNK + 1, "plus", 1e-11, 1e-11),
     # refused at step 339
-    _LEAVES_BAND[0] + (1e-11,),
+    _LEAVES_BAND[0] + (1e-11, 1e-11),
     # its defect is 264; the other band's growth magnifies the rounding of
-    # the block products, so psi(T) is 2.6e-7 from the scalar steps
-    _LEAVES_BAND[1] + (1e-6,),
+    # the table phasors, so the per-step route is 4.8e-9 from the scalar
+    # steps in total_phase and 2.6e-7 in psi(T), as the block route is
+    _LEAVES_BAND[1] + (1e-8, 1e-6),
 ], ids=["model0-200.0-40000", "model1-200.0-5657", "model2-100.0-2000",
         "model3-200.0-32769", "model4-300.0-32769", "leaves-band-refused",
         "leaves-band-returned"])
-def test_decomposition_matches_the_scalar_oracle(model, T, steps, band, tol):
+def test_decomposition_matches_the_scalar_oracle(model, T, steps, band, tol,
+                                                 psi_tol, monkeypatch):
     sched = Schedule(period_T=T, steps=steps)
     system = point_system(model, 0.0)
     lam = np.conj(system.left(band))
+    routes = []
+    # the block route, then the per-step route: every state formed,
+    # projected and guarded, and the band energies at every step
+    for per_step in (False, True):
+        if per_step:
+            monkeypatch.setattr(evolution._BandEnergy, "bounds_steps",
+                                lambda self: False)
+        try:
+            routes.append(adiabatic_decomposition(model, sched, band))
+        except StepTooLarge as refused:
+            routes.append(refused.step)
     try:
         psi, log_scale, turn = scalar_rk4(model, sched, system.right(band),
                                           project=lam)
     except StepTooLarge as ref:
-        with pytest.raises(StepTooLarge) as ours:
-            adiabatic_decomposition(model, sched, band)
-        assert ours.value.step == ref.step
+        assert routes == [ref.step, ref.step]
         return
-    r = adiabatic_decomposition(model, sched, band)
+    r, stepped = routes
+    assert abs(r.total_phase - stepped.total_phase) <= 1e-11 * abs(stepped.total_phase)
+    assert abs(r.defect - stepped.defect) <= 1e-11 * max(1.0, stepped.defect)
+    assert _close(r.psi_final, stepped.psi_final)
     total = complex(turn, -(log_scale + math.log(abs(lam @ psi))))
     defect = abs(total - complex(r.gamma_d + r.gamma_g, r.xi_d + r.xi_g))
     assert abs(r.total_phase - total) <= tol * abs(total)
-    assert abs(r.defect - defect) <= tol
-    assert _close(r.psi_final, psi * math.exp(log_scale), tol)
+    assert abs(r.defect - defect) <= tol * max(1.0, defect)
+    assert _close(r.psi_final, psi * math.exp(log_scale), psi_tol)
 
 
 # the bench's rotation-covariant loops: h_x = h_y and d_x = d_y
