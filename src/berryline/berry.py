@@ -192,7 +192,7 @@ def _closed_form_region(q, eta):
     region = classify_region(q, eta).region
     lo, hi = _radicand_extremes(q, eta)
     if region == TYPE_I:
-        reads = lo <= 1e-8 * max(1.0, (1.0 + q) ** 2, eta * eta)
+        reads = lo <= 1e-8 * max(1.0, (1.0 + q) * (1.0 + q), eta * eta)
     else:
         reads = region == GAPLESS_TRUE_CROSSING and hi >= 0.0
     return region if reads else None

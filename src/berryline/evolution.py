@@ -38,6 +38,18 @@ The state is renormalized at each superblock and block start, the scale
 kept as a running log, so no cycle underflows or overflows in the
 kernel.
 
+What no cycle time changes is computed once per model: both bands' loop
+phases and kets at alpha = 0, and each band's energy samples and series
+coefficients. What a schedule fixes is computed once per cycle: the
+generator, the step polynomial, its certificate and the block series,
+which a decomposition and plain ``evolve`` on one schedule share. Both
+are kept in bounded caches, keyed by the model's class and the bit
+patterns of its params (a cycle also by its schedule and ``dual``):
+16 models of at most 147 kB each (2.4 MB) and 4 cycles of at most 1.2
+MB each, at 2^24 steps (4.8 MB). Other model objects are built afresh
+on every call. A refusal is never kept, so it is raised again, before
+any step, on every call; kept arrays are read-only.
+
 Two caveats worth knowing. Runs deep in the lossy regime are flagged
 ``strong_regime`` because fixed-order adiabatic accounting degrades
 there. And the projection reference stays pinned at alpha(0), so the
@@ -50,19 +62,22 @@ only modulo whole turns. The lossy chain is not free of this: at
 0.071 and 0.018.
 """
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmplitudeOutOfRange, BandLeakage, StepTooLarge
-from .models import _TWO_PI, _check_integer, band_index, standard_loop
+from .models import (_TWO_PI, BipartiteModel, TwoLevelModel, _check_integer,
+                     band_index, standard_loop)
 from .berry import global_berry_phase
 
 _CHUNK = 1 << 15           # steps per chunk: bounds the per-step workspace
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
-_MAX_STEPS = 2 ** 24       # evolve 0.05-0.09 s, decomposition 0.18-0.40 s (shared 2-core x86)
+_MAX_STEPS = 2 ** 24       # evolve 0.05-0.08 s, decomposition 0.18-0.32 s (shared 2-core x86)
 _FINE = 256                # drive phasors per row of the coarse x fine table
 _BLOCK = 64                # longest block of a series: its product stays below 10^64
 _SPREAD = 16.0             # widest ratio of sampled block norms a series may span
@@ -73,6 +88,8 @@ _LEAK = 0.1                # largest other-band part of c at a projected head
 _FAINT = 1e-2              # smallest |c| / |project| at a projected head
 _HEAD_TURN = 0.5           # largest turn of c~ from one projected head to the next
 _SLOW_TURN = 0.1           # allowance for c~'s own turn in one step
+_LOOPS = 16                # models whose loop constants are kept
+_CYCLES = 4                # cycles whose constants are kept
 
 
 @dataclass(frozen=True)
@@ -314,6 +331,47 @@ class _BlockSeries:
         return np.matmul(self._phasors(heads[:, None] * self.power), self.rows, out=out)
 
 
+def _kept(constants, model, *args):
+    """``constants(key, model, *args)``, kept in its bounded cache for the two families.
+
+    ``key`` is the model's class and the bit patterns of its params, so
+    0.0 and -0.0 key apart; any other model is built afresh on every
+    call, with key None. Only returns are kept: a refusal is computed
+    and raised again on every call.
+    """
+    if type(model) not in (TwoLevelModel, BipartiteModel):
+        return constants.__wrapped__(None, model, *args)
+    values = tuple(vars(model.params).values())
+    return constants((type(model), struct.pack(f"{len(values)}d", *values)),
+                     model, *args)
+
+
+def _frozen(*arrays):
+    """Make ``arrays`` read-only: a cache hands them to every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=_CYCLES)
+def _cycle_constants(key, model, schedule, dual):
+    """(generator, step polynomial, certificate, block series) of one cycle.
+
+    Through ``_kept``, entries are told apart by ``key``, ``schedule``
+    and ``dual``: a period is positive and finite, so float equality of
+    periods is equality of their bits. A worst-case entry, at 2^24
+    steps, holds 1.2 MB, most of it the series' coarse phasor table.
+    ``adiabatic_decomposition`` and plain ``evolve`` on one schedule
+    share the entry, one fit.
+    """
+    generator = _generator(model, dual)
+    poly = _step_polynomial(generator, schedule)
+    certified = (np.abs(poly).sum(axis=0) ** 2).sum() < _GROWTH_LIMIT_SQ
+    series = _BlockSeries(poly, schedule, _BLOCK if certified else 1)
+    _frozen(generator, poly, *(v for v in vars(series).values()
+                               if isinstance(v, np.ndarray)))
+    return generator, poly, certified, series
+
+
 @np.errstate(all="ignore")
 def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
     """One cycle of ``schedule`` from psi: (state, log_scale, turn).
@@ -332,7 +390,8 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
     matmul of fixed shape per chunk. A cycle the certificate does not
     cover takes blocks of one step, read directly, and runs every guard
     on every step. The cycle's last block, which may be short, takes the
-    product of its own step matrices.
+    product of its own step matrices. The step polynomial, the
+    certificate and the series are the cycle's ``_cycle_constants``.
 
     A pairwise tree gives each superblock's product and a walk over the
     superblocks their unit starts, the scale kept as a running log, so
@@ -349,10 +408,7 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
     """
     steps = schedule.steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
-    generator = _generator(model, dual)
-    poly = _step_polynomial(generator, schedule)
-    certified = (np.abs(poly).sum(axis=0) ** 2).sum() < _GROWTH_LIMIT_SQ
-    series = _BlockSeries(poly, schedule, _BLOCK if certified else 1)
+    generator, poly, certified, series = _kept(_cycle_constants, model, schedule, dual)
     length = series.length
     at_heads = (project is not None and series.rows is not None
                 and energy.bounds_steps())
@@ -578,18 +634,45 @@ def evolve(model, schedule, psi0, dual=False):
     return psi_final
 
 
-class _BandEnergy:
-    """The followed band's energy E_b over one cycle, from one Fourier series.
+@functools.lru_cache(maxsize=_LOOPS)
+@np.errstate(all="ignore")
+def _band_samples(key, model):
+    """Per band, the samples and coefficients (K, e, a) of its energy series, or None.
 
     E_b is analytic and periodic in the drive wherever the loop is gapped,
     so one short series gives it at any phasor (Trefethen & Weideman, as
     in ``_BlockSeries``). ``model.energies`` samples both bands at K roots
     of unity, its branch anchored at u = 1 as the per-step route anchors
-    it, and one FFT gives E_b's coefficients a_J. K doubles from 16 until
-    the top quarter of them sits at rounding. The series gives ``total``
-    = T a_0, the integral over the cycle, and ``max_im_half_gap``;
-    ``at`` gives E_b and Re int E_b dt at block heads. ``coef`` is None
-    where K passes _MAX_SAMPLES first.
+    it, and one FFT gives band b's coefficients a_J. K doubles from 16
+    until the top quarter of them sits at rounding; a band is None where
+    K passes _MAX_SAMPLES first. No cycle time enters, so ``_kept`` keeps
+    them per model: at most 147 kB, with the bands settled at 2048 and
+    1024 samples.
+    """
+    settled, size = [None, None], 16
+    while None in settled and size <= _MAX_SAMPLES:
+        e = model.energies(np.exp((2j * math.pi / size) * np.arange(size)))
+        for b in (0, 1):
+            if settled[b] is not None:
+                continue
+            a = np.fft.fft(e[b]) / size
+            # written so that a non-finite coefficient fails it too
+            if (np.abs(a[3 * size // 8:5 * size // 8 + 1]).max()
+                    <= _ROUNDING * np.abs(a).max()):
+                _frozen(e, a)
+                settled[b] = size, e, a
+        size *= 2
+    return tuple(settled)
+
+
+class _BandEnergy:
+    """The followed band's energy E_b over one cycle, from one Fourier series.
+
+    The series is band b's of ``_band_samples``, kept per model; this
+    instance adds what the cycle time sets. It gives ``total`` = T a_0,
+    the integral over the cycle, and ``max_im_half_gap``; ``at`` gives
+    E_b and Re int E_b dt at block heads. ``coef`` is None where the
+    series did not settle.
 
     On the per-step route, ``restart`` clears ``total`` and
     ``max_im_half_gap``, and each chunk and its buffer fed to the
@@ -602,18 +685,11 @@ class _BandEnergy:
     def __init__(self, model, schedule, band):
         self.model, self.band, self.coef = model, band, None
         self.h = schedule.period_T / schedule.steps
-        size = 16
-        while size <= _MAX_SAMPLES:
-            e = model.energies(np.exp((2j * math.pi / size) * np.arange(size)))
-            a = np.fft.fft(e[band]) / size
-            # written so that a non-finite coefficient fails it too
-            if (np.abs(a[3 * size // 8:5 * size // 8 + 1]).max()
-                    <= _ROUNDING * np.abs(a).max()):
-                break
-            size *= 2
-        else:
+        settled = _kept(_band_samples, model)[band]
+        if settled is None:
             self.restart()
             return
+        size, e, a = settled
         self.coef, self.power = a, np.r_[0:size // 2, -(size // 2):0]
         self.total = schedule.period_T * complex(a[0])
         self.rate = self.h * float(a[0].real)
@@ -668,6 +744,25 @@ class _BandEnergy:
         self.last = complex(e[0, -1])
 
 
+@functools.lru_cache(maxsize=_LOOPS)
+def _loop_constants(key, model):
+    """Both bands' loop phases and their kets (right, conjugated left) at alpha = 0.
+
+    The loop phases are ``global_berry_phase``'s on the standard loop of
+    1024 samples, so a loop without one raises its refusal here. No
+    cycle time enters, so ``_kept`` keeps them per model.
+    """
+    r = global_berry_phase(standard_loop(model.kind, 1024), model)
+    frame = model.eigen_path(np.array([0.0]))
+    # alpha(T) = 2 pi is one full period past alpha(0) = 0, where the
+    # single-point closed-form frame coincides with the one at alpha(0),
+    # so both end-of-cycle projections use the frame built here
+    kets = tuple((frame.right[:, b, 0], np.conj(frame.left[:, b, 0])) for b in (0, 1))
+    _frozen(*(v for pair in kets for v in pair))
+    return ((complex(r.gamma_b_plus, r.xi_b_plus),
+             complex(r.gamma_b_minus, r.xi_b_minus)), kets)
+
+
 def adiabatic_decomposition(model, schedule, band):
     """Evolve one band eigenstate through a cycle and split its phase.
 
@@ -685,16 +780,9 @@ def adiabatic_decomposition(model, schedule, band):
     runs.
     """
     b = band_index(band)
-    r = global_berry_phase(standard_loop(model.kind, 1024), model)
-    gamma_geo = (complex(r.gamma_b_plus, r.xi_b_plus),
-                 complex(r.gamma_b_minus, r.xi_b_minus))[b]
-    frame = model.eigen_path(np.array([0.0]))
-    psi = frame.right[:, b, 0]
-    # alpha(T) = 2 pi is one full period past alpha(0) = 0, where the
-    # single-point closed-form frame coincides with the one at alpha(0),
-    # so both end-of-cycle projections use the frame built here
-    lam_sel = np.conj(frame.left[:, b, 0])
-    lam_oth = np.conj(frame.left[:, 1 - b, 0])
+    gammas, kets = _kept(_loop_constants, model)
+    psi, lam_sel = kets[b]
+    lam_oth = kets[1 - b][1]
     energy = _BandEnergy(model, schedule, b)
     state, log_scale, accum = _propagate(model, schedule, psi,
                                          project=lam_sel, energy=energy)
@@ -712,6 +800,7 @@ def adiabatic_decomposition(model, schedule, band):
 
     gamma_dyn = -energy.total
     strong_regime = energy.max_im_half_gap * schedule.period_T / _TWO_PI > 50.0
+    gamma_geo = gammas[b]
     defect = abs(total_phase - (gamma_dyn + gamma_geo))
     with np.errstate(over="ignore"):
         psi_final = state * np.exp(log_scale)

@@ -142,7 +142,7 @@ def verify_region(q, eta, k_samples=1024):
     if k_samples & 1:
         k_samples += 1  # keep 0 and pi on the grid
     analytic = classify_region(q, eta)
-    scale = max(1.0, (1.0 + q) ** 2, eta * eta)
+    scale = max(1.0, (1.0 + q) * (1.0 + q), eta * eta)
 
     # the frame's radicand, anchored at its extreme nearer zero, keeps the
     # digits of the TYPE_I strip next to q = 1 in the scan and the bisection

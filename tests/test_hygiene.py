@@ -248,3 +248,20 @@ def test_the_package_reads_one_variable_and_starts_no_process():
             pools += [f"{module}: {name}" for name in names if name.split(
                 ".")[0] in ("concurrent", "multiprocessing")]
     assert not pools, pools
+
+
+def test_every_package_cache_that_takes_arguments_is_bounded():
+    # a cache keyed by its arguments grows with every new key in a
+    # long-lived process unless its size is capped
+    caches = {}
+    for path in sorted(_PACKAGE.glob("*.py")):
+        name = "berryline" if path.stem == "__init__" else f"berryline.{path.stem}"
+        for value in vars(importlib.import_module(name)).values():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[value.__qualname__] = value
+    keyed = {name: fn.cache_parameters()["maxsize"] for name, fn in caches.items()
+             if inspect.signature(fn.__wrapped__).parameters}
+    assert {"_band_samples", "_cycle_constants", "_loop_constants"} <= set(keyed)
+    assert "_shared_parser" in caches and "_shared_parser" not in keyed
+    unbounded = sorted(name for name, size in keyed.items() if size is None)
+    assert not unbounded, unbounded
