@@ -27,13 +27,16 @@ the branch tracked is that of c exp(i Phi), which turns only by the
 geometric and non-adiabatic phase. Blocks whose heads cannot show that
 it turns slowly and stays clear of zero are stepped one at a time: their
 states are formed from the block's start through its step matrices and
-every step's turn of c is guarded. A cycle is stepped whole, every step
-guarded, where its coefficients do not bound every step's growth below
-the guard's (it takes blocks of one step), or where its band energy
-series does not settle or does not bound every step's turn of c below
-the guard's; it then takes its band energies at every step as well. A
-step matrix takes two Horner chains per entry at its step's phasor,
-one product of a coarse and a fine table entry (``Schedule.phasors``).
+every step's turn of c is guarded. Every block is stepped where the band
+energy series does not settle or does not bound every step's turn of c
+below the guard's; where it does not settle, the dynamical phase is the
+trapezoid of the band energies on the step grid. A cycle whose
+coefficients do not bound every step's growth below the guard's, or
+whose block products no series fits, takes blocks of one step: its
+heads are its steps, each guarded on its turn of c and, uncertified,
+on its growth. A step matrix takes two Horner chains per entry at its
+step's phasor, one product of a coarse and a fine table entry
+(``Schedule.phasors``).
 The state is renormalized at each superblock and block start, the scale
 kept as a running log, so no cycle underflows or overflows in the
 kernel.
@@ -74,7 +77,7 @@ from .models import (_TWO_PI, BipartiteModel, TwoLevelModel, _check_integer,
                      band_index, standard_loop)
 from .berry import global_berry_phase
 
-_CHUNK = 1 << 15           # steps per chunk: bounds the per-step workspace
+_CHUNK = 1 << 15           # steps per chunk: bounds the workspace of its step matrices
 _GROWTH_LIMIT_SQ = 100.0   # squared norm growth allowed in one step
 _MAX_TURN = 1.5            # largest per-step turn of c(t) the branch tracking trusts
 _MAX_STEPS = 2 ** 24       # evolve 0.05-0.08 s, decomposition 0.18-0.32 s (shared 2-core x86)
@@ -388,45 +391,38 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
     < 100 is certified: no step of it can grow the norm that much. Its
     blocks of L steps read their products off one ``_BlockSeries``, a
     matmul of fixed shape per chunk. A cycle the certificate does not
-    cover takes blocks of one step, read directly, and runs every guard
-    on every step. The cycle's last block, which may be short, takes the
+    cover, or whose products no series fits, takes blocks of one step,
+    read directly. The cycle's last block, which may be short, takes the
     product of its own step matrices. The step polynomial, the
     certificate and the series are the cycle's ``_cycle_constants``.
 
     A pairwise tree gives each superblock's product and a walk over the
     superblocks their unit starts, the scale kept as a running log, so
-    no cycle underflows or overflows in the kernel. ``_sweep`` forms the
-    states that are read: within superblocks to each block's start, then
-    within blocks to each step, vectorized across blocks.
+    no cycle underflows or overflows in the kernel. Where they are read,
+    ``_sweep`` forms the block heads within each superblock, vectorized
+    across superblocks. Blocks of one step have the steps for heads, so
+    an uncertified cycle guards every step's growth on its heads' norms.
 
-    A certified cycle with a block series projects at the block heads
-    (``_head_turns``) when its band energy series bounds the turn of any
-    step below the guard's; only the blocks whose heads cannot show it
-    are stepped. Any other cycle with a projection forms every state,
-    projects it and turns it, and feeds ``energy`` its band energies at
-    every step.
+    With a projection, ``_head_turns`` turns c over each chunk's blocks
+    from their heads and steps the blocks they cannot vouch for; it is
+    the one reader of ``energy``.
     """
     steps = schedule.steps
     state, log_scale, turn = np.asarray(psi, dtype=complex), 0.0, 0.0
     generator, poly, certified, series = _kept(_cycle_constants, model, schedule, dual)
     length = series.length
-    at_heads = (project is not None and series.rows is not None
-                and energy.bounds_steps())
-    feed = energy.restart() if project is not None and not at_heads else None
-    dense = not certified or feed is not None
-    # the matrices of every step: where states are read, or the blocks are steps
-    every = dense or series.rows is None
+    # the matrices of every step where the blocks are steps
+    every = series.rows is None
     # block b = s * _GROUP + j of superblock s holds steps b * length + k
     # of its chunk; padding steps, whole blocks too, get M = I
     nsuper = -(-min(steps, _CHUNK) // (length * _GROUP))
     nblocks = nsuper * _GROUP
     npad = length * nblocks
-    # work: phasors and energies, step matrices, then c, its shift, turns
-    # and flags; Horner rows, then states; the grid
+    # work: phasors, then step matrices and Horner rows; the grid
     work = np.empty(7 * (npad if every else length), dtype=complex)
     tops = np.empty((_GROUP, 2, 2, nsuper), dtype=complex)
     starts = np.empty((_GROUP + 1, 2, nsuper), dtype=complex)
-    spare = np.empty((2, nblocks), dtype=complex)
+    spare = np.empty((2, nsuper), dtype=complex)
     products = np.empty((_GROUP, nsuper, 4), dtype=complex)
     for step0 in range(0, steps, _CHUNK):
         m = min(_CHUNK, steps - step0)
@@ -438,8 +434,6 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
             # every block's step matrices, or the last block's alone
             u = (schedule.phasors(step0, npad + 1, out=work) if every
                  else schedule.phasors(step0 + b * length, length + 1))
-            if feed is not None:
-                feed(u[:m + 1], work[npad + 1:npad + 2 * m + 3].reshape(2, -1))
             count = npad if every else length
             grid = work[6 * count:7 * count].reshape(length, -1)
             grid[...] = u[:-1].reshape(-1, length).T
@@ -454,8 +448,7 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
             s, j = divmod(np.arange(serial, nblocks), _GROUP)
             tops[j, :, :, s] = np.eye(2)
             if last:
-                tops[b % _GROUP, :, :, b // _GROUP] = _product(
-                    mats[..., b if every else 0])
+                tops[b % _GROUP, :, :, b // _GROUP] = _product(mats[..., 0])
         # the log scale of each superblock: its blocks that read the series
         plogs = np.where(np.arange(nblocks) < serial, series.log_scale, 0.0)
         (x, y), heads = state.tolist(), []
@@ -468,38 +461,18 @@ def _propagate(model, schedule, psi, dual=False, project=None, energy=None):
             heads.append((x, y))
             x, y, log_scale = p11 * x + p12 * y, p21 * x + p22 * y, log_scale + plog
         state = np.array([x, y])
-        if not (dense or at_heads):
+        if certified and project is None:
             continue
         # block j of superblock s starts at its first j blocks times its
         # head, and ends at its first j + 1
         starts[0] = np.array(heads).T
-        _sweep(tops, starts[0], starts[1:], spare[:, :nsuper])
-        if at_heads:
+        _sweep(tops, starts[0], starts[1:], spare)
+        n2 = None if certified else np.linalg.norm(starts, axis=1) ** 2
+        if project is None:
+            _guard(step0, b + 1, n2)
+        else:
             turn += _head_turns(starts, b + 1, step0, m, project, generator,
-                                energy, series, poly)
-            continue
-        starts_b = _unit(starts[:-1].transpose(1, 2, 0).reshape(2, nblocks))
-        states = work[4 * npad:6 * npad].reshape(length, 2, nblocks)
-        _sweep(mats, starts_b, states, spare)
-        bad = grown = np.zeros((length, nblocks), dtype=bool)
-        if not certified:
-            n2 = np.linalg.norm(states, axis=1) ** 2
-            before = np.vstack([np.linalg.norm(starts_b, axis=0) ** 2, n2[:-1]])
-            # written so that a norm that is not finite fails it too
-            bad = grown = ~(n2 <= _GROWTH_LIMIT_SQ * before)
-        if project is not None:
-            c, shifted = work[:2 * npad].reshape(2, length, nblocks)
-            turns = work[2 * npad:3 * npad].view(float)[:npad].reshape(length, -1)
-            flags = work[3 * npad:4 * npad].view(bool)[:npad].reshape(length, -1)
-            _turns(project, starts_b, states, c, shifted, turns)
-            turn += float(turns.sum())
-            np.greater(np.abs(turns, out=turns), _MAX_TURN, out=flags)
-            bad = np.logical_or(grown, flags, out=flags)
-        k, b = np.nonzero(bad)
-        if k.size:
-            step = step0 + int((b * length + k).min())
-            b, k = divmod(step - step0, length)
-            _refuse(step, float(np.sqrt(n2[k, b] / before[k, b])) if grown[k, b] else None)
+                                energy, series, poly, n2)
     return state, log_scale, turn
 
 
@@ -511,20 +484,6 @@ def _unit(states):
     return states
 
 
-def _turns(project, starts, states, c, shifted, turns):
-    """The angle of c = project . psi at each step over c at the step before, into ``turns``.
-
-    ``states`` (L, 2, n) follow the unit ``starts`` (2, n); c and
-    ``shifted`` are (L, n) complex rows, ``turns`` (L, n) floats.
-    """
-    np.matmul(project, states, out=c)
-    np.matmul(project, starts, out=shifted[0])
-    np.conjugate(c[:-1], out=shifted[1:])
-    np.conjugate(shifted[0], out=shifted[0])
-    np.multiply(c, shifted, out=shifted)
-    np.arctan2(shifted.imag, shifted.real, out=turns)
-
-
 def _refuse(step, growth=None):
     """Raise StepTooLarge for ``step``: its norm growth, or a turn of c over 1.5 rad."""
     what = ("the band amplitude turned over 1.5 rad" if growth is None
@@ -534,52 +493,89 @@ def _refuse(step, growth=None):
                        "follow this spectrum", step=step, growth=growth)
 
 
-def _head_turns(rows, nb, step0, m, project, generator, energy, series, poly):
+def _guard(step0, nb, n2, turned=None):
+    """Raise StepTooLarge at the first of a chunk's nb one-step blocks that fails a guard.
+
+    The heads are the steps: block k is step step0 + k, from head k to
+    head k + 1. For an uncertified cycle, ``n2`` holds the squared norms
+    of the heads, (_GROUP + 1, nsuper) as the superblocks hold them, and
+    a step fails that grows it a hundredfold or leaves it without a
+    finite value; a certified cycle passes None. ``turned`` holds the
+    blocks' turns of c, and a turn over _MAX_TURN fails.
+    """
+    bad = np.zeros(nb, dtype=bool) if turned is None else np.abs(turned) > _MAX_TURN
+    if n2 is not None:
+        # written so that a norm that is not finite fails it too
+        grown = ~(n2[1:] <= _GROWTH_LIMIT_SQ * n2[:-1]).T.ravel()[:nb]
+        bad |= grown
+    if bad.any():
+        k = int(bad.argmax())
+        s, j = divmod(k, _GROUP)
+        _refuse(step0 + k, float(np.sqrt(n2[j + 1, s] / n2[j, s]))
+                if n2 is not None and grown[k] else None)
+
+
+def _head_turns(rows, nb, step0, m, project, generator, energy, series, poly, n2):
     """The turn of c = project . psi over the nb blocks of a chunk of m steps, from their heads.
 
     rows[j, :, s] is the state at head j = 0 .. _GROUP of superblock s, the
     start of its block j and the end of its block j - 1, as the block
-    products give it from the superblock's head. With the dynamical phase
-    Phi = Re int E_b dt divided out, c~ = c exp(i Phi) turns only by the
-    geometric and non-adiabatic phase (and RK4's phase error), so a block
-    turns c by the principal angle of c~ at its end over c~ at its start,
-    minus its Phi. That holds where the heads show that c~ turns slowly and
-    stays clear of zero: c~ turns at most _HEAD_TURN, and at both heads |c|
-    is at least _FAINT |project| |psi| and the other band's part of c at
-    most _LEAK of the followed band's. The parts come from the spectral
-    projectors: with K = H - tr H / 2 and e = E_b - tr H / 2 at a head,
-    project . (K + e) psi and project . (K - e) psi are the followed and
-    the other band's parts times 2 e and -2 e. Every other block is
-    stepped one at a time, as the per-step route steps it.
+    products give it from the superblock's head. Where the blocks are
+    single steps, the angle of c from head to head is a step's turn, and
+    ``_guard`` refuses the first that turns c over _MAX_TURN or, by the
+    squared head norms ``n2`` of an uncertified cycle, grows too much.
+
+    Longer blocks: with the dynamical phase Phi = Re int E_b dt divided
+    out, c~ = c exp(i Phi) turns only by the geometric and non-adiabatic
+    phase (and RK4's phase error), so a block turns c by the principal
+    angle of c~ at its end over c~ at its start, minus its Phi. That holds
+    where the heads show that c~ turns slowly and stays clear of zero: c~
+    turns at most _HEAD_TURN, and at both heads |c| is at least _FAINT
+    |project| |psi| and the other band's part of c at most _LEAK of the
+    followed band's. The parts come from the spectral projectors: with K
+    = H - tr H / 2 and e = E_b - tr H / 2 at a head, project . (K + e) psi
+    and project . (K - e) psi are the followed and the other band's parts
+    times 2 e and -2 e. Every other block is stepped one at a time by
+    ``_stepped_turns``; so is every block where ``energy`` does not bound
+    a step's turn of c (``bounds_steps``).
     """
     length, nsuper = series.length, rows.shape[2]
-    at = np.minimum(step0 + length * (_GROUP * np.arange(nsuper)
-                                      + np.arange(_GROUP + 1)[:, None]), step0 + m)
-    e, phi, e_end, phi_end = energy.at(series, at[0], step0 + m)
-    # the chunk's last block may be short: it ends where the chunk does
-    s, j = divmod(nb - 1, _GROUP)
-    e[j + 1, s], phi[j + 1, s] = e_end, phi_end
-    u = series._phasors(at)
-    ubar = np.conj(u)
-    trace = np.trace(generator, axis1=1, axis2=2)
-    e -= 0.5 * (trace[0] * ubar + trace[1] + trace[2] * u)
-    lk = project @ (generator - 0.5 * trace[:, None, None] * np.eye(2))
     x, y = rows[:, 0], rows[:, 1]
     c = project[0] * x + project[1] * y
-    k = ((lk[0, 0] * x + lk[0, 1] * y) * ubar + lk[1, 0] * x + lk[1, 1] * y
-         + (lk[2, 0] * x + lk[2, 1] * y) * u)
-    e *= c
-    # written so that a NaN fails each test too
-    clear = ((np.abs(k - e) <= _LEAK * np.abs(k + e))
-             & (np.abs(c) >= _FAINT * np.linalg.norm(project) * np.hypot(np.abs(x), np.abs(y))))
-    dphi = energy.rate * np.diff(at, axis=0) + np.diff(phi, axis=0)
-    turned = c[1:] * np.conj(c[:-1]) * np.exp(1j * dphi)
-    turned = np.arctan2(turned.imag, turned.real)
-    slow = (np.abs(turned) <= _HEAD_TURN) & clear[:-1] & clear[1:]
-    turned -= dphi
-    # block s _GROUP + j at [j, s]
-    turned, slow = turned.T.ravel()[:nb], slow.T.ravel()[:nb]
-    stepped = np.flatnonzero(~slow)
+    turned = c[1:] * np.conj(c[:-1])
+    if length == 1:
+        # block s _GROUP + j at [j, s]
+        turned = np.arctan2(turned.imag, turned.real).T.ravel()[:nb]
+        _guard(step0, nb, n2, turned)
+        return float(turned.sum())
+    if energy.bounds_steps():
+        at = np.minimum(step0 + length * (_GROUP * np.arange(nsuper)
+                                          + np.arange(_GROUP + 1)[:, None]), step0 + m)
+        e, phi, e_end, phi_end = energy.at(series, at[0], step0 + m)
+        # the chunk's last block may be short: it ends where the chunk does
+        s, j = divmod(nb - 1, _GROUP)
+        e[j + 1, s], phi[j + 1, s] = e_end, phi_end
+        u = series._phasors(at)
+        ubar = np.conj(u)
+        trace = np.trace(generator, axis1=1, axis2=2)
+        e -= 0.5 * (trace[0] * ubar + trace[1] + trace[2] * u)
+        lk = project @ (generator - 0.5 * trace[:, None, None] * np.eye(2))
+        k = ((lk[0, 0] * x + lk[0, 1] * y) * ubar + lk[1, 0] * x + lk[1, 1] * y
+             + (lk[2, 0] * x + lk[2, 1] * y) * u)
+        e *= c
+        # written so that a NaN fails each test too
+        clear = ((np.abs(k - e) <= _LEAK * np.abs(k + e))
+                 & (np.abs(c) >= _FAINT * np.linalg.norm(project) * np.hypot(np.abs(x), np.abs(y))))
+        dphi = energy.rate * np.diff(at, axis=0) + np.diff(phi, axis=0)
+        turned *= np.exp(1j * dphi)
+        turned = np.arctan2(turned.imag, turned.real)
+        slow = (np.abs(turned) <= _HEAD_TURN) & clear[:-1] & clear[1:]
+        turned -= dphi
+        # block s _GROUP + j at [j, s]
+        turned, slow = turned.T.ravel()[:nb], slow.T.ravel()[:nb]
+        stepped = np.flatnonzero(~slow)
+    else:
+        turned, stepped = np.empty(nb), np.arange(nb)
     if stepped.size:
         s, j = divmod(stepped, _GROUP)
         turned[stepped] = _stepped_turns(_unit(rows[j, :, s].T), step0 + length * stepped,
@@ -590,18 +586,18 @@ def _head_turns(rows, nb, step0, m, project, generator, energy, series, poly):
 def _stepped_turns(starts, firsts, end, project, series, poly):
     """The turn of c over blocks from unit ``starts`` (2, n) at steps ``firsts``, step by step.
 
-    Every step's matrix, state and angle, vectorized across the blocks;
-    steps from ``end`` on take M = I. Raises StepTooLarge at the first
-    step that turns c over _MAX_TURN.
+    Every step's matrix, state and angle of c over c at the step before,
+    vectorized across the blocks; steps from ``end`` on take M = I.
+    Raises StepTooLarge at the first step that turns c over _MAX_TURN.
     """
     n = firsts + np.arange(series.length)[:, None]
     mats = _laurent(poly, series._phasors(n), np.empty(6 * n.size, dtype=complex))
     mats.transpose(0, 3, 1, 2)[n >= end] = np.eye(2)
     states = np.empty((series.length, 2, n.shape[1]), dtype=complex)
     _sweep(mats, starts, states, np.empty_like(starts))
-    c, shifted = np.empty((2,) + n.shape, dtype=complex)
-    turns = np.empty(n.shape)
-    _turns(project, starts, states, c, shifted, turns)
+    c = project @ states
+    turns = c * np.conj(np.vstack([project @ starts, c[:-1]]))
+    turns = np.arctan2(turns.imag, turns.real)
     bad = np.abs(turns) > _MAX_TURN
     if bad.any():
         _refuse(int(n[bad].min()))
@@ -611,11 +607,12 @@ def _stepped_turns(starts, firsts, end, project, series, poly):
 def evolve(model, schedule, psi0, dual=False):
     """Integrate one cycle from psi0; returns psi(T), one state of shape (2,).
 
-    Classical 4th-order stepping at fixed step T/steps, with matrix
-    entries streamed in chunks. A single step growing the squared norm a
-    hundredfold aborts the run: the step size is unstable against the
-    local spectrum, and no later result would mean anything. A final
-    state outside the floating-point range raises AmplitudeOutOfRange.
+    Classical 4th-order stepping at fixed step T/steps, the matrix
+    entries read once per cycle at u = 1, i and -1. A single step growing
+    the squared norm a hundredfold aborts the run: the step size is
+    unstable against the local spectrum, and no later result would mean
+    anything. A final state outside the floating-point range raises
+    AmplitudeOutOfRange.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     if not np.all(np.isfinite(psi0)):
@@ -642,10 +639,10 @@ def _band_samples(key, model):
     E_b is analytic and periodic in the drive wherever the loop is gapped,
     so one short series gives it at any phasor (Trefethen & Weideman, as
     in ``_BlockSeries``). ``model.energies`` samples both bands at K roots
-    of unity, its branch anchored at u = 1 as the per-step route anchors
-    it, and one FFT gives band b's coefficients a_J. K doubles from 16
-    until the top quarter of them sits at rounding; a band is None where
-    K passes _MAX_SAMPLES first. No cycle time enters, so ``_kept`` keeps
+    of unity, its branch anchored at u = 1 as the step grid's trapezoid
+    anchors its first chunk, and one FFT gives band b's coefficients a_J.
+    K doubles from 16 until the top quarter of them sits at rounding; a
+    band is None where K passes _MAX_SAMPLES first. No cycle time enters, so ``_kept`` keeps
     them per model: at most 147 kB, with the bands settled at 2048 and
     1024 samples.
     """
@@ -672,32 +669,38 @@ class _BandEnergy:
     instance adds what the cycle time sets. It gives ``total`` = T a_0,
     the integral over the cycle, and ``max_im_half_gap``; ``at`` gives
     E_b and Re int E_b dt at block heads. ``coef`` is None where the
-    series did not settle.
-
-    On the per-step route, ``restart`` clears ``total`` and
-    ``max_im_half_gap``, and each chunk and its buffer fed to the
-    instance adds its steps' trapezoid instead, with its own branch
-    anchor. The root's sign is re-matched at each seam against the
-    previous chunk's last value: the ambiguity flips both bands.
+    series did not settle; ``total`` is then the trapezoid of the band
+    energies on the step grid, and ``max_im_half_gap`` their extreme,
+    taken chunk by chunk, each chunk on the branch of its own anchor. The
+    root's sign is re-matched at each seam against the previous chunk's
+    last value: the ambiguity flips both bands.
     """
 
     @np.errstate(all="ignore")
     def __init__(self, model, schedule, band):
-        self.model, self.band, self.coef = model, band, None
-        self.h = schedule.period_T / schedule.steps
+        self.coef, h = None, schedule.period_T / schedule.steps
         settled = _kept(_band_samples, model)[band]
         if settled is None:
-            self.restart()
+            self.total, self.max_im_half_gap, last = 0.0 + 0.0j, 0.0, None
+            for step0 in range(0, schedule.steps, _CHUNK):
+                e = model.energies(schedule.phasors(
+                    step0, min(_CHUNK, schedule.steps - step0) + 1))
+                if last is not None and abs(e[0, 0] + last) < abs(e[0, 0] - last):
+                    e = e[::-1]
+                sel, last = e[band], complex(e[0, -1])
+                self.total += h * (sel.sum() - 0.5 * (sel[0] + sel[-1]))
+                self.max_im_half_gap = max(self.max_im_half_gap, float(
+                    np.abs(np.imag(0.5 * (e[0] - e[1]))).max()))
             return
         size, e, a = settled
         self.coef, self.power = a, np.r_[0:size // 2, -(size // 2):0]
         self.total = schedule.period_T * complex(a[0])
-        self.rate = self.h * float(a[0].real)
+        self.rate = h * float(a[0].real)
         self.max_im_half_gap = float(np.abs(0.5 * (e[0] - e[1]).imag).max())
         # a step turns a band's part of c by the angle of RK4's stability
         # function R(z) at z = -i h E; the other band's part, up to _LEAK of
         # the followed band's, turns c by as much as its ratio moves
-        z = -1j * self.h * e
+        z = -1j * h * e
         r = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
         self.step_turn = float(np.abs(np.angle(r[band])).max() + _LEAK / (1.0 - _LEAK)
                                * np.abs(r[1 - band] / r[band] - 1.0).max())
@@ -728,21 +731,6 @@ class _BandEnergy:
         tail = powers[-1] @ self.rows[0]
         return heads[..., 0], heads[..., 1].real, tail[0], tail[1].real
 
-    def restart(self):
-        """Clear the integral and the extremes for the trapezoid; returns self."""
-        self.total, self.max_im_half_gap, self.last = 0.0 + 0.0j, 0.0, None
-        return self
-
-    def __call__(self, phasors, out=None):
-        e, last = self.model.energies(phasors, out), self.last
-        if last is not None and abs(e[0, 0] + last) < abs(e[0, 0] - last):
-            e = e[::-1]
-        sel = e[self.band]
-        self.total += self.h * (sel.sum() - 0.5 * (sel[0] + sel[-1]))
-        self.max_im_half_gap = max(self.max_im_half_gap, float(
-            np.abs(np.imag(0.5 * (e[0] - e[1]))).max()))
-        self.last = complex(e[0, -1])
-
 
 @functools.lru_cache(maxsize=_LOOPS)
 def _loop_constants(key, model):
@@ -771,7 +759,7 @@ def adiabatic_decomposition(model, schedule, band):
     at every step of the blocks whose heads cannot vouch for its turn,
     and its argument accumulated continuously. The dynamical part is T
     times the mean of the band energy series, or the trapezoid of the
-    band energies at every step where the cycle is stepped whole. The
+    band energies on the step grid where that series does not settle. The
     loop phase is this band's of ``global_berry_phase`` on the standard
     loop of 1024 samples, bit for bit, taken before any step: a loop
     without one, on a two-level singular line, at hopping ratio 1 or in

@@ -26,6 +26,7 @@ from berryline.models import (
     BipartiteParams,
     TwoLevelModel,
     TwoLevelParams,
+    band_index,
     standard_loop,
 )
 from berryline.quadrature import pearson_line
@@ -196,7 +197,8 @@ def test_every_chunk_reads_its_slice_of_the_cycle_grid(steps, monkeypatch):
 
 
 @pytest.mark.parametrize("sign_region", ["positive", "negative"])
-def test_two_level_energies_take_the_unwrapped_branch(sign_region):
+def test_two_level_energies_take_the_unwrapped_branch(sign_region,
+                                                      monkeypatch):
     # the principal root with sign flips against the former np.unwrap
     # form: the same branch at every sample, to rounding
     rng = np.random.default_rng([7, sign_region == "positive"])
@@ -215,15 +217,20 @@ def test_two_level_energies_take_the_unwrapped_branch(sign_region):
             left.append(p)
     assert len(left) >= 30
     # a cycle of three chunks: the series reads the whole cycle's branch
-    # from u = 1, and the per-step route's trapezoid takes each chunk on
-    # the branch of its own anchor, re-matched at the seams
+    # from u = 1; where no series settles, the step grid's trapezoid takes
+    # each chunk on the branch of its own anchor, re-matched at the seams
     sched = Schedule(period_T=7000.0, steps=2 * _CHUNK + 5000)
     whole = sched.phasors(0, sched.steps + 1)
     h = sched.period_T / sched.steps
     for p in left[:4]:
         model = TwoLevelModel(p)
         fitted = [_BandEnergy(model, sched, b) for b in (0, 1)]
-        integrals = [_BandEnergy(model, sched, b).restart() for b in (0, 1)]
+        with monkeypatch.context() as unsettled:
+            # no series gets a sample
+            unsettled.setattr(evolution, "_MAX_SAMPLES", 8)
+            evolution._band_samples.cache_clear()
+            integrals = [_BandEnergy(model, sched, b) for b in (0, 1)]
+        evolution._band_samples.cache_clear()
         for step0 in range(0, sched.steps, _CHUNK):
             m = min(_CHUNK, sched.steps - step0)
             chunk = sched.phasors(step0, m + 1)
@@ -231,12 +238,10 @@ def test_two_level_energies_take_the_unwrapped_branch(sign_region):
             got = model.energies(chunk)
             assert np.all((got * np.conj(want)).real > 0.0)
             assert (np.abs(got - want) / np.abs(want)).max() <= 4e-15
-            for integral in integrals:
-                integral(chunk)
         for b in (0, 1):
             e = unwrapped_two_level_energies(p, whole)[b]
             want = h * (e.sum() - 0.5 * (e[0] + e[-1]))
-            assert fitted[b].coef is not None
+            assert fitted[b].coef is not None and integrals[b].coef is None
             for integral in (fitted[b], integrals[b]):
                 assert abs(integral.total - want) <= 1e-13 * h * np.abs(e).sum()
 
@@ -761,34 +766,76 @@ _LEAVES_BAND = [
 ]
 
 
-@pytest.mark.parametrize("model, T, steps, band, tol, psi_tol", [
-    (_chain(2.0, 0.3), 200.0, 40000, "plus", 1e-11, 1e-11),
-    (_chain(2.0, 0.0), 200.0, 5657, "plus", 1e-11, 1e-11),
+def _route(model, sched, band):
+    """How the kernel runs a decomposition's cycle.
+
+    "heads" steps only the blocks its heads cannot vouch for;
+    "uncertified" and "one-step" take blocks of one step, whose heads
+    are the steps; "unsettled" and "turn-bound" step every block.
+    """
+    _, _, certified, series = evolution._kept(evolution._cycle_constants,
+                                              model, sched, False)
+    energy = _BandEnergy(model, sched, band_index(band))
+    if not certified:
+        return "uncertified"
+    if series.rows is None:
+        return "one-step"
+    if energy.coef is None:
+        return "unsettled"
+    return "heads" if energy.bounds_steps() else "turn-bound"
+
+
+@pytest.mark.parametrize("model, T, steps, band, route, tol, psi_tol", [
+    (_chain(2.0, 0.3), 200.0, 40000, "plus", "heads", 1e-11, 1e-11),
+    (_chain(2.0, 0.0), 200.0, 5657, "plus", "heads", 1e-11, 1e-11),
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 100.0, 2000,
-     "plus", 1e-11, 1e-11),
+     "plus", "heads", 1e-11, 1e-11),
     # whole identity blocks in the last superblock, then a one-step chunk
-    (_chain(2.0, 0.3), 200.0, _CHUNK + 1, "plus", 1e-11, 1e-11),
+    (_chain(2.0, 0.3), 200.0, _CHUNK + 1, "plus", "heads", 1e-11, 1e-11),
     (TwoLevelModel(_tl((1.2, 1.2, -0.4), (0.0, 0.0, 0.0), 1.0)), 300.0,
-     _CHUNK + 1, "plus", 1e-11, 1e-11),
+     _CHUNK + 1, "plus", "heads", 1e-11, 1e-11),
     # refused at step 339
-    _LEAVES_BAND[0] + (1e-11, 1e-11),
+    _LEAVES_BAND[0] + ("heads", 1e-11, 1e-11),
     # its defect is 264; the other band's growth magnifies the rounding of
-    # the table phasors, so the per-step route is 4.8e-9 from the scalar
-    # steps in total_phase and 2.6e-7 in psi(T), as the block route is
-    _LEAVES_BAND[1] + (1e-8, 1e-6),
+    # the table phasors, so stepping every block is 4.8e-9 from the scalar
+    # steps in total_phase and 2.6e-7 in psi(T), as the head route is
+    _LEAVES_BAND[1] + ("heads", 1e-8, 1e-6),
+    # psi(T) leaves the float range, at log norm 5851
+    (TwoLevelModel(TwoLevelParams(
+        43.69867468068047, 17.42723073977091, 2.917499248410584,
+        57.100927304072535, 44.33144463183489, 12.753895729400615,
+        2.6143449755440384)), 267.5951014575852, 2676, "plus",
+     "uncertified", 5e-15, 1e-11),
+    (TwoLevelModel(TwoLevelParams(
+        30.90698867792813, 29.799378289784606, 9.240785905894386,
+        36.26477726113803, 36.64422880327852, 1.13001039009168,
+        0.631111903024601)), 199.6400774622946, 1997, "plus",
+     "one-step", 5e-15, 1e-11),
+    (TwoLevelModel(TwoLevelParams(
+        0.5531601175494174, 3.0510323852308754, 0.19808874267392484,
+        0.29140636438699463, 2.4323554860515593, 0.850718647468262,
+        0.8158234133038095)), 207.76177058320977, 2078, "plus",
+     "unsettled", 5e-15, 1e-11),
+    # a step may turn c by 1.66 rad, as the energy series bounds it
+    (BipartiteModel(BipartiteParams.from_ratios(13.62719459718084,
+                                                0.03818212562587995)),
+     133.42762280112467, 1335, "plus", "turn-bound", 5e-15, 1e-11),
 ], ids=["model0-200.0-40000", "model1-200.0-5657", "model2-100.0-2000",
         "model3-200.0-32769", "model4-300.0-32769", "leaves-band-refused",
-        "leaves-band-returned"])
-def test_decomposition_matches_the_scalar_oracle(model, T, steps, band, tol,
-                                                 psi_tol, monkeypatch):
+        "leaves-band-returned", "uncertified", "one-step-blocks",
+        "unsettled-energy", "turn-bound"])
+def test_decomposition_matches_the_scalar_oracle(model, T, steps, band, route,
+                                                 tol, psi_tol, monkeypatch):
     sched = Schedule(period_T=T, steps=steps)
+    assert _route(model, sched, band) == route
     system = point_system(model, 0.0)
     lam = np.conj(system.left(band))
     routes = []
-    # the block route, then the per-step route: every state formed,
-    # projected and guarded, and the band energies at every step
-    for per_step in (False, True):
-        if per_step:
+    # the cycle's own route; where that projects at block heads, every
+    # block stepped one at a time too, its every state projected and
+    # guarded
+    for every_block in (False, True)[:2 if route == "heads" else 1]:
+        if every_block:
             monkeypatch.setattr(evolution._BandEnergy, "bounds_steps",
                                 lambda self: False)
         try:
@@ -799,17 +846,22 @@ def test_decomposition_matches_the_scalar_oracle(model, T, steps, band, tol,
         psi, log_scale, turn = scalar_rk4(model, sched, system.right(band),
                                           project=lam)
     except StepTooLarge as ref:
-        assert routes == [ref.step, ref.step]
+        assert routes == [ref.step] * len(routes)
         return
-    r, stepped = routes
-    assert abs(r.total_phase - stepped.total_phase) <= 1e-11 * abs(stepped.total_phase)
-    assert abs(r.defect - stepped.defect) <= 1e-11 * max(1.0, stepped.defect)
-    assert _close(r.psi_final, stepped.psi_final)
+    r = routes[0]
+    for stepped in routes[1:]:
+        assert abs(r.total_phase - stepped.total_phase) <= 1e-11 * abs(stepped.total_phase)
+        assert abs(r.defect - stepped.defect) <= 1e-11 * max(1.0, stepped.defect)
+        assert _close(r.psi_final, stepped.psi_final)
     total = complex(turn, -(log_scale + math.log(abs(lam @ psi))))
     defect = abs(total - complex(r.gamma_d + r.gamma_g, r.xi_d + r.xi_g))
     assert abs(r.total_phase - total) <= tol * abs(total)
     assert abs(r.defect - defect) <= tol * max(1.0, defect)
-    assert _close(r.psi_final, psi * math.exp(log_scale), psi_tol)
+    # psi(T) as its unit state and log norm: some cycles end outside the
+    # float range
+    norm = np.linalg.norm(psi)
+    assert _close(r.psi_unit, psi / norm, psi_tol)
+    assert abs(r.log_norm - (log_scale + math.log(norm))) <= psi_tol
 
 
 # the bench's rotation-covariant loops: h_x = h_y and d_x = d_y
